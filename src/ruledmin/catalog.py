@@ -32,7 +32,7 @@ from .families import (
     validate_signs,
 )
 from .metric import Signature
-from .surface import RuledSurface, sweep_grid, is_minimal, is_totally_geodesic
+from .surface import RuledSurface, sweep_grid
 
 DEFAULT_S_DOMAIN = (-3.0, 3.0)
 DEFAULT_T_DOMAIN = (-3.0, 3.0)
@@ -449,8 +449,9 @@ def bernstein_check(
     Checks, over nested square boxes, that the generated surface is the
     graph of a polynomial over a coordinate plane, has a definite induced
     metric with det g > 0 and g11 > 0 (spacelike), is minimal, and is not a
-    plane. Raises NonExistenceError where the family does not exist, which
-    is exactly what makes this fail in low dimensions.
+    plane (read from the sweep of the largest box). Raises NonExistenceError
+    where the family does not exist, which is exactly what makes this fail
+    in low dimensions.
     """
     family = FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID
     validate_signs(family, signs)
@@ -476,7 +477,7 @@ def bernstein_check(
         sweep = sweep_grid(sig, surface, s_grid, t_grid)
         min_det = min(min_det, float(sweep.det_g.min()))
         min_g11 = min(min_g11, float(sweep.g11.min()))
-        report = is_minimal(sig, surface, s_grid, t_grid)
+        report = sweep.minimality()
         max_h = max(max_h, report.max_h_norm)
         minimal_ok = minimal_ok and report.is_minimal
         T = t_grid[None, :]
@@ -486,9 +487,6 @@ def bernstein_check(
         if float(np.abs(sweep.f[..., e3_idx] - S).max()) > 1e-12:
             graph_ok = False
 
-    big = domains[-1]
-    surface = generate(sig, family, signs, s_domain=big, t_domain=big)
-    planar = is_totally_geodesic(sig, surface)
     return BernsteinReport(
         sig=sig,
         signs=signs,
@@ -498,7 +496,7 @@ def bernstein_check(
         graph_axes=(e2_idx, e3_idx),
         spacelike=min_det > 0 and min_g11 > 0,
         minimal=minimal_ok,
-        planar=planar,
+        planar=report.totally_geodesic,
         max_h_norm=max_h,
         min_det_g=min_det,
         min_g11=min_g11,

@@ -19,19 +19,37 @@ from .curves import CurveExpr, uniform_grid
 from .errors import ConventionError, NullDirectionError, UsageError
 from .families import FamilyId
 from .metric import Signature, ip_array
-from .surface import (
-    H_TOL,
-    MinimalityReport,
-    RuledSurface,
-    gauge_normalize,
-    is_minimal,
-    is_totally_geodesic,
-)
+from .surface import H_TOL, MinimalityReport, RuledSurface, gauge_normalize, is_minimal
 
 SCAN_POINTS = 201
 CONSTANCY_TOL = 1e-9
 GAUGE_TOL = 1e-8
 DEPENDENCE_TOL = 1e-10
+STRUCTURE_TOL = 1e-8
+
+
+# ---------------------------------------------------------------------------
+# directrix scan
+
+
+class _DirectrixScan:
+    """gamma, gamma', gamma'', x', x'' sampled once along s, with their pairings.
+
+    Every per-s check (genericity, case invariants, structure equations,
+    cylinder test) reads these arrays, so one scan serves a whole query.
+    """
+
+    def __init__(self, sig: Signature, surface: RuledSurface, num: int = SCAN_POINTS):
+        self.sig = sig
+        self.surface = surface
+        self.s = s = uniform_grid(*surface.s_domain, num)
+        self.g0, self.g1, self.g2 = (surface.gamma.eval(s, o) for o in (0, 1, 2))
+        self.x1, self.x2 = (surface.base.eval(s, o) for o in (1, 2))
+        self.gg = ip_array(sig, self.g0, self.g0)  # <gamma, gamma>
+        self.g1g1 = ip_array(sig, self.g1, self.g1)  # <gamma', gamma'>
+        self.x1x1 = ip_array(sig, self.x1, self.x1)  # <x', x'>
+        self.g1x1 = ip_array(sig, self.g1, self.x1)  # <gamma', x'>
+        self.g0x1 = ip_array(sig, self.g0, self.x1)  # <gamma, x'>
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +114,16 @@ def genericity_scan(
     linear dependence and independence. Isolated zeros mean the case label
     changes across the domain and the surface should be split first.
     """
-    s = uniform_grid(*surface.s_domain, num)
-    g0 = surface.gamma.eval(s, 0)
-    g1 = surface.gamma.eval(s, 1)
-    x1 = surface.base.eval(s, 1)
+    return _genericity(_DirectrixScan(sig, surface, num), tol)
+
+
+def _genericity(scan: _DirectrixScan, tol: float) -> GenericityReport:
+    s = scan.s
     series = {
-        "direction_norm": ip_array(sig, g0, g0),
-        "direction_speed": ip_array(sig, g1, g1),
-        "base_speed": ip_array(sig, x1, x1),
-        "mixed_speed": ip_array(sig, g1, x1),
+        "direction_norm": scan.gg,
+        "direction_speed": scan.g1g1,
+        "base_speed": scan.x1x1,
+        "mixed_speed": scan.g1x1,
     }
     profiles = {}
     for name, vals in series.items():
@@ -116,7 +135,7 @@ def genericity_scan(
 
     # 2x2 Euclidean Gram determinant of (gamma', x'), row-normalized so the
     # threshold is scale-free
-    rows = np.stack([g1, x1], axis=1)  # (num, 2, n)
+    rows = np.stack([scan.g1, scan.x1], axis=1)  # (num, 2, n)
     norms = np.linalg.norm(rows, axis=2)
     safe = np.where(norms > 0, norms, 1.0)
     unit = rows / safe[:, :, None]
@@ -125,11 +144,11 @@ def genericity_scan(
     dependent = (dets < DEPENDENCE_TOL) | (norms.min(axis=1) == 0.0)
     switches = tuple(
         float(0.5 * (s[i] + s[i + 1]))
-        for i in range(num - 1)
+        for i in range(s.size - 1)
         if dependent[i] != dependent[i + 1]
     )
     return GenericityReport(
-        sig=sig, num_points=num, profiles=profiles, dependence_switches=switches
+        sig=scan.sig, num_points=s.size, profiles=profiles, dependence_switches=switches
     )
 
 
@@ -186,16 +205,16 @@ def case_invariants(
     NullDirectionError when the direction curve is null but non-constant,
     and ConventionError when a normalization is missing.
     """
-    if isinstance(surface.gamma, CurveExpr) and surface.gamma.is_constant():
+    return _case_invariants(_DirectrixScan(sig, surface, num), tol, gauge_tol)
+
+
+def _case_invariants(scan: _DirectrixScan, tol: float, gauge_tol: float) -> CaseInvariants:
+    gamma = scan.surface.gamma
+    if isinstance(gamma, CurveExpr) and gamma.is_constant():
         raise UsageError(
             "the ruling direction is constant; classify with cylinder_check"
         )
-    s = uniform_grid(*surface.s_domain, num)
-    g0 = surface.gamma.eval(s, 0)
-    g1 = surface.gamma.eval(s, 1)
-    x1 = surface.base.eval(s, 1)
-
-    gg = ip_array(sig, g0, g0)
+    gg = scan.gg
     if float(np.abs(gg).max()) <= tol:
         raise NullDirectionError(
             "the ruling direction is null along a non-constant curve; such a "
@@ -208,14 +227,13 @@ def case_invariants(
         )
     epsilon = 1 if eps_val > 0 else -1
 
-    pairing = ip_array(sig, g0, x1)
-    if float(np.abs(pairing).max()) > gauge_tol:
+    if float(np.abs(scan.g0x1).max()) > gauge_tol:
         raise ConventionError(
             "<gamma, x'> does not vanish; apply gauge_normalize before "
             "classification"
         )
 
-    eta_val = _constant_value("<gamma', gamma'>", ip_array(sig, g1, g1), tol)
+    eta_val = _constant_value("<gamma', gamma'>", scan.g1g1, tol)
     if abs(eta_val) <= tol:
         eta = 0
     elif abs(abs(eta_val) - 1.0) <= 1e-6:
@@ -226,7 +244,7 @@ def case_invariants(
             "curve so its speed is 0 or +-1"
         )
 
-    delta_value = _constant_value("<x', x'>", ip_array(sig, x1, x1), tol)
+    delta_value = _constant_value("<x', x'>", scan.x1x1, tol)
     delta = 0 if abs(delta_value) <= tol else (1 if delta_value > 0 else -1)
     if eta == 0 and delta != 0 and abs(abs(delta_value) - 1.0) > 1e-6:
         raise ConventionError(
@@ -234,7 +252,7 @@ def case_invariants(
             "the base speed normalizes to 0 or +-1"
         )
 
-    mu_vals = ip_array(sig, g1, x1)
+    mu_vals = scan.g1x1
     mu_spread = float(mu_vals.max() - mu_vals.min())
     if mu_spread <= tol:
         mu = MuProfile("constant", float(mu_vals.mean()), float(np.abs(mu_vals).max()))
@@ -311,46 +329,32 @@ def cylinder_check(
     """
     if isinstance(surface.gamma, CurveExpr) and not surface.gamma.is_constant():
         raise UsageError("cylinder_check expects a constant ruling direction")
-    s = uniform_grid(*surface.s_domain, num)
-    g0 = surface.gamma.eval(s, 0)
-    x1 = surface.base.eval(s, 1)
-    direction_null = float(np.abs(ip_array(sig, g0, g0)).max()) <= tol
-    base_null = float(np.abs(ip_array(sig, x1, x1)).max()) <= tol
-    min_pairing = float(np.abs(ip_array(sig, g0, x1)).min())
+    return _cylinder_check(_DirectrixScan(sig, surface, num), tol, h_tol)
 
-    report = is_minimal(sig, surface, tol=h_tol)
-    if report.is_minimal and is_totally_geodesic(sig, surface, tol=h_tol):
-        return CylinderReport(
-            verdict=CylinderVerdict.PLANE,
-            direction_null=direction_null,
-            base_null=base_null,
-            min_pairing=min_pairing,
-            max_h_norm=report.max_h_norm,
-            note="totally geodesic: the surface lies in a plane",
-        )
-    if (
-        report.is_minimal
-        and direction_null
-        and base_null
-        and min_pairing > tol
-    ):
-        return CylinderReport(
-            verdict=CylinderVerdict.MINIMAL_CYLINDER,
-            direction_null=direction_null,
-            base_null=base_null,
-            min_pairing=min_pairing,
-            max_h_norm=report.max_h_norm,
-            note="null direction over a null base with nowhere-zero pairing",
-        )
-    if report.is_minimal:
+
+def _cylinder_check(scan: _DirectrixScan, tol: float, h_tol: float) -> CylinderReport:
+    direction_null = float(np.abs(scan.gg).max()) <= tol
+    base_null = float(np.abs(scan.x1x1).max()) <= tol
+    min_pairing = float(np.abs(scan.g0x1).min())
+
+    report = is_minimal(scan.sig, scan.surface, tol=h_tol)
+    if report.is_minimal and report.totally_geodesic:
+        verdict = CylinderVerdict.PLANE
+        note = "totally geodesic: the surface lies in a plane"
+    elif report.is_minimal and direction_null and base_null and min_pairing > tol:
+        verdict = CylinderVerdict.MINIMAL_CYLINDER
+        note = "null direction over a null base with nowhere-zero pairing"
+    elif report.is_minimal:
+        verdict = CylinderVerdict.NOT_MINIMAL
         note = (
             "mean curvature vanishes on the grid but the null-cylinder "
             "structure checks fail; treat as unresolved"
         )
     else:
+        verdict = CylinderVerdict.NOT_MINIMAL
         note = f"max |H| = {report.max_h_norm:.3e} exceeds {h_tol:.1e}"
     return CylinderReport(
-        verdict=CylinderVerdict.NOT_MINIMAL,
+        verdict=verdict,
         direction_null=direction_null,
         base_null=base_null,
         min_pairing=min_pairing,
@@ -380,7 +384,7 @@ def verify_structure_odes(
     surface: RuledSurface,
     inv: CaseInvariants | None = None,
     num: int = SCAN_POINTS,
-    tol: float = 1e-8,
+    tol: float = STRUCTURE_TOL,
 ) -> StructureReport:
     """Residuals of the curve equations every normalized minimal case obeys.
 
@@ -388,17 +392,19 @@ def verify_structure_odes(
     cases the base satisfies x'' = eps <gamma, x''> gamma (x'' is parallel to
     the ruling direction).
     """
+    scan = _DirectrixScan(sig, surface, num)
     if inv is None:
-        inv = case_invariants(sig, surface, num=num)
-    s = uniform_grid(*surface.s_domain, num)
-    g0 = surface.gamma.eval(s, 0)
-    g2 = surface.gamma.eval(s, 2)
-    x2 = surface.base.eval(s, 2)
+        inv = _case_invariants(scan, CONSTANCY_TOL, GAUGE_TOL)
+    return _structure(scan, inv, tol)
+
+
+def _structure(scan: _DirectrixScan, inv: CaseInvariants, tol: float) -> StructureReport:
+    g0, g2, x2 = scan.g0, scan.g2, scan.x2
     if inv.eta != 0:
         dir_res = g2 + (inv.epsilon * inv.eta) * g0
     else:
         dir_res = g2
-    coeff = inv.epsilon * ip_array(sig, g0, x2)
+    coeff = inv.epsilon * ip_array(scan.sig, g0, x2)
     base_res = x2 - coeff[:, None] * g0
     return StructureReport(
         eta=inv.eta,
@@ -444,9 +450,10 @@ def identify_family(
     inputs come back with family None and a diagnosis string instead.
     """
     notes: list[str] = []
+    scan = _DirectrixScan(sig, surface)
 
     if isinstance(surface.gamma, CurveExpr) and surface.gamma.is_constant():
-        cyl = cylinder_check(sig, surface, tol=tol, h_tol=h_tol)
+        cyl = _cylinder_check(scan, tol, h_tol)
         family = {
             CylinderVerdict.PLANE: FamilyId.PLANE,
             CylinderVerdict.MINIMAL_CYLINDER: FamilyId.MINIMAL_CYLINDER,
@@ -464,9 +471,7 @@ def identify_family(
             notes=[cyl.note] if family is not None else [],
         )
 
-    s = uniform_grid(*surface.s_domain, SCAN_POINTS)
-    g0 = surface.gamma.eval(s, 0)
-    if float(np.abs(ip_array(sig, g0, g0)).max()) <= tol:
+    if float(np.abs(scan.gg).max()) <= tol:
         # gauge normalization would mask this as a unit-norm failure
         raise NullDirectionError(
             "the ruling direction is null along a non-constant curve; such a "
@@ -474,19 +479,19 @@ def identify_family(
         )
 
     if auto_gauge and isinstance(surface.base, CurveExpr):
-        pairing = ip_array(sig, g0, surface.base.eval(s, 1))
-        if float(np.abs(pairing).max()) > GAUGE_TOL:
+        if float(np.abs(scan.g0x1).max()) > GAUGE_TOL:
             surface = gauge_normalize(sig, surface).surface
+            scan = _DirectrixScan(sig, surface)
             notes.append("base curve replaced by its gauge normalization")
 
-    genericity = genericity_scan(sig, surface)
+    genericity = _genericity(scan, CONSTANCY_TOL)
     if not genericity.generic:
         notes.append(
             "invariants change type inside the domain; the classification "
             "applies to its generic part"
         )
 
-    inv = case_invariants(sig, surface, tol=tol)
+    inv = _case_invariants(scan, tol, GAUGE_TOL)
     raw_case = table1_case(inv)
 
     def unrecognized(diagnosis: str, minimality=None) -> ClassificationResult:
@@ -516,7 +521,7 @@ def identify_family(
             minimality,
         )
 
-    if is_totally_geodesic(sig, surface, tol=h_tol):
+    if minimality.totally_geodesic:
         return ClassificationResult(
             sig=sig,
             family=FamilyId.PLANE,
@@ -572,7 +577,7 @@ def identify_family(
             family = FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID
             reported = CaseLabel.CASE_V
 
-    structure = verify_structure_odes(sig, surface, inv)
+    structure = _structure(scan, inv, STRUCTURE_TOL)
     if not structure.ok:
         notes.append(
             "structure-equation residuals are larger than expected "

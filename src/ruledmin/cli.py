@@ -21,7 +21,6 @@ from .classify import (
     ClassificationResult,
     GenericityReport,
     StructureReport,
-    case_invariants,
     identify_family,
     verify_structure_odes,
 )
@@ -42,11 +41,8 @@ from .surface import (
     RuledSurface,
     gauge_normalize,
     is_minimal,
-    is_totally_geodesic,
     sweep_grid,
 )
-
-DEFAULT_SEED = 0
 
 
 # ---------------------------------------------------------------------------
@@ -117,33 +113,41 @@ def build_parser() -> argparse.ArgumentParser:
         "verification, classification, existence, meshes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, surface_input: bool = True) -> None:
-        if surface_input:
-            p.add_argument("--input", help="surface JSON file")
-            p.add_argument("--family", help="catalog family (kebab-case name)")
-            p.add_argument("--signs", help="frame sign choice s1,s2,s3")
-        p.add_argument("--sig", help="ambient signature n,p")
-        p.add_argument("--grid", help="sweep grid NSxNT (default 41x41)")
-        p.add_argument("--s-range", dest="s_range", help="s interval a,b")
-        p.add_argument("--t-range", dest="t_range", help="t interval a,b")
-        p.add_argument("--tol", type=float, help="verification tolerance")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="rng seed")
-        p.add_argument("--out", help="write the primary artifact to this path")
-        p.add_argument(
-            "--format", choices=("json", "csv", "obj"), help="output format"
-        )
-
-    common(sub.add_parser("verify", help="decide minimality"))
-    common(sub.add_parser("classify", help="identify the family"))
-    pe = sub.add_parser("existence", help="witnesses, certificates, the table")
-    pe.add_argument("--table", action="store_true", help="print the existence table")
-    pe.add_argument("--family", help="catalog family (kebab-case name)")
-    pe.add_argument("--signs", help="frame sign choice s1,s2,s3")
-    common(pe, surface_input=False)
-    common(sub.add_parser("mesh", help="export an OBJ/CSV lattice mesh"))
-    common(sub.add_parser("causal-map", help="spacelike/timelike regions over t"))
-    common(sub.add_parser("gauge", help="normalize the base curve (kill g12)"))
+    flags = {  # in the order --help lists them
+        "table": dict(action="store_true", help="print the existence table"),
+        "input": dict(help="surface JSON file"),
+        "family": dict(help="catalog family (kebab-case name)"),
+        "signs": dict(help="frame sign choice s1,s2,s3"),
+        "sig": dict(help="ambient signature n,p"),
+        "grid": dict(help="sweep grid NSxNT (default 41x41)"),
+        "s-range": dict(dest="s_range", help="s interval a,b"),
+        "t-range": dict(dest="t_range", help="t interval a,b"),
+        "tol": dict(type=float, help="verification tolerance"),
+        "out": dict(help="write the primary artifact to this path"),
+        "format": dict(choices=("json", "csv", "obj"), help="output format"),
+    }
+    surface_flags = {"input", "family", "signs", "sig", "s-range", "t-range", "out"}
+    # each subcommand declares only the flags its handler reads, so argparse
+    # rejects the rest with exit code 2
+    commands = {
+        "verify": ("decide minimality", surface_flags | {"grid", "tol"}),
+        "classify": ("identify the family", surface_flags | {"tol"}),
+        "existence": (
+            "witnesses, certificates, the table",
+            {"table", "family", "signs", "sig", "out", "format"},
+        ),
+        "mesh": ("export an OBJ/CSV lattice mesh", surface_flags | {"grid", "format"}),
+        "causal-map": (
+            "spacelike/timelike regions over t",
+            {"family", "sig", "signs", "t-range", "out", "format"},
+        ),
+        "gauge": ("normalize the base curve (kill g12)", surface_flags | {"tol"}),
+    }
+    for name, (help_text, accepted) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in flags.items():
+            if flag in accepted:
+                p.add_argument(f"--{flag}", **spec)
     return parser
 
 
@@ -154,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_surface(args) -> tuple[Signature, RuledSurface, dict]:
     """Surface from --input JSON or a generated catalog family."""
     meta: dict = {}
-    if getattr(args, "input", None):
+    if args.input:
         path = Path(args.input)
         try:
             text = path.read_text()
@@ -166,12 +170,12 @@ def _resolve_surface(args) -> tuple[Signature, RuledSurface, dict]:
             raise UsageError(
                 "--sig disagrees with the signature inside the input file"
             )
-    elif getattr(args, "family", None):
+    elif args.family:
         if args.sig is None:
             raise UsageError("--family needs --sig n,p")
         sig = _sig_arg(args.sig)
         family = _family_arg(args.family)
-        signs = _signs_arg(args.signs) if getattr(args, "signs", None) else None
+        signs = _signs_arg(args.signs) if args.signs else None
         surface = generate(sig, family, signs)
         meta["family"] = CLI_NAME_OF[family]
         if signs is not None:
@@ -189,17 +193,8 @@ def _resolve_surface(args) -> tuple[Signature, RuledSurface, dict]:
 
 
 def _grids(args, surface: RuledSurface):
-    shape = _grid_arg(args.grid) if getattr(args, "grid", None) else (41, 41)
+    shape = _grid_arg(args.grid) if args.grid else (41, 41)
     return surface.default_grids(shape)
-
-
-def _emit(payload: dict, args=None) -> None:
-    text = jsonio.dumps(payload)
-    out = getattr(args, "out", None) if args is not None else None
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -330,22 +325,19 @@ def cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else H_TOL
     s_grid, t_grid = _grids(args, surface)
     report = is_minimal(sig, surface, s_grid, t_grid, tol=tol)
-    tg = is_totally_geodesic(sig, surface, s_grid, t_grid, tol=tol)
-    structure = None
     try:
-        inv = case_invariants(sig, surface)
-        structure = verify_structure_odes(sig, surface, inv)
+        structure = verify_structure_odes(sig, surface)
     except RuledminError:
-        pass
+        structure = None
     payload = {
         "command": "verify",
         "signature": _sig_json(sig),
         **meta,
         "minimality": _minimality_json(report),
-        "totally_geodesic": tg,
+        "totally_geodesic": report.totally_geodesic,
         "structure": _structure_json(structure),
     }
-    _emit(payload, args)
+    _write_or_print(jsonio.dumps(payload), args.out)
     return 0 if report.is_minimal else 1
 
 
@@ -369,7 +361,7 @@ def cmd_classify(args) -> int:
     sig, surface, _ = _resolve_surface(args)
     tol = args.tol if args.tol is not None else H_TOL
     result = identify_family(sig, surface, h_tol=tol)
-    _emit(_classification_json(result), args)
+    _write_or_print(jsonio.dumps(_classification_json(result)), args.out)
     return 0 if result.recognized else 1
 
 
@@ -420,7 +412,7 @@ def cmd_existence(args) -> int:
     if args.table:
         fmt = args.format or "text"
         if fmt == "json":
-            _emit(_table_rows_json(), args)
+            _write_or_print(jsonio.dumps(_table_rows_json()), args.out)
         elif fmt == "csv":
             _write_or_print(_table_csv(), args.out)
         elif fmt == "obj":
@@ -435,7 +427,7 @@ def cmd_existence(args) -> int:
     signs = _signs_arg(args.signs) if args.signs else None
     result = existence_oracle(sig, family, signs)
     payload = {"command": "existence", **_existence_json(result)}
-    _emit(payload, args)
+    _write_or_print(jsonio.dumps(payload), args.out)
     return 0
 
 
@@ -501,7 +493,7 @@ def cmd_causal_map(args) -> int:
         "constant": report.constant,
         "cross_validated": report.cross_validated,
     }
-    _emit(payload, args)
+    _write_or_print(jsonio.dumps(payload), args.out)
     return 0
 
 
@@ -527,7 +519,7 @@ def cmd_gauge(args) -> int:
         if result.exact
         else None,
     }
-    _emit(payload, args)
+    _write_or_print(jsonio.dumps(payload), args.out)
     return 0
 
 

@@ -11,17 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .catalog import DEG_BAND
+from .jsonio import _fmt_float
 from .metric import Signature
 from .surface import RuledSurface, SurfaceSweep, sweep_grid
 
 
 def _fmt(x: float) -> str:
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return format(x, ".17g")
+    return _fmt_float(x, non_finite="nan")
 
 
 def projection_axes(sig: Signature) -> list[int]:

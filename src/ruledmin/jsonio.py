@@ -14,7 +14,7 @@ import numbers
 import numpy as np
 
 from . import basisfn
-from .basisfn import Atom, ScalarFn
+from .basisfn import ScalarFn
 from .curves import JSON_BASES, CurveExpr
 from .errors import UsageError
 from .metric import Signature
@@ -35,9 +35,15 @@ _KIND_ORDER = {kind: i for i, kind in enumerate(basisfn.KINDS)}
 # deterministic serialization
 
 
-def _fmt_float(x: float) -> str:
+def _fmt_float(x: float, non_finite: str = "null") -> str:
+    """17 significant digits; integral values print without a decimal point.
+
+    JSON has no NaN/Inf, so reports print null for masked values; the CSV
+    export passes "nan" instead.
+    """
+    x = float(x)
     if not math.isfinite(x):
-        return "null"  # JSON has no NaN/Inf; reports use null for masked values
+        return non_finite
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return format(x, ".17g")
@@ -53,7 +59,7 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
     elif isinstance(obj, numbers.Integral):
         out.append(str(int(obj)))
     elif isinstance(obj, numbers.Real):
-        out.append(_fmt_float(float(obj)))
+        out.append(_fmt_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -157,6 +163,21 @@ def _interval(data, path: str) -> tuple[float, float]:
 # curves
 
 
+def _terms_to_json(terms: dict, coeff_to_json) -> list:
+    out = []
+    for atom in sorted(terms, key=lambda a: (_KIND_ORDER[a.kind], a.omega, a.k)):
+        coeff = coeff_to_json(terms[atom])
+        if atom.kind == basisfn.ONE:
+            out.append({"basis": "pow", "param": atom.k, "coeff": coeff})
+        else:
+            term = {"basis": _BASIS_BY_KIND[atom.kind], "param": atom.omega}
+            if atom.k:
+                term["degree"] = atom.k
+            term["coeff"] = coeff
+            out.append(term)
+    return out
+
+
 def curve_to_json(curve: CurveExpr) -> dict:
     """Wire form of a closed-form curve.
 
@@ -164,21 +185,10 @@ def curve_to_json(curve: CurveExpr) -> dict:
     gauge integrals) carry an extra "degree" field; plain terms match the
     input schema exactly.
     """
-    terms = []
-    atoms = sorted(
-        curve.terms, key=lambda a: (_KIND_ORDER[a.kind], a.omega, a.k)
-    )
-    for atom in atoms:
-        coeff = [float(c) for c in curve.terms[atom]]
-        if atom.kind == basisfn.ONE:
-            terms.append({"basis": "pow", "param": atom.k, "coeff": coeff})
-        else:
-            term = {"basis": _BASIS_BY_KIND[atom.kind], "param": atom.omega}
-            if atom.k:
-                term["degree"] = atom.k
-            term["coeff"] = coeff
-            terms.append(term)
-    return {"n": curve.n, "terms": terms}
+    return {
+        "n": curve.n,
+        "terms": _terms_to_json(curve.terms, lambda c: [float(v) for v in c]),
+    }
 
 
 def curve_from_json(data, path: str = "curve") -> CurveExpr:
@@ -212,19 +222,7 @@ def curve_from_json(data, path: str = "curve") -> CurveExpr:
 
 def scalar_fn_to_json(fn: ScalarFn) -> list:
     """Wire form of a scalar closed form (list of terms with scalar coeff)."""
-    terms = []
-    atoms = sorted(fn.terms, key=lambda a: (_KIND_ORDER[a.kind], a.omega, a.k))
-    for atom in atoms:
-        coeff = float(fn.terms[atom])
-        if atom.kind == basisfn.ONE:
-            terms.append({"basis": "pow", "param": atom.k, "coeff": coeff})
-        else:
-            term = {"basis": _BASIS_BY_KIND[atom.kind], "param": atom.omega}
-            if atom.k:
-                term["degree"] = atom.k
-            term["coeff"] = coeff
-            terms.append(term)
-    return terms
+    return _terms_to_json(fn.terms, float)
 
 
 # ---------------------------------------------------------------------------

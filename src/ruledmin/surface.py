@@ -204,6 +204,42 @@ class SurfaceSweep:
     f: np.ndarray
     tau_deg: float
 
+    def minimality(self, tol: float = H_TOL) -> MinimalityReport:
+        """Decide max |H| <= tol and total geodesy, skipping degenerate points.
+
+        Degenerate points are excluded from the maxima and listed in the
+        report; if every grid point is degenerate there is nothing to decide
+        and EverywhereDegenerateError is raised.
+        """
+        mask = self.nondegenerate
+        n_tot = int(mask.size)
+        n_deg = int((~mask).sum())
+        if n_deg == n_tot:
+            raise EverywhereDegenerateError(
+                f"all {n_tot} grid points have |det g| <= {self.tau_deg}"
+            )
+        max_h = float(np.nanmax(self.H_norm))
+        max_h11 = float(np.abs(self.h11[mask]).max())
+        max_h12 = float(np.abs(self.h12[mask]).max())
+        verdict = (
+            MinimalityVerdict.MINIMAL if max_h <= tol else MinimalityVerdict.NOT_MINIMAL
+        )
+        return MinimalityReport(
+            verdict=verdict,
+            max_h_norm=max_h,
+            tol=tol,
+            points_checked=n_tot - n_deg,
+            points_degenerate=n_deg,
+            max_h11=max_h11,
+            max_h12=max_h12,
+            totally_geodesic=max(max_h11, max_h12) <= tol,
+            degenerate_sample=[
+                (float(self.s_grid[i]), float(self.t_grid[j]))
+                for i, j in np.argwhere(~mask)[:16]
+            ],
+            grid_shape=(self.s_grid.size, self.t_grid.size),
+        )
+
 
 def sweep_grid(
     sig: Signature,
@@ -277,25 +313,23 @@ class MinimalityVerdict(Enum):
 
 @dataclass
 class MinimalityReport:
+    """Verdict of one sweep; max_h11, max_h12 (largest components over the
+    non-degenerate points) decide totally_geodesic with the same tol."""
+
     verdict: MinimalityVerdict
     max_h_norm: float
     tol: float
     points_checked: int
     points_degenerate: int
+    max_h11: float
+    max_h12: float
+    totally_geodesic: bool
     degenerate_sample: list = field(default_factory=list)
     grid_shape: tuple[int, int] = (0, 0)
 
     @property
     def is_minimal(self) -> bool:
         return self.verdict is MinimalityVerdict.MINIMAL
-
-
-def _degenerate_sample(sweep: SurfaceSweep, cap: int = 16) -> list[tuple[float, float]]:
-    bad = np.argwhere(~sweep.nondegenerate)
-    out = []
-    for i, j in bad[:cap]:
-        out.append((float(sweep.s_grid[i]), float(sweep.t_grid[j])))
-    return out
 
 
 def is_minimal(
@@ -306,32 +340,8 @@ def is_minimal(
     tol: float = H_TOL,
     tau_deg: float = TAU_DEG,
 ) -> MinimalityReport:
-    """Decide max |H| <= tol over the grid, skipping degenerate points.
-
-    Degenerate points are excluded from the max and listed in the report;
-    if every grid point is degenerate there is nothing to decide and
-    EverywhereDegenerateError is raised.
-    """
-    sweep = sweep_grid(sig, surface, s_grid, t_grid, tau_deg)
-    n_deg = int((~sweep.nondegenerate).sum())
-    n_tot = int(sweep.nondegenerate.size)
-    if n_deg == n_tot:
-        raise EverywhereDegenerateError(
-            f"all {n_tot} grid points have |det g| <= {tau_deg}"
-        )
-    max_h = float(np.nanmax(sweep.H_norm))
-    verdict = (
-        MinimalityVerdict.MINIMAL if max_h <= tol else MinimalityVerdict.NOT_MINIMAL
-    )
-    return MinimalityReport(
-        verdict=verdict,
-        max_h_norm=max_h,
-        tol=tol,
-        points_checked=n_tot - n_deg,
-        points_degenerate=n_deg,
-        degenerate_sample=_degenerate_sample(sweep),
-        grid_shape=(sweep.s_grid.size, sweep.t_grid.size),
-    )
+    """Sweep the grid once and decide from it; see SurfaceSweep.minimality."""
+    return sweep_grid(sig, surface, s_grid, t_grid, tau_deg).minimality(tol)
 
 
 def is_totally_geodesic(
@@ -343,13 +353,7 @@ def is_totally_geodesic(
     tau_deg: float = TAU_DEG,
 ) -> bool:
     """True when the whole second form vanishes on the non-degenerate grid."""
-    sweep = sweep_grid(sig, surface, s_grid, t_grid, tau_deg)
-    mask = sweep.nondegenerate
-    if not mask.any():
-        raise EverywhereDegenerateError("no non-degenerate points to test")
-    m11 = np.abs(sweep.h11[mask]).max() if mask.any() else 0.0
-    m12 = np.abs(sweep.h12[mask]).max()
-    return float(max(m11, m12)) <= tol
+    return is_minimal(sig, surface, s_grid, t_grid, tol, tau_deg).totally_geodesic
 
 
 def c_function(

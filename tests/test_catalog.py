@@ -5,6 +5,7 @@ import pytest
 
 from ruledmin import (
     DEG_BAND,
+    H_TOL,
     CausalCharacter,
     FamilyId,
     FrameSpec,
@@ -21,8 +22,10 @@ from ruledmin import (
     generate,
     immersion_jet,
     is_minimal,
+    is_totally_geodesic,
     pick_signs,
     scale_surface,
+    sweep_grid,
     uniform_grid,
 )
 from ruledmin.catalog import SpanType
@@ -107,6 +110,23 @@ def test_plane_generation():
     surf = generate(R30, FamilyId.PLANE)
     assert surf.gamma.is_constant()
     assert is_minimal(R30, surf).is_minimal
+
+
+@pytest.mark.parametrize(
+    "sig,family,signs",
+    [*_admissible_triples(n_range=(3, 4, 5)),
+     *((Signature(n, p), FamilyId.PLANE, None) for n in (3, 4, 5) for p in range(n + 1))],
+    ids=str,
+)
+def test_totally_geodesic_verdict_matches_the_sweep(sig, family, signs):
+    surf = generate(sig, family, signs=signs)
+    sweep = sweep_grid(sig, surf)
+    mask = sweep.nondegenerate
+    expected = max(np.abs(sweep.h11[mask]).max(), np.abs(sweep.h12[mask]).max()) <= H_TOL
+    report = is_minimal(sig, surf)
+    assert report.totally_geodesic == expected
+    assert is_totally_geodesic(sig, surf) == expected
+    assert expected == (family is FamilyId.PLANE)
 
 
 def test_all_admissible_triples_generate_minimal_surfaces():

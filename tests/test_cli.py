@@ -3,11 +3,13 @@
 import contextlib
 import io
 import json
+import sys
 from collections import Counter
 
 import pytest
 
-from ruledmin import cli
+from ruledmin import cli, surface
+from ruledmin.curves import CurveExpr
 
 
 def run(argv):
@@ -285,6 +287,47 @@ def test_inadmissible_generation_exits_2_with_certificate():
     assert doc["error"] == "non-existence"
     assert doc["certificate"]["kind"] == "IndexOneNullOrthogonalObstruction"
     assert doc["certificate"]["replay"]["exact"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["causal-map", "--family", "elliptic-helicoid-1", "--sig", "3,1",
+         "--input", "/nonexistent.json", "--grid", "3x3", "--tol", "1e-30", "--seed", "5"],
+        ["causal-map", "--family", "elliptic-helicoid-1", "--sig", "3,1", "--seed", "5"],
+        ["verify", "--family", "elliptic-helicoid-1", "--sig", "3,0", "--format", "csv"],
+        ["classify", "--family", "elliptic-helicoid-1", "--sig", "3,0", "--grid", "9x9"],
+        ["existence", "--sig", "3,0", "--family", "elliptic-helicoid-1", "--tol", "1"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(argv):
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_verify_and_classify_sample_the_surface_once(monkeypatch):
+    counts = Counter()
+    sweep_grid, curve_eval = surface.sweep_grid, CurveExpr.eval
+
+    def counting_sweep(*args, **kwargs):
+        counts["sweep"] += 1
+        return sweep_grid(*args, **kwargs)
+
+    def counting_eval(self, *args, **kwargs):
+        counts["eval"] += 1
+        return curve_eval(self, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ruledmin") and getattr(module, "sweep_grid", None) is sweep_grid:
+            monkeypatch.setattr(module, "sweep_grid", counting_sweep)
+    monkeypatch.setattr(CurveExpr, "eval", counting_eval)
+    for command in ("verify", "classify"):
+        counts.clear()
+        rc, _ = run_json([command, "--sig", "4,2", "--family", "hyperbolic-helicoid-2"])
+        assert rc == 0
+        assert counts["sweep"] == 1, command
+        assert counts["eval"] <= 12, command
 
 
 def test_classify_json_is_deterministic():
