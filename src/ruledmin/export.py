@@ -1,23 +1,40 @@
 """Mesh (OBJ) and table (CSV) exports of surface sweeps.
 
 Output is byte-deterministic: fixed column order, 17-significant-digit
-floats, LF newlines. OBJ viewers want 3 coordinates, so higher-dimensional
-surfaces are projected onto three ambient axes (spacelike first) with the
-choice recorded in the header.
+floats, LF newlines. Each column is formatted with one C-level "%.17g"
+call over the whole column, after folding -0.0 to 0.0 and non-finite
+values to nan; that spells every value exactly as jsonio._fmt_float(x,
+"nan") does. s and t are formatted once per grid line. OBJ viewers want 3
+coordinates, so higher-dimensional surfaces are projected onto three
+ambient axes (spacelike first) with the choice recorded in the header.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 import numpy as np
 
 from .catalog import DEG_BAND
-from .jsonio import _fmt_float
 from .metric import Signature
 from .surface import RuledSurface, SurfaceSweep, sweep_grid
 
 
-def _fmt(x: float) -> str:
-    return _fmt_float(x, non_finite="nan")
+def _printable(values) -> list[float]:
+    """A float array flattened in C order, ready for "%.17g".
+
+    Adding 0.0 turns -0.0 into 0.0 and non-finite values become nan; "%.17g"
+    then spells each value exactly as _fmt_float(x, "nan") does, integral
+    values without a decimal point included.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    return np.where(np.isfinite(v), v + 0.0, np.nan).tolist()
+
+
+def _fmt_column(values) -> list[str]:
+    """17-significant-digit strings of a float array, from one % call."""
+    v = _printable(values)
+    return ("%.17g\n" * len(v) % tuple(v)).split("\n")[:-1]
 
 
 def projection_axes(sig: Signature) -> list[int]:
@@ -37,10 +54,12 @@ def project_points(sig: Signature, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def causal_tag(det: float, band: float = DEG_BAND) -> str:
-    if abs(det) <= band:
-        return "degenerate"
-    return "spacelike" if det > 0 else "timelike"
+def causal_tag(det, band: float = DEG_BAND) -> np.ndarray:
+    """"degenerate", "spacelike" or "timelike" for each det g value."""
+    det = np.asarray(det)
+    return np.where(
+        np.abs(det) <= band, "degenerate", np.where(det > 0, "spacelike", "timelike")
+    )
 
 
 def obj_mesh(
@@ -56,27 +75,21 @@ def obj_mesh(
     ns, nt = sweep.f.shape[0], sweep.f.shape[1]
     pts = project_points(sig, sweep.f)
     axes = projection_axes(sig)
-    lines = [
+    s0, s1, t0, t1 = _fmt_column([s_grid[0], s_grid[-1], t_grid[0], t_grid[-1]])
+    head = (
         f"# ruled surface mesh, {ns} x {nt} lattice over "
-        f"s in [{_fmt(s_grid[0])}, {_fmt(s_grid[-1])}], "
-        f"t in [{_fmt(t_grid[0])}, {_fmt(t_grid[-1])}]",
+        f"s in [{s0}, {s1}], t in [{t0}, {t1}]\n"
         f"# ambient dimension {sig.n} (index {sig.p}); displayed axes "
-        + ", ".join(str(a + 1) for a in axes),
-    ]
-    for i in range(ns):
-        for j in range(nt):
-            x, y, z = pts[i, j]
-            lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
-
-    def vid(i: int, j: int) -> int:
-        return i * nt + j + 1
-
-    for i in range(ns - 1):
-        for j in range(nt - 1):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    return "\n".join(lines) + "\n"
+        + ", ".join(str(a + 1) for a in axes)
+        + "\n"
+    )
+    verts = "v %.17g %.17g %.17g\n" * (ns * nt) % tuple(_printable(pts))
+    # vertex (i, j) is number i * nt + j + 1; each quad gives two triangles
+    a = (np.arange(ns - 1)[:, None] * nt + np.arange(nt - 1)[None, :] + 1).ravel()
+    b, c, d = a + nt, a + nt + 1, a + 1
+    tri = np.stack([a, b, c, a, c, d], axis=-1).ravel().tolist()
+    faces = "f %d %d %d\nf %d %d %d\n" * a.size % tuple(tri)
+    return head + verts + faces
 
 
 def csv_grid(
@@ -95,15 +108,16 @@ def csv_grid(
         "H_norm",
         "causal_tag",
     ]
-    rows = [",".join(header)]
     ns, nt = sweep.f.shape[0], sweep.f.shape[1]
-    for i in range(ns):
-        for j in range(nt):
-            det = float(sweep.det_g[i, j])
-            cells = [_fmt(sweep.s_grid[i]), _fmt(sweep.t_grid[j])]
-            cells += [_fmt(c) for c in sweep.f[i, j]]
-            cells.append(_fmt(det))
-            cells.append(_fmt(sweep.H_norm[i, j]))
-            cells.append(causal_tag(det, band))
-            rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+    s_col = chain.from_iterable(map(repeat, _fmt_column(sweep.s_grid), repeat(nt)))
+    t_col = _fmt_column(sweep.t_grid) * ns
+    f_cols = [_fmt_column(sweep.f[..., k]) for k in range(sig.n)]
+    rows = map(",".join, zip(
+        s_col,
+        t_col,
+        *f_cols,
+        _fmt_column(sweep.det_g),
+        _fmt_column(sweep.H_norm),
+        causal_tag(sweep.det_g, band).ravel().tolist(),
+    ))
+    return ",".join(header) + "\n" + "\n".join(rows) + "\n"

@@ -38,8 +38,9 @@ _KIND_ORDER = {kind: i for i, kind in enumerate(basisfn.KINDS)}
 def _fmt_float(x: float, non_finite: str = "null") -> str:
     """17 significant digits; integral values print without a decimal point.
 
-    JSON has no NaN/Inf, so reports print null for masked values; the CSV
-    export passes "nan" instead.
+    JSON has no NaN/Inf, so reports print null for masked values. The OBJ
+    and CSV exports format whole columns at once (export._fmt_column) and
+    spell every value as this function does with non_finite="nan".
     """
     x = float(x)
     if not math.isfinite(x):

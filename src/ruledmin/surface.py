@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -183,12 +184,83 @@ def form_bundle(sig: Signature, surface: RuledSurface, s: float, t: float) -> Fo
 
 
 # ---------------------------------------------------------------------------
-# vectorized grid sweep
+# grid sweep on per-s coefficient tables
+
+
+class _RulingTables:
+    """gamma, x and their first two s-derivatives on an s-grid, with the per-s
+    pairings the sweep needs.
+
+    f is affine in t, so every first-form entry and every tangential
+    projection coefficient is a polynomial in t whose coefficients are these
+    pairings; they are evaluated by Horner's rule on (ns, nt) grids and no
+    (ns, nt, n) array is built unless a caller asks for one. Each table is an
+    (ns, 1) column, ready to broadcast against t on axis 1.
+    """
+
+    def __init__(self, sig: Signature, surface: RuledSurface, s_grid: np.ndarray):
+        self.gamma = [surface.gamma.eval(s_grid, o) for o in (0, 1, 2)]
+        self.base = [surface.base.eval(s_grid, o) for o in (0, 1, 2)]
+        g0, g1, g2 = self.gamma
+        _, x1, x2 = self.base
+
+        def ip(u, v):
+            return ip_array(sig, u, v)[:, None]
+
+        self.g0g0 = ip(g0, g0)
+        self.g1g0 = ip(g1, g0)
+        self.x1g0 = ip(x1, g0)
+        self.g1g1 = ip(g1, g1)
+        self.g1x1 = ip(g1, x1)
+        self.x1x1 = ip(x1, x1)
+        # pairings of f_ss = gamma'' t + x'' with f_s and f_t
+        self.g2g1 = ip(g2, g1)
+        self.g2x1_x2g1 = ip(g2, x1) + ip(x2, g1)
+        self.x2x1 = ip(x2, x1)
+        self.g2g0 = ip(g2, g0)
+        self.x2g0 = ip(x2, g0)
+
+    def first_form(self, T: np.ndarray):
+        """g11, g12, g22 and det g on the grid; T is the (1, nt) t-row."""
+        g11 = (self.g1g1 * T + 2.0 * self.g1x1) * T + self.x1x1
+        g12 = self.g1g0 * T + self.x1g0
+        g22 = np.broadcast_to(self.g0g0, g11.shape)
+        return g11, g12, g22, g11 * g22 - g12 * g12
+
+    def components(self, T, g11, g12, g22, safe):
+        """Yield (h11, h12, H) one ambient axis at a time, each (ns, nt).
+
+        vec - alpha f_s - beta f_t is the normal part of vec, with
+        (alpha, beta) the adjugate solve of the Gram system; safe is det g
+        with the degenerate points replaced by 1.
+        """
+
+        def solve(b1, b2):
+            # b1 = <vec, f_s>, b2 = <vec, f_t>
+            return (g22 * b1 - g12 * b2) / safe, (-g12 * b1 + g11 * b2) / safe
+
+        a11, b11 = solve(  # vec = f_ss = gamma'' t + x''
+            (self.g2g1 * T + self.g2x1_x2g1) * T + self.x2x1, self.g2g0 * T + self.x2g0
+        )
+        a12, b12 = solve(self.g1g1 * T + self.g1x1, self.g1g0)  # vec = f_st = gamma'
+        g0, g1, g2 = self.gamma
+        _, x1, x2 = self.base
+        for k in range(g0.shape[1]):
+            gk = g0[:, k, None]
+            f_s = g1[:, k, None] * T + x1[:, k, None]
+            h11 = (g2[:, k, None] * T + x2[:, k, None]) - a11 * f_s - b11 * gk
+            h12 = g1[:, k, None] - a12 * f_s - b12 * gk
+            # h22 = 0 identically
+            yield h11, h12, 0.5 * (-2.0 * g12 * h12 + g22 * h11) / safe
 
 
 @dataclass
 class SurfaceSweep:
-    """All form data over an (s, t) grid; arrays indexed [i_s, i_t]."""
+    """All form data over an (s, t) grid; arrays indexed [i_s, i_t].
+
+    The (ns, nt, n) fields f, h11, h12 and H are computed on first access;
+    the verdicts need only the (ns, nt) scalars and the maxima.
+    """
 
     s_grid: np.ndarray
     t_grid: np.ndarray
@@ -197,12 +269,36 @@ class SurfaceSweep:
     g22: np.ndarray
     det_g: np.ndarray
     nondegenerate: np.ndarray  # bool mask, |det g| > tau_deg
-    h11: np.ndarray
-    h12: np.ndarray
-    H: np.ndarray
     H_norm: np.ndarray  # euclidean norm of H, NaN at degenerate points
-    f: np.ndarray
+    max_h11: float  # largest |h11| component over the non-degenerate points
+    max_h12: float
     tau_deg: float
+    _tables: _RulingTables = field(repr=False)
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        g0, x0 = self._tables.gamma[0], self._tables.base[0]
+        return g0[:, None, :] * self.t_grid[None, :, None] + x0[:, None, :]
+
+    @cached_property
+    def _second(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        safe = np.where(self.nondegenerate, self.det_g, 1.0)
+        parts = zip(*self._tables.components(
+            self.t_grid[None, :], self.g11, self.g12, self.g22, safe
+        ))
+        return tuple(np.stack(p, axis=-1) for p in parts)
+
+    @property
+    def h11(self) -> np.ndarray:
+        return self._second[0]
+
+    @property
+    def h12(self) -> np.ndarray:
+        return self._second[1]
+
+    @property
+    def H(self) -> np.ndarray:
+        return self._second[2]
 
     def minimality(self, tol: float = H_TOL) -> MinimalityReport:
         """Decide max |H| <= tol and total geodesy, skipping degenerate points.
@@ -219,8 +315,6 @@ class SurfaceSweep:
                 f"all {n_tot} grid points have |det g| <= {self.tau_deg}"
             )
         max_h = float(np.nanmax(self.H_norm))
-        max_h11 = float(np.abs(self.h11[mask]).max())
-        max_h12 = float(np.abs(self.h12[mask]).max())
         verdict = (
             MinimalityVerdict.MINIMAL if max_h <= tol else MinimalityVerdict.NOT_MINIMAL
         )
@@ -230,9 +324,9 @@ class SurfaceSweep:
             tol=tol,
             points_checked=n_tot - n_deg,
             points_degenerate=n_deg,
-            max_h11=max_h11,
-            max_h12=max_h12,
-            totally_geodesic=max(max_h11, max_h12) <= tol,
+            max_h11=self.max_h11,
+            max_h12=self.max_h12,
+            totally_geodesic=max(self.max_h11, self.max_h12) <= tol,
             degenerate_sample=[
                 (float(self.s_grid[i]), float(self.t_grid[j]))
                 for i, j in np.argwhere(~mask)[:16]
@@ -255,36 +349,18 @@ def sweep_grid(
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
 
-    G = [surface.gamma.eval(s_grid, o) for o in (0, 1, 2)]
-    X = [surface.base.eval(s_grid, o) for o in (0, 1, 2)]
-    T = t_grid[None, :, None]
-    shape = (s_grid.size, t_grid.size, sig.n)
-
-    f = G[0][:, None, :] * T + X[0][:, None, :]
-    f_s = G[1][:, None, :] * T + X[1][:, None, :]
-    f_t = np.broadcast_to(G[0][:, None, :], shape)
-    f_ss = G[2][:, None, :] * T + X[2][:, None, :]
-    f_st = np.broadcast_to(G[1][:, None, :], shape)
-
-    g11 = ip_array(sig, f_s, f_s)
-    g12 = ip_array(sig, f_s, f_t)
-    g22 = ip_array(sig, f_t, f_t)
-    det = g11 * g22 - g12 * g12
+    tables = _RulingTables(sig, surface, s_grid)
+    T = t_grid[None, :]
+    g11, g12, g22, det = tables.first_form(T)
     mask = np.abs(det) > tau_deg
     safe = np.where(mask, det, 1.0)
 
-    def normal(vec):
-        b1 = ip_array(sig, vec, f_s)
-        b2 = ip_array(sig, vec, f_t)
-        alpha = (g22 * b1 - g12 * b2) / safe
-        beta = (-g12 * b1 + g11 * b2) / safe
-        return vec - alpha[..., None] * f_s - beta[..., None] * f_t
-
-    h11 = normal(f_ss)
-    h12 = normal(f_st)
-    # h22 = 0 identically
-    H = 0.5 * (-2.0 * g12[..., None] * h12 + g22[..., None] * h11) / safe[..., None]
-    H_norm = np.where(mask, np.sqrt((H * H).sum(axis=-1)), np.nan)
+    h_sq = np.zeros_like(det)
+    max_h11, max_h12 = [], []
+    for h11, h12, H in tables.components(T, g11, g12, g22, safe):
+        h_sq += H * H
+        max_h11.append(np.abs(h11).max(where=mask, initial=0.0))
+        max_h12.append(np.abs(h12).max(where=mask, initial=0.0))
     return SurfaceSweep(
         s_grid=s_grid,
         t_grid=t_grid,
@@ -293,12 +369,11 @@ def sweep_grid(
         g22=g22,
         det_g=det,
         nondegenerate=mask,
-        h11=h11,
-        h12=h12,
-        H=H,
-        H_norm=H_norm,
-        f=f,
+        H_norm=np.where(mask, np.sqrt(h_sq), np.nan),
+        max_h11=float(np.max(max_h11)),
+        max_h12=float(np.max(max_h12)),
         tau_deg=tau_deg,
+        _tables=tables,
     )
 
 
@@ -393,19 +468,12 @@ def c_function_grid(
     """Vectorized C over a grid; returns (values, valid_mask)."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    g1 = surface.gamma.eval(s_grid, 1)
-    g2 = surface.gamma.eval(s_grid, 2)
-    x1 = surface.base.eval(s_grid, 1)
-    x2 = surface.base.eval(s_grid, 2)
-    eta = ip_array(sig, g1, g1)[:, None]
-    mu = ip_array(sig, g1, x1)[:, None]
-    dd = ip_array(sig, x1, x1)[:, None]
-    a = (ip_array(sig, g2, x1) + ip_array(sig, g1, x2))[:, None]
-    b = ip_array(sig, x2, x1)[:, None]
+    tables = _RulingTables(sig, surface, s_grid)
     T = t_grid[None, :]
-    denom = eta * T * T + 2.0 * mu * T + dd
+    denom = tables.first_form(T)[0]  # g11
     mask = np.abs(denom) > tau_deg
-    vals = np.where(mask, (a * T + b) / np.where(mask, denom, 1.0), np.nan)
+    num = tables.g2x1_x2g1 * T + tables.x2x1
+    vals = np.where(mask, num / np.where(mask, denom, 1.0), np.nan)
     return vals, mask
 
 
@@ -596,8 +664,13 @@ def gauge_normalize(
         table_s = uniform_grid(*surface.s_domain, 201)
         lam_table = (table_s, -eps * qbase.lam_values(table_s))
 
-    sweep = sweep_grid(sig, gauged, *gauged.default_grids(check_grid))
-    max_g12 = float(np.abs(sweep.g12).max())
+    # g12 = <gamma', gamma> t + <x', gamma> is linear in t, so its largest
+    # magnitude over the check grid sits at one of the grid's two t-ends
+    s_grid, t_grid = gauged.default_grids(check_grid)
+    gam = gauged.gamma.eval(s_grid, 0)
+    a = ip_array(sig, gauged.gamma.eval(s_grid, 1), gam)
+    b = ip_array(sig, gauged.base.eval(s_grid, 1), gam)
+    max_g12 = float(np.abs(a[:, None] * t_grid[[0, -1]] + b[:, None]).max())
     return GaugeResult(
         surface=gauged,
         epsilon=eps,

@@ -4,6 +4,12 @@ Everything here deliberately avoids the library's symbolic differentiation
 and adjugate-based projection: jets come from central differences on curve
 positions only, normal components from np.linalg.solve, and image
 comparisons from closed-form point-to-line distances.
+
+The exceptions are the reference implementations at the end:
+`vector_sweep`, `obj_mesh_loop` and `csv_grid_loop` keep the full-array
+sweep and the per-value export loops that the coefficient-table sweep and
+the column-at-a-time export replaced, so the new code can be compared
+against them.
 """
 
 from __future__ import annotations
@@ -94,3 +100,110 @@ def convergence_order(errs, hs) -> float:
         else:
             orders.append(math.log(e0 / e1) / math.log(h0 / h1))
     return min(orders)
+
+
+def vector_sweep(sig: Signature, surface, s_grid, t_grid, tau_deg: float = 1e-9) -> dict:
+    """The full-array sweep: f, f_s, f_ss, h11, h12 and H as (ns, nt, n) arrays.
+
+    This is the straightforward formula the coefficient-table sweep replaces;
+    the pairings run over whole ambient vectors at every grid point.
+    """
+    w = sig.weights()
+
+    def ip(u, v):
+        return ((u * v) * w).sum(axis=-1)
+
+    s_grid = np.asarray(s_grid, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
+    G = [surface.gamma.eval(s_grid, o) for o in (0, 1, 2)]
+    X = [surface.base.eval(s_grid, o) for o in (0, 1, 2)]
+    T = t_grid[None, :, None]
+    shape = (s_grid.size, t_grid.size, sig.n)
+    f = G[0][:, None, :] * T + X[0][:, None, :]
+    f_s = G[1][:, None, :] * T + X[1][:, None, :]
+    f_t = np.broadcast_to(G[0][:, None, :], shape)
+    f_ss = G[2][:, None, :] * T + X[2][:, None, :]
+    f_st = np.broadcast_to(G[1][:, None, :], shape)
+
+    g11 = ip(f_s, f_s)
+    g12 = ip(f_s, f_t)
+    g22 = ip(f_t, f_t)
+    det = g11 * g22 - g12 * g12
+    mask = np.abs(det) > tau_deg
+    safe = np.where(mask, det, 1.0)
+
+    def normal(vec):
+        b1 = ip(vec, f_s)
+        b2 = ip(vec, f_t)
+        alpha = (g22 * b1 - g12 * b2) / safe
+        beta = (-g12 * b1 + g11 * b2) / safe
+        return vec - alpha[..., None] * f_s - beta[..., None] * f_t
+
+    h11 = normal(f_ss)
+    h12 = normal(f_st)
+    H = 0.5 * (-2.0 * g12[..., None] * h12 + g22[..., None] * h11) / safe[..., None]
+    H_norm = np.where(mask, np.sqrt((H * H).sum(axis=-1)), np.nan)
+    return dict(f=f, f_s=f_s, f_t=f_t, g11=g11, g12=g12, g22=g22, det_g=det,
+                nondegenerate=mask, h11=h11, h12=h12, H=H, H_norm=H_norm)
+
+
+def obj_mesh_loop(sig: Signature, sweep, s_grid, t_grid) -> str:
+    """OBJ text built one value per formatter call, as export.obj_mesh was."""
+    from ruledmin.export import project_points, projection_axes
+    from ruledmin.jsonio import _fmt_float
+
+    def fmt(x):
+        return _fmt_float(x, non_finite="nan")
+
+    ns, nt = sweep.f.shape[0], sweep.f.shape[1]
+    pts = project_points(sig, sweep.f)
+    axes = projection_axes(sig)
+    lines = [
+        f"# ruled surface mesh, {ns} x {nt} lattice over "
+        f"s in [{fmt(s_grid[0])}, {fmt(s_grid[-1])}], "
+        f"t in [{fmt(t_grid[0])}, {fmt(t_grid[-1])}]",
+        f"# ambient dimension {sig.n} (index {sig.p}); displayed axes "
+        + ", ".join(str(a + 1) for a in axes),
+    ]
+    for i in range(ns):
+        for j in range(nt):
+            x, y, z = pts[i, j]
+            lines.append(f"v {fmt(x)} {fmt(y)} {fmt(z)}")
+
+    def vid(i, j):
+        return i * nt + j + 1
+
+    for i in range(ns - 1):
+        for j in range(nt - 1):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    return "\n".join(lines) + "\n"
+
+
+def csv_grid_loop(sig: Signature, sweep) -> str:
+    """CSV text built one value per formatter call, as export.csv_grid was."""
+    from ruledmin.catalog import DEG_BAND
+    from ruledmin.jsonio import _fmt_float
+
+    def fmt(x):
+        return _fmt_float(x, non_finite="nan")
+
+    def causal_tag(det):
+        if abs(det) <= DEG_BAND:
+            return "degenerate"
+        return "spacelike" if det > 0 else "timelike"
+
+    header = ["s", "t"] + [f"f_{i + 1}" for i in range(sig.n)] + ["det_g", "H_norm", "causal_tag"]
+    rows = [",".join(header)]
+    ns, nt = sweep.f.shape[0], sweep.f.shape[1]
+    for i in range(ns):
+        for j in range(nt):
+            det = float(sweep.det_g[i, j])
+            cells = [fmt(sweep.s_grid[i]), fmt(sweep.t_grid[j])]
+            cells += [fmt(c) for c in sweep.f[i, j]]
+            cells.append(fmt(det))
+            cells.append(fmt(sweep.H_norm[i, j]))
+            cells.append(causal_tag(det))
+            rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"

@@ -330,6 +330,28 @@ def test_verify_and_classify_sample_the_surface_once(monkeypatch):
         assert counts["eval"] <= 12, command
 
 
+def test_gauge_reads_g12_without_a_sweep(monkeypatch):
+    counts = Counter()
+    sweep_grid, curve_eval = surface.sweep_grid, CurveExpr.eval
+
+    def counting_sweep(*args, **kwargs):
+        counts["sweep"] += 1
+        return sweep_grid(*args, **kwargs)
+
+    def counting_eval(self, *args, **kwargs):
+        counts["eval"] += 1
+        return curve_eval(self, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ruledmin") and getattr(module, "sweep_grid", None) is sweep_grid:
+            monkeypatch.setattr(module, "sweep_grid", counting_sweep)
+    monkeypatch.setattr(CurveExpr, "eval", counting_eval)
+    rc, doc = run_json(["gauge", "--sig", "4,2", "--family", "hyperbolic-helicoid-2"])
+    assert rc == 0 and doc["max_abs_g12"] <= 1e-9
+    assert counts["sweep"] == 0
+    assert counts["eval"] <= 4
+
+
 def test_classify_json_is_deterministic():
     outputs = {run(["classify", "--family", "elliptic-helicoid-1", "--sig", "3,0"])[1]
                for _ in range(2)}

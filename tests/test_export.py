@@ -1,0 +1,67 @@
+"""Tests for the OBJ and CSV exports against the per-value reference loops."""
+
+import numpy as np
+import pytest
+
+from ruledmin import FamilyId, SignChoice, Signature, generate, sweep_grid
+from ruledmin.export import _fmt_column, csv_grid, obj_mesh
+from ruledmin.jsonio import _fmt_float
+
+from _oracles import csv_grid_loop, obj_mesh_loop
+
+EDGE_VALUES = [0.0, -0.0, 1e15, 9999999999999998.0, 1e16, 0.1, 5e-324,
+               float("nan"), float("inf"), float("-inf")]
+
+
+def test_column_formatter_spells_values_like_fmt_float():
+    expected = [_fmt_float(x, "nan") for x in EDGE_VALUES]
+    assert _fmt_column(np.array(EDGE_VALUES)) == expected
+    assert expected[:2] == ["0", "0"]
+    assert expected[-3:] == ["nan"] * 3
+
+
+def test_column_formatter_matches_on_random_magnitudes():
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal(2000) * 10.0 ** rng.integers(-20, 20, 2000)
+    vals[::97] = np.round(vals[::97])
+    assert _fmt_column(vals) == [_fmt_float(x, "nan") for x in vals]
+
+
+def _t_grid_through_zero(num=21):
+    t = np.linspace(-2.0, 2.0, num)
+    t[num // 2] = -0.0
+    return t
+
+
+@pytest.mark.parametrize(
+    "sig,family,signs,degenerate",
+    [
+        (Signature(3, 0), FamilyId.ELLIPTIC_HELICOID_1, SignChoice(1, 1, 1), False),
+        (Signature(3, 1), FamilyId.PARABOLIC_HELICOID, None, True),
+        (Signature(4, 2), FamilyId.HYPERBOLIC_HELICOID_2, None, True),
+        (Signature(6, 3), FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID, None, False),
+    ],
+    ids=str,
+)
+def test_exports_match_the_per_value_loops(sig, family, signs, degenerate):
+    surf = generate(sig, family, signs=signs)
+    s = np.linspace(-3.0, 3.0, 17)
+    t = _t_grid_through_zero()
+    assert np.signbit(t).sum() == 11  # the -0.0 at the centre is negative
+    sweep = sweep_grid(sig, surf, s, t)
+    csv_text = csv_grid(sig, surf, s, t, sweep)
+    assert obj_mesh(sig, surf, s, t, sweep) == obj_mesh_loop(sig, sweep, s, t)
+    assert csv_text == csv_grid_loop(sig, sweep)
+    # the degenerate locus t = 0 is on the grid: NaN |H| and "degenerate" rows
+    assert np.isnan(sweep.H_norm).any() == degenerate
+    assert ("degenerate" in csv_text) == degenerate
+    assert (",nan," in csv_text) == degenerate
+
+
+def test_exports_without_a_sweep_sweep_the_grid():
+    sig = Signature(4, 2)
+    surf = generate(sig, FamilyId.HYPERBOLIC_HELICOID_2)
+    s, t = np.linspace(-1.0, 1.0, 5), _t_grid_through_zero(7)
+    sweep = sweep_grid(sig, surf, s, t)
+    assert obj_mesh(sig, surf, s, t) == obj_mesh_loop(sig, sweep, s, t)
+    assert csv_grid(sig, surf, s, t) == csv_grid_loop(sig, sweep)
