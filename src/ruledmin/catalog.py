@@ -453,6 +453,8 @@ def bernstein_check(
     where the family does not exist, which is exactly what makes this fail
     in low dimensions.
     """
+    if not domains:
+        raise UsageError("the graph check needs at least one domain")
     family = FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID
     validate_signs(family, signs)
     if signs.s2 != signs.s3:

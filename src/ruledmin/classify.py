@@ -6,6 +6,10 @@ delta, mu) of the normalized curves, placed in the six viable metric cases,
 checked for minimality, and matched to a family. Inputs are expected in the
 standard conventions (unit direction, vanishing mixed metric entry); the
 errors say which normalization is missing.
+
+Every per-s check (genericity, case invariants, structure equations,
+cylinder test) reads one surface._RulingTables on the same SCAN_POINTS
+s-grid, so a query samples each curve jet at most once on it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ import numpy as np
 from .curves import CurveExpr, uniform_grid
 from .errors import ConventionError, NullDirectionError, UsageError
 from .families import FamilyId
-from .metric import Signature, ip_array
-from .surface import H_TOL, MinimalityReport, RuledSurface, gauge_normalize, is_minimal
+from .metric import Signature
+from .surface import H_TOL, MinimalityReport, RuledSurface, _RulingTables
+from .surface import gauge_normalize, is_minimal
 
 SCAN_POINTS = 201
 CONSTANCY_TOL = 1e-9
@@ -32,24 +37,9 @@ STRUCTURE_TOL = 1e-8
 # directrix scan
 
 
-class _DirectrixScan:
-    """gamma, gamma', gamma'', x', x'' sampled once along s, with their pairings.
-
-    Every per-s check (genericity, case invariants, structure equations,
-    cylinder test) reads these arrays, so one scan serves a whole query.
-    """
-
-    def __init__(self, sig: Signature, surface: RuledSurface, num: int = SCAN_POINTS):
-        self.sig = sig
-        self.surface = surface
-        self.s = s = uniform_grid(*surface.s_domain, num)
-        self.g0, self.g1, self.g2 = (surface.gamma.eval(s, o) for o in (0, 1, 2))
-        self.x1, self.x2 = (surface.base.eval(s, o) for o in (1, 2))
-        self.gg = ip_array(sig, self.g0, self.g0)  # <gamma, gamma>
-        self.g1g1 = ip_array(sig, self.g1, self.g1)  # <gamma', gamma'>
-        self.x1x1 = ip_array(sig, self.x1, self.x1)  # <x', x'>
-        self.g1x1 = ip_array(sig, self.g1, self.x1)  # <gamma', x'>
-        self.g0x1 = ip_array(sig, self.g0, self.x1)  # <gamma, x'>
+def _scan(sig: Signature, surface: RuledSurface, num: int = SCAN_POINTS) -> _RulingTables:
+    """The jet table that the per-s checks read: num points of the s-domain."""
+    return _RulingTables(sig, surface, uniform_grid(*surface.s_domain, num))
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +104,16 @@ def genericity_scan(
     linear dependence and independence. Isolated zeros mean the case label
     changes across the domain and the surface should be split first.
     """
-    return _genericity(_DirectrixScan(sig, surface, num), tol)
+    return _genericity(_scan(sig, surface, num), tol)
 
 
-def _genericity(scan: _DirectrixScan, tol: float) -> GenericityReport:
+def _genericity(scan: _RulingTables, tol: float) -> GenericityReport:
     s = scan.s
     series = {
-        "direction_norm": scan.gg,
-        "direction_speed": scan.g1g1,
-        "base_speed": scan.x1x1,
-        "mixed_speed": scan.g1x1,
+        "direction_norm": scan.ip("g0", "g0"),
+        "direction_speed": scan.ip("g1", "g1"),
+        "base_speed": scan.ip("x1", "x1"),
+        "mixed_speed": scan.ip("g1", "x1"),
     }
     profiles = {}
     for name, vals in series.items():
@@ -135,7 +125,7 @@ def _genericity(scan: _DirectrixScan, tol: float) -> GenericityReport:
 
     # 2x2 Euclidean Gram determinant of (gamma', x'), row-normalized so the
     # threshold is scale-free
-    rows = np.stack([scan.g1, scan.x1], axis=1)  # (num, 2, n)
+    rows = np.stack([scan.jet("g1"), scan.jet("x1")], axis=1)  # (num, 2, n)
     norms = np.linalg.norm(rows, axis=2)
     safe = np.where(norms > 0, norms, 1.0)
     unit = rows / safe[:, :, None]
@@ -205,16 +195,16 @@ def case_invariants(
     NullDirectionError when the direction curve is null but non-constant,
     and ConventionError when a normalization is missing.
     """
-    return _case_invariants(_DirectrixScan(sig, surface, num), tol, gauge_tol)
+    return _case_invariants(_scan(sig, surface, num), tol, gauge_tol)
 
 
-def _case_invariants(scan: _DirectrixScan, tol: float, gauge_tol: float) -> CaseInvariants:
+def _case_invariants(scan: _RulingTables, tol: float, gauge_tol: float) -> CaseInvariants:
     gamma = scan.surface.gamma
     if isinstance(gamma, CurveExpr) and gamma.is_constant():
         raise UsageError(
             "the ruling direction is constant; classify with cylinder_check"
         )
-    gg = scan.gg
+    gg = scan.ip("g0", "g0")
     if float(np.abs(gg).max()) <= tol:
         raise NullDirectionError(
             "the ruling direction is null along a non-constant curve; such a "
@@ -227,13 +217,13 @@ def _case_invariants(scan: _DirectrixScan, tol: float, gauge_tol: float) -> Case
         )
     epsilon = 1 if eps_val > 0 else -1
 
-    if float(np.abs(scan.g0x1).max()) > gauge_tol:
+    if float(np.abs(scan.ip("g0", "x1")).max()) > gauge_tol:
         raise ConventionError(
             "<gamma, x'> does not vanish; apply gauge_normalize before "
             "classification"
         )
 
-    eta_val = _constant_value("<gamma', gamma'>", scan.g1g1, tol)
+    eta_val = _constant_value("<gamma', gamma'>", scan.ip("g1", "g1"), tol)
     if abs(eta_val) <= tol:
         eta = 0
     elif abs(abs(eta_val) - 1.0) <= 1e-6:
@@ -244,7 +234,7 @@ def _case_invariants(scan: _DirectrixScan, tol: float, gauge_tol: float) -> Case
             "curve so its speed is 0 or +-1"
         )
 
-    delta_value = _constant_value("<x', x'>", scan.x1x1, tol)
+    delta_value = _constant_value("<x', x'>", scan.ip("x1", "x1"), tol)
     delta = 0 if abs(delta_value) <= tol else (1 if delta_value > 0 else -1)
     if eta == 0 and delta != 0 and abs(abs(delta_value) - 1.0) > 1e-6:
         raise ConventionError(
@@ -252,7 +242,7 @@ def _case_invariants(scan: _DirectrixScan, tol: float, gauge_tol: float) -> Case
             "the base speed normalizes to 0 or +-1"
         )
 
-    mu_vals = scan.g1x1
+    mu_vals = scan.ip("g1", "x1")
     mu_spread = float(mu_vals.max() - mu_vals.min())
     if mu_spread <= tol:
         mu = MuProfile("constant", float(mu_vals.mean()), float(np.abs(mu_vals).max()))
@@ -329,13 +319,13 @@ def cylinder_check(
     """
     if isinstance(surface.gamma, CurveExpr) and not surface.gamma.is_constant():
         raise UsageError("cylinder_check expects a constant ruling direction")
-    return _cylinder_check(_DirectrixScan(sig, surface, num), tol, h_tol)
+    return _cylinder_check(_scan(sig, surface, num), tol, h_tol)
 
 
-def _cylinder_check(scan: _DirectrixScan, tol: float, h_tol: float) -> CylinderReport:
-    direction_null = float(np.abs(scan.gg).max()) <= tol
-    base_null = float(np.abs(scan.x1x1).max()) <= tol
-    min_pairing = float(np.abs(scan.g0x1).min())
+def _cylinder_check(scan: _RulingTables, tol: float, h_tol: float) -> CylinderReport:
+    direction_null = float(np.abs(scan.ip("g0", "g0")).max()) <= tol
+    base_null = float(np.abs(scan.ip("x1", "x1")).max()) <= tol
+    min_pairing = float(np.abs(scan.ip("g0", "x1")).min())
 
     report = is_minimal(scan.sig, scan.surface, tol=h_tol)
     if report.is_minimal and report.totally_geodesic:
@@ -392,19 +382,19 @@ def verify_structure_odes(
     cases the base satisfies x'' = eps <gamma, x''> gamma (x'' is parallel to
     the ruling direction).
     """
-    scan = _DirectrixScan(sig, surface, num)
+    scan = _scan(sig, surface, num)
     if inv is None:
         inv = _case_invariants(scan, CONSTANCY_TOL, GAUGE_TOL)
     return _structure(scan, inv, tol)
 
 
-def _structure(scan: _DirectrixScan, inv: CaseInvariants, tol: float) -> StructureReport:
-    g0, g2, x2 = scan.g0, scan.g2, scan.x2
+def _structure(scan: _RulingTables, inv: CaseInvariants, tol: float) -> StructureReport:
+    g0, g2, x2 = scan.jet("g0"), scan.jet("g2"), scan.jet("x2")
     if inv.eta != 0:
         dir_res = g2 + (inv.epsilon * inv.eta) * g0
     else:
         dir_res = g2
-    coeff = inv.epsilon * ip_array(scan.sig, g0, x2)
+    coeff = inv.epsilon * scan.ip("g0", "x2")
     base_res = x2 - coeff[:, None] * g0
     return StructureReport(
         eta=inv.eta,
@@ -450,7 +440,7 @@ def identify_family(
     inputs come back with family None and a diagnosis string instead.
     """
     notes: list[str] = []
-    scan = _DirectrixScan(sig, surface)
+    scan = _scan(sig, surface)
 
     if isinstance(surface.gamma, CurveExpr) and surface.gamma.is_constant():
         cyl = _cylinder_check(scan, tol, h_tol)
@@ -471,7 +461,7 @@ def identify_family(
             notes=[cyl.note] if family is not None else [],
         )
 
-    if float(np.abs(scan.gg).max()) <= tol:
+    if float(np.abs(scan.ip("g0", "g0")).max()) <= tol:
         # gauge normalization would mask this as a unit-norm failure
         raise NullDirectionError(
             "the ruling direction is null along a non-constant curve; such a "
@@ -479,9 +469,9 @@ def identify_family(
         )
 
     if auto_gauge and isinstance(surface.base, CurveExpr):
-        if float(np.abs(scan.g0x1).max()) > GAUGE_TOL:
+        if float(np.abs(scan.ip("g0", "x1")).max()) > GAUGE_TOL:
             surface = gauge_normalize(sig, surface).surface
-            scan = _DirectrixScan(sig, surface)
+            scan = _scan(sig, surface)
             notes.append("base curve replaced by its gauge normalization")
 
     genericity = _genericity(scan, CONSTANCY_TOL)

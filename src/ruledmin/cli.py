@@ -422,6 +422,10 @@ def cmd_existence(args) -> int:
         return 0
     if not args.sig or not args.family:
         raise UsageError("existence needs --table, or --sig n,p with --family NAME")
+    if args.format not in (None, "json"):
+        raise UsageError(
+            f"an existence query prints JSON, not {args.format}; --table also takes csv"
+        )
     sig = _sig_arg(args.sig)
     family = _family_arg(args.family)
     signs = _signs_arg(args.signs) if args.signs else None
@@ -467,6 +471,8 @@ def cmd_mesh(args) -> int:
 def cmd_causal_map(args) -> int:
     if not args.family or not args.sig:
         raise UsageError("causal-map needs --family NAME and --sig n,p")
+    if args.format == "obj":
+        raise UsageError("causal-map emits json or csv; use --format json|csv")
     sig = _sig_arg(args.sig)
     family = _family_arg(args.family)
     signs = _signs_arg(args.signs) if args.signs else None

@@ -408,11 +408,13 @@ def _lagrange_identity_holds() -> bool:
     return not _padd(lhs, rest)
 
 
-def _index_one_identity_holds(n: int) -> bool:
-    # with v_1 = 0 in R^n_1: <v, v> - (v_2^2 + ... + v_n^2) == 0
-    vs = [_pvar(i, n - 1) for i in range(n - 1)]  # v_2 .. v_n
-    q = _padd(*(_pmul(v, v) for v in vs))
-    euclid = _padd(*(_pmul(v, v) for v in vs))
+def _index_one_identity_holds(sig: Signature) -> bool:
+    # <v, v> from the signature's weights, with v_1 = 0 substituted, equals
+    # v_2^2 + ... + v_n^2 exactly when v_1 is the only timelike coordinate
+    vs = [_pvar(i, sig.n) for i in range(sig.n)]
+    q = _padd(*(_pscale(_pmul(v, v), int(w)) for v, w in zip(vs, sig.weights())))
+    q = {m: c for m, c in q.items() if m[0] == 0}  # v_1 = 0 kills every v_1 monomial
+    euclid = _padd(*(_pmul(v, v) for v in vs[1:]))
     return not _padd(q, _pscale(euclid, -1))
 
 
@@ -485,7 +487,7 @@ def replay_certificate(
         )
 
     if cert.kind is CertificateKind.INDEX_ONE_NULL_ORTHOGONAL:
-        if not _index_one_identity_holds(sig.n):
+        if not _index_one_identity_holds(sig):
             raise AssertionError("exact polynomial identity check failed")
         pat = cert.pattern
         steps = [
@@ -517,8 +519,14 @@ def replay_certificate(
             conclusion="e3 = 0 contradicts null (non-zero)",
         )
 
-    # dimension count
+    # dimension count: the pattern (or the cylinder's null pair) must not fit
     pat = cert.pattern
+    fits = admits_pattern(sig, pat) if pat is not None else cylinder_axes(sig) is not None
+    if fits:
+        what = "the cylinder" if pat is None else f"pattern (a,b,c) = ({pat.a},{pat.b},{pat.c})"
+        raise UsageError(
+            f"{what} fits in R^{sig.n}_{sig.p}; the dimension count proves nothing"
+        )
     steps = [
         TraceStep(
             "orthogonal vectors with squared norms in {-1, 0} span a negative "

@@ -10,6 +10,7 @@ no special cases. Since f is affine in t, f_tt = 0 and h22 = 0 throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -188,43 +189,51 @@ def form_bundle(sig: Signature, surface: RuledSurface, s: float, t: float) -> Fo
 
 
 class _RulingTables:
-    """gamma, x and their first two s-derivatives on an s-grid, with the per-s
-    pairings the sweep needs.
+    """The one place that samples gamma and x along s: their jets on an
+    s-grid and the per-s pairings of those jets, each computed on first use.
 
-    f is affine in t, so every first-form entry and every tangential
-    projection coefficient is a polynomial in t whose coefficients are these
-    pairings; they are evaluated by Horner's rule on (ns, nt) grids and no
-    (ns, nt, n) array is built unless a caller asks for one. Each table is an
-    (ns, 1) column, ready to broadcast against t on axis 1.
+    A jet is named "g" (gamma) or "x" (the base x) followed by the order of
+    the s-derivative, as in "g0", "g2" or "x1". Every per-s quantity the checks read is a
+    pairing ip(a, b): epsilon = <g0, g0>, eta = <g1, g1>, <x1, x1>,
+    mu = <g1, x1>, the gauge term <g0, x1>, the C-function and the sweep's
+    first-form and projection coefficients. f is affine in t, so those
+    coefficients make every (ns, nt) scalar a polynomial in t, evaluated by
+    Horner's rule with (ns, 1) columns against the (1, nt) t-row T.
     """
 
     def __init__(self, sig: Signature, surface: RuledSurface, s_grid: np.ndarray):
-        self.gamma = [surface.gamma.eval(s_grid, o) for o in (0, 1, 2)]
-        self.base = [surface.base.eval(s_grid, o) for o in (0, 1, 2)]
-        g0, g1, g2 = self.gamma
-        _, x1, x2 = self.base
+        self.sig, self.surface, self.s = sig, surface, s_grid
+        self._jets: dict[str, np.ndarray] = {}
+        self._pairs: dict[tuple[str, str], np.ndarray] = {}
 
-        def ip(u, v):
-            return ip_array(sig, u, v)[:, None]
+    def jet(self, name: str) -> np.ndarray:
+        """(ns, n) samples of gamma or x, differentiated int(name[1]) times."""
+        if name not in self._jets:
+            curve = self.surface.gamma if name[0] == "g" else self.surface.base
+            self._jets[name] = curve.eval(self.s, int(name[1]))
+        return self._jets[name]
 
-        self.g0g0 = ip(g0, g0)
-        self.g1g0 = ip(g1, g0)
-        self.x1g0 = ip(x1, g0)
-        self.g1g1 = ip(g1, g1)
-        self.g1x1 = ip(g1, x1)
-        self.x1x1 = ip(x1, x1)
-        # pairings of f_ss = gamma'' t + x'' with f_s and f_t
-        self.g2g1 = ip(g2, g1)
-        self.g2x1_x2g1 = ip(g2, x1) + ip(x2, g1)
-        self.x2x1 = ip(x2, x1)
-        self.g2g0 = ip(g2, g0)
-        self.x2g0 = ip(x2, g0)
+    def ip(self, a: str, b: str) -> np.ndarray:
+        """<a, b> at each s, shape (ns,)."""
+        key = (a, b) if a <= b else (b, a)
+        if key not in self._pairs:
+            self._pairs[key] = ip_array(self.sig, self.jet(a), self.jet(b))
+        return self._pairs[key]
+
+    def col(self, a: str, b: str) -> np.ndarray:
+        return self.ip(a, b)[:, None]
+
+    def g11(self, T: np.ndarray) -> np.ndarray:
+        c = self.col
+        return (c("g1", "g1") * T + 2.0 * c("g1", "x1")) * T + c("x1", "x1")
+
+    def g12(self, T: np.ndarray) -> np.ndarray:
+        return self.col("g1", "g0") * T + self.col("x1", "g0")
 
     def first_form(self, T: np.ndarray):
-        """g11, g12, g22 and det g on the grid; T is the (1, nt) t-row."""
-        g11 = (self.g1g1 * T + 2.0 * self.g1x1) * T + self.x1x1
-        g12 = self.g1g0 * T + self.x1g0
-        g22 = np.broadcast_to(self.g0g0, g11.shape)
+        """g11, g12, g22 and det g on the grid."""
+        g11, g12 = self.g11(T), self.g12(T)
+        g22 = np.broadcast_to(self.col("g0", "g0"), g11.shape)
         return g11, g12, g22, g11 * g22 - g12 * g12
 
     def components(self, T, g11, g12, g22, safe):
@@ -239,12 +248,13 @@ class _RulingTables:
             # b1 = <vec, f_s>, b2 = <vec, f_t>
             return (g22 * b1 - g12 * b2) / safe, (-g12 * b1 + g11 * b2) / safe
 
+        c = self.col
         a11, b11 = solve(  # vec = f_ss = gamma'' t + x''
-            (self.g2g1 * T + self.g2x1_x2g1) * T + self.x2x1, self.g2g0 * T + self.x2g0
+            (c("g2", "g1") * T + (c("g2", "x1") + c("x2", "g1"))) * T + c("x2", "x1"),
+            c("g2", "g0") * T + c("x2", "g0"),
         )
-        a12, b12 = solve(self.g1g1 * T + self.g1x1, self.g1g0)  # vec = f_st = gamma'
-        g0, g1, g2 = self.gamma
-        _, x1, x2 = self.base
+        a12, b12 = solve(c("g1", "g1") * T + c("g1", "x1"), c("g1", "g0"))  # vec = f_st
+        g0, g1, g2, x1, x2 = map(self.jet, ("g0", "g1", "g2", "x1", "x2"))
         for k in range(g0.shape[1]):
             gk = g0[:, k, None]
             f_s = g1[:, k, None] * T + x1[:, k, None]
@@ -258,8 +268,11 @@ class _RulingTables:
 class SurfaceSweep:
     """All form data over an (s, t) grid; arrays indexed [i_s, i_t].
 
-    The (ns, nt, n) fields f, h11, h12 and H are computed on first access;
-    the verdicts need only the (ns, nt) scalars and the maxima.
+    Only the first form is computed up front. H_norm (NaN at degenerate
+    points) and max_h11, max_h12 (largest components over the non-degenerate
+    points) come from one streamed pass over the ambient axes, and the
+    (ns, nt, n) fields f, h11, h12 and H are stacked; each on first access,
+    so a caller that reads only det g, as causal_map does, skips them all.
     """
 
     s_grid: np.ndarray
@@ -269,36 +282,43 @@ class SurfaceSweep:
     g22: np.ndarray
     det_g: np.ndarray
     nondegenerate: np.ndarray  # bool mask, |det g| > tau_deg
-    H_norm: np.ndarray  # euclidean norm of H, NaN at degenerate points
-    max_h11: float  # largest |h11| component over the non-degenerate points
-    max_h12: float
     tau_deg: float
     _tables: _RulingTables = field(repr=False)
 
+    def _components(self):
+        safe = np.where(self.nondegenerate, self.det_g, 1.0)
+        return self._tables.components(
+            self.t_grid[None, :], self.g11, self.g12, self.g22, safe
+        )
+
+    @cached_property
+    def _streamed(self) -> tuple[np.ndarray, float, float]:
+        mask = self.nondegenerate
+        h_sq = np.zeros_like(self.det_g)
+        max_h11, max_h12 = [], []
+        for h11, h12, H in self._components():
+            h_sq += H * H
+            max_h11.append(np.abs(h11).max(where=mask, initial=0.0))
+            max_h12.append(np.abs(h12).max(where=mask, initial=0.0))
+        h_norm = np.where(mask, np.sqrt(h_sq), np.nan)
+        return h_norm, float(np.max(max_h11)), float(np.max(max_h12))
+
+    H_norm = property(lambda self: self._streamed[0])
+    max_h11 = property(lambda self: self._streamed[1])
+    max_h12 = property(lambda self: self._streamed[2])
+
     @cached_property
     def f(self) -> np.ndarray:
-        g0, x0 = self._tables.gamma[0], self._tables.base[0]
+        g0, x0 = self._tables.jet("g0"), self._tables.jet("x0")
         return g0[:, None, :] * self.t_grid[None, :, None] + x0[:, None, :]
 
     @cached_property
     def _second(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        safe = np.where(self.nondegenerate, self.det_g, 1.0)
-        parts = zip(*self._tables.components(
-            self.t_grid[None, :], self.g11, self.g12, self.g22, safe
-        ))
-        return tuple(np.stack(p, axis=-1) for p in parts)
+        return tuple(np.stack(p, axis=-1) for p in zip(*self._components()))
 
-    @property
-    def h11(self) -> np.ndarray:
-        return self._second[0]
-
-    @property
-    def h12(self) -> np.ndarray:
-        return self._second[1]
-
-    @property
-    def H(self) -> np.ndarray:
-        return self._second[2]
+    h11 = property(lambda self: self._second[0])
+    h12 = property(lambda self: self._second[1])
+    H = property(lambda self: self._second[2])
 
     def minimality(self, tol: float = H_TOL) -> MinimalityReport:
         """Decide max |H| <= tol and total geodesy, skipping degenerate points.
@@ -350,17 +370,7 @@ def sweep_grid(
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
 
     tables = _RulingTables(sig, surface, s_grid)
-    T = t_grid[None, :]
-    g11, g12, g22, det = tables.first_form(T)
-    mask = np.abs(det) > tau_deg
-    safe = np.where(mask, det, 1.0)
-
-    h_sq = np.zeros_like(det)
-    max_h11, max_h12 = [], []
-    for h11, h12, H in tables.components(T, g11, g12, g22, safe):
-        h_sq += H * H
-        max_h11.append(np.abs(h11).max(where=mask, initial=0.0))
-        max_h12.append(np.abs(h12).max(where=mask, initial=0.0))
+    g11, g12, g22, det = tables.first_form(t_grid[None, :])
     return SurfaceSweep(
         s_grid=s_grid,
         t_grid=t_grid,
@@ -368,10 +378,7 @@ def sweep_grid(
         g12=g12,
         g22=g22,
         det_g=det,
-        nondegenerate=mask,
-        H_norm=np.where(mask, np.sqrt(h_sq), np.nan),
-        max_h11=float(np.max(max_h11)),
-        max_h12=float(np.max(max_h12)),
+        nondegenerate=np.abs(det) > tau_deg,
         tau_deg=tau_deg,
         _tables=tables,
     )
@@ -439,23 +446,12 @@ def c_function(
     C(s, t) = ((<gamma'', x'> + <gamma', x''>) t + <x'', x'>) / g11 with
     g11 = <gamma', gamma'> t^2 + 2 <gamma', x'> t + <x', x'>. Meaningful on
     gauge-normalized surfaces; raises when the denominator degenerates.
+    This is the one-point case of c_function_grid.
     """
-    g1 = surface.gamma.eval(s, 1)
-    g2 = surface.gamma.eval(s, 2)
-    x1 = surface.base.eval(s, 1)
-    x2 = surface.base.eval(s, 2)
-    t = float(t)
-    denom = (
-        float(ip_array(sig, g1, g1)) * t * t
-        + 2.0 * float(ip_array(sig, g1, x1)) * t
-        + float(ip_array(sig, x1, x1))
-    )
-    if abs(denom) <= tau_deg:
-        raise DegenerateMetricError(s, t, denom)
-    num = (
-        float(ip_array(sig, g2, x1)) + float(ip_array(sig, g1, x2))
-    ) * t + float(ip_array(sig, x2, x1))
-    return num / denom
+    vals, mask = c_function_grid(sig, surface, s, t, tau_deg)
+    if not mask[0, 0]:
+        raise DegenerateMetricError(s, t)
+    return float(vals[0, 0])
 
 
 def c_function_grid(
@@ -467,12 +463,11 @@ def c_function_grid(
 ):
     """Vectorized C over a grid; returns (values, valid_mask)."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    T = np.atleast_1d(np.asarray(t_grid, dtype=float))[None, :]
     tables = _RulingTables(sig, surface, s_grid)
-    T = t_grid[None, :]
-    denom = tables.first_form(T)[0]  # g11
+    denom = tables.g11(T)
     mask = np.abs(denom) > tau_deg
-    num = tables.g2x1_x2g1 * T + tables.x2x1
+    num = (tables.col("g2", "x1") + tables.col("x2", "g1")) * T + tables.col("x2", "x1")
     vals = np.where(mask, num / np.where(mask, denom, 1.0), np.nan)
     return vals, mask
 
@@ -496,6 +491,7 @@ class GaugedBaseCurve:
         self.gamma = gamma
         self.eps = int(eps)
         self.sig = sig
+        self._curves = RuledSurface(gamma=gamma, base=base)
         self._cache: dict[float, float] = {0.0: 0.0}
 
     @property
@@ -523,68 +519,22 @@ class GaugedBaseCurve:
             self._cache[v] = self._cache[anchor] + seg
         return np.array([self._cache[float(v)] for v in arr])
 
-    def _lam(self, s) -> np.ndarray:
-        return -self.eps * self.lam_values(s)
-
-    def _lam_prime(self, s_arr: np.ndarray) -> np.ndarray:
-        g0 = self.gamma.eval(s_arr, 0)
-        x1 = self.base.eval(s_arr, 1)
-        return -self.eps * ip_array(self.sig, g0, x1)
-
-    def _lam_second(self, s_arr: np.ndarray) -> np.ndarray:
-        g0 = self.gamma.eval(s_arr, 0)
-        g1 = self.gamma.eval(s_arr, 1)
-        x1 = self.base.eval(s_arr, 1)
-        x2 = self.base.eval(s_arr, 2)
-        return -self.eps * (ip_array(self.sig, g1, x1) + ip_array(self.sig, g0, x2))
-
-    def _lam_third(self, s_arr: np.ndarray) -> np.ndarray:
-        g0 = self.gamma.eval(s_arr, 0)
-        g1 = self.gamma.eval(s_arr, 1)
-        g2 = self.gamma.eval(s_arr, 2)
-        x1 = self.base.eval(s_arr, 1)
-        x2 = self.base.eval(s_arr, 2)
-        x3 = self.base.eval(s_arr, 3)
-        return -self.eps * (
-            ip_array(self.sig, g2, x1)
-            + 2.0 * ip_array(self.sig, g1, x2)
-            + ip_array(self.sig, g0, x3)
-        )
-
     def eval(self, s, order: int = 0):
         if not 0 <= order <= 3:
             raise UsageError(f"order must be in 0..3, got {order}")
         arr = np.atleast_1d(np.asarray(s, dtype=float))
-        lam = self._lam(arr)[:, None]
-        if order == 0:
-            out = self.base.eval(arr, 0) + lam * self.gamma.eval(arr, 0)
-        elif order == 1:
-            lp = self._lam_prime(arr)[:, None]
-            out = (
-                self.base.eval(arr, 1)
-                + lp * self.gamma.eval(arr, 0)
-                + lam * self.gamma.eval(arr, 1)
-            )
-        elif order == 2:
-            lp = self._lam_prime(arr)[:, None]
-            lpp = self._lam_second(arr)[:, None]
-            out = (
-                self.base.eval(arr, 2)
-                + lpp * self.gamma.eval(arr, 0)
-                + 2.0 * lp * self.gamma.eval(arr, 1)
-                + lam * self.gamma.eval(arr, 2)
-            )
-        else:
-            lp = self._lam_prime(arr)[:, None]
-            lpp = self._lam_second(arr)[:, None]
-            lppp = self._lam_third(arr)[:, None]
-            out = (
-                self.base.eval(arr, 3)
-                + lppp * self.gamma.eval(arr, 0)
-                + 3.0 * lpp * self.gamma.eval(arr, 1)
-                + 3.0 * lp * self.gamma.eval(arr, 2)
-                + lam * self.gamma.eval(arr, 3)
-            )
+        tab = _RulingTables(self.sig, self._curves, arr)
+        ip, eps = tab.ip, self.eps
+        lam = (  # lambda and its derivatives, from lambda' = -eps <gamma, x'>
+            lambda: -eps * self.lam_values(arr),
+            lambda: -eps * ip("g0", "x1"),
+            lambda: -eps * (ip("g1", "x1") + ip("g0", "x2")),
+            lambda: -eps * (ip("g2", "x1") + 2.0 * ip("g1", "x2") + ip("g0", "x3")),
+        )
+        # Leibniz: (x + lambda gamma)^(k) = x^(k) + sum_j C(k, j) lambda^(j) gamma^(k-j)
+        out = tab.jet(f"x{order}")
+        for j in range(order, -1, -1):
+            out = out + math.comb(order, j) * lam[j]()[:, None] * tab.jet(f"g{order - j}")
         if np.isscalar(s) or np.asarray(s).ndim == 0:
             return out.reshape(self.n)
         return out
@@ -619,9 +569,7 @@ def gauge_normalize(
     """
     if not isinstance(surface.base, CurveExpr):
         raise UsageError("gauge_normalize expects a closed-form base curve")
-    s_chk = uniform_grid(*surface.s_domain, 201)
-    g0 = surface.gamma.eval(s_chk, 0)
-    gg = ip_array(sig, g0, g0)
+    gg = _RulingTables(sig, surface, uniform_grid(*surface.s_domain, 201)).ip("g0", "g0")
     if float(gg.max() - gg.min()) > tol:
         raise ConventionError(
             "<gamma, gamma> is not constant on the domain; normalize the "
@@ -667,10 +615,8 @@ def gauge_normalize(
     # g12 = <gamma', gamma> t + <x', gamma> is linear in t, so its largest
     # magnitude over the check grid sits at one of the grid's two t-ends
     s_grid, t_grid = gauged.default_grids(check_grid)
-    gam = gauged.gamma.eval(s_grid, 0)
-    a = ip_array(sig, gauged.gamma.eval(s_grid, 1), gam)
-    b = ip_array(sig, gauged.base.eval(s_grid, 1), gam)
-    max_g12 = float(np.abs(a[:, None] * t_grid[[0, -1]] + b[:, None]).max())
+    g12 = _RulingTables(sig, gauged, s_grid).g12(t_grid[None, [0, -1]])
+    max_g12 = float(np.abs(g12).max())
     return GaugeResult(
         surface=gauged,
         epsilon=eps,

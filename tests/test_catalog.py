@@ -29,6 +29,7 @@ from ruledmin import (
     uniform_grid,
 )
 from ruledmin.catalog import SpanType
+from ruledmin.surface import _RulingTables
 
 R30 = Signature(3, 0)
 R31 = Signature(3, 1)
@@ -333,6 +334,24 @@ def test_bernstein_check_nonexistence(sig):
     with pytest.raises(NonExistenceError) as err:
         bernstein_check(sig)
     assert err.value.result.certificate is not None
+
+
+def test_bernstein_check_needs_a_domain():
+    with pytest.raises(UsageError, match="domain"):
+        bernstein_check(R41, domains=())
+
+
+@pytest.mark.parametrize("sig, family", [
+    (Signature(6, 3), FamilyId.HYPERBOLIC_HELICOID_1),
+    (R31, FamilyId.PARABOLIC_HELICOID),
+    (R41, FamilyId.MINIMAL_CYLINDER),
+])
+def test_causal_map_never_projects_onto_the_normal_space(monkeypatch, sig, family):
+    def refuse(*args, **kwargs):
+        raise AssertionError("causal_map reads only det g")
+
+    monkeypatch.setattr(_RulingTables, "components", refuse)
+    assert causal_map(sig, family).cross_validated
 
 
 # ---------------------------------------------------------------------------

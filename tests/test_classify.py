@@ -364,3 +364,12 @@ def test_structure_residuals_all_frame_families():
     ]:
         report = verify_structure_odes(sig, generate(sig, family))
         assert report.ok, (sig, family)
+
+
+@pytest.mark.parametrize("check", [genericity_scan, case_invariants])
+def test_directrix_checks_evaluate_only_the_jets_they_pair(call_counts, check):
+    # <g0,g0>, <g1,g1>, <x1,x1>, <g1,x1> and <g0,x1> need gamma, gamma', x'
+    surf = generate(Signature(4, 2), FamilyId.HYPERBOLIC_HELICOID_2)
+    call_counts.clear()
+    check(Signature(4, 2), surf)
+    assert call_counts["eval"] == 3

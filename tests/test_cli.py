@@ -197,6 +197,23 @@ def test_existence_certificate_payload():
     assert any("forces v_1 = 0" in step["statement"] for step in cert["replay"]["steps"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["existence", "--sig", "4,1", "--family", "plane", "--format", "csv"],
+    ["existence", "--sig", "4,1", "--family", "plane", "--format", "obj"],
+    ["causal-map", "--sig", "3,1", "--family", "parabolic-helicoid", "--format", "obj"],
+])
+def test_format_a_command_cannot_print_is_a_usage_error(argv):
+    rc, doc = run_json(argv)
+    assert rc == 2
+    assert doc["error"] == "UsageError"
+
+
+def test_existence_query_accepts_format_json():
+    rc, doc = run_json(["existence", "--sig", "4,1", "--family", "plane", "--format", "json"])
+    assert rc == 0
+    assert doc["verdict"] == "Witness"
+
+
 # ---------------------------------------------------------------------------
 # mesh export
 
@@ -350,6 +367,15 @@ def test_gauge_reads_g12_without_a_sweep(monkeypatch):
     assert rc == 0 and doc["max_abs_g12"] <= 1e-9
     assert counts["sweep"] == 0
     assert counts["eval"] <= 4
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_verify_and_classify_sweep_once_and_sample_each_jet_once(call_counts, command):
+    # one 41x41 sweep (5 jets) and one 201-point jet table (5 jets)
+    rc, _ = run_json([command, "--sig", "4,2", "--family", "hyperbolic-helicoid-2"])
+    assert rc == 0
+    assert call_counts["sweep"] == 1
+    assert call_counts["eval"] <= 10
 
 
 def test_classify_json_is_deterministic():

@@ -1,5 +1,6 @@
 """Tests for the frame-existence decision procedure and its certificates."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from ruledmin import (
 )
 from ruledmin.existence import (
     TABLE_FAMILIES,
+    _index_one_identity_holds,
     NormPattern,
     NoWitnessError,
     Verdict,
@@ -203,6 +205,29 @@ def test_replay_rejects_mismatched_certificate():
     res = existence_oracle(R30, FamilyId.PARABOLIC_HELICOID)
     with pytest.raises(UsageError, match="exists in R\\^4_1"):
         replay_certificate(R41, FamilyId.PARABOLIC_HELICOID, res.certificate)
+
+
+def test_replay_rejects_a_dimension_count_whose_pattern_fits():
+    res = existence_oracle(R30, FamilyId.HYPERBOLIC_HELICOID_1)
+    assert res.certificate.kind is CertificateKind.DIMENSION_COUNT
+    tampered = dataclasses.replace(res.certificate, pattern=NormPattern(3, 0, 0))
+    with pytest.raises(UsageError, match="fits in R\\^3_0"):
+        replay_certificate(R30, FamilyId.HYPERBOLIC_HELICOID_1, tampered)
+
+
+def test_every_issued_certificate_replays():
+    for n in range(3, 9):
+        for p, family in itertools.product(range(n + 1), FamilyId):
+            res = existence_oracle(Signature(n, p), family)
+            if res.certificate is not None:
+                replay_certificate(Signature(n, p), family, res.certificate)
+
+
+def test_index_one_identity_uses_the_metric():
+    for n in range(3, 9):
+        assert _index_one_identity_holds(Signature(n, 1)), n
+    # a second timelike coordinate survives v_1 = 0 as -v_2^2
+    assert not _index_one_identity_holds(Signature(5, 2))
 
 
 # ---------------------------------------------------------------------------
