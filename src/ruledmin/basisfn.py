@@ -217,17 +217,6 @@ class ScalarFn:
     def scaled(self, c: float) -> "ScalarFn":
         return ScalarFn([(c * coef, atom) for atom, coef in self.terms.items()])
 
-    def multiply(self, other: "ScalarFn") -> "ScalarFn | None":
-        out = ScalarFn()
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                parts = product_atoms(a1, a2)
-                if parts is None:
-                    return None
-                for c, atom in parts:
-                    out._add(c1 * c2 * c, atom)
-        return out
-
     def derivative(self) -> "ScalarFn":
         out = ScalarFn()
         for atom, c in self.terms.items():

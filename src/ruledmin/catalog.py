@@ -97,10 +97,14 @@ def generate(
     """Normalized representative of a family in the given signature.
 
     Raises NonExistenceError (carrying the oracle's certificate) when the
-    family, or the specific sign choice, does not exist there.
+    family, or the specific sign choice, does not exist there, and
+    UsageError when signs are not a sign choice of the family (planes and
+    cylinders take none).
     """
     if sig.n < 3:
         raise UsageError("catalog surfaces need ambient dimension n >= 3")
+    if signs is not None:
+        validate_signs(family, signs)
 
     if family is FamilyId.PLANE:
         n = sig.n
@@ -145,7 +149,6 @@ def generate(
         if signs is None:
             raise NonExistenceError(existence_oracle(sig, family))
     else:
-        validate_signs(family, signs)
         result = existence_oracle(sig, family, signs)
         if result.verdict is not Verdict.WITNESS:
             raise NonExistenceError(result)

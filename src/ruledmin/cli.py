@@ -57,7 +57,10 @@ def _sig_arg(text: str) -> Signature:
         n, p = int(parts[0]), int(parts[1])
     except ValueError:
         raise UsageError(f"--sig expects integers n,p, got {text!r}") from None
-    return Signature(n, p)
+    try:
+        return Signature(n, p)
+    except ValueError as exc:
+        raise UsageError(f"--sig {text!r}: {exc}") from None
 
 
 def _signs_arg(text: str) -> SignChoice:
@@ -223,10 +226,7 @@ def _frame_json(frame: FrameSpec) -> dict:
 def _certificate_json(sig: Signature, family: FamilyId | None, cert: Certificate) -> dict:
     data = cert.to_dict()
     if family is not None:
-        try:
-            data["replay"] = replay_certificate(sig, family, cert).to_dict()
-        except RuledminError:
-            data["replay"] = None
+        data["replay"] = replay_certificate(sig, family, cert).to_dict()
     return data
 
 

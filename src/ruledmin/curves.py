@@ -129,10 +129,6 @@ class CurveExpr:
         # dict is empty exactly when the curve is constant
         return not self.derivative(1).terms
 
-    def is_plain_basis(self) -> bool:
-        """True when every term fits the wire format (no s^k * phi mixtures)."""
-        return all(a.kind == basisfn.ONE or a.k == 0 for a in self.terms)
-
     def scaled(self, c: float) -> "CurveExpr":
         return CurveExpr(self.n, [(a, c * v) for a, v in self.terms.items()])
 

@@ -8,12 +8,14 @@ which fits only below dimension p; mirror for the positive side).
 Sufficiency is the explicit frame builder below, which pairs each null
 slot with one unused timelike and one unused spacelike axis.
 
-Non-existence answers carry one of three certificate kinds, orderable by
-how much structure they use: the neutral-signature quadratic contradiction
-(dimension 4, index 2, second-kind elliptic frame), the index-one argument
-(a null vector orthogonal to a timelike one must vanish when p = 1), and
-the bare dimension count. replay_certificate turns each into a proof trace
-whose algebraic steps are machine-checked in exact integer arithmetic.
+Non-existence answers carry one of three certificate kinds, each with a
+premise on (sig, family, pattern) in one table, strongest first: the
+neutral-signature quadratic contradiction (dimension 4, index 2, second-kind
+elliptic frame), the index-one argument (a null vector orthogonal to a
+timelike one must vanish when p = 1), and the bare dimension count. The
+oracle issues the first kind whose premise holds. replay_certificate checks a
+certificate from its own content, never asking the oracle, and turns it into
+a proof trace whose algebraic steps are machine-checked in exact integers.
 """
 
 from __future__ import annotations
@@ -98,14 +100,6 @@ class CertificateKind(Enum):
     NEUTRAL_QUADRATIC = "NeutralQuadraticContradiction"
 
 
-# more structure beats less when one obstruction must speak for a family
-_KIND_PRIORITY = {
-    CertificateKind.NEUTRAL_QUADRATIC: 2,
-    CertificateKind.INDEX_ONE_NULL_ORTHOGONAL: 1,
-    CertificateKind.DIMENSION_COUNT: 0,
-}
-
-
 @dataclass(frozen=True)
 class Certificate:
     kind: CertificateKind
@@ -160,7 +154,17 @@ class ExistenceResult:
         return self.verdict is Verdict.WITNESS
 
 
-def _violated_inequality(sig: Signature, pattern: NormPattern) -> str:
+def _violated(sig: Signature, pattern: NormPattern | None) -> str:
+    """The inequality a pattern breaks; pattern=None is the cylinder's null pair."""
+    if pattern is None:
+        missing = []
+        if sig.p < 1:
+            missing.append(f"p = {sig.p} < 1 (no null directions at all)")
+        if sig.n - sig.p < 1:
+            missing.append(f"n - p = {sig.n - sig.p} < 1")
+        if sig.n < 3:
+            missing.append(f"n = {sig.n} < 3")
+        return "; ".join(missing)
     if pattern.b + pattern.c > sig.p:
         return (
             f"b + c = {pattern.b + pattern.c} > p = {sig.p} "
@@ -172,21 +176,28 @@ def _violated_inequality(sig: Signature, pattern: NormPattern) -> str:
     )
 
 
+# Which obstruction applies to (sig, family, pattern), strongest first. Every
+# kind also needs the pattern not to fit, which replay checks for all of them,
+# so the dimension count needs nothing more.
+_OBSTRUCTIONS = (
+    (CertificateKind.NEUTRAL_QUADRATIC,
+     lambda sig, fam, pat: (sig.n, sig.p) == (4, 2) and fam is FamilyId.ELLIPTIC_HELICOID_2),
+    (CertificateKind.INDEX_ONE_NULL_ORTHOGONAL,
+     lambda sig, fam, pat: sig.p == 1 and pat is not None and pat.b >= 1 and pat.c >= 1),
+    (CertificateKind.DIMENSION_COUNT, lambda sig, fam, pat: True),
+)
+
+
 def _certificate_for(
-    sig: Signature, family: FamilyId | None, pattern: NormPattern
+    sig: Signature, family: FamilyId | None, pattern: NormPattern | None
 ) -> Certificate:
-    if (sig.n, sig.p) == (4, 2) and family is FamilyId.ELLIPTIC_HELICOID_2:
-        kind = CertificateKind.NEUTRAL_QUADRATIC
-    elif sig.p == 1 and pattern.b >= 1 and pattern.c >= 1:
-        kind = CertificateKind.INDEX_ONE_NULL_ORTHOGONAL
-    else:
-        kind = CertificateKind.DIMENSION_COUNT
+    kind = next(k for k, holds in _OBSTRUCTIONS if holds(sig, family, pattern))
     return Certificate(
         kind=kind,
         sig=sig,
         family=family,
         pattern=pattern,
-        violated=_violated_inequality(sig, pattern),
+        violated=_violated(sig, pattern),
     )
 
 
@@ -213,26 +224,11 @@ def admits_cylinder(sig: Signature) -> ExistenceResult:
     """
     axes = cylinder_axes(sig)
     if axes is None:
-        missing = []
-        if sig.p < 1:
-            missing.append(f"p = {sig.p} < 1 (no null directions at all)")
-        if sig.n - sig.p < 1:
-            missing.append(f"n - p = {sig.n - sig.p} < 1")
-        if sig.n < 3:
-            missing.append(f"n = {sig.n} < 3")
-        cert = Certificate(
-            kind=CertificateKind.DIMENSION_COUNT,
-            sig=sig,
-            family=FamilyId.MINIMAL_CYLINDER,
-            pattern=None,
-            violated="; ".join(missing)
-            or "cylinder requires p >= 1, n - p >= 1, n >= 3",
-        )
         return ExistenceResult(
             sig=sig,
             family=FamilyId.MINIMAL_CYLINDER,
             verdict=Verdict.NON_EXISTENCE,
-            certificate=cert,
+            certificate=_certificate_for(sig, FamilyId.MINIMAL_CYLINDER, None),
             note="no null pair with non-zero pairing in this signature",
         )
     chosen, mirrored = axes
@@ -266,17 +262,6 @@ def existence_oracle(
     """Witness or certificate for one family, per sign choice or aggregated."""
     if sig.n < 3:
         raise UsageError("existence questions need ambient dimension n >= 3")
-    if family is FamilyId.PLANE:
-        return ExistenceResult(
-            sig=sig,
-            family=family,
-            verdict=Verdict.WITNESS,
-            note="planes exist in every signature (any non-degenerate 2-plane)",
-        )
-    if family is FamilyId.MINIMAL_CYLINDER:
-        return admits_cylinder(sig)
-
-    choices = ADMISSIBLE_SIGNS[family]
     if signs is not None:
         try:
             validate_signs(family, signs)
@@ -288,8 +273,17 @@ def existence_oracle(
                 signs=signs,
                 note=str(exc),
             )
-        choices = (signs,)
+    if family is FamilyId.PLANE:
+        return ExistenceResult(
+            sig=sig,
+            family=family,
+            verdict=Verdict.WITNESS,
+            note="planes exist in every signature (any non-degenerate 2-plane)",
+        )
+    if family is FamilyId.MINIMAL_CYLINDER:
+        return admits_cylinder(sig)
 
+    choices = ADMISSIBLE_SIGNS[family] if signs is None else (signs,)
     per_sign: list = []
     first_frame: FrameSpec | None = None
     first_signs: SignChoice | None = None
@@ -314,10 +308,9 @@ def existence_oracle(
             per_sign=per_sign,
             note="frame built by deterministic axis allocation",
         )
-    best = max(
-        (cert for _, _, cert in per_sign if cert is not None),
-        key=lambda c: _KIND_PRIORITY[c.kind],
-    )
+    # the first certificate of the strongest kind speaks for the family
+    certs = [cert for _, _, cert in per_sign if cert is not None]
+    best = next(c for kind, _ in _OBSTRUCTIONS for c in certs if c.kind is kind)
     return ExistenceResult(
         sig=sig,
         family=family,
@@ -423,19 +416,29 @@ def replay_certificate(
 ) -> ProofTrace:
     """Re-derive a non-existence certificate as a machine-checked trace.
 
-    The certificate must be the one the oracle actually issues for
-    (sig, family); anything else is a usage error, not a refutation.
+    The check reads nothing but (sig, family) and the certificate itself:
+    its pattern must not fit sig and must be one the family asks for, its
+    fields must name sig, family and the recomputed inequality, and the
+    premise of its kind must hold. Anything else is a usage error, not a
+    refutation.
     """
-    expected = existence_oracle(sig, family)
-    if expected.verdict is not Verdict.NON_EXISTENCE:
+    pat = cert.pattern
+    here = f"R^{sig.n}_{sig.p}"
+    what = f"pattern (a,b,c) = ({pat.a},{pat.b},{pat.c})" if pat else "the cylinder's null pair"
+    fits = admits_pattern(sig, pat) if pat is not None else cylinder_axes(sig) is not None
+    if fits:
+        raise UsageError(f"{what} fits in {here}, so it exists in {here}; nothing to replay")
+    cylinder = family is FamilyId.MINIMAL_CYLINDER
+    wanted = (None,) if cylinder else tuple(map(pattern_of_signs, ADMISSIBLE_SIGNS[family]))
+    if pat not in wanted:
+        raise UsageError(f"{what} is no sign choice of {family.value}")
+    if (cert.sig, cert.family, cert.violated) != (sig, family, _violated(sig, pat)):
         raise UsageError(
-            f"{family.value} exists in R^{sig.n}_{sig.p}; nothing to replay"
+            f"certificate names {cert.family}, {cert.sig} and {cert.violated!r}, "
+            f"not {family.value} in {here}"
         )
-    if expected.certificate is None or expected.certificate.kind is not cert.kind:
-        raise UsageError(
-            f"certificate kind {cert.kind.value} does not match the oracle's "
-            f"{expected.certificate.kind.value} for {family.value} in R^{sig.n}_{sig.p}"
-        )
+    if not dict(_OBSTRUCTIONS)[cert.kind](sig, family, pat):
+        raise UsageError(f"{cert.kind.value} does not apply to {family.value} in {here}")
 
     if cert.kind is CertificateKind.NEUTRAL_QUADRATIC:
         if not _lagrange_identity_holds():
@@ -519,14 +522,6 @@ def replay_certificate(
             conclusion="e3 = 0 contradicts null (non-zero)",
         )
 
-    # dimension count: the pattern (or the cylinder's null pair) must not fit
-    pat = cert.pattern
-    fits = admits_pattern(sig, pat) if pat is not None else cylinder_axes(sig) is not None
-    if fits:
-        what = "the cylinder" if pat is None else f"pattern (a,b,c) = ({pat.a},{pat.b},{pat.c})"
-        raise UsageError(
-            f"{what} fits in R^{sig.n}_{sig.p}; the dimension count proves nothing"
-        )
     steps = [
         TraceStep(
             "orthogonal vectors with squared norms in {-1, 0} span a negative "

@@ -2,7 +2,8 @@
 
 The serializer prints every float with 17 significant digits so identical
 runs produce byte-identical files; the parsers point at the offending field
-("gamma.terms[2].coeff: ...") instead of raising bare KeyErrors.
+("gamma.terms[2].coeff: ...") instead of raising bare KeyErrors, and reject
+fields they do not read ("gamma.terms[0].rate: unknown field").
 """
 
 from __future__ import annotations
@@ -113,9 +114,12 @@ def dumps(obj, indent: int = 2) -> str:
 # input validation helpers
 
 
-def _expect_dict(data, path: str) -> dict:
+def _expect_dict(data, path: str, fields: tuple[str, ...]) -> dict:
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected an object, got {type(data).__name__}")
+    for key in data:
+        if key not in fields:
+            raise UsageError(f"{path}.{key}: unknown field")
     return data
 
 
@@ -193,13 +197,13 @@ def curve_to_json(curve: CurveExpr) -> dict:
 
 
 def curve_from_json(data, path: str = "curve") -> CurveExpr:
-    data = _expect_dict(data, path)
+    data = _expect_dict(data, path, ("n", "terms"))
     n = _int(_get(data, "n", path), f"{path}.n", minimum=1)
     raw_terms = _expect_list(_get(data, "terms", path), f"{path}.terms")
     curve = CurveExpr(n)
     for i, raw in enumerate(raw_terms):
         tp = f"{path}.terms[{i}]"
-        term = _expect_dict(raw, tp)
+        term = _expect_dict(raw, tp, ("basis", "param", "coeff", "degree"))
         basis = _get(term, "basis", tp)
         if basis not in JSON_BASES:
             raise UsageError(f"{tp}.basis: unknown basis {basis!r}; expected one of {JSON_BASES}")
@@ -246,8 +250,10 @@ def surface_to_json(sig: Signature, surface: RuledSurface) -> dict:
 
 
 def surface_from_json(data) -> tuple[Signature, RuledSurface]:
-    data = _expect_dict(data, "surface")
-    sig_data = _expect_dict(_get(data, "signature", "surface"), "signature")
+    data = _expect_dict(
+        data, "surface", ("signature", "gamma", "base", "s_domain", "t_domain")
+    )
+    sig_data = _expect_dict(_get(data, "signature", "surface"), "signature", ("n", "p"))
     n = _int(_get(sig_data, "n", "signature"), "signature.n", minimum=2)
     p = _int(_get(sig_data, "p", "signature"), "signature.p", minimum=0)
     if p > n:

@@ -107,6 +107,14 @@ def test_generate_rejects_wrong_sign_pattern():
         generate(R30, FamilyId.ELLIPTIC_HELICOID_1, signs=SignChoice(1, -1, 0))
 
 
+def test_generate_rejects_signs_on_a_plane_or_cylinder():
+    for family in (FamilyId.PLANE, FamilyId.MINIMAL_CYLINDER):
+        # R^3_0 carries no cylinder: the sign check comes before existence
+        for sig in (R30, R31):
+            with pytest.raises(UsageError, match="takes no frame sign choice"):
+                generate(sig, family, signs=SignChoice(1, 1, 1))
+
+
 def test_plane_generation():
     surf = generate(R30, FamilyId.PLANE)
     assert surf.gamma.is_constant()

@@ -197,6 +197,18 @@ def test_existence_certificate_payload():
     assert any("forces v_1 = 0" in step["statement"] for step in cert["replay"]["steps"])
 
 
+def test_sign_specific_certificate_replays():
+    # (1,2,0) cannot fit R^4_1, although the family exists there with other signs
+    rc, doc = run_json(
+        ["existence", "--sig", "4,1", "--family", "hyperbolic-helicoid-1", "--signs=1,-1,-1"]
+    )
+    assert rc == 0
+    assert doc["verdict"] == "NonExistence"
+    cert = doc["certificate"]
+    assert cert["pattern"] == {"a": 1, "b": 2, "c": 0}
+    assert cert["replay"]["conclusion"] == f"violated: {cert['violated']}"
+
+
 @pytest.mark.parametrize("argv", [
     ["existence", "--sig", "4,1", "--family", "plane", "--format", "csv"],
     ["existence", "--sig", "4,1", "--family", "plane", "--format", "obj"],
@@ -287,6 +299,26 @@ def test_malformed_signature_exits_2():
     rc, out, _ = run(["verify", "--family", "elliptic-helicoid-1", "--sig", "3;0"])
     assert rc == 2
     assert json.loads(out)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["existence", "--sig", "3,5", "--family", "plane"],
+    ["verify", "--sig", "1,0", "--family", "plane"],
+])
+def test_out_of_range_signature_exits_2(argv):
+    rc, doc = run_json(argv)
+    assert rc == 2
+    assert doc["error"] == "UsageError"
+    assert doc["message"].startswith("--sig ")
+
+
+@pytest.mark.parametrize("family", ["plane", "minimal-cylinder"])
+@pytest.mark.parametrize("command", ["verify", "classify", "gauge", "mesh", "causal-map"])
+def test_signs_on_a_family_without_frame_signs_exit_2(family, command):
+    rc, doc = run_json([command, "--sig", "3,1", "--family", family, "--signs=1,1,1"])
+    assert rc == 2
+    assert doc["error"] == "UsageError"
+    assert "takes no frame sign choice" in doc["message"]
 
 
 def test_broken_input_file_exits_2(tmp_path):

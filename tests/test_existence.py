@@ -15,6 +15,7 @@ from ruledmin import (
     existence_table,
     replay_certificate,
 )
+from ruledmin import existence
 from ruledmin.existence import (
     TABLE_FAMILIES,
     _index_one_identity_holds,
@@ -221,6 +222,70 @@ def test_every_issued_certificate_replays():
             res = existence_oracle(Signature(n, p), family)
             if res.certificate is not None:
                 replay_certificate(Signature(n, p), family, res.certificate)
+
+
+def _issued_certificates():
+    for n in range(3, 9):
+        for p, family in itertools.product(range(n + 1), FamilyId):
+            res = existence_oracle(Signature(n, p), family)
+            certs = [res.certificate] + [cert for _, _, cert in res.per_sign]
+            for cert in certs:
+                if cert is not None:
+                    yield Signature(n, p), family, cert
+
+
+def test_replay_never_asks_the_oracle(monkeypatch):
+    issued = list(_issued_certificates())
+    assert len({cert.kind for _, _, cert in issued}) == 3
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("replay asked the oracle")
+
+    monkeypatch.setattr(existence, "existence_oracle", no_oracle)
+    for sig, family, cert in issued:
+        assert replay_certificate(sig, family, cert).exact, (sig, family, cert)
+
+
+def _tampered():
+    hh2 = existence_oracle(R31, FamilyId.HYPERBOLIC_HELICOID_2).certificate
+    eh2 = existence_oracle(R42, FamilyId.ELLIPTIC_HELICOID_2).certificate
+    hh1 = existence_oracle(R30, FamilyId.HYPERBOLIC_HELICOID_1).certificate
+    assert hh2.kind is CertificateKind.INDEX_ONE_NULL_ORTHOGONAL
+    assert eh2.kind is CertificateKind.NEUTRAL_QUADRATIC
+    assert hh1.kind is CertificateKind.DIMENSION_COUNT
+    replace = dataclasses.replace
+    return [
+        (R31, FamilyId.HYPERBOLIC_HELICOID_2, replace(hh2, pattern=NormPattern(3, 0, 0))),
+        # same inequality text and premise, but no sign choice of the family
+        (R31, FamilyId.HYPERBOLIC_HELICOID_2, replace(hh2, pattern=NormPattern(0, 1, 1))),
+        (R42, FamilyId.ELLIPTIC_HELICOID_2, replace(eh2, pattern=NormPattern(1, 1, 1))),
+        (R31, FamilyId.HYPERBOLIC_HELICOID_2, replace(hh2, violated="1 > 0")),
+        (R31, FamilyId.HYPERBOLIC_HELICOID_2, replace(hh2, sig=Signature(5, 1))),
+        (R31, FamilyId.HYPERBOLIC_HELICOID_2,
+         replace(hh2, family=FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID)),
+        (R30, FamilyId.HYPERBOLIC_HELICOID_1,
+         replace(hh1, kind=CertificateKind.INDEX_ONE_NULL_ORTHOGONAL)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_replay_rejects_a_tampered_certificate(case):
+    sig, family, cert = _tampered()[case]
+    with pytest.raises(UsageError):
+        replay_certificate(sig, family, cert)
+
+
+def test_replay_refuses_a_certificate_for_a_plane():
+    cert = existence_oracle(R30, FamilyId.MINIMAL_CYLINDER).certificate
+    with pytest.raises(UsageError):
+        replay_certificate(R30, FamilyId.PLANE, dataclasses.replace(cert, family=FamilyId.PLANE))
+
+
+def test_signs_on_a_family_without_frame_signs_are_inadmissible():
+    for family in (FamilyId.PLANE, FamilyId.MINIMAL_CYLINDER):
+        res = existence_oracle(R31, family, SignChoice(1, 1, 1))
+        assert res.verdict is Verdict.INADMISSIBLE
+        assert res.note == f"{family.value} takes no frame sign choice"
 
 
 def test_index_one_identity_uses_the_metric():

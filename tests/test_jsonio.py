@@ -148,6 +148,23 @@ def test_error_path_inside_curve_terms():
         surface_from_json(data)
 
 
+def test_unknown_fields_are_rejected_with_their_path():
+    cases = [
+        (("gamma", "terms", 0), "rate", 0.5, r"gamma\.terms\[0\]\.rate: unknown field"),
+        (("base",), "scale", 2, r"base\.scale: unknown field"),
+        (("signature",), "q", 1, r"signature\.q: unknown field"),
+        ((), "comment", "hi", r"surface\.comment: unknown field"),
+    ]
+    for where, key, value, message in cases:
+        data = _valid_surface_dict()
+        target = data
+        for step in where:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(UsageError, match=message):
+            surface_from_json(data)
+
+
 def test_dimension_mismatch_between_curve_and_signature():
     data = _valid_surface_dict()
     data["gamma"] = {"n": 4, "terms": [{"basis": "pow", "param": 0, "coeff": [1, 0, 0, 0]}]}
