@@ -24,7 +24,7 @@ from .errors import ConventionError, NullDirectionError, UsageError
 from .families import FamilyId
 from .metric import Signature
 from .surface import H_TOL, MinimalityReport, RuledSurface, _RulingTables
-from .surface import gauge_normalize, is_minimal
+from .surface import _gauge, is_minimal
 
 SCAN_POINTS = 201
 CONSTANCY_TOL = 1e-9
@@ -37,9 +37,9 @@ STRUCTURE_TOL = 1e-8
 # directrix scan
 
 
-def _scan(sig: Signature, surface: RuledSurface, num: int = SCAN_POINTS) -> _RulingTables:
-    """The jet table that the per-s checks read: num points of the s-domain."""
-    return _RulingTables(sig, surface, uniform_grid(*surface.s_domain, num))
+def _scan(sig: Signature, surface: RuledSurface) -> _RulingTables:
+    """The jet table that the per-s checks read: SCAN_POINTS points of the s-domain."""
+    return _RulingTables(sig, surface, uniform_grid(*surface.s_domain, SCAN_POINTS))
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +91,7 @@ def _isolated_zeros(s: np.ndarray, vals: np.ndarray, tol: float) -> tuple[float,
 
 
 def genericity_scan(
-    sig: Signature,
-    surface: RuledSurface,
-    num: int = SCAN_POINTS,
-    tol: float = CONSTANCY_TOL,
+    sig: Signature, surface: RuledSurface, tol: float = CONSTANCY_TOL
 ) -> GenericityReport:
     """Sample the four classifying invariants and flag sign changes.
 
@@ -104,7 +101,7 @@ def genericity_scan(
     linear dependence and independence. Isolated zeros mean the case label
     changes across the domain and the surface should be split first.
     """
-    return _genericity(_scan(sig, surface, num), tol)
+    return _genericity(_scan(sig, surface), tol)
 
 
 def _genericity(scan: _RulingTables, tol: float) -> GenericityReport:
@@ -183,11 +180,7 @@ def _constant_value(name: str, vals: np.ndarray, tol: float) -> float:
 
 
 def case_invariants(
-    sig: Signature,
-    surface: RuledSurface,
-    num: int = SCAN_POINTS,
-    tol: float = CONSTANCY_TOL,
-    gauge_tol: float = GAUGE_TOL,
+    sig: Signature, surface: RuledSurface, tol: float = CONSTANCY_TOL, gauge_tol: float = GAUGE_TOL
 ) -> CaseInvariants:
     """Extract (epsilon, eta, delta, mu) from a gauge-normalized surface.
 
@@ -195,7 +188,7 @@ def case_invariants(
     NullDirectionError when the direction curve is null but non-constant,
     and ConventionError when a normalization is missing.
     """
-    return _case_invariants(_scan(sig, surface, num), tol, gauge_tol)
+    return _case_invariants(_scan(sig, surface), tol, gauge_tol)
 
 
 def _case_invariants(scan: _RulingTables, tol: float, gauge_tol: float) -> CaseInvariants:
@@ -306,11 +299,7 @@ class CylinderReport:
 
 
 def cylinder_check(
-    sig: Signature,
-    surface: RuledSurface,
-    num: int = SCAN_POINTS,
-    tol: float = CONSTANCY_TOL,
-    h_tol: float = H_TOL,
+    sig: Signature, surface: RuledSurface, tol: float = CONSTANCY_TOL, h_tol: float = H_TOL
 ) -> CylinderReport:
     """Decide plane / minimal cylinder / not minimal for constant directions.
 
@@ -319,7 +308,7 @@ def cylinder_check(
     """
     if isinstance(surface.gamma, CurveExpr) and not surface.gamma.is_constant():
         raise UsageError("cylinder_check expects a constant ruling direction")
-    return _cylinder_check(_scan(sig, surface, num), tol, h_tol)
+    return _cylinder_check(_scan(sig, surface), tol, h_tol)
 
 
 def _cylinder_check(scan: _RulingTables, tol: float, h_tol: float) -> CylinderReport:
@@ -342,7 +331,7 @@ def _cylinder_check(scan: _RulingTables, tol: float, h_tol: float) -> CylinderRe
         )
     else:
         verdict = CylinderVerdict.NOT_MINIMAL
-        note = f"max |H| = {report.max_h_norm:.3e} exceeds {h_tol:.1e}"
+        note = f"H numerator residual {report.residual:.3e} exceeds {h_tol:.1e}"
     return CylinderReport(
         verdict=verdict,
         direction_null=direction_null,
@@ -370,11 +359,7 @@ class StructureReport:
 
 
 def verify_structure_odes(
-    sig: Signature,
-    surface: RuledSurface,
-    inv: CaseInvariants | None = None,
-    num: int = SCAN_POINTS,
-    tol: float = STRUCTURE_TOL,
+    sig: Signature, surface: RuledSurface, tol: float = STRUCTURE_TOL
 ) -> StructureReport:
     """Residuals of the curve equations every normalized minimal case obeys.
 
@@ -382,10 +367,8 @@ def verify_structure_odes(
     cases the base satisfies x'' = eps <gamma, x''> gamma (x'' is parallel to
     the ruling direction).
     """
-    scan = _scan(sig, surface, num)
-    if inv is None:
-        inv = _case_invariants(scan, CONSTANCY_TOL, GAUGE_TOL)
-    return _structure(scan, inv, tol)
+    scan = _scan(sig, surface)
+    return _structure(scan, _case_invariants(scan, CONSTANCY_TOL, GAUGE_TOL), tol)
 
 
 def _structure(scan: _RulingTables, inv: CaseInvariants, tol: float) -> StructureReport:
@@ -427,11 +410,7 @@ class ClassificationResult:
 
 
 def identify_family(
-    sig: Signature,
-    surface: RuledSurface,
-    h_tol: float = H_TOL,
-    tol: float = CONSTANCY_TOL,
-    auto_gauge: bool = True,
+    sig: Signature, surface: RuledSurface, h_tol: float = H_TOL, tol: float = CONSTANCY_TOL
 ) -> ClassificationResult:
     """Match a ruled surface against the classified minimal families.
 
@@ -468,10 +447,11 @@ def identify_family(
             "surface is never minimal away from degenerate points"
         )
 
-    if auto_gauge and isinstance(surface.base, CurveExpr):
+    if isinstance(surface.base, CurveExpr):
         if float(np.abs(scan.ip("g0", "x1")).max()) > GAUGE_TOL:
-            surface = gauge_normalize(sig, surface).surface
-            scan = _scan(sig, surface)
+            # the gauge moves only the base, so gamma's samples carry over
+            surface = _gauge(scan).surface
+            scan = _RulingTables(sig, surface, scan.s, {"g0": scan.jet("g0")})
             notes.append("base curve replaced by its gauge normalization")
 
     genericity = _genericity(scan, CONSTANCY_TOL)
@@ -505,11 +485,8 @@ def identify_family(
 
     minimality = is_minimal(sig, surface, tol=h_tol)
     if not minimality.is_minimal:
-        return unrecognized(
-            f"not minimal: max |H| = {minimality.max_h_norm:.3e} exceeds "
-            f"{h_tol:.1e}",
-            minimality,
-        )
+        note = f"not minimal: H numerator residual {minimality.residual:.3e} exceeds {h_tol:.1e}"
+        return unrecognized(note, minimality)
 
     if minimality.totally_geodesic:
         return ClassificationResult(

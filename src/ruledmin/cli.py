@@ -11,6 +11,7 @@ conventions, or non-existence (with the certificate in the report).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -109,6 +110,13 @@ def _range_arg(flag: str, text: str) -> tuple[float, float]:
     return a, b
 
 
+def _tol(args, default: float) -> float:
+    """--tol, or default when it is absent; a tolerance is finite and >= 0."""
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+    return default if args.tol is None else args.tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruledmin",
@@ -125,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "grid": dict(help="sweep grid NSxNT (default 41x41)"),
         "s-range": dict(dest="s_range", help="s interval a,b"),
         "t-range": dict(dest="t_range", help="t interval a,b"),
-        "tol": dict(type=float, help="verification tolerance"),
+        "tol": dict(type=float, help="relative H tolerance (gauge: <gamma,gamma> spread)"),
         "out": dict(help="write the primary artifact to this path"),
         "format": dict(choices=("json", "csv", "obj"), help="output format"),
     }
@@ -269,6 +277,7 @@ def _existence_json(result: ExistenceResult) -> dict:
 def _minimality_json(report: MinimalityReport) -> dict:
     return {
         "verdict": report.verdict.value,
+        "residual": report.residual,
         "max_h_norm": report.max_h_norm,
         "tol": report.tol,
         "points_checked": report.points_checked,
@@ -322,7 +331,7 @@ def _structure_json(rep: StructureReport | None) -> dict | None:
 
 def cmd_verify(args) -> int:
     sig, surface, meta = _resolve_surface(args)
-    tol = args.tol if args.tol is not None else H_TOL
+    tol = _tol(args, H_TOL)
     s_grid, t_grid = _grids(args, surface)
     report = is_minimal(sig, surface, s_grid, t_grid, tol=tol)
     try:
@@ -359,7 +368,7 @@ def _classification_json(result: ClassificationResult) -> dict:
 
 def cmd_classify(args) -> int:
     sig, surface, _ = _resolve_surface(args)
-    tol = args.tol if args.tol is not None else H_TOL
+    tol = _tol(args, H_TOL)
     result = identify_family(sig, surface, h_tol=tol)
     _write_or_print(jsonio.dumps(_classification_json(result)), args.out)
     return 0 if result.recognized else 1
@@ -505,8 +514,7 @@ def cmd_causal_map(args) -> int:
 
 def cmd_gauge(args) -> int:
     sig, surface, meta = _resolve_surface(args)
-    tol = args.tol if args.tol is not None else 1e-9
-    result = gauge_normalize(sig, surface, tol=tol)
+    result = gauge_normalize(sig, surface, tol=_tol(args, 1e-9))
     payload = {
         "command": "gauge",
         "signature": _sig_json(sig),

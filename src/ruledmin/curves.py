@@ -275,10 +275,7 @@ class SampledCurve:
 
 
 def reparametrize_unit_speed(
-    sig: Signature,
-    curve: CurveExpr,
-    domain: tuple[float, float],
-    table_size: int = 2001,
+    sig: Signature, curve: CurveExpr, domain: tuple[float, float]
 ) -> SampledCurve:
     """Reparametrize a non-null curve by arc length.
 
@@ -316,7 +313,7 @@ def reparametrize_unit_speed(
     )
     if not sol.success:
         raise PreconditionError(f"arc-length integration failed: {sol.message}")
-    u_table = np.linspace(0.0, total, table_size)
+    u_table = np.linspace(0.0, total, 2001)
     s_table = np.clip(sol.sol(u_table)[0], min(a, b), max(a, b))
     return SampledCurve(
         source=curve,

@@ -35,8 +35,7 @@ class Signature:
 
     p > floor(n/2) is accepted; such signatures are anti-isometric to
     conventional ones (flip the sign of the pairing) and everything here
-    works in them unchanged. ``within_convention`` reports which side of
-    that normalization a signature sits on.
+    works in them unchanged.
     """
 
     n: int
@@ -49,10 +48,6 @@ class Signature:
             raise ValueError(f"index p must satisfy 0 <= p <= n, got p={self.p!r} with n={self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "p", int(self.p))
-
-    @property
-    def within_convention(self) -> bool:
-        return self.p <= self.n // 2
 
     def weights(self) -> np.ndarray:
         """Diagonal of the metric as a float array (-1 x p, +1 x (n-p))."""

@@ -1,16 +1,19 @@
 """Ruled surfaces f(s, t) = gamma(s) t + x(s) and their differential geometry.
 
 First and second fundamental forms are taken with respect to the ambient
-indefinite pairing; the second form's values are the normal components of
-the second derivatives, obtained by subtracting the tangential part via the
-explicit 2x2 Gram solve (adjugate over determinant). No orthonormalization
-of the tangent plane is ever attempted, so mixed-causal tangent planes need
-no special cases. Since f is affine in t, f_tt = 0 and h22 = 0 throughout.
+indefinite pairing. f is affine in t, so f_tt = 0, h22 = 0, and det g times
+the normal part of f_ss or f_st (the adjugate form, no division) is a
+polynomial in t along each ruling, as is N = 2 (det g)^2 H. H vanishes off
+the degenerate set exactly when N's per-s coefficients do, so they decide
+minimality; det g divides only the reported h11, h12 and H. No
+orthonormalization of the tangent plane is ever attempted, so mixed-causal
+tangent planes need no special cases.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -31,8 +34,10 @@ from .metric import Signature, ip_array
 
 # |det g| at or below this is treated as a degenerate tangent plane.
 TAU_DEG = 1e-9
-# Mean curvature below this (euclidean norm) counts as vanishing.
+# The H numerator's coefficients count as vanishing when what exceeds their
+# rounding bound stays below this fraction of the terms that cancel in them.
 H_TOL = 1e-8
+EPS = np.finfo(float).eps
 
 DEFAULT_SURFACE_GRID = (41, 41)
 
@@ -137,30 +142,24 @@ def first_form(sig: Signature, jet: Jet2) -> FirstForm:
     return FirstForm(g11, g12, g22, g11 * g22 - g12 * g12)
 
 
-def _normal_part(sig, vec, f_s, f_t, g: FirstForm) -> np.ndarray:
-    b1 = float(ip_array(sig, vec, f_s))
-    b2 = float(ip_array(sig, vec, f_t))
-    alpha = (g.g22 * b1 - g.g12 * b2) / g.det_g
-    beta = (-g.g12 * b1 + g.g11 * b2) / g.det_g
-    return vec - alpha * f_s - beta * f_t
-
-
 def second_form(
     sig: Signature, jet: Jet2, g: FirstForm | None = None, tau_deg: float = TAU_DEG
 ) -> SecondForm:
     """Normal components of the second derivatives.
 
-    Raises DegenerateMetricError when |det g| <= tau_deg: a degenerate
-    tangent plane has no tangential/normal splitting.
+    Read from _RulingTables.components at t = 0 of a one-row table whose
+    gamma jets are f_t, f_st and base jets f_s, f_ss. Raises DegenerateMetricError
+    when |det g| <= tau_deg: a degenerate tangent plane has no normal splitting.
     """
     if g is None:
         g = first_form(sig, jet)
     if abs(g.det_g) <= tau_deg:
         raise DegenerateMetricError(jet.s, jet.t, g.det_g)
-    h11 = _normal_part(sig, jet.f_ss, jet.f_s, jet.f_t, g)
-    h12 = _normal_part(sig, jet.f_st, jet.f_s, jet.f_t, g)
+    jets = dict(g0=jet.f_t, g1=jet.f_st, g2=0.0 * jet.f_t, x1=jet.f_s, x2=jet.f_ss)
+    tables = _RulingTables(sig, None, None, {k: v[None] for k, v in jets.items()})
+    _, d11, d12, _ = tables.components()
     h22 = np.zeros(len(jet.f))  # f_tt = 0 for ruled surfaces
-    return SecondForm(h11, h12, h22)
+    return SecondForm(d11[0, :, 0] / g.det_g, d12[0, :, 0] / g.det_g, h22)
 
 
 def mean_curvature(g: FirstForm, h: SecondForm) -> np.ndarray:
@@ -188,23 +187,51 @@ def form_bundle(sig: Signature, surface: RuledSurface, s: float, t: float) -> Fo
 # grid sweep on per-s coefficient tables
 
 
+def _pmul(p: list, q: list) -> list:
+    """Product of two polynomials in t, each a list of coefficients by power."""
+    out = [None] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            ab = a * b
+            out[i + j] = ab if out[i + j] is None else out[i + j] + ab
+    return out
+
+
+def _horner(coef: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum_k coef[:, k] t^k on the grid, for (ns, K) coefficients and the t-row T."""
+    out = coef[:, -1, None] * T
+    for k in range(coef.shape[1] - 2, -1, -1):
+        out += coef[:, k, None]
+        if k:
+            out *= T
+    return out
+
+
+def _relative(coef: np.ndarray, size: np.ndarray, rounding: np.ndarray) -> float:
+    """Largest (|c_k| - E_k)+ / S_k (max norms over the ambient axis; 0 where S_k = 0)."""
+    c = np.maximum(np.abs(coef) - rounding, 0.0).max(axis=1, initial=0.0)
+    s = size.max(axis=1, initial=0.0)
+    return float(np.divide(c, s, out=np.zeros_like(c), where=s > 0).max(initial=0.0))
+
+
 class _RulingTables:
     """The one place that samples gamma and x along s: their jets on an
     s-grid and the per-s pairings of those jets, each computed on first use.
 
     A jet is named "g" (gamma) or "x" (the base x) followed by the order of
-    the s-derivative, as in "g0", "g2" or "x1". Every per-s quantity the checks read is a
-    pairing ip(a, b): epsilon = <g0, g0>, eta = <g1, g1>, <x1, x1>,
-    mu = <g1, x1>, the gauge term <g0, x1>, the C-function and the sweep's
-    first-form and projection coefficients. f is affine in t, so those
+    the s-derivative, as in "g0", "g2" or "x1"; jets passed in are used as
+    given. Every per-s quantity the checks read is a pairing ip(a, b):
+    epsilon = <g0, g0>, eta = <g1, g1>, <x1, x1>, mu = <g1, x1>, the gauge
+    term <g0, x1>, the C-function and the sweep's first-form and
+    second-form coefficients. f is affine in t, so those
     coefficients make every (ns, nt) scalar a polynomial in t, evaluated by
     Horner's rule with (ns, 1) columns against the (1, nt) t-row T.
     """
 
-    def __init__(self, sig: Signature, surface: RuledSurface, s_grid: np.ndarray):
+    def __init__(self, sig: Signature, surface: RuledSurface | None, s_grid, jets=None):
         self.sig, self.surface, self.s = sig, surface, s_grid
-        self._jets: dict[str, np.ndarray] = {}
-        self._pairs: dict[tuple[str, str], np.ndarray] = {}
+        self._jets: dict[str, np.ndarray] = dict(jets or {})
+        self._pairs: dict[tuple, np.ndarray] = {}
 
     def jet(self, name: str) -> np.ndarray:
         """(ns, n) samples of gamma or x, differentiated int(name[1]) times."""
@@ -215,7 +242,7 @@ class _RulingTables:
 
     def ip(self, a: str, b: str) -> np.ndarray:
         """<a, b> at each s, shape (ns,)."""
-        key = (a, b) if a <= b else (b, a)
+        key = tuple(sorted((a, b)))
         if key not in self._pairs:
             self._pairs[key] = ip_array(self.sig, self.jet(a), self.jet(b))
         return self._pairs[key]
@@ -231,37 +258,58 @@ class _RulingTables:
         return self.col("g1", "g0") * T + self.col("x1", "g0")
 
     def first_form(self, T: np.ndarray):
-        """g11, g12, g22 and det g on the grid."""
+        """g11, g12 and det g on the grid; g22 = <g0, g0> is constant in t."""
         g11, g12 = self.g11(T), self.g12(T)
-        g22 = np.broadcast_to(self.col("g0", "g0"), g11.shape)
-        return g11, g12, g22, g11 * g22 - g12 * g12
+        return g11, g12, g11 * self.col("g0", "g0") - g12 * g12
 
-    def components(self, T, g11, g12, g22, safe):
-        """Yield (h11, h12, H) one ambient axis at a time, each (ns, nt).
+    def components(self):
+        """det g, D11, D12 and N; see _numerators."""
+        return _numerators(self.col, self.jet, operator.sub)
 
-        vec - alpha f_s - beta f_t is the normal part of vec, with
-        (alpha, beta) the adjugate solve of the Gram system; safe is det g
-        with the degenerate points replaced by 1.
-        """
+    def bounds(self):
+        """(S, E) for each array of components(): S, the size of the terms
+        that cancel, is the same expression over |jets| and |<a, b>| with
+        every minus a plus; E bounds the rounding. A pairing is off by at
+        most (n + 2) EPS sum_i |a_i b_i| (a boost inflates that sum, not the
+        pairing), the numerators' own steps by 16 EPS times their terms."""
+        absolute = {k: np.abs(self.jet(k)) for k in ("g0", "g1", "g2", "x1", "x2")}
+        euclid = _RulingTables(Signature(self.sig.n, 0), None, self.s, absolute)
 
-        def solve(b1, b2):
-            # b1 = <vec, f_s>, b2 = <vec, f_t>
-            return (g22 * b1 - g12 * b2) / safe, (-g12 * b1 + g11 * b2) / safe
+        def pair(a, b):  # [|<a, b>|, the same widened by its rounding]
+            p = np.abs(self.col(a, b))
+            return np.stack([p, p + (self.sig.n + 2) * EPS * euclid.col(a, b)])
 
-        c = self.col
-        a11, b11 = solve(  # vec = f_ss = gamma'' t + x''
-            (c("g2", "g1") * T + (c("g2", "x1") + c("x2", "g1"))) * T + c("x2", "x1"),
-            c("g2", "g0") * T + c("x2", "g0"),
-        )
-        a12, b12 = solve(c("g1", "g1") * T + c("g1", "x1"), c("g1", "g0"))  # vec = f_st
-        g0, g1, g2, x1, x2 = map(self.jet, ("g0", "g1", "g2", "x1", "x2"))
-        for k in range(g0.shape[1]):
-            gk = g0[:, k, None]
-            f_s = g1[:, k, None] * T + x1[:, k, None]
-            h11 = (g2[:, k, None] * T + x2[:, k, None]) - a11 * f_s - b11 * gk
-            h12 = g1[:, k, None] - a12 * f_s - b12 * gk
-            # h22 = 0 identically
-            yield h11, h12, 0.5 * (-2.0 * g12 * h12 + g22 * h11) / safe
+        sizes = _numerators(pair, euclid.jet, operator.add)
+        return [(size, wide - size + 16 * EPS * wide) for size, wide in sizes]
+
+
+def _numerators(c, jet, sub):
+    """Per-s t-coefficients (ns, n, K) of det g (degree 2, n = 1), D11 = det g h11 (3),
+    D12 = det g h12 (2) and N = g22 D11 - 2 g12 D12 = 2 (det g)^2 H (3) from pairings
+    c(a, b) (ns, 1), jets jet(name) (ns, n) and the difference sub, where D(v) = det g v
+    - (g22 <v, f_s> - g12 <v, f_t>) f_s - (g11 <v, f_t> - g12 <v, f_s>) f_t, v = f_ss, f_st."""
+    def minus(p, q):  # of equal degree, as every difference here is
+        return list(map(sub, p, q))
+
+    g0, g1, g2, x1, x2 = map(jet, ("g0", "g1", "g2", "x1", "x2"))
+    g11 = [c("x1", "x1"), 2.0 * c("g1", "x1"), c("g1", "g1")]
+    g12 = [c("x1", "g0"), c("g1", "g0")]
+    g22 = [c("g0", "g0")]
+    det = minus(_pmul(g11, g22), _pmul(g12, g12))
+
+    def numerator(v, b1, b2):
+        alpha = minus(_pmul(g22, b1), _pmul(g12, b2))
+        beta = minus(_pmul(g11, b2), _pmul(g12, b1))
+        return minus(minus(_pmul(det, v), _pmul(alpha, [x1, g1])), _pmul(beta, [g0]))
+
+    d11 = numerator(  # v = f_ss = gamma'' t + x''
+        [x2, g2],
+        [c("x2", "x1"), c("x2", "g1") + c("g2", "x1"), c("g2", "g1")],
+        [c("x2", "g0"), c("g2", "g0")],
+    )
+    d12 = numerator([g1], [c("g1", "x1"), c("g1", "g1")], [c("g1", "g0")])  # v = f_st
+    n = minus(_pmul(g22, d11), _pmul([2.0 * a for a in g12], d12))
+    return tuple(np.stack(p, axis=-1) for p in (det, d11, d12, n))
 
 
 @dataclass
@@ -269,39 +317,49 @@ class SurfaceSweep:
     """All form data over an (s, t) grid; arrays indexed [i_s, i_t].
 
     Only the first form is computed up front. H_norm (NaN at degenerate
-    points) and max_h11, max_h12 (largest components over the non-degenerate
-    points) come from one streamed pass over the ambient axes, and the
-    (ns, nt, n) fields f, h11, h12 and H are stacked; each on first access,
-    so a caller that reads only det g, as causal_map does, skips them all.
+    points), max_h11 and max_h12 (over the non-degenerate points) are Horner
+    reads of the numerators' coefficients, streamed over the ambient axes,
+    and the (ns, nt, n) fields f, h11, h12 and H are stacked; each on first
+    access, so a caller that reads only det g, as causal_map does, skips all.
     """
 
     s_grid: np.ndarray
     t_grid: np.ndarray
     g11: np.ndarray
     g12: np.ndarray
-    g22: np.ndarray
     det_g: np.ndarray
     nondegenerate: np.ndarray  # bool mask, |det g| > tau_deg
     tau_deg: float
     _tables: _RulingTables = field(repr=False)
 
-    def _components(self):
-        safe = np.where(self.nondegenerate, self.det_g, 1.0)
-        return self._tables.components(
-            self.t_grid[None, :], self.g11, self.g12, self.g22, safe
-        )
+    @cached_property
+    def _coefficients(self) -> tuple[np.ndarray, ...]:
+        return self._tables.components()
+
+    def _axes(self):
+        """Yield (h11, h12, H) one ambient axis at a time, each (ns, nt): Horner
+        reads of the numerators, divided by det g (NaN at degenerate points)."""
+        T = self.t_grid[None, :]
+        inv = np.full_like(self.det_g, np.nan)
+        np.divide(1.0, self.det_g, out=inv, where=self.nondegenerate)
+        half_inv = 0.5 * inv
+        _, d11, d12, num = self._coefficients
+        for k in range(num.shape[1]):
+            h = _horner(num[:, k], T) * inv
+            h *= half_inv
+            yield _horner(d11[:, k], T) * inv, _horner(d12[:, k], T) * inv, h
 
     @cached_property
     def _streamed(self) -> tuple[np.ndarray, float, float]:
         mask = self.nondegenerate
         h_sq = np.zeros_like(self.det_g)
         max_h11, max_h12 = [], []
-        for h11, h12, H in self._components():
-            h_sq += H * H
+        for h11, h12, H in self._axes():
+            H *= H
+            h_sq += H
             max_h11.append(np.abs(h11).max(where=mask, initial=0.0))
             max_h12.append(np.abs(h12).max(where=mask, initial=0.0))
-        h_norm = np.where(mask, np.sqrt(h_sq), np.nan)
-        return h_norm, float(np.max(max_h11)), float(np.max(max_h12))
+        return np.sqrt(h_sq), float(np.max(max_h11)), float(np.max(max_h12))
 
     H_norm = property(lambda self: self._streamed[0])
     max_h11 = property(lambda self: self._streamed[1])
@@ -314,19 +372,19 @@ class SurfaceSweep:
 
     @cached_property
     def _second(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.stack(p, axis=-1) for p in zip(*self._components()))
+        return tuple(np.stack(p, axis=-1) for p in zip(*self._axes()))
 
     h11 = property(lambda self: self._second[0])
     h12 = property(lambda self: self._second[1])
     H = property(lambda self: self._second[2])
 
     def minimality(self, tol: float = H_TOL) -> MinimalityReport:
-        """Decide max |H| <= tol and total geodesy, skipping degenerate points.
-
-        Degenerate points are excluded from the maxima and listed in the
-        report; if every grid point is degenerate there is nothing to decide
-        and EverywhereDegenerateError is raised.
-        """
+        """MINIMAL when no coefficient of N exceeds its rounding bound E by
+        more than tol times its S; totally geodesic when D11 and D12 pass too.
+        Read are the s rows with a non-degenerate grid point where det g keeps
+        a digit (E < S; a boosted ruling loses it once cosh^2 s > 1 / EPS).
+        The sampled |H| is a cross-check. If no row is left there is nothing
+        to decide and EverywhereDegenerateError is raised."""
         mask = self.nondegenerate
         n_tot = int(mask.size)
         n_deg = int((~mask).sum())
@@ -334,19 +392,25 @@ class SurfaceSweep:
             raise EverywhereDegenerateError(
                 f"all {n_tot} grid points have |det g| <= {self.tau_deg}"
             )
-        max_h = float(np.nanmax(self.H_norm))
-        verdict = (
-            MinimalityVerdict.MINIMAL if max_h <= tol else MinimalityVerdict.NOT_MINIMAL
+        (det_size, det_err), *bounds = self._tables.bounds()
+        rows = mask.any(axis=1) & (det_err.max(axis=(1, 2)) < det_size.max(axis=(1, 2)))
+        if not rows.any():
+            raise EverywhereDegenerateError("rounding leaves det g no digit on any s row")
+        r11, r12, residual = (
+            _relative(c[rows], size[rows], err[rows])
+            for c, (size, err) in zip(self._coefficients[1:], bounds)
         )
+        verdict = MinimalityVerdict.MINIMAL if residual <= tol else MinimalityVerdict.NOT_MINIMAL
         return MinimalityReport(
             verdict=verdict,
-            max_h_norm=max_h,
+            residual=residual,
+            max_h_norm=float(np.nanmax(self.H_norm)),
             tol=tol,
             points_checked=n_tot - n_deg,
             points_degenerate=n_deg,
             max_h11=self.max_h11,
             max_h12=self.max_h12,
-            totally_geodesic=max(self.max_h11, self.max_h12) <= tol,
+            totally_geodesic=max(r11, r12) <= tol,
             degenerate_sample=[
                 (float(self.s_grid[i]), float(self.t_grid[j]))
                 for i, j in np.argwhere(~mask)[:16]
@@ -370,13 +434,12 @@ def sweep_grid(
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
 
     tables = _RulingTables(sig, surface, s_grid)
-    g11, g12, g22, det = tables.first_form(t_grid[None, :])
+    g11, g12, det = tables.first_form(t_grid[None, :])
     return SurfaceSweep(
         s_grid=s_grid,
         t_grid=t_grid,
         g11=g11,
         g12=g12,
-        g22=g22,
         det_g=det,
         nondegenerate=np.abs(det) > tau_deg,
         tau_deg=tau_deg,
@@ -395,10 +458,11 @@ class MinimalityVerdict(Enum):
 
 @dataclass
 class MinimalityReport:
-    """Verdict of one sweep; max_h11, max_h12 (largest components over the
-    non-degenerate points) decide totally_geodesic with the same tol."""
+    """Verdict of one sweep, decided by residual = max (|c_k| - E_k)+ / S_k over
+    N's coefficients; max_h_norm, max_h11, max_h12 are sampled off the band."""
 
     verdict: MinimalityVerdict
+    residual: float
     max_h_norm: float
     tol: float
     points_checked: int
@@ -552,12 +616,7 @@ class GaugeResult:
     max_abs_g12: float
 
 
-def gauge_normalize(
-    sig: Signature,
-    surface: RuledSurface,
-    tol: float = 1e-9,
-    check_grid: tuple[int, int] = DEFAULT_SURFACE_GRID,
-) -> GaugeResult:
+def gauge_normalize(sig: Signature, surface: RuledSurface, tol: float = 1e-9) -> GaugeResult:
     """Translate the base along the rulings so the mixed metric entry vanishes.
 
     Replaces x by x + lambda * gamma with lambda(s) = -eps * integral of
@@ -569,7 +628,14 @@ def gauge_normalize(
     """
     if not isinstance(surface.base, CurveExpr):
         raise UsageError("gauge_normalize expects a closed-form base curve")
-    gg = _RulingTables(sig, surface, uniform_grid(*surface.s_domain, 201)).ip("g0", "g0")
+    return _gauge(_RulingTables(sig, surface, uniform_grid(*surface.s_domain, 201)), tol)
+
+
+def _gauge(scan: _RulingTables, tol: float = 1e-9) -> GaugeResult:
+    """gauge_normalize of scan.surface: <gamma, gamma> is read from the jet
+    table, and a quadrature lambda is tabulated on its s-grid."""
+    sig, surface = scan.sig, scan.surface
+    gg = scan.ip("g0", "g0")
     if float(gg.max() - gg.min()) > tol:
         raise ConventionError(
             "<gamma, gamma> is not constant on the domain; normalize the "
@@ -582,46 +648,23 @@ def gauge_normalize(
         )
     eps = 1 if val > 0 else -1
 
-    lam_sym = None
-    new_base = None
+    lam_sym = base = lam_table = None
     m_sym = symbolic_inner(sig, surface.gamma, surface.base.derivative(1))
     if m_sym is not None:
         anti = m_sym.antiderivative()
         lam_sym = (anti + ScalarFn.constant(-anti.eval(0.0))).scaled(-float(eps))
-        new_base = surface.base.plus_scalar_times(lam_sym, surface.gamma)
-
-    if new_base is not None:
-        gauged = RuledSurface(
-            gamma=surface.gamma,
-            base=new_base,
-            s_domain=surface.s_domain,
-            t_domain=surface.t_domain,
-        )
-        exact = True
-        lam_table = None
-    else:
-        qbase = GaugedBaseCurve(surface.base, surface.gamma, eps, sig)
-        gauged = RuledSurface(
-            gamma=surface.gamma,
-            base=qbase,
-            s_domain=surface.s_domain,
-            t_domain=surface.t_domain,
-        )
-        exact = False
-        lam_sym = None
-        table_s = uniform_grid(*surface.s_domain, 201)
-        lam_table = (table_s, -eps * qbase.lam_values(table_s))
+        base = surface.base.plus_scalar_times(lam_sym, surface.gamma)
+    exact = base is not None
+    if not exact:
+        base = GaugedBaseCurve(surface.base, surface.gamma, eps, sig)
+        lam_sym, lam_table = None, (scan.s, -eps * base.lam_values(scan.s))
+    gauged = RuledSurface(surface.gamma, base, surface.s_domain, surface.t_domain)
 
     # g12 = <gamma', gamma> t + <x', gamma> is linear in t, so its largest
     # magnitude over the check grid sits at one of the grid's two t-ends
-    s_grid, t_grid = gauged.default_grids(check_grid)
+    s_grid, t_grid = gauged.default_grids()
     g12 = _RulingTables(sig, gauged, s_grid).g12(t_grid[None, [0, -1]])
-    max_g12 = float(np.abs(g12).max())
     return GaugeResult(
-        surface=gauged,
-        epsilon=eps,
-        exact=exact,
-        lam=lam_sym,
-        lam_table=lam_table,
-        max_abs_g12=max_g12,
+        surface=gauged, epsilon=eps, exact=exact, lam=lam_sym, lam_table=lam_table,
+        max_abs_g12=float(np.abs(g12).max()),
     )

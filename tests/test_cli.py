@@ -414,3 +414,37 @@ def test_classify_json_is_deterministic():
     outputs = {run(["classify", "--family", "elliptic-helicoid-1", "--sig", "3,0"])[1]
                for _ in range(2)}
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "gauge"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-0.5e-9"])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_exits_2(command, tol):
+    rc, doc = run_json([command, "--family", "elliptic-helicoid-1", "--sig", "3,0", f"--tol={tol}"])
+    assert rc == 2
+    assert doc["error"] == "UsageError" and "--tol" in doc["message"]
+
+
+def test_verify_reports_the_deciding_residual(circular_cylinder_file):
+    rc, doc = run_json(["verify", "--family", "hyperbolic-helicoid-2", "--sig", "4,2"])
+    assert rc == 0 and 0.0 <= doc["minimality"]["residual"] <= 1e-14
+    rc, doc = run_json(["verify", "--input", circular_cylinder_file])
+    assert rc == 1 and doc["minimality"]["residual"] > 0.1
+
+
+def test_classify_of_a_slid_surface_samples_gamma_once_across_the_gauge(call_counts, tmp_path):
+    from ruledmin import Signature, generate, jsonio
+    from ruledmin.basisfn import ONE, Atom, ScalarFn
+    from ruledmin.families import FamilyId
+    from ruledmin.surface import RuledSurface
+
+    sig = Signature(4, 2)
+    surf = generate(sig, FamilyId.HYPERBOLIC_HELICOID_2)
+    rho = ScalarFn([(0.3, Atom(1, ONE, 0.0)), (0.1, Atom(2, ONE, 0.0))])
+    slid = RuledSurface(surf.gamma, surf.base.plus_scalar_times(rho, surf.gamma))
+    path = tmp_path / "slid.json"
+    path.write_text(jsonio.dumps(jsonio.surface_to_json(sig, slid)))
+    call_counts.clear()
+    rc, doc = run_json(["classify", "--input", str(path)])
+    assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
+    assert any("gauge" in note for note in doc["notes"])
+    assert call_counts["eval"] <= 14

@@ -1,0 +1,151 @@
+"""Minimality decided from the division-free H numerator's coefficients."""
+
+import numpy as np
+import pytest
+
+from ruledmin import (
+    CurveExpr,
+    EverywhereDegenerateError,
+    FamilyId,
+    RuledSurface,
+    Signature,
+    first_form,
+    generate,
+    immersion_jet,
+    is_minimal,
+    mean_curvature,
+    second_form,
+    sweep_grid,
+)
+from ruledmin.basisfn import ONE, Atom, ScalarFn
+from ruledmin.catalog import _closed_form_roots, det_g_closed_form
+
+from test_catalog import _admissible_triples
+
+SLIDES = [(0.3, 0.1), (-0.5, 0.2), (0.5, -0.2)]
+TAUS = (1e-12, 1e-9, 1e-6)
+FRAME_TRIPLES = [t for t in _admissible_triples() if t[1] is not FamilyId.MINIMAL_CYLINDER]
+OFF_CENTRE = [(5.0, 8.0), (10.0, 12.0)]
+
+# a helicoid of R^3_1 whose rulings gamma = cosh s e1 + sinh s e2 are boosted:
+# sum_i |gamma_i|^2 grows like e^{2s} while <gamma, gamma> = -1
+R31 = Signature(3, 1)
+BOOSTED = CurveExpr.from_basis_terms(3, [("cosh", 1.0, (1.0, 0.0, 0.0)), ("sinh", 1.0, (0.0, 1.0, 0.0))])
+AXIS = CurveExpr.from_basis_terms(3, [("pow", 1, (0.0, 0.0, 1.0))])
+BEND = CurveExpr.from_basis_terms(3, [("pow", 2, (0.0, 0.0, 0.1))])
+
+
+def _slid(surf: RuledSurface, c1: float, c2: float) -> RuledSurface:
+    """x + (c1 s + c2 s^2) gamma: the same point set, another base."""
+    rho = ScalarFn([(c1, Atom(1, ONE, 0.0)), (c2, Atom(2, ONE, 0.0))])
+    base = surf.base.plus_scalar_times(rho, surf.gamma)
+    return RuledSurface(surf.gamma, base, surf.s_domain, surf.t_domain)
+
+
+def _bumped(surf: RuledSurface, axis: int) -> RuledSurface:
+    coeff = [0.0] * surf.n
+    coeff[axis] = 0.1
+    bump = CurveExpr.from_basis_terms(surf.n, [("cosh", 0.5, coeff)])
+    return RuledSurface(surf.gamma, surf.base + bump, surf.s_domain, surf.t_domain)
+
+
+@pytest.mark.parametrize("half_width", [3.0, 10.0, 40.0])
+def test_catalog_surfaces_are_minimal_plain_and_slid(half_width):
+    dom = (-half_width, half_width)
+    failed = []
+    for sig, family, signs in _admissible_triples():
+        surf = generate(sig, family, signs=signs, s_domain=dom, t_domain=dom)
+        cases = {"plain": surf}
+        if family is not FamilyId.MINIMAL_CYLINDER:
+            cases.update({c: _slid(surf, *c) for c in SLIDES})
+        for label, case in cases.items():
+            report = is_minimal(sig, case)
+            if not report.is_minimal:
+                failed.append((str(sig), family.value, str(signs), label, report.residual))
+    assert failed == []
+
+
+def test_grids_through_a_degenerate_locus_stay_minimal():
+    cases = 0
+    failed = []
+    for sig, family, signs in FRAME_TRIPLES:
+        surf = generate(sig, family, signs=signs)
+        for r in _closed_form_roots(det_g_closed_form(family, signs), -3.0, 3.0):
+            for d in (1e-4, 1e-6, 1e-8, 1e-10):
+                t_grid = np.union1d(np.linspace(-3.0, 3.0, 41), [r - d, r + d])
+                cases += 1
+                for tau in TAUS:
+                    report = is_minimal(sig, surf, t_grid=t_grid, tau_deg=tau)
+                    if not report.is_minimal:
+                        failed.append((str(sig), family.value, str(signs), r, d, tau))
+    assert cases == 496
+    assert failed == []
+
+
+def test_bumped_surfaces_are_not_minimal_for_any_band():
+    failed = []
+    for sig, family, signs in FRAME_TRIPLES:
+        if sig.n > 5:
+            continue
+        surf = generate(sig, family, signs=signs)
+        for axis in range(sig.n):
+            for tau in TAUS:
+                report = is_minimal(sig, _bumped(surf, axis), tau_deg=tau)
+                if report.is_minimal or report.residual < 1e-4:
+                    failed.append((str(sig), family.value, str(signs), axis, tau))
+    assert failed == []
+
+
+@pytest.mark.parametrize("s_domain", OFF_CENTRE)
+def test_boosted_rulings_off_centre_keep_their_verdicts(s_domain):
+    plain = is_minimal(R31, RuledSurface(BOOSTED, AXIS, s_domain))
+    assert plain.is_minimal and not plain.totally_geodesic
+    bent = is_minimal(R31, RuledSurface(BOOSTED, AXIS + BEND, s_domain))
+    assert not bent.is_minimal and bent.residual >= 1e-4
+
+
+@pytest.mark.parametrize("s_domain", OFF_CENTRE)
+def test_bumps_with_a_visible_mean_curvature_are_not_minimal_off_centre(s_domain):
+    checked = 0
+    failed = []
+    for sig, family, signs in FRAME_TRIPLES:
+        if sig.n > 5:
+            continue
+        surf = generate(sig, family, signs=signs, s_domain=s_domain)
+        for axis in range(sig.n):
+            report = is_minimal(sig, _bumped(surf, axis))
+            if report.max_h_norm < 1e-6:  # a bump lost against the surface's own size
+                continue
+            checked += 1
+            if report.is_minimal or report.residual < 1e-4:
+                failed.append((str(sig), family.value, str(signs), axis, report.residual))
+    assert checked >= 300
+    assert failed == []
+
+
+def test_rulings_whose_metric_rounding_swamps_give_no_verdict():
+    # cosh^2 s - sinh^2 s keeps no digit once e^{2s} outgrows 1 / eps
+    with pytest.raises(EverywhereDegenerateError, match="rounding"):
+        is_minimal(R31, RuledSurface(BOOSTED, AXIS + BEND, (20.0, 25.0)))
+
+
+@pytest.mark.parametrize("sig,family,signs", [*_admissible_triples(n_range=(3, 4, 5))], ids=str)
+def test_second_form_at_a_grid_point_is_the_sweep_there(sig, family, signs):
+    surf = generate(sig, family, signs=signs)
+    s_grid, t_grid = surf.default_grids()
+    sweep = sweep_grid(sig, surf, s_grid, t_grid)
+    checked = 0
+    for i in range(0, s_grid.size, 8):
+        for j in range(0, t_grid.size, 4):
+            if not sweep.nondegenerate[i, j]:
+                continue
+            jet = immersion_jet(surf, s_grid[i], t_grid[j])
+            g = first_form(sig, jet)
+            h = second_form(sig, jet, g)
+            H = mean_curvature(g, h)
+            # relative to the second form's size there, since H may vanish
+            scale = max(1.0, np.abs(sweep.h11[i, j]).max(), np.abs(sweep.h12[i, j]).max())
+            for got, want in ((h.h11, sweep.h11[i, j]), (h.h12, sweep.h12[i, j]), (H, sweep.H[i, j])):
+                assert np.abs(got - want).max() <= 1e-12 * scale
+            checked += 1
+    assert checked > 0
