@@ -5,127 +5,74 @@ with exact jets, minimality verification of ruled immersions f(s,t) =
 gamma(s) t + x(s), classification into the minimal families, catalog
 generators with causal-character maps, and existence decisions with
 constructive witnesses or machine-checked non-existence certificates.
+
+Names resolve on first access from the module that defines them, so a
+program that uses only the exact existence layer never imports numpy, and
+only the quadrature fallbacks import scipy.
 """
 
-from .basisfn import Atom, ScalarFn
-from .catalog import (
-    BernsteinReport,
-    CausalRegion,
-    CausalRegionReport,
-    DEG_BAND,
-    DetGForm,
-    SpanType,
-    bernstein_check,
-    causal_map,
-    degenerate_span_check,
-    det_g_closed_form,
-    generate,
-    pick_signs,
-    scale_surface,
-)
-from .classify import (
-    CaseInvariants,
-    CaseLabel,
-    ClassificationResult,
-    CylinderReport,
-    CylinderVerdict,
-    GenericityReport,
-    MuProfile,
-    ScalarProfile,
-    StructureReport,
-    case_invariants,
-    cylinder_check,
-    genericity_scan,
-    identify_family,
-    table1_case,
-    verify_structure_odes,
-)
-from .curves import (
-    CurveExpr,
-    SampledCurve,
-    UnitSpeedClass,
-    eval_curve,
-    fd_derivative,
-    is_null_curve,
-    reparametrize_unit_speed,
-    symbolic_inner,
-    uniform_grid,
-    unit_speed_check,
-)
-from .errors import (
-    ConventionError,
-    DegenerateMetricError,
-    DimensionMismatchError,
-    EverywhereDegenerateError,
-    NonExistenceError,
-    NoWitnessError,
-    NullDirectionError,
-    PreconditionError,
-    RuledminError,
-    UsageError,
-)
-from .existence import (
-    Certificate,
-    CertificateKind,
-    CylinderWitness,
-    ExistenceResult,
-    ProofTrace,
-    SearchResult,
-    TableRow,
-    Verdict,
-    admits_cylinder,
-    admits_pattern,
-    brute_force_cross_check,
-    cells_for,
-    existence_oracle,
-    existence_table,
-    find_witness,
-    frame_for_signs,
-    replay_certificate,
-)
-from .families import (
-    ADMISSIBLE_SIGNS,
-    CLI_NAMES,
-    TABLE_FAMILIES,
-    FamilyId,
-    FrameSpec,
-    NormPattern,
-    SignChoice,
-    pattern_of_signs,
-    validate_signs,
-)
-from .metric import (
-    CausalCharacter,
-    Signature,
-    TAU_NULL,
-    causal_character,
-    gram_matrix,
-    inner_product,
-    ip_array,
-)
-from .surface import (
-    FirstForm,
-    FormBundle,
-    GaugeResult,
-    H_TOL,
-    Jet2,
-    MinimalityReport,
-    MinimalityVerdict,
-    RuledSurface,
-    SecondForm,
-    SurfaceSweep,
-    TAU_DEG,
-    c_function,
-    c_function_grid,
-    first_form,
-    form_bundle,
-    gauge_normalize,
-    immersion_jet,
-    is_minimal,
-    is_totally_geodesic,
-    mean_curvature,
-    second_form,
-    sweep_grid,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# public name -> defining module, grouped by module
+_EXPORTS = {
+    "basisfn": ("Atom", "ScalarFn"),
+    "catalog": (
+        "BernsteinReport", "CausalRegion", "CausalRegionReport", "DEG_BAND", "DetGForm",
+        "SpanType", "bernstein_check", "causal_map", "degenerate_span_check",
+        "det_g_closed_form", "generate", "pick_signs", "scale_surface",
+    ),
+    "classify": (
+        "CaseInvariants", "CaseLabel", "ClassificationResult", "CylinderReport",
+        "CylinderVerdict", "GenericityReport", "MuProfile", "ScalarProfile",
+        "StructureReport", "case_invariants", "cylinder_check", "genericity_scan",
+        "identify_family", "table1_case", "verify_structure_odes",
+    ),
+    "curves": (
+        "CurveExpr", "SampledCurve", "UnitSpeedClass", "eval_curve", "fd_derivative",
+        "is_null_curve", "reparametrize_unit_speed", "symbolic_inner", "uniform_grid",
+        "unit_speed_check",
+    ),
+    "errors": (
+        "ConventionError", "DegenerateMetricError", "DimensionMismatchError",
+        "EverywhereDegenerateError", "NonExistenceError", "NoWitnessError",
+        "NullDirectionError", "PreconditionError", "RuledminError", "UsageError",
+    ),
+    "existence": (
+        "Certificate", "CertificateKind", "CylinderWitness", "ExistenceResult",
+        "ProofTrace", "SearchResult", "TableRow", "Verdict", "admits_cylinder",
+        "admits_pattern", "brute_force_cross_check", "cells_for", "existence_oracle",
+        "existence_table", "find_witness", "frame_for_signs", "replay_certificate",
+    ),
+    "families": (
+        "ADMISSIBLE_SIGNS", "CLI_NAMES", "TABLE_FAMILIES", "FamilyId", "FrameSpec",
+        "NormPattern", "SignChoice", "pattern_of_signs", "validate_signs",
+    ),
+    "metric": (
+        "CausalCharacter", "Signature", "TAU_NULL", "causal_character", "gram_matrix",
+        "inner_product", "ip_array",
+    ),
+    "surface": (
+        "FirstForm", "FormBundle", "GaugeResult", "H_TOL", "Jet2", "MinimalityReport",
+        "MinimalityVerdict", "RuledSurface", "SecondForm", "SurfaceSweep", "TAU_DEG",
+        "c_function", "c_function_grid", "first_form", "form_bundle", "gauge_normalize",
+        "immersion_jet", "is_minimal", "is_totally_geodesic", "mean_curvature",
+        "second_form", "sweep_grid",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

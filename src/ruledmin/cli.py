@@ -6,6 +6,9 @@ output is JSON (default), CSV, or OBJ, printed to stdout or written via
 --out. Exit codes: 0 success (for verify: minimal; for classify:
 recognized), 1 negative verdict or diagnosis, 2 malformed input, violated
 conventions, or non-existence (with the certificate in the report).
+
+The handlers that sample a surface import the numeric layers themselves, so
+`existence` runs on exact integer arithmetic without loading numpy.
 """
 
 from __future__ import annotations
@@ -14,17 +17,9 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import jsonio
-from .catalog import causal_map, generate
-from .classify import (
-    CaseInvariants,
-    ClassificationResult,
-    GenericityReport,
-    StructureReport,
-    identify_family,
-    verify_structure_odes,
-)
 from .errors import NonExistenceError, RuledminError, UsageError
 from .existence import (
     Certificate,
@@ -33,17 +28,12 @@ from .existence import (
     existence_table,
     replay_certificate,
 )
-from .export import csv_grid, obj_mesh
 from .families import CLI_NAME_OF, CLI_NAMES, TABLE_FAMILIES, FamilyId, FrameSpec, SignChoice
 from .metric import Signature
-from .surface import (
-    H_TOL,
-    MinimalityReport,
-    RuledSurface,
-    gauge_normalize,
-    is_minimal,
-    sweep_grid,
-)
+
+if TYPE_CHECKING:
+    from .classify import CaseInvariants, ClassificationResult, GenericityReport, StructureReport
+    from .surface import MinimalityReport, RuledSurface
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_surface(args) -> tuple[Signature, RuledSurface, dict]:
     """Surface from --input JSON or a generated catalog family."""
+    from .surface import RuledSurface
+
     meta: dict = {}
     if args.input:
         path = Path(args.input)
@@ -182,6 +174,8 @@ def _resolve_surface(args) -> tuple[Signature, RuledSurface, dict]:
                 "--sig disagrees with the signature inside the input file"
             )
     elif args.family:
+        from .catalog import generate
+
         if args.sig is None:
             raise UsageError("--family needs --sig n,p")
         sig = _sig_arg(args.sig)
@@ -208,9 +202,16 @@ def _grids(args, surface: RuledSurface):
     return surface.default_grids(shape)
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(Path(out), text)
     else:
         sys.stdout.write(text)
 
@@ -330,6 +331,9 @@ def _structure_json(rep: StructureReport | None) -> dict | None:
 
 
 def cmd_verify(args) -> int:
+    from .classify import verify_structure_odes
+    from .surface import H_TOL, is_minimal
+
     sig, surface, meta = _resolve_surface(args)
     tol = _tol(args, H_TOL)
     s_grid, t_grid = _grids(args, surface)
@@ -367,6 +371,9 @@ def _classification_json(result: ClassificationResult) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from .classify import identify_family
+    from .surface import H_TOL
+
     sig, surface, _ = _resolve_surface(args)
     tol = _tol(args, H_TOL)
     result = identify_family(sig, surface, h_tol=tol)
@@ -445,6 +452,9 @@ def cmd_existence(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    from .export import csv_grid, obj_mesh
+    from .surface import sweep_grid
+
     sig, surface, meta = _resolve_surface(args)
     s_grid, t_grid = _grids(args, surface)
     sweep = sweep_grid(sig, surface, s_grid, t_grid)
@@ -456,12 +466,17 @@ def cmd_mesh(args) -> int:
     if fmt == "csv":
         _write_or_print(csv_grid(sig, surface, s_grid, t_grid, sweep), args.out)
         return 0
+    if args.out and Path(args.out).suffix == ".csv":
+        raise UsageError(
+            f"--out {args.out} is also the path of the CSV written beside the OBJ; "
+            "give the OBJ another suffix, or use --format csv"
+        )
     obj_text = obj_mesh(sig, surface, s_grid, t_grid, sweep)
     if args.out:
         out = Path(args.out)
-        out.write_text(obj_text)
+        _write(out, obj_text)
         sidecar = out.with_suffix(".csv")
-        sidecar.write_text(csv_grid(sig, surface, s_grid, t_grid, sweep))
+        _write(sidecar, csv_grid(sig, surface, s_grid, t_grid, sweep))
         summary = {
             "command": "mesh",
             "signature": _sig_json(sig),
@@ -478,6 +493,8 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_causal_map(args) -> int:
+    from .catalog import causal_map
+
     if not args.family or not args.sig:
         raise UsageError("causal-map needs --family NAME and --sig n,p")
     if args.format == "obj":
@@ -513,6 +530,8 @@ def cmd_causal_map(args) -> int:
 
 
 def cmd_gauge(args) -> int:
+    from .surface import gauge_normalize
+
     sig, surface, meta = _resolve_surface(args)
     result = gauge_normalize(sig, surface, tol=_tol(args, 1e-9))
     payload = {

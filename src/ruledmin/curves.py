@@ -14,8 +14,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.integrate import solve_ivp
 
 from . import basisfn
 from .basisfn import Atom, ScalarFn
@@ -282,6 +280,8 @@ def reparametrize_unit_speed(
     Requires |<c', c'>| bounded away from zero with constant sign on the
     domain; the error names the offending parameter value otherwise.
     """
+    from scipy.integrate import quad, solve_ivp  # the only caller of scipy besides surface.quad
+
     a, b = float(domain[0]), float(domain[1])
     check = uniform_grid(a, b, 1001)
     q = _speed_squared(sig, curve, check)

@@ -11,25 +11,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import basisfn
-from .basisfn import ScalarFn
-from .curves import JSON_BASES, CurveExpr
 from .errors import UsageError
 from .metric import Signature
-from .surface import RuledSurface
 
-_KIND_BY_BASIS = {
-    "cos": basisfn.COS,
-    "sin": basisfn.SIN,
-    "cosh": basisfn.COSH,
-    "sinh": basisfn.SINH,
-    "exp": basisfn.EXP,
-}
-_BASIS_BY_KIND = {v: k for k, v in _KIND_BY_BASIS.items()}
-_KIND_ORDER = {kind: i for i, kind in enumerate(basisfn.KINDS)}
+if TYPE_CHECKING:
+    from .basisfn import ScalarFn
+    from .curves import CurveExpr
+    from .surface import RuledSurface
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +42,13 @@ def _fmt_float(x: float, non_finite: str = "null") -> str:
     return format(x, ".17g")
 
 
-def _emit(obj, out: list, indent: int, level: int) -> None:
+def _emit(obj, out: list, indent: int, level: int, kinds: tuple) -> None:
+    bools, arrays = kinds
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
     if obj is None:
         out.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+    elif isinstance(obj, bools):
         out.append("true" if obj else "false")
     elif isinstance(obj, numbers.Integral):
         out.append(str(int(obj)))
@@ -73,10 +65,10 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise UsageError(f"JSON object keys must be strings, got {key!r}")
             out.append(pad_in + json.dumps(key) + ": ")
-            _emit(val, out, indent, level + 1)
+            _emit(val, out, indent, level + 1, kinds)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, arrays):
         items = list(obj)
         if not items:
             out.append("[]")
@@ -89,14 +81,14 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
             parts = []
             for item in items:
                 sub: list = []
-                _emit(item, sub, indent, 0)
+                _emit(item, sub, indent, 0, kinds)
                 parts.append("".join(sub))
             out.append("[" + ", ".join(parts) + "]")
         else:
             out.append("[\n")
             for i, item in enumerate(items):
                 out.append(pad_in)
-                _emit(item, out, indent, level + 1)
+                _emit(item, out, indent, level + 1, kinds)
                 out.append(",\n" if i + 1 < len(items) else "\n")
             out.append(pad + "]")
     else:
@@ -105,8 +97,12 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
 
 def dumps(obj, indent: int = 2) -> str:
     """Serialize to JSON with 17-significant-digit floats, trailing newline."""
+    # numpy booleans and arrays print like bool and list; no numpy value can
+    # exist before numpy is imported, so this never imports it
+    np = sys.modules.get("numpy")
+    kinds = ((bool,), (list, tuple)) if np is None else ((bool, np.bool_), (list, tuple, np.ndarray))
     out: list = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, indent, 0, kinds)
     return "".join(out) + "\n"
 
 
@@ -169,13 +165,15 @@ def _interval(data, path: str) -> tuple[float, float]:
 
 
 def _terms_to_json(terms: dict, coeff_to_json) -> list:
+    from . import basisfn
+
     out = []
-    for atom in sorted(terms, key=lambda a: (_KIND_ORDER[a.kind], a.omega, a.k)):
+    for atom in sorted(terms, key=lambda a: (basisfn.KINDS.index(a.kind), a.omega, a.k)):
         coeff = coeff_to_json(terms[atom])
         if atom.kind == basisfn.ONE:
             out.append({"basis": "pow", "param": atom.k, "coeff": coeff})
-        else:
-            term = {"basis": _BASIS_BY_KIND[atom.kind], "param": atom.omega}
+        else:  # the other kinds are named by their JSON basis
+            term = {"basis": atom.kind, "param": atom.omega}
             if atom.k:
                 term["degree"] = atom.k
             term["coeff"] = coeff
@@ -197,6 +195,9 @@ def curve_to_json(curve: CurveExpr) -> dict:
 
 
 def curve_from_json(data, path: str = "curve") -> CurveExpr:
+    from . import basisfn
+    from .curves import JSON_BASES, CurveExpr
+
     data = _expect_dict(data, path, ("n", "terms"))
     n = _int(_get(data, "n", path), f"{path}.n", minimum=1)
     raw_terms = _expect_list(_get(data, "terms", path), f"{path}.terms")
@@ -219,7 +220,7 @@ def curve_from_json(data, path: str = "curve") -> CurveExpr:
             parts = basisfn.canon(1.0, k, basisfn.ONE, 0.0)
         else:
             k = _int(term.get("degree", 0), f"{tp}.degree", minimum=0)
-            parts = basisfn.canon(1.0, k, _KIND_BY_BASIS[basis], param)
+            parts = basisfn.canon(1.0, k, basis, param)
         for c, atom in parts:
             curve._add(atom, [c * v for v in vec])
     return curve
@@ -235,6 +236,8 @@ def scalar_fn_to_json(fn: ScalarFn) -> list:
 
 
 def surface_to_json(sig: Signature, surface: RuledSurface) -> dict:
+    from .curves import CurveExpr
+
     if not isinstance(surface.gamma, CurveExpr) or not isinstance(surface.base, CurveExpr):
         raise UsageError(
             "only closed-form surfaces serialize to JSON; a quadrature-backed "
@@ -250,6 +253,8 @@ def surface_to_json(sig: Signature, surface: RuledSurface) -> dict:
 
 
 def surface_from_json(data) -> tuple[Signature, RuledSurface]:
+    from .surface import RuledSurface
+
     data = _expect_dict(
         data, "surface", ("signature", "gamma", "base", "s_domain", "t_domain")
     )

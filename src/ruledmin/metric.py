@@ -3,6 +3,7 @@
 The pairing is <u, v> = -(u_1 v_1 + ... + u_p v_p) + u_{p+1} v_{p+1} + ... + u_n v_n,
 so the first p coordinates carry the negative squares. Integer and Fraction
 input is evaluated exactly; float input goes through a small null tolerance.
+Only the float paths import numpy, so exact frame arithmetic runs without it.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from numbers import Integral, Rational
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatchError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Nullity cutoff for floating-point vectors. Exact (int/Fraction) input never
 # consults this.
@@ -56,6 +58,8 @@ class Signature:
 
 @lru_cache(maxsize=None)
 def _weights(n: int, p: int) -> np.ndarray:
+    import numpy as np
+
     w = np.ones(n)
     w[:p] = -1.0
     w.setflags(write=False)
@@ -90,6 +94,8 @@ def inner_product(sig: Signature, u: Sequence, v: Sequence):
         return sum(a * b for a, b in zip(eu[p:], ev[p:])) - sum(
             a * b for a, b in zip(eu[:p], ev[:p])
         )
+    import numpy as np
+
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
     return float((ua * va * sig.weights()).sum())
@@ -119,6 +125,8 @@ def causal_character(sig: Signature, v: Sequence, tau: float = TAU_NULL) -> Caus
         if q == 0:
             return CausalCharacter.NULL
         return CausalCharacter.SPACELIKE if q > 0 else CausalCharacter.TIMELIKE
+    import numpy as np
+
     va = np.asarray(v, dtype=float)
     if float(np.abs(va).max(initial=0.0)) == 0.0:
         return CausalCharacter.ZERO

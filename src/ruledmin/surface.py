@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .basisfn import ScalarFn
 from .curves import CurveExpr, SampledCurve, symbolic_inner, uniform_grid
@@ -40,6 +39,17 @@ H_TOL = 1e-8
 EPS = np.finfo(float).eps
 
 DEFAULT_SURFACE_GRID = (41, 41)
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call.
+
+    Only the gauge's quadrature fallback integrates, so no other path pays
+    for importing scipy.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _is_curve_like(obj) -> bool:

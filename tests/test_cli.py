@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import ruledmin
 from ruledmin import cli, surface
 from ruledmin.curves import CurveExpr
 
@@ -448,3 +452,75 @@ def test_classify_of_a_slid_surface_samples_gamma_once_across_the_gauge(call_cou
     assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
     assert any("gauge" in note for note in doc["notes"])
     assert call_counts["eval"] <= 14
+
+
+def test_an_obj_mesh_whose_csv_sidecar_is_the_out_path_exits_2(tmp_path):
+    out = tmp_path / "mesh.csv"
+    rc, doc = run_json(["mesh", "--family", "elliptic-helicoid-1", "--sig", "3,0",
+                        "--grid", "5x5", "--format", "obj", "--out", str(out)])
+    assert rc == 2 and doc["error"] == "UsageError" and "--out" in doc["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["existence", "--table"],
+    ["verify", "--family", "elliptic-helicoid-1", "--sig", "3,0"],
+    ["mesh", "--family", "elliptic-helicoid-1", "--sig", "3,0", "--grid", "5x5"],
+])
+def test_an_unwritable_out_path_exits_2(argv, tmp_path):
+    out = tmp_path / "missing" / "x.obj"
+    rc, doc = run_json([*argv, "--out", str(out)])
+    assert rc == 2 and doc["error"] == "UsageError"
+    assert doc["message"].startswith(f"cannot write {out}")
+
+
+# ---------------------------------------------------------------------------
+# cold calls: each subcommand in a fresh interpreter, through `python -m`
+
+
+def run_cold(argv):
+    """`python -X importtime -m ruledmin.cli ARGV`: (exit code, stdout, modules imported)."""
+    src = str(Path(ruledmin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ruledmin.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    # importtime prints one "import time: self | cumulative | name" line per module
+    modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:") and line.count("|") == 2}
+    assert "ruledmin.errors" in modules, proc.stderr[-2000:]
+    return proc.returncode, proc.stdout, modules
+
+
+HH2 = ["--sig", "4,2", "--family", "hyperbolic-helicoid-2"]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["existence", *HH2], ("numpy", "scipy")),
+    (["existence", "--table"], ("numpy", "scipy")),
+    (["verify", *HH2], ("scipy",)),
+    (["classify", *HH2], ("scipy",)),
+    (["causal-map", *HH2], ("scipy",)),
+    (["gauge", *HH2], ("scipy",)),
+    (["mesh", *HH2, "--grid", "9x9"], ("scipy",)),
+])
+def test_a_cold_call_imports_only_what_its_subcommand_runs(argv, absent):
+    rc, out, modules = run_cold(argv)
+    assert rc == 0
+    assert out == run(argv)[1]
+    assert not [m for m in modules if m.split(".")[0] in absent]
+
+
+def test_a_cold_quadrature_gauge_loads_scipy_and_matches_in_process(tmp_path):
+    # a cosh bump along the axis of gamma's cos term: <gamma, x'> holds cos*sinh,
+    # which the term algebra cannot integrate
+    _, doc = run_json(["gauge", "--family", "elliptic-helicoid-1", "--sig", "3,0"])
+    data = doc["surface"]
+    data["base"]["terms"].append({"basis": "cosh", "param": 1.0, "coeff": [0.2, 0.0, 0.0]})
+    path = tmp_path / "bump.json"
+    path.write_text(json.dumps(data))
+    argv = ["gauge", "--input", str(path)]
+    rc, out, modules = run_cold(argv)
+    cold = json.loads(out)
+    assert rc == 0 and cold["exact"] is False
+    assert "scipy.integrate" in modules
+    assert cold["lam_table"] == json.loads(run(argv)[1])["lam_table"]
