@@ -1,12 +1,14 @@
 """Mesh (OBJ) and table (CSV) exports of surface sweeps.
 
 Output is byte-deterministic: fixed column order, 17-significant-digit
-floats, LF newlines. Each column is formatted with one C-level "%.17g"
-call over the whole column, after folding -0.0 to 0.0 and non-finite
-values to nan; that spells every value exactly as jsonio._fmt_float(x,
-"nan") does. s and t are formatted once per grid line. OBJ viewers want 3
-coordinates, so higher-dimensional surfaces are projected onto three
-ambient axes (spacelike first) with the choice recorded in the header.
+floats, LF newlines. A column is formatted by folding -0.0 to 0.0 and
+non-finite values to nan and then spelling each of its distinct values
+once with "%.17g", exactly as jsonio._fmt_float(x, "nan") does; most
+columns of f depend on s alone or are constant, and det g and |H| take few
+values on a lattice. f's columns are formatted once per sweep, and the OBJ
+vertices and the CSV share those strings. OBJ viewers want 3 coordinates,
+so higher-dimensional surfaces are projected onto three ambient axes
+(spacelike first) with the choice recorded in the header.
 """
 
 from __future__ import annotations
@@ -20,21 +22,22 @@ from .metric import Signature
 from .surface import RuledSurface, SurfaceSweep, sweep_grid
 
 
-def _printable(values) -> list[float]:
-    """A float array flattened in C order, ready for "%.17g".
-
-    Adding 0.0 turns -0.0 into 0.0 and non-finite values become nan; "%.17g"
-    then spells each value exactly as _fmt_float(x, "nan") does, integral
-    values without a decimal point included.
-    """
-    v = np.asarray(values, dtype=float).ravel()
-    return np.where(np.isfinite(v), v + 0.0, np.nan).tolist()
-
-
 def _fmt_column(values) -> list[str]:
-    """17-significant-digit strings of a float array, from one % call."""
-    v = _printable(values)
-    return ("%.17g\n" * len(v) % tuple(v)).split("\n")[:-1]
+    """17-significant-digit strings of a float array in C order, one "%.17g"
+    per distinct value, mapped back to every cell that holds it."""
+    v = np.asarray(values, dtype=float).ravel()
+    distinct, index = np.unique(np.where(np.isfinite(v), v + 0.0, np.nan), return_inverse=True)
+    strings = ("%.17g\n" * distinct.size % tuple(distinct.tolist())).split("\n")[:-1]
+    return np.array(strings, dtype=object)[index].tolist()
+
+
+def _f_column(sweep: SurfaceSweep, k: int) -> list[str]:
+    """Strings of f's ambient column k, kept on the sweep from the first call,
+    so obj_mesh and csv_grid of one sweep format each column once."""
+    columns = sweep.__dict__.setdefault("_f_strings", {})
+    if k not in columns:
+        columns[k] = _fmt_column(sweep.f[..., k])
+    return columns[k]
 
 
 def projection_axes(sig: Signature) -> list[int]:
@@ -43,15 +46,6 @@ def projection_axes(sig: Signature) -> list[int]:
         return [0, 1, 2]
     order = list(range(sig.p, sig.n)) + list(range(sig.p))
     return order[:3]
-
-
-def project_points(sig: Signature, pts: np.ndarray) -> np.ndarray:
-    """Project (..., n) points to (..., 3) along projection_axes, zero-padded."""
-    axes = projection_axes(sig)
-    out = np.zeros(pts.shape[:-1] + (3,))
-    for slot, axis in enumerate(axes):
-        out[..., slot] = pts[..., axis]
-    return out
 
 
 def causal_tag(det, band: float = DEG_BAND) -> np.ndarray:
@@ -73,7 +67,6 @@ def obj_mesh(
     if sweep is None:
         sweep = sweep_grid(sig, surface, s_grid, t_grid)
     ns, nt = sweep.f.shape[0], sweep.f.shape[1]
-    pts = project_points(sig, sweep.f)
     axes = projection_axes(sig)
     s0, s1, t0, t1 = _fmt_column([s_grid[0], s_grid[-1], t_grid[0], t_grid[-1]])
     head = (
@@ -83,7 +76,8 @@ def obj_mesh(
         + ", ".join(str(a + 1) for a in axes)
         + "\n"
     )
-    verts = "v %.17g %.17g %.17g\n" * (ns * nt) % tuple(_printable(pts))
+    xyz = [_f_column(sweep, k) for k in axes] + [["0"] * (ns * nt)] * (3 - len(axes))
+    verts = "v " + "\nv ".join(map(" ".join, zip(*xyz))) + "\n"
     # vertex (i, j) is number i * nt + j + 1; each quad gives two triangles
     a = (np.arange(ns - 1)[:, None] * nt + np.arange(nt - 1)[None, :] + 1).ravel()
     b, c, d = a + nt, a + nt + 1, a + 1
@@ -111,11 +105,10 @@ def csv_grid(
     ns, nt = sweep.f.shape[0], sweep.f.shape[1]
     s_col = chain.from_iterable(map(repeat, _fmt_column(sweep.s_grid), repeat(nt)))
     t_col = _fmt_column(sweep.t_grid) * ns
-    f_cols = [_fmt_column(sweep.f[..., k]) for k in range(sig.n)]
     rows = map(",".join, zip(
         s_col,
         t_col,
-        *f_cols,
+        *(_f_column(sweep, k) for k in range(sig.n)),
         _fmt_column(sweep.det_g),
         _fmt_column(sweep.H_norm),
         causal_tag(sweep.det_g, band).ravel().tolist(),

@@ -31,7 +31,8 @@ def _fmt_float(x: float, non_finite: str = "null") -> str:
     """17 significant digits; integral values print without a decimal point.
 
     JSON has no NaN/Inf, so reports print null for masked values. The OBJ
-    and CSV exports format whole columns at once (export._fmt_column) and
+    and CSV exports format each distinct value of a column once
+    (export._fmt_column), share f's strings between the two files, and
     spell every value as this function does with non_finite="nan".
     """
     x = float(x)

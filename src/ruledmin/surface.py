@@ -327,10 +327,10 @@ class SurfaceSweep:
     """All form data over an (s, t) grid; arrays indexed [i_s, i_t].
 
     Only the first form is computed up front. H_norm (NaN at degenerate
-    points), max_h11 and max_h12 (over the non-degenerate points) are Horner
-    reads of the numerators' coefficients, streamed over the ambient axes,
-    and the (ns, nt, n) fields f, h11, h12 and H are stacked; each on first
-    access, so a caller that reads only det g, as causal_map does, skips all.
+    points) sums the squares of N's Horner reads over the ambient axes, one
+    axis at a time; the (ns, nt, n) fields f, h11, h12 and H are stacked. Each
+    is built on first access, so a caller that reads only det g, as
+    causal_map does, skips all, and verify reads N alone.
     """
 
     s_grid: np.ndarray
@@ -346,34 +346,26 @@ class SurfaceSweep:
     def _coefficients(self) -> tuple[np.ndarray, ...]:
         return self._tables.components()
 
-    def _axes(self):
-        """Yield (h11, h12, H) one ambient axis at a time, each (ns, nt): Horner
-        reads of the numerators, divided by det g (NaN at degenerate points)."""
+    def _reads(self, coef: np.ndarray, times_half_inv: bool = False):
+        """Yield coef's Horner read on each ambient axis over det g, (ns, nt),
+        or over 2 (det g)^2 with times_half_inv; NaN at degenerate points."""
         T = self.t_grid[None, :]
         inv = np.full_like(self.det_g, np.nan)
         np.divide(1.0, self.det_g, out=inv, where=self.nondegenerate)
-        half_inv = 0.5 * inv
-        _, d11, d12, num = self._coefficients
-        for k in range(num.shape[1]):
-            h = _horner(num[:, k], T) * inv
-            h *= half_inv
-            yield _horner(d11[:, k], T) * inv, _horner(d12[:, k], T) * inv, h
+        half_inv = 0.5 * inv if times_half_inv else None
+        for k in range(coef.shape[1]):
+            h = _horner(coef[:, k], T) * inv
+            if times_half_inv:
+                h *= half_inv
+            yield h
 
     @cached_property
-    def _streamed(self) -> tuple[np.ndarray, float, float]:
-        mask = self.nondegenerate
+    def H_norm(self) -> np.ndarray:
         h_sq = np.zeros_like(self.det_g)
-        max_h11, max_h12 = [], []
-        for h11, h12, H in self._axes():
-            H *= H
-            h_sq += H
-            max_h11.append(np.abs(h11).max(where=mask, initial=0.0))
-            max_h12.append(np.abs(h12).max(where=mask, initial=0.0))
-        return np.sqrt(h_sq), float(np.max(max_h11)), float(np.max(max_h12))
-
-    H_norm = property(lambda self: self._streamed[0])
-    max_h11 = property(lambda self: self._streamed[1])
-    max_h12 = property(lambda self: self._streamed[2])
+        for h in self._reads(self._coefficients[3], True):
+            h *= h
+            h_sq += h
+        return np.sqrt(h_sq)
 
     @cached_property
     def f(self) -> np.ndarray:
@@ -381,12 +373,16 @@ class SurfaceSweep:
         return g0[:, None, :] * self.t_grid[None, :, None] + x0[:, None, :]
 
     @cached_property
-    def _second(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.stack(p, axis=-1) for p in zip(*self._axes()))
+    def h11(self) -> np.ndarray:
+        return np.stack(list(self._reads(self._coefficients[1])), axis=-1)
 
-    h11 = property(lambda self: self._second[0])
-    h12 = property(lambda self: self._second[1])
-    H = property(lambda self: self._second[2])
+    @cached_property
+    def h12(self) -> np.ndarray:
+        return np.stack(list(self._reads(self._coefficients[2])), axis=-1)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return np.stack(list(self._reads(self._coefficients[3], True)), axis=-1)
 
     def minimality(self, tol: float = H_TOL) -> MinimalityReport:
         """MINIMAL when no coefficient of N exceeds its rounding bound E by
@@ -418,8 +414,6 @@ class SurfaceSweep:
             tol=tol,
             points_checked=n_tot - n_deg,
             points_degenerate=n_deg,
-            max_h11=self.max_h11,
-            max_h12=self.max_h12,
             totally_geodesic=max(r11, r12) <= tol,
             degenerate_sample=[
                 (float(self.s_grid[i]), float(self.t_grid[j]))
@@ -469,7 +463,8 @@ class MinimalityVerdict(Enum):
 @dataclass
 class MinimalityReport:
     """Verdict of one sweep, decided by residual = max (|c_k| - E_k)+ / S_k over
-    N's coefficients; max_h_norm, max_h11, max_h12 are sampled off the band."""
+    N's coefficients; max_h_norm is the cross-check sampled off the band, and
+    totally_geodesic is decided from D11's and D12's coefficients alike."""
 
     verdict: MinimalityVerdict
     residual: float
@@ -477,8 +472,6 @@ class MinimalityReport:
     tol: float
     points_checked: int
     points_degenerate: int
-    max_h11: float
-    max_h12: float
     totally_geodesic: bool
     degenerate_sample: list = field(default_factory=list)
     grid_shape: tuple[int, int] = (0, 0)

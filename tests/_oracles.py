@@ -8,7 +8,7 @@ comparisons from closed-form point-to-line distances.
 The exceptions are the reference implementations at the end:
 `vector_sweep`, `obj_mesh_loop` and `csv_grid_loop` keep the full-array
 sweep and the per-value export loops that the coefficient-table sweep and
-the column-at-a-time export replaced, so the new code can be compared
+the deduplicating column export replaced, so the new code can be compared
 against them.
 """
 
@@ -103,7 +103,7 @@ def convergence_order(errs, hs) -> float:
 
 
 def vector_sweep(sig: Signature, surface, s_grid, t_grid, tau_deg: float = 1e-9) -> dict:
-    """The full-array sweep: f, f_s, f_ss, h11, h12 and H as (ns, nt, n) arrays.
+    """The full-array sweep: f, its derivatives, h11, h12 and H as (ns, nt, n) arrays.
 
     This is the straightforward formula the coefficient-table sweep replaces;
     the pairings run over whole ambient vectors at every grid point.
@@ -143,21 +143,22 @@ def vector_sweep(sig: Signature, surface, s_grid, t_grid, tau_deg: float = 1e-9)
     h12 = normal(f_st)
     H = 0.5 * (-2.0 * g12[..., None] * h12 + g22[..., None] * h11) / safe[..., None]
     H_norm = np.where(mask, np.sqrt((H * H).sum(axis=-1)), np.nan)
-    return dict(f=f, f_s=f_s, f_t=f_t, g11=g11, g12=g12, g22=g22, det_g=det,
+    return dict(f=f, f_s=f_s, f_t=f_t, f_ss=f_ss, f_st=f_st, g11=g11, g12=g12, g22=g22, det_g=det,
                 nondegenerate=mask, h11=h11, h12=h12, H=H, H_norm=H_norm)
 
 
 def obj_mesh_loop(sig: Signature, sweep, s_grid, t_grid) -> str:
     """OBJ text built one value per formatter call, as export.obj_mesh was."""
-    from ruledmin.export import project_points, projection_axes
+    from ruledmin.export import projection_axes
     from ruledmin.jsonio import _fmt_float
 
     def fmt(x):
         return _fmt_float(x, non_finite="nan")
 
     ns, nt = sweep.f.shape[0], sweep.f.shape[1]
-    pts = project_points(sig, sweep.f)
     axes = projection_axes(sig)
+    pts = np.zeros(sweep.f.shape[:-1] + (3,))  # zero-padded when n = 2
+    pts[..., : len(axes)] = sweep.f[..., axes]
     lines = [
         f"# ruled surface mesh, {ns} x {nt} lattice over "
         f"s in [{fmt(s_grid[0])}, {fmt(s_grid[-1])}], "

@@ -12,8 +12,12 @@ from pathlib import Path
 import pytest
 
 import ruledmin
-from ruledmin import cli, surface
+from ruledmin import FamilyId, Signature, cli, generate, surface, sweep_grid
 from ruledmin.curves import CurveExpr
+from ruledmin.families import CLI_NAME_OF
+
+from _oracles import csv_grid_loop, obj_mesh_loop
+from test_catalog import _admissible_triples
 
 
 def run(argv):
@@ -83,6 +87,15 @@ def test_verify_generated_family_is_minimal():
     assert report["max_h_norm"] <= 1e-8
     assert report["points_checked"] == 41 * 41
     assert doc["totally_geodesic"] is False
+
+
+def test_verify_minimality_object_keeps_its_keys():
+    rc, doc = run_json(["verify", "--family", "hyperbolic-helicoid-2", "--sig", "4,2"])
+    assert rc == 0
+    assert set(doc) == {"command", "signature", "family", "minimality",
+                        "totally_geodesic", "structure"}
+    assert set(doc["minimality"]) == {"verdict", "residual", "max_h_norm", "tol", "points_checked",
+                                      "points_degenerate", "degenerate_sample", "grid"}
 
 
 def test_verify_flags_the_circular_cylinder(circular_cylinder_file):
@@ -253,6 +266,30 @@ def test_mesh_writes_obj_sidecar_and_summary(tmp_path):
     tags = Counter(line.rsplit(",", 1)[-1] for line in csv_lines[1:])
     # t = 0 row of the lattice sits on the degenerate locus of this family
     assert tags == {"spacelike": 820, "timelike": 820, "degenerate": 41}
+
+
+@pytest.mark.parametrize("sig,family,signs", [*_admissible_triples(n_range=(3, 4, 5))], ids=str)
+def test_mesh_out_files_match_the_per_value_loops(sig, family, signs, tmp_path):
+    out_path = tmp_path / "m.obj"
+    argv = ["mesh", "--sig", f"{sig.n},{sig.p}", "--family", CLI_NAME_OF[family],
+            "--grid", "21x21", "--out", str(out_path)]
+    if signs is not None:
+        argv.append("--signs=" + ",".join(map(str, signs.as_tuple())))
+    rc, _ = run_json(argv)
+    assert rc == 0
+    surf = generate(sig, family, signs=signs)
+    s, t = surf.default_grids((21, 21))
+    sweep = sweep_grid(sig, surf, s, t)
+    csv_text = (tmp_path / "m.csv").read_text()
+    for got, want in ((out_path.read_text(), obj_mesh_loop(sig, sweep, s, t)),
+                      (csv_text, csv_grid_loop(sig, sweep))):
+        # report the first differing lines; pytest's own diff of two files takes seconds per case
+        same = got == want
+        assert same, next((pair for pair in zip(got.split("\n"), want.split("\n"))
+                           if pair[0] != pair[1]), "the files differ in length")
+    if (sig, family) == (Signature(3, 1), FamilyId.PARABOLIC_HELICOID):
+        # t = 0 is on this lattice and on the degenerate locus
+        assert ",nan,degenerate\n" in csv_text
 
 
 def test_mesh_output_is_byte_deterministic(tmp_path):

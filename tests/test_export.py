@@ -5,7 +5,7 @@ import pytest
 
 from ruledmin import FamilyId, SignChoice, Signature, generate, sweep_grid
 from ruledmin.export import _fmt_column, csv_grid, obj_mesh
-from ruledmin.jsonio import _fmt_float
+from ruledmin.jsonio import _fmt_float, surface_from_json
 
 from _oracles import csv_grid_loop, obj_mesh_loop
 
@@ -25,6 +25,46 @@ def test_column_formatter_matches_on_random_magnitudes():
     vals = rng.standard_normal(2000) * 10.0 ** rng.integers(-20, 20, 2000)
     vals[::97] = np.round(vals[::97])
     assert _fmt_column(vals) == [_fmt_float(x, "nan") for x in vals]
+
+
+def _per_value(values):
+    return [_fmt_float(x, "nan") for x in np.asarray(values, dtype=float).ravel()]
+
+
+def test_column_formatter_maps_repeated_values_back_in_c_order():
+    rng = np.random.default_rng(11)
+    grid = rng.choice([0.1, -2.5, 1e-300, 3.0, 7e22], size=(37, 23))
+    assert grid.flags.c_contiguous
+    assert _fmt_column(grid) == _per_value(grid)
+    # a transposed (Fortran-ordered) view is read in its own C order too
+    assert _fmt_column(grid.T) == _per_value(grid.T)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, -0.0, 1.5, -0.0, 0.0, -0.0],
+        [float("nan"), float("inf"), 1.0, float("-inf"), float("nan"), float("-inf"), float("inf")],
+        [5e-324, -5e-324, 2.2250738585072009e-308, 5e-324, 1e-310, -1e-310, 1e-310],
+        EDGE_VALUES * 3,
+    ],
+    ids=["signed-zeros", "non-finite", "subnormals", "edge-values"],
+)
+def test_column_formatter_folds_zeros_and_non_finite_values(values):
+    assert _fmt_column(np.array(values)) == _per_value(values)
+
+
+def test_column_formatter_on_columns_constant_along_a_grid_direction():
+    s = np.linspace(-3.0, 3.0, 41)
+    t = np.linspace(-2.0, 2.0, 29)
+    columns = {
+        "constant along t": np.broadcast_to(np.cosh(s)[:, None], (s.size, t.size)),
+        "constant along s": np.broadcast_to(np.sinh(t)[None, :], (s.size, t.size)),
+        "constant": np.full((s.size, t.size), -0.3),
+        "all distinct": np.sinh(s)[:, None] * t[None, :] + np.cos(s)[:, None],
+    }
+    for name, col in columns.items():
+        assert _fmt_column(col) == _per_value(col), name
 
 
 def _t_grid_through_zero(num=21):
@@ -65,3 +105,18 @@ def test_exports_without_a_sweep_sweep_the_grid():
     sweep = sweep_grid(sig, surf, s, t)
     assert obj_mesh(sig, surf, s, t) == obj_mesh_loop(sig, sweep, s, t)
     assert csv_grid(sig, surf, s, t) == csv_grid_loop(sig, sweep)
+
+
+def test_a_two_dimensional_mesh_pads_the_third_coordinate_with_zeros():
+    sig, surf = surface_from_json({
+        "signature": {"n": 2, "p": 0},
+        "gamma": {"n": 2, "terms": [{"basis": "pow", "param": 0, "coeff": [0, 1]}]},
+        "base": {"n": 2, "terms": [{"basis": "pow", "param": 1, "coeff": [1, 0]}]},
+        "s_domain": [-1, 1],
+        "t_domain": [-1, 1],
+    })
+    s, t = np.linspace(-1.0, 1.0, 5), _t_grid_through_zero(7)
+    sweep = sweep_grid(sig, surf, s, t)
+    text = obj_mesh(sig, surf, s, t, sweep)
+    assert text == obj_mesh_loop(sig, sweep, s, t)
+    assert "v -1 -2 0\n" in text
