@@ -41,6 +41,11 @@ DEFAULT_T_DOMAIN = (-3.0, 3.0)
 # in verification grids and causal tags.
 DEG_BAND = 1e-6
 
+# points per side of causal_map's det g cross-check grid and of
+# bernstein_check's grids
+CAUSAL_MAP_GRID = 100
+BERNSTEIN_GRID = 81
+
 _FRAME_FAMILIES = frozenset(FRAME_FAMILIES)
 
 
@@ -278,7 +283,6 @@ def causal_map(
     family: FamilyId,
     signs: SignChoice | None = None,
     t_domain: tuple[float, float] | None = None,
-    samples: tuple[int, int] = (100, 100),
 ) -> CausalRegionReport:
     """Split the t-domain by the sign of det g, cross-validated by sampling.
 
@@ -313,8 +317,8 @@ def causal_map(
         )
         verdict_at = None
 
-    s_grid = np.linspace(*surface.s_domain, samples[0])
-    t_grid = np.linspace(lo, hi, samples[1])
+    s_grid = np.linspace(*surface.s_domain, CAUSAL_MAP_GRID)
+    t_grid = np.linspace(lo, hi, CAUSAL_MAP_GRID)
     sweep = sweep_grid(sig, surface, s_grid, t_grid)
 
     regions: list[CausalRegion] = []
@@ -445,7 +449,6 @@ def bernstein_check(
     sig: Signature,
     signs: SignChoice = SignChoice(0, 1, 1),
     domains: tuple[tuple[float, float], ...] = ((-10.0, 10.0), (-100.0, 100.0)),
-    grid: int = 81,
 ) -> BernsteinReport:
     """Is the hyperbolic-paraboloid family a global minimal graph here?
 
@@ -477,8 +480,8 @@ def bernstein_check(
     minimal_ok = True
     for lo, hi in domains:
         surface = generate(sig, family, signs, s_domain=(lo, hi), t_domain=(lo, hi))
-        s_grid = np.linspace(lo, hi, grid)
-        t_grid = np.linspace(lo, hi, grid)
+        s_grid = np.linspace(lo, hi, BERNSTEIN_GRID)
+        t_grid = np.linspace(lo, hi, BERNSTEIN_GRID)
         sweep = sweep_grid(sig, surface, s_grid, t_grid)
         min_det = min(min_det, float(sweep.det_g.min()))
         min_g11 = min(min_g11, float(sweep.g11.min()))

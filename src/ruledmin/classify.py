@@ -23,7 +23,7 @@ from .curves import CurveExpr, uniform_grid
 from .errors import ConventionError, NullDirectionError, UsageError
 from .families import FamilyId
 from .metric import Signature
-from .surface import H_TOL, MinimalityReport, RuledSurface, _RulingTables
+from .surface import H_TOL, UNIT_TOL, MinimalityReport, RuledSurface, _RulingTables
 from .surface import _gauge, is_minimal
 
 SCAN_POINTS = 201
@@ -31,6 +31,8 @@ CONSTANCY_TOL = 1e-9
 GAUGE_TOL = 1e-8
 DEPENDENCE_TOL = 1e-10
 STRUCTURE_TOL = 1e-8
+# delta~ = delta - eta mu^2 at or below this makes a helicoid of the second kind
+SECOND_KIND_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +74,9 @@ class GenericityReport:
         return all(p.clean for p in self.profiles.values()) and not self.dependence_switches
 
 
-def _isolated_zeros(s: np.ndarray, vals: np.ndarray, tol: float) -> tuple[float, ...]:
+def _isolated_zeros(s: np.ndarray, vals: np.ndarray) -> tuple[float, ...]:
     hits: list[float] = []
-    small = np.abs(vals) <= tol
+    small = np.abs(vals) <= CONSTANCY_TOL
     for i in range(len(s)):
         if small[i]:
             hits.append(float(s[i]))
@@ -90,9 +92,7 @@ def _isolated_zeros(s: np.ndarray, vals: np.ndarray, tol: float) -> tuple[float,
     return tuple(out)
 
 
-def genericity_scan(
-    sig: Signature, surface: RuledSurface, tol: float = CONSTANCY_TOL
-) -> GenericityReport:
+def genericity_scan(sig: Signature, surface: RuledSurface) -> GenericityReport:
     """Sample the four classifying invariants and flag sign changes.
 
     A surface is generic for classification when each of <gamma, gamma>,
@@ -101,10 +101,10 @@ def genericity_scan(
     linear dependence and independence. Isolated zeros mean the case label
     changes across the domain and the surface should be split first.
     """
-    return _genericity(_scan(sig, surface), tol)
+    return _genericity(_scan(sig, surface))
 
 
-def _genericity(scan: _RulingTables, tol: float) -> GenericityReport:
+def _genericity(scan: _RulingTables) -> GenericityReport:
     s = scan.s
     series = {
         "direction_norm": scan.ip("g0", "g0"),
@@ -115,10 +115,10 @@ def _genericity(scan: _RulingTables, tol: float) -> GenericityReport:
     profiles = {}
     for name, vals in series.items():
         max_abs = float(np.abs(vals).max())
-        if max_abs <= tol:
+        if max_abs <= CONSTANCY_TOL:
             profiles[name] = ScalarProfile(name, True, max_abs, ())
         else:
-            profiles[name] = ScalarProfile(name, False, max_abs, _isolated_zeros(s, vals, tol))
+            profiles[name] = ScalarProfile(name, False, max_abs, _isolated_zeros(s, vals))
 
     # 2x2 Euclidean Gram determinant of (gamma', x'), row-normalized so the
     # threshold is scale-free
@@ -169,9 +169,9 @@ class CaseInvariants:
     mu: MuProfile
 
 
-def _constant_value(name: str, vals: np.ndarray, tol: float) -> float:
+def _constant_value(name: str, vals: np.ndarray) -> float:
     spread = float(vals.max() - vals.min())
-    if spread > tol:
+    if spread > CONSTANCY_TOL:
         raise ConventionError(
             f"{name} varies by {spread:.3e} across the domain; the case "
             "invariants assume it is constant"
@@ -179,47 +179,45 @@ def _constant_value(name: str, vals: np.ndarray, tol: float) -> float:
     return float(vals.mean())
 
 
-def case_invariants(
-    sig: Signature, surface: RuledSurface, tol: float = CONSTANCY_TOL, gauge_tol: float = GAUGE_TOL
-) -> CaseInvariants:
+def case_invariants(sig: Signature, surface: RuledSurface) -> CaseInvariants:
     """Extract (epsilon, eta, delta, mu) from a gauge-normalized surface.
 
     Raises UsageError for constant directions (use the cylinder branch),
     NullDirectionError when the direction curve is null but non-constant,
     and ConventionError when a normalization is missing.
     """
-    return _case_invariants(_scan(sig, surface), tol, gauge_tol)
+    return _case_invariants(_scan(sig, surface))
 
 
-def _case_invariants(scan: _RulingTables, tol: float, gauge_tol: float) -> CaseInvariants:
+def _case_invariants(scan: _RulingTables) -> CaseInvariants:
     gamma = scan.surface.gamma
     if isinstance(gamma, CurveExpr) and gamma.is_constant():
         raise UsageError(
             "the ruling direction is constant; classify with cylinder_check"
         )
     gg = scan.ip("g0", "g0")
-    if float(np.abs(gg).max()) <= tol:
+    if float(np.abs(gg).max()) <= CONSTANCY_TOL:
         raise NullDirectionError(
             "the ruling direction is null along a non-constant curve; such a "
             "surface is never minimal away from degenerate points"
         )
-    eps_val = _constant_value("<gamma, gamma>", gg, tol)
-    if abs(abs(eps_val) - 1.0) > 1e-6:
+    eps_val = _constant_value("<gamma, gamma>", gg)
+    if abs(abs(eps_val) - 1.0) > UNIT_TOL:
         raise ConventionError(
             f"<gamma, gamma> = {eps_val!r}; scale the direction to unit norm"
         )
     epsilon = 1 if eps_val > 0 else -1
 
-    if float(np.abs(scan.ip("g0", "x1")).max()) > gauge_tol:
+    if float(np.abs(scan.ip("g0", "x1")).max()) > GAUGE_TOL:
         raise ConventionError(
             "<gamma, x'> does not vanish; apply gauge_normalize before "
             "classification"
         )
 
-    eta_val = _constant_value("<gamma', gamma'>", scan.ip("g1", "g1"), tol)
-    if abs(eta_val) <= tol:
+    eta_val = _constant_value("<gamma', gamma'>", scan.ip("g1", "g1"))
+    if abs(eta_val) <= CONSTANCY_TOL:
         eta = 0
-    elif abs(abs(eta_val) - 1.0) <= 1e-6:
+    elif abs(abs(eta_val) - 1.0) <= UNIT_TOL:
         eta = 1 if eta_val > 0 else -1
     else:
         raise ConventionError(
@@ -227,9 +225,9 @@ def _case_invariants(scan: _RulingTables, tol: float, gauge_tol: float) -> CaseI
             "curve so its speed is 0 or +-1"
         )
 
-    delta_value = _constant_value("<x', x'>", scan.ip("x1", "x1"), tol)
-    delta = 0 if abs(delta_value) <= tol else (1 if delta_value > 0 else -1)
-    if eta == 0 and delta != 0 and abs(abs(delta_value) - 1.0) > 1e-6:
+    delta_value = _constant_value("<x', x'>", scan.ip("x1", "x1"))
+    delta = 0 if abs(delta_value) <= CONSTANCY_TOL else (1 if delta_value > 0 else -1)
+    if eta == 0 and delta != 0 and abs(abs(delta_value) - 1.0) > UNIT_TOL:
         raise ConventionError(
             f"<x', x'> = {delta_value!r}; with a null direction derivative "
             "the base speed normalizes to 0 or +-1"
@@ -237,7 +235,7 @@ def _case_invariants(scan: _RulingTables, tol: float, gauge_tol: float) -> CaseI
 
     mu_vals = scan.ip("g1", "x1")
     mu_spread = float(mu_vals.max() - mu_vals.min())
-    if mu_spread <= tol:
+    if mu_spread <= CONSTANCY_TOL:
         mu = MuProfile("constant", float(mu_vals.mean()), float(np.abs(mu_vals).max()))
     else:
         mu = MuProfile("varying", None, float(np.abs(mu_vals).max()))
@@ -298,9 +296,7 @@ class CylinderReport:
     note: str
 
 
-def cylinder_check(
-    sig: Signature, surface: RuledSurface, tol: float = CONSTANCY_TOL, h_tol: float = H_TOL
-) -> CylinderReport:
+def cylinder_check(sig: Signature, surface: RuledSurface) -> CylinderReport:
     """Decide plane / minimal cylinder / not minimal for constant directions.
 
     The only non-planar minimal cylinders have a null direction, a null base
@@ -308,19 +304,19 @@ def cylinder_check(
     """
     if isinstance(surface.gamma, CurveExpr) and not surface.gamma.is_constant():
         raise UsageError("cylinder_check expects a constant ruling direction")
-    return _cylinder_check(_scan(sig, surface), tol, h_tol)
+    return _cylinder_check(_scan(sig, surface), H_TOL)
 
 
-def _cylinder_check(scan: _RulingTables, tol: float, h_tol: float) -> CylinderReport:
-    direction_null = float(np.abs(scan.ip("g0", "g0")).max()) <= tol
-    base_null = float(np.abs(scan.ip("x1", "x1")).max()) <= tol
+def _cylinder_check(scan: _RulingTables, h_tol: float) -> CylinderReport:
+    direction_null = float(np.abs(scan.ip("g0", "g0")).max()) <= CONSTANCY_TOL
+    base_null = float(np.abs(scan.ip("x1", "x1")).max()) <= CONSTANCY_TOL
     min_pairing = float(np.abs(scan.ip("g0", "x1")).min())
 
     report = is_minimal(scan.sig, scan.surface, tol=h_tol)
     if report.is_minimal and report.totally_geodesic:
         verdict = CylinderVerdict.PLANE
         note = "totally geodesic: the surface lies in a plane"
-    elif report.is_minimal and direction_null and base_null and min_pairing > tol:
+    elif report.is_minimal and direction_null and base_null and min_pairing > CONSTANCY_TOL:
         verdict = CylinderVerdict.MINIMAL_CYLINDER
         note = "null direction over a null base with nowhere-zero pairing"
     elif report.is_minimal:
@@ -358,9 +354,7 @@ class StructureReport:
         return max(self.max_direction_residual, self.max_base_residual) <= self.tol
 
 
-def verify_structure_odes(
-    sig: Signature, surface: RuledSurface, tol: float = STRUCTURE_TOL
-) -> StructureReport:
+def verify_structure_odes(sig: Signature, surface: RuledSurface) -> StructureReport:
     """Residuals of the curve equations every normalized minimal case obeys.
 
     eta = +-1: gamma'' + eps * eta * gamma = 0; eta = 0: gamma'' = 0. In all
@@ -368,10 +362,10 @@ def verify_structure_odes(
     the ruling direction).
     """
     scan = _scan(sig, surface)
-    return _structure(scan, _case_invariants(scan, CONSTANCY_TOL, GAUGE_TOL), tol)
+    return _structure(scan, _case_invariants(scan))
 
 
-def _structure(scan: _RulingTables, inv: CaseInvariants, tol: float) -> StructureReport:
+def _structure(scan: _RulingTables, inv: CaseInvariants) -> StructureReport:
     g0, g2, x2 = scan.jet("g0"), scan.jet("g2"), scan.jet("x2")
     if inv.eta != 0:
         dir_res = g2 + (inv.epsilon * inv.eta) * g0
@@ -383,7 +377,7 @@ def _structure(scan: _RulingTables, inv: CaseInvariants, tol: float) -> Structur
         eta=inv.eta,
         max_direction_residual=float(np.linalg.norm(dir_res, axis=1).max()),
         max_base_residual=float(np.linalg.norm(base_res, axis=1).max()),
-        tol=tol,
+        tol=STRUCTURE_TOL,
     )
 
 
@@ -410,7 +404,7 @@ class ClassificationResult:
 
 
 def identify_family(
-    sig: Signature, surface: RuledSurface, h_tol: float = H_TOL, tol: float = CONSTANCY_TOL
+    sig: Signature, surface: RuledSurface, h_tol: float = H_TOL
 ) -> ClassificationResult:
     """Match a ruled surface against the classified minimal families.
 
@@ -422,7 +416,7 @@ def identify_family(
     scan = _scan(sig, surface)
 
     if isinstance(surface.gamma, CurveExpr) and surface.gamma.is_constant():
-        cyl = _cylinder_check(scan, tol, h_tol)
+        cyl = _cylinder_check(scan, h_tol)
         family = {
             CylinderVerdict.PLANE: FamilyId.PLANE,
             CylinderVerdict.MINIMAL_CYLINDER: FamilyId.MINIMAL_CYLINDER,
@@ -440,7 +434,7 @@ def identify_family(
             notes=[cyl.note] if family is not None else [],
         )
 
-    if float(np.abs(scan.ip("g0", "g0")).max()) <= tol:
+    if float(np.abs(scan.ip("g0", "g0")).max()) <= CONSTANCY_TOL:
         # gauge normalization would mask this as a unit-norm failure
         raise NullDirectionError(
             "the ruling direction is null along a non-constant curve; such a "
@@ -454,14 +448,14 @@ def identify_family(
             scan = _RulingTables(sig, surface, scan.s, {"g0": scan.jet("g0")})
             notes.append("base curve replaced by its gauge normalization")
 
-    genericity = _genericity(scan, CONSTANCY_TOL)
+    genericity = _genericity(scan)
     if not genericity.generic:
         notes.append(
             "invariants change type inside the domain; the classification "
             "applies to its generic part"
         )
 
-    inv = _case_invariants(scan, tol, GAUGE_TOL)
+    inv = _case_invariants(scan)
     raw_case = table1_case(inv)
 
     def unrecognized(diagnosis: str, minimality=None) -> ClassificationResult:
@@ -511,7 +505,7 @@ def identify_family(
     if inv.eta != 0:
         # a shift along the rulings kills mu and moves delta to delta~
         delta_shifted = inv.delta_value - inv.eta * mu_value * mu_value
-        second_kind = abs(delta_shifted) <= 1e-9
+        second_kind = abs(delta_shifted) <= SECOND_KIND_TOL
         elliptic = inv.epsilon * inv.eta > 0
         if elliptic:
             family = (
@@ -544,7 +538,7 @@ def identify_family(
             family = FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID
             reported = CaseLabel.CASE_V
 
-    structure = _structure(scan, inv, STRUCTURE_TOL)
+    structure = _structure(scan, inv)
     if not structure.ok:
         notes.append(
             "structure-equation residuals are larger than expected "

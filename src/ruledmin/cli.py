@@ -456,27 +456,26 @@ def cmd_mesh(args) -> int:
     from .surface import sweep_grid
 
     sig, surface, meta = _resolve_surface(args)
-    s_grid, t_grid = _grids(args, surface)
-    sweep = sweep_grid(sig, surface, s_grid, t_grid)
+    sweep = sweep_grid(sig, surface, *_grids(args, surface))
     fmt = args.format
     if fmt is None:
         fmt = "csv" if (args.out or "").endswith(".csv") else "obj"
     if fmt == "json":
         raise UsageError("mesh emits obj or csv; use --format obj|csv")
     if fmt == "csv":
-        _write_or_print(csv_grid(sig, surface, s_grid, t_grid, sweep), args.out)
+        _write_or_print(csv_grid(sig, sweep), args.out)
         return 0
     if args.out and Path(args.out).suffix == ".csv":
         raise UsageError(
             f"--out {args.out} is also the path of the CSV written beside the OBJ; "
             "give the OBJ another suffix, or use --format csv"
         )
-    obj_text = obj_mesh(sig, surface, s_grid, t_grid, sweep)
+    obj_text = obj_mesh(sig, sweep)
     if args.out:
         out = Path(args.out)
         _write(out, obj_text)
         sidecar = out.with_suffix(".csv")
-        _write(sidecar, csv_grid(sig, surface, s_grid, t_grid, sweep))
+        _write(sidecar, csv_grid(sig, sweep))
         summary = {
             "command": "mesh",
             "signature": _sig_json(sig),
@@ -507,7 +506,8 @@ def cmd_causal_map(args) -> int:
     if args.format == "csv":
         lines = ["t_lo,t_hi,verdict"]
         for region in report.regions:
-            lines.append(f"{region.t_lo!r},{region.t_hi!r},{region.verdict}")
+            t_lo, t_hi = jsonio._fmt_float(region.t_lo), jsonio._fmt_float(region.t_hi)
+            lines.append(f"{t_lo},{t_hi},{region.verdict}")
         _write_or_print("\n".join(lines) + "\n", args.out)
         return 0
     payload = {
@@ -530,10 +530,10 @@ def cmd_causal_map(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    from .surface import gauge_normalize
+    from .surface import GAUGE_SPREAD_TOL, gauge_normalize
 
     sig, surface, meta = _resolve_surface(args)
-    result = gauge_normalize(sig, surface, tol=_tol(args, 1e-9))
+    result = gauge_normalize(sig, surface, tol=_tol(args, GAUGE_SPREAD_TOL))
     payload = {
         "command": "gauge",
         "signature": _sig_json(sig),

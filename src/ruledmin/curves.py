@@ -20,9 +20,10 @@ from .basisfn import Atom, ScalarFn
 from .errors import PreconditionError, UsageError
 from .metric import Signature, ip_array
 
-# Grid defaults for the sampled checks below.
+# Grid default for the sampled checks below.
 DEFAULT_GRID_POINTS = 101
-DEFAULT_TOL = 1e-9
+# A squared speed <c', c'> within this of 0 (or of +-1) is null (or unit).
+SPEED_TOL = 1e-9
 
 # Speeds closer to zero than this make arc-length reparametrization ill posed.
 NEAR_NULL_SPEED = 1e-9
@@ -198,14 +199,12 @@ def _speed_squared(sig: Signature, curve: CurveExpr, grid: np.ndarray) -> np.nda
     return ip_array(sig, d, d)
 
 
-def is_null_curve(
-    sig: Signature, curve: CurveExpr, grid: np.ndarray, tol: float = DEFAULT_TOL
-) -> bool:
-    """max |<c'(s), c'(s)>| <= tol over the grid."""
+def is_null_curve(sig: Signature, curve: CurveExpr, grid: np.ndarray) -> bool:
+    """max |<c'(s), c'(s)>| <= SPEED_TOL over the grid."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise UsageError("grid must be non-empty")
-    return float(np.abs(_speed_squared(sig, curve, grid)).max()) <= tol
+    return float(np.abs(_speed_squared(sig, curve, grid)).max()) <= SPEED_TOL
 
 
 class UnitSpeedClass(Enum):
@@ -214,16 +213,15 @@ class UnitSpeedClass(Enum):
     NOT_UNIT = "not-unit"
 
 
-def unit_speed_check(
-    sig: Signature, curve: CurveExpr, grid: np.ndarray, tol: float = DEFAULT_TOL
-) -> UnitSpeedClass:
+def unit_speed_check(sig: Signature, curve: CurveExpr, grid: np.ndarray) -> UnitSpeedClass:
+    """Unit spacelike (timelike) when <c', c'> is within SPEED_TOL of 1 (-1) on the grid."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise UsageError("grid must be non-empty")
     q = _speed_squared(sig, curve, grid)
-    if float(np.abs(q - 1.0).max()) <= tol:
+    if float(np.abs(q - 1.0).max()) <= SPEED_TOL:
         return UnitSpeedClass.UNIT_SPACELIKE
-    if float(np.abs(q + 1.0).max()) <= tol:
+    if float(np.abs(q + 1.0).max()) <= SPEED_TOL:
         return UnitSpeedClass.UNIT_TIMELIKE
     return UnitSpeedClass.NOT_UNIT
 

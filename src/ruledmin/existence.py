@@ -605,6 +605,12 @@ class SearchResult:
     note: str
 
 
+# Each slot of the search draws up to this many vectors, with coordinates in
+# [-SEARCH_COORD_BOUND, SEARCH_COORD_BOUND].
+SEARCH_SAMPLES_PER_SLOT = 6
+SEARCH_COORD_BOUND = 4
+
+
 def _int_square(v: list[int], p: int) -> int:
     return sum(x * x for x in v[p:]) - sum(x * x for x in v[:p])
 
@@ -627,8 +633,6 @@ def brute_force_cross_check(
     pattern: NormPattern,
     trials: int = 1000,
     seed: int = 0,
-    samples_per_slot: int = 6,
-    coord_bound: int = 4,
 ) -> SearchResult:
     """Seeded random search for the pattern, in exact integer arithmetic.
 
@@ -645,6 +649,7 @@ def brute_force_cross_check(
     n, p = sig.n, sig.p
     npos = pattern.a + pattern.c
     nneg = pattern.b + pattern.c
+    samples_per_slot, coord_bound = SEARCH_SAMPLES_PER_SLOT, SEARCH_COORD_BOUND
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         targets = [1] * npos + [-1] * nneg

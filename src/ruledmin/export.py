@@ -19,7 +19,7 @@ import numpy as np
 
 from .catalog import DEG_BAND
 from .metric import Signature
-from .surface import RuledSurface, SurfaceSweep, sweep_grid
+from .surface import SurfaceSweep
 
 
 def _fmt_column(values) -> list[str]:
@@ -48,25 +48,18 @@ def projection_axes(sig: Signature) -> list[int]:
     return order[:3]
 
 
-def causal_tag(det, band: float = DEG_BAND) -> np.ndarray:
-    """"degenerate", "spacelike" or "timelike" for each det g value."""
+def causal_tag(det) -> np.ndarray:
+    """"degenerate" (|det g| <= DEG_BAND), "spacelike" or "timelike" for each det g value."""
     det = np.asarray(det)
     return np.where(
-        np.abs(det) <= band, "degenerate", np.where(det > 0, "spacelike", "timelike")
+        np.abs(det) <= DEG_BAND, "degenerate", np.where(det > 0, "spacelike", "timelike")
     )
 
 
-def obj_mesh(
-    sig: Signature,
-    surface: RuledSurface,
-    s_grid: np.ndarray,
-    t_grid: np.ndarray,
-    sweep: SurfaceSweep | None = None,
-) -> str:
-    """Wavefront OBJ of the (s, t) lattice, quads split into two triangles."""
-    if sweep is None:
-        sweep = sweep_grid(sig, surface, s_grid, t_grid)
-    ns, nt = sweep.f.shape[0], sweep.f.shape[1]
+def obj_mesh(sig: Signature, sweep: SurfaceSweep) -> str:
+    """Wavefront OBJ of the sweep's (s, t) lattice, quads split into two triangles."""
+    s_grid, t_grid = sweep.s_grid, sweep.t_grid
+    ns, nt = s_grid.size, t_grid.size
     axes = projection_axes(sig)
     s0, s1, t0, t1 = _fmt_column([s_grid[0], s_grid[-1], t_grid[0], t_grid[-1]])
     head = (
@@ -86,23 +79,14 @@ def obj_mesh(
     return head + verts + faces
 
 
-def csv_grid(
-    sig: Signature,
-    surface: RuledSurface,
-    s_grid: np.ndarray,
-    t_grid: np.ndarray,
-    sweep: SurfaceSweep | None = None,
-    band: float = DEG_BAND,
-) -> str:
-    """Per-vertex table: s, t, f_1..f_n, det_g, H_norm, causal_tag."""
-    if sweep is None:
-        sweep = sweep_grid(sig, surface, s_grid, t_grid)
+def csv_grid(sig: Signature, sweep: SurfaceSweep) -> str:
+    """Per-vertex table of the sweep: s, t, f_1..f_n, det_g, H_norm, causal_tag."""
     header = ["s", "t"] + [f"f_{i + 1}" for i in range(sig.n)] + [
         "det_g",
         "H_norm",
         "causal_tag",
     ]
-    ns, nt = sweep.f.shape[0], sweep.f.shape[1]
+    ns, nt = sweep.s_grid.size, sweep.t_grid.size
     s_col = chain.from_iterable(map(repeat, _fmt_column(sweep.s_grid), repeat(nt)))
     t_col = _fmt_column(sweep.t_grid) * ns
     rows = map(",".join, zip(
@@ -111,6 +95,6 @@ def csv_grid(
         *(_f_column(sweep, k) for k in range(sig.n)),
         _fmt_column(sweep.det_g),
         _fmt_column(sweep.H_norm),
-        causal_tag(sweep.det_g, band).ravel().tolist(),
+        causal_tag(sweep.det_g).ravel().tolist(),
     ))
     return ",".join(header) + "\n" + "\n".join(rows) + "\n"

@@ -43,10 +43,10 @@ def _fmt_float(x: float, non_finite: str = "null") -> str:
     return format(x, ".17g")
 
 
-def _emit(obj, out: list, indent: int, level: int, kinds: tuple) -> None:
+def _emit(obj, out: list, level: int, kinds: tuple) -> None:
     bools, arrays = kinds
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bools):
@@ -66,7 +66,7 @@ def _emit(obj, out: list, indent: int, level: int, kinds: tuple) -> None:
             if not isinstance(key, str):
                 raise UsageError(f"JSON object keys must be strings, got {key!r}")
             out.append(pad_in + json.dumps(key) + ": ")
-            _emit(val, out, indent, level + 1, kinds)
+            _emit(val, out, level + 1, kinds)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, arrays):
@@ -82,28 +82,29 @@ def _emit(obj, out: list, indent: int, level: int, kinds: tuple) -> None:
             parts = []
             for item in items:
                 sub: list = []
-                _emit(item, sub, indent, 0, kinds)
+                _emit(item, sub, 0, kinds)
                 parts.append("".join(sub))
             out.append("[" + ", ".join(parts) + "]")
         else:
             out.append("[\n")
             for i, item in enumerate(items):
                 out.append(pad_in)
-                _emit(item, out, indent, level + 1, kinds)
+                _emit(item, out, level + 1, kinds)
                 out.append(",\n" if i + 1 < len(items) else "\n")
             out.append(pad + "]")
     else:
         raise UsageError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize to JSON with 17-significant-digit floats, trailing newline."""
+def dumps(obj) -> str:
+    """Serialize to JSON with 17-significant-digit floats, two-space indent
+    and a trailing newline."""
     # numpy booleans and arrays print like bool and list; no numpy value can
     # exist before numpy is imported, so this never imports it
     np = sys.modules.get("numpy")
     kinds = ((bool,), (list, tuple)) if np is None else ((bool, np.bool_), (list, tuple, np.ndarray))
     out: list = []
-    _emit(obj, out, indent, 0, kinds)
+    _emit(obj, out, 0, kinds)
     return "".join(out) + "\n"
 
 

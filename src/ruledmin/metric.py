@@ -110,7 +110,7 @@ def ip_array(sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ((u * v) * sig.weights()).sum(axis=-1)
 
 
-def causal_character(sig: Signature, v: Sequence, tau: float = TAU_NULL) -> CausalCharacter:
+def causal_character(sig: Signature, v: Sequence) -> CausalCharacter:
     """Classify v as spacelike, timelike, null, or the zero vector.
 
     Null means <v, v> = 0 with v != 0. The zero vector gets its own tag so
@@ -131,7 +131,7 @@ def causal_character(sig: Signature, v: Sequence, tau: float = TAU_NULL) -> Caus
     if float(np.abs(va).max(initial=0.0)) == 0.0:
         return CausalCharacter.ZERO
     q = float((va * va * sig.weights()).sum())
-    if abs(q) <= tau:
+    if abs(q) <= TAU_NULL:
         return CausalCharacter.NULL
     return CausalCharacter.SPACELIKE if q > 0 else CausalCharacter.TIMELIKE
 

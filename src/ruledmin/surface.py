@@ -36,6 +36,12 @@ TAU_DEG = 1e-9
 # The H numerator's coefficients count as vanishing when what exceeds their
 # rounding bound stays below this fraction of the terms that cancel in them.
 H_TOL = 1e-8
+# <v, v> within this of +-1 counts as a unit norm (the gauge's and the
+# classifier's normalization checks).
+UNIT_TOL = 1e-6
+# The gauge needs <gamma, gamma> constant: its spread over the s-grid may not
+# exceed this.
+GAUGE_SPREAD_TOL = 1e-9
 EPS = np.finfo(float).eps
 
 DEFAULT_SURFACE_GRID = (41, 41)
@@ -113,12 +119,9 @@ class Jet2:
 
 
 def immersion_jet(surface: RuledSurface, s: float, t: float) -> Jet2:
-    g0 = surface.gamma.eval(s, 0)
-    g1 = surface.gamma.eval(s, 1)
-    g2 = surface.gamma.eval(s, 2)
-    x0 = surface.base.eval(s, 0)
-    x1 = surface.base.eval(s, 1)
-    x2 = surface.base.eval(s, 2)
+    """f and its derivatives at (s, t), from gamma's and x's jets at s."""
+    tables = _RulingTables(None, surface, np.array([float(s)]))
+    g0, g1, g2, x0, x1, x2 = (tables.jet(k)[0] for k in ("g0", "g1", "g2", "x0", "x1", "x2"))
     t = float(t)
     return Jet2(
         s=float(s),
@@ -145,29 +148,32 @@ class SecondForm(NamedTuple):
     h22: np.ndarray
 
 
+def _point_table(sig: Signature, jet: Jet2) -> _RulingTables:
+    """A one-row table whose gamma jets are f_t, f_st, 0 and base jets f_s,
+    f_ss: its reads at t = 0 are the sweep's formulas at the jet's point."""
+    jets = dict(g0=jet.f_t, g1=jet.f_st, g2=0.0 * jet.f_t, x1=jet.f_s, x2=jet.f_ss)
+    return _RulingTables(sig, None, None, {k: v[None] for k, v in jets.items()})
+
+
 def first_form(sig: Signature, jet: Jet2) -> FirstForm:
-    g11 = float(ip_array(sig, jet.f_s, jet.f_s))
-    g12 = float(ip_array(sig, jet.f_s, jet.f_t))
-    g22 = float(ip_array(sig, jet.f_t, jet.f_t))
-    return FirstForm(g11, g12, g22, g11 * g22 - g12 * g12)
+    """_RulingTables.first_form at t = 0 of the jet's one-row table."""
+    tables = _point_table(sig, jet)
+    g11, g12, det = (float(v[0, 0]) for v in tables.first_form(np.zeros((1, 1))))
+    return FirstForm(g11, g12, float(tables.ip("g0", "g0")[0]), det)
 
 
-def second_form(
-    sig: Signature, jet: Jet2, g: FirstForm | None = None, tau_deg: float = TAU_DEG
-) -> SecondForm:
+def second_form(sig: Signature, jet: Jet2, g: FirstForm | None = None) -> SecondForm:
     """Normal components of the second derivatives.
 
-    Read from _RulingTables.components at t = 0 of a one-row table whose
-    gamma jets are f_t, f_st and base jets f_s, f_ss. Raises DegenerateMetricError
-    when |det g| <= tau_deg: a degenerate tangent plane has no normal splitting.
+    Read from _RulingTables.components at t = 0 of the jet's one-row table.
+    Raises DegenerateMetricError when |det g| <= TAU_DEG: a degenerate
+    tangent plane has no normal splitting.
     """
     if g is None:
         g = first_form(sig, jet)
-    if abs(g.det_g) <= tau_deg:
+    if abs(g.det_g) <= TAU_DEG:
         raise DegenerateMetricError(jet.s, jet.t, g.det_g)
-    jets = dict(g0=jet.f_t, g1=jet.f_st, g2=0.0 * jet.f_t, x1=jet.f_s, x2=jet.f_ss)
-    tables = _RulingTables(sig, None, None, {k: v[None] for k, v in jets.items()})
-    _, d11, d12, _ = tables.components()
+    _, d11, d12, _ = _point_table(sig, jet).components()
     h22 = np.zeros(len(jet.f))  # f_tt = 0 for ruled surfaces
     return SecondForm(d11[0, :, 0] / g.det_g, d12[0, :, 0] / g.det_g, h22)
 
@@ -498,16 +504,12 @@ def is_totally_geodesic(
     surface: RuledSurface,
     s_grid: np.ndarray | None = None,
     t_grid: np.ndarray | None = None,
-    tol: float = H_TOL,
-    tau_deg: float = TAU_DEG,
 ) -> bool:
     """True when the whole second form vanishes on the non-degenerate grid."""
-    return is_minimal(sig, surface, s_grid, t_grid, tol, tau_deg).totally_geodesic
+    return is_minimal(sig, surface, s_grid, t_grid).totally_geodesic
 
 
-def c_function(
-    sig: Signature, surface: RuledSurface, s: float, t: float, tau_deg: float = TAU_DEG
-) -> float:
+def c_function(sig: Signature, surface: RuledSurface, s: float, t: float) -> float:
     """The ratio whose t-independence characterizes the minimal cases.
 
     C(s, t) = ((<gamma'', x'> + <gamma', x''>) t + <x'', x'>) / g11 with
@@ -515,25 +517,20 @@ def c_function(
     gauge-normalized surfaces; raises when the denominator degenerates.
     This is the one-point case of c_function_grid.
     """
-    vals, mask = c_function_grid(sig, surface, s, t, tau_deg)
+    vals, mask = c_function_grid(sig, surface, s, t)
     if not mask[0, 0]:
         raise DegenerateMetricError(s, t)
     return float(vals[0, 0])
 
 
-def c_function_grid(
-    sig: Signature,
-    surface: RuledSurface,
-    s_grid: np.ndarray,
-    t_grid: np.ndarray,
-    tau_deg: float = TAU_DEG,
-):
-    """Vectorized C over a grid; returns (values, valid_mask)."""
+def c_function_grid(sig: Signature, surface: RuledSurface, s_grid: np.ndarray, t_grid: np.ndarray):
+    """Vectorized C over a grid; returns (values, valid_mask), valid where
+    |g11| > TAU_DEG."""
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     T = np.atleast_1d(np.asarray(t_grid, dtype=float))[None, :]
     tables = _RulingTables(sig, surface, s_grid)
     denom = tables.g11(T)
-    mask = np.abs(denom) > tau_deg
+    mask = np.abs(denom) > TAU_DEG
     num = (tables.col("g2", "x1") + tables.col("x2", "g1")) * T + tables.col("x2", "x1")
     vals = np.where(mask, num / np.where(mask, denom, 1.0), np.nan)
     return vals, mask
@@ -619,7 +616,9 @@ class GaugeResult:
     max_abs_g12: float
 
 
-def gauge_normalize(sig: Signature, surface: RuledSurface, tol: float = 1e-9) -> GaugeResult:
+def gauge_normalize(
+    sig: Signature, surface: RuledSurface, tol: float = GAUGE_SPREAD_TOL
+) -> GaugeResult:
     """Translate the base along the rulings so the mixed metric entry vanishes.
 
     Replaces x by x + lambda * gamma with lambda(s) = -eps * integral of
@@ -634,7 +633,7 @@ def gauge_normalize(sig: Signature, surface: RuledSurface, tol: float = 1e-9) ->
     return _gauge(_RulingTables(sig, surface, uniform_grid(*surface.s_domain, 201)), tol)
 
 
-def _gauge(scan: _RulingTables, tol: float = 1e-9) -> GaugeResult:
+def _gauge(scan: _RulingTables, tol: float = GAUGE_SPREAD_TOL) -> GaugeResult:
     """gauge_normalize of scan.surface: <gamma, gamma> is read from the jet
     table, and a quadrature lambda is tabulated on its s-grid."""
     sig, surface = scan.sig, scan.surface
@@ -645,7 +644,7 @@ def _gauge(scan: _RulingTables, tol: float = 1e-9) -> GaugeResult:
             "direction curve before gauge fixing"
         )
     val = float(gg.mean())
-    if abs(abs(val) - 1.0) > 1e-6:
+    if abs(abs(val) - 1.0) > UNIT_TOL:
         raise ConventionError(
             f"<gamma, gamma> = {val!r}, expected +-1 (unit direction convention)"
         )

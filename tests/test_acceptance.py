@@ -43,9 +43,8 @@ from ruledmin.existence import (
     frame_for_signs,
     replay_certificate,
 )
-from ruledmin.export import sweep_grid
 from ruledmin.jsonio import curve_from_json
-from ruledmin.surface import DegenerateMetricError, form_bundle
+from ruledmin.surface import DegenerateMetricError, form_bundle, sweep_grid
 
 from _oracles import convergence_order, distance_to_rulings, fd_position_jet
 
@@ -190,7 +189,7 @@ def test_04_causal_type_change(capsys):
     s_grid = uniform_grid(-3.0, 3.0, 100)
     t_grid = uniform_grid(-3.0, 3.0, 100)
     for sig, family, signs, roots in CAUSAL_CASES:
-        report = causal_map(sig, family, signs, samples=(100, 100))
+        report = causal_map(sig, family, signs)
         if len(report.degenerate_loci) != len(roots) or any(
             abs(got - want) > 1e-10 for got, want in zip(report.degenerate_loci, roots)
         ):

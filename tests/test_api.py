@@ -1,6 +1,8 @@
-"""The package's public names: each resolves, on first access, to its defining module's object."""
+"""The package's public names: each resolves, on first access, to its defining module's object,
+and its functions take only the keyword options listed here."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -69,3 +71,65 @@ def test_public_names_resolve_to_their_defining_module(module, name):
     exec(f"from ruledmin import {name}", namespace)
     assert namespace[name] is getattr(importlib.import_module(f"ruledmin.{module}"), name)
     assert name in dir(ruledmin)
+
+
+# the parameters with a default of every public function and method, by
+# module; an option added anywhere fails here until it is listed on purpose
+KEYWORDS = {
+    "basisfn": {},
+    "catalog": {
+        "bernstein_check": "signs domains",
+        "causal_map": "signs t_domain",
+        "det_g_closed_form": "signs",
+        "generate": "signs s_domain t_domain",
+    },
+    "classify": {"identify_family": "h_tol"},
+    "cli": {"main": "argv"},
+    "curves": {
+        "CurveExpr.derivative": "order",
+        "CurveExpr.eval": "order",
+        "SampledCurve.eval": "order",
+        "eval_curve": "order",
+        "uniform_grid": "num",
+    },
+    "errors": {},
+    "existence": {"brute_force_cross_check": "trials seed", "existence_oracle": "signs"},
+    "export": {},
+    "families": {},
+    "jsonio": {"curve_from_json": "path"},
+    "metric": {},
+    "surface": {
+        "GaugedBaseCurve.eval": "order",
+        "RuledSurface.default_grids": "shape",
+        "SurfaceSweep.minimality": "tol",
+        "gauge_normalize": "tol",
+        "is_minimal": "s_grid t_grid tol tau_deg",
+        "is_totally_geodesic": "s_grid t_grid",
+        "second_form": "g",
+        "sweep_grid": "s_grid t_grid tau_deg",
+    },
+}
+
+
+def _public_callables(module):
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # class and static methods
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("module", sorted(KEYWORDS))
+def test_every_keyword_option_is_on_the_allow_list(module):
+    found = {}
+    for name, fn in _public_callables(importlib.import_module(f"ruledmin.{module}")):
+        params = inspect.signature(fn).parameters.values()
+        keywords = [p.name for p in params if p.default is not inspect.Parameter.empty]
+        if keywords:
+            found[name] = " ".join(keywords)
+    assert found == KEYWORDS[module]

@@ -316,6 +316,19 @@ def test_causal_map_payload():
     assert doc["cross_validated"] is True
 
 
+@pytest.mark.parametrize("t_range", [[], ["--t-range=-0.3,0.7"]], ids=["default", "-0.3,0.7"])
+def test_causal_map_csv_spells_each_bound_as_the_json_does(t_range):
+    argv = ["causal-map", "--family", "elliptic-helicoid-1", "--sig", "3,1", "--signs", "1,1,-1",
+            *t_range]
+    rc, out, _ = run(argv)
+    assert rc == 0
+    regions = json.loads(out, parse_float=str, parse_int=str)["regions"]
+    rc, csv_text, _ = run([*argv, "--format", "csv"])
+    assert rc == 0
+    rows = [f"{r['t_lo']},{r['t_hi']},{r['verdict']}" for r in regions]
+    assert csv_text.splitlines() == ["t_lo,t_hi,verdict", *rows]
+
+
 def test_gauge_payload():
     rc, doc = run_json(["gauge", "--family", "elliptic-helicoid-1", "--sig", "3,0"])
     assert rc == 0

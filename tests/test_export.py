@@ -89,22 +89,13 @@ def test_exports_match_the_per_value_loops(sig, family, signs, degenerate):
     t = _t_grid_through_zero()
     assert np.signbit(t).sum() == 11  # the -0.0 at the centre is negative
     sweep = sweep_grid(sig, surf, s, t)
-    csv_text = csv_grid(sig, surf, s, t, sweep)
-    assert obj_mesh(sig, surf, s, t, sweep) == obj_mesh_loop(sig, sweep, s, t)
+    csv_text = csv_grid(sig, sweep)
+    assert obj_mesh(sig, sweep) == obj_mesh_loop(sig, sweep, s, t)
     assert csv_text == csv_grid_loop(sig, sweep)
     # the degenerate locus t = 0 is on the grid: NaN |H| and "degenerate" rows
     assert np.isnan(sweep.H_norm).any() == degenerate
     assert ("degenerate" in csv_text) == degenerate
     assert (",nan," in csv_text) == degenerate
-
-
-def test_exports_without_a_sweep_sweep_the_grid():
-    sig = Signature(4, 2)
-    surf = generate(sig, FamilyId.HYPERBOLIC_HELICOID_2)
-    s, t = np.linspace(-1.0, 1.0, 5), _t_grid_through_zero(7)
-    sweep = sweep_grid(sig, surf, s, t)
-    assert obj_mesh(sig, surf, s, t) == obj_mesh_loop(sig, sweep, s, t)
-    assert csv_grid(sig, surf, s, t) == csv_grid_loop(sig, sweep)
 
 
 def test_a_two_dimensional_mesh_pads_the_third_coordinate_with_zeros():
@@ -117,6 +108,6 @@ def test_a_two_dimensional_mesh_pads_the_third_coordinate_with_zeros():
     })
     s, t = np.linspace(-1.0, 1.0, 5), _t_grid_through_zero(7)
     sweep = sweep_grid(sig, surf, s, t)
-    text = obj_mesh(sig, surf, s, t, sweep)
+    text = obj_mesh(sig, sweep)
     assert text == obj_mesh_loop(sig, sweep, s, t)
     assert "v -1 -2 0\n" in text

@@ -20,7 +20,9 @@ from ruledmin import (
 from ruledmin.basisfn import ONE, Atom, ScalarFn
 from ruledmin.catalog import _closed_form_roots, det_g_closed_form
 
+from _oracles import normal_component, signed_sum_inner
 from test_catalog import _admissible_triples
+from test_sweep import REL_TOL
 
 SLIDES = [(0.3, 0.1), (-0.5, 0.2), (0.5, -0.2)]
 TAUS = (1e-12, 1e-9, 1e-6)
@@ -143,9 +145,26 @@ def test_second_form_at_a_grid_point_is_the_sweep_there(sig, family, signs):
             g = first_form(sig, jet)
             h = second_form(sig, jet, g)
             H = mean_curvature(g, h)
-            # relative to the second form's size there, since H may vanish
-            scale = max(1.0, np.abs(sweep.h11[i, j]).max(), np.abs(sweep.h12[i, j]).max())
-            for got, want in ((h.h11, sweep.h11[i, j]), (h.h12, sweep.h12[i, j]), (H, sweep.H[i, j])):
-                assert np.abs(got - want).max() <= 1e-12 * scale
+            # the reference: signed sums and the Gram solve on the same analytic jet
+            f_s, f_t = jet.f_s, jet.f_t
+            g11, g12, g22 = (signed_sum_inner(sig, a, b) for a, b in ((f_s, f_s), (f_s, f_t), (f_t, f_t)))
+            det = g11 * g22 - g12 * g12
+            ref11 = normal_component(sig, f_s, f_t, jet.f_ss)
+            ref12 = normal_component(sig, f_s, f_t, jet.f_st)
+            ref_H = (g22 * ref11 - 2.0 * g12 * ref12) / (2.0 * det)
+            # rounding scales with the vectors' sizes and the projection's
+            # condition number |f_s|^2 |f_t|^2 / |det g|
+            fs_sq, ft_sq = float(f_s @ f_s), float(f_t @ f_t)
+            cond = fs_sq * ft_sq / abs(det)
+            for got, want, scale in ((g.g11, g11, fs_sq), (g.g12, g12, np.sqrt(fs_sq * ft_sq)),
+                                     (g.g22, g22, ft_sq), (g.det_g, det, fs_sq * ft_sq)):
+                assert abs(got - want) <= REL_TOL * scale
+            s11 = np.linalg.norm(jet.f_ss) * cond
+            s12 = np.linalg.norm(jet.f_st) * cond
+            s_H = (abs(g22) * s11 + 2.0 * abs(g12) * s12) / (2.0 * abs(det))
+            for got, want, scale in ((h.h11, ref11, s11), (sweep.h11[i, j], ref11, s11),
+                                     (h.h12, ref12, s12), (sweep.h12[i, j], ref12, s12),
+                                     (H, ref_H, s_H), (sweep.H[i, j], ref_H, s_H)):
+                assert np.abs(got - want).max() <= REL_TOL * scale
             checked += 1
     assert checked > 0
