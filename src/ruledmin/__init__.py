@@ -7,8 +7,8 @@ generators with causal-character maps, and existence decisions with
 constructive witnesses or machine-checked non-existence certificates.
 
 Names resolve on first access from the module that defines them, so a
-program that uses only the exact existence layer never imports numpy, and
-only the quadrature fallbacks import scipy.
+program that uses only the exact existence layer never imports numpy.
+numpy is the only dependency.
 """
 
 import importlib

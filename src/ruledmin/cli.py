@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -107,6 +108,34 @@ def _tol(args, default: float) -> float:
     return default if args.tol is None else args.tol
 
 
+_FLAGS = {  # in the order --help lists them
+    "table": dict(action="store_true", help="print the existence table"),
+    "input": dict(help="surface JSON file"),
+    "family": dict(help="catalog family (kebab-case name)"),
+    "signs": dict(help="frame sign choice s1,s2,s3"),
+    "sig": dict(help="ambient signature n,p"),
+    "grid": dict(help="sweep grid NSxNT (default 41x41)"),
+    "s-range": dict(dest="s_range", help="s interval a,b"),
+    "t-range": dict(dest="t_range", help="t interval a,b"),
+    "tol": dict(type=float, help="relative H tolerance (gauge: <gamma,gamma> spread)"),
+    "out": dict(help="write the primary artifact to this path"),
+    "format": dict(choices=("json", "csv", "obj"), help="output format"),
+}
+_VALUE_FLAGS = {f"--{name}" for name, spec in _FLAGS.items() if "action" not in spec}
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Spell "--flag VALUE" as "--flag=VALUE" when VALUE starts with "-" and a
+    digit or ".", since argparse reads a value such as -1,1,0 as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruledmin",
@@ -114,19 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verification, classification, existence, meshes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = {  # in the order --help lists them
-        "table": dict(action="store_true", help="print the existence table"),
-        "input": dict(help="surface JSON file"),
-        "family": dict(help="catalog family (kebab-case name)"),
-        "signs": dict(help="frame sign choice s1,s2,s3"),
-        "sig": dict(help="ambient signature n,p"),
-        "grid": dict(help="sweep grid NSxNT (default 41x41)"),
-        "s-range": dict(dest="s_range", help="s interval a,b"),
-        "t-range": dict(dest="t_range", help="t interval a,b"),
-        "tol": dict(type=float, help="relative H tolerance (gauge: <gamma,gamma> spread)"),
-        "out": dict(help="write the primary artifact to this path"),
-        "format": dict(choices=("json", "csv", "obj"), help="output format"),
-    }
     surface_flags = {"input", "family", "signs", "sig", "s-range", "t-range", "out"}
     # each subcommand declares only the flags its handler reads, so argparse
     # rejects the rest with exit code 2
@@ -146,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (help_text, accepted) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        for flag, spec in flags.items():
+        for flag, spec in _FLAGS.items():
             if flag in accepted:
                 p.add_argument(f"--{flag}", **spec)
     return parser
@@ -568,7 +584,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     handler = _HANDLERS[args.command]
     try:
         return handler(args)

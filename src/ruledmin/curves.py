@@ -9,8 +9,9 @@ independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +38,27 @@ def uniform_grid(a: float, b: float, num: int = DEFAULT_GRID_POINTS) -> np.ndarr
     if num < 2:
         raise UsageError("grid needs at least 2 points")
     return np.linspace(a, b, num)
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 20-point rule on [-1, 1], made on first use so
+    that a call that never integrates does not import numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(20)
+
+
+def quad(f, a, b) -> np.ndarray:
+    """Integral of f over each panel [a_i, b_i], by one Gauss-Legendre rule.
+
+    f maps an array of s values to the integrand there, elementwise; it is
+    called once, on the nodes of every panel at once.
+    """
+    x, w = _gauss_legendre()
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * (f(mid[..., None] + half[..., None] * x) @ w)
 
 
 class CurveExpr:
@@ -195,15 +217,15 @@ def fd_derivative(curve: CurveExpr, s: float, order: int, h: float):
 
 
 def _speed_squared(sig: Signature, curve: CurveExpr, grid: np.ndarray) -> np.ndarray:
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.size == 0:
+        raise UsageError("grid must be non-empty")
     d = curve.eval(grid, 1)
     return ip_array(sig, d, d)
 
 
 def is_null_curve(sig: Signature, curve: CurveExpr, grid: np.ndarray) -> bool:
     """max |<c'(s), c'(s)>| <= SPEED_TOL over the grid."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise UsageError("grid must be non-empty")
     return float(np.abs(_speed_squared(sig, curve, grid)).max()) <= SPEED_TOL
 
 
@@ -215,9 +237,6 @@ class UnitSpeedClass(Enum):
 
 def unit_speed_check(sig: Signature, curve: CurveExpr, grid: np.ndarray) -> UnitSpeedClass:
     """Unit spacelike (timelike) when <c', c'> is within SPEED_TOL of 1 (-1) on the grid."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise UsageError("grid must be non-empty")
     q = _speed_squared(sig, curve, grid)
     if float(np.abs(q - 1.0).max()) <= SPEED_TOL:
         return UnitSpeedClass.UNIT_SPACELIKE
@@ -230,18 +249,24 @@ def unit_speed_check(sig: Signature, curve: CurveExpr, grid: np.ndarray) -> Unit
 class SampledCurve:
     """Arc-length reparametrization of a closed-form curve.
 
-    The map u -> s(u) lives in a dense numerical solution, so this object is
-    table-backed: positions come from the source curve at s(u), but exact
+    The map u -> s(u) is table-backed: u_table holds the Gauss-Legendre arc
+    length at each s_table entry, and s(u) takes Newton steps from the
+    nearest entry. Positions come from the source curve at s(u), but exact
     derivatives are deliberately unavailable. Operations that need exact jets
     refuse SampledCurve input rather than silently differentiating a table.
     """
 
     source: CurveExpr
     sig: Signature
-    u_table: np.ndarray
     s_table: np.ndarray
-    interpolation: str
-    _solution: object
+    u_table: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        arc = np.cumsum(quad(self._speed, self.s_table[:-1], self.s_table[1:]))
+        self.u_table = np.concatenate(([0.0], arc))
+
+    def _speed(self, s: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.abs(_speed_squared(self.sig, self.source, s)))
 
     @property
     def n(self) -> int:
@@ -256,7 +281,12 @@ class SampledCurve:
         lo, hi = 0.0, self.length
         if arr.min() < lo - 1e-12 or arr.max() > hi + 1e-12:
             raise UsageError(f"u outside [0, {hi!r}]")
-        vals = self._solution.sol(np.clip(arr, lo, hi))[0]
+        arr = np.clip(arr, lo, hi)
+        i = np.searchsorted(self.u_table, arr).clip(1, len(self.u_table) - 1)
+        i = i - (arr - self.u_table[i - 1] < self.u_table[i] - arr)  # the nearer of i - 1, i
+        vals = s0 = self.s_table[i]
+        for _ in range(3):  # Newton on u(s) - u, whose derivative is the speed
+            vals = vals - (self.u_table[i] + quad(self._speed, s0, vals) - arr) / self._speed(vals)
         if np.isscalar(u) or np.asarray(u).ndim == 0:
             return float(vals[0])
         return vals
@@ -278,8 +308,6 @@ def reparametrize_unit_speed(
     Requires |<c', c'>| bounded away from zero with constant sign on the
     domain; the error names the offending parameter value otherwise.
     """
-    from scipy.integrate import quad, solve_ivp  # the only caller of scipy besides surface.quad
-
     a, b = float(domain[0]), float(domain[1])
     check = uniform_grid(a, b, 1001)
     q = _speed_squared(sig, curve, check)
@@ -294,33 +322,4 @@ def reparametrize_unit_speed(
         raise PreconditionError(
             f"speed squared changes causal sign near s = {check[j]!r}"
         )
-
-    def speed(s: float) -> float:
-        d = curve.eval(s, 1)
-        return float(np.sqrt(abs(ip_array(sig, d, d))))
-
-    total, _ = quad(speed, a, b, epsabs=1e-12, limit=200)
-    sol = solve_ivp(
-        lambda u, y: [1.0 / speed(y[0])],
-        (0.0, total),
-        [a],
-        dense_output=True,
-        rtol=1e-12,
-        atol=1e-14,
-        max_step=max(total / 64.0, 1e-12),
-    )
-    if not sol.success:
-        raise PreconditionError(f"arc-length integration failed: {sol.message}")
-    u_table = np.linspace(0.0, total, 2001)
-    s_table = np.clip(sol.sol(u_table)[0], min(a, b), max(a, b))
-    return SampledCurve(
-        source=curve,
-        sig=sig,
-        u_table=u_table,
-        s_table=s_table,
-        interpolation=(
-            "dense Runge-Kutta solution of ds/du = |<c',c'>|^(-1/2); "
-            "positions evaluated on the source curve at s(u)"
-        ),
-        _solution=sol,
-    )
+    return SampledCurve(curve, sig, check)

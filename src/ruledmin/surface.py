@@ -7,7 +7,8 @@ polynomial in t along each ruling, as is N = 2 (det g)^2 H. H vanishes off
 the degenerate set exactly when N's per-s coefficients do, so they decide
 minimality; det g divides only the reported h11, h12 and H. No
 orthonormalization of the tangent plane is ever attempted, so mixed-causal
-tangent planes need no special cases.
+tangent planes need no special cases. A gauge shift lambda with no closed
+form is integrated by the Gauss-Legendre rule `curves.quad`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basisfn import ScalarFn
-from .curves import CurveExpr, SampledCurve, symbolic_inner, uniform_grid
+from .curves import CurveExpr, SampledCurve, quad, symbolic_inner, uniform_grid
 from .errors import (
     ConventionError,
     DegenerateMetricError,
@@ -47,21 +48,6 @@ EPS = np.finfo(float).eps
 DEFAULT_SURFACE_GRID = (41, 41)
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call.
-
-    Only the gauge's quadrature fallback integrates, so no other path pays
-    for importing scipy.
-    """
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(*args, **kwargs)
-
-
-def _is_curve_like(obj) -> bool:
-    return isinstance(obj, (CurveExpr, GaugedBaseCurve))
-
-
 @dataclass
 class RuledSurface:
     """Surface swept by lines: f(s, t) = gamma(s) * t + x(s).
@@ -81,7 +67,7 @@ class RuledSurface:
                 "table-backed SampledCurve has no exact derivatives; "
                 "surface geometry needs CurveExpr (or gauge-normalized) curves"
             )
-        if not _is_curve_like(self.gamma) or not _is_curve_like(self.base):
+        if not all(isinstance(c, (CurveExpr, GaugedBaseCurve)) for c in (self.gamma, self.base)):
             raise UsageError("gamma and base must be curve objects")
         if self.gamma.n != self.base.n:
             raise UsageError(
@@ -544,10 +530,10 @@ class GaugedBaseCurve:
     """Base curve x + lambda * gamma with lambda obtained by quadrature.
 
     Used when the gauge integrand has no closed form in the term algebra.
-    lambda itself comes from adaptive quadrature (absolute error <= ~1e-11),
-    but its first three derivatives are evaluated in closed form from
-    lambda' = -eps * <gamma, x'>, so downstream jets stay exact in the
-    derivative slots. Evaluation accepts scalars or arrays like CurveExpr.
+    lambda itself is a Gauss-Legendre sum (lam_values), but its first three
+    derivatives are evaluated in closed form from lambda' = -eps <gamma, x'>,
+    so downstream jets stay exact in the derivative slots. Evaluation
+    accepts scalars or arrays like CurveExpr.
     """
 
     def __init__(self, base: CurveExpr, gamma: CurveExpr, eps: int, sig: Signature):
@@ -556,32 +542,31 @@ class GaugedBaseCurve:
         self.eps = int(eps)
         self.sig = sig
         self._curves = RuledSurface(gamma=gamma, base=base)
-        self._cache: dict[float, float] = {0.0: 0.0}
+        rates = [abs(atom.omega) for curve in (gamma, base) for atom in curve.terms]
+        self._panel = 1.0 / max([1.0, *rates])
 
     @property
     def n(self) -> int:
         return self.base.n
 
-    def _integrand(self, s: float) -> float:
-        g0 = self.gamma.eval(s, 0)
-        x1 = self.base.eval(s, 1)
-        return float(ip_array(self.sig, g0, x1))
+    def _integrand(self, s: np.ndarray) -> np.ndarray:
+        return ip_array(self.sig, self.gamma.eval(s), self.base.eval(s, 1))
 
     def lam_values(self, s) -> np.ndarray:
-        """Raw integral M(s) of <gamma, x'> from 0, via cached quadrature.
+        """Raw integral M(s) of <gamma, x'> from 0, by Gauss-Legendre panels.
 
-        Each new value is integrated from the nearest cached anchor (0 is
-        always cached), keeping segments short and the accumulated absolute
-        error around 1e-11 for the grids used here.
+        Panels 1 / max(1, the largest frequency or rate in gamma and x) wide
+        tile each side of 0 and are summed outward from it, so no value is a
+        difference of sums larger than itself; each s then adds the piece
+        from its nearest panel end.
         """
         arr = np.atleast_1d(np.asarray(s, dtype=float))
-        for v in sorted(set(map(float, arr))):
-            if v in self._cache:
-                continue
-            anchor = min(self._cache, key=lambda x: abs(x - v))
-            seg, _ = quad(self._integrand, anchor, v, epsabs=1e-13, limit=200)
-            self._cache[v] = self._cache[anchor] + seg
-        return np.array([self._cache[float(v)] for v in arr])
+        k = np.rint(np.abs(arr) / self._panel).astype(int)  # nearest end: +-k panels
+        ends = np.outer([1.0, -1.0], self._panel * np.arange(k.max() + 1))  # rows: s >= 0, s < 0
+        panels = quad(self._integrand, ends[:, :-1], ends[:, 1:])
+        at_ends = np.pad(np.cumsum(panels, axis=1), ((0, 0), (1, 0)))
+        side = (arr < 0).astype(int)
+        return at_ends[side, k] + quad(self._integrand, ends[side, k], arr)
 
     def eval(self, s, order: int = 0):
         if not 0 <= order <= 3:

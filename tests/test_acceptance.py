@@ -25,7 +25,6 @@ from ruledmin import (
     causal_map,
     existence_oracle,
     existence_table,
-    first_form,
     gauge_normalize,
     generate,
     identify_family,

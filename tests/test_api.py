@@ -1,8 +1,10 @@
 """The package's public names: each resolves, on first access, to its defining module's object,
 and its functions take only the keyword options listed here."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +135,15 @@ def test_every_keyword_option_is_on_the_allow_list(module):
         if keywords:
             found[name] = " ".join(keywords)
     assert found == KEYWORDS[module]
+
+
+def test_no_module_of_the_package_imports_scipy():
+    for path in sorted(Path(ruledmin.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), f"{path.name}:{node.lineno}"

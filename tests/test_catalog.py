@@ -6,7 +6,6 @@ import pytest
 from ruledmin import (
     DEG_BAND,
     H_TOL,
-    CausalCharacter,
     FamilyId,
     FrameSpec,
     NonExistenceError,

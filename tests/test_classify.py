@@ -16,7 +16,6 @@ from ruledmin import (
     MuProfile,
     NullDirectionError,
     RuledSurface,
-    SignChoice,
     Signature,
     UsageError,
     case_invariants,
@@ -25,7 +24,6 @@ from ruledmin import (
     generate,
     genericity_scan,
     identify_family,
-    is_minimal,
     table1_case,
     verify_structure_odes,
 )

@@ -560,7 +560,7 @@ def test_a_cold_call_imports_only_what_its_subcommand_runs(argv, absent):
     assert not [m for m in modules if m.split(".")[0] in absent]
 
 
-def test_a_cold_quadrature_gauge_loads_scipy_and_matches_in_process(tmp_path):
+def test_a_cold_quadrature_gauge_loads_no_scipy_and_matches_in_process(tmp_path):
     # a cosh bump along the axis of gamma's cos term: <gamma, x'> holds cos*sinh,
     # which the term algebra cannot integrate
     _, doc = run_json(["gauge", "--family", "elliptic-helicoid-1", "--sig", "3,0"])
@@ -572,5 +572,16 @@ def test_a_cold_quadrature_gauge_loads_scipy_and_matches_in_process(tmp_path):
     rc, out, modules = run_cold(argv)
     cold = json.loads(out)
     assert rc == 0 and cold["exact"] is False
-    assert "scipy.integrate" in modules
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
     assert cold["lam_table"] == json.loads(run(argv)[1])["lam_table"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["verify", *HH2], "--signs", "-1,1,0"),
+    (["verify", *HH2], "--s-range", "-3,3"),
+    (["causal-map", "--sig", "3,1", "--family", "elliptic-helicoid-1"], "--t-range", "-0.3,0.7"),
+])
+def test_a_flag_value_starting_with_minus_reads_as_its_equals_spelling(argv, flag, value):
+    spaced = run([*argv, flag, value])
+    assert spaced[0] == 0
+    assert spaced[:2] == run([*argv, f"{flag}={value}"])[:2]

@@ -419,6 +419,26 @@ def test_gauge_quadrature_path():
     assert result.max_abs_g12 < 1e-9
 
 
+@pytest.mark.parametrize("half_width", [3.0, 10.0])
+@pytest.mark.parametrize("a, omega", [(0.2, 1.0), (0.3, 7.0), (0.05, 20.0)])
+def test_quadrature_lambda_matches_its_antiderivative(a, omega, half_width):
+    """lambda = -(F(s) - F(0)) with F' = <gamma, x'> = a omega cos(s) sinh(omega s),
+    to 1e-12 of max(1, |lambda|) even where |lambda| spans many magnitudes."""
+    surf = helicoid()
+    bump = CurveExpr.from_basis_terms(3, [("cosh", omega, (a, 0.0, 0.0))])
+    domain = (-half_width, half_width)
+    result = gauge_normalize(R30, RuledSurface(surf.gamma, surf.base + bump, domain, domain))
+    assert not result.exact
+    s, lam = result.lam_table
+
+    def antiderivative(s):
+        wide = omega * np.cos(s) * np.cosh(omega * s) + np.sin(s) * np.sinh(omega * s)
+        return a * omega * wide / (1.0 + omega**2)
+
+    exact = -(antiderivative(s) - antiderivative(0.0))
+    assert np.max(np.abs(lam - exact) / np.maximum(1.0, np.abs(exact))) < 1e-12
+
+
 def test_gauge_rejects_non_unit_direction():
     gamma = CurveExpr.from_basis_terms(
         3, [("cos", 1.0, (2.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 2.0, 0.0))]
