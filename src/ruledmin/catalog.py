@@ -18,6 +18,7 @@ import numpy as np
 from .curves import CurveExpr
 from .errors import NonExistenceError, UsageError
 from .existence import (
+    ExistenceResult,
     Verdict,
     admits_cylinder,
     existence_oracle,
@@ -51,9 +52,16 @@ _FRAME_FAMILIES = frozenset(FRAME_FAMILIES)
 
 def pick_signs(sig: Signature, family: FamilyId) -> SignChoice | None:
     """First admissible sign choice realizable in sig, or None."""
+    witness = _first_witness(sig, family)
+    return None if witness is None else witness.signs
+
+
+def _first_witness(sig: Signature, family: FamilyId) -> ExistenceResult | None:
+    """The oracle's witness (sign choice and frame) for pick_signs' choice, or None."""
     for choice in ADMISSIBLE_SIGNS[family]:
-        if existence_oracle(sig, family, choice).verdict is Verdict.WITNESS:
-            return choice
+        result = existence_oracle(sig, family, choice)
+        if result.verdict is Verdict.WITNESS:
+            return result
     return None
 
 
@@ -150,15 +158,14 @@ def generate(
         return RuledSurface(gamma=gamma, base=base, s_domain=s_domain, t_domain=t_domain)
 
     if signs is None:
-        signs = pick_signs(sig, family)
-        if signs is None:
+        result = _first_witness(sig, family)
+        if result is None:
             raise NonExistenceError(existence_oracle(sig, family))
     else:
         result = existence_oracle(sig, family, signs)
         if result.verdict is not Verdict.WITNESS:
             raise NonExistenceError(result)
-    frame = frame_for_signs(sig, signs)
-    gamma, base = _frame_curve_pair(family, frame)
+    gamma, base = _frame_curve_pair(family, result.frame)
     return RuledSurface(gamma=gamma, base=base, s_domain=s_domain, t_domain=t_domain)
 
 

@@ -14,6 +14,7 @@ The handlers that sample a surface import the numeric layers themselves, so
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -136,7 +137,14 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ruledmin parser, built on the first call and shared by every later
+    one in the process: do not mutate it.
+
+    It depends only on _FLAGS and the command table below, and argparse reads
+    the streams and the terminal width when it prints, not here.
+    """
     parser = argparse.ArgumentParser(
         prog="ruledmin",
         description="Ruled minimal surfaces in pseudo-Euclidean spaces: "
@@ -557,6 +565,7 @@ def cmd_gauge(args) -> int:
         "epsilon": result.epsilon,
         "exact": result.exact,
         "max_abs_g12": result.max_abs_g12,
+        "g12_residual": result.g12_residual,
         "lam": jsonio.scalar_fn_to_json(result.lam) if result.lam is not None else None,
         "lam_table": None
         if result.lam_table is None

@@ -599,6 +599,9 @@ class GaugeResult:
     lam: ScalarFn | None  # closed form when exact
     lam_table: tuple[np.ndarray, np.ndarray] | None  # (s, lambda(s)) otherwise
     max_abs_g12: float
+    # max |g12| / S over the check grid, S = |gamma| (|gamma'| |t| + |x'|) in
+    # Euclidean norms, the size of the terms that cancel in g12 (0 where S = 0)
+    g12_residual: float
 
 
 def gauge_normalize(
@@ -648,10 +651,18 @@ def _gauge(scan: _RulingTables, tol: float = GAUGE_SPREAD_TOL) -> GaugeResult:
     gauged = RuledSurface(surface.gamma, base, surface.s_domain, surface.t_domain)
 
     # g12 = <gamma', gamma> t + <x', gamma> is linear in t, so its largest
-    # magnitude over the check grid sits at one of the grid's two t-ends
+    # magnitude over the check grid sits at one of the grid's two t-ends. Its
+    # size takes Euclidean norms, not sum_i |a_i b_i|: on a catalog frame
+    # gamma, gamma' and x' can have disjoint supports, and a component that
+    # rounds to 1e-17 instead of 0 would then be all of that sum.
     s_grid, t_grid = gauged.default_grids()
-    g12 = _RulingTables(sig, gauged, s_grid).g12(t_grid[None, [0, -1]])
+    check = _RulingTables(sig, gauged, s_grid)
+    g12 = np.abs(check.g12(t_grid[None, :]))
+    g0, g1, x1 = (np.linalg.norm(check.jet(k), axis=1)[:, None] for k in ("g0", "g1", "x1"))
+    size = g0 * (g1 * np.abs(t_grid)[None, :] + x1)
+    residual = np.divide(g12, size, out=np.zeros_like(g12), where=size > 0)
     return GaugeResult(
         surface=gauged, epsilon=eps, exact=exact, lam=lam_sym, lam_table=lam_table,
-        max_abs_g12=float(np.abs(g12).max()),
+        max_abs_g12=float(g12[:, [0, -1]].max()),
+        g12_residual=float(residual.max()),
     )

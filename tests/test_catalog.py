@@ -368,6 +368,16 @@ def test_pick_signs_returns_first_admissible_choice():
     assert pick_signs(R42, FamilyId.HYPERBOLIC_HELICOID_2) is not None
 
 
+@pytest.mark.parametrize("signs", [None, SignChoice(1, -1, 0)])
+def test_generate_builds_and_checks_one_frame(signs, monkeypatch):
+    """generate takes the frame of the oracle's witness instead of building it again."""
+    checked = []
+    post_init = FrameSpec.__post_init__
+    monkeypatch.setattr(FrameSpec, "__post_init__", lambda self: checked.append(post_init(self)))
+    generate(R42, FamilyId.HYPERBOLIC_HELICOID_2, signs)
+    assert len(checked) == 1
+
+
 def test_frame_spec_validates_gram_exactly():
     FrameSpec(sig=R42, vectors=((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1)), signs=(-1, 1, 0))
     with pytest.raises(UsageError):

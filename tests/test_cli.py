@@ -585,3 +585,45 @@ def test_a_flag_value_starting_with_minus_reads_as_its_equals_spelling(argv, fla
     spaced = run([*argv, flag, value])
     assert spaced[0] == 0
     assert spaced[:2] == run([*argv, f"{flag}={value}"])[:2]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_an_option_value_does_not_leak_into_the_next_call():
+    first = run(["verify", *HH2])
+    assert json.loads(run(["verify", *HH2, "--tol", "1e-3"])[1])["minimality"]["tol"] == 1e-3
+    again = run(["verify", *HH2])
+    assert again == first
+    assert json.loads(again[1])["minimality"]["tol"] == surface.H_TOL
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged():
+    argv = ["classify", *HH2]
+    first = run(argv)
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()) as err:
+        cli.main(["verify", "--table"])
+    assert exc.value.code == 2 and "--table" in err.getvalue()
+    assert run(argv) == first
+
+
+@pytest.mark.parametrize("argv, listed", [
+    (["--help"], list(cli._HANDLERS)),
+    (["verify", "--help"], ["--input", "--family", "--signs", "--sig", "--grid",
+                            "--s-range", "--t-range", "--tol", "--out"]),
+])
+def test_help_lists_the_same_names_on_every_call(argv, listed):
+    texts = []
+    for _ in range(2):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out):
+            cli.main(argv)
+        assert exc.value.code == 0
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
+    assert all(name in texts[0] for name in listed)

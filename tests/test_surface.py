@@ -27,6 +27,7 @@ from ruledmin import (
     second_form,
     uniform_grid,
 )
+from ruledmin.basisfn import ONE, Atom, ScalarFn
 
 from _oracles import distance_to_rulings, fd_mean_curvature, fd_position_jet, normal_component
 
@@ -437,6 +438,57 @@ def test_quadrature_lambda_matches_its_antiderivative(a, omega, half_width):
 
     exact = -(antiderivative(s) - antiderivative(0.0))
     assert np.max(np.abs(lam - exact) / np.maximum(1.0, np.abs(exact))) < 1e-12
+
+
+@pytest.mark.parametrize("a, omega, half_width", [(0.3, 7.0, 10.0), (0.05, 20.0, 3.0)])
+def test_quadrature_gauge_g12_is_rounding_against_the_terms_that_cancel(a, omega, half_width):
+    """On a fast-growing bump |g12| is huge in absolute terms, but a rounding-level
+    fraction of |gamma| (|gamma'| |t| + |x'|)."""
+    surf = helicoid()
+    bump = CurveExpr.from_basis_terms(3, [("cosh", omega, (a, 0.0, 0.0))])
+    domain = (-half_width, half_width)
+    result = gauge_normalize(R30, RuledSurface(surf.gamma, surf.base + bump, domain, domain))
+    assert not result.exact
+    assert result.max_abs_g12 > 1e9
+    assert result.g12_residual <= 1e-12
+
+
+@pytest.mark.parametrize("sig, family", [
+    (R30, FamilyId.ELLIPTIC_HELICOID_1),
+    (R31, FamilyId.HYPERBOLIC_HELICOID_1),
+    (R31, FamilyId.PARABOLIC_HELICOID),
+    (Signature(4, 2), FamilyId.HYPERBOLIC_HELICOID_2),
+])
+def test_an_exact_catalog_gauge_cancels_g12_to_rounding(sig, family):
+    surf = generate(sig, family)
+    rho = ScalarFn([(0.3, Atom(1, ONE, 0.0)), (0.1, Atom(2, ONE, 0.0))])
+    slid = RuledSurface(
+        surf.gamma, surf.base.plus_scalar_times(rho, surf.gamma), surf.s_domain, surf.t_domain
+    )
+    for candidate in (surf, slid):
+        result = gauge_normalize(sig, candidate)
+        assert result.exact
+        assert result.g12_residual <= 1e-12
+
+
+@pytest.mark.parametrize("sig, family, axis, omega, half_width", [
+    (R31, FamilyId.HYPERBOLIC_HELICOID_1, 0, 0.5, 3.0),
+    (Signature(5, 2), FamilyId.PARABOLIC_HELICOID, 3, 7.0, 10.0),
+])
+def test_g12_residual_stays_rounding_where_the_jets_share_no_axis(
+    sig, family, axis, omega, half_width
+):
+    """At s = 0 gamma and gamma' share no axis and x' meets gamma on one axis
+    only, where it rounds to about 1e-17 instead of 0. Summed axis by axis, the
+    size of g12's terms would be that residue alone, and the ratio 1."""
+    surf = generate(sig, family)
+    coeff = [0.0] * sig.n
+    coeff[axis] = 0.1
+    bump = CurveExpr.from_basis_terms(sig.n, [("cosh", omega, coeff)])
+    domain = (-half_width, half_width)
+    result = gauge_normalize(sig, RuledSurface(surf.gamma, surf.base + bump, domain, domain))
+    assert result.exact
+    assert result.g12_residual <= 1e-12
 
 
 def test_gauge_rejects_non_unit_direction():
