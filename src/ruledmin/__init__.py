@@ -30,9 +30,8 @@ _EXPORTS = {
         "identify_family", "table1_case", "verify_structure_odes",
     ),
     "curves": (
-        "CurveExpr", "SampledCurve", "UnitSpeedClass", "eval_curve", "fd_derivative",
-        "is_null_curve", "reparametrize_unit_speed", "symbolic_inner", "uniform_grid",
-        "unit_speed_check",
+        "CurveExpr", "UnitSpeedClass", "eval_curve", "fd_derivative", "is_null_curve",
+        "symbolic_inner", "uniform_grid", "unit_speed_check",
     ),
     "errors": (
         "ConventionError", "DegenerateMetricError", "DimensionMismatchError",

@@ -22,7 +22,6 @@ from .existence import (
     Verdict,
     admits_cylinder,
     existence_oracle,
-    frame_for_signs,
 )
 from .families import (
     ADMISSIBLE_SIGNS,
@@ -65,11 +64,34 @@ def _first_witness(sig: Signature, family: FamilyId) -> ExistenceResult | None:
     return None
 
 
-def _frame_curve_pair(
-    family: FamilyId, frame: FrameSpec
-) -> tuple[CurveExpr, CurveExpr]:
-    n = frame.sig.n
-    e1, e2, e3 = (np.asarray(v, dtype=float) for v in frame.vectors)
+def _check_request(sig: Signature, family: FamilyId, signs: SignChoice | None) -> None:
+    if sig.n < 3:
+        raise UsageError("catalog surfaces need ambient dimension n >= 3")
+    if signs is not None:
+        validate_signs(family, signs)
+
+
+def _witness(sig: Signature, family: FamilyId, signs: SignChoice | None) -> ExistenceResult:
+    """The oracle's witness for a frame family and the given sign choice, or
+    pick_signs' choice when signs is None; raises as generate does."""
+    _check_request(sig, family, signs)
+    if signs is None:
+        result = _first_witness(sig, family)
+        if result is None:
+            raise NonExistenceError(existence_oracle(sig, family))
+    else:
+        result = existence_oracle(sig, family, signs)
+        if result.verdict is not Verdict.WITNESS:
+            raise NonExistenceError(result)
+    return result
+
+
+def _witness_surface(
+    family: FamilyId, witness: ExistenceResult, s_domain: tuple, t_domain: tuple
+) -> RuledSurface:
+    """The frame family's normal form on the witness's frame."""
+    n = witness.sig.n
+    e1, e2, e3 = (np.asarray(v, dtype=float) for v in witness.frame.vectors)
     if family in (FamilyId.ELLIPTIC_HELICOID_1, FamilyId.ELLIPTIC_HELICOID_2):
         gamma = CurveExpr.from_basis_terms(
             n, [("cos", 1.0, e1), ("sin", 1.0, e2)]
@@ -92,12 +114,10 @@ def _frame_curve_pair(
                 ("pow", 1, e3 - e2),
             ],
         )
-    elif family is FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID:
+    else:  # minimal hyperbolic paraboloid
         gamma = CurveExpr.from_basis_terms(n, [("pow", 1, e1), ("pow", 0, e2)])
         base = CurveExpr.from_basis_terms(n, [("pow", 1, e3)])
-    else:
-        raise UsageError(f"{family.value} is not generated from a 3-frame")
-    return gamma, base
+    return RuledSurface(gamma=gamma, base=base, s_domain=s_domain, t_domain=t_domain)
 
 
 def generate(
@@ -114,10 +134,9 @@ def generate(
     UsageError when signs are not a sign choice of the family (planes and
     cylinders take none).
     """
-    if sig.n < 3:
-        raise UsageError("catalog surfaces need ambient dimension n >= 3")
-    if signs is not None:
-        validate_signs(family, signs)
+    if family in _FRAME_FAMILIES:
+        return _witness_surface(family, _witness(sig, family, signs), s_domain, t_domain)
+    _check_request(sig, family, signs)
 
     if family is FamilyId.PLANE:
         n = sig.n
@@ -129,43 +148,32 @@ def generate(
         base = CurveExpr.from_basis_terms(n, [("pow", 1, e_base)])
         return RuledSurface(gamma=gamma, base=base, s_domain=s_domain, t_domain=t_domain)
 
-    if family is FamilyId.MINIMAL_CYLINDER:
-        result = admits_cylinder(sig)
-        if result.verdict is not Verdict.WITNESS:
-            raise NonExistenceError(result)
-        n = sig.n
-        i, j, k = result.cylinder.axes
+    # minimal cylinder
+    result = admits_cylinder(sig)
+    if result.verdict is not Verdict.WITNESS:
+        raise NonExistenceError(result)
+    n = sig.n
+    i, j, k = result.cylinder.axes
 
-        def axis(idx):
-            v = np.zeros(n)
-            v[idx] = 1.0
-            return v
+    def axis(idx):
+        v = np.zeros(n)
+        v[idx] = 1.0
+        return v
 
-        gamma = CurveExpr.from_basis_terms(
-            n, [("pow", 0, np.asarray(result.cylinder.direction, dtype=float))]
+    gamma = CurveExpr.from_basis_terms(
+        n, [("pow", 0, np.asarray(result.cylinder.direction, dtype=float))]
+    )
+    if result.cylinder.mirrored:
+        # two timelike axes (i, j), one spacelike (k)
+        base = CurveExpr.from_basis_terms(
+            n,
+            [("cosh", 1.0, axis(i)), ("pow", 1, axis(j)), ("sinh", 1.0, axis(k))],
         )
-        if result.cylinder.mirrored:
-            # two timelike axes (i, j), one spacelike (k)
-            base = CurveExpr.from_basis_terms(
-                n,
-                [("cosh", 1.0, axis(i)), ("pow", 1, axis(j)), ("sinh", 1.0, axis(k))],
-            )
-        else:
-            base = CurveExpr.from_basis_terms(
-                n,
-                [("sinh", 1.0, axis(i)), ("cosh", 1.0, axis(j)), ("pow", 1, axis(k))],
-            )
-        return RuledSurface(gamma=gamma, base=base, s_domain=s_domain, t_domain=t_domain)
-
-    if signs is None:
-        result = _first_witness(sig, family)
-        if result is None:
-            raise NonExistenceError(existence_oracle(sig, family))
     else:
-        result = existence_oracle(sig, family, signs)
-        if result.verdict is not Verdict.WITNESS:
-            raise NonExistenceError(result)
-    gamma, base = _frame_curve_pair(family, result.frame)
+        base = CurveExpr.from_basis_terms(
+            n,
+            [("sinh", 1.0, axis(i)), ("cosh", 1.0, axis(j)), ("pow", 1, axis(k))],
+        )
     return RuledSurface(gamma=gamma, base=base, s_domain=s_domain, t_domain=t_domain)
 
 
@@ -296,26 +304,18 @@ def causal_map(
     Spacelike regions have det g > 0, timelike det g < 0; loci with det g = 0
     separate them. Cylinders (and planes) have a constant verdict.
     """
-    surface = generate(sig, family, signs)
-    if signs is None and family in _FRAME_FAMILIES:
-        signs = pick_signs(sig, family)
-    lo, hi = t_domain if t_domain is not None else surface.t_domain
-    if not lo < hi:
-        raise UsageError("t_domain must be an interval [lo, hi] with lo < hi")
-    surface = RuledSurface(
-        gamma=surface.gamma,
-        base=surface.base,
-        s_domain=surface.s_domain,
-        t_domain=(lo, hi),
-    )
-
+    t_domain = DEFAULT_T_DOMAIN if t_domain is None else t_domain
     if family in _FRAME_FAMILIES:
+        witness = _witness(sig, family, signs)
+        signs = witness.signs
+        surface = _witness_surface(family, witness, DEFAULT_S_DOMAIN, t_domain)
         form = det_g_closed_form(family, signs)
-        loci = _closed_form_roots(form, lo, hi)
+        loci = _closed_form_roots(form, *surface.t_domain)
         expression = form.expression
         def verdict_at(t: float) -> str:
             return "spacelike" if form.value(t) > 0 else "timelike"
     else:
+        surface = generate(sig, family, signs, t_domain=t_domain)
         loci = []
         expression = (
             "-<gamma0, x'(s)>^2 < 0"
@@ -323,6 +323,7 @@ def causal_map(
             else "constant, from the plane axis squares"
         )
         verdict_at = None
+    lo, hi = surface.t_domain
 
     s_grid = np.linspace(*surface.s_domain, CAUSAL_MAP_GRID)
     t_grid = np.linspace(lo, hi, CAUSAL_MAP_GRID)
@@ -359,7 +360,7 @@ def causal_map(
         sig=sig,
         family=family,
         signs=signs,
-        t_domain=(float(lo), float(hi)),
+        t_domain=surface.t_domain,
         regions=regions,
         degenerate_loci=[float(t) for t in loci],
         constant=not loci and len(regions) == 1,
@@ -476,7 +477,7 @@ def bernstein_check(
     if result.verdict is not Verdict.WITNESS:
         raise NonExistenceError(result)
 
-    frame = frame_for_signs(sig, signs)
+    frame = result.frame
     e2_idx = int(np.argmax(np.abs(np.asarray(frame.vectors[1]))))
     e3_idx = int(np.argmax(np.abs(np.asarray(frame.vectors[2]))))
 
@@ -486,7 +487,7 @@ def bernstein_check(
     graph_ok = True
     minimal_ok = True
     for lo, hi in domains:
-        surface = generate(sig, family, signs, s_domain=(lo, hi), t_domain=(lo, hi))
+        surface = _witness_surface(family, result, (lo, hi), (lo, hi))
         s_grid = np.linspace(lo, hi, BERNSTEIN_GRID)
         t_grid = np.linspace(lo, hi, BERNSTEIN_GRID)
         sweep = sweep_grid(sig, surface, s_grid, t_grid)

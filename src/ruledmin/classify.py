@@ -191,7 +191,7 @@ def case_invariants(sig: Signature, surface: RuledSurface) -> CaseInvariants:
 
 def _case_invariants(scan: _RulingTables) -> CaseInvariants:
     gamma = scan.surface.gamma
-    if isinstance(gamma, CurveExpr) and gamma.is_constant():
+    if gamma.is_constant():
         raise UsageError(
             "the ruling direction is constant; classify with cylinder_check"
         )
@@ -221,8 +221,8 @@ def _case_invariants(scan: _RulingTables) -> CaseInvariants:
         eta = 1 if eta_val > 0 else -1
     else:
         raise ConventionError(
-            f"<gamma', gamma'> = {eta_val!r}; reparametrize the direction "
-            "curve so its speed is 0 or +-1"
+            f"<gamma', gamma'> = {eta_val!r}; the normal form needs the "
+            "direction curve at constant speed 0 or +-1"
         )
 
     delta_value = _constant_value("<x', x'>", scan.ip("x1", "x1"))
@@ -302,7 +302,7 @@ def cylinder_check(sig: Signature, surface: RuledSurface) -> CylinderReport:
     The only non-planar minimal cylinders have a null direction, a null base
     derivative, and a nowhere-zero pairing <gamma0, x'> between them.
     """
-    if isinstance(surface.gamma, CurveExpr) and not surface.gamma.is_constant():
+    if not surface.gamma.is_constant():
         raise UsageError("cylinder_check expects a constant ruling direction")
     return _cylinder_check(_scan(sig, surface), H_TOL)
 
@@ -415,7 +415,7 @@ def identify_family(
     notes: list[str] = []
     scan = _scan(sig, surface)
 
-    if isinstance(surface.gamma, CurveExpr) and surface.gamma.is_constant():
+    if surface.gamma.is_constant():
         cyl = _cylinder_check(scan, h_tol)
         family = {
             CylinderVerdict.PLANE: FamilyId.PLANE,

@@ -9,7 +9,6 @@ independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from typing import Iterable, Sequence
@@ -18,16 +17,13 @@ import numpy as np
 
 from . import basisfn
 from .basisfn import Atom, ScalarFn
-from .errors import PreconditionError, UsageError
+from .errors import UsageError
 from .metric import Signature, ip_array
 
 # Grid default for the sampled checks below.
 DEFAULT_GRID_POINTS = 101
 # A squared speed <c', c'> within this of 0 (or of +-1) is null (or unit).
 SPEED_TOL = 1e-9
-
-# Speeds closer to zero than this make arc-length reparametrization ill posed.
-NEAR_NULL_SPEED = 1e-9
 
 JSON_BASES = ("pow", "cos", "sin", "cosh", "sinh", "exp")
 
@@ -243,83 +239,3 @@ def unit_speed_check(sig: Signature, curve: CurveExpr, grid: np.ndarray) -> Unit
     if float(np.abs(q + 1.0).max()) <= SPEED_TOL:
         return UnitSpeedClass.UNIT_TIMELIKE
     return UnitSpeedClass.NOT_UNIT
-
-
-@dataclass
-class SampledCurve:
-    """Arc-length reparametrization of a closed-form curve.
-
-    The map u -> s(u) is table-backed: u_table holds the Gauss-Legendre arc
-    length at each s_table entry, and s(u) takes Newton steps from the
-    nearest entry. Positions come from the source curve at s(u), but exact
-    derivatives are deliberately unavailable. Operations that need exact jets
-    refuse SampledCurve input rather than silently differentiating a table.
-    """
-
-    source: CurveExpr
-    sig: Signature
-    s_table: np.ndarray
-    u_table: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        arc = np.cumsum(quad(self._speed, self.s_table[:-1], self.s_table[1:]))
-        self.u_table = np.concatenate(([0.0], arc))
-
-    def _speed(self, s: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.abs(_speed_squared(self.sig, self.source, s)))
-
-    @property
-    def n(self) -> int:
-        return self.source.n
-
-    @property
-    def length(self) -> float:
-        return float(self.u_table[-1])
-
-    def s_of_u(self, u):
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        lo, hi = 0.0, self.length
-        if arr.min() < lo - 1e-12 or arr.max() > hi + 1e-12:
-            raise UsageError(f"u outside [0, {hi!r}]")
-        arr = np.clip(arr, lo, hi)
-        i = np.searchsorted(self.u_table, arr).clip(1, len(self.u_table) - 1)
-        i = i - (arr - self.u_table[i - 1] < self.u_table[i] - arr)  # the nearer of i - 1, i
-        vals = s0 = self.s_table[i]
-        for _ in range(3):  # Newton on u(s) - u, whose derivative is the speed
-            vals = vals - (self.u_table[i] + quad(self._speed, s0, vals) - arr) / self._speed(vals)
-        if np.isscalar(u) or np.asarray(u).ndim == 0:
-            return float(vals[0])
-        return vals
-
-    def eval(self, u, order: int = 0):
-        if order != 0:
-            raise TypeError(
-                "SampledCurve is table-backed and has no exact derivatives; "
-                "evaluate the source CurveExpr instead"
-            )
-        return self.source.eval(self.s_of_u(u))
-
-
-def reparametrize_unit_speed(
-    sig: Signature, curve: CurveExpr, domain: tuple[float, float]
-) -> SampledCurve:
-    """Reparametrize a non-null curve by arc length.
-
-    Requires |<c', c'>| bounded away from zero with constant sign on the
-    domain; the error names the offending parameter value otherwise.
-    """
-    a, b = float(domain[0]), float(domain[1])
-    check = uniform_grid(a, b, 1001)
-    q = _speed_squared(sig, curve, check)
-    i_min = int(np.abs(q).argmin())
-    if abs(q[i_min]) <= NEAR_NULL_SPEED:
-        raise PreconditionError(
-            f"speed squared is {q[i_min]!r} at s = {check[i_min]!r}; "
-            "arc-length reparametrization needs it bounded away from zero"
-        )
-    if q.max() > 0 > q.min():
-        j = int(np.argmax(np.sign(q[:-1]) != np.sign(q[1:])))
-        raise PreconditionError(
-            f"speed squared changes causal sign near s = {check[j]!r}"
-        )
-    return SampledCurve(curve, sig, check)

@@ -18,7 +18,7 @@ class PreconditionError(RuledminError):
 
 
 class ConventionError(PreconditionError):
-    """Input violates a normalization convention (arc length, unit direction, gauge).
+    """Input violates a normalization convention (unit direction, constant speed, gauge).
 
     The message names the failed check so callers can repair the input
     instead of silently rounding it into shape.

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basisfn import ScalarFn
-from .curves import CurveExpr, SampledCurve, quad, symbolic_inner, uniform_grid
+from .curves import CurveExpr, quad, symbolic_inner, uniform_grid
 from .errors import (
     ConventionError,
     DegenerateMetricError,
@@ -52,23 +52,21 @@ DEFAULT_SURFACE_GRID = (41, 41)
 class RuledSurface:
     """Surface swept by lines: f(s, t) = gamma(s) * t + x(s).
 
-    gamma is the direction curve (ruling directions), base is x. Both must
-    support exact derivatives; table-backed curves are refused.
+    gamma is the direction curve (ruling directions), a CurveExpr; base is
+    x, a CurveExpr or the gauge's GaugedBaseCurve.
     """
 
     gamma: CurveExpr
-    base: object  # CurveExpr or GaugedBaseCurve
+    base: CurveExpr | GaugedBaseCurve
     s_domain: tuple[float, float] = (-3.0, 3.0)
     t_domain: tuple[float, float] = (-3.0, 3.0)
 
     def __post_init__(self):
-        if isinstance(self.gamma, SampledCurve) or isinstance(self.base, SampledCurve):
-            raise TypeError(
-                "table-backed SampledCurve has no exact derivatives; "
-                "surface geometry needs CurveExpr (or gauge-normalized) curves"
-            )
-        if not all(isinstance(c, (CurveExpr, GaugedBaseCurve)) for c in (self.gamma, self.base)):
-            raise UsageError("gamma and base must be curve objects")
+        if not (
+            isinstance(self.gamma, CurveExpr)
+            and isinstance(self.base, (CurveExpr, GaugedBaseCurve))
+        ):
+            raise UsageError("gamma must be a CurveExpr, base a CurveExpr or GaugedBaseCurve")
         if self.gamma.n != self.base.n:
             raise UsageError(
                 f"gamma lives in R^{self.gamma.n} but base in R^{self.base.n}"

@@ -26,9 +26,8 @@ PUBLIC = {
         "identify_family table1_case verify_structure_odes "
     ),
     "curves": (
-        "CurveExpr SampledCurve UnitSpeedClass eval_curve fd_derivative "
-        "is_null_curve reparametrize_unit_speed symbolic_inner uniform_grid "
-        "unit_speed_check "
+        "CurveExpr UnitSpeedClass eval_curve fd_derivative is_null_curve "
+        "symbolic_inner uniform_grid unit_speed_check "
     ),
     "errors": (
         "ConventionError DegenerateMetricError DimensionMismatchError "
@@ -90,7 +89,6 @@ KEYWORDS = {
     "curves": {
         "CurveExpr.derivative": "order",
         "CurveExpr.eval": "order",
-        "SampledCurve.eval": "order",
         "eval_curve": "order",
         "uniform_grid": "num",
     },

@@ -27,6 +27,7 @@ from ruledmin import (
     sweep_grid,
     uniform_grid,
 )
+from ruledmin import catalog
 from ruledmin.catalog import SpanType
 from ruledmin.surface import _RulingTables
 
@@ -368,13 +369,39 @@ def test_pick_signs_returns_first_admissible_choice():
     assert pick_signs(R42, FamilyId.HYPERBOLIC_HELICOID_2) is not None
 
 
-@pytest.mark.parametrize("signs", [None, SignChoice(1, -1, 0)])
-def test_generate_builds_and_checks_one_frame(signs, monkeypatch):
-    """generate takes the frame of the oracle's witness instead of building it again."""
-    checked = []
+def _count_frames_and_oracle_calls(monkeypatch):
+    checked, asked = [], []
     post_init = FrameSpec.__post_init__
     monkeypatch.setattr(FrameSpec, "__post_init__", lambda self: checked.append(post_init(self)))
+    oracle = catalog.existence_oracle
+    monkeypatch.setattr(catalog, "existence_oracle", lambda *a: asked.append(a) or oracle(*a))
+    return checked, asked
+
+
+@pytest.mark.parametrize("signs", [None, SignChoice(1, -1, 0)])
+def test_generate_builds_and_checks_one_frame(signs, monkeypatch):
+    """generate takes the frame of the oracle's one witness instead of asking
+    or building it again."""
+    checked, asked = _count_frames_and_oracle_calls(monkeypatch)
     generate(R42, FamilyId.HYPERBOLIC_HELICOID_2, signs)
+    assert len(asked) == 1
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda: causal_map(R42, FamilyId.HYPERBOLIC_HELICOID_2),
+        lambda: bernstein_check(Signature(7, 2)),
+    ],
+    ids=["causal_map", "bernstein_check"],
+)
+def test_queries_ask_the_oracle_once_and_check_one_frame(query, monkeypatch):
+    """causal_map and every box of bernstein_check take the frame of the
+    oracle's one witness instead of asking or building it again."""
+    checked, asked = _count_frames_and_oracle_calls(monkeypatch)
+    query()
+    assert len(asked) == 1
     assert len(checked) == 1
 
 

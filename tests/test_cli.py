@@ -138,6 +138,30 @@ def test_classify_paraboloid_case():
     assert doc["family"] == "minimal-hyperbolic-paraboloid"
 
 
+def test_classify_names_the_direction_speed_the_normal_form_lacks(tmp_path):
+    # gamma = cos 2s e1 + sin 2s e2 has <gamma', gamma'> = 4, not 0 or +-1
+    data = {
+        "signature": {"n": 3, "p": 0},
+        "gamma": {
+            "n": 3,
+            "terms": [
+                {"basis": "cos", "param": 2.0, "coeff": [1, 0, 0]},
+                {"basis": "sin", "param": 2.0, "coeff": [0, 1, 0]},
+            ],
+        },
+        "base": {"n": 3, "terms": [{"basis": "pow", "param": 1, "coeff": [0, 0, 1]}]},
+        "s_domain": [-3, 3],
+        "t_domain": [-3, 3],
+    }
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(data))
+    rc, doc = run_json(["classify", "--input", str(path)])
+    assert rc == 2
+    assert doc["error"] == "ConventionError"
+    assert "<gamma', gamma'>" in doc["message"]
+    assert "reparametrize" not in doc["message"]
+
+
 def test_classify_rejects_identically_degenerate_metric(degenerate_metric_file):
     rc, doc = run_json(["classify", "--input", degenerate_metric_file])
     assert rc == 1

@@ -1,4 +1,4 @@
-"""Tests for closed-form curves: exact jets, null detection, arc length."""
+"""Tests for closed-form curves: exact jets, null detection, unit speed."""
 
 import math
 
@@ -7,17 +7,17 @@ import pytest
 
 from ruledmin import (
     CurveExpr,
-    PreconditionError,
     Signature,
     UnitSpeedClass,
     UsageError,
     eval_curve,
     fd_derivative,
     is_null_curve,
-    reparametrize_unit_speed,
     uniform_grid,
     unit_speed_check,
 )
+from ruledmin.curves import quad
+from ruledmin.metric import ip_array
 
 from _oracles import convergence_order
 
@@ -178,44 +178,43 @@ def test_unit_speed_rejects_scaled_line():
     assert unit_speed_check(Signature(3, 0), c, uniform_grid(0.0, 1.0)) is UnitSpeedClass.NOT_UNIT
 
 
-def test_reparametrize_scaled_line():
-    c = CurveExpr.from_basis_terms(3, [("pow", 1, (2.0, 0.0, 0.0))])
-    table = reparametrize_unit_speed(Signature(3, 0), c, (0.0, 1.0))
-    u = np.linspace(0.0, table.length, 33)
-    assert np.max(np.abs(table.s_of_u(u) - u / 2.0)) < 1e-10
+def _parabola_arc_length(s: float) -> float:
+    # antiderivative of sqrt(1 + 4 s^2), the speed of s^2 e1 + s e2
+    return 0.5 * s * math.sqrt(1.0 + 4.0 * s * s) + 0.25 * math.asinh(2.0 * s)
 
 
-def test_reparametrize_identity_on_unit_speed_input():
-    table = reparametrize_unit_speed(Signature(3, 0), circle(), (0.0, 2.0))
-    u = np.linspace(0.0, table.length, 33)
-    assert abs(table.length - 2.0) < 1e-9
-    assert np.max(np.abs(table.s_of_u(u) - u)) < 1e-9
+@pytest.mark.parametrize(
+    "curve, domain, length",
+    [
+        (CurveExpr.from_basis_terms(3, [("pow", 1, (2.0, 0.0, 0.0))]), (0.0, 1.0), 2.0),
+        (circle(), (0.0, 2.0), 2.0),
+        (
+            CurveExpr.from_basis_terms(
+                3, [("pow", 2, (1.0, 0.0, 0.0)), ("pow", 1, (0.0, 1.0, 0.0))]
+            ),
+            (1.0, 2.0),
+            _parabola_arc_length(2.0) - _parabola_arc_length(1.0),
+        ),
+    ],
+    ids=["scaled-line", "circle", "parabola"],
+)
+def test_quad_arc_length_matches_closed_form(curve, domain, length):
+    sig = Signature(3, 0)
+
+    def speed(s):
+        d = curve.eval(s, 1)
+        return np.sqrt(ip_array(sig, d, d))
+
+    assert abs(float(quad(speed, *domain)) - length) < 1e-12
 
 
-def test_reparametrize_parabola_unit_speed_by_fd():
-    """Quadrature-backed table reaches unit speed, checked by differencing."""
-    table = reparametrize_unit_speed(Signature(3, 0), _parabola(), (1.0, 2.0))
-    h = 1e-6
-    for u in np.linspace(0.05, table.length - 0.05, 21):
-        vel = (table.eval(u + h) - table.eval(u - h)) / (2 * h)
-        assert abs(float(vel @ vel) - 1.0) < 1e-8
-
-
-def _parabola() -> CurveExpr:
-    return CurveExpr.from_basis_terms(
-        3, [("pow", 2, (1.0, 0.0, 0.0)), ("pow", 1, (0.0, 1.0, 0.0))]
-    )
-
-
-def test_reparametrize_rejects_sign_change():
-    # speed squared -1 + s^2 crosses zero at s = +-1
-    sig = Signature(3, 1)
-    c = CurveExpr.from_basis_terms(
-        3, [("pow", 1, (1.0, 0.0, 0.0)), ("pow", 2, (0.0, 0.5, 0.0))]
-    )
-    with pytest.raises(PreconditionError) as err:
-        reparametrize_unit_speed(sig, c, (-2.0, 2.0))
-    assert "s =" in str(err.value)
+def test_quad_integrates_each_panel_of_a_grid():
+    """One call returns every panel's integral; the panels sum to the whole."""
+    grid = uniform_grid(-1.0, 3.0, 9)
+    panels = quad(np.cos, grid[:-1], grid[1:])
+    assert panels.shape == (8,)
+    assert np.max(np.abs(panels - (np.sin(grid[1:]) - np.sin(grid[:-1])))) < 1e-15
+    assert abs(panels.sum() - (math.sin(3.0) - math.sin(-1.0))) < 1e-14
 
 
 def test_curve_construction_rejects_bad_inputs():

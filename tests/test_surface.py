@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ruledmin import (
+    CaseLabel,
     CurveExpr,
     DegenerateMetricError,
     EverywhereDegenerateError,
@@ -13,12 +14,14 @@ from ruledmin import (
     RuledSurface,
     SignChoice,
     Signature,
+    UsageError,
     c_function,
     c_function_grid,
     first_form,
     form_bundle,
     gauge_normalize,
     generate,
+    identify_family,
     immersion_jet,
     inner_product,
     is_minimal,
@@ -28,6 +31,7 @@ from ruledmin import (
     uniform_grid,
 )
 from ruledmin.basisfn import ONE, Atom, ScalarFn
+from ruledmin.surface import GaugedBaseCurve
 
 from _oracles import distance_to_rulings, fd_mean_curvature, fd_position_jet, normal_component
 
@@ -489,6 +493,21 @@ def test_g12_residual_stays_rounding_where_the_jets_share_no_axis(
     result = gauge_normalize(sig, RuledSurface(surf.gamma, surf.base + bump, domain, domain))
     assert result.exact
     assert result.g12_residual <= 1e-12
+
+
+def test_ruled_surface_takes_a_closed_form_direction_and_a_gauged_base():
+    """gamma must be a CurveExpr; the quadrature gauge's GaugedBaseCurve is a base
+    only, and a surface on it classifies."""
+    surf = helicoid()
+    bump = CurveExpr.from_basis_terms(3, [("cosh", 0.5, (1e-5, 0.0, 0.0))])
+    result = gauge_normalize(R30, RuledSurface(surf.gamma, surf.base + bump))
+    assert isinstance(result.surface.base, GaugedBaseCurve)
+    for gamma, base in [(result.surface.base, surf.base), (surf.gamma.eval, surf.base)]:
+        with pytest.raises(UsageError):
+            RuledSurface(gamma, base)
+    classified = identify_family(R30, result.surface)
+    assert classified.family is None and classified.case_label is CaseLabel.CASE_III
+    assert classified.minimality.verdict is MinimalityVerdict.NOT_MINIMAL
 
 
 def test_gauge_rejects_non_unit_direction():
