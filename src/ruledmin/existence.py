@@ -20,10 +20,10 @@ a proof trace whose algebraic steps are machine-checked in exact integers.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 from .errors import NoWitnessError, UsageError
 from .families import (
@@ -610,22 +610,196 @@ class SearchResult:
 SEARCH_SAMPLES_PER_SLOT = 6
 SEARCH_COORD_BOUND = 4
 
-
-def _int_square(v: list[int], p: int) -> int:
-    return sum(x * x for x in v[p:]) - sum(x * x for x in v[:p])
-
-
-def _int_pairing(u: list[int], v: list[int], p: int) -> int:
-    return sum(a * b for a, b in zip(u[p:], v[p:])) - sum(
-        a * b for a, b in zip(u[:p], v[:p])
-    )
+# Trials advance in lockstep in chunks of this many.
+_SEARCH_CHUNK = 128
+# An int64 row whose next projection could reach this magnitude is re-run
+# on Python ints; the margin to 2**63 absorbs float64 rounding in the bound.
+_INT64_LIMIT = float(2**62)
 
 
-def _gcd_reduce(v: list[int]) -> list[int]:
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    return [x // g for x in v] if g > 1 else v
+def _block_words(coords: int) -> int:
+    """32-bit words to draw for `coords` randint(-B, B) values.
+
+    randint keeps a word with probability (2B + 1) / 2**k, so this is the
+    expected number of words plus a quarter and a few more.
+    """
+    span = 2 * SEARCH_COORD_BOUND + 1
+    words = -(-coords * (1 << span.bit_length()) // span)
+    return words + words // 4 + 16
+
+
+def _trial_stream(rng, reseed, template, seed, trial, nwords):
+    """Trial's shuffled targets, then its next nwords words as bytes.
+
+    reseed is rng's own C-level seed, which is what random.Random(x) runs for
+    an integer x; the targets are shuffled before the coordinates are drawn,
+    as the per-trial loop did.
+    """
+    reseed(seed * 1_000_003 + trial)
+    targets = template.copy()
+    rng.shuffle(targets)
+    return targets, rng.getrandbits(32 * nwords).to_bytes(4 * nwords, "little")
+
+
+def _decode_coords(np, buf, rows, nwords, need):
+    """The first `need` randint(-B, B) values of each row's words.
+
+    randint(-B, B) takes word >> (32 - k) with k = (2B + 1).bit_length() and
+    keeps it when it is below 2B + 1. Returns the (rows, need) int64 values
+    and how many of each row's values are real: a row whose words keep fewer
+    than `need` holds filler after them.
+    """
+    span = 2 * SEARCH_COORD_BOUND + 1
+    vals = np.frombuffer(buf, dtype="<u4") >> (32 - span.bit_length())
+    kept = np.flatnonzero(vals < span)
+    # each row's kept words start at bounds[r] in kept
+    bounds = np.searchsorted(kept, np.arange(rows + 1) * nwords)
+    idx = np.minimum(bounds[:-1, None] + np.arange(need), kept.size - 1)
+    return vals[kept[idx]].astype(np.int64) - SEARCH_COORD_BOUND, np.minimum(np.diff(bounds), need)
+
+
+def _unchecked_depths(n: int, slots: int) -> tuple[int, int]:
+    """How many projections int64 survives for any draws: (products, q).
+
+    After j projections a coordinate is at most M_j, with M_0 the coordinate
+    bound and M_(j+1) = 2 n M_j^3: projecting v against u multiplies by at
+    most |q(u)| + n max|u|^2 <= 2 n M_j^2. Projection j needs no bound
+    check while M_(j+1) < 2**62, and q after k projections none while
+    n M_k^2 < 2**62. The sizes stop at the first past 2**62, since M_j has
+    about 3**j digits.
+    """
+    sizes = [SEARCH_COORD_BOUND]
+    while sizes[-1] < _INT64_LIMIT and len(sizes) <= slots:
+        sizes.append(2 * n * sizes[-1] ** 3)
+    products = next((j for j in range(len(sizes) - 1) if sizes[j + 1] >= _INT64_LIMIT), slots)
+    q = next((k for k in range(len(sizes)) if n * sizes[k] ** 2 >= _INT64_LIMIT), slots + 1)
+    return products, q - 1
+
+
+def _lockstep(np, draws, avail, redraw, targets, n, p, dtype):
+    """Run one trial per row, all rows one sample per step.
+
+    Each sample takes the next n coordinates of its row of draws, whichever
+    slot it is for, so sample g of every row sits at the same offset. The
+    first avail[r] coordinates of row r are real; a row about to step past
+    them gets its full stream from redraw(row indices), which returns
+    (rows, slots * SEARCH_SAMPLES_PER_SLOT * n) coordinates. targets is
+    (rows, slots) of +-1 in slot order.
+
+    Returns boolean row masks (succeeded, spilled). With dtype int64 a row
+    spills, and stops, when a float64 bound cannot prove that its next
+    projection or square keeps every product below 2**62; with dtype object
+    the arithmetic is on Python ints and nothing spills.
+    """
+    rows, slots = targets.shape
+    avail = avail.copy()
+    checked = dtype is not object
+    safe_products, safe_q = _unchecked_depths(n, slots)
+    sgn = np.array([-1] * p + [1] * (n - p), dtype=dtype)
+    frame = np.zeros((rows, slots, n), dtype=dtype)
+    # q of each placed vector; an empty slot keeps q = 1 with a zero vector,
+    # so projecting against it leaves v unchanged
+    frame_q = np.ones((rows, slots), dtype=dtype)
+    # |q(u)| + n max|u|^2: projecting v against u keeps every product within
+    # this times max|v|; empty slots contribute 1
+    reach = np.ones((rows, slots))
+    placed = np.zeros(rows, dtype=np.intp)
+    tries = np.zeros(rows, dtype=np.intp)
+    active = np.ones(rows, dtype=bool)
+    succeeded = np.zeros(rows, dtype=bool)
+    spilled = np.zeros(rows, dtype=bool)
+    index = np.arange(rows)
+    # every active row has its coordinates up to here
+    horizon = int(avail.min())
+    for step in range(slots * SEARCH_SAMPLES_PER_SLOT):
+        end = (step + 1) * n
+        if end > horizon:
+            at = np.flatnonzero(active & (avail < end))
+            if at.size:
+                full = redraw(at)
+                if full.shape[1] > draws.shape[1]:
+                    draws = np.concatenate(
+                        [draws, np.zeros((rows, full.shape[1] - draws.shape[1]), dtype=draws.dtype)], axis=1
+                    )
+                draws[at] = full
+                avail[at] = full.shape[1]
+            horizon = int(avail[active].min())
+        v = draws[:, end - n : end].astype(dtype)
+        depth = int(placed[active].max())
+        for j in range(depth):
+            if checked and j >= safe_products:
+                big = active & (reach[:, j] * np.abs(v).max(axis=1) >= _INT64_LIMIT)
+                spilled |= big
+                active &= ~big
+            u = frame[:, j]
+            v = frame_q[:, j, None] * v - ((v * u) @ sgn)[:, None] * u
+            g = np.gcd.reduce(v, axis=1)
+            g[placed <= j] = 1  # a row with no vector in slot j was not projected
+            v //= np.maximum(g, 1)[:, None]
+        if checked and depth > safe_q:
+            big = active & (n * np.abs(v).max(axis=1).astype(np.float64) ** 2 >= _INT64_LIMIT)
+            spilled |= big
+            active &= ~big
+        q = (v * v) @ sgn
+        slot = np.minimum(placed, slots - 1)
+        hit = active & (q * targets[index, slot] > 0)
+        tries += 1
+        if hit.any():
+            at = (index[hit], slot[hit])
+            frame[at] = v[hit]
+            frame_q[at] = q[hit]
+            if checked:
+                reach[at] = np.abs(q[hit]) + n * np.abs(v[hit]).max(axis=1).astype(np.float64) ** 2
+            placed += hit
+            tries[hit] = 0
+            done = hit & (placed == slots)
+            if done.any():
+                succeeded |= done
+                # a later row cannot become the first success
+                active[int(np.argmax(done)) :] = False
+        active &= tries < SEARCH_SAMPLES_PER_SLOT
+        if not active.any():
+            break
+    return succeeded, spilled
+
+
+def _search_chunk(np, sig, template, seed, start, stop) -> int | None:
+    """Smallest successful trial index in [start, stop), or None."""
+    n, slots = sig.n, len(template)
+    full = slots * SEARCH_SAMPLES_PER_SLOT * n
+    # a failing trial spends SEARCH_SAMPLES_PER_SLOT samples on its last slot
+    # and one or two on each earlier one; a trial that goes further redraws
+    lean = min(full, (SEARCH_SAMPLES_PER_SLOT + 2 * slots) * n)
+    rng = random.Random()
+    reseed = super(random.Random, rng).seed
+
+    def redraw(rows):
+        nwords = _block_words(full)
+        while True:
+            buf = b"".join(
+                _trial_stream(rng, reseed, template, seed, start + r, nwords)[1] for r in rows.tolist()
+            )
+            draws, avail = _decode_coords(np, buf, len(rows), nwords, full)
+            if (avail == full).all():
+                return draws
+            nwords *= 2
+
+    nwords = _block_words(lean)
+    targets, blocks = [], []
+    for trial in range(start, stop):
+        shuffled, block = _trial_stream(rng, reseed, template, seed, trial, nwords)
+        targets.append(shuffled)
+        blocks.append(block)
+    draws, avail = _decode_coords(np, b"".join(blocks), stop - start, nwords, lean)
+    targets = np.array(targets, dtype=np.int64).reshape(stop - start, slots)
+    succeeded, spilled = _lockstep(np, draws, avail, redraw, targets, n, sig.p, np.int64)
+    # rows after the first int64 success cannot change the answer
+    redo = np.flatnonzero(spilled[: np.argmax(succeeded) if succeeded.any() else len(spilled)])
+    if redo.size:
+        succeeded[redo] = _lockstep(
+            np, draws[redo], avail[redo], lambda rows: redraw(redo[rows]), targets[redo], n, sig.p, object
+        )[0]
+    return int(np.argmax(succeeded)) + start if succeeded.any() else None
 
 
 def brute_force_cross_check(
@@ -644,45 +818,41 @@ def brute_force_cross_check(
     therefore a genuine witness; finding none proves nothing.
 
     Trial i uses its own generator seeded from (seed, i), so partitioning
-    trials across workers cannot change the outcome.
+    trials across workers cannot change the outcome. The trial shuffles its
+    slot targets, then draws up to SEARCH_SAMPLES_PER_SLOT vectors per slot;
+    each is projected against the placed vectors one by one, divided by the
+    gcd of its coordinates after each projection, and placed when its square
+    has the slot's sign. A slot that places nothing ends the trial.
+
+    The trials of a chunk of _SEARCH_CHUNK run in numpy lockstep, one sample
+    per step. Each trial draws one block of random words after its shuffle,
+    and numpy decodes it exactly as randint consumes words; the few trials
+    that need more samples than the block holds draw a longer block from the
+    same seed. Every sample takes n coordinates, so sample g of every trial
+    sits at the same offset. The arithmetic is int64 while a float64 bound
+    proves that every product stays below 2**62; a trial that fails the
+    bound is re-run from its start on Python ints. Chunks run in trial order
+    and the search stops after the chunk with the first success, so every
+    field of the result equals what the trials run one at a time in Python
+    give (tests/_oracles.brute_force_loop keeps that loop).
     """
-    n, p = sig.n, sig.p
-    npos = pattern.a + pattern.c
-    nneg = pattern.b + pattern.c
-    samples_per_slot, coord_bound = SEARCH_SAMPLES_PER_SLOT, SEARCH_COORD_BOUND
-    for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
-        targets = [1] * npos + [-1] * nneg
-        rng.shuffle(targets)
-        frame: list[list[int]] = []
-        complete = True
-        for tgt in targets:
-            placed = False
-            for _ in range(samples_per_slot):
-                v = [rng.randint(-coord_bound, coord_bound) for _ in range(n)]
-                for u in frame:
-                    qu = _int_square(u, p)
-                    bu = _int_pairing(v, u, p)
-                    v = [qu * vi - bu * ui for vi, ui in zip(v, u)]
-                    v = _gcd_reduce(v)
-                if not any(v):
-                    continue
-                q = _int_square(v, p)
-                if (q > 0 and tgt > 0) or (q < 0 and tgt < 0):
-                    frame.append(v)
-                    placed = True
-                    break
-            if not placed:
-                complete = False
-                break
-        if complete:
+    if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 0:
+        raise UsageError(f"trials must be an integer >= 0, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
+        raise UsageError(f"seed must be an integer, got {seed!r}")
+    import numpy as np
+
+    template = [1] * (pattern.a + pattern.c) + [-1] * (pattern.b + pattern.c)
+    for start in range(0, trials, _SEARCH_CHUNK):
+        first = _search_chunk(np, sig, template, seed, start, min(start + _SEARCH_CHUNK, trials))
+        if first is not None:
             return SearchResult(
                 sig=sig,
                 pattern=pattern,
                 found=True,
-                trials=trial + 1,
+                trials=first + 1,
                 seed=seed,
-                first_success=trial,
+                first_success=first,
                 note=(
                     "orthogonal integer pools found; nulls realized exactly by "
                     "positive/negative pair combinations"

@@ -8,17 +8,21 @@ comparisons from closed-form point-to-line distances.
 The exceptions are the reference implementations at the end:
 `vector_sweep`, `obj_mesh_loop` and `csv_grid_loop` keep the full-array
 sweep and the per-value export loops that the coefficient-table sweep and
-the deduplicating column export replaced, so the new code can be compared
-against them.
+the deduplicating column export replaced, and `brute_force_loop` keeps the
+per-trial Python loop of the randomized existence search that the numpy
+lockstep replaced, so the new code can be compared against them.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
 from ruledmin import Signature, inner_product
+from ruledmin.existence import SEARCH_COORD_BOUND, SEARCH_SAMPLES_PER_SLOT, SearchResult
+from ruledmin.families import NormPattern
 
 
 def signed_sum_inner(sig: Signature, u, v) -> float:
@@ -208,3 +212,93 @@ def csv_grid_loop(sig: Signature, sweep) -> str:
             cells.append(causal_tag(det))
             rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
+
+
+def _int_square(v: list[int], p: int) -> int:
+    return sum(x * x for x in v[p:]) - sum(x * x for x in v[:p])
+
+
+def _int_pairing(u: list[int], v: list[int], p: int) -> int:
+    return sum(a * b for a, b in zip(u[p:], v[p:])) - sum(
+        a * b for a, b in zip(u[:p], v[:p])
+    )
+
+
+def _gcd_reduce(v: list[int]) -> list[int]:
+    g = 0
+    for x in v:
+        g = math.gcd(g, abs(x))
+    return [x // g for x in v] if g > 1 else v
+
+
+def brute_force_loop(
+    sig: Signature,
+    pattern: NormPattern,
+    trials: int = 1000,
+    seed: int = 0,
+) -> SearchResult:
+    """brute_force_cross_check as it ran before the lockstep: one trial at a time.
+
+    Seeded random search for the pattern, in exact integer arithmetic.
+
+    Strategy: collect a + c mutually orthogonal integer vectors of positive
+    square and b + c of negative square (orthogonalized by exact integer
+    projections). Positive/negative members rescale to +-1 over the reals;
+    each null slot is realized exactly by sqrt(-q(w)) * v + sqrt(q(v)) * w
+    from one unused positive v and one unused negative w. A found pool is
+    therefore a genuine witness; finding none proves nothing.
+
+    Trial i uses its own generator seeded from (seed, i), so partitioning
+    trials across workers cannot change the outcome.
+    """
+    n, p = sig.n, sig.p
+    npos = pattern.a + pattern.c
+    nneg = pattern.b + pattern.c
+    samples_per_slot, coord_bound = SEARCH_SAMPLES_PER_SLOT, SEARCH_COORD_BOUND
+    for trial in range(trials):
+        rng = random.Random(seed * 1_000_003 + trial)
+        targets = [1] * npos + [-1] * nneg
+        rng.shuffle(targets)
+        frame: list[list[int]] = []
+        complete = True
+        for tgt in targets:
+            placed = False
+            for _ in range(samples_per_slot):
+                v = [rng.randint(-coord_bound, coord_bound) for _ in range(n)]
+                for u in frame:
+                    qu = _int_square(u, p)
+                    bu = _int_pairing(v, u, p)
+                    v = [qu * vi - bu * ui for vi, ui in zip(v, u)]
+                    v = _gcd_reduce(v)
+                if not any(v):
+                    continue
+                q = _int_square(v, p)
+                if (q > 0 and tgt > 0) or (q < 0 and tgt < 0):
+                    frame.append(v)
+                    placed = True
+                    break
+            if not placed:
+                complete = False
+                break
+        if complete:
+            return SearchResult(
+                sig=sig,
+                pattern=pattern,
+                found=True,
+                trials=trial + 1,
+                seed=seed,
+                first_success=trial,
+                note=(
+                    "orthogonal integer pools found; nulls realized exactly by "
+                    "positive/negative pair combinations"
+                ),
+            )
+    return SearchResult(
+        sig=sig,
+        pattern=pattern,
+        found=False,
+        trials=trials,
+        seed=seed,
+        first_success=None,
+        note="no witness found; the search is inconclusive on its own",
+    )

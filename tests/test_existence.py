@@ -3,8 +3,10 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
+from _oracles import brute_force_loop
 from ruledmin import (
     CertificateKind,
     FamilyId,
@@ -367,6 +369,122 @@ def test_inconclusive_search_is_labelled_as_such():
     assert not result.found
     assert result.first_success is None
     assert "inconclusive" in result.note
+
+
+ALL_PATTERNS = [NormPattern(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+
+
+def test_lockstep_search_equals_the_per_trial_loop():
+    """Admissible pairs are included: their first_success pins the random stream."""
+    for n in range(3, 7):
+        for p in range(n + 1):
+            sig = Signature(n, p)
+            for pattern in ALL_PATTERNS:
+                for seed in (0, 5):
+                    for trials in (3, 25):
+                        got = brute_force_cross_check(sig, pattern, trials=trials, seed=seed)
+                        assert got == brute_force_loop(sig, pattern, trials=trials, seed=seed), (
+                            sig, pattern, seed, trials)
+
+
+def test_chunk_size_does_not_change_the_search(monkeypatch):
+    sig = Signature(5, 2)
+    expected = {
+        (pattern, seed): brute_force_loop(sig, pattern, trials=40, seed=seed)
+        for pattern in ALL_PATTERNS
+        for seed in (3, 7)
+    }
+    for chunk in (1, 6):
+        monkeypatch.setattr(existence, "_SEARCH_CHUNK", chunk)
+        for (pattern, seed), want in expected.items():
+            assert brute_force_cross_check(sig, pattern, trials=40, seed=seed) == want, (chunk, pattern)
+
+
+@pytest.fixture
+def int64_chunks(monkeypatch):
+    """(rows, spilled row indices) of each int64 lockstep run, in trial order.
+
+    The spilled rows are the ones the search re-runs on Python ints.
+    """
+    calls = []
+    lockstep = existence._lockstep
+
+    def spy(np_, draws, *args):
+        succeeded, spilled = lockstep(np_, draws, *args)
+        if args[-1] is not object:
+            calls.append((len(draws), np.flatnonzero(spilled).tolist()))
+        return succeeded, spilled
+
+    monkeypatch.setattr(existence, "_lockstep", spy)
+    return calls
+
+
+def test_trials_past_int64_rerun_on_python_ints(int64_chunks):
+    # trials 65 and 155 reach 64-bit intermediates and fail
+    sig, pattern = Signature(6, 2), NormPattern(0, 0, 3)
+    result = brute_force_cross_check(sig, pattern, trials=200, seed=0)
+    starts = itertools.accumulate([rows for rows, _ in int64_chunks], initial=0)
+    rerun = {start + row for start, (_, spilled) in zip(starts, int64_chunks) for row in spilled}
+    assert {65, 155} <= rerun
+    assert result == brute_force_loop(sig, pattern, trials=200, seed=0)
+
+
+def test_int64_wraparound_never_fakes_a_witness():
+    # on wrapped int64 products, trial 7 would place all six vectors
+    sig, pattern = Signature(7, 5), NormPattern(0, 0, 3)
+    result = brute_force_cross_check(sig, pattern, trials=10, seed=0)
+    assert not admits_pattern(sig, pattern)
+    assert result == brute_force_loop(sig, pattern, trials=10, seed=0)
+    assert not result.found
+
+
+def test_python_int_rows_can_succeed(int64_chunks):
+    # trials 67 and 76 succeed through 65- and 66-bit intermediates
+    sig, pattern = Signature(6, 3), NormPattern(0, 0, 3)
+    assert brute_force_cross_check(sig, pattern, trials=200, seed=0) == brute_force_loop(
+        sig, pattern, trials=200, seed=0)
+    template = [1, 1, 1, -1, -1, -1]
+    for trial in (67, 76):
+        int64_chunks.clear()
+        assert existence._search_chunk(np, sig, template, 0, trial, trial + 1) == trial
+        assert int64_chunks == [(1, [0])]
+
+
+def test_search_with_many_slots_matches_the_loop():
+    # twenty slots: the static size bound must stop once it passes int64
+    sig, pattern = Signature(20, 10), NormPattern(10, 10, 0)
+    assert brute_force_cross_check(sig, pattern, trials=3, seed=1) == brute_force_loop(
+        sig, pattern, trials=3, seed=1)
+
+
+def test_empty_search_is_allowed():
+    result = brute_force_cross_check(R42, NormPattern(1, 1, 1), trials=0, seed=0)
+    assert (result.found, result.trials, result.first_success) == (False, 0, None)
+
+
+def test_search_rejects_negative_trials():
+    with pytest.raises(UsageError, match="trials"):
+        brute_force_cross_check(R42, NormPattern(1, 1, 1), trials=-3)
+
+
+def test_search_rejects_bool_trials():
+    with pytest.raises(UsageError, match="trials"):
+        brute_force_cross_check(R42, NormPattern(1, 1, 1), trials=True)
+
+
+def test_search_rejects_non_integer_trials():
+    with pytest.raises(UsageError, match="trials"):
+        brute_force_cross_check(R42, NormPattern(1, 1, 1), trials=2.0)
+
+
+def test_search_rejects_bool_seed():
+    with pytest.raises(UsageError, match="seed"):
+        brute_force_cross_check(R42, NormPattern(1, 1, 1), seed=False)
+
+
+def test_search_rejects_non_integer_seed():
+    with pytest.raises(UsageError, match="seed"):
+        brute_force_cross_check(R42, NormPattern(1, 1, 1), seed=1.5)
 
 
 # ---------------------------------------------------------------------------
