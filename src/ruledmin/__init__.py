@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "basisfn": ("Atom", "ScalarFn"),
     "catalog": (
-        "BernsteinReport", "CausalRegion", "CausalRegionReport", "DEG_BAND", "DetGForm",
+        "BernsteinReport", "CausalRegion", "CausalRegionReport", "DEG_BAND",
         "SpanType", "bernstein_check", "causal_map", "degenerate_span_check",
-        "det_g_closed_form", "generate", "pick_signs", "scale_surface",
+        "generate", "pick_signs", "scale_surface",
     ),
     "classify": (
         "CaseInvariants", "CaseLabel", "ClassificationResult", "CylinderReport",

@@ -5,8 +5,8 @@ integer. This family is closed under differentiation and antiderivatives,
 which is what keeps curve jets and gauge integrals exact. It is partially
 closed under products: trig*trig, hyperbolic*hyperbolic, exp*exp,
 hyperbolic*exp, and power*anything reduce back into the family, while
-trig*hyperbolic and trig*exp do not. Product routines return None in the
-irreducible cases and callers fall back to numerical quadrature.
+trig*hyperbolic and trig*exp do not: there product_atoms returns None, on
+which callers fall back to quadrature, and ScalarFn's `*` raises UsageError.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 import numpy as np
+
+from .errors import UsageError
 
 ONE = "one"
 COS = "cos"
@@ -214,8 +216,25 @@ class ScalarFn:
             out._add(c, atom)
         return out
 
-    def scaled(self, c: float) -> "ScalarFn":
-        return ScalarFn([(c * coef, atom) for atom, coef in self.terms.items()])
+    def __sub__(self, other: "ScalarFn") -> "ScalarFn":
+        return self + other * -1.0
+
+    def __mul__(self, other: "ScalarFn | float") -> "ScalarFn":
+        """Scaling by a number, or the product through product_atoms; UsageError
+        when that product leaves the family."""
+        if not isinstance(other, ScalarFn):
+            return ScalarFn([(float(other) * c, atom) for atom, c in self.terms.items()])
+        out = ScalarFn()
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                parts = product_atoms(a, b)
+                if parts is None:
+                    raise UsageError(f"{a} * {b} leaves the term algebra")
+                for c, atom in parts:
+                    out._add(ca * cb * c, atom)
+        return out
+
+    __rmul__ = __mul__
 
     def derivative(self) -> "ScalarFn":
         out = ScalarFn()

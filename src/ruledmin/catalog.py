@@ -9,13 +9,15 @@ instances rather than hand-tuned data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .curves import CurveExpr
+from .basisfn import ONE, Atom, ScalarFn
+from .curves import CurveExpr, symbolic_inner
 from .errors import NonExistenceError, UsageError
 from .existence import (
     ExistenceResult,
@@ -31,8 +33,9 @@ from .families import (
     SignChoice,
     validate_signs,
 )
+from .jsonio import _fmt_float
 from .metric import Signature
-from .surface import RuledSurface, sweep_grid
+from .surface import RuledSurface, _first_form_terms, sweep_grid
 
 DEFAULT_S_DOMAIN = (-3.0, 3.0)
 DEFAULT_T_DOMAIN = (-3.0, 3.0)
@@ -47,6 +50,7 @@ CAUSAL_MAP_GRID = 100
 BERNSTEIN_GRID = 81
 
 _FRAME_FAMILIES = frozenset(FRAME_FAMILIES)
+_ONE = Atom(0, ONE, 0.0)
 
 
 def pick_signs(sig: Signature, family: FamilyId) -> SignChoice | None:
@@ -190,67 +194,6 @@ def scale_surface(surface: RuledSurface, k: float) -> RuledSurface:
 
 
 # ---------------------------------------------------------------------------
-# closed-form determinant of the first fundamental form
-
-
-@dataclass(frozen=True)
-class DetGForm:
-    """det g as a polynomial in t (frame families) or a symbolic note."""
-
-    family: FamilyId
-    signs: SignChoice | None
-    c2: float
-    c1: float
-    c0: float
-    s_dependent: bool
-    expression: str
-
-    def value(self, t):
-        if self.s_dependent:
-            raise UsageError("this det g depends on s; sample the surface instead")
-        t = np.asarray(t, dtype=float)
-        return self.c2 * t * t + self.c1 * t + self.c0
-
-
-def det_g_closed_form(family: FamilyId, signs: SignChoice | None = None) -> DetGForm:
-    if family is FamilyId.MINIMAL_CYLINDER:
-        return DetGForm(
-            family=family,
-            signs=None,
-            c2=0.0,
-            c1=0.0,
-            c0=0.0,
-            s_dependent=True,
-            expression="-<gamma0, x'(s)>^2, strictly negative wherever defined",
-        )
-    if family is FamilyId.PLANE:
-        raise UsageError(
-            "the plane's det g is the product of its two axis squares and is "
-            "not a (family, signs) closed form; sample the surface instead"
-        )
-    if signs is None:
-        raise UsageError(f"{family.value} needs a sign choice")
-    validate_signs(family, signs)
-    s1, s2, s3 = signs.as_tuple()
-    if family in (FamilyId.ELLIPTIC_HELICOID_1, FamilyId.HYPERBOLIC_HELICOID_1):
-        return DetGForm(
-            family, signs, float(s1 * s2), 0.0, float(s1 * s3), False,
-            f"({s2}*t^2 + {s3}) * {s1}",
-        )
-    if family in (FamilyId.ELLIPTIC_HELICOID_2, FamilyId.HYPERBOLIC_HELICOID_2):
-        return DetGForm(
-            family, signs, float(s1 * s2), 0.0, 0.0, False, f"{s1 * s2}*t^2"
-        )
-    if family is FamilyId.PARABOLIC_HELICOID:
-        # g11 = -4*s1*t and g22 = s1, so det g = -4t for either sign choice
-        return DetGForm(family, signs, 0.0, -4.0, 0.0, False, "-4*t")
-    # minimal hyperbolic paraboloid: constant s2*s3
-    return DetGForm(
-        family, signs, 0.0, 0.0, float(s2 * s3), False, f"{s2 * s3} (constant)"
-    )
-
-
-# ---------------------------------------------------------------------------
 # causal regions over t
 
 
@@ -274,23 +217,41 @@ class CausalRegionReport:
     expression: str
 
 
-def _closed_form_roots(form: DetGForm, lo: float, hi: float) -> list[float]:
-    if form.c2 != 0.0:
-        disc = form.c1 * form.c1 - 4.0 * form.c2 * form.c0
-        if disc < 0.0:
-            roots = []
-        elif disc == 0.0:
-            roots = [-form.c1 / (2.0 * form.c2)]
-        else:
-            r = math.sqrt(disc)
-            roots = sorted(
-                [(-form.c1 - r) / (2.0 * form.c2), (-form.c1 + r) / (2.0 * form.c2)]
-            )
-    elif form.c1 != 0.0:
-        roots = [-form.c0 / form.c1]
-    else:
-        roots = []
-    return [t for t in roots if lo < t < hi]
+def _det_g_terms(sig: Signature, surface: RuledSurface) -> list[ScalarFn]:
+    """det g's t-coefficients c0, c1, c2 as functions of s, from the symbolic
+    pairings of gamma, gamma' and x' (the sweep's _first_form_terms)."""
+    curves = dict(g0=surface.gamma, g1=surface.gamma.derivative(1), x1=surface.base.derivative(1))
+
+    def pairing(a: str, b: str) -> ScalarFn:
+        fn = symbolic_inner(sig, curves[a], curves[b])
+        if fn is None:
+            raise UsageError(f"<{a}, {b}> leaves the term algebra")
+        return fn
+
+    return _first_form_terms(pairing, operator.sub)[3]
+
+
+def _constant(fn: ScalarFn) -> float | None:
+    """fn's value when it is constant in s, else None."""
+    return fn.terms.get(_ONE, 0.0) if fn.terms.keys() <= {_ONE} else None
+
+
+def _spell(terms: list[ScalarFn]) -> str:
+    """c2 t^2 + c1 t + c0, one term per atom c s^k phi(w s) of each c_k, as in
+    "t^2 - 1", "-4*t" or "-cosh(2*s) + sinh(2*s)"."""
+    def power(x: str, k: int) -> list[str]:
+        return [x if k == 1 else f"{x}^{k}"] if k else []
+
+    out = ""
+    for p in (2, 1, 0):
+        for (k, kind, omega), c in sorted(terms[p].terms.items()):
+            phi = [f"{kind}({_fmt_float(omega)}*s)"] if kind != ONE else []
+            factors = power("s", k) + phi + power("t", p)
+            size = _fmt_float(abs(c))
+            term = "*".join(factors if factors and size == "1" else [size, *factors])
+            sign = "-" if c < 0 else "+"
+            out = f"{out} {sign} {term}" if out else term if c > 0 else f"-{term}"
+    return out or "0"
 
 
 def causal_map(
@@ -302,28 +263,34 @@ def causal_map(
     """Split the t-domain by the sign of det g, cross-validated by sampling.
 
     Spacelike regions have det g > 0, timelike det g < 0; loci with det g = 0
-    separate them. Cylinders (and planes) have a constant verdict.
+    separate them. det g's t-coefficients come from the surface's symbolic
+    pairings. When all three are constant in s (frame families and the
+    plane), the loci are the roots of the quadratic and each region takes
+    its sign at the midpoint; otherwise (the cylinder) the one region takes
+    the sign of the sampled median.
     """
     t_domain = DEFAULT_T_DOMAIN if t_domain is None else t_domain
     if family in _FRAME_FAMILIES:
         witness = _witness(sig, family, signs)
         signs = witness.signs
         surface = _witness_surface(family, witness, DEFAULT_S_DOMAIN, t_domain)
-        form = det_g_closed_form(family, signs)
-        loci = _closed_form_roots(form, *surface.t_domain)
-        expression = form.expression
-        def verdict_at(t: float) -> str:
-            return "spacelike" if form.value(t) > 0 else "timelike"
     else:
         surface = generate(sig, family, signs, t_domain=t_domain)
-        loci = []
-        expression = (
-            "-<gamma0, x'(s)>^2 < 0"
-            if family is FamilyId.MINIMAL_CYLINDER
-            else "constant, from the plane axis squares"
-        )
-        verdict_at = None
     lo, hi = surface.t_domain
+    terms = _det_g_terms(sig, surface)
+    c0, c1, c2 = map(_constant, terms)
+    constant_in_s = None not in (c0, c1, c2)
+    loci = []
+    if constant_in_s and c2 != 0.0:
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc == 0.0:
+            loci = [-c1 / (2.0 * c2)]
+        elif disc > 0.0:
+            r = math.sqrt(disc)
+            loci = sorted([(-c1 - r) / (2.0 * c2), (-c1 + r) / (2.0 * c2)])
+    elif constant_in_s and c1 != 0.0:
+        loci = [-c0 / c1]
+    loci = [t for t in loci if lo < t < hi]
 
     s_grid = np.linspace(*surface.s_domain, CAUSAL_MAP_GRID)
     t_grid = np.linspace(lo, hi, CAUSAL_MAP_GRID)
@@ -332,13 +299,14 @@ def causal_map(
     regions: list[CausalRegion] = []
     cuts = [lo, *loci, hi]
     for a, b in zip(cuts[:-1], cuts[1:]):
-        if verdict_at is not None:
-            verdict = verdict_at(0.5 * (a + b))
+        if constant_in_s:
+            t = 0.5 * (a + b)
+            value = c2 * t * t + c1 * t + c0
         else:
             inside = (t_grid >= a) & (t_grid <= b)
             vals = sweep.det_g[:, inside]
-            vals = vals[np.abs(vals) > DEG_BAND]
-            verdict = "spacelike" if float(np.median(vals)) > 0 else "timelike"
+            value = float(np.median(vals[np.abs(vals) > DEG_BAND]))
+        verdict = "spacelike" if value > 0 else "timelike"
         regions.append(CausalRegion(t_lo=float(a), t_hi=float(b), verdict=verdict))
 
     # sampled signs must agree with the region verdicts off the excluded band
@@ -353,9 +321,7 @@ def causal_map(
             if region.verdict == "timelike" and float(vals.max()) >= 0:
                 ok = False
     if not ok:
-        raise AssertionError(
-            "sampled det g signs disagree with the closed-form regions"
-        )
+        raise AssertionError("sampled det g signs disagree with the derived regions")
     return CausalRegionReport(
         sig=sig,
         family=family,
@@ -365,7 +331,7 @@ def causal_map(
         degenerate_loci=[float(t) for t in loci],
         constant=not loci and len(regions) == 1,
         cross_validated=True,
-        expression=expression,
+        expression=_spell(terms),
     )
 
 

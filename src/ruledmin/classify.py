@@ -14,13 +14,14 @@ s-grid, so a query samples each curve jet at most once on it.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .curves import CurveExpr, uniform_grid
-from .errors import ConventionError, NullDirectionError, UsageError
+from .errors import ConventionError, EverywhereDegenerateError, NullDirectionError, UsageError
 from .families import FamilyId
 from .metric import Signature
 from .surface import H_TOL, UNIT_TOL, MinimalityReport, RuledSurface, _RulingTables
@@ -455,8 +456,18 @@ def identify_family(
             "applies to its generic part"
         )
 
-    inv = _case_invariants(scan)
-    raw_case = table1_case(inv)
+    minimality = None
+    try:
+        inv = _case_invariants(scan)
+    except ConventionError:
+        # a normalization that varies is a convention breach only when the
+        # surface may be minimal; one decided not minimal gets that verdict
+        with contextlib.suppress(EverywhereDegenerateError):
+            minimality = is_minimal(sig, surface, tol=h_tol)
+        if minimality is None or minimality.is_minimal:
+            raise
+        inv = None
+    raw_case = None if inv is None else table1_case(inv)
 
     def unrecognized(diagnosis: str, minimality=None) -> ClassificationResult:
         return ClassificationResult(
@@ -477,7 +488,7 @@ def identify_family(
             "no surface geometry to classify"
         )
 
-    minimality = is_minimal(sig, surface, tol=h_tol)
+    minimality = minimality or is_minimal(sig, surface, tol=h_tol)
     if not minimality.is_minimal:
         note = f"not minimal: H numerator residual {minimality.residual:.3e} exceeds {h_tol:.1e}"
         return unrecognized(note, minimality)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 from .errors import UsageError
 from .metric import Signature, gram_matrix
@@ -85,7 +86,7 @@ class NormPattern:
 
     def __post_init__(self):
         for v in (self.a, self.b, self.c):
-            if v < 0 or v != int(v):
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < 0:
                 raise UsageError(f"pattern counts must be integers >= 0, got {v!r}")
         if self.total < 1:
             raise UsageError("pattern must request at least one vector")

@@ -250,17 +250,11 @@ class _RulingTables:
     def col(self, a: str, b: str) -> np.ndarray:
         return self.ip(a, b)[:, None]
 
-    def g11(self, T: np.ndarray) -> np.ndarray:
-        c = self.col
-        return (c("g1", "g1") * T + 2.0 * c("g1", "x1")) * T + c("x1", "x1")
-
-    def g12(self, T: np.ndarray) -> np.ndarray:
-        return self.col("g1", "g0") * T + self.col("x1", "g0")
-
     def first_form(self, T: np.ndarray):
-        """g11, g12 and det g on the grid; g22 = <g0, g0> is constant in t."""
-        g11, g12 = self.g11(T), self.g12(T)
-        return g11, g12, g11 * self.col("g0", "g0") - g12 * g12
+        """g11, g12 (Horner's rule on _first_form_terms) and g11 g22 - g12^2 on the grid."""
+        g11, g12, g22, _ = _first_form_terms(self.col, operator.sub)
+        g11, g12 = (_horner(np.hstack(p), T) for p in (g11, g12))
+        return g11, g12, g11 * g22[0] - g12 * g12
 
     def components(self):
         """det g, D11, D12 and N; see _numerators."""
@@ -283,6 +277,16 @@ class _RulingTables:
         return [(size, wide - size + 16 * EPS * wide) for size, wide in sizes]
 
 
+def _first_form_terms(c, sub):
+    """t-coefficients, lowest power first, of g11 (degree 2), g12 (1), g22 (0) and
+    det g = g11 g22 - g12^2 (2) from pairings c(a, b) of g0, g1 and x1, (ns, 1)
+    columns or ScalarFns of s, and the difference sub (a sum for size bounds)."""
+    g11 = [c("x1", "x1"), 2.0 * c("g1", "x1"), c("g1", "g1")]
+    g12 = [c("x1", "g0"), c("g1", "g0")]
+    g22 = [c("g0", "g0")]
+    return g11, g12, g22, list(map(sub, _pmul(g11, g22), _pmul(g12, g12)))
+
+
 def _numerators(c, jet, sub):
     """Per-s t-coefficients (ns, n, K) of det g (degree 2, n = 1), D11 = det g h11 (3),
     D12 = det g h12 (2) and N = g22 D11 - 2 g12 D12 = 2 (det g)^2 H (3) from pairings
@@ -292,10 +296,7 @@ def _numerators(c, jet, sub):
         return list(map(sub, p, q))
 
     g0, g1, g2, x1, x2 = map(jet, ("g0", "g1", "g2", "x1", "x2"))
-    g11 = [c("x1", "x1"), 2.0 * c("g1", "x1"), c("g1", "g1")]
-    g12 = [c("x1", "g0"), c("g1", "g0")]
-    g22 = [c("g0", "g0")]
-    det = minus(_pmul(g11, g22), _pmul(g12, g12))
+    g11, g12, g22, det = _first_form_terms(c, sub)
 
     def numerator(v, b1, b2):
         alpha = minus(_pmul(g22, b1), _pmul(g12, b2))
@@ -513,7 +514,7 @@ def c_function_grid(sig: Signature, surface: RuledSurface, s_grid: np.ndarray, t
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     T = np.atleast_1d(np.asarray(t_grid, dtype=float))[None, :]
     tables = _RulingTables(sig, surface, s_grid)
-    denom = tables.g11(T)
+    denom = tables.first_form(T)[0]
     mask = np.abs(denom) > TAU_DEG
     num = (tables.col("g2", "x1") + tables.col("x2", "g1")) * T + tables.col("x2", "x1")
     vals = np.where(mask, num / np.where(mask, denom, 1.0), np.nan)
@@ -640,7 +641,7 @@ def _gauge(scan: _RulingTables, tol: float = GAUGE_SPREAD_TOL) -> GaugeResult:
     m_sym = symbolic_inner(sig, surface.gamma, surface.base.derivative(1))
     if m_sym is not None:
         anti = m_sym.antiderivative()
-        lam_sym = (anti + ScalarFn.constant(-anti.eval(0.0))).scaled(-float(eps))
+        lam_sym = (anti + ScalarFn.constant(-anti.eval(0.0))) * -float(eps)
         base = surface.base.plus_scalar_times(lam_sym, surface.gamma)
     exact = base is not None
     if not exact:
@@ -655,7 +656,7 @@ def _gauge(scan: _RulingTables, tol: float = GAUGE_SPREAD_TOL) -> GaugeResult:
     # rounds to 1e-17 instead of 0 would then be all of that sum.
     s_grid, t_grid = gauged.default_grids()
     check = _RulingTables(sig, gauged, s_grid)
-    g12 = np.abs(check.g12(t_grid[None, :]))
+    g12 = np.abs(check.first_form(t_grid[None, :])[1])
     g0, g1, x1 = (np.linalg.norm(check.jet(k), axis=1)[:, None] for k in ("g0", "g1", "x1"))
     size = g0 * (g1 * np.abs(t_grid)[None, :] + x1)
     residual = np.divide(g12, size, out=np.zeros_like(g12), where=size > 0)

@@ -11,18 +11,22 @@ sweep and the per-value export loops that the coefficient-table sweep and
 the deduplicating column export replaced, and `brute_force_loop` keeps the
 per-trial Python loop of the randomized existence search that the numpy
 lockstep replaced, so the new code can be compared against them.
+`det_g_closed_form` is the hand-written table of det g per family and sign
+choice that causal maps read before det g's coefficients were derived from
+the surface's own pairings; it is the reference those coefficients must match.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
-from ruledmin import Signature, inner_product
+from ruledmin import Signature, UsageError, inner_product
 from ruledmin.existence import SEARCH_COORD_BOUND, SEARCH_SAMPLES_PER_SLOT, SearchResult
-from ruledmin.families import NormPattern
+from ruledmin.families import FamilyId, NormPattern, SignChoice, validate_signs
 
 
 def signed_sum_inner(sig: Signature, u, v) -> float:
@@ -302,3 +306,83 @@ def brute_force_loop(
         first_success=None,
         note="no witness found; the search is inconclusive on its own",
     )
+
+
+# ---------------------------------------------------------------------------
+# closed-form determinant of the first fundamental form
+
+
+@dataclass(frozen=True)
+class DetGForm:
+    """det g as a polynomial in t (frame families) or a symbolic note."""
+
+    family: FamilyId
+    signs: SignChoice | None
+    c2: float
+    c1: float
+    c0: float
+    s_dependent: bool
+    expression: str
+
+    def value(self, t):
+        if self.s_dependent:
+            raise UsageError("this det g depends on s; sample the surface instead")
+        t = np.asarray(t, dtype=float)
+        return self.c2 * t * t + self.c1 * t + self.c0
+
+
+def det_g_closed_form(family: FamilyId, signs: SignChoice | None = None) -> DetGForm:
+    if family is FamilyId.MINIMAL_CYLINDER:
+        return DetGForm(
+            family=family,
+            signs=None,
+            c2=0.0,
+            c1=0.0,
+            c0=0.0,
+            s_dependent=True,
+            expression="-<gamma0, x'(s)>^2, strictly negative wherever defined",
+        )
+    if family is FamilyId.PLANE:
+        raise UsageError(
+            "the plane's det g is the product of its two axis squares and is "
+            "not a (family, signs) closed form; sample the surface instead"
+        )
+    if signs is None:
+        raise UsageError(f"{family.value} needs a sign choice")
+    validate_signs(family, signs)
+    s1, s2, s3 = signs.as_tuple()
+    if family in (FamilyId.ELLIPTIC_HELICOID_1, FamilyId.HYPERBOLIC_HELICOID_1):
+        return DetGForm(
+            family, signs, float(s1 * s2), 0.0, float(s1 * s3), False,
+            f"({s2}*t^2 + {s3}) * {s1}",
+        )
+    if family in (FamilyId.ELLIPTIC_HELICOID_2, FamilyId.HYPERBOLIC_HELICOID_2):
+        return DetGForm(
+            family, signs, float(s1 * s2), 0.0, 0.0, False, f"{s1 * s2}*t^2"
+        )
+    if family is FamilyId.PARABOLIC_HELICOID:
+        # g11 = -4*s1*t and g22 = s1, so det g = -4t for either sign choice
+        return DetGForm(family, signs, 0.0, -4.0, 0.0, False, "-4*t")
+    # minimal hyperbolic paraboloid: constant s2*s3
+    return DetGForm(
+        family, signs, 0.0, 0.0, float(s2 * s3), False, f"{s2 * s3} (constant)"
+    )
+
+
+def _closed_form_roots(form: DetGForm, lo: float, hi: float) -> list[float]:
+    if form.c2 != 0.0:
+        disc = form.c1 * form.c1 - 4.0 * form.c2 * form.c0
+        if disc < 0.0:
+            roots = []
+        elif disc == 0.0:
+            roots = [-form.c1 / (2.0 * form.c2)]
+        else:
+            r = math.sqrt(disc)
+            roots = sorted(
+                [(-form.c1 - r) / (2.0 * form.c2), (-form.c1 + r) / (2.0 * form.c2)]
+            )
+    elif form.c1 != 0.0:
+        roots = [-form.c0 / form.c1]
+    else:
+        roots = []
+    return [t for t in roots if lo < t < hi]

@@ -15,9 +15,9 @@ import ruledmin
 PUBLIC = {
     "basisfn": "Atom ScalarFn",
     "catalog": (
-        "BernsteinReport CausalRegion CausalRegionReport DEG_BAND DetGForm "
-        "SpanType bernstein_check causal_map degenerate_span_check "
-        "det_g_closed_form generate pick_signs scale_surface "
+        "BernsteinReport CausalRegion CausalRegionReport DEG_BAND SpanType "
+        "bernstein_check causal_map degenerate_span_check generate "
+        "pick_signs scale_surface "
     ),
     "classify": (
         "CaseInvariants CaseLabel ClassificationResult CylinderReport "
@@ -81,7 +81,6 @@ KEYWORDS = {
     "catalog": {
         "bernstein_check": "signs domains",
         "causal_map": "signs t_domain",
-        "det_g_closed_form": "signs",
         "generate": "signs s_domain t_domain",
     },
     "classify": {"identify_family": "h_tol"},

@@ -14,7 +14,6 @@ from ruledmin import (
     UsageError,
     bernstein_check,
     causal_map,
-    det_g_closed_form,
     degenerate_span_check,
     existence_oracle,
     first_form,
@@ -28,8 +27,11 @@ from ruledmin import (
     uniform_grid,
 )
 from ruledmin import catalog
-from ruledmin.catalog import SpanType
+from ruledmin.basisfn import COSH, SINH, Atom
+from ruledmin.catalog import SpanType, _constant, _det_g_terms
 from ruledmin.surface import _RulingTables
+
+from _oracles import det_g_closed_form
 
 R30 = Signature(3, 0)
 R31 = Signature(3, 1)
@@ -152,6 +154,8 @@ def test_all_admissible_triples_generate_minimal_surfaces():
 
 
 def test_det_g_closed_forms():
+    """det g's coefficients, derived from the surface's own pairings, are
+    constant in s and equal the hand-written oracle table exactly."""
     cases = [
         (FamilyId.ELLIPTIC_HELICOID_1, SignChoice(1, 1, 1), (1.0, 0.0, 1.0)),
         (FamilyId.ELLIPTIC_HELICOID_1, SignChoice(1, 1, -1), (1.0, 0.0, -1.0)),
@@ -163,20 +167,51 @@ def test_det_g_closed_forms():
         (FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID, SignChoice(0, 1, 1), (0.0, 0.0, 1.0)),
         (FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID, SignChoice(0, 1, -1), (0.0, 0.0, -1.0)),
     ]
-    for family, signs, (c2, c1, c0) in cases:
+    for family, signs, (c2, c1, c0) in cases:  # the oracle's own entries
         form = det_g_closed_form(family, signs)
         assert (form.c2, form.c1, form.c0) == (c2, c1, c0), (family, signs)
         assert not form.s_dependent
+    count = 0
+    for sig, family, signs in _admissible_triples(n_range=range(3, 9)):
+        if family is FamilyId.MINIMAL_CYLINDER:
+            continue
+        form = det_g_closed_form(family, signs)
+        terms = _det_g_terms(sig, generate(sig, family, signs=signs))
+        assert [_constant(fn) for fn in terms] == [form.c0, form.c1, form.c2], (sig, family, signs)
+        count += 1
+    assert count == 330
 
 
 def test_det_g_cylinder_is_s_dependent():
-    form = det_g_closed_form(FamilyId.MINIMAL_CYLINDER)
-    assert form.s_dependent
+    """The cylinder's det g is -(cosh 2s - sinh 2s) at every t, as sampled."""
+    s_grid = uniform_grid(-3.0, 3.0, 25)
+    t_grid = uniform_grid(-3.0, 3.0, 7)
+    assert det_g_closed_form(FamilyId.MINIMAL_CYLINDER).s_dependent
+    count = 0
+    for sig, family, _ in _admissible_triples(n_range=range(3, 9)):
+        if family is not FamilyId.MINIMAL_CYLINDER:
+            continue
+        surf = generate(sig, family)
+        c0, c1, c2 = _det_g_terms(sig, surf)
+        assert c1.is_zero and c2.is_zero
+        assert _constant(c0) is None
+        assert c0.terms == {Atom(0, COSH, 2.0): -1.0, Atom(0, SINH, 2.0): 1.0}
+        sampled = sweep_grid(sig, surf, s_grid, t_grid).det_g
+        assert np.allclose(sampled, c0.eval(s_grid)[:, None], rtol=1e-12, atol=1e-12)
+        count += 1
+    assert count > 10
 
 
-def test_det_g_closed_form_rejects_plane():
+def test_det_g_of_the_plane_is_its_axis_squares():
+    """The oracle table has no plane entry; the derived det g is the product
+    of the two axis squares, constant in s and t."""
     with pytest.raises(UsageError):
         det_g_closed_form(FamilyId.PLANE)
+    for n in (3, 4, 5):
+        for p in range(n + 1):
+            sig = Signature(n, p)
+            terms = _det_g_terms(sig, generate(sig, FamilyId.PLANE))
+            assert [_constant(fn) for fn in terms] == [sig.weights()[:2].prod(), 0.0, 0.0]
 
 
 def test_det_g_closed_form_matches_samples_everywhere():
@@ -246,10 +281,15 @@ def test_causal_map_second_kind_no_type_change():
 
 def test_causal_maps_cross_validate_for_all_triples():
     for sig, family, signs in _admissible_triples(n_range=(3, 4)):
-        if family is FamilyId.PLANE:
-            continue
         report = causal_map(sig, family, signs)
         assert report.cross_validated, (sig, family, signs)
+    for n in (3, 4):
+        for p in range(n + 1):
+            sig = Signature(n, p)
+            report = causal_map(sig, FamilyId.PLANE)
+            verdict = "spacelike" if sig.weights()[:2].prod() > 0 else "timelike"
+            assert report.cross_validated and report.constant, sig
+            assert [r.verdict for r in report.regions] == [verdict], sig
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from ruledmin import (
     cylinder_check,
     existence_oracle,
     generate,
+    gauge_normalize,
     genericity_scan,
     identify_family,
+    is_minimal,
     table1_case,
     verify_structure_odes,
 )
@@ -296,6 +298,31 @@ def test_non_minimal_input_is_diagnosed():
     assert not result.recognized
     assert "not minimal" in result.diagnosis
     assert result.minimality.verdict is MinimalityVerdict.NOT_MINIMAL
+
+
+def test_non_minimal_input_whose_base_speed_varies_is_diagnosed():
+    # a 1e-3 cosh(s/2) e1 bump makes <x', x'> vary after the gauge, which the
+    # case invariants reject; the surface is not minimal, so that is the verdict
+    bump = CurveExpr.from_basis_terms(3, [("cosh", 0.5, (1e-3, 0.0, 0.0))])
+    surf = helicoid()
+    bumped = RuledSurface(surf.gamma, surf.base + bump, surf.s_domain, surf.t_domain)
+    with pytest.raises(ConventionError, match="<x', x'> varies"):
+        case_invariants(R30, gauge_normalize(R30, bumped).surface)
+    result = identify_family(R30, bumped)
+    assert not result.recognized
+    assert result.diagnosis.startswith("not minimal")
+    assert result.minimality.verdict is MinimalityVerdict.NOT_MINIMAL
+    assert result.invariants is None and result.case_label is None
+
+
+def test_minimal_input_that_breaks_a_normalization_still_raises():
+    # boosted rulings on [-10, 10] leave <gamma, gamma> 4.5e-8 from constant
+    # in double precision; the surface is minimal, so the breach is reported
+    sig = R31
+    surf = generate(sig, FamilyId.HYPERBOLIC_HELICOID_1, s_domain=(-10.0, 10.0))
+    assert is_minimal(sig, surf).is_minimal
+    with pytest.raises(ConventionError, match="<gamma, gamma> varies"):
+        identify_family(sig, surf)
 
 
 def test_identify_rejects_null_direction():

@@ -162,6 +162,37 @@ def test_classify_names_the_direction_speed_the_normal_form_lacks(tmp_path):
     assert "reparametrize" not in doc["message"]
 
 
+def test_classify_gives_a_bumped_helicoid_the_not_minimal_verdict(tmp_path):
+    # the bump makes <x', x'> vary after the gauge; exit 1 with a diagnosis,
+    # not exit 2 with a ConventionError
+    data = {
+        "signature": {"n": 3, "p": 0},
+        "gamma": {
+            "n": 3,
+            "terms": [
+                {"basis": "cos", "param": 1.0, "coeff": [1, 0, 0]},
+                {"basis": "sin", "param": 1.0, "coeff": [0, 1, 0]},
+            ],
+        },
+        "base": {
+            "n": 3,
+            "terms": [
+                {"basis": "pow", "param": 1, "coeff": [0, 0, 1]},
+                {"basis": "cosh", "param": 0.5, "coeff": [0.001, 0, 0]},
+            ],
+        },
+        "s_domain": [-3, 3],
+        "t_domain": [-3, 3],
+    }
+    path = tmp_path / "bumped.json"
+    path.write_text(json.dumps(data))
+    rc, doc = run_json(["classify", "--input", str(path)])
+    assert rc == 1
+    assert doc["diagnosis"].startswith("not minimal")
+    assert doc["minimality"]["verdict"] == "not-minimal"
+    assert doc["invariants"] is None
+
+
 def test_classify_rejects_identically_degenerate_metric(degenerate_metric_file):
     rc, doc = run_json(["classify", "--input", degenerate_metric_file])
     assert rc == 1

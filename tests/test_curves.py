@@ -16,6 +16,7 @@ from ruledmin import (
     uniform_grid,
     unit_speed_check,
 )
+from ruledmin.basisfn import COS, COSH, ONE, SIN, Atom, ScalarFn
 from ruledmin.curves import quad
 from ruledmin.metric import ip_array
 
@@ -113,6 +114,31 @@ def test_product_rule_identity():
             - _ip(sig, eval_curve(c, float(s) - h), eval_curve(c, float(s) - h))
         ) / (2 * h)
         assert abs(lhs - 2.0 * _ip(sig, v, d)) < 1e-6
+
+
+def test_scalar_fn_arithmetic_matches_its_samples():
+    """*, - and float scaling of ScalarFns agree with the products of samples,
+    and cos^2 + sin^2 collapses to the constant 1 exactly."""
+    grid = uniform_grid(-2.0, 2.0, 17)
+    a = ScalarFn([(2.0, Atom(1, COSH, 1.0)), (-0.5, Atom(0, ONE, 0.0))])
+    b = ScalarFn([(1.5, Atom(2, ONE, 0.0)), (0.25, Atom(0, COSH, 3.0))])
+    for got, want in (
+        (a * b, a.eval(grid) * b.eval(grid)),
+        (a - b, a.eval(grid) - b.eval(grid)),
+        (2.0 * a, 2.0 * a.eval(grid)),
+        (a * -3, -3.0 * a.eval(grid)),
+    ):
+        assert np.allclose(got.eval(grid), want, rtol=1e-13, atol=1e-13)
+    cos, sin = ScalarFn([(1.0, Atom(0, COS, 1.0))]), ScalarFn([(1.0, Atom(0, SIN, 1.0))])
+    assert (cos * cos + sin * sin).terms == {Atom(0, ONE, 0.0): 1.0}
+    assert (a - a).is_zero
+
+
+def test_scalar_fn_product_that_leaves_the_algebra_is_a_usage_error():
+    cos = ScalarFn([(1.0, Atom(0, COS, 1.0))])
+    cosh = ScalarFn([(1.0, Atom(0, COSH, 1.0))])
+    with pytest.raises(UsageError, match="leaves the term algebra"):
+        cos * cosh
 
 
 def _ip(sig, u, v):

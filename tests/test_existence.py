@@ -121,6 +121,16 @@ def test_find_witness_refuses_inadmissible_pattern():
         find_witness(R31, NormPattern(1, 1, 1))
 
 
+@pytest.mark.parametrize("counts", [(1.0, 1, 1), (True, 0, 0), (1, 0, 2.5), ("1", 1, 1), (-1, 2, 2)])
+def test_norm_pattern_rejects_counts_that_are_not_integers(counts):
+    with pytest.raises(UsageError, match=repr(next(v for v in counts if type(v) is not int or v < 0))):
+        NormPattern(*counts)
+
+
+def test_norm_pattern_accepts_numpy_integers():
+    assert NormPattern(*np.array([1, 1, 1])) == NormPattern(1, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # cylinder admissibility
 

@@ -18,9 +18,8 @@ from ruledmin import (
     sweep_grid,
 )
 from ruledmin.basisfn import ONE, Atom, ScalarFn
-from ruledmin.catalog import _closed_form_roots, det_g_closed_form
 
-from _oracles import normal_component, signed_sum_inner
+from _oracles import _closed_form_roots, det_g_closed_form, normal_component, signed_sum_inner
 from test_catalog import _admissible_triples
 from test_sweep import REL_TOL
 
