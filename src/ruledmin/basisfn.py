@@ -7,6 +7,12 @@ closed under products: trig*trig, hyperbolic*hyperbolic, exp*exp,
 hyperbolic*exp, and power*anything reduce back into the family, while
 trig*hyperbolic and trig*exp do not: there product_atoms returns None, on
 which callers fall back to quadrature, and ScalarFn's `*` raises UsageError.
+
+The term algebra over these atoms is written once, in _Terms: +, -,
+scaling, d/ds, sampling and one bilinear product. ScalarFn (float
+coefficients, here) and curves.CurveExpr (vector coefficients) are thin
+classes over it; ScalarFn `*`, CurveExpr.plus_scalar_times and
+curves.symbolic_inner are that product with different coefficient pairings.
 """
 
 from __future__ import annotations
@@ -79,22 +85,21 @@ def eval_atom(atom: Atom, s: np.ndarray) -> np.ndarray:
     return val
 
 
+# d/ds phi(w s) = sign * w * psi(w s) for phi -> (psi, sign)
+_DERIV = {COS: (SIN, -1.0), SIN: (COS, 1.0), COSH: (SINH, 1.0), SINH: (COSH, 1.0), EXP: (EXP, 1.0)}
+# so phi(w s) is d/ds of psi(w s) / (sign * w) for phi -> (psi, sign)
+_PRIMITIVE = {phi: (psi, sign) for psi, (phi, sign) in _DERIV.items()}
+
+
 def diff_atom(atom: Atom) -> list[tuple[float, Atom]]:
     """d/ds of an atom as a list of (coefficient, atom) pairs."""
     k, kind, om = atom
     out: list[tuple[float, Atom]] = []
     if k > 0:
         out.append((float(k), Atom(k - 1, kind, om)))
-    if kind == COS:
-        out.extend(canon(-om, k, SIN, om))
-    elif kind == SIN:
-        out.extend(canon(om, k, COS, om))
-    elif kind == COSH:
-        out.extend(canon(om, k, SINH, om))
-    elif kind == SINH:
-        out.extend(canon(om, k, COSH, om))
-    elif kind == EXP:
-        out.append((om, Atom(k, EXP, om)))
+    if kind != ONE:
+        psi, sign = _DERIV[kind]
+        out.extend(canon(sign * om, k, psi, om))
     return out
 
 
@@ -146,59 +151,130 @@ def product_atoms(a: Atom, b: Atom) -> list[tuple[float, Atom]] | None:
 
 
 def antiderivative_atom(atom: Atom) -> list[tuple[float, Atom]]:
-    """An antiderivative of the atom; always exists inside the family."""
+    """An antiderivative of the atom; always exists inside the family.
+
+    By parts: the integral of s^k phi(w s) is s^k psi(w s) / (sign * w)
+    minus k / (sign * w) times the integral of s^(k-1) psi(w s).
+    """
     k, kind, om = atom
     if kind == ONE:
         return [(1.0 / (k + 1), Atom(k + 1, ONE, 0.0))]
-
-    def scaled(c: float, pairs: list[tuple[float, Atom]]) -> list[tuple[float, Atom]]:
-        return [(c * cc, aa) for cc, aa in pairs]
-
-    if kind == EXP:
-        out = [(1.0 / om, Atom(k, EXP, om))]
-        if k:
-            out += scaled(-k / om, antiderivative_atom(Atom(k - 1, EXP, om)))
-        return out
-    if kind == COS:
-        out = [(1.0 / om, Atom(k, SIN, om))]
-        if k:
-            out += scaled(-k / om, antiderivative_atom(Atom(k - 1, SIN, om)))
-        return out
-    if kind == SIN:
-        out = [(-1.0 / om, Atom(k, COS, om))]
-        if k:
-            out += scaled(k / om, antiderivative_atom(Atom(k - 1, COS, om)))
-        return out
-    if kind == COSH:
-        out = [(1.0 / om, Atom(k, SINH, om))]
-        if k:
-            out += scaled(-k / om, antiderivative_atom(Atom(k - 1, SINH, om)))
-        return out
-    # sinh
-    out = [(1.0 / om, Atom(k, COSH, om))]
+    psi, sign = _PRIMITIVE[kind]
+    out = [(sign / om, Atom(k, psi, om))]
     if k:
-        out += scaled(-k / om, antiderivative_atom(Atom(k - 1, COSH, om)))
+        c = -k * sign / om
+        out += [(c * cc, aa) for cc, aa in antiderivative_atom(Atom(k - 1, psi, om))]
     return out
 
 
-class ScalarFn:
-    """Finite linear combination of atoms with float coefficients."""
+class _Terms:
+    """A finite sum of coefficient * atom, kept as the dict `terms`.
+
+    The one implementation of +, -, scaling by a number, d/ds, sampling and
+    the bilinear product for ScalarFn (float coefficients) and
+    curves.CurveExpr (vector coefficients). A subclass says how its
+    coefficients test for zero (`_zero`), the shape of one coefficient
+    (`_shape`) and how an atom's samples line up with it (`_expand`).
+    """
 
     __slots__ = ("terms",)
+    _shape: tuple = ()
+    _expand = ...
+
+    def __init__(self):
+        self.terms: dict = {}
+
+    @staticmethod
+    def _zero(c) -> bool:
+        return c == 0.0
+
+    def _empty(self):
+        return type(self)()
+
+    def _copy(self):
+        out = self._empty()
+        out.terms = dict(self.terms)
+        return out
+
+    def _check(self, other) -> None:
+        if other._shape != self._shape:
+            raise UsageError(f"cannot combine terms of shape {self._shape} and {other._shape}")
+
+    def _add(self, atom: Atom, coef) -> None:
+        """Add coef * atom, dropping the atom when its coefficient sums to zero."""
+        if self._zero(coef):
+            return
+        cur = self.terms.get(atom)
+        if cur is not None:
+            coef = cur + coef
+            if self._zero(coef):
+                del self.terms[atom]
+                return
+        self.terms[atom] = coef
+
+    def _map(self, atom_map):
+        """The linear map that sends each atom to atom_map(atom)'s (coef, atom) pairs."""
+        out = self._empty()
+        for atom, c in self.terms.items():
+            for cc, aa in atom_map(atom):
+                out._add(aa, c * cc)
+        return out
+
+    def _product(self, other: "_Terms", pair, out):
+        """out plus self * other, where the atom pair (a, b) contributes
+        pair(self.terms[a], other.terms[b]) * a * b, added into out in the
+        order self's atoms, other's atoms, product_atoms' parts. A pair whose
+        coefficient is zero is skipped; None when any other pair's product
+        leaves the family."""
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                c = pair(ca, cb)
+                if out._zero(c):
+                    continue
+                parts = product_atoms(a, b)
+                if parts is None:
+                    return None
+                for cc, atom in parts:
+                    out._add(atom, c * cc)
+        return out
+
+    def __add__(self, other):
+        self._check(other)
+        out = self._copy()
+        for atom, c in other.terms.items():
+            out._add(atom, c)
+        return out
+
+    def __sub__(self, other):
+        return self + other * -1.0
+
+    def __mul__(self, k):
+        k = float(k)
+        return self._map(lambda atom: [(k, atom)])
+
+    __rmul__ = __mul__
+
+    def derivative(self):
+        return self._map(diff_atom)
+
+    def eval(self, s):
+        """Samples at s, scalar or array; a scalar fn at a scalar s is a float."""
+        arr = np.asarray(s, dtype=float)
+        out = np.zeros(arr.shape + self._shape)
+        for atom, c in self.terms.items():
+            out += eval_atom(atom, arr)[self._expand] * c
+        return float(out) if out.ndim == 0 else out
+
+
+class ScalarFn(_Terms):
+    """Finite linear combination of atoms with float coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Iterable[tuple[float, Atom]] = ()):
-        self.terms: dict[Atom, float] = {}
+        super().__init__()
         for coef, atom in terms:
-            self._add(coef, atom)
-
-    def _add(self, coef: float, atom: Atom) -> None:
-        if coef == 0.0:
-            return
-        cur = self.terms.get(atom, 0.0) + coef
-        if cur == 0.0:
-            self.terms.pop(atom, None)
-        else:
-            self.terms[atom] = cur
+            self._add(atom, float(coef))
 
     @classmethod
     def constant(cls, c: float) -> "ScalarFn":
@@ -208,56 +284,18 @@ class ScalarFn:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "ScalarFn") -> "ScalarFn":
-        out = ScalarFn()
-        for atom, c in self.terms.items():
-            out._add(c, atom)
-        for atom, c in other.terms.items():
-            out._add(c, atom)
-        return out
-
-    def __sub__(self, other: "ScalarFn") -> "ScalarFn":
-        return self + other * -1.0
-
     def __mul__(self, other: "ScalarFn | float") -> "ScalarFn":
         """Scaling by a number, or the product through product_atoms; UsageError
         when that product leaves the family."""
         if not isinstance(other, ScalarFn):
-            return ScalarFn([(float(other) * c, atom) for atom, c in self.terms.items()])
-        out = ScalarFn()
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                parts = product_atoms(a, b)
-                if parts is None:
-                    raise UsageError(f"{a} * {b} leaves the term algebra")
-                for c, atom in parts:
-                    out._add(ca * cb * c, atom)
-        return out
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "ScalarFn":
-        out = ScalarFn()
-        for atom, c in self.terms.items():
-            for cc, aa in diff_atom(atom):
-                out._add(c * cc, aa)
+            return super().__mul__(other)
+        out = self._product(other, lambda ca, cb: ca * cb, ScalarFn())
+        if out is None:
+            raise UsageError(f"{self!r} * {other!r} leaves the term algebra")
         return out
 
     def antiderivative(self) -> "ScalarFn":
-        out = ScalarFn()
-        for atom, c in self.terms.items():
-            for cc, aa in antiderivative_atom(atom):
-                out._add(c * cc, aa)
-        return out
-
-    def eval(self, s):
-        arr = np.asarray(s, dtype=float)
-        out = np.zeros_like(arr)
-        for atom, c in self.terms.items():
-            out = out + c * eval_atom(atom, arr)
-        if np.isscalar(s) or arr.ndim == 0:
-            return float(out)
-        return out
+        return self._map(antiderivative_atom)
 
     def __repr__(self) -> str:
         if not self.terms:

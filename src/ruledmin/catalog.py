@@ -185,9 +185,11 @@ def scale_surface(surface: RuledSurface, k: float) -> RuledSurface:
     """Homothety f -> k f (scales both curves; ruling lines are preserved)."""
     if not k > 0:
         raise UsageError("homothety ratio must be positive")
+    if not isinstance(surface.base, CurveExpr):
+        raise UsageError("scale_surface expects a closed-form base curve")
     return RuledSurface(
-        gamma=surface.gamma.scaled(k),
-        base=surface.base.scaled(k),
+        gamma=k * surface.gamma,
+        base=k * surface.base,
         s_domain=surface.s_domain,
         t_domain=surface.t_domain,
     )
@@ -265,9 +267,9 @@ def causal_map(
     Spacelike regions have det g > 0, timelike det g < 0; loci with det g = 0
     separate them. det g's t-coefficients come from the surface's symbolic
     pairings. When all three are constant in s (frame families and the
-    plane), the loci are the roots of the quadratic and each region takes
-    its sign at the midpoint; otherwise (the cylinder) the one region takes
-    the sign of the sampled median.
+    plane), the loci are the roots of the quadratic; otherwise (the
+    cylinder) there is one region. Each region takes the sign of det g's
+    median over the s-grid at the region's midpoint t.
     """
     t_domain = DEFAULT_T_DOMAIN if t_domain is None else t_domain
     if family in _FRAME_FAMILIES:
@@ -298,14 +300,10 @@ def causal_map(
 
     regions: list[CausalRegion] = []
     cuts = [lo, *loci, hi]
+    c0s, c1s, c2s = (fn.eval(s_grid) for fn in terms)
     for a, b in zip(cuts[:-1], cuts[1:]):
-        if constant_in_s:
-            t = 0.5 * (a + b)
-            value = c2 * t * t + c1 * t + c0
-        else:
-            inside = (t_grid >= a) & (t_grid <= b)
-            vals = sweep.det_g[:, inside]
-            value = float(np.median(vals[np.abs(vals) > DEG_BAND]))
+        t = 0.5 * (a + b)
+        value = float(np.median(c2s * t * t + c1s * t + c0s))
         verdict = "spacelike" if value > 0 else "timelike"
         regions.append(CausalRegion(t_lo=float(a), t_hi=float(b), verdict=verdict))
 

@@ -186,6 +186,8 @@ def _resolve_surface(args) -> tuple[Signature, RuledSurface, dict]:
 
     meta: dict = {}
     if args.input:
+        if args.family is not None or args.signs is not None:
+            raise UsageError("--family and --signs name a catalog surface; --input reads its own")
         path = Path(args.input)
         try:
             text = path.read_text()

@@ -1,10 +1,12 @@
 """Closed-form curves in R^n with exact derivatives.
 
 A curve is a finite sum of vector coefficients times basis functions
-(powers, trig, hyperbolic trig, exponentials). Derivatives up to third
-order are computed symbolically, so downstream geometry never pays
-finite-difference noise. Finite differences are still provided as an
-independent cross-check.
+(powers, trig, hyperbolic trig, exponentials). CurveExpr is the term
+algebra of basisfn with vector coefficients: its +, scaling, d/ds,
+sampling and products (plus_scalar_times, symbolic_inner) are the ones
+ScalarFn uses. Derivatives are cached per order, so downstream geometry
+never pays finite-difference noise. Finite differences are still
+provided as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import basisfn
-from .basisfn import Atom, ScalarFn
+from .basisfn import Atom, ScalarFn, _Terms
 from .errors import UsageError
 from .metric import Signature, ip_array
 
@@ -57,36 +59,34 @@ def quad(f, a, b) -> np.ndarray:
     return half * (f(mid[..., None] + half[..., None] * x) @ w)
 
 
-class CurveExpr:
+class CurveExpr(_Terms):
     """Vector-valued closed-form curve: sum of coeff * s^k * phi(omega s)."""
 
-    __slots__ = ("n", "terms", "_dcache")
+    __slots__ = ("n", "_dcache")
+    _expand = (..., None)
 
     def __init__(self, n: int, terms: Iterable[tuple[Atom, Sequence[float]]] = ()):
         if n < 1:
             raise UsageError(f"curve dimension must be >= 1, got {n}")
+        super().__init__()
         self.n = int(n)
-        self.terms: dict[Atom, np.ndarray] = {}
-        for atom, coeff in terms:
-            self._add(atom, coeff)
         self._dcache: dict[int, "CurveExpr"] = {}
+        for atom, coeff in terms:
+            vec = np.array(coeff, dtype=float)
+            if vec.shape != (self.n,):
+                raise UsageError(f"coefficient has shape {vec.shape}, expected ({self.n},)")
+            self._add(atom, vec)
 
-    def _add(self, atom: Atom, coeff: Sequence[float]) -> None:
-        vec = np.asarray(coeff, dtype=float)
-        if vec.shape != (self.n,):
-            raise UsageError(
-                f"coefficient has shape {vec.shape}, expected ({self.n},)"
-            )
-        if not np.any(vec):
-            return
-        if atom in self.terms:
-            merged = self.terms[atom] + vec
-            if np.any(merged):
-                self.terms[atom] = merged
-            else:
-                del self.terms[atom]
-        else:
-            self.terms[atom] = vec.copy()
+    @staticmethod
+    def _zero(c: np.ndarray) -> bool:
+        return not c.any()
+
+    @property
+    def _shape(self) -> tuple:
+        return (self.n,)
+
+    def _empty(self) -> "CurveExpr":
+        return CurveExpr(self.n)
 
     @classmethod
     def from_basis_terms(
@@ -97,7 +97,7 @@ class CurveExpr:
         basis "pow" takes an integer power as its parameter; the others take
         a frequency/rate. This mirrors the JSON wire format.
         """
-        out = cls(n)
+        terms = []
         for basis, param, coeff in specs:
             if basis == "pow":
                 k = param
@@ -109,9 +109,8 @@ class CurveExpr:
             else:
                 raise UsageError(f"unknown basis {basis!r}; expected one of {JSON_BASES}")
             vec = np.asarray(coeff, dtype=float)
-            for c, atom in parts:
-                out._add(atom, c * vec)
-        return out
+            terms.extend((atom, c * vec) for c, atom in parts)
+        return cls(n, terms)
 
     def derivative(self, order: int = 1) -> "CurveExpr":
         if order < 0:
@@ -119,57 +118,22 @@ class CurveExpr:
         if order == 0:
             return self
         if order not in self._dcache:
-            prev = self.derivative(order - 1)
-            d = CurveExpr(self.n)
-            for atom, vec in prev.terms.items():
-                for c, aa in basisfn.diff_atom(atom):
-                    d._add(aa, c * vec)
-            self._dcache[order] = d
+            self._dcache[order] = _Terms.derivative(self.derivative(order - 1))
         return self._dcache[order]
 
     def eval(self, s, order: int = 0):
         """Positions (order 0) or derivative values; s may be scalar or array."""
-        cur = self.derivative(order)
-        arr = np.asarray(s, dtype=float)
-        out = np.zeros(arr.shape + (self.n,))
-        for atom, vec in cur.terms.items():
-            out += basisfn.eval_atom(atom, arr)[..., None] * vec
-        if np.isscalar(s) or arr.ndim == 0:
-            return out.reshape(self.n)
-        return out
-
-    def component(self, i: int) -> ScalarFn:
-        return ScalarFn([(float(vec[i]), atom) for atom, vec in self.terms.items()])
+        return _Terms.eval(self.derivative(order), s)
 
     def is_constant(self) -> bool:
         # atoms are linearly independent functions, so the derivative's term
         # dict is empty exactly when the curve is constant
         return not self.derivative(1).terms
 
-    def scaled(self, c: float) -> "CurveExpr":
-        return CurveExpr(self.n, [(a, c * v) for a, v in self.terms.items()])
-
-    def __add__(self, other: "CurveExpr") -> "CurveExpr":
-        if other.n != self.n:
-            raise UsageError("cannot add curves of different dimensions")
-        out = CurveExpr(self.n, list(self.terms.items()))
-        for a, v in other.terms.items():
-            out._add(a, v)
-        return out
-
     def plus_scalar_times(self, lam: ScalarFn, other: "CurveExpr") -> "CurveExpr | None":
         """self + lam(s) * other(s), or None when the product leaves the family."""
-        if other.n != self.n:
-            raise UsageError("dimension mismatch")
-        out = CurveExpr(self.n, list(self.terms.items()))
-        for la, lc in lam.terms.items():
-            for atom, vec in other.terms.items():
-                parts = basisfn.product_atoms(la, atom)
-                if parts is None:
-                    return None
-                for c, aa in parts:
-                    out._add(aa, lc * c * vec)
-        return out
+        self._check(other)
+        return lam._product(other, lambda lc, vec: lc * vec, self._copy())
 
     def __repr__(self) -> str:
         return f"CurveExpr(n={self.n}, terms={len(self.terms)})"
@@ -179,19 +143,8 @@ def symbolic_inner(sig: Signature, a: CurveExpr, b: CurveExpr) -> ScalarFn | Non
     """<a(s), b(s)> as a closed-form scalar, or None if products leave the family."""
     if a.n != sig.n or b.n != sig.n:
         raise UsageError("curve dimension does not match the signature")
-    total = ScalarFn()
     w = sig.weights()
-    for aa, va in a.terms.items():
-        for ab, vb in b.terms.items():
-            dot = float((va * vb * w).sum())
-            if dot == 0.0:
-                continue
-            parts = basisfn.product_atoms(aa, ab)
-            if parts is None:
-                return None
-            for c, atom in parts:
-                total._add(dot * c, atom)
-    return total
+    return a._product(b, lambda va, vb: float((va * vb * w).sum()), ScalarFn())
 
 
 def eval_curve(curve: CurveExpr, s, order: int = 0):

@@ -28,19 +28,18 @@ if TYPE_CHECKING:
 
 
 def _fmt_float(x: float, non_finite: str = "null") -> str:
-    """17 significant digits; integral values print without a decimal point.
+    """17 significant digits, as "%.17g" of x + 0.0: no trailing zeros (so an
+    integral value below 1e17 has no decimal point) and -0.0 prints as 0.
 
     JSON has no NaN/Inf, so reports print null for masked values. The OBJ
-    and CSV exports format each distinct value of a column once
-    (export._fmt_column), share f's strings between the two files, and
-    spell every value as this function does with non_finite="nan".
+    and CSV exports apply the same "%.17g" to v + 0.0 once per distinct
+    value of a column (export._fmt_column), share f's strings between the
+    two files, and spell non-finite values "nan".
     """
     x = float(x)
     if not math.isfinite(x):
         return non_finite
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return format(x, ".17g")
+    return format(x + 0.0, ".17g")
 
 
 def _emit(obj, out: list, level: int, kinds: tuple) -> None:
@@ -166,12 +165,15 @@ def _interval(data, path: str) -> tuple[float, float]:
 # curves
 
 
-def _terms_to_json(terms: dict, coeff_to_json) -> list:
+def _terms_to_json(terms: dict) -> list:
+    """Terms by kind, omega and power; a coefficient is a float or a list of them."""
+    import numpy as np
+
     from . import basisfn
 
     out = []
     for atom in sorted(terms, key=lambda a: (basisfn.KINDS.index(a.kind), a.omega, a.k)):
-        coeff = coeff_to_json(terms[atom])
+        coeff = np.asarray(terms[atom]).tolist()
         if atom.kind == basisfn.ONE:
             out.append({"basis": "pow", "param": atom.k, "coeff": coeff})
         else:  # the other kinds are named by their JSON basis
@@ -192,7 +194,7 @@ def curve_to_json(curve: CurveExpr) -> dict:
     """
     return {
         "n": curve.n,
-        "terms": _terms_to_json(curve.terms, lambda c: [float(v) for v in c]),
+        "terms": _terms_to_json(curve.terms),
     }
 
 
@@ -203,7 +205,7 @@ def curve_from_json(data, path: str = "curve") -> CurveExpr:
     data = _expect_dict(data, path, ("n", "terms"))
     n = _int(_get(data, "n", path), f"{path}.n", minimum=1)
     raw_terms = _expect_list(_get(data, "terms", path), f"{path}.terms")
-    curve = CurveExpr(n)
+    terms = []
     for i, raw in enumerate(raw_terms):
         tp = f"{path}.terms[{i}]"
         term = _expect_dict(raw, tp, ("basis", "param", "coeff", "degree"))
@@ -223,14 +225,13 @@ def curve_from_json(data, path: str = "curve") -> CurveExpr:
         else:
             k = _int(term.get("degree", 0), f"{tp}.degree", minimum=0)
             parts = basisfn.canon(1.0, k, basis, param)
-        for c, atom in parts:
-            curve._add(atom, [c * v for v in vec])
-    return curve
+        terms.extend((atom, [c * v for v in vec]) for c, atom in parts)
+    return CurveExpr(n, terms)
 
 
 def scalar_fn_to_json(fn: ScalarFn) -> list:
     """Wire form of a scalar closed form (list of terms with scalar coeff)."""
-    return _terms_to_json(fn.terms, float)
+    return _terms_to_json(fn.terms)
 
 
 # ---------------------------------------------------------------------------

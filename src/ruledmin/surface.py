@@ -641,7 +641,7 @@ def _gauge(scan: _RulingTables, tol: float = GAUGE_SPREAD_TOL) -> GaugeResult:
     m_sym = symbolic_inner(sig, surface.gamma, surface.base.derivative(1))
     if m_sym is not None:
         anti = m_sym.antiderivative()
-        lam_sym = (anti + ScalarFn.constant(-anti.eval(0.0))) * -float(eps)
+        lam_sym = -eps * (anti - ScalarFn.constant(anti.eval(0.0)))
         base = surface.base.plus_scalar_times(lam_sym, surface.gamma)
     exact = base is not None
     if not exact:

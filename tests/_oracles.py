@@ -14,6 +14,11 @@ lockstep replaced, so the new code can be compared against them.
 `det_g_closed_form` is the hand-written table of det g per family and sign
 choice that causal maps read before det g's coefficients were derived from
 the surface's own pairings; it is the reference those coefficients must match.
+`scalar_product_loop`, `plus_scalar_times_loop` and `symbolic_inner_loop`
+keep the three product loops that ScalarFn `*`, CurveExpr.plus_scalar_times
+and symbolic_inner each had before the term algebra was written once; they
+take and return plain term dicts, so the shared product can be compared
+against them atom by atom and in dict order.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ruledmin import Signature, UsageError, inner_product
+from ruledmin.basisfn import product_atoms
 from ruledmin.existence import SEARCH_COORD_BOUND, SEARCH_SAMPLES_PER_SLOT, SearchResult
 from ruledmin.families import FamilyId, NormPattern, SignChoice, validate_signs
 
@@ -386,3 +392,75 @@ def _closed_form_roots(form: DetGForm, lo: float, hi: float) -> list[float]:
     else:
         roots = []
     return [t for t in roots if lo < t < hi]
+
+
+# ---------------------------------------------------------------------------
+# the separate product loops of ScalarFn, CurveExpr and symbolic_inner
+
+
+def _scalar_add(terms: dict, coef: float, atom) -> None:
+    if coef == 0.0:
+        return
+    cur = terms.get(atom, 0.0) + coef
+    if cur == 0.0:
+        terms.pop(atom, None)
+    else:
+        terms[atom] = cur
+
+
+def _vector_add(terms: dict, atom, vec) -> None:
+    if not np.any(vec):
+        return
+    if atom in terms:
+        merged = terms[atom] + vec
+        if np.any(merged):
+            terms[atom] = merged
+        else:
+            del terms[atom]
+    else:
+        terms[atom] = vec.copy()
+
+
+def scalar_product_loop(a_terms: dict, b_terms: dict) -> dict:
+    """ScalarFn * ScalarFn; UsageError when the product leaves the family."""
+    out: dict = {}
+    for a, ca in a_terms.items():
+        for b, cb in b_terms.items():
+            parts = product_atoms(a, b)
+            if parts is None:
+                raise UsageError(f"{a} * {b} leaves the term algebra")
+            for c, atom in parts:
+                _scalar_add(out, ca * cb * c, atom)
+    return out
+
+
+def plus_scalar_times_loop(x_terms: dict, lam_terms: dict, other_terms: dict) -> dict | None:
+    """x + lam * other for vector term dicts x, other and a scalar lam."""
+    out: dict = {}
+    for atom, vec in x_terms.items():
+        _vector_add(out, atom, vec)
+    for la, lc in lam_terms.items():
+        for atom, vec in other_terms.items():
+            parts = product_atoms(la, atom)
+            if parts is None:
+                return None
+            for c, aa in parts:
+                _vector_add(out, aa, lc * c * vec)
+    return out
+
+
+def symbolic_inner_loop(sig: Signature, a_terms: dict, b_terms: dict) -> dict | None:
+    """<a, b> of two vector term dicts as a scalar term dict."""
+    total: dict = {}
+    w = sig.weights()
+    for aa, va in a_terms.items():
+        for ab, vb in b_terms.items():
+            dot = float((va * vb * w).sum())
+            if dot == 0.0:
+                continue
+            parts = product_atoms(aa, ab)
+            if parts is None:
+                return None
+            for c, atom in parts:
+                _scalar_add(total, dot * c, atom)
+    return total

@@ -6,9 +6,11 @@ import pytest
 from ruledmin import (
     DEG_BAND,
     H_TOL,
+    CurveExpr,
     FamilyId,
     FrameSpec,
     NonExistenceError,
+    RuledSurface,
     SignChoice,
     Signature,
     UsageError,
@@ -17,6 +19,7 @@ from ruledmin import (
     degenerate_span_check,
     existence_oracle,
     first_form,
+    gauge_normalize,
     generate,
     immersion_jet,
     is_minimal,
@@ -350,6 +353,17 @@ def test_homothety_rejects_non_positive_ratio():
         scale_surface(surf, 0.0)
     with pytest.raises(UsageError):
         scale_surface(surf, -2.0)
+
+
+def test_homothety_of_a_quadrature_gauged_surface_is_a_usage_error():
+    """A cos/sin ruling over s e3 + cosh(s) e1 leaves the term algebra, so the
+    gauged base has no terms to scale."""
+    gamma = CurveExpr.from_basis_terms(3, [("cos", 1.0, (1.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 1.0, 0.0))])
+    base = CurveExpr.from_basis_terms(3, [("pow", 1, (0.0, 0.0, 1.0)), ("cosh", 1.0, (1.0, 0.0, 0.0))])
+    gauged = gauge_normalize(R30, RuledSurface(gamma, base))
+    assert not gauged.exact
+    with pytest.raises(UsageError, match="closed-form base"):
+        scale_surface(gauged.surface, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ def test_dependent_base_reduces_to_plane():
     gamma = CurveExpr.from_basis_terms(
         3, [("cos", 1.0, (1.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 1.0, 0.0))]
     )
-    surf = RuledSurface(gamma, gamma.scaled(2.0), (-3.0, 3.0), (-1.0, 1.0))
+    surf = RuledSurface(gamma, 2.0 * gamma, (-3.0, 3.0), (-1.0, 1.0))
     result = identify_family(R30, surf)
     assert result.family is FamilyId.PLANE
     assert result.case_label is CaseLabel.CASE_III

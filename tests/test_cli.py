@@ -438,6 +438,25 @@ def test_broken_input_file_exits_2(tmp_path):
     assert json.loads(out)["error"] == "UsageError"
 
 
+@pytest.mark.parametrize("command", ["verify", "classify", "gauge", "mesh"])
+@pytest.mark.parametrize("catalog_flags", [
+    ["--family", "elliptic-helicoid-1", "--signs", "1,1,1"],
+    ["--family", "hyperbolic-helicoid-2"],
+    ["--signs", "1,-1,0"],
+])
+def test_input_with_family_or_signs_exits_2(command, catalog_flags, tmp_path):
+    """--input reads the surface from its file, so a catalog name beside it
+    is rejected, not ignored."""
+    from ruledmin import jsonio
+
+    sig = Signature(4, 2)
+    path = tmp_path / "hh2.json"
+    path.write_text(jsonio.dumps(jsonio.surface_to_json(sig, generate(sig, FamilyId.HYPERBOLIC_HELICOID_2))))
+    rc, doc = run_json([command, "--input", str(path), *catalog_flags])
+    assert rc == 2
+    assert doc["error"] == "UsageError" and "--input" in doc["message"]
+
+
 def test_inadmissible_generation_exits_2_with_certificate():
     rc, out, _ = run(["verify", "--family", "hyperbolic-helicoid-2", "--sig", "3,1"])
     assert rc == 2

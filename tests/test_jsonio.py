@@ -7,6 +7,7 @@ import pytest
 
 from ruledmin import FamilyId, SignChoice, Signature, UsageError, generate
 from ruledmin.jsonio import (
+    _fmt_float,
     curve_from_json,
     curve_to_json,
     dumps,
@@ -20,6 +21,16 @@ R31 = Signature(3, 1)
 
 def _grid():
     return np.linspace(-2.0, 2.0, 17)
+
+
+def test_integral_floats_print_as_integers_below_1e16():
+    """The one rule, "%.17g" of x + 0.0, prints an integral value below 1e16
+    as its int, as a separate integral branch once spelled it."""
+    rng = np.random.default_rng(11)
+    vals = np.round(rng.standard_normal(3000) * 10.0 ** rng.integers(0, 18, 3000))
+    vals = [*vals.tolist(), -0.0, 2.0**53, 1e16 - 2, 1e16, 1e16 + 2, 1e17]
+    want = [str(int(x)) if abs(x) < 1e16 else format(x, ".17g") for x in vals]
+    assert [_fmt_float(x) for x in vals] == want
 
 
 # ---------------------------------------------------------------------------
