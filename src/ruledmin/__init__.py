@@ -30,8 +30,7 @@ _EXPORTS = {
         "identify_family", "table1_case", "verify_structure_odes",
     ),
     "curves": (
-        "CurveExpr", "UnitSpeedClass", "eval_curve", "fd_derivative", "is_null_curve",
-        "symbolic_inner", "uniform_grid", "unit_speed_check",
+        "CurveExpr", "symbolic_inner", "uniform_grid",
     ),
     "errors": (
         "ConventionError", "DegenerateMetricError", "DimensionMismatchError",
@@ -53,11 +52,9 @@ _EXPORTS = {
         "inner_product", "ip_array",
     ),
     "surface": (
-        "FirstForm", "FormBundle", "GaugeResult", "H_TOL", "Jet2", "MinimalityReport",
-        "MinimalityVerdict", "RuledSurface", "SecondForm", "SurfaceSweep", "TAU_DEG",
-        "c_function", "c_function_grid", "first_form", "form_bundle", "gauge_normalize",
-        "immersion_jet", "is_minimal", "is_totally_geodesic", "mean_curvature",
-        "second_form", "sweep_grid",
+        "GaugeResult", "H_TOL", "MinimalityReport", "MinimalityVerdict", "RuledSurface",
+        "SurfaceSweep", "TAU_DEG", "c_function", "c_function_grid", "gauge_normalize",
+        "is_minimal", "sweep_grid",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

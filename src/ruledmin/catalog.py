@@ -34,7 +34,7 @@ from .families import (
     validate_signs,
 )
 from .jsonio import _fmt_float
-from .metric import Signature
+from .metric import Signature, gram_matrix
 from .surface import RuledSurface, _first_form_terms, sweep_grid
 
 DEFAULT_S_DOMAIN = (-3.0, 3.0)
@@ -383,12 +383,7 @@ def degenerate_span_check(sig: Signature, frame) -> SpanType:
             raise UsageError(f"vector length {len(row)} does not match n = {sig.n}")
     if _exact_rank(rows) != 3:
         raise UsageError("the three vectors must be linearly independent")
-    w = [Fraction(-1) if i < sig.p else Fraction(1) for i in range(sig.n)]
-
-    def ip(u, v):
-        return sum(wi * a * b for wi, a, b in zip(w, u, v))
-
-    g = [[ip(rows[i], rows[j]) for j in range(3)] for i in range(3)]
+    g = gram_matrix(sig, rows)
     det = (
         g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
         - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])

@@ -452,6 +452,9 @@ def _table_csv() -> str:
 
 def cmd_existence(args) -> int:
     if args.table:
+        given = [f"--{f}" for f in ("sig", "family", "signs") if getattr(args, f) is not None]
+        if given:
+            raise UsageError(f"--table prints every signature and family; drop {', '.join(given)}")
         fmt = args.format or "text"
         if fmt == "json":
             _write_or_print(jsonio.dumps(_table_rows_json()), args.out)

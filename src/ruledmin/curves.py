@@ -5,29 +5,23 @@ A curve is a finite sum of vector coefficients times basis functions
 algebra of basisfn with vector coefficients: its +, scaling, d/ds,
 sampling and products (plus_scalar_times, symbolic_inner) are the ones
 ScalarFn uses. Derivatives are cached per order, so downstream geometry
-never pays finite-difference noise. Finite differences are still
-provided as an independent cross-check.
+never pays finite-difference noise.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import basisfn
 from .basisfn import Atom, ScalarFn, _Terms
 from .errors import UsageError
-from .metric import Signature, ip_array
+from .jsonio import _term_atoms
+from .metric import Signature
 
-# Grid default for the sampled checks below.
+# Default number of points of uniform_grid.
 DEFAULT_GRID_POINTS = 101
-# A squared speed <c', c'> within this of 0 (or of +-1) is null (or unit).
-SPEED_TOL = 1e-9
-
-JSON_BASES = ("pow", "cos", "sin", "cosh", "sinh", "exp")
 
 
 def uniform_grid(a: float, b: float, num: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -92,24 +86,13 @@ class CurveExpr(_Terms):
     def from_basis_terms(
         cls, n: int, specs: Iterable[tuple[str, float, Sequence[float]]]
     ) -> "CurveExpr":
-        """Build from (basis, param, coeff) triples.
-
-        basis "pow" takes an integer power as its parameter; the others take
-        a frequency/rate. This mirrors the JSON wire format.
-        """
+        """Build from (basis, param, coeff) triples, each read as a JSON curve
+        term without a degree: "pow" takes an integer power as its parameter,
+        the others a frequency/rate."""
         terms = []
         for basis, param, coeff in specs:
-            if basis == "pow":
-                k = param
-                if k != int(k) or k < 0:
-                    raise UsageError(f"pow basis needs an integer power >= 0, got {param!r}")
-                parts = basisfn.canon(1.0, int(k), basisfn.ONE, 0.0)
-            elif basis in JSON_BASES:
-                parts = basisfn.canon(1.0, 0, basis, float(param))
-            else:
-                raise UsageError(f"unknown basis {basis!r}; expected one of {JSON_BASES}")
             vec = np.asarray(coeff, dtype=float)
-            terms.extend((atom, c * vec) for c, atom in parts)
+            terms.extend((atom, c * vec) for c, atom in _term_atoms(basis, param))
         return cls(n, terms)
 
     def derivative(self, order: int = 1) -> "CurveExpr":
@@ -145,50 +128,3 @@ def symbolic_inner(sig: Signature, a: CurveExpr, b: CurveExpr) -> ScalarFn | Non
         raise UsageError("curve dimension does not match the signature")
     w = sig.weights()
     return a._product(b, lambda va, vb: float((va * vb * w).sum()), ScalarFn())
-
-
-def eval_curve(curve: CurveExpr, s, order: int = 0):
-    """Evaluate a curve or one of its first three derivatives."""
-    if not 0 <= order <= 3:
-        raise UsageError(f"order must be in 0..3, got {order}")
-    return curve.eval(s, order)
-
-
-def fd_derivative(curve: CurveExpr, s: float, order: int, h: float):
-    """Central finite difference, the independent check on analytic jets."""
-    if order not in (1, 2):
-        raise UsageError(f"finite differences implemented for orders 1 and 2, got {order}")
-    if not h > 0:
-        raise UsageError(f"step h must be positive, got {h!r}")
-    if order == 1:
-        return (curve.eval(s + h) - curve.eval(s - h)) / (2.0 * h)
-    return (curve.eval(s + h) - 2.0 * curve.eval(s) + curve.eval(s - h)) / (h * h)
-
-
-def _speed_squared(sig: Signature, curve: CurveExpr, grid: np.ndarray) -> np.ndarray:
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise UsageError("grid must be non-empty")
-    d = curve.eval(grid, 1)
-    return ip_array(sig, d, d)
-
-
-def is_null_curve(sig: Signature, curve: CurveExpr, grid: np.ndarray) -> bool:
-    """max |<c'(s), c'(s)>| <= SPEED_TOL over the grid."""
-    return float(np.abs(_speed_squared(sig, curve, grid)).max()) <= SPEED_TOL
-
-
-class UnitSpeedClass(Enum):
-    UNIT_SPACELIKE = "unit-spacelike"
-    UNIT_TIMELIKE = "unit-timelike"
-    NOT_UNIT = "not-unit"
-
-
-def unit_speed_check(sig: Signature, curve: CurveExpr, grid: np.ndarray) -> UnitSpeedClass:
-    """Unit spacelike (timelike) when <c', c'> is within SPEED_TOL of 1 (-1) on the grid."""
-    q = _speed_squared(sig, curve, grid)
-    if float(np.abs(q - 1.0).max()) <= SPEED_TOL:
-        return UnitSpeedClass.UNIT_SPACELIKE
-    if float(np.abs(q + 1.0).max()) <= SPEED_TOL:
-        return UnitSpeedClass.UNIT_TIMELIKE
-    return UnitSpeedClass.NOT_UNIT

@@ -135,14 +135,20 @@ def _get(data: dict, key: str, path: str):
 def _num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise UsageError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise UsageError(f"{path}: expected a finite number, got {value!r}")
-    return value
+    return number
 
 
 def _int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != int(value):
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)
+    )
+    if isinstance(value, bool) or not integral:
         raise UsageError(f"{path}: expected an integer, got {value!r}")
     value = int(value)
     if minimum is not None and value < minimum:
@@ -163,6 +169,8 @@ def _interval(data, path: str) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # curves
+
+JSON_BASES = ("pow", "cos", "sin", "cosh", "sinh", "exp")
 
 
 def _terms_to_json(terms: dict) -> list:
@@ -198,9 +206,29 @@ def curve_to_json(curve: CurveExpr) -> dict:
     }
 
 
-def curve_from_json(data, path: str = "curve") -> CurveExpr:
+def _term_atoms(basis, param, degree=0) -> list:
+    """(factor, atom) pairs of the term s^degree basis(param s), the one
+    reading of a curve term for JSON input and CurveExpr.from_basis_terms.
+
+    basis "pow" is s^param, so its param is an integer >= 0 and its degree 0;
+    the other bases take a frequency or rate. A UsageError names the field at
+    fault ("param: ..."), which curve_from_json prefixes with the term's path.
+    """
     from . import basisfn
-    from .curves import JSON_BASES, CurveExpr
+
+    if basis not in JSON_BASES:
+        raise UsageError(f"basis: unknown basis {basis!r}; expected one of {JSON_BASES}")
+    param = _num(param, "param")
+    k = _int(degree, "degree", minimum=0)
+    if basis != "pow":
+        return basisfn.canon(1.0, k, basis, param)
+    if k:
+        raise UsageError('degree: not allowed with basis "pow" (param is the power)')
+    return basisfn.canon(1.0, _int(param, "param", minimum=0), basisfn.ONE, 0.0)
+
+
+def curve_from_json(data, path: str = "curve") -> CurveExpr:
+    from .curves import CurveExpr
 
     data = _expect_dict(data, path, ("n", "terms"))
     n = _int(_get(data, "n", path), f"{path}.n", minimum=1)
@@ -209,22 +237,15 @@ def curve_from_json(data, path: str = "curve") -> CurveExpr:
     for i, raw in enumerate(raw_terms):
         tp = f"{path}.terms[{i}]"
         term = _expect_dict(raw, tp, ("basis", "param", "coeff", "degree"))
-        basis = _get(term, "basis", tp)
-        if basis not in JSON_BASES:
-            raise UsageError(f"{tp}.basis: unknown basis {basis!r}; expected one of {JSON_BASES}")
-        param = _num(_get(term, "param", tp), f"{tp}.param")
+        basis, param = _get(term, "basis", tp), _get(term, "param", tp)
+        try:
+            parts = _term_atoms(basis, param, term.get("degree", 0))
+        except UsageError as exc:
+            raise UsageError(f"{tp}.{exc}") from None
         coeff = _expect_list(_get(term, "coeff", tp), f"{tp}.coeff")
         if len(coeff) != n:
             raise UsageError(f"{tp}.coeff: expected {n} components, got {len(coeff)}")
         vec = [_num(c, f"{tp}.coeff[{j}]") for j, c in enumerate(coeff)]
-        if basis == "pow":
-            if "degree" in term:
-                raise UsageError(f"{tp}.degree: not allowed with basis \"pow\" (param is the power)")
-            k = _int(param, f"{tp}.param", minimum=0)
-            parts = basisfn.canon(1.0, k, basisfn.ONE, 0.0)
-        else:
-            k = _int(term.get("degree", 0), f"{tp}.degree", minimum=0)
-            parts = basisfn.canon(1.0, k, basis, param)
         terms.extend((atom, [c * v for v in vec]) for c, atom in parts)
     return CurveExpr(n, terms)
 
@@ -281,6 +302,6 @@ def surface_from_json(data) -> tuple[Signature, RuledSurface]:
 def loads_surface(text: str) -> tuple[Signature, RuledSurface]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer literal past int's digit limit
         raise UsageError(f"invalid JSON: {exc}") from exc
     return surface_from_json(data)

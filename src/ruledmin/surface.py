@@ -18,7 +18,6 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -86,101 +85,6 @@ class RuledSurface:
         s = uniform_grid(*self.s_domain, shape[0])
         t = uniform_grid(*self.t_domain, shape[1])
         return s, t
-
-
-@dataclass
-class Jet2:
-    """Second-order jet of the immersion at one point."""
-
-    s: float
-    t: float
-    f: np.ndarray
-    f_s: np.ndarray
-    f_t: np.ndarray
-    f_ss: np.ndarray
-    f_st: np.ndarray
-    f_tt: np.ndarray
-
-
-def immersion_jet(surface: RuledSurface, s: float, t: float) -> Jet2:
-    """f and its derivatives at (s, t), from gamma's and x's jets at s."""
-    tables = _RulingTables(None, surface, np.array([float(s)]))
-    g0, g1, g2, x0, x1, x2 = (tables.jet(k)[0] for k in ("g0", "g1", "g2", "x0", "x1", "x2"))
-    t = float(t)
-    return Jet2(
-        s=float(s),
-        t=t,
-        f=g0 * t + x0,
-        f_s=g1 * t + x1,
-        f_t=g0,
-        f_ss=g2 * t + x2,
-        f_st=g1,
-        f_tt=np.zeros(surface.n),
-    )
-
-
-class FirstForm(NamedTuple):
-    g11: float
-    g12: float
-    g22: float
-    det_g: float
-
-
-class SecondForm(NamedTuple):
-    h11: np.ndarray
-    h12: np.ndarray
-    h22: np.ndarray
-
-
-def _point_table(sig: Signature, jet: Jet2) -> _RulingTables:
-    """A one-row table whose gamma jets are f_t, f_st, 0 and base jets f_s,
-    f_ss: its reads at t = 0 are the sweep's formulas at the jet's point."""
-    jets = dict(g0=jet.f_t, g1=jet.f_st, g2=0.0 * jet.f_t, x1=jet.f_s, x2=jet.f_ss)
-    return _RulingTables(sig, None, None, {k: v[None] for k, v in jets.items()})
-
-
-def first_form(sig: Signature, jet: Jet2) -> FirstForm:
-    """_RulingTables.first_form at t = 0 of the jet's one-row table."""
-    tables = _point_table(sig, jet)
-    g11, g12, det = (float(v[0, 0]) for v in tables.first_form(np.zeros((1, 1))))
-    return FirstForm(g11, g12, float(tables.ip("g0", "g0")[0]), det)
-
-
-def second_form(sig: Signature, jet: Jet2, g: FirstForm | None = None) -> SecondForm:
-    """Normal components of the second derivatives.
-
-    Read from _RulingTables.components at t = 0 of the jet's one-row table.
-    Raises DegenerateMetricError when |det g| <= TAU_DEG: a degenerate
-    tangent plane has no normal splitting.
-    """
-    if g is None:
-        g = first_form(sig, jet)
-    if abs(g.det_g) <= TAU_DEG:
-        raise DegenerateMetricError(jet.s, jet.t, g.det_g)
-    _, d11, d12, _ = _point_table(sig, jet).components()
-    h22 = np.zeros(len(jet.f))  # f_tt = 0 for ruled surfaces
-    return SecondForm(d11[0, :, 0] / g.det_g, d12[0, :, 0] / g.det_g, h22)
-
-
-def mean_curvature(g: FirstForm, h: SecondForm) -> np.ndarray:
-    """H = (g11 h22 - 2 g12 h12 + g22 h11) / (2 det g), an ambient vector."""
-    return 0.5 * (g.g11 * h.h22 - 2.0 * g.g12 * h.h12 + g.g22 * h.h11) / g.det_g
-
-
-@dataclass
-class FormBundle:
-    s: float
-    t: float
-    first: FirstForm
-    second: SecondForm
-    H: np.ndarray
-
-
-def form_bundle(sig: Signature, surface: RuledSurface, s: float, t: float) -> FormBundle:
-    jet = immersion_jet(surface, s, t)
-    g = first_form(sig, jet)
-    h = second_form(sig, jet, g)
-    return FormBundle(s=float(s), t=float(t), first=g, second=h, H=mean_curvature(g, h))
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +325,7 @@ def sweep_grid(
     t_grid: np.ndarray | None = None,
     tau_deg: float = TAU_DEG,
 ) -> SurfaceSweep:
+    """The forms on s_grid x t_grid; sweep_grid(sig, surface, [s], [t]) gives them at (s, t)."""
     if s_grid is None or t_grid is None:
         ds, dt = surface.default_grids()
         s_grid = ds if s_grid is None else s_grid
@@ -482,16 +387,6 @@ def is_minimal(
 ) -> MinimalityReport:
     """Sweep the grid once and decide from it; see SurfaceSweep.minimality."""
     return sweep_grid(sig, surface, s_grid, t_grid, tau_deg).minimality(tol)
-
-
-def is_totally_geodesic(
-    sig: Signature,
-    surface: RuledSurface,
-    s_grid: np.ndarray | None = None,
-    t_grid: np.ndarray | None = None,
-) -> bool:
-    """True when the whole second form vanishes on the non-degenerate grid."""
-    return is_minimal(sig, surface, s_grid, t_grid).totally_geodesic
 
 
 def c_function(sig: Signature, surface: RuledSurface, s: float, t: float) -> float:

@@ -28,7 +28,6 @@ from ruledmin import (
     gauge_normalize,
     generate,
     identify_family,
-    immersion_jet,
     is_minimal,
     uniform_grid,
 )
@@ -43,7 +42,7 @@ from ruledmin.existence import (
     replay_certificate,
 )
 from ruledmin.jsonio import curve_from_json
-from ruledmin.surface import DegenerateMetricError, form_bundle, sweep_grid
+from ruledmin.surface import sweep_grid
 
 from _oracles import convergence_order, distance_to_rulings, fd_position_jet
 
@@ -443,14 +442,15 @@ def test_11_numerical_self_consistency(capsys):
     for h in hs:
         worst = 0.0
         for s, t in jet_points:
-            jet = immersion_jet(surf, s, t)
+            g0, g1, g2 = (surf.gamma.eval(s, k) for k in range(3))
+            x1, x2 = surf.base.eval(s, 1), surf.base.eval(s, 2)
             _, f_s, f_t, f_ss, f_st, f_tt = fd_position_jet(surf, s, t, h)
             worst = max(
                 worst,
-                float(np.max(np.abs(f_s - jet.f_s))),
-                float(np.max(np.abs(f_t - jet.f_t))),
-                float(np.max(np.abs(f_ss - jet.f_ss))),
-                float(np.max(np.abs(f_st - jet.f_st))),
+                float(np.max(np.abs(f_s - (g1 * t + x1)))),
+                float(np.max(np.abs(f_t - g0))),
+                float(np.max(np.abs(f_ss - (g2 * t + x2)))),
+                float(np.max(np.abs(f_st - g1))),
                 float(np.max(np.abs(f_tt))),
             )
         errs.append(worst)
@@ -470,14 +470,14 @@ def test_11_numerical_self_consistency(capsys):
         for _ in range(10):
             s = float(rng.uniform(-3, 3))
             t = float(rng.uniform(-3, 3))
-            try:
-                bundle = form_bundle(sig, surf, s, t)
-            except DegenerateMetricError:
+            point = sweep_grid(sig, surf, [s], [t])
+            if not point.nondegenerate[0, 0]:
                 continue
-            if abs(bundle.first.g12) > 1e-12:
-                problems.append(f"{family.name}: g12 = {bundle.first.g12:.3e}")
+            g12 = point.g12[0, 0]
+            if abs(g12) > 1e-12:
+                problems.append(f"{family.name}: g12 = {g12:.3e}")
                 continue
-            resid = 2.0 * np.asarray(bundle.H) - np.asarray(bundle.second.h11) / bundle.first.g11
+            resid = 2.0 * point.H[0, 0] - point.h11[0, 0] / point.g11[0, 0]
             if np.max(np.abs(resid)) > 1e-12:
                 problems.append(f"{family.name}: trace residual {np.max(np.abs(resid)):.3e}")
     _report(capsys, 11, "numerical-self-consistency", not problems, "; ".join(problems))

@@ -25,10 +25,7 @@ PUBLIC = {
         "StructureReport case_invariants cylinder_check genericity_scan "
         "identify_family table1_case verify_structure_odes "
     ),
-    "curves": (
-        "CurveExpr UnitSpeedClass eval_curve fd_derivative is_null_curve "
-        "symbolic_inner uniform_grid unit_speed_check "
-    ),
+    "curves": "CurveExpr symbolic_inner uniform_grid",
     "errors": (
         "ConventionError DegenerateMetricError DimensionMismatchError "
         "EverywhereDegenerateError NonExistenceError NoWitnessError "
@@ -49,11 +46,9 @@ PUBLIC = {
         "inner_product ip_array "
     ),
     "surface": (
-        "FirstForm FormBundle GaugeResult H_TOL Jet2 MinimalityReport "
-        "MinimalityVerdict RuledSurface SecondForm SurfaceSweep TAU_DEG "
-        "c_function c_function_grid first_form form_bundle gauge_normalize "
-        "immersion_jet is_minimal is_totally_geodesic mean_curvature "
-        "second_form sweep_grid "
+        "GaugeResult H_TOL MinimalityReport MinimalityVerdict RuledSurface "
+        "SurfaceSweep TAU_DEG c_function c_function_grid gauge_normalize "
+        "is_minimal sweep_grid "
     ),
 }
 CASES = [(module, name) for module, names in PUBLIC.items() for name in names.split()]
@@ -88,7 +83,6 @@ KEYWORDS = {
     "curves": {
         "CurveExpr.derivative": "order",
         "CurveExpr.eval": "order",
-        "eval_curve": "order",
         "uniform_grid": "num",
     },
     "errors": {},
@@ -103,8 +97,6 @@ KEYWORDS = {
         "SurfaceSweep.minimality": "tol",
         "gauge_normalize": "tol",
         "is_minimal": "s_grid t_grid tol tau_deg",
-        "is_totally_geodesic": "s_grid t_grid",
-        "second_form": "g",
         "sweep_grid": "s_grid t_grid tau_deg",
     },
 }

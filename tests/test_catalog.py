@@ -18,12 +18,9 @@ from ruledmin import (
     causal_map,
     degenerate_span_check,
     existence_oracle,
-    first_form,
     gauge_normalize,
     generate,
-    immersion_jet,
     is_minimal,
-    is_totally_geodesic,
     pick_signs,
     scale_surface,
     sweep_grid,
@@ -34,7 +31,7 @@ from ruledmin.basisfn import COSH, SINH, Atom
 from ruledmin.catalog import SpanType, _constant, _det_g_terms
 from ruledmin.surface import _RulingTables
 
-from _oracles import det_g_closed_form
+from _oracles import det_g_closed_form, vector_sweep
 
 R30 = Signature(3, 0)
 R31 = Signature(3, 1)
@@ -77,7 +74,7 @@ def _admissible_triples(n_range=(3, 4, 5, 6)):
 def test_classical_helicoid_coordinates():
     surf = generate(R30, FamilyId.ELLIPTIC_HELICOID_1, signs=SignChoice(1, 1, 1))
     for s, t in [(0.0, 1.0), (0.7, -2.0), (-1.2, 0.4)]:
-        f = immersion_jet(surf, s, t).f
+        f = sweep_grid(R30, surf, [s], [t]).f[0, 0]
         assert np.allclose(f, (t * np.cos(s), t * np.sin(s), s), atol=1e-15)
 
 
@@ -134,12 +131,10 @@ def test_plane_generation():
 )
 def test_totally_geodesic_verdict_matches_the_sweep(sig, family, signs):
     surf = generate(sig, family, signs=signs)
-    sweep = sweep_grid(sig, surf)
-    mask = sweep.nondegenerate
-    expected = max(np.abs(sweep.h11[mask]).max(), np.abs(sweep.h12[mask]).max()) <= H_TOL
-    report = is_minimal(sig, surf)
-    assert report.totally_geodesic == expected
-    assert is_totally_geodesic(sig, surf) == expected
+    sweep = vector_sweep(sig, surf, *surf.default_grids())
+    mask = sweep["nondegenerate"]
+    expected = max(np.abs(sweep["h11"][mask]).max(), np.abs(sweep["h12"][mask]).max()) <= H_TOL
+    assert is_minimal(sig, surf).totally_geodesic == expected
     assert expected == (family is FamilyId.PLANE)
 
 
@@ -340,11 +335,11 @@ def test_homothety_preserves_verdict_and_region_structure():
     scaled = scale_surface(surf, 2.5)
     assert is_minimal(R31, scaled, tau_deg=1e-6).is_minimal
     # det g scales by k^4 > 0: sign structure over t is unchanged
-    for t in (-2.0, -0.5, 0.5, 2.0):
-        det = first_form(R31, immersion_jet(surf, 0.3, t)).det_g
-        det_k = first_form(R31, immersion_jet(scaled, 0.3, t)).det_g
-        assert np.sign(det) == np.sign(det_k)
-        assert abs(det_k - 2.5**4 * det) < 1e-10
+    t_vals = [-2.0, -0.5, 0.5, 2.0]
+    det = sweep_grid(R31, surf, [0.3], t_vals).det_g[0]
+    det_k = sweep_grid(R31, scaled, [0.3], t_vals).det_g[0]
+    assert np.array_equal(np.sign(det), np.sign(det_k))
+    assert np.abs(det_k - 2.5**4 * det).max() < 1e-10
 
 
 def test_homothety_rejects_non_positive_ratio():
@@ -471,7 +466,7 @@ def test_deg_band_masks_match_causal_tags():
     surf = generate(R31, FamilyId.PARABOLIC_HELICOID)
     # det g = -4t here, so |det g| <= DEG_BAND corresponds to |t| <= DEG_BAND/4
     t_vals = np.array([-2.0, -DEG_BAND / 8, 0.0, DEG_BAND / 8, 2.0])
-    dets = [first_form(R31, immersion_jet(surf, 0.0, float(t))).det_g for t in t_vals]
+    dets = sweep_grid(R31, surf, [0.0], t_vals).det_g[0]
     from ruledmin.export import causal_tag
 
     tags = [causal_tag(d) for d in dets]

@@ -249,6 +249,20 @@ def test_existence_table_json_matches_text():
         assert [rep["n"] >= 3 for rep in row["representatives"]]
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--sig", "3,1"], "--sig"),
+    (["--family", "plane", "--signs", "1,1,1"], "--family, --signs"),
+    (["--signs", "1,-1,0", "--format", "csv"], "--signs"),
+    (["--sig", "4,2", "--family", "hyperbolic-helicoid-2"], "--sig, --family"),
+])
+def test_existence_table_with_a_query_flag_exits_2(flags, named):
+    """--table prints the whole table, so a signature, family or sign choice
+    beside it is rejected, not ignored."""
+    rc, doc = run_json(["existence", "--table", *flags])
+    assert rc == 2
+    assert doc["error"] == "UsageError" and doc["message"].endswith(f"drop {named}")
+
+
 def test_existence_witness_payload():
     rc, doc = run_json(["existence", "--sig", "4,2", "--family", "hyperbolic-helicoid-2"])
     assert rc == 0

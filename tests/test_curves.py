@@ -1,21 +1,11 @@
-"""Tests for closed-form curves: exact jets, null detection, unit speed."""
+"""Tests for closed-form curves: exact jets against closed forms and central differences."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ruledmin import (
-    CurveExpr,
-    Signature,
-    UnitSpeedClass,
-    UsageError,
-    eval_curve,
-    fd_derivative,
-    is_null_curve,
-    uniform_grid,
-    unit_speed_check,
-)
+from ruledmin import CurveExpr, Signature, UsageError, uniform_grid
 from ruledmin.basisfn import COS, COSH, ONE, SIN, Atom, ScalarFn
 from ruledmin.curves import quad
 from ruledmin.metric import ip_array
@@ -31,8 +21,15 @@ def circle(n: int = 3) -> CurveExpr:
     return CurveExpr.from_basis_terms(n, [("cos", 1.0, c1), ("sin", 1.0, c2)])
 
 
+def _central(curve: CurveExpr, s: float, order: int, h: float):
+    """Central difference of curve positions, the check on the analytic jets."""
+    if order == 1:
+        return (curve.eval(s + h) - curve.eval(s - h)) / (2.0 * h)
+    return (curve.eval(s + h) - 2.0 * curve.eval(s) + curve.eval(s - h)) / (h * h)
+
+
 def test_eval_curve_circle_velocity():
-    v = eval_curve(circle(), 0.0, order=1)
+    v = circle().eval(0.0, 1)
     assert np.allclose(v, (0.0, 1.0, 0.0), atol=1e-15)
 
 
@@ -46,43 +43,43 @@ def test_eval_curve_cubic_base_second_derivative():
             ("pow", 1, (0.0, -1.0, 1.0)),
         ],
     )
-    assert np.allclose(eval_curve(x, 1.0, order=2), (2.0, 2.0, 2.0), atol=1e-14)
+    assert np.allclose(x.eval(1.0, 2), (2.0, 2.0, 2.0), atol=1e-14)
 
 
 def test_eval_curve_order_zero_sums_terms():
     c = CurveExpr.from_basis_terms(
         2, [("pow", 0, (1.0, 2.0)), ("cos", 2.0, (3.0, 0.0)), ("exp", 0.5, (0.0, 1.0))]
     )
-    v = eval_curve(c, 0.0)
+    v = c.eval(0.0)
     assert np.allclose(v, (1.0 + 3.0, 2.0 + 1.0), atol=1e-15)
 
 
 def test_eval_curve_vectorized_matches_scalar():
     c = circle()
     grid = uniform_grid(-2.0, 2.0, 17)
-    batch = eval_curve(c, grid, order=1)
+    batch = c.eval(grid, 1)
     for i, s in enumerate(grid):
-        assert np.allclose(batch[i], eval_curve(c, float(s), order=1), atol=1e-15)
+        assert np.allclose(batch[i], c.eval(float(s), 1), atol=1e-15)
 
 
 def test_fd_derivative_exact_on_quadratic():
     c = CurveExpr.from_basis_terms(3, [("pow", 2, (1.0, 0.0, 0.0))])
-    v = fd_derivative(c, 1.0, order=1, h=1e-5)
+    v = _central(c, 1.0, 1, 1e-5)
     assert np.allclose(v, (2.0, 0.0, 0.0), atol=1e-8)
 
 
 def test_fd_derivative_cross_checks_eval_curve():
     c = circle()
-    fd = fd_derivative(c, 0.7, order=2, h=1e-4)
-    exact = eval_curve(c, 0.7, order=2)
+    fd = _central(c, 0.7, 2, 1e-4)
+    exact = c.eval(0.7, 2)
     assert np.max(np.abs(fd - exact)) < 1e-6
 
 
 def test_fd_derivative_constant_curve_is_zero():
     c = CurveExpr.from_basis_terms(3, [("pow", 0, (4.0, -1.0, 2.0))])
     for s in (-1.0, 0.0, 2.5):
-        assert np.allclose(fd_derivative(c, s, order=1, h=1e-4), 0.0, atol=1e-12)
-        assert np.allclose(fd_derivative(c, s, order=2, h=1e-4), 0.0, atol=1e-8)
+        assert np.allclose(_central(c, s, 1, 1e-4), 0.0, atol=1e-12)
+        assert np.allclose(_central(c, s, 2, 1e-4), 0.0, atol=1e-8)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -94,8 +91,8 @@ def test_fd_convergence_order(order):
     hs = [1e-2, 1e-3]
     errs = []
     for h in hs:
-        fd = fd_derivative(c, 0.6, order=order, h=h)
-        errs.append(float(np.max(np.abs(fd - eval_curve(c, 0.6, order=order)))))
+        fd = _central(c, 0.6, order, h)
+        errs.append(float(np.max(np.abs(fd - c.eval(0.6, order)))))
     assert convergence_order(errs, hs) >= 1.9
 
 
@@ -108,10 +105,10 @@ def test_product_rule_identity():
     grid = uniform_grid(-2.0, 2.0)
     h = 1e-6
     for s in grid[::10]:
-        v, d = eval_curve(c, float(s)), eval_curve(c, float(s), order=1)
+        v, d = c.eval(float(s)), c.eval(float(s), 1)
         lhs = (
-            _ip(sig, eval_curve(c, float(s) + h), eval_curve(c, float(s) + h))
-            - _ip(sig, eval_curve(c, float(s) - h), eval_curve(c, float(s) - h))
+            _ip(sig, c.eval(float(s) + h), c.eval(float(s) + h))
+            - _ip(sig, c.eval(float(s) - h), c.eval(float(s) - h))
         ) / (2 * h)
         assert abs(lhs - 2.0 * _ip(sig, v, d)) < 1e-6
 
@@ -143,65 +140,6 @@ def test_scalar_fn_product_that_leaves_the_algebra_is_a_usage_error():
 
 def _ip(sig, u, v):
     return float(sum((-1 if i < sig.p else 1) * a * b for i, (a, b) in enumerate(zip(u, v))))
-
-
-def test_null_curve_hyperbolic_helix():
-    sig = Signature(3, 1)
-    c = CurveExpr.from_basis_terms(
-        3, [("sinh", 1.0, (1.0, 0.0, 0.0)), ("cosh", 1.0, (0.0, 1.0, 0.0)), ("pow", 1, (0.0, 0.0, 1.0))]
-    )
-    assert is_null_curve(sig, c, uniform_grid(-2.0, 2.0))
-
-
-def test_null_curve_diagonal_line():
-    sig = Signature(3, 1)
-    c = CurveExpr.from_basis_terms(3, [("pow", 1, (1.0, 1.0, 0.0))])
-    assert is_null_curve(sig, c, uniform_grid(-2.0, 2.0))
-
-
-@pytest.mark.parametrize(
-    "terms",
-    [
-        [("cos", 1.0, (1.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 1.0, 0.0))],
-        [("pow", 1, (1.0, 2.0, 0.0))],
-        [("exp", 0.3, (0.0, 0.0, 1.0)), ("pow", 2, (1.0, 0.0, 0.0))],
-    ],
-)
-def test_no_null_curves_in_definite_metric(terms):
-    """A positive-definite metric admits no regular null curve."""
-    sig = Signature(3, 0)
-    c = CurveExpr.from_basis_terms(3, terms)
-    assert not is_null_curve(sig, c, uniform_grid(-2.0, 2.0))
-
-
-def test_unit_speed_circle():
-    assert (
-        unit_speed_check(Signature(3, 0), circle(), uniform_grid(-2.0, 2.0))
-        is UnitSpeedClass.UNIT_SPACELIKE
-    )
-
-
-def test_unit_speed_hyperbola_is_spacelike():
-    # (cosh s, sinh s, 0): speed squared is -sinh^2 + cosh^2 = +1
-    sig = Signature(3, 1)
-    c = CurveExpr.from_basis_terms(
-        3, [("cosh", 1.0, (1.0, 0.0, 0.0)), ("sinh", 1.0, (0.0, 1.0, 0.0))]
-    )
-    assert unit_speed_check(sig, c, uniform_grid(-2.0, 2.0)) is UnitSpeedClass.UNIT_SPACELIKE
-
-
-def test_unit_speed_timelike_branch():
-    # (sinh s, cosh s, 0): speed squared is -cosh^2 + sinh^2 = -1
-    sig = Signature(3, 1)
-    c = CurveExpr.from_basis_terms(
-        3, [("sinh", 1.0, (1.0, 0.0, 0.0)), ("cosh", 1.0, (0.0, 1.0, 0.0))]
-    )
-    assert unit_speed_check(sig, c, uniform_grid(-2.0, 2.0)) is UnitSpeedClass.UNIT_TIMELIKE
-
-
-def test_unit_speed_rejects_scaled_line():
-    c = CurveExpr.from_basis_terms(3, [("pow", 1, (2.0, 0.0, 0.0))])
-    assert unit_speed_check(Signature(3, 0), c, uniform_grid(0.0, 1.0)) is UnitSpeedClass.NOT_UNIT
 
 
 def _parabola_arc_length(s: float) -> float:
@@ -255,7 +193,7 @@ def test_curve_construction_rejects_bad_inputs():
 def test_derivative_cache_consistency():
     """Third derivatives exist and differentiate the second ones."""
     c = CurveExpr.from_basis_terms(3, [("sin", 2.0, (1.0, 0.0, 0.0))])
-    d2 = eval_curve(c, 0.3, order=2)
-    d3 = eval_curve(c, 0.3, order=3)
+    d2 = c.eval(0.3, 2)
+    d3 = c.eval(0.3, 3)
     assert np.allclose(d2, (-4.0 * math.sin(0.6), 0.0, 0.0), atol=1e-14)
     assert np.allclose(d3, (-8.0 * math.cos(0.6), 0.0, 0.0), atol=1e-14)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ruledmin import FamilyId, SignChoice, Signature, UsageError, generate
+from ruledmin import CurveExpr, FamilyId, SignChoice, Signature, UsageError, generate
 from ruledmin.jsonio import (
     _fmt_float,
     curve_from_json,
@@ -192,6 +192,59 @@ def test_domain_validation():
     del data["t_domain"]
     with pytest.raises(UsageError, match="t_domain"):
         surface_from_json(data)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["signature"].update(n=math.nan), "signature.n: expected an integer, got nan"),
+    (lambda d: d["signature"].update(p=math.inf), "signature.p: expected an integer, got inf"),
+    (
+        lambda d: d["gamma"]["terms"][0].update(basis="cos", param=1.0, degree=-math.inf),
+        "gamma.terms[0].degree: expected an integer, got -inf",
+    ),
+    (
+        lambda d: d["gamma"]["terms"][0].update(basis="pow", param=math.inf),
+        "gamma.terms[0].param: expected a finite number, got inf",
+    ),
+    (lambda d: d.update(s_domain=[-3, 10**400]), f"s_domain[1]: expected a finite number, got {10**400}"),
+    (
+        lambda d: d["base"]["terms"][0]["coeff"].__setitem__(0, -(10**400)),
+        f"base.terms[0].coeff[0]: expected a finite number, got {-(10**400)}",
+    ),
+], ids=["n-nan", "p-inf", "degree-inf", "param-inf", "s-domain-400-digits", "coeff-400-digits"])
+def test_non_finite_and_oversized_numbers_are_tagged_usage_errors(edit, message):
+    """Python's json reads NaN, Infinity and integers past the float range;
+    each is a malformed field, not a crash."""
+    import json
+
+    data = _valid_surface_dict()
+    edit(data)
+    with pytest.raises(UsageError) as err:
+        loads_surface(json.dumps(data))
+    assert str(err.value) == message
+
+
+def test_an_integer_literal_past_the_digit_limit_is_invalid_json():
+    text = dumps(_valid_surface_dict()).replace('"s_domain": [-3', '"s_domain": [-' + "1" * 5000, 1)
+    assert "1" * 5000 in text
+    with pytest.raises(UsageError, match="invalid JSON"):
+        loads_surface(text)
+
+
+def test_python_and_json_curve_terms_read_alike():
+    """from_basis_terms and curve_from_json build the same term dict, in the
+    same order, and reject the same terms."""
+    specs = [("pow", 2, (1.0, 0.0)), ("sin", -3.0, (0.0, 2.0)), ("cosh", 0.5, (1.0, 1.0)),
+             ("cos", 0.0, (0.5, 0.0)), ("pow", 0, (0.0, -1.0))]
+    curve = CurveExpr.from_basis_terms(2, specs)
+    wire = {"n": 2, "terms": [{"basis": b, "param": p, "coeff": list(c)} for b, p, c in specs]}
+    read = curve_from_json(wire)
+    assert list(curve.terms) == list(read.terms)
+    assert all(np.array_equal(curve.terms[a], read.terms[a]) for a in curve.terms)
+    for basis, param in [("pow", 1.5), ("pow", -1), ("tanh", 1.0), ("cos", math.nan)]:
+        with pytest.raises(UsageError):
+            CurveExpr.from_basis_terms(2, [(basis, param, (1.0, 0.0))])
+        with pytest.raises(UsageError):
+            curve_from_json({"n": 2, "terms": [{"basis": basis, "param": param, "coeff": [1, 0]}]})
 
 
 # ---------------------------------------------------------------------------

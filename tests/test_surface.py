@@ -1,4 +1,8 @@
-"""Tests for jets, fundamental forms, mean curvature, minimality, and gauge."""
+"""Tests for the sweep's forms at single points, mean curvature, minimality, and gauge.
+
+Pointwise expectations are closed forms, or the oracles of _oracles.py fed
+with the curves' own jets (curve.eval(s, order)) or with finite differences.
+"""
 
 import numpy as np
 import pytest
@@ -17,17 +21,12 @@ from ruledmin import (
     UsageError,
     c_function,
     c_function_grid,
-    first_form,
-    form_bundle,
     gauge_normalize,
     generate,
     identify_family,
-    immersion_jet,
     inner_product,
     is_minimal,
-    is_totally_geodesic,
-    mean_curvature,
-    second_form,
+    sweep_grid,
     uniform_grid,
 )
 from ruledmin.basisfn import ONE, Atom, ScalarFn
@@ -62,35 +61,55 @@ def flat_plane() -> RuledSurface:
     return RuledSurface(gamma, base, (-3.0, 3.0), (-3.0, 3.0))
 
 
+def _at(sig: Signature, surf: RuledSurface, s: float, t: float) -> dict:
+    """The sweep's fields at the one point (s, t)."""
+    sweep = sweep_grid(sig, surf, [s], [t])
+    names = ("f", "g11", "g12", "det_g", "nondegenerate", "h11", "h12", "H")
+    return {name: getattr(sweep, name)[0, 0] for name in names}
+
+
+def _jets(surf: RuledSurface, s: float, t: float):
+    """f_s, f_t, f_ss and f_st at (s, t) from the curves' analytic jets."""
+    g0, g1, g2 = (surf.gamma.eval(s, k) for k in range(3))
+    x1, x2 = surf.base.eval(s, 1), surf.base.eval(s, 2)
+    return g1 * t + x1, g0, g2 * t + x2, g1
+
+
 # ---------------------------------------------------------------------------
 # jets
 
 
 def test_helicoid_jet_at_reference_point():
-    jet = immersion_jet(helicoid(), 0.0, 1.0)
-    assert np.allclose(jet.f, (1.0, 0.0, 0.0), atol=1e-15)
-    assert np.allclose(jet.f_s, (0.0, 1.0, 1.0), atol=1e-15)
-    assert np.allclose(jet.f_t, (1.0, 0.0, 0.0), atol=1e-15)
-    assert np.allclose(jet.f_ss, (-1.0, 0.0, 0.0), atol=1e-15)
-    assert np.allclose(jet.f_st, (0.0, 1.0, 0.0), atol=1e-15)
-    assert np.allclose(jet.f_tt, 0.0, atol=0.0)
+    surf = helicoid()
+    f_s, f_t, f_ss, f_st = _jets(surf, 0.0, 1.0)
+    assert np.allclose(_at(R30, surf, 0.0, 1.0)["f"], (1.0, 0.0, 0.0), atol=1e-15)
+    assert np.allclose(f_s, (0.0, 1.0, 1.0), atol=1e-15)
+    assert np.allclose(f_t, (1.0, 0.0, 0.0), atol=1e-15)
+    assert np.allclose(f_ss, (-1.0, 0.0, 0.0), atol=1e-15)
+    assert np.allclose(f_st, (0.0, 1.0, 0.0), atol=1e-15)
 
 
 def test_jet_at_t_zero_reduces_to_base_acceleration():
+    """At t = 0 the sweep's f is the base curve, and f_ss by differences is x''."""
     surf = generate(R31, FamilyId.PARABOLIC_HELICOID)
-    for s in (-1.0, 0.3, 2.0):
-        jet = immersion_jet(surf, s, 0.0)
-        assert np.allclose(jet.f_ss, surf.base.eval(s, 2), atol=1e-15)
+    s_vals = [-1.0, 0.3, 2.0]
+    f = sweep_grid(R31, surf, s_vals, [0.0]).f[:, 0]
+    assert np.array_equal(f, surf.base.eval(np.array(s_vals)))
+    for s in s_vals:
+        f_ss = fd_position_jet(surf, s, 0.0, h=1e-4)[3]
+        assert np.allclose(f_ss, surf.base.eval(s, 2), atol=1e-6)
 
 
 def test_plane_jet_second_derivatives_vanish():
-    jet = immersion_jet(flat_plane(), 0.7, -1.2)
-    assert np.allclose(jet.f_ss, 0.0, atol=0.0)
-    assert np.allclose(jet.f_st, 0.0, atol=0.0)
+    surf = flat_plane()
+    _, _, f_ss, f_st = _jets(surf, 0.7, -1.2)
+    assert np.allclose(f_ss, 0.0, atol=0.0)
+    assert np.allclose(f_st, 0.0, atol=0.0)
 
 
 def test_jet_matches_position_only_finite_differences():
-    """Analytic jets agree with an oracle built purely from f evaluations."""
+    """The curves' analytic jets and the sweep's f agree with an oracle built
+    purely from f evaluations."""
     gamma = CurveExpr.from_basis_terms(
         3, [("cos", 1.5, (1.0, 0.0, 0.2)), ("sinh", 0.5, (0.0, 1.0, 0.0))]
     )
@@ -99,49 +118,54 @@ def test_jet_matches_position_only_finite_differences():
     )
     surf = RuledSurface(gamma, base, (-2.0, 2.0), (-2.0, 2.0))
     for s, t in [(-1.1, 0.4), (0.0, 1.0), (0.8, -0.7)]:
-        jet = immersion_jet(surf, s, t)
-        f0, f_s, f_t, f_ss, f_st, f_tt = fd_position_jet(surf, s, t, h=1e-5)
-        assert np.allclose(jet.f, f0, atol=1e-12)
-        assert np.allclose(jet.f_s, f_s, atol=1e-8)
-        assert np.allclose(jet.f_t, f_t, atol=1e-8)
-        assert np.allclose(jet.f_ss, f_ss, atol=1e-5)
-        assert np.allclose(jet.f_st, f_st, atol=1e-5)
-        assert np.allclose(jet.f_tt, f_tt, atol=1e-5)
+        f_s, f_t, f_ss, f_st = _jets(surf, s, t)
+        fd0, fd_s, fd_t, fd_ss, fd_st, fd_tt = fd_position_jet(surf, s, t, h=1e-5)
+        assert np.allclose(_at(R30, surf, s, t)["f"], fd0, atol=1e-12)
+        assert np.allclose(f_s, fd_s, atol=1e-8)
+        assert np.allclose(f_t, fd_t, atol=1e-8)
+        assert np.allclose(f_ss, fd_ss, atol=1e-5)
+        assert np.allclose(f_st, fd_st, atol=1e-5)
+        assert np.allclose(fd_tt, 0.0, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
 # first fundamental form
 
 
+def _g22(sig: Signature, surf: RuledSurface, s: float) -> float:
+    gamma = surf.gamma.eval(s)
+    return inner_product(sig, gamma, gamma)
+
+
 def test_helicoid_first_form():
     surf = helicoid()
     for s, t in [(0.0, 0.0), (1.2, -2.0), (-0.4, 0.9)]:
-        g = first_form(R30, immersion_jet(surf, s, t))
-        assert abs(g.g11 - (t * t + 1.0)) < 1e-14
-        assert abs(g.g12) < 1e-14
-        assert abs(g.g22 - 1.0) < 1e-14
-        assert abs(g.det_g - (t * t + 1.0)) < 1e-14
+        g = _at(R30, surf, s, t)
+        assert abs(g["g11"] - (t * t + 1.0)) < 1e-14
+        assert abs(g["g12"]) < 1e-14
+        assert abs(_g22(R30, surf, s) - 1.0) < 1e-14
+        assert abs(g["det_g"] - (t * t + 1.0)) < 1e-14
 
 
 def test_paraboloid_first_form_is_constant():
     surf = generate(R41, FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID, signs=SignChoice(0, 1, 1))
     for s, t in [(0.0, 0.0), (2.0, -1.5), (-2.5, 2.5)]:
-        g = first_form(R41, immersion_jet(surf, s, t))
-        assert abs(g.g11 - 1.0) < 1e-14
-        assert abs(g.g12) < 1e-14
-        assert abs(g.g22 - 1.0) < 1e-14
-        assert abs(g.det_g - 1.0) < 1e-14
+        g = _at(R41, surf, s, t)
+        assert abs(g["g11"] - 1.0) < 1e-14
+        assert abs(g["g12"]) < 1e-14
+        assert abs(_g22(R41, surf, s) - 1.0) < 1e-14
+        assert abs(g["det_g"] - 1.0) < 1e-14
 
 
 def test_cylinder_determinant_is_minus_pairing_squared():
     surf = generate(R31, FamilyId.MINIMAL_CYLINDER)
     s_grid = uniform_grid(-2.0, 2.0, 21)
+    det_g = sweep_grid(R31, surf, s_grid, [0.7]).det_g[:, 0]
     g0 = surf.gamma.eval(0.0)
-    for s in s_grid:
+    for s, det in zip(s_grid, det_g):
         pairing = inner_product(R31, g0, surf.base.eval(float(s), 1))
-        g = first_form(R31, immersion_jet(surf, float(s), 0.7))
-        assert abs(g.det_g + pairing * pairing) < 1e-12
-        assert g.det_g < 0.0
+        assert abs(det + pairing * pairing) < 1e-12
+        assert det < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -149,49 +173,47 @@ def test_cylinder_determinant_is_minus_pairing_squared():
 
 
 def test_helicoid_h11_vanishes_at_reference_point():
-    jet = immersion_jet(helicoid(), 0.0, 1.0)
-    h = second_form(R30, jet)
-    assert np.max(np.abs(h.h11)) < 1e-12
-    oracle = normal_component(R30, jet.f_s, jet.f_t, jet.f_ss)
-    assert np.allclose(h.h11, oracle, atol=1e-12)
+    surf = helicoid()
+    h11 = _at(R30, surf, 0.0, 1.0)["h11"]
+    assert np.max(np.abs(h11)) < 1e-12
+    f_s, f_t, f_ss, _ = _jets(surf, 0.0, 1.0)
+    assert np.allclose(h11, normal_component(R30, f_s, f_t, f_ss), atol=1e-12)
 
 
 def test_plane_second_form_vanishes():
-    jet = immersion_jet(flat_plane(), 0.3, 0.6)
-    h = second_form(R30, jet)
-    assert np.max(np.abs(np.array([h.h11, h.h12, h.h22]))) < 1e-15
+    h = _at(R30, flat_plane(), 0.3, 0.6)
+    assert np.max(np.abs(np.array([h["h11"], h["h12"]]))) < 1e-15
 
 
 def test_circular_cylinder_h11():
     surf = circular_cylinder()
     for s in (-1.0, 0.0, 2.2):
-        jet = immersion_jet(surf, s, 0.5)
-        h = second_form(R30, jet)
-        assert np.allclose(h.h11, (-np.cos(s), -np.sin(s), 0.0), atol=1e-13)
-        oracle = normal_component(R30, jet.f_s, jet.f_t, jet.f_ss)
-        assert np.allclose(h.h11, oracle, atol=1e-12)
+        h11 = _at(R30, surf, s, 0.5)["h11"]
+        assert np.allclose(h11, (-np.cos(s), -np.sin(s), 0.0), atol=1e-13)
+        f_s, f_t, f_ss, _ = _jets(surf, s, 0.5)
+        assert np.allclose(h11, normal_component(R30, f_s, f_t, f_ss), atol=1e-12)
 
 
 def test_second_form_normality():
     """h_ij are ambient-orthogonal to both tangent vectors."""
     surf = generate(R41, FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID)
     for s, t in [(0.4, 0.8), (-1.7, 2.1), (2.9, -0.3)]:
-        jet = immersion_jet(surf, s, t)
-        h = second_form(R41, jet)
-        for vec in (h.h11, h.h12, h.h22):
-            assert abs(inner_product(R41, vec, jet.f_s)) < 1e-10
-            assert abs(inner_product(R41, vec, jet.f_t)) < 1e-10
+        h = _at(R41, surf, s, t)
+        f_s, f_t, _, _ = _jets(surf, s, t)
+        for vec in (h["h11"], h["h12"]):
+            assert abs(inner_product(R41, vec, f_s)) < 1e-10
+            assert abs(inner_product(R41, vec, f_t)) < 1e-10
 
 
-def test_second_form_raises_on_degenerate_tangent_plane():
-    # type-change locus of the mixed-sign helicoid sits at t = +-1
+def test_sweep_masks_the_type_change_locus():
+    """det g = t^2 - 1 vanishes at t = 1: the sweep masks that point and
+    reports no second form there, and just outside it reports one."""
     surf = generate(R31, FamilyId.ELLIPTIC_HELICOID_1, signs=SignChoice(1, 1, -1))
-    with pytest.raises(DegenerateMetricError) as err:
-        second_form(R31, immersion_jet(surf, 0.0, 1.0))
-    assert err.value.t == 1.0
-    # just outside the cutoff the computation goes through
-    h = second_form(R31, immersion_jet(surf, 0.0, 1.0 + 1e-3))
-    assert np.all(np.isfinite(h.h11))
+    sweep = sweep_grid(R31, surf, [0.0], [1.0, 1.0 + 1e-3])
+    assert sweep.det_g[0, 0] == 0.0
+    assert sweep.nondegenerate.tolist() == [[False, True]]
+    assert np.isnan(sweep.h11[0, 0]).all()
+    assert np.isfinite(sweep.h11[0, 1]).all()
 
 
 def test_degeneracy_cutoff_is_sharp():
@@ -199,9 +221,11 @@ def test_degeneracy_cutoff_is_sharp():
     # det g = t^2 - 1; choose t so |det g| straddles the default cutoff
     inside = np.sqrt(1.0 + 0.5e-9)
     outside = np.sqrt(1.0 + 2e-9)
-    with pytest.raises(DegenerateMetricError):
-        second_form(R31, immersion_jet(surf, 0.0, float(inside)))
-    second_form(R31, immersion_jet(surf, 0.0, float(outside)))
+    sweep = sweep_grid(R31, surf, [0.0], [inside, outside])
+    assert np.array_equal(sweep.nondegenerate, np.abs(sweep.det_g) > sweep.tau_deg)
+    assert sweep.nondegenerate.tolist() == [[False, True]]
+    assert np.isnan(sweep.h11[0, 0]).all()
+    assert np.isfinite(sweep.h11[0, 1]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +233,23 @@ def test_degeneracy_cutoff_is_sharp():
 
 
 def test_helicoid_mean_curvature_vanishes():
-    surf = helicoid()
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        s = float(rng.uniform(-3, 3))
-        t = float(rng.uniform(-3, 3))
-        jet = immersion_jet(surf, s, t)
-        g = first_form(R30, jet)
-        h = second_form(R30, jet, g)
-        assert np.max(np.abs(mean_curvature(g, h))) < 1e-10
+    s_vals, t_vals = rng.uniform(-3, 3, 20), rng.uniform(-3, 3, 20)
+    sweep = sweep_grid(R30, helicoid(), s_vals, t_vals)
+    assert sweep.nondegenerate.all()  # det g = t^2 + 1
+    assert np.max(np.abs(sweep.H)) < 1e-10
 
 
 def test_circular_cylinder_mean_curvature():
     surf = circular_cylinder()
     for s, t in [(0.0, 0.0), (1.3, -2.0)]:
-        bundle = form_bundle(R30, surf, s, t)
         expected = (-0.5 * np.cos(s), -0.5 * np.sin(s), 0.0)
-        assert np.allclose(bundle.H, expected, atol=1e-12)
+        assert np.allclose(_at(R30, surf, s, t)["H"], expected, atol=1e-12)
         assert np.allclose(fd_mean_curvature(R30, surf, s, t), expected, atol=1e-6)
 
 
 def test_plane_mean_curvature_is_zero():
-    bundle = form_bundle(R30, flat_plane(), 0.2, 0.4)
-    assert np.max(np.abs(bundle.H)) == 0.0
+    assert np.max(np.abs(_at(R30, flat_plane(), 0.2, 0.4)["H"])) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +328,11 @@ def test_null_direction_surfaces_are_never_minimal():
 
 
 def test_totally_geodesic_classification():
-    assert is_totally_geodesic(R30, flat_plane())
-    assert not is_totally_geodesic(R30, helicoid())
+    assert is_minimal(R30, flat_plane()).totally_geodesic
+    assert not is_minimal(R30, helicoid()).totally_geodesic
     mhp = generate(R41, FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID)
-    assert not is_totally_geodesic(R41, mhp)
-    assert is_minimal(R41, mhp).is_minimal
+    report = is_minimal(R41, mhp)
+    assert report.is_minimal and not report.totally_geodesic
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +554,11 @@ def test_trace_identity_when_g12_vanishes():
         for _ in range(10):
             s = float(rng.uniform(-3, 3))
             t = float(rng.uniform(-3, 3))
-            try:
-                bundle = form_bundle(sig, surf, s, t)
-            except DegenerateMetricError:
+            point = _at(sig, surf, s, t)
+            if not point["nondegenerate"]:
                 continue
-            g = bundle.first
-            assert abs(g.g12) < 1e-12
-            resid = 2.0 * np.asarray(bundle.H) - np.asarray(bundle.second.h11) / g.g11
+            assert abs(point["g12"]) < 1e-12
+            resid = 2.0 * point["H"] - point["h11"] / point["g11"]
             assert np.max(np.abs(resid)) < 1e-12
 
 
