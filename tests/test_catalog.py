@@ -1,5 +1,7 @@
 """Tests for family generators, causal maps, span checks, and the graph check."""
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ruledmin import (
     existence_oracle,
     gauge_normalize,
     generate,
+    gram_matrix,
     is_minimal,
     pick_signs,
     scale_surface,
@@ -306,6 +309,22 @@ def test_degenerate_span_examples():
 def test_degenerate_span_rejects_dependent_frames():
     with pytest.raises(UsageError):
         degenerate_span_check(R30, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+
+
+def test_degenerate_span_check_is_exact_on_fraction_frames():
+    """span{u, v, w} holds the null vector u = (1, 1, 0, 0)/3, which is
+    orthogonal to v and w, so the span is degenerate. The frame (u+v, v+w, w+u)
+    has a Gram determinant of exactly 0, which float arithmetic misses."""
+    u, v, w = (F(1, 3), F(1, 3), 0, 0), (F(1, 7), F(1, 7), F(1, 3), 0), (0, 0, F(1, 5), F(3, 11))
+    frame = [tuple(a + b for a, b in zip(x, y)) for x, y in ((u, v), (v, w), (w, u))]
+    assert degenerate_span_check(R41, frame) is SpanType.DEGENERATE_SPAN
+    g = gram_matrix(R41, [[float(x) for x in vec] for vec in frame])
+    float_det = (
+        g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
+        - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
+        + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
+    )
+    assert float_det != 0.0
 
 
 def test_span_type_tracks_family_kind():

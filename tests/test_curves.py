@@ -1,11 +1,12 @@
-"""Tests for closed-form curves: exact jets against closed forms and central differences."""
+"""Tests for closed-form curves: exact jets against closed forms and central
+differences, and the causal type of a curve read from its closed-form speed."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ruledmin import CurveExpr, Signature, UsageError, uniform_grid
+from ruledmin import CurveExpr, Signature, UsageError, symbolic_inner, uniform_grid
 from ruledmin.basisfn import COS, COSH, ONE, SIN, Atom, ScalarFn
 from ruledmin.curves import quad
 from ruledmin.metric import ip_array
@@ -142,6 +143,83 @@ def _ip(sig, u, v):
     return float(sum((-1 if i < sig.p else 1) * a * b for i, (a, b) in enumerate(zip(u, v))))
 
 
+def _speed_squared(sig: Signature, c: CurveExpr, grid: np.ndarray) -> ScalarFn:
+    """<c', c'> in closed form, checked against the sampled velocities on grid."""
+    d = c.derivative(1)
+    closed = symbolic_inner(sig, d, d)
+    sampled = c.eval(grid, 1)
+    assert np.allclose(closed.eval(grid), ip_array(sig, sampled, sampled), atol=1e-12)
+    return closed
+
+
+def _is_constant(fn: ScalarFn, value: float) -> bool:
+    return (fn - ScalarFn.constant(value)).is_zero
+
+
+def test_null_curve_hyperbolic_helix():
+    # (sinh s, cosh s, s): speed squared is -cosh^2 + sinh^2 + 1 = 0
+    sig = Signature(3, 1)
+    c = CurveExpr.from_basis_terms(
+        3, [("sinh", 1.0, (1.0, 0.0, 0.0)), ("cosh", 1.0, (0.0, 1.0, 0.0)), ("pow", 1, (0.0, 0.0, 1.0))]
+    )
+    assert _speed_squared(sig, c, uniform_grid(-2.0, 2.0)).is_zero
+    assert not c.is_constant()
+
+
+def test_null_curve_diagonal_line():
+    sig = Signature(3, 1)
+    c = CurveExpr.from_basis_terms(3, [("pow", 1, (1.0, 1.0, 0.0))])
+    assert _speed_squared(sig, c, uniform_grid(-2.0, 2.0)).is_zero
+    assert not c.is_constant()
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [("cos", 1.0, (1.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 1.0, 0.0))],
+        [("pow", 1, (1.0, 2.0, 0.0))],
+        [("exp", 0.3, (0.0, 0.0, 1.0)), ("pow", 2, (1.0, 0.0, 0.0))],
+    ],
+)
+def test_no_null_curves_in_definite_metric(terms):
+    """A positive-definite metric admits no regular null curve."""
+    sig = Signature(3, 0)
+    c = CurveExpr.from_basis_terms(3, terms)
+    grid = uniform_grid(-2.0, 2.0)
+    speed_sq = _speed_squared(sig, c, grid)
+    assert not speed_sq.is_zero
+    assert np.all(speed_sq.eval(grid) > 0.0)
+
+
+def test_unit_speed_circle():
+    assert _is_constant(_speed_squared(Signature(3, 0), circle(), uniform_grid(-2.0, 2.0)), 1.0)
+
+
+def test_unit_speed_hyperbola_is_spacelike():
+    # (cosh s, sinh s, 0): speed squared is -sinh^2 + cosh^2 = +1
+    sig = Signature(3, 1)
+    c = CurveExpr.from_basis_terms(
+        3, [("cosh", 1.0, (1.0, 0.0, 0.0)), ("sinh", 1.0, (0.0, 1.0, 0.0))]
+    )
+    assert _is_constant(_speed_squared(sig, c, uniform_grid(-2.0, 2.0)), 1.0)
+
+
+def test_unit_speed_timelike_branch():
+    # (sinh s, cosh s, 0): speed squared is -cosh^2 + sinh^2 = -1
+    sig = Signature(3, 1)
+    c = CurveExpr.from_basis_terms(
+        3, [("sinh", 1.0, (1.0, 0.0, 0.0)), ("cosh", 1.0, (0.0, 1.0, 0.0))]
+    )
+    assert _is_constant(_speed_squared(sig, c, uniform_grid(-2.0, 2.0)), -1.0)
+
+
+def test_unit_speed_rejects_scaled_line():
+    c = CurveExpr.from_basis_terms(3, [("pow", 1, (2.0, 0.0, 0.0))])
+    speed_sq = _speed_squared(Signature(3, 0), c, uniform_grid(0.0, 1.0))
+    assert _is_constant(speed_sq, 4.0)
+    assert not _is_constant(speed_sq, 1.0) and not _is_constant(speed_sq, -1.0)
+
+
 def _parabola_arc_length(s: float) -> float:
     # antiderivative of sqrt(1 + 4 s^2), the speed of s^2 e1 + s e2
     return 0.5 * s * math.sqrt(1.0 + 4.0 * s * s) + 0.25 * math.asinh(2.0 * s)
@@ -197,3 +275,15 @@ def test_derivative_cache_consistency():
     d3 = c.eval(0.3, 3)
     assert np.allclose(d2, (-4.0 * math.sin(0.6), 0.0, 0.0), atol=1e-14)
     assert np.allclose(d3, (-8.0 * math.cos(0.6), 0.0, 0.0), atol=1e-14)
+
+
+def test_eval_takes_any_order_past_the_third():
+    """The fourth and fifth derivatives of sin(2s) are 16 sin(2s) and 32 cos(2s)."""
+    c = CurveExpr.from_basis_terms(3, [("sin", 2.0, (1.0, 0.0, 0.0))])
+    assert np.allclose(c.eval(0.3, 4), (16.0 * math.sin(0.6), 0.0, 0.0), atol=1e-13)
+    assert np.allclose(c.eval(0.3, 5), (32.0 * math.cos(0.6), 0.0, 0.0), atol=1e-13)
+
+
+def test_eval_rejects_a_negative_order():
+    with pytest.raises(UsageError, match="order must be >= 0"):
+        circle().eval(0.0, -1)
