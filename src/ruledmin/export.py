@@ -1,43 +1,90 @@
 """Mesh (OBJ) and table (CSV) exports of surface sweeps.
 
 Output is byte-deterministic: fixed column order, 17-significant-digit
-floats, LF newlines. A column is formatted by folding -0.0 to 0.0 and
-non-finite values to nan and then spelling each of its distinct values
-once with "%.17g", exactly as jsonio._fmt_float(x, "nan") does; most
+floats, LF newlines. Every number is "%.17g" of v + 0.0, with non-finite
+values spelled nan, exactly as jsonio._fmt_float(x, "nan") spells it.
+
+Each column is a pair: the strings of its distinct values, formatted once
+into a fixed-width numpy bytes array, and each cell's index into them. Most
 columns of f depend on s alone or are constant, and det g and |H| take few
-values on a lattice. f's columns are formatted once per sweep, and the OBJ
-vertices and the CSV share those strings. OBJ viewers want 3 coordinates,
-so higher-dimensional surfaces are projected onto three ambient axes
-(spacelike first) with the choice recorded in the header.
+values on a lattice. f's columns are formatted once per sweep and shared by
+the OBJ vertices and the CSV. One row writer builds OBJ vertices, OBJ faces
+and CSV rows alike: per block of rows it gathers every column into a byte
+buffer that holds the separators and newlines, then drops the NUL padding of
+the fixed-width strings (no formatted value contains a NUL). OBJ viewers
+want 3 coordinates, so higher-dimensional surfaces are projected onto three
+ambient axes (spacelike first) with the choice recorded in the header.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
 from .catalog import DEG_BAND
+from .jsonio import _fmt_float
 from .metric import Signature
 from .surface import SurfaceSweep
 
+# Rows gathered into one byte buffer at a time; bounds the writer's working memory.
+BLOCK_ROWS = 1 << 15
 
-def _fmt_column(values) -> list[str]:
-    """17-significant-digit strings of a float array in C order, one "%.17g"
-    per distinct value, mapped back to every cell that holds it."""
+_TAG_NAMES = ("degenerate", "spacelike", "timelike")
+
+
+def _fmt_column(values) -> tuple[np.ndarray, np.ndarray]:
+    """The column of a float array in C order: the b"%.17g" strings of its
+    distinct values (v + 0.0, non-finite folded to nan) as a fixed-width bytes
+    array, and each cell's index into it."""
     v = np.asarray(values, dtype=float).ravel()
     distinct, index = np.unique(np.where(np.isfinite(v), v + 0.0, np.nan), return_inverse=True)
-    strings = ("%.17g\n" * distinct.size % tuple(distinct.tolist())).split("\n")[:-1]
-    return np.array(strings, dtype=object)[index].tolist()
+    # "%.17g" is at most 24 bytes long and holds no space, so padding every
+    # value to 24 with spaces and then turning them into NULs gives the rows
+    # of a fixed-width array; its width is then cut to the longest value
+    text = b"%-24.17g" * distinct.size % tuple(distinct.tolist())
+    cells = np.frombuffer(text, dtype=np.uint8).reshape(distinct.size, 24).copy()
+    cells[cells == ord(" ")] = 0
+    width = max(1, int(cells.any(axis=0).sum()))
+    return np.ascontiguousarray(cells[:, :width]).view(f"S{width}").ravel(), index
 
 
-def _f_column(sweep: SurfaceSweep, k: int) -> list[str]:
-    """Strings of f's ambient column k, kept on the sweep from the first call,
-    so obj_mesh and csv_grid of one sweep format each column once."""
+def _f_column(sweep: SurfaceSweep, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """f's ambient column k, kept on the sweep from the first call, so
+    obj_mesh and csv_grid of one sweep format each column once."""
     columns = sweep.__dict__.setdefault("_f_strings", {})
     if k not in columns:
         columns[k] = _fmt_column(sweep.f[..., k])
     return columns[k]
+
+
+def _rows(prefix: bytes, sep: bytes, columns):
+    """Byte chunks of one line per row: prefix, the row's string of each
+    (strings, index) column joined by the one-byte sep, and a newline. A
+    generator, so the columns and the buffer go once the last chunk is out."""
+    template, slots = bytearray(prefix), []
+    for strings, _ in columns:
+        slots.append(slice(len(template), len(template) + strings.itemsize))
+        template += bytes(strings.itemsize) + sep
+    template[-1:] = b"\n"
+    nrows = len(columns[0][1])
+    buf = np.empty((min(nrows, BLOCK_ROWS), len(template)), dtype=np.uint8)
+    buf[:] = np.frombuffer(bytes(template), dtype=np.uint8)
+    for start in range(0, nrows, BLOCK_ROWS):
+        block = buf[: min(nrows - start, BLOCK_ROWS)]
+        for (strings, index), slot in zip(columns, slots):
+            cells = strings[index[start : start + len(block)]]
+            block[:, slot] = cells.view(np.uint8).reshape(len(block), -1)
+        yield block[block != 0]
+
+
+def _face_rows(ns: int, nt: int):
+    """OBJ face lines of an ns x nt lattice: vertex (i, j) is number
+    i * nt + j + 1, and each quad gives two triangles."""
+    a = (np.arange(ns - 1)[:, None] * nt + np.arange(nt - 1)[None, :]).ravel()
+    tri = np.stack([a, a + nt, a + nt + 1, a, a + nt + 1, a + 1], axis=-1).reshape(-1, 3)
+    numbers = np.arange(1, ns * nt + 1).astype(bytes)
+    yield from _rows(b"f ", b" ", [(numbers, tri[:, k]) for k in range(3)])
 
 
 def projection_axes(sig: Signature) -> list[int]:
@@ -48,12 +95,16 @@ def projection_axes(sig: Signature) -> list[int]:
     return order[:3]
 
 
+def _tag_index(det) -> np.ndarray:
+    """Index into _TAG_NAMES of each det g value: degenerate when |det g| <=
+    DEG_BAND, else spacelike when det g > 0 and timelike otherwise."""
+    det = np.asarray(det)
+    return np.where(np.abs(det) <= DEG_BAND, 0, np.where(det > 0, 1, 2))
+
+
 def causal_tag(det) -> np.ndarray:
     """"degenerate" (|det g| <= DEG_BAND), "spacelike" or "timelike" for each det g value."""
-    det = np.asarray(det)
-    return np.where(
-        np.abs(det) <= DEG_BAND, "degenerate", np.where(det > 0, "spacelike", "timelike")
-    )
+    return np.array(_TAG_NAMES)[_tag_index(det)]
 
 
 def obj_mesh(sig: Signature, sweep: SurfaceSweep) -> str:
@@ -61,7 +112,7 @@ def obj_mesh(sig: Signature, sweep: SurfaceSweep) -> str:
     s_grid, t_grid = sweep.s_grid, sweep.t_grid
     ns, nt = s_grid.size, t_grid.size
     axes = projection_axes(sig)
-    s0, s1, t0, t1 = _fmt_column([s_grid[0], s_grid[-1], t_grid[0], t_grid[-1]])
+    s0, s1, t0, t1 = (_fmt_float(x, "nan") for x in (s_grid[0], s_grid[-1], t_grid[0], t_grid[-1]))
     head = (
         f"# ruled surface mesh, {ns} x {nt} lattice over "
         f"s in [{s0}, {s1}], t in [{t0}, {t1}]\n"
@@ -69,14 +120,9 @@ def obj_mesh(sig: Signature, sweep: SurfaceSweep) -> str:
         + ", ".join(str(a + 1) for a in axes)
         + "\n"
     )
-    xyz = [_f_column(sweep, k) for k in axes] + [["0"] * (ns * nt)] * (3 - len(axes))
-    verts = "v " + "\nv ".join(map(" ".join, zip(*xyz))) + "\n"
-    # vertex (i, j) is number i * nt + j + 1; each quad gives two triangles
-    a = (np.arange(ns - 1)[:, None] * nt + np.arange(nt - 1)[None, :] + 1).ravel()
-    b, c, d = a + nt, a + nt + 1, a + 1
-    tri = np.stack([a, b, c, a, c, d], axis=-1).ravel().tolist()
-    faces = "f %d %d %d\nf %d %d %d\n" * a.size % tuple(tri)
-    return head + verts + faces
+    zero = (np.array([b"0"]), np.broadcast_to(0, (ns * nt,)))
+    verts = _rows(b"v ", b" ", [_f_column(sweep, k) for k in axes] + [zero] * (3 - len(axes)))
+    return b"".join(chain([head.encode()], verts, _face_rows(ns, nt))).decode()
 
 
 def csv_grid(sig: Signature, sweep: SurfaceSweep) -> str:
@@ -87,14 +133,14 @@ def csv_grid(sig: Signature, sweep: SurfaceSweep) -> str:
         "causal_tag",
     ]
     ns, nt = sweep.s_grid.size, sweep.t_grid.size
-    s_col = chain.from_iterable(map(repeat, _fmt_column(sweep.s_grid), repeat(nt)))
-    t_col = _fmt_column(sweep.t_grid) * ns
-    rows = map(",".join, zip(
-        s_col,
-        t_col,
+    s_strings, s_index = _fmt_column(sweep.s_grid)
+    t_strings, t_index = _fmt_column(sweep.t_grid)
+    rows = _rows(b"", b",", [
+        (s_strings, np.repeat(s_index, nt)),
+        (t_strings, np.tile(t_index, ns)),
         *(_f_column(sweep, k) for k in range(sig.n)),
         _fmt_column(sweep.det_g),
         _fmt_column(sweep.H_norm),
-        causal_tag(sweep.det_g).ravel().tolist(),
-    ))
-    return ",".join(header) + "\n" + "\n".join(rows) + "\n"
+        (np.array(_TAG_NAMES, dtype=bytes), _tag_index(sweep.det_g).ravel()),
+    ])
+    return b"".join(chain([",".join(header).encode() + b"\n"], rows)).decode()

@@ -32,9 +32,10 @@ def _fmt_float(x: float, non_finite: str = "null") -> str:
     integral value below 1e17 has no decimal point) and -0.0 prints as 0.
 
     JSON has no NaN/Inf, so reports print null for masked values. The OBJ
-    and CSV exports apply the same "%.17g" to v + 0.0 once per distinct
-    value of a column (export._fmt_column), share f's strings between the
-    two files, and spell non-finite values "nan".
+    and CSV exports spell each number the same way, with non-finite values
+    "nan": export._fmt_column applies b"%.17g" to v + 0.0 once per distinct
+    value of a column, and the rows are assembled from those bytes a block
+    at a time.
     """
     x = float(x)
     if not math.isfinite(x):

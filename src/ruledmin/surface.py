@@ -138,10 +138,18 @@ class _RulingTables:
         self._pairs: dict[tuple, np.ndarray] = {}
 
     def jet(self, name: str) -> np.ndarray:
-        """(ns, n) samples of gamma or x, differentiated int(name[1]) times."""
+        """(ns, n) samples of gamma or x, differentiated int(name[1]) times;
+        UsageError names the first s where a sample is not finite."""
         if name not in self._jets:
-            curve = self.surface.gamma if name[0] == "g" else self.surface.base
-            self._jets[name] = curve.eval(self.s, int(name[1]))
+            label, curve = ("gamma", self.surface.gamma) if name[0] == "g" else ("x", self.surface.base)
+            with np.errstate(all="ignore"):  # overflow is reported below, not warned
+                values = curve.eval(self.s, int(name[1]))
+            if not np.isfinite(values).all():
+                bad = self.s[~np.isfinite(values).all(axis=-1)][0]
+                raise UsageError(
+                    f"{label} at derivative order {name[1]} is not finite at s = {float(bad)!r}"
+                )
+            self._jets[name] = values
         return self._jets[name]
 
     def ip(self, a: str, b: str) -> np.ndarray:

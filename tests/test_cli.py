@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -370,6 +371,44 @@ def test_mesh_output_is_byte_deterministic(tmp_path):
         assert rc == 0
         paths.append(out_path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _huge_degree_helicoid(tmp_path, degree):
+    """The elliptic helicoid of R^3_0 with s^degree on gamma's cos term."""
+    data = {
+        "signature": {"n": 3, "p": 0},
+        "gamma": {
+            "n": 3,
+            "terms": [
+                {"basis": "cos", "param": 1.0, "degree": degree, "coeff": [1, 0, 0]},
+                {"basis": "sin", "param": 1.0, "coeff": [0, 1, 0]},
+            ],
+        },
+        "base": {"n": 3, "terms": [{"basis": "pow", "param": 1, "coeff": [0, 0, 1]}]},
+        "s_domain": [-3, 3],
+        "t_domain": [-3, 3],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    return ["--input", str(path)]
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "gauge", "mesh"])
+@pytest.mark.parametrize("source", ["degree-1e20", "degree-2^40", "s-range-800"])
+def test_a_curve_with_non_finite_samples_is_a_usage_error(command, source, tmp_path):
+    if source == "s-range-800":  # cosh(800) overflows
+        flags, first_s = ["--sig", "3,1", "--family", "hyperbolic-helicoid-1", "--s-range=-800,800"], -800.0
+    else:
+        flags, first_s = _huge_degree_helicoid(tmp_path, 10**20 if source == "degree-1e20" else 2**40), -3.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run([command, *flags])
+    assert rc == 2
+    doc = json.loads(out)
+    assert doc["error"] == "UsageError"
+    assert doc["message"].startswith("gamma at derivative order ")
+    assert doc["message"].endswith(f"is not finite at s = {first_s!r}")
+    assert err == "" and not caught
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from ruledmin import FamilyId, SignChoice, Signature, generate, sweep_grid
-from ruledmin.export import _fmt_column, csv_grid, obj_mesh
+from ruledmin.export import BLOCK_ROWS, _fmt_column, csv_grid, obj_mesh
 from ruledmin.jsonio import _fmt_float, surface_from_json
 
 from _oracles import csv_grid_loop, obj_mesh_loop
+
+
+def _spelled(values):
+    """Every cell of _fmt_column's (strings, index) pair, decoded in C order;
+    each distinct value is spelled by exactly one string."""
+    strings, index = _fmt_column(values)
+    assert len(set(strings.tolist())) == strings.size
+    return [x.decode() for x in strings[index].tolist()]
 
 EDGE_VALUES = [0.0, -0.0, 1e15, 9999999999999998.0, 1e16, 0.1, 5e-324,
                float("nan"), float("inf"), float("-inf")]
@@ -15,7 +23,7 @@ EDGE_VALUES = [0.0, -0.0, 1e15, 9999999999999998.0, 1e16, 0.1, 5e-324,
 
 def test_column_formatter_spells_values_like_fmt_float():
     expected = [_fmt_float(x, "nan") for x in EDGE_VALUES]
-    assert _fmt_column(np.array(EDGE_VALUES)) == expected
+    assert _spelled(np.array(EDGE_VALUES)) == expected
     assert expected[:2] == ["0", "0"]
     assert expected[-3:] == ["nan"] * 3
 
@@ -24,7 +32,7 @@ def test_column_formatter_matches_on_random_magnitudes():
     rng = np.random.default_rng(7)
     vals = rng.standard_normal(2000) * 10.0 ** rng.integers(-20, 20, 2000)
     vals[::97] = np.round(vals[::97])
-    assert _fmt_column(vals) == [_fmt_float(x, "nan") for x in vals]
+    assert _spelled(vals) == [_fmt_float(x, "nan") for x in vals]
 
 
 def _per_value(values):
@@ -35,9 +43,9 @@ def test_column_formatter_maps_repeated_values_back_in_c_order():
     rng = np.random.default_rng(11)
     grid = rng.choice([0.1, -2.5, 1e-300, 3.0, 7e22], size=(37, 23))
     assert grid.flags.c_contiguous
-    assert _fmt_column(grid) == _per_value(grid)
+    assert _spelled(grid) == _per_value(grid)
     # a transposed (Fortran-ordered) view is read in its own C order too
-    assert _fmt_column(grid.T) == _per_value(grid.T)
+    assert _spelled(grid.T) == _per_value(grid.T)
 
 
 @pytest.mark.parametrize(
@@ -51,7 +59,15 @@ def test_column_formatter_maps_repeated_values_back_in_c_order():
     ids=["signed-zeros", "non-finite", "subnormals", "edge-values"],
 )
 def test_column_formatter_folds_zeros_and_non_finite_values(values):
-    assert _fmt_column(np.array(values)) == _per_value(values)
+    assert _spelled(np.array(values)) == _per_value(values)
+
+
+def test_column_formatter_fits_the_longest_spelling():
+    # a sign, 17 digits, a point and a three-digit exponent: 24 bytes
+    values = [-5e-324, -1.7976931348623157e308, -2.2250738585072014e-308, 1.0]
+    spelled = _spelled(np.array(values))
+    assert spelled == _per_value(values)
+    assert [len(x) for x in spelled] == [24, 24, 24, 1]
 
 
 def test_column_formatter_on_columns_constant_along_a_grid_direction():
@@ -64,7 +80,7 @@ def test_column_formatter_on_columns_constant_along_a_grid_direction():
         "all distinct": np.sinh(s)[:, None] * t[None, :] + np.cos(s)[:, None],
     }
     for name, col in columns.items():
-        assert _fmt_column(col) == _per_value(col), name
+        assert _spelled(col) == _per_value(col), name
 
 
 def _t_grid_through_zero(num=21):
@@ -96,6 +112,28 @@ def test_exports_match_the_per_value_loops(sig, family, signs, degenerate):
     assert np.isnan(sweep.H_norm).any() == degenerate
     assert ("degenerate" in csv_text) == degenerate
     assert (",nan," in csv_text) == degenerate
+
+
+@pytest.mark.parametrize("shape", [(182, 181), (128, 256), (2, 2)], ids=str)
+def test_exports_match_the_per_value_loops_across_row_blocks(shape):
+    # 182 x 181: vertices and faces straddle a block boundary, with NaN |H|
+    # rows on t = 0; 128 x 256: exactly one block of vertices
+    sig = Signature(4, 2)
+    surf = generate(sig, FamilyId.HYPERBOLIC_HELICOID_2)
+    s, t = surf.default_grids(shape)
+    sweep = sweep_grid(sig, surf, s, t)
+    vertices, faces = s.size * t.size, 2 * (s.size - 1) * (t.size - 1)
+    if shape == (182, 181):
+        assert BLOCK_ROWS < vertices < faces < 2 * BLOCK_ROWS
+        assert np.isnan(sweep.H_norm).any()
+    if shape == (128, 256):
+        assert vertices == BLOCK_ROWS
+    for got, want in ((obj_mesh(sig, sweep), obj_mesh_loop(sig, sweep, s, t)),
+                      (csv_grid(sig, sweep), csv_grid_loop(sig, sweep))):
+        # report the first differing lines; pytest's own diff of megabyte strings takes minutes
+        same = got == want
+        assert same, next((pair for pair in zip(got.split("\n"), want.split("\n"))
+                           if pair[0] != pair[1]), "the texts differ in length")
 
 
 def test_a_two_dimensional_mesh_pads_the_third_coordinate_with_zeros():
