@@ -26,7 +26,6 @@ from .existence import (
     existence_oracle,
 )
 from .families import (
-    ADMISSIBLE_SIGNS,
     FRAME_FAMILIES,
     FamilyId,
     FrameSpec,
@@ -55,17 +54,7 @@ _ONE = Atom(0, ONE, 0.0)
 
 def pick_signs(sig: Signature, family: FamilyId) -> SignChoice | None:
     """First admissible sign choice realizable in sig, or None."""
-    witness = _first_witness(sig, family)
-    return None if witness is None else witness.signs
-
-
-def _first_witness(sig: Signature, family: FamilyId) -> ExistenceResult | None:
-    """The oracle's witness (sign choice and frame) for pick_signs' choice, or None."""
-    for choice in ADMISSIBLE_SIGNS[family]:
-        result = existence_oracle(sig, family, choice)
-        if result.verdict is Verdict.WITNESS:
-            return result
-    return None
+    return existence_oracle(sig, family).signs if family in _FRAME_FAMILIES else None
 
 
 def _check_request(sig: Signature, family: FamilyId, signs: SignChoice | None) -> None:
@@ -79,14 +68,9 @@ def _witness(sig: Signature, family: FamilyId, signs: SignChoice | None) -> Exis
     """The oracle's witness for a frame family and the given sign choice, or
     pick_signs' choice when signs is None; raises as generate does."""
     _check_request(sig, family, signs)
-    if signs is None:
-        result = _first_witness(sig, family)
-        if result is None:
-            raise NonExistenceError(existence_oracle(sig, family))
-    else:
-        result = existence_oracle(sig, family, signs)
-        if result.verdict is not Verdict.WITNESS:
-            raise NonExistenceError(result)
+    result = existence_oracle(sig, family, signs)
+    if result.verdict is not Verdict.WITNESS:
+        raise NonExistenceError(result)
     return result
 
 
@@ -342,28 +326,13 @@ class SpanType(Enum):
     NONDEGENERATE_SPAN = "nondegenerate-span"
 
 
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pr = m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col] / pr[col]
-                m[r] = [a - factor * b for a, b in zip(m[r], pr)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def _det3(m) -> Fraction:
+    """Determinant of a 3x3 matrix of nested lists, by the first row."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 def degenerate_span_check(sig: Signature, frame) -> SpanType:
@@ -381,14 +350,10 @@ def degenerate_span_check(sig: Signature, frame) -> SpanType:
     for row in rows:
         if len(row) != sig.n:
             raise UsageError(f"vector length {len(row)} does not match n = {sig.n}")
-    if _exact_rank(rows) != 3:
+    # independent exactly when their Euclidean Gram determinant is not zero
+    if _det3(gram_matrix(Signature(sig.n, 0), rows)) == 0:
         raise UsageError("the three vectors must be linearly independent")
-    g = gram_matrix(sig, rows)
-    det = (
-        g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-        - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-        + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
-    )
+    det = _det3(gram_matrix(sig, rows))
     return SpanType.DEGENERATE_SPAN if det == 0 else SpanType.NONDEGENERATE_SPAN
 
 

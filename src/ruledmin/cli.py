@@ -102,11 +102,13 @@ def _range_arg(flag: str, text: str) -> tuple[float, float]:
     return a, b
 
 
-def _tol(args, default: float) -> float:
-    """--tol, or default when it is absent; a tolerance is finite and >= 0."""
+def _tol(args) -> float:
+    """--tol, or H_TOL when it is absent; a tolerance is finite and >= 0."""
+    from .surface import H_TOL
+
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-    return default if args.tol is None else args.tol
+    return H_TOL if args.tol is None else args.tol
 
 
 _FLAGS = {  # in the order --help lists them
@@ -118,7 +120,7 @@ _FLAGS = {  # in the order --help lists them
     "grid": dict(help="sweep grid NSxNT (default 41x41)"),
     "s-range": dict(dest="s_range", help="s interval a,b"),
     "t-range": dict(dest="t_range", help="t interval a,b"),
-    "tol": dict(type=float, help="relative H tolerance (gauge: <gamma,gamma> spread)"),
+    "tol": dict(type=float, help="relative H tolerance"),
     "out": dict(help="write the primary artifact to this path"),
     "format": dict(choices=("json", "csv", "obj"), help="output format"),
 }
@@ -166,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
             "spacelike/timelike regions over t",
             {"family", "sig", "signs", "t-range", "out", "format"},
         ),
-        "gauge": ("normalize the base curve (kill g12)", surface_flags | {"tol"}),
+        "gauge": ("normalize the base curve (kill g12)", surface_flags),
     }
     for name, (help_text, accepted) in commands.items():
         p = sub.add_parser(name, help=help_text)
@@ -358,10 +360,10 @@ def _structure_json(rep: StructureReport | None) -> dict | None:
 
 def cmd_verify(args) -> int:
     from .classify import verify_structure_odes
-    from .surface import H_TOL, is_minimal
+    from .surface import is_minimal
 
     sig, surface, meta = _resolve_surface(args)
-    tol = _tol(args, H_TOL)
+    tol = _tol(args)
     s_grid, t_grid = _grids(args, surface)
     report = is_minimal(sig, surface, s_grid, t_grid, tol=tol)
     try:
@@ -398,11 +400,9 @@ def _classification_json(result: ClassificationResult) -> dict:
 
 def cmd_classify(args) -> int:
     from .classify import identify_family
-    from .surface import H_TOL
 
     sig, surface, _ = _resolve_surface(args)
-    tol = _tol(args, H_TOL)
-    result = identify_family(sig, surface, h_tol=tol)
+    result = identify_family(sig, surface, h_tol=_tol(args))
     _write_or_print(jsonio.dumps(_classification_json(result)), args.out)
     return 0 if result.recognized else 1
 
@@ -559,10 +559,10 @@ def cmd_causal_map(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    from .surface import GAUGE_SPREAD_TOL, gauge_normalize
+    from .surface import gauge_normalize
 
     sig, surface, meta = _resolve_surface(args)
-    result = gauge_normalize(sig, surface, tol=_tol(args, GAUGE_SPREAD_TOL))
+    result = gauge_normalize(sig, surface)
     payload = {
         "command": "gauge",
         "signature": _sig_json(sig),

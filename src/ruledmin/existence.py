@@ -20,7 +20,6 @@ a proof trace whose algebraic steps are machine-checked in exact integers.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
@@ -283,28 +282,21 @@ def existence_oracle(
     if family is FamilyId.MINIMAL_CYLINDER:
         return admits_cylinder(sig)
 
-    choices = ADMISSIBLE_SIGNS[family] if signs is None else (signs,)
     per_sign: list = []
-    first_frame: FrameSpec | None = None
-    first_signs: SignChoice | None = None
-    for choice in choices:
+    for choice in ADMISSIBLE_SIGNS[family] if signs is None else (signs,):
         pattern = pattern_of_signs(choice)
-        if admits_pattern(sig, pattern):
-            frame = frame_for_signs(sig, choice)
-            per_sign.append((choice, True, None))
-            if first_frame is None:
-                first_frame = frame
-                first_signs = choice
-        else:
-            per_sign.append((choice, False, _certificate_for(sig, family, pattern)))
+        fits = admits_pattern(sig, pattern)
+        per_sign.append((choice, fits, None if fits else _certificate_for(sig, family, pattern)))
 
-    if first_frame is not None:
+    # the first sign choice that fits is the witness, and the only one framed
+    first = next((choice for choice, fits, _ in per_sign if fits), None)
+    if first is not None:
         return ExistenceResult(
             sig=sig,
             family=family,
             verdict=Verdict.WITNESS,
-            signs=first_signs,
-            frame=first_frame,
+            signs=first,
+            frame=frame_for_signs(sig, first),
             per_sign=per_sign,
             note="frame built by deterministic axis allocation",
         )
@@ -616,46 +608,27 @@ _SEARCH_CHUNK = 128
 # on Python ints; the margin to 2**63 absorbs float64 rounding in the bound.
 _INT64_LIMIT = float(2**62)
 
+# SplitMix64's increment: 2**64 over the golden ratio, rounded to an odd integer
+_PHI = 0x9E3779B97F4A7C15
 
-def _block_words(coords: int) -> int:
-    """32-bit words to draw for `coords` randint(-B, B) values.
 
-    randint keeps a word with probability (2B + 1) / 2**k, so this is the
-    expected number of words plus a quarter and a few more.
+def _mix(z):
+    """SplitMix64's finalizer on a uint64 array; array arithmetic wraps mod 2**64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _words(np, seed: int, start: int, stop: int, count: int):
+    """Words 0..count-1 of trials start..stop-1, a (stop - start, count) uint64 array.
+
+    A counter hash in two levels: trial i has the key mix(mix(seed) + i phi)
+    and word j is mix(key + (j + 1) phi), everything mod 2**64, so a word
+    depends on (seed mod 2**64, i, j) alone.
     """
-    span = 2 * SEARCH_COORD_BOUND + 1
-    words = -(-coords * (1 << span.bit_length()) // span)
-    return words + words // 4 + 16
-
-
-def _trial_stream(rng, reseed, template, seed, trial, nwords):
-    """Trial's shuffled targets, then its next nwords words as bytes.
-
-    reseed is rng's own C-level seed, which is what random.Random(x) runs for
-    an integer x; the targets are shuffled before the coordinates are drawn,
-    as the per-trial loop did.
-    """
-    reseed(seed * 1_000_003 + trial)
-    targets = template.copy()
-    rng.shuffle(targets)
-    return targets, rng.getrandbits(32 * nwords).to_bytes(4 * nwords, "little")
-
-
-def _decode_coords(np, buf, rows, nwords, need):
-    """The first `need` randint(-B, B) values of each row's words.
-
-    randint(-B, B) takes word >> (32 - k) with k = (2B + 1).bit_length() and
-    keeps it when it is below 2B + 1. Returns the (rows, need) int64 values
-    and how many of each row's values are real: a row whose words keep fewer
-    than `need` holds filler after them.
-    """
-    span = 2 * SEARCH_COORD_BOUND + 1
-    vals = np.frombuffer(buf, dtype="<u4") >> (32 - span.bit_length())
-    kept = np.flatnonzero(vals < span)
-    # each row's kept words start at bounds[r] in kept
-    bounds = np.searchsorted(kept, np.arange(rows + 1) * nwords)
-    idx = np.minimum(bounds[:-1, None] + np.arange(need), kept.size - 1)
-    return vals[kept[idx]].astype(np.int64) - SEARCH_COORD_BOUND, np.minimum(np.diff(bounds), need)
+    trials = np.arange(start, stop, dtype=np.uint64)
+    keys = _mix(_mix(np.array([int(seed) % 2**64], dtype=np.uint64)) + trials * _PHI)
+    return _mix(keys[:, None] + np.arange(1, count + 1, dtype=np.uint64) * _PHI)
 
 
 def _unchecked_depths(n: int, slots: int) -> tuple[int, int]:
@@ -676,15 +649,13 @@ def _unchecked_depths(n: int, slots: int) -> tuple[int, int]:
     return products, q - 1
 
 
-def _lockstep(np, draws, avail, redraw, targets, n, p, dtype):
+def _lockstep(np, draws, targets, n, p, dtype):
     """Run one trial per row, all rows one sample per step.
 
     Each sample takes the next n coordinates of its row of draws, whichever
-    slot it is for, so sample g of every row sits at the same offset. The
-    first avail[r] coordinates of row r are real; a row about to step past
-    them gets its full stream from redraw(row indices), which returns
-    (rows, slots * SEARCH_SAMPLES_PER_SLOT * n) coordinates. targets is
-    (rows, slots) of +-1 in slot order.
+    slot it is for, so sample g of every row sits at the same offset; a row
+    holds slots * SEARCH_SAMPLES_PER_SLOT * n coordinates, enough for every
+    sample. targets is (rows, slots) of +-1 in slot order.
 
     Returns boolean row masks (succeeded, spilled). With dtype int64 a row
     spills, and stops, when a float64 bound cannot prove that its next
@@ -692,7 +663,6 @@ def _lockstep(np, draws, avail, redraw, targets, n, p, dtype):
     the arithmetic is on Python ints and nothing spills.
     """
     rows, slots = targets.shape
-    avail = avail.copy()
     checked = dtype is not object
     safe_products, safe_q = _unchecked_depths(n, slots)
     sgn = np.array([-1] * p + [1] * (n - p), dtype=dtype)
@@ -709,22 +679,8 @@ def _lockstep(np, draws, avail, redraw, targets, n, p, dtype):
     succeeded = np.zeros(rows, dtype=bool)
     spilled = np.zeros(rows, dtype=bool)
     index = np.arange(rows)
-    # every active row has its coordinates up to here
-    horizon = int(avail.min())
     for step in range(slots * SEARCH_SAMPLES_PER_SLOT):
-        end = (step + 1) * n
-        if end > horizon:
-            at = np.flatnonzero(active & (avail < end))
-            if at.size:
-                full = redraw(at)
-                if full.shape[1] > draws.shape[1]:
-                    draws = np.concatenate(
-                        [draws, np.zeros((rows, full.shape[1] - draws.shape[1]), dtype=draws.dtype)], axis=1
-                    )
-                draws[at] = full
-                avail[at] = full.shape[1]
-            horizon = int(avail[active].min())
-        v = draws[:, end - n : end].astype(dtype)
+        v = draws[:, step * n : (step + 1) * n].astype(dtype)
         depth = int(placed[active].max())
         for j in range(depth):
             if checked and j >= safe_products:
@@ -764,41 +720,23 @@ def _lockstep(np, draws, avail, redraw, targets, n, p, dtype):
 
 
 def _search_chunk(np, sig, template, seed, start, stop) -> int | None:
-    """Smallest successful trial index in [start, stop), or None."""
+    """Smallest successful trial index in [start, stop), or None.
+
+    A trial's first len(template) words order its slot targets: a stable
+    argsort of them reorders the template. Each later word w gives one
+    coordinate, ((w >> 32) * 9 >> 32) - 4 for the bound 4, so each of the 9
+    values has probability (1 + d) / 9 with |d| < 9 * 2**-32.
+    """
     n, slots = sig.n, len(template)
-    full = slots * SEARCH_SAMPLES_PER_SLOT * n
-    # a failing trial spends SEARCH_SAMPLES_PER_SLOT samples on its last slot
-    # and one or two on each earlier one; a trial that goes further redraws
-    lean = min(full, (SEARCH_SAMPLES_PER_SLOT + 2 * slots) * n)
-    rng = random.Random()
-    reseed = super(random.Random, rng).seed
-
-    def redraw(rows):
-        nwords = _block_words(full)
-        while True:
-            buf = b"".join(
-                _trial_stream(rng, reseed, template, seed, start + r, nwords)[1] for r in rows.tolist()
-            )
-            draws, avail = _decode_coords(np, buf, len(rows), nwords, full)
-            if (avail == full).all():
-                return draws
-            nwords *= 2
-
-    nwords = _block_words(lean)
-    targets, blocks = [], []
-    for trial in range(start, stop):
-        shuffled, block = _trial_stream(rng, reseed, template, seed, trial, nwords)
-        targets.append(shuffled)
-        blocks.append(block)
-    draws, avail = _decode_coords(np, b"".join(blocks), stop - start, nwords, lean)
-    targets = np.array(targets, dtype=np.int64).reshape(stop - start, slots)
-    succeeded, spilled = _lockstep(np, draws, avail, redraw, targets, n, sig.p, np.int64)
+    words = _words(np, seed, start, stop, slots * (1 + SEARCH_SAMPLES_PER_SLOT * n))
+    targets = np.array(template, dtype=np.int64)[np.argsort(words[:, :slots], axis=1, kind="stable")]
+    span = 2 * SEARCH_COORD_BOUND + 1
+    draws = ((words[:, slots:] >> 32) * span >> 32).astype(np.int64) - SEARCH_COORD_BOUND
+    succeeded, spilled = _lockstep(np, draws, targets, n, sig.p, np.int64)
     # rows after the first int64 success cannot change the answer
     redo = np.flatnonzero(spilled[: np.argmax(succeeded) if succeeded.any() else len(spilled)])
     if redo.size:
-        succeeded[redo] = _lockstep(
-            np, draws[redo], avail[redo], lambda rows: redraw(redo[rows]), targets[redo], n, sig.p, object
-        )[0]
+        succeeded[redo] = _lockstep(np, draws[redo], targets[redo], n, sig.p, object)[0]
     return int(np.argmax(succeeded)) + start if succeeded.any() else None
 
 
@@ -817,24 +755,23 @@ def brute_force_cross_check(
     from one unused positive v and one unused negative w. A found pool is
     therefore a genuine witness; finding none proves nothing.
 
-    Trial i uses its own generator seeded from (seed, i), so partitioning
-    trials across workers cannot change the outcome. The trial shuffles its
-    slot targets, then draws up to SEARCH_SAMPLES_PER_SLOT vectors per slot;
-    each is projected against the placed vectors one by one, divided by the
-    gcd of its coordinates after each projection, and placed when its square
-    has the slot's sign. A slot that places nothing ends the trial.
+    Trial i draws its own words from a counter hash of (seed, i) (see
+    _words), so partitioning trials across workers cannot change the
+    outcome. The trial orders its slot targets by its first words, then
+    draws up to SEARCH_SAMPLES_PER_SLOT vectors per slot; each is projected
+    against the placed vectors one by one, divided by the gcd of its
+    coordinates after each projection, and placed when its square has the
+    slot's sign. A slot that places nothing ends the trial.
 
     The trials of a chunk of _SEARCH_CHUNK run in numpy lockstep, one sample
-    per step. Each trial draws one block of random words after its shuffle,
-    and numpy decodes it exactly as randint consumes words; the few trials
-    that need more samples than the block holds draw a longer block from the
-    same seed. Every sample takes n coordinates, so sample g of every trial
-    sits at the same offset. The arithmetic is int64 while a float64 bound
-    proves that every product stays below 2**62; a trial that fails the
-    bound is re-run from its start on Python ints. Chunks run in trial order
-    and the search stops after the chunk with the first success, so every
-    field of the result equals what the trials run one at a time in Python
-    give (tests/_oracles.brute_force_loop keeps that loop).
+    per step, on words hashed for the whole chunk up front. Every sample
+    takes n coordinates, so sample g of every trial sits at the same offset.
+    The arithmetic is int64 while a float64 bound proves that every product
+    stays below 2**62; a trial that fails the bound is re-run from its start
+    on Python ints. Chunks run in trial order and the search stops after the
+    chunk with the first success, so every field of the result equals what
+    the trials run one at a time in Python give (tests/_oracles.brute_force_loop
+    keeps that loop, over a pure-Python copy of the hash).
     """
     if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 0:
         raise UsageError(f"trials must be an integer >= 0, got {trials!r}")

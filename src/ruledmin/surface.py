@@ -43,6 +43,8 @@ UNIT_TOL = 1e-6
 # exceed this.
 GAUGE_SPREAD_TOL = 1e-9
 EPS = np.finfo(float).eps
+# a pairing of jets with n max|a| max|b| below this cannot overflow
+_NO_OVERFLOW = 1e300
 
 DEFAULT_SURFACE_GRID = (41, 41)
 
@@ -136,27 +138,45 @@ class _RulingTables:
         self.sig, self.surface, self.s = sig, surface, s_grid
         self._jets: dict[str, np.ndarray] = dict(jets or {})
         self._pairs: dict[tuple, np.ndarray] = {}
+        self._peaks: dict[str, float] = {}  # max |jet|
+
+    def _finite(self, what: str, values: np.ndarray, s_axis: int = 0) -> np.ndarray:
+        """values, whose axis s_axis runs over s; UsageError names what and
+        the first s where a value is not finite."""
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = self.s[~np.moveaxis(finite, s_axis, 0).reshape(self.s.size, -1).all(axis=1)][0]
+            raise UsageError(f"{what} is not finite at s = {float(bad)!r}")
+        return values
 
     def jet(self, name: str) -> np.ndarray:
-        """(ns, n) samples of gamma or x, differentiated int(name[1]) times;
-        UsageError names the first s where a sample is not finite."""
+        """(ns, n) samples of gamma or x, differentiated int(name[1]) times."""
         if name not in self._jets:
             label, curve = ("gamma", self.surface.gamma) if name[0] == "g" else ("x", self.surface.base)
-            with np.errstate(all="ignore"):  # overflow is reported below, not warned
+            with np.errstate(all="ignore"):  # overflow is reported by _finite, not warned
                 values = curve.eval(self.s, int(name[1]))
-            if not np.isfinite(values).all():
-                bad = self.s[~np.isfinite(values).all(axis=-1)][0]
-                raise UsageError(
-                    f"{label} at derivative order {name[1]} is not finite at s = {float(bad)!r}"
-                )
+            self._peaks[name] = float(np.abs(values).max(initial=0.0))  # NaN or inf if one is
+            if not math.isfinite(self._peaks[name]):
+                self._finite(f"{label} at derivative order {name[1]}", values)
             self._jets[name] = values
         return self._jets[name]
+
+    def _peak(self, name: str) -> float:
+        """max |jet|, also of the jets passed in."""
+        if name not in self._peaks:
+            self._peaks[name] = float(np.abs(self.jet(name)).max(initial=0.0))
+        return self._peaks[name]
 
     def ip(self, a: str, b: str) -> np.ndarray:
         """<a, b> at each s, shape (ns,)."""
         key = tuple(sorted((a, b)))
         if key not in self._pairs:
-            self._pairs[key] = ip_array(self.sig, self.jet(a), self.jet(b))
+            if self.sig.n * self._peak(a) * self._peak(b) < _NO_OVERFLOW:
+                self._pairs[key] = ip_array(self.sig, self.jet(a), self.jet(b))
+            else:
+                with np.errstate(all="ignore"):
+                    pairing = ip_array(self.sig, self.jet(a), self.jet(b))
+                self._pairs[key] = self._finite(f"the pairing <{_spelled(a)}, {_spelled(b)}>", pairing)
         return self._pairs[key]
 
     def col(self, a: str, b: str) -> np.ndarray:
@@ -165,12 +185,16 @@ class _RulingTables:
     def first_form(self, T: np.ndarray):
         """g11, g12 (Horner's rule on _first_form_terms) and g11 g22 - g12^2 on the grid."""
         g11, g12, g22, _ = _first_form_terms(self.col, operator.sub)
-        g11, g12 = (_horner(np.hstack(p), T) for p in (g11, g12))
-        return g11, g12, g11 * g22[0] - g12 * g12
+        with np.errstate(all="ignore"):
+            g11, g12 = (_horner(np.hstack(p), T) for p in (g11, g12))
+            det = g11 * g22[0] - g12 * g12
+        return g11, g12, self._finite("det g", det)
 
     def components(self):
         """det g, D11, D12 and N; see _numerators."""
-        return _numerators(self.col, self.jet, operator.sub)
+        with np.errstate(all="ignore"):
+            parts = _numerators(self.col, self.jet, operator.sub)
+        return tuple(map(self._finite, _NUMERATOR_NAMES, parts))
 
     def bounds(self):
         """(S, E) for each array of components(): S, the size of the terms
@@ -185,8 +209,21 @@ class _RulingTables:
             p = np.abs(self.col(a, b))
             return np.stack([p, p + (self.sig.n + 2) * EPS * euclid.col(a, b)])
 
-        sizes = _numerators(pair, euclid.jet, operator.add)
-        return [(size, wide - size + 16 * EPS * wide) for size, wide in sizes]
+        with np.errstate(all="ignore"):
+            sizes = _numerators(pair, euclid.jet, operator.add)
+        out = []
+        for name, both in zip(_NUMERATOR_NAMES, sizes):
+            size, wide = self._finite(f"the size of {name}", both, s_axis=1)
+            out.append((size, wide - size + 16 * EPS * wide))
+        return out
+
+
+_NUMERATOR_NAMES = ("det g", "D11", "D12", "N")
+
+
+def _spelled(jet: str) -> str:
+    """A jet name as the curve and its primes: "g2" is gamma''."""
+    return ("gamma" if jet[0] == "g" else "x") + "'" * int(jet[1])
 
 
 def _first_form_terms(c, sub):
@@ -506,9 +543,7 @@ class GaugeResult:
     g12_residual: float
 
 
-def gauge_normalize(
-    sig: Signature, surface: RuledSurface, tol: float = GAUGE_SPREAD_TOL
-) -> GaugeResult:
+def gauge_normalize(sig: Signature, surface: RuledSurface) -> GaugeResult:
     """Translate the base along the rulings so the mixed metric entry vanishes.
 
     Replaces x by x + lambda * gamma with lambda(s) = -eps * integral of
@@ -520,15 +555,15 @@ def gauge_normalize(
     """
     if not isinstance(surface.base, CurveExpr):
         raise UsageError("gauge_normalize expects a closed-form base curve")
-    return _gauge(_RulingTables(sig, surface, uniform_grid(*surface.s_domain, 201)), tol)
+    return _gauge(_RulingTables(sig, surface, uniform_grid(*surface.s_domain, 201)))
 
 
-def _gauge(scan: _RulingTables, tol: float = GAUGE_SPREAD_TOL) -> GaugeResult:
+def _gauge(scan: _RulingTables) -> GaugeResult:
     """gauge_normalize of scan.surface: <gamma, gamma> is read from the jet
     table, and a quadrature lambda is tabulated on its s-grid."""
     sig, surface = scan.sig, scan.surface
     gg = scan.ip("g0", "g0")
-    if float(gg.max() - gg.min()) > tol:
+    if float(gg.max() - gg.min()) > GAUGE_SPREAD_TOL:
         raise ConventionError(
             "<gamma, gamma> is not constant on the domain; normalize the "
             "direction curve before gauge fixing"

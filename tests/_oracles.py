@@ -10,7 +10,8 @@ The exceptions are the reference implementations at the end:
 sweep and the per-value export loops that the coefficient-table sweep and
 the deduplicating column export replaced, and `brute_force_loop` keeps the
 per-trial Python loop of the randomized existence search that the numpy
-lockstep replaced, so the new code can be compared against them.
+lockstep replaced, drawing from `split_mix_words`, a pure-Python copy of
+the search's counter hash, so the new code can be compared against them.
 `det_g_closed_form` is the hand-written table of det g per family and sign
 choice that causal maps read before det g's coefficients were derived from
 the surface's own pairings; it is the reference those coefficients must match.
@@ -23,8 +24,8 @@ against them atom by atom and in dict order.
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,13 +242,31 @@ def _gcd_reduce(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
+_MASK = 2**64 - 1
+_PHI = 0x9E3779B97F4A7C15
+
+
+def _split_mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def split_mix_words(seed: int, trial: int):
+    """Trial's words 0, 1, 2, ... of the search's counter hash, on Python ints:
+    word j is mix(key + (j + 1) phi) with key = mix(mix(seed) + trial phi)."""
+    key = _split_mix((_split_mix(seed & _MASK) + trial * _PHI) & _MASK)
+    for j in itertools.count(1):
+        yield _split_mix((key + j * _PHI) & _MASK)
+
+
 def brute_force_loop(
     sig: Signature,
     pattern: NormPattern,
     trials: int = 1000,
     seed: int = 0,
 ) -> SearchResult:
-    """brute_force_cross_check as it ran before the lockstep: one trial at a time.
+    """brute_force_cross_check one trial at a time: the reference the numpy lockstep must equal.
 
     Seeded random search for the pattern, in exact integer arithmetic.
 
@@ -258,23 +277,26 @@ def brute_force_loop(
     from one unused positive v and one unused negative w. A found pool is
     therefore a genuine witness; finding none proves nothing.
 
-    Trial i uses its own generator seeded from (seed, i), so partitioning
-    trials across workers cannot change the outcome.
+    Trial i reads its own words from split_mix_words(seed, i): one word per
+    slot orders the slot targets, and each later word gives one coordinate.
     """
     n, p = sig.n, sig.p
     npos = pattern.a + pattern.c
     nneg = pattern.b + pattern.c
     samples_per_slot, coord_bound = SEARCH_SAMPLES_PER_SLOT, SEARCH_COORD_BOUND
+    span = 2 * coord_bound + 1
     for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
-        targets = [1] * npos + [-1] * nneg
-        rng.shuffle(targets)
+        words = split_mix_words(seed, trial)
+        template = [1] * npos + [-1] * nneg
+        keys = [next(words) for _ in template]
+        targets = [tgt for _, tgt in sorted(zip(keys, template), key=lambda pair: pair[0])]
+        coords = (((w >> 32) * span >> 32) - coord_bound for w in words)
         frame: list[list[int]] = []
         complete = True
         for tgt in targets:
             placed = False
             for _ in range(samples_per_slot):
-                v = [rng.randint(-coord_bound, coord_bound) for _ in range(n)]
+                v = [next(coords) for _ in range(n)]
                 for u in frame:
                     qu = _int_square(u, p)
                     bu = _int_pairing(v, u, p)

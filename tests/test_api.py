@@ -95,7 +95,6 @@ KEYWORDS = {
         "GaugedBaseCurve.eval": "order",
         "RuledSurface.default_grids": "shape",
         "SurfaceSweep.minimality": "tol",
-        "gauge_normalize": "tol",
         "is_minimal": "s_grid t_grid tol tau_deg",
         "sweep_grid": "s_grid t_grid tau_deg",
     },

@@ -393,21 +393,43 @@ def _huge_degree_helicoid(tmp_path, degree):
     return ["--input", str(path)]
 
 
-@pytest.mark.parametrize("command", ["verify", "classify", "gauge", "mesh"])
-@pytest.mark.parametrize("source", ["degree-1e20", "degree-2^40", "s-range-800"])
+@pytest.mark.parametrize(
+    "command", [["verify"], ["classify"], ["gauge"], ["mesh"], ["mesh", "--format", "csv"]],
+    ids=["verify", "classify", "gauge", "mesh", "mesh-csv"],
+)
+@pytest.mark.parametrize("source", ["degree-1e20", "degree-2^40", "s-range-800", "degree-400", "s-range-400"])
 def test_a_curve_with_non_finite_samples_is_a_usage_error(command, source, tmp_path):
-    if source == "s-range-800":  # cosh(800) overflows
-        flags, first_s = ["--sig", "3,1", "--family", "hyperbolic-helicoid-1", "--s-range=-800,800"], -800.0
+    """A sample that is not finite (cosh(800), s^(2^40)) is named by its curve;
+    finite samples whose pairing overflows (cosh(400)^2, (3^400)^2) by the pairing."""
+    if source.startswith("s-range"):
+        r = source.rsplit("-", 1)[1]
+        flags, first_s = ["--sig", "3,1", "--family", "hyperbolic-helicoid-1", f"--s-range=-{r},{r}"], -float(r)
     else:
-        flags, first_s = _huge_degree_helicoid(tmp_path, 10**20 if source == "degree-1e20" else 2**40), -3.0
+        degree = {"degree-1e20": 10**20, "degree-2^40": 2**40, "degree-400": 400}[source]
+        flags, first_s = _huge_degree_helicoid(tmp_path, degree), -3.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run([*command, *flags])
+    assert rc == 2
+    doc = json.loads(out)
+    assert doc["error"] == "UsageError"
+    what = "the pairing <" if source.endswith("400") else "gamma at derivative order "
+    assert doc["message"].startswith(what)
+    assert doc["message"].endswith(f"is not finite at s = {first_s!r}")
+    assert err == "" and not caught
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_a_size_bound_that_overflows_is_a_usage_error(command):
+    """On s in [-300, 300] every pairing is finite, but the sizes that bound
+    det g's rounding, products of Euclidean pairings near cosh(300)^2, are not."""
+    flags = ["--sig", "3,1", "--family", "hyperbolic-helicoid-1", "--s-range=-300,300"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, out, err = run([command, *flags])
     assert rc == 2
     doc = json.loads(out)
-    assert doc["error"] == "UsageError"
-    assert doc["message"].startswith("gamma at derivative order ")
-    assert doc["message"].endswith(f"is not finite at s = {first_s!r}")
+    assert doc == {"error": "UsageError", "message": "the size of det g is not finite at s = -300.0"}
     assert err == "" and not caught
 
 
@@ -528,6 +550,8 @@ def test_inadmissible_generation_exits_2_with_certificate():
         ["verify", "--family", "elliptic-helicoid-1", "--sig", "3,0", "--format", "csv"],
         ["classify", "--family", "elliptic-helicoid-1", "--sig", "3,0", "--grid", "9x9"],
         ["existence", "--sig", "3,0", "--family", "elliptic-helicoid-1", "--tol", "1"],
+        *(["gauge", "--family", "elliptic-helicoid-1", "--sig", "3,0", f"--tol={tol}"]
+          for tol in ("nan", "-1", "inf", "-inf", "-0.5e-9")),
     ],
 )
 def test_flags_a_subcommand_does_not_read_exit_2(argv):
@@ -597,7 +621,7 @@ def test_classify_json_is_deterministic():
     assert len(outputs) == 1
 
 
-@pytest.mark.parametrize("command", ["verify", "classify", "gauge"])
+@pytest.mark.parametrize("command", ["verify", "classify"])
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-0.5e-9"])
 def test_a_tolerance_that_is_not_finite_and_nonnegative_exits_2(command, tol):
     rc, doc = run_json([command, "--family", "elliptic-helicoid-1", "--sig", "3,0", f"--tol={tol}"])

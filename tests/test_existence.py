@@ -390,7 +390,7 @@ def test_lockstep_search_equals_the_per_trial_loop():
         for p in range(n + 1):
             sig = Signature(n, p)
             for pattern in ALL_PATTERNS:
-                for seed in (0, 5):
+                for seed in (0, 5, -4):
                     for trials in (3, 25):
                         got = brute_force_cross_check(sig, pattern, trials=trials, seed=seed)
                         assert got == brute_force_loop(sig, pattern, trials=trials, seed=seed), (
@@ -430,18 +430,18 @@ def int64_chunks(monkeypatch):
 
 
 def test_trials_past_int64_rerun_on_python_ints(int64_chunks):
-    # trials 65 and 155 reach 64-bit intermediates and fail
+    # trials 97 and 196 reach 66-bit intermediates and fail
     sig, pattern = Signature(6, 2), NormPattern(0, 0, 3)
     result = brute_force_cross_check(sig, pattern, trials=200, seed=0)
     starts = itertools.accumulate([rows for rows, _ in int64_chunks], initial=0)
     rerun = {start + row for start, (_, spilled) in zip(starts, int64_chunks) for row in spilled}
-    assert {65, 155} <= rerun
+    assert {97, 196} <= rerun
     assert result == brute_force_loop(sig, pattern, trials=200, seed=0)
 
 
 def test_int64_wraparound_never_fakes_a_witness():
-    # on wrapped int64 products, trial 7 would place all six vectors
-    sig, pattern = Signature(7, 5), NormPattern(0, 0, 3)
+    # on wrapped int64 products, trial 2 would place all six vectors
+    sig, pattern = Signature(8, 6), NormPattern(0, 0, 3)
     result = brute_force_cross_check(sig, pattern, trials=10, seed=0)
     assert not admits_pattern(sig, pattern)
     assert result == brute_force_loop(sig, pattern, trials=10, seed=0)
@@ -449,12 +449,12 @@ def test_int64_wraparound_never_fakes_a_witness():
 
 
 def test_python_int_rows_can_succeed(int64_chunks):
-    # trials 67 and 76 succeed through 65- and 66-bit intermediates
+    # trials 181 and 139 succeed through 65- and 66-bit intermediates
     sig, pattern = Signature(6, 3), NormPattern(0, 0, 3)
     assert brute_force_cross_check(sig, pattern, trials=200, seed=0) == brute_force_loop(
         sig, pattern, trials=200, seed=0)
     template = [1, 1, 1, -1, -1, -1]
-    for trial in (67, 76):
+    for trial in (181, 139):
         int64_chunks.clear()
         assert existence._search_chunk(np, sig, template, 0, trial, trial + 1) == trial
         assert int64_chunks == [(1, [0])]

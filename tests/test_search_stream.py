@@ -1,75 +1,37 @@
-"""The random-word layout that the lockstep search decodes in bulk.
+"""The counter hash that the lockstep search draws its words from.
 
-brute_force_cross_check gives trial i the generator random.Random(seed *
-1_000_003 + i), shuffles the slot targets with it, and then draws the
-trial's coordinates as one getrandbits(32 * W) block, which numpy decodes
-the way randint(-B, B) consumes words. These tests check that contract in
-pure Python against shuffle and randint themselves. They need neither numpy
-nor pytest, so they also run on an interpreter without either:
-
-    PYTHONPATH=src python tests/test_search_stream.py
+brute_force_cross_check hashes every word of a chunk of trials at once in
+numpy uint64 arithmetic (existence._words). Word j of trial i must depend on
+(seed mod 2**64, i, j) alone and equal the pure-Python copy of the hash in
+tests/_oracles.split_mix_words, which the per-trial reference loop reads.
 """
 
-import random
+import itertools
 
-from ruledmin.existence import (
-    SEARCH_COORD_BOUND,
-    SEARCH_SAMPLES_PER_SLOT,
-    _block_words,
-    _trial_stream,
-)
+import numpy as np
 
-B = SEARCH_COORD_BOUND
+from _oracles import split_mix_words
+from ruledmin.existence import _words
 
-# (positive slots, negative slots, n)
-SHAPES = ((1, 0, 3), (2, 1, 4), (0, 3, 5), (3, 3, 8))
+SEEDS = (0, 5, -4, 2**64 + 3)
+TRIALS = (0, 1, 127, 10**6)
 
 
-def _decode(block: bytes) -> list[int]:
-    """randint(-B, B) values from little-endian 32-bit words, one word at a time."""
-    span = 2 * B + 1
-    shift = 32 - span.bit_length()
-    values = []
-    for i in range(0, len(block), 4):
-        top = int.from_bytes(block[i : i + 4], "little") >> shift
-        if top < span:
-            values.append(top - B)
-    return values
+def test_words_equal_the_pure_python_hash():
+    for seed in SEEDS:
+        for trial in TRIALS:
+            got = _words(np, seed, trial, trial + 1, 300)
+            assert got.dtype == np.uint64 and got.shape == (1, 300)
+            assert got[0].tolist() == list(itertools.islice(split_mix_words(seed, trial), 300)), (seed, trial)
 
 
-def test_block_decoding_reproduces_shuffle_then_randint():
-    rng = random.Random()
-    reseed = super(random.Random, rng).seed
-    for npos, nneg, n in SHAPES:
-        template = [1] * npos + [-1] * nneg
-        nwords = _block_words((npos + nneg) * SEARCH_SAMPLES_PER_SLOT * n)
-        for seed in (0, 11, -4):
-            for trial in range(70):
-                targets, block = _trial_stream(rng, reseed, template, seed, trial, nwords)
-                coords = _decode(block)
-                ref = random.Random(seed * 1_000_003 + trial)
-                expected_targets = template.copy()
-                ref.shuffle(expected_targets)
-                assert targets == expected_targets, (seed, trial)
-                assert coords == [ref.randint(-B, B) for _ in coords], (seed, trial)
+def test_a_chunk_holds_each_trials_own_words():
+    for seed in SEEDS:
+        chunk = _words(np, seed, 120, 130, 40)
+        for row, trial in enumerate(range(120, 130)):
+            assert (chunk[row] == _words(np, seed, trial, trial + 1, 40)[0]).all(), (seed, trial)
 
 
-def test_a_longer_block_extends_the_same_stream():
-    # a trial that runs past its block redraws a longer one from its seed
-    rng = random.Random()
-    reseed = super(random.Random, rng).seed
-    template = [1, -1, -1]
-    for trial in range(50):
-        _, short = _trial_stream(rng, reseed, template, 3, trial, 40)
-        _, long = _trial_stream(rng, reseed, template, 3, trial, 80)
-        assert long[: len(short)] == short
-
-
-if __name__ == "__main__":
-    import sys
-
-    for name, test in list(globals().items()):
-        if name.startswith("test_"):
-            test()
-            print(f"ok {name}")
-    print(sys.version.split()[0], "numpy loaded:", "numpy" in sys.modules)
+def test_seeds_equal_mod_2_to_the_64_share_their_words():
+    assert (_words(np, 3, 0, 4, 20) == _words(np, 2**64 + 3, 0, 4, 20)).all()
+    assert (_words(np, -4, 0, 4, 20) == _words(np, 2**64 - 4, 0, 4, 20)).all()
