@@ -230,16 +230,24 @@ def _grids(args, surface: RuledSurface):
     return surface.default_grids(shape)
 
 
-def _write(path: Path, text: str) -> None:
+def _stream(files) -> None:
+    """Write each (path, byte chunks) pair in turn. A failed open or write
+    removes every file this call opened, so none is left half written."""
+    opened = []
     try:
-        path.write_text(text)
+        for path, chunks in files:
+            with open(path, "wb") as fh:
+                opened.append(path)
+                fh.writelines(chunks)
     except OSError as exc:
+        for made in opened:
+            made.unlink(missing_ok=True)
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        _write(Path(out), text)
+        _stream([(Path(out), [text.encode()])])
     else:
         sys.stdout.write(text)
 
@@ -481,7 +489,7 @@ def cmd_existence(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    from .export import csv_grid, obj_mesh
+    from .export import _csv_chunks, _obj_chunks, csv_grid, obj_mesh
     from .surface import sweep_grid
 
     sig, surface, meta = _resolve_surface(args)
@@ -491,32 +499,32 @@ def cmd_mesh(args) -> int:
         fmt = "csv" if (args.out or "").endswith(".csv") else "obj"
     if fmt == "json":
         raise UsageError("mesh emits obj or csv; use --format obj|csv")
-    if fmt == "csv":
-        _write_or_print(csv_grid(sig, sweep), args.out)
-        return 0
-    if args.out and Path(args.out).suffix == ".csv":
+    if fmt == "obj" and args.out and Path(args.out).suffix == ".csv":
         raise UsageError(
             f"--out {args.out} is also the path of the CSV written beside the OBJ; "
             "give the OBJ another suffix, or use --format csv"
         )
-    obj_text = obj_mesh(sig, sweep)
-    if args.out:
-        out = Path(args.out)
-        _write(out, obj_text)
-        sidecar = out.with_suffix(".csv")
-        _write(sidecar, csv_grid(sig, sweep))
-        summary = {
-            "command": "mesh",
-            "signature": _sig_json(sig),
-            **meta,
-            "vertices": int(sweep.f.shape[0] * sweep.f.shape[1]),
-            "faces": int(2 * (sweep.f.shape[0] - 1) * (sweep.f.shape[1] - 1)),
-            "obj": str(out),
-            "csv": str(sidecar),
-        }
-        sys.stdout.write(jsonio.dumps(summary))
-    else:
-        sys.stdout.write(obj_text)
+    if not args.out:
+        sys.stdout.write((csv_grid if fmt == "csv" else obj_mesh)(sig, sweep))
+        return 0
+    # the arrays that can fail to be finite are read before any file is opened
+    sweep.f, sweep.H_norm
+    out = Path(args.out)
+    if fmt == "csv":
+        _stream([(out, _csv_chunks(sig, sweep))])
+        return 0
+    sidecar = out.with_suffix(".csv")
+    _stream([(out, _obj_chunks(sig, sweep)), (sidecar, _csv_chunks(sig, sweep))])
+    summary = {
+        "command": "mesh",
+        "signature": _sig_json(sig),
+        **meta,
+        "vertices": int(sweep.f.shape[0] * sweep.f.shape[1]),
+        "faces": int(2 * (sweep.f.shape[0] - 1) * (sweep.f.shape[1] - 1)),
+        "obj": str(out),
+        "csv": str(sidecar),
+    }
+    sys.stdout.write(jsonio.dumps(summary))
     return 0
 
 

@@ -45,6 +45,8 @@ GAUGE_SPREAD_TOL = 1e-9
 EPS = np.finfo(float).eps
 # a pairing of jets with n max|a| max|b| below this cannot overflow
 _NO_OVERFLOW = 1e300
+# SurfaceSweep.H_norm reads the grid in s-row blocks of at most this many points
+_H_BLOCK_POINTS = 1 << 15
 
 DEFAULT_SURFACE_GRID = (41, 41)
 
@@ -268,9 +270,9 @@ class SurfaceSweep:
 
     Only the first form is computed up front. H_norm (NaN at degenerate
     points) sums the squares of N's Horner reads over the ambient axes, one
-    axis at a time; the (ns, nt, n) fields f, h11, h12 and H are stacked. Each
-    is built on first access, so a caller that reads only det g, as
-    causal_map does, skips all, and verify reads N alone.
+    axis at a time in blocks of s-rows; the (ns, nt, n) fields f, h11, h12
+    and H are stacked. Each is built on first access, so a caller that reads
+    only det g, as causal_map does, skips all, and verify reads N alone.
     """
 
     s_grid: np.ndarray
@@ -286,26 +288,36 @@ class SurfaceSweep:
     def _coefficients(self) -> tuple[np.ndarray, ...]:
         return self._tables.components()
 
-    def _reads(self, coef: np.ndarray, times_half_inv: bool = False):
-        """Yield coef's Horner read on each ambient axis over det g, (ns, nt),
-        or over 2 (det g)^2 with times_half_inv; NaN at degenerate points."""
+    def _reads(self, coef: np.ndarray, times_half_inv: bool = False, rows: slice = slice(None)):
+        """Yield coef's Horner read on each ambient axis over det g, on the
+        s-rows rows of the grid, or over 2 (det g)^2 with times_half_inv;
+        NaN at degenerate points."""
         T = self.t_grid[None, :]
-        inv = np.full_like(self.det_g, np.nan)
-        np.divide(1.0, self.det_g, out=inv, where=self.nondegenerate)
+        det = self.det_g[rows]
+        inv = np.full_like(det, np.nan)
+        np.divide(1.0, det, out=inv, where=self.nondegenerate[rows])
         half_inv = 0.5 * inv if times_half_inv else None
         for k in range(coef.shape[1]):
-            h = _horner(coef[:, k], T) * inv
+            h = _horner(coef[rows, k], T) * inv
             if times_half_inv:
                 h *= half_inv
             yield h
 
     @cached_property
     def H_norm(self) -> np.ndarray:
-        h_sq = np.zeros_like(self.det_g)
-        for h in self._reads(self._coefficients[3], True):
-            h *= h
-            h_sq += h
-        return np.sqrt(h_sq)
+        # s-row blocks of at most _H_BLOCK_POINTS grid points (one row if a
+        # row holds more), so the temporaries stay in cache; every point
+        # sees the same operations as on the whole grid
+        out = np.empty_like(self.det_g)
+        step = max(1, _H_BLOCK_POINTS // self.t_grid.size)
+        for start in range(0, self.s_grid.size, step):
+            rows = slice(start, start + step)
+            h_sq = np.zeros_like(out[rows])
+            for h in self._reads(self._coefficients[3], True, rows):
+                h *= h
+                h_sq += h
+            np.sqrt(h_sq, out=out[rows])
+        return out
 
     @cached_property
     def f(self) -> np.ndarray:

@@ -675,6 +675,47 @@ def test_an_unwritable_out_path_exits_2(argv, tmp_path):
     assert doc["message"].startswith(f"cannot write {out}")
 
 
+@pytest.mark.parametrize("fmt", ["obj", "csv"])
+def test_mesh_out_files_hold_the_bytes_of_the_printed_exports(fmt, tmp_path):
+    from ruledmin.export import csv_grid, obj_mesh
+
+    sig = Signature(4, 2)
+    surf = generate(sig, FamilyId.HYPERBOLIC_HELICOID_2)
+    # 182 x 181: vertices, faces and CSV rows span more than one row block
+    sweep = sweep_grid(sig, surf, *surf.default_grids((182, 181)))
+    out = tmp_path / f"m.{fmt}"
+    rc, stdout, _ = run(["mesh", *HH2, "--grid", "182x181", "--out", str(out)])
+    assert rc == 0 and bool(stdout) == (fmt == "obj")  # the OBJ's summary
+    if fmt == "obj":
+        assert out.read_bytes() == obj_mesh(sig, sweep).encode()
+    assert (tmp_path / "m.csv").read_bytes() == csv_grid(sig, sweep).encode()
+
+
+def test_a_sidecar_path_that_is_a_directory_exits_2_and_leaves_no_obj(tmp_path):
+    out, sidecar = tmp_path / "m.obj", tmp_path / "m.csv"
+    sidecar.mkdir()
+    rc, doc = run_json(["mesh", *HH2, "--grid", "5x5", "--out", str(out)])
+    assert rc == 2 and doc["error"] == "UsageError"
+    assert doc["message"].startswith(f"cannot write {sidecar}: ")
+    assert not out.exists() and sidecar.is_dir()
+
+
+@pytest.mark.parametrize("name", ["m.obj", "m.csv"])
+def test_a_mesh_that_exits_2_writes_no_file(name, tmp_path):
+    """D11 overflows, so |H| cannot be read: neither the OBJ nor the CSV is
+    opened, although the OBJ alone would have been finite."""
+    from ruledmin import jsonio
+
+    sig = Signature(3, 0)
+    data = jsonio.surface_to_json(sig, generate(sig, FamilyId.ELLIPTIC_HELICOID_1))
+    data["base"]["terms"].append({"basis": "pow", "param": 215, "coeff": [1.0, 0, 0]})
+    path = tmp_path / "overflow.json"
+    path.write_text(jsonio.dumps(data))
+    rc, doc = run_json(["mesh", "--input", str(path), "--out", str(tmp_path / name)])
+    assert rc == 2 and doc == {"error": "UsageError", "message": "D11 is not finite at s = -3.0"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.json"]
+
+
 # ---------------------------------------------------------------------------
 # cold calls: each subcommand in a fresh interpreter, through `python -m`
 

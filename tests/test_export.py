@@ -55,11 +55,27 @@ def test_column_formatter_maps_repeated_values_back_in_c_order():
         [float("nan"), float("inf"), 1.0, float("-inf"), float("nan"), float("-inf"), float("inf")],
         [5e-324, -5e-324, 2.2250738585072009e-308, 5e-324, 1e-310, -1e-310, 1e-310],
         EDGE_VALUES * 3,
+        [1.5, -1.5, 0.1, -0.1, 7e22, -7e22, 5e-324, -5e-324, 3.0],
+        [-1.5, -0.1, -7e22, -5e-324, -1.5, -2.2250738585072014e-308],
+        [0.0, -0.0, float("nan"), float("inf"), float("-inf"), -0.0, -2.5, 0.0, float("nan")],
+        [-0.0, float("-inf"), -0.0, float("nan"), float("inf")],
     ],
-    ids=["signed-zeros", "non-finite", "subnormals", "edge-values"],
+    ids=["signed-zeros", "non-finite", "subnormals", "edge-values", "plus-and-minus",
+         "all-negative", "zeros-and-non-finite", "no-finite-negative"],
 )
 def test_column_formatter_folds_zeros_and_non_finite_values(values):
     assert _spelled(np.array(values)) == _per_value(values)
+
+
+def test_column_formatter_formats_each_magnitude_once():
+    # -x is "-" and the string of x: one half per sign, a magnitude per row
+    strings, index = _fmt_column(np.array([2.5, -2.5, -0.0, 1e-7, -1e-7, float("-inf")]))
+    assert strings.tolist() == [b"0", b"9.9999999999999995e-08", b"2.5", b"nan",
+                                b"-0", b"-9.9999999999999995e-08", b"-2.5", b"-nan"]
+    assert index.tolist() == [2, 6, 0, 1, 5, 3]
+    # with no finite negative value there is no second half
+    strings, _ = _fmt_column(np.array([-0.0, float("-inf"), 3.0]))
+    assert strings.tolist() == [b"0", b"3", b"nan"]
 
 
 def test_column_formatter_fits_the_longest_spelling():
@@ -114,10 +130,13 @@ def test_exports_match_the_per_value_loops(sig, family, signs, degenerate):
     assert (",nan," in csv_text) == degenerate
 
 
-@pytest.mark.parametrize("shape", [(182, 181), (128, 256), (2, 2)], ids=str)
+@pytest.mark.parametrize("shape", [(182, 181), (128, 256), (2, 2), (3, 3), (2, 5), (10, 10), (4, 25)],
+                         ids=str)
 def test_exports_match_the_per_value_loops_across_row_blocks(shape):
     # 182 x 181: vertices and faces straddle a block boundary, with NaN |H|
-    # rows on t = 0; 128 x 256: exactly one block of vertices
+    # rows on t = 0; 128 x 256: exactly one block of vertices; 3 x 3 to
+    # 4 x 25: 9, 10 and 100 vertices, so the last vertex number is one digit
+    # wider than the first, or than all the others
     sig = Signature(4, 2)
     surf = generate(sig, FamilyId.HYPERBOLIC_HELICOID_2)
     s, t = surf.default_grids(shape)

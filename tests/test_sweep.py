@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ruledmin import H_TOL, FamilyId, Signature, generate, is_minimal, sweep_grid
+from ruledmin.jsonio import surface_from_json
+from ruledmin.surface import _H_BLOCK_POINTS
 
 from _oracles import vector_sweep
 from test_catalog import _admissible_triples
@@ -69,3 +71,46 @@ def _is_minimal_peak_bytes(sig):
 def test_is_minimal_memory_does_not_grow_with_the_dimension():
     peak_3 = _is_minimal_peak_bytes(Signature(3, 0))
     assert _is_minimal_peak_bytes(Signature(8, 0)) <= 1.25 * peak_3
+
+
+def _cubic_cylinder():
+    """The cylinder over x(s) = (s^2 / 2, s^3 / 3, 0) along the unit ruling
+    (0.6, 0, 0.8) in R^3_0: det g = 0.64 s^2 + s^4, degenerate on the row
+    s = 0, and H has three non-zero components elsewhere, so the order of
+    its sum of squares shows in the last bits."""
+    return surface_from_json({
+        "signature": {"n": 3, "p": 0},
+        "gamma": {"n": 3, "terms": [{"basis": "pow", "param": 0, "coeff": [0.6, 0, 0.8]}]},
+        "base": {"n": 3, "terms": [
+            {"basis": "pow", "param": 2, "coeff": [0.5, 0, 0]},
+            {"basis": "pow", "param": 3, "coeff": [0, 1 / 3, 0]},
+        ]},
+        "s_domain": [-2, 2],
+        "t_domain": [-2, 2],
+    })
+
+
+@pytest.mark.parametrize(
+    "s,t",
+    [
+        # three blocks of 181, 181 and 38 rows; s = 0 on both sides of the
+        # first block boundary
+        (np.insert(np.linspace(-2.0, 2.0, 396), [0, 179, 179, 249], 0.0), np.linspace(-2.0, 2.0, 181)),
+        # rows longer than a block: one row at a time
+        (np.array([-1.0, 0.0, 0.5, 0.0]), np.linspace(-2.0, 2.0, _H_BLOCK_POINTS + 7)),
+    ],
+    ids=["blocks-of-rows", "row-by-row"],
+)
+def test_h_norm_read_in_row_blocks_equals_the_whole_grid_formula(s, t):
+    sig, surf = _cubic_cylinder()
+    sweep = sweep_grid(sig, surf, s, t)
+    assert s.size * t.size > 2 * _H_BLOCK_POINTS
+    assert np.array_equal((~sweep.nondegenerate).all(axis=1), s == 0.0)
+    # H is read on the whole grid at once; |H| sums its squares axis by axis
+    H = sweep.H
+    h_sq = np.zeros_like(sweep.det_g)
+    for k in range(H.shape[-1]):
+        h_sq += H[..., k] * H[..., k]
+    whole = np.sqrt(h_sq)
+    assert np.isnan(whole).any() and np.nanmin(whole) > 0.0
+    assert np.array_equal(sweep.H_norm, whole, equal_nan=True)
