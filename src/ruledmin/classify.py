@@ -8,8 +8,12 @@ standard conventions (unit direction, vanishing mixed metric entry); the
 errors say which normalization is missing.
 
 Every per-s check (genericity, case invariants, structure equations,
-cylinder test) reads one surface._RulingTables on the same SCAN_POINTS
-s-grid, so a query samples each curve jet at most once on it.
+cylinder test) reads one surface._RulingTables on the gauge's
+surface.SCAN_POINTS s-grid, so a query samples each curve jet at most once
+on it. The gauge and the case invariants read epsilon = <gamma, gamma> with
+the one reader surface._epsilon, and "counts as zero or constant" is
+surface.CONSTANCY_TOL throughout, also for the shifted delta that makes a
+helicoid of the second kind.
 """
 
 from __future__ import annotations
@@ -20,29 +24,16 @@ from enum import Enum
 
 import numpy as np
 
-from .curves import CurveExpr, uniform_grid
-from .errors import ConventionError, EverywhereDegenerateError, NullDirectionError, UsageError
+from .curves import CurveExpr
+from .errors import ConventionError, EverywhereDegenerateError, UsageError
 from .families import FamilyId
 from .metric import Signature
-from .surface import H_TOL, UNIT_TOL, MinimalityReport, RuledSurface, _RulingTables
-from .surface import _gauge, is_minimal
+from .surface import CONSTANCY_TOL, H_TOL, UNIT_TOL, MinimalityReport, RuledSurface
+from .surface import _constant_value, _epsilon, _RulingTables, _scan, _shift, is_minimal
 
-SCAN_POINTS = 201
-CONSTANCY_TOL = 1e-9
 GAUGE_TOL = 1e-8
 DEPENDENCE_TOL = 1e-10
 STRUCTURE_TOL = 1e-8
-# delta~ = delta - eta mu^2 at or below this makes a helicoid of the second kind
-SECOND_KIND_TOL = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# directrix scan
-
-
-def _scan(sig: Signature, surface: RuledSurface) -> _RulingTables:
-    """The jet table that the per-s checks read: SCAN_POINTS points of the s-domain."""
-    return _RulingTables(sig, surface, uniform_grid(*surface.s_domain, SCAN_POINTS))
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +161,6 @@ class CaseInvariants:
     mu: MuProfile
 
 
-def _constant_value(name: str, vals: np.ndarray) -> float:
-    spread = float(vals.max() - vals.min())
-    if spread > CONSTANCY_TOL:
-        raise ConventionError(
-            f"{name} varies by {spread:.3e} across the domain; the case "
-            "invariants assume it is constant"
-        )
-    return float(vals.mean())
-
-
 def case_invariants(sig: Signature, surface: RuledSurface) -> CaseInvariants:
     """Extract (epsilon, eta, delta, mu) from a gauge-normalized surface.
 
@@ -196,18 +177,7 @@ def _case_invariants(scan: _RulingTables) -> CaseInvariants:
         raise UsageError(
             "the ruling direction is constant; classify with cylinder_check"
         )
-    gg = scan.ip("g0", "g0")
-    if float(np.abs(gg).max()) <= CONSTANCY_TOL:
-        raise NullDirectionError(
-            "the ruling direction is null along a non-constant curve; such a "
-            "surface is never minimal away from degenerate points"
-        )
-    eps_val = _constant_value("<gamma, gamma>", gg)
-    if abs(abs(eps_val) - 1.0) > UNIT_TOL:
-        raise ConventionError(
-            f"<gamma, gamma> = {eps_val!r}; scale the direction to unit norm"
-        )
-    epsilon = 1 if eps_val > 0 else -1
+    epsilon = _epsilon(scan)
 
     if float(np.abs(scan.ip("g0", "x1")).max()) > GAUGE_TOL:
         raise ConventionError(
@@ -435,17 +405,10 @@ def identify_family(
             notes=[cyl.note] if family is not None else [],
         )
 
-    if float(np.abs(scan.ip("g0", "g0")).max()) <= CONSTANCY_TOL:
-        # gauge normalization would mask this as a unit-norm failure
-        raise NullDirectionError(
-            "the ruling direction is null along a non-constant curve; such a "
-            "surface is never minimal away from degenerate points"
-        )
-
     if isinstance(surface.base, CurveExpr):
         if float(np.abs(scan.ip("g0", "x1")).max()) > GAUGE_TOL:
             # the gauge moves only the base, so gamma's samples carry over
-            surface = _gauge(scan).surface
+            surface = _shift(scan)[2]
             scan = _RulingTables(sig, surface, scan.s, {"g0": scan.jet("g0")})
             notes.append("base curve replaced by its gauge normalization")
 
@@ -469,93 +432,56 @@ def identify_family(
         inv = None
     raw_case = None if inv is None else table1_case(inv)
 
-    def unrecognized(diagnosis: str, minimality=None) -> ClassificationResult:
-        return ClassificationResult(
-            sig=sig,
-            family=None,
-            case_label=raw_case,
-            reported_case=None,
-            invariants=inv,
-            minimality=minimality,
-            genericity=genericity,
-            diagnosis=diagnosis,
-            notes=notes,
-        )
-
+    family = reported = structure = diagnosis = None
     if raw_case is CaseLabel.CASE_VII_EXCLUDED:
-        return unrecognized(
+        diagnosis = (
             "the induced metric vanishes identically (eta = delta = mu = 0); "
             "no surface geometry to classify"
         )
-
-    minimality = minimality or is_minimal(sig, surface, tol=h_tol)
-    if not minimality.is_minimal:
-        note = f"not minimal: H numerator residual {minimality.residual:.3e} exceeds {h_tol:.1e}"
-        return unrecognized(note, minimality)
-
-    if minimality.totally_geodesic:
-        return ClassificationResult(
-            sig=sig,
-            family=FamilyId.PLANE,
-            case_label=raw_case,
-            reported_case=raw_case,
-            invariants=inv,
-            minimality=minimality,
-            genericity=genericity,
-            notes=[*notes, "totally geodesic: the surface lies in a plane"],
+    # is_minimal runs here unless the ConventionError fallback above ran it
+    elif not (minimality := minimality or is_minimal(sig, surface, tol=h_tol)).is_minimal:
+        diagnosis = (
+            f"not minimal: H numerator residual {minimality.residual:.3e} exceeds {h_tol:.1e}"
         )
-
-    if inv.mu.kind != "constant":
-        return unrecognized(
+    elif minimality.totally_geodesic:
+        family, reported = FamilyId.PLANE, raw_case
+        notes.append("totally geodesic: the surface lies in a plane")
+    elif inv.mu.kind != "constant":
+        diagnosis = (
             "minimal but <gamma', x'> is not constant; the input violates "
-            "the normalized-structure assumptions",
-            minimality,
+            "the normalized-structure assumptions"
         )
-    mu_value = inv.mu.value
-
-    if inv.eta != 0:
-        # a shift along the rulings kills mu and moves delta to delta~
-        delta_shifted = inv.delta_value - inv.eta * mu_value * mu_value
-        second_kind = abs(delta_shifted) <= SECOND_KIND_TOL
-        elliptic = inv.epsilon * inv.eta > 0
-        if elliptic:
-            family = (
-                FamilyId.ELLIPTIC_HELICOID_2
-                if second_kind
-                else FamilyId.ELLIPTIC_HELICOID_1
-            )
-        else:
-            family = (
-                FamilyId.HYPERBOLIC_HELICOID_2
-                if second_kind
-                else FamilyId.HYPERBOLIC_HELICOID_1
-            )
-        reported = CaseLabel.CASE_II if second_kind else CaseLabel.CASE_I
-        if reported is not raw_case:
+    else:
+        # with eta != 0 a shift along the rulings kills mu and moves delta to
+        # delta~ = delta - eta mu^2, which vanishes for the second kind
+        mu_value = inv.mu.value
+        second_kind_or_mu_zero = (
+            abs(inv.delta_value - inv.eta * mu_value * mu_value) <= CONSTANCY_TOL
+            if inv.eta != 0
+            else inv.mu.is_zero
+        )
+        family, reported = {
+            (1, False): (FamilyId.ELLIPTIC_HELICOID_1, CaseLabel.CASE_I),
+            (1, True): (FamilyId.ELLIPTIC_HELICOID_2, CaseLabel.CASE_II),
+            (-1, False): (FamilyId.HYPERBOLIC_HELICOID_1, CaseLabel.CASE_I),
+            (-1, True): (FamilyId.HYPERBOLIC_HELICOID_2, CaseLabel.CASE_II),
+            (0, False): (FamilyId.PARABOLIC_HELICOID, CaseLabel.CASE_IV),
+            (0, True): (FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID, CaseLabel.CASE_V),
+        }[inv.epsilon * inv.eta, second_kind_or_mu_zero]
+        if raw_case is CaseLabel.CASE_VI:
+            notes.append("case vi input; a ruling-line shift makes the base speed +-1 (case iv)")
+        elif reported is not raw_case:
             notes.append(
                 f"case {raw_case.value} input; a ruling-line shift "
                 f"normalizes it to case {reported.value}"
             )
-    else:
-        if not inv.mu.is_zero:
-            family = FamilyId.PARABOLIC_HELICOID
-            reported = CaseLabel.CASE_IV
-            if raw_case is CaseLabel.CASE_VI:
-                notes.append(
-                    "case vi input; a ruling-line shift makes the base "
-                    "speed +-1 (case iv)"
-                )
-        else:
-            family = FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID
-            reported = CaseLabel.CASE_V
-
-    structure = _structure(scan, inv)
-    if not structure.ok:
-        notes.append(
-            "structure-equation residuals are larger than expected "
-            f"({structure.max_direction_residual:.2e}, "
-            f"{structure.max_base_residual:.2e}); treat the match as numerical"
-        )
+        structure = _structure(scan, inv)
+        if not structure.ok:
+            notes.append(
+                "structure-equation residuals are larger than expected "
+                f"({structure.max_direction_residual:.2e}, "
+                f"{structure.max_base_residual:.2e}); treat the match as numerical"
+            )
 
     return ClassificationResult(
         sig=sig,
@@ -566,5 +492,6 @@ def identify_family(
         minimality=minimality,
         genericity=genericity,
         structure=structure,
+        diagnosis=diagnosis,
         notes=notes,
     )

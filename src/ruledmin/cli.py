@@ -226,8 +226,7 @@ def _resolve_surface(args) -> tuple[Signature, RuledSurface, dict]:
 
 
 def _grids(args, surface: RuledSurface):
-    shape = _grid_arg(args.grid) if args.grid else (41, 41)
-    return surface.default_grids(shape)
+    return surface.default_grids(_grid_arg(args.grid)) if args.grid else surface.default_grids()
 
 
 def _stream(files) -> None:

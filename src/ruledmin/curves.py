@@ -20,11 +20,7 @@ from .errors import UsageError
 from .jsonio import _term_atoms
 from .metric import Signature
 
-# Default number of points of uniform_grid.
-DEFAULT_GRID_POINTS = 101
-
-
-def uniform_grid(a: float, b: float, num: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+def uniform_grid(a: float, b: float, num: int) -> np.ndarray:
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise UsageError(f"bad interval [{a!r}, {b!r}]")
     if num < 2:

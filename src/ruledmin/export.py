@@ -120,11 +120,6 @@ def _tag_index(det) -> np.ndarray:
     return np.where(np.abs(det) <= DEG_BAND, 0, np.where(det > 0, 1, 2))
 
 
-def causal_tag(det) -> np.ndarray:
-    """"degenerate" (|det g| <= DEG_BAND), "spacelike" or "timelike" for each det g value."""
-    return np.array(_TAG_NAMES)[_tag_index(det)]
-
-
 def _obj_chunks(sig: Signature, sweep: SurfaceSweep):
     """The bytes of obj_mesh, a header and then a block of rows at a time."""
     s_grid, t_grid = sweep.s_grid, sweep.t_grid

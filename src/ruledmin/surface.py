@@ -27,6 +27,7 @@ from .errors import (
     ConventionError,
     DegenerateMetricError,
     EverywhereDegenerateError,
+    NullDirectionError,
     UsageError,
 )
 from .metric import Signature, ip_array
@@ -39,9 +40,11 @@ H_TOL = 1e-8
 # <v, v> within this of +-1 counts as a unit norm (the gauge's and the
 # classifier's normalization checks).
 UNIT_TOL = 1e-6
-# The gauge needs <gamma, gamma> constant: its spread over the s-grid may not
-# exceed this.
-GAUGE_SPREAD_TOL = 1e-9
+# A per-s invariant counts as zero when its magnitude, and as constant when its
+# spread over the scan grid, is at or below this.
+CONSTANCY_TOL = 1e-9
+# The gauge and the classifier read the curves on this many points of the s-domain.
+SCAN_POINTS = 201
 EPS = np.finfo(float).eps
 # a pairing of jets with n max|a| max|b| below this cannot overflow
 _NO_OVERFLOW = 1e300
@@ -555,6 +558,57 @@ class GaugeResult:
     g12_residual: float
 
 
+def _scan(sig: Signature, surface: RuledSurface) -> _RulingTables:
+    """The jet table of the gauge and the classifier: SCAN_POINTS points of the s-domain."""
+    return _RulingTables(sig, surface, uniform_grid(*surface.s_domain, SCAN_POINTS))
+
+
+def _constant_value(name: str, vals: np.ndarray) -> float:
+    spread = float(vals.max() - vals.min())
+    if spread > CONSTANCY_TOL:
+        raise ConventionError(
+            f"{name} varies by {spread:.3e} across the domain; the case "
+            "invariants assume it is constant"
+        )
+    return float(vals.mean())
+
+
+def _epsilon(scan: _RulingTables) -> int:
+    """epsilon = <gamma, gamma>, which the normal form needs constant +-1.
+
+    NullDirectionError when it vanishes along a non-constant gamma (such a
+    surface is never minimal); ConventionError when it varies or is not +-1,
+    also for the constant null gamma of a cylinder.
+    """
+    gg = scan.ip("g0", "g0")
+    if float(np.abs(gg).max()) <= CONSTANCY_TOL and not scan.surface.gamma.is_constant():
+        raise NullDirectionError(
+            "the ruling direction is null along a non-constant curve; such a "
+            "surface is never minimal away from degenerate points"
+        )
+    val = _constant_value("<gamma, gamma>", gg)
+    if abs(abs(val) - 1.0) > UNIT_TOL:
+        raise ConventionError(f"<gamma, gamma> = {val!r}; scale the direction to unit norm")
+    return 1 if val > 0 else -1
+
+
+def _shift(scan: _RulingTables) -> tuple[int, ScalarFn | None, RuledSurface]:
+    """epsilon, lambda and the gauged surface of scan.surface: its base becomes
+    x + lambda gamma. lambda is None when it has no closed form, and the base
+    is then a GaugedBaseCurve."""
+    sig, surface = scan.sig, scan.surface
+    eps = _epsilon(scan)
+    lam = base = None
+    m_sym = symbolic_inner(sig, surface.gamma, surface.base.derivative(1))
+    if m_sym is not None:
+        anti = m_sym.antiderivative()
+        lam = -eps * (anti - ScalarFn.constant(anti.eval(0.0)))
+        base = surface.base.plus_scalar_times(lam, surface.gamma)
+    if base is None:
+        lam, base = None, GaugedBaseCurve(surface.base, surface.gamma, eps, sig)
+    return eps, lam, RuledSurface(surface.gamma, base, surface.s_domain, surface.t_domain)
+
+
 def gauge_normalize(sig: Signature, surface: RuledSurface) -> GaugeResult:
     """Translate the base along the rulings so the mixed metric entry vanishes.
 
@@ -563,41 +617,13 @@ def gauge_normalize(sig: Signature, surface: RuledSurface) -> GaugeResult:
     The swept point set is unchanged because the shift happens inside each
     ruling line. Closed-form lambda is used whenever the term algebra allows
     it; otherwise the base becomes a quadrature-backed curve whose derivative
-    slots are still exact.
+    slots are still exact, and lambda is tabulated on the scan grid.
     """
     if not isinstance(surface.base, CurveExpr):
         raise UsageError("gauge_normalize expects a closed-form base curve")
-    return _gauge(_RulingTables(sig, surface, uniform_grid(*surface.s_domain, 201)))
-
-
-def _gauge(scan: _RulingTables) -> GaugeResult:
-    """gauge_normalize of scan.surface: <gamma, gamma> is read from the jet
-    table, and a quadrature lambda is tabulated on its s-grid."""
-    sig, surface = scan.sig, scan.surface
-    gg = scan.ip("g0", "g0")
-    if float(gg.max() - gg.min()) > GAUGE_SPREAD_TOL:
-        raise ConventionError(
-            "<gamma, gamma> is not constant on the domain; normalize the "
-            "direction curve before gauge fixing"
-        )
-    val = float(gg.mean())
-    if abs(abs(val) - 1.0) > UNIT_TOL:
-        raise ConventionError(
-            f"<gamma, gamma> = {val!r}, expected +-1 (unit direction convention)"
-        )
-    eps = 1 if val > 0 else -1
-
-    lam_sym = base = lam_table = None
-    m_sym = symbolic_inner(sig, surface.gamma, surface.base.derivative(1))
-    if m_sym is not None:
-        anti = m_sym.antiderivative()
-        lam_sym = -eps * (anti - ScalarFn.constant(anti.eval(0.0)))
-        base = surface.base.plus_scalar_times(lam_sym, surface.gamma)
-    exact = base is not None
-    if not exact:
-        base = GaugedBaseCurve(surface.base, surface.gamma, eps, sig)
-        lam_sym, lam_table = None, (scan.s, -eps * base.lam_values(scan.s))
-    gauged = RuledSurface(surface.gamma, base, surface.s_domain, surface.t_domain)
+    scan = _scan(sig, surface)
+    eps, lam, gauged = _shift(scan)
+    lam_table = None if lam is not None else (scan.s, -eps * gauged.base.lam_values(scan.s))
 
     # g12 = <gamma', gamma> t + <x', gamma> is linear in t, so its largest
     # magnitude over the check grid sits at one of the grid's two t-ends. Its
@@ -611,7 +637,7 @@ def _gauge(scan: _RulingTables) -> GaugeResult:
     size = g0 * (g1 * np.abs(t_grid)[None, :] + x1)
     residual = np.divide(g12, size, out=np.zeros_like(g12), where=size > 0)
     return GaugeResult(
-        surface=gauged, epsilon=eps, exact=exact, lam=lam_sym, lam_table=lam_table,
+        surface=gauged, epsilon=eps, exact=lam is not None, lam=lam, lam_table=lam_table,
         max_abs_g12=float(g12[:, [0, -1]].max()),
         g12_residual=float(residual.max()),
     )

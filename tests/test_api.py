@@ -83,7 +83,6 @@ KEYWORDS = {
     "curves": {
         "CurveExpr.derivative": "order",
         "CurveExpr.eval": "order",
-        "uniform_grid": "num",
     },
     "errors": {},
     "existence": {"brute_force_cross_check": "trials seed", "existence_oracle": "signs"},

@@ -335,6 +335,38 @@ def test_identify_rejects_null_direction():
         identify_family(R31, surf)
 
 
+@pytest.mark.parametrize("decide", [gauge_normalize, identify_family])
+def test_the_gauge_and_the_classifier_reject_a_null_direction_alike(decide):
+    # gamma = s (e1 + e2) is null in R^3_1 and not constant; <gamma, x'> = 0
+    gamma = CurveExpr.from_basis_terms(3, [("pow", 1, (1.0, 1.0, 0.0))])
+    base = CurveExpr.from_basis_terms(3, [("pow", 1, (0.0, 0.0, 1.0))])
+    with pytest.raises(NullDirectionError, match="null along a non-constant curve"):
+        decide(R31, RuledSurface(gamma, base))
+
+
+def test_the_gauge_of_a_minimal_cylinder_is_a_unit_norm_breach():
+    # the cylinder's direction is null but constant: not a NullDirectionError
+    with pytest.raises(ConventionError, match=r"^<gamma, gamma> = 0\.0; scale the direction to unit norm$"):
+        gauge_normalize(R31, generate(R31, FamilyId.MINIMAL_CYLINDER))
+
+
+@pytest.mark.parametrize("sig, surf", [
+    (R30, RuledSurface(  # |gamma| = 2
+        CurveExpr.from_basis_terms(3, [("cos", 1.0, (2.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 2.0, 0.0))]),
+        CurveExpr.from_basis_terms(3, [("pow", 1, (0.0, 0.0, 1.0))]),
+    )),
+    # boosted rulings leave <gamma, gamma> 4.5e-8 from constant on [-10, 10]
+    (R31, generate(R31, FamilyId.HYPERBOLIC_HELICOID_1, s_domain=(-10.0, 10.0))),
+], ids=["norm-2", "varying"])
+def test_the_gauge_and_the_invariants_read_epsilon_with_one_message(sig, surf):
+    messages = []
+    for decide in (gauge_normalize, case_invariants):
+        with pytest.raises(ConventionError, match="<gamma, gamma>") as caught:
+            decide(sig, surf)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
 def test_auto_gauge_is_recorded():
     # slide the base along the rulings by sin(s); the image is unchanged
     # but <gamma, x'> != 0 until the classifier gauges it away

@@ -532,6 +532,19 @@ def test_input_with_family_or_signs_exits_2(command, catalog_flags, tmp_path):
     assert doc["error"] == "UsageError" and "--input" in doc["message"]
 
 
+@pytest.mark.parametrize("command", ["gauge", "classify"])
+def test_a_null_direction_exits_2_from_the_gauge_and_the_classifier(command, tmp_path):
+    from ruledmin import CurveExpr, RuledSurface, jsonio
+
+    # gamma = s (e1 + e2) is null in R^3_1 and not constant
+    gamma = CurveExpr.from_basis_terms(3, [("pow", 1, (1.0, 1.0, 0.0))])
+    base = CurveExpr.from_basis_terms(3, [("pow", 1, (0.0, 0.0, 1.0))])
+    path = tmp_path / "null.json"
+    path.write_text(jsonio.dumps(jsonio.surface_to_json(Signature(3, 1), RuledSurface(gamma, base))))
+    rc, doc = run_json([command, "--input", str(path)])
+    assert rc == 2 and doc["error"] == "NullDirectionError"
+
+
 def test_inadmissible_generation_exits_2_with_certificate():
     rc, out, _ = run(["verify", "--family", "hyperbolic-helicoid-2", "--sig", "3,1"])
     assert rc == 2
@@ -652,7 +665,7 @@ def test_classify_of_a_slid_surface_samples_gamma_once_across_the_gauge(call_cou
     rc, doc = run_json(["classify", "--input", str(path)])
     assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
     assert any("gauge" in note for note in doc["notes"])
-    assert call_counts["eval"] <= 14
+    assert call_counts["eval"] <= 11
 
 
 def test_an_obj_mesh_whose_csv_sidecar_is_the_out_path_exits_2(tmp_path):

@@ -103,7 +103,7 @@ def test_product_rule_identity():
     c = CurveExpr.from_basis_terms(
         3, [("cosh", 1.0, (1.0, 0.0, 0.0)), ("sinh", 1.0, (0.0, 1.0, 0.0)), ("pow", 2, (0.0, 0.0, 0.5))]
     )
-    grid = uniform_grid(-2.0, 2.0)
+    grid = uniform_grid(-2.0, 2.0, 101)
     h = 1e-6
     for s in grid[::10]:
         v, d = c.eval(float(s)), c.eval(float(s), 1)
@@ -162,14 +162,14 @@ def test_null_curve_hyperbolic_helix():
     c = CurveExpr.from_basis_terms(
         3, [("sinh", 1.0, (1.0, 0.0, 0.0)), ("cosh", 1.0, (0.0, 1.0, 0.0)), ("pow", 1, (0.0, 0.0, 1.0))]
     )
-    assert _speed_squared(sig, c, uniform_grid(-2.0, 2.0)).is_zero
+    assert _speed_squared(sig, c, uniform_grid(-2.0, 2.0, 101)).is_zero
     assert not c.is_constant()
 
 
 def test_null_curve_diagonal_line():
     sig = Signature(3, 1)
     c = CurveExpr.from_basis_terms(3, [("pow", 1, (1.0, 1.0, 0.0))])
-    assert _speed_squared(sig, c, uniform_grid(-2.0, 2.0)).is_zero
+    assert _speed_squared(sig, c, uniform_grid(-2.0, 2.0, 101)).is_zero
     assert not c.is_constant()
 
 
@@ -185,14 +185,14 @@ def test_no_null_curves_in_definite_metric(terms):
     """A positive-definite metric admits no regular null curve."""
     sig = Signature(3, 0)
     c = CurveExpr.from_basis_terms(3, terms)
-    grid = uniform_grid(-2.0, 2.0)
+    grid = uniform_grid(-2.0, 2.0, 101)
     speed_sq = _speed_squared(sig, c, grid)
     assert not speed_sq.is_zero
     assert np.all(speed_sq.eval(grid) > 0.0)
 
 
 def test_unit_speed_circle():
-    assert _is_constant(_speed_squared(Signature(3, 0), circle(), uniform_grid(-2.0, 2.0)), 1.0)
+    assert _is_constant(_speed_squared(Signature(3, 0), circle(), uniform_grid(-2.0, 2.0, 101)), 1.0)
 
 
 def test_unit_speed_hyperbola_is_spacelike():
@@ -201,7 +201,7 @@ def test_unit_speed_hyperbola_is_spacelike():
     c = CurveExpr.from_basis_terms(
         3, [("cosh", 1.0, (1.0, 0.0, 0.0)), ("sinh", 1.0, (0.0, 1.0, 0.0))]
     )
-    assert _is_constant(_speed_squared(sig, c, uniform_grid(-2.0, 2.0)), 1.0)
+    assert _is_constant(_speed_squared(sig, c, uniform_grid(-2.0, 2.0, 101)), 1.0)
 
 
 def test_unit_speed_timelike_branch():
@@ -210,12 +210,12 @@ def test_unit_speed_timelike_branch():
     c = CurveExpr.from_basis_terms(
         3, [("sinh", 1.0, (1.0, 0.0, 0.0)), ("cosh", 1.0, (0.0, 1.0, 0.0))]
     )
-    assert _is_constant(_speed_squared(sig, c, uniform_grid(-2.0, 2.0)), -1.0)
+    assert _is_constant(_speed_squared(sig, c, uniform_grid(-2.0, 2.0, 101)), -1.0)
 
 
 def test_unit_speed_rejects_scaled_line():
     c = CurveExpr.from_basis_terms(3, [("pow", 1, (2.0, 0.0, 0.0))])
-    speed_sq = _speed_squared(Signature(3, 0), c, uniform_grid(0.0, 1.0))
+    speed_sq = _speed_squared(Signature(3, 0), c, uniform_grid(0.0, 1.0, 101))
     assert _is_constant(speed_sq, 4.0)
     assert not _is_constant(speed_sq, 1.0) and not _is_constant(speed_sq, -1.0)
 
