@@ -407,9 +407,9 @@ def identify_family(
 
     if isinstance(surface.base, CurveExpr):
         if float(np.abs(scan.ip("g0", "x1")).max()) > GAUGE_TOL:
-            # the gauge moves only the base, so gamma's samples carry over
+            # the gauge moves only the base, so gamma's samples and pairings carry over
             surface = _shift(scan)[2]
-            scan = _RulingTables(sig, surface, scan.s, {"g0": scan.jet("g0")})
+            scan = scan.with_base(surface)
             notes.append("base curve replaced by its gauge normalization")
 
     genericity = _genericity(scan)

@@ -33,9 +33,10 @@ def _fmt_float(x: float, non_finite: str = "null") -> str:
 
     JSON has no NaN/Inf, so reports print null for masked values. The OBJ
     and CSV exports spell each number the same way, with non-finite values
-    "nan": export._fmt_column applies b"%.17g" to v + 0.0 once per distinct
-    value of a column, and the rows are assembled from those bytes a block
-    at a time.
+    "nan": export._fmt_column spells each distinct magnitude of a column
+    once, through a vectorized kernel that gives the bytes of b"%.17g" and
+    falls back to "%" itself where it cannot settle a value exactly, and the
+    rows are assembled from those bytes a block at a time.
     """
     x = float(x)
     if not math.isfinite(x):

@@ -145,6 +145,15 @@ class _RulingTables:
         self._pairs: dict[tuple, np.ndarray] = {}
         self._peaks: dict[str, float] = {}  # max |jet|
 
+    def with_base(self, surface: RuledSurface) -> "_RulingTables":
+        """The tables of surface, whose gamma is this one's on the same
+        s-grid: gamma's jets and the pairings among them carry over."""
+        moved = _RulingTables(self.sig, surface, self.s)
+        moved._jets = {k: v for k, v in self._jets.items() if k[0] == "g"}
+        moved._peaks = {k: v for k, v in self._peaks.items() if k[0] == "g"}
+        moved._pairs = {k: v for k, v in self._pairs.items() if k[0][0] == k[1][0] == "g"}
+        return moved
+
     def _finite(self, what: str, values: np.ndarray, s_axis: int = 0) -> np.ndarray:
         """values, whose axis s_axis runs over s; UsageError names what and
         the first s where a value is not finite."""
@@ -578,10 +587,14 @@ def _epsilon(scan: _RulingTables) -> int:
 
     NullDirectionError when it vanishes along a non-constant gamma (such a
     surface is never minimal); ConventionError when it varies or is not +-1,
-    also for the constant null gamma of a cylinder.
+    and for the constant null gamma of a cylinder, which no gauge applies to.
     """
     gg = scan.ip("g0", "g0")
-    if float(np.abs(gg).max()) <= CONSTANCY_TOL and not scan.surface.gamma.is_constant():
+    if float(np.abs(gg).max()) <= CONSTANCY_TOL:
+        if scan.surface.gamma.is_constant():
+            raise ConventionError(
+                f"<gamma, gamma> = {float(gg.mean())!r}; a constant null direction takes no gauge"
+            )
         raise NullDirectionError(
             "the ruling direction is null along a non-constant curve; such a "
             "surface is never minimal away from degenerate points"

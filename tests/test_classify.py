@@ -344,9 +344,9 @@ def test_the_gauge_and_the_classifier_reject_a_null_direction_alike(decide):
         decide(R31, RuledSurface(gamma, base))
 
 
-def test_the_gauge_of_a_minimal_cylinder_is_a_unit_norm_breach():
+def test_the_gauge_of_a_minimal_cylinder_is_refused_for_its_constant_null_direction():
     # the cylinder's direction is null but constant: not a NullDirectionError
-    with pytest.raises(ConventionError, match=r"^<gamma, gamma> = 0\.0; scale the direction to unit norm$"):
+    with pytest.raises(ConventionError, match=r"^<gamma, gamma> = 0\.0; a constant null direction takes no gauge$"):
         gauge_normalize(R31, generate(R31, FamilyId.MINIMAL_CYLINDER))
 
 

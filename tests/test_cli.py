@@ -649,7 +649,10 @@ def test_verify_reports_the_deciding_residual(circular_cylinder_file):
     assert rc == 1 and doc["minimality"]["residual"] > 0.1
 
 
-def test_classify_of_a_slid_surface_samples_gamma_once_across_the_gauge(call_counts, tmp_path):
+@pytest.fixture
+def slid_hh2_file(tmp_path):
+    """JSON of the hyperbolic helicoid 2 of R^4_2 with its base slid along
+    the rulings, so <gamma, x'> != 0 until the classifier gauges it."""
     from ruledmin import Signature, generate, jsonio
     from ruledmin.basisfn import ONE, Atom, ScalarFn
     from ruledmin.families import FamilyId
@@ -661,11 +664,38 @@ def test_classify_of_a_slid_surface_samples_gamma_once_across_the_gauge(call_cou
     slid = RuledSurface(surf.gamma, surf.base.plus_scalar_times(rho, surf.gamma))
     path = tmp_path / "slid.json"
     path.write_text(jsonio.dumps(jsonio.surface_to_json(sig, slid)))
+    return str(path)
+
+
+def test_classify_of_a_slid_surface_samples_gamma_once_across_the_gauge(call_counts, slid_hh2_file):
     call_counts.clear()
-    rc, doc = run_json(["classify", "--input", str(path)])
+    rc, doc = run_json(["classify", "--input", slid_hh2_file])
     assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
     assert any("gauge" in note for note in doc["notes"])
     assert call_counts["eval"] <= 11
+
+
+def test_classify_of_a_slid_surface_pairs_gamma_once_across_the_gauge(monkeypatch, slid_hh2_file):
+    # the gauge moves only the base: the scan's <gamma, gamma> (epsilon)
+    # serves the gauged tables too
+    computed, calls = Counter(), Counter()
+    ip, ip_array = surface._RulingTables.ip, surface.ip_array
+
+    def counting_ip(self, a, b):
+        if tuple(sorted((a, b))) not in self._pairs:
+            computed[tuple(sorted((a, b))), self.s.size] += 1
+        return ip(self, a, b)
+
+    def counting_ip_array(*args, **kwargs):
+        calls["ip_array"] += 1
+        return ip_array(*args, **kwargs)
+
+    monkeypatch.setattr(surface._RulingTables, "ip", counting_ip)
+    monkeypatch.setattr(surface, "ip_array", counting_ip_array)
+    rc, doc = run_json(["classify", "--input", slid_hh2_file])
+    assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
+    assert computed[("g0", "g0"), surface.SCAN_POINTS] == 1
+    assert calls["ip_array"] == 31
 
 
 def test_an_obj_mesh_whose_csv_sidecar_is_the_out_path_exits_2(tmp_path):

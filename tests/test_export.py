@@ -1,10 +1,14 @@
 """Tests for the OBJ and CSV exports against the per-value reference loops."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruledmin import FamilyId, SignChoice, Signature, generate, sweep_grid
-from ruledmin.export import BLOCK_ROWS, _fmt_column, csv_grid, obj_mesh
+from ruledmin.export import BLOCK_ROWS, _fmt_column, _magnitude_rows, csv_grid, obj_mesh
 from ruledmin.jsonio import _fmt_float, surface_from_json
 
 from _oracles import csv_grid_loop, obj_mesh_loop
@@ -99,6 +103,105 @@ def test_column_formatter_on_columns_constant_along_a_grid_direction():
         assert _spelled(col) == _per_value(col), name
 
 
+def _kernel_mismatches(values):
+    """The magnitudes of values (sorted and distinct, non-finite folded to
+    nan, as _fmt_column hands them on) whose kernel row is not
+    _fmt_float(x, "nan")."""
+    v = np.asarray(values, dtype=float).ravel()
+    magnitudes = np.unique(np.where(np.isfinite(v), np.abs(v), np.nan))
+    rows = _magnitude_rows(magnitudes)
+    got = [row.tobytes().rstrip(b"\0").decode() for row in rows]
+    assert all(b"\0" not in row.tobytes().rstrip(b"\0") for row in rows)  # NULs only at the end
+    return [(x, spelled) for x, spelled in zip(magnitudes.tolist(), got) if spelled != _fmt_float(x, "nan")]
+
+
+def test_the_kernel_matches_fmt_float_on_random_bit_patterns():
+    # every double, subnormals, infinities and NaN payloads included; sorted,
+    # they span many row blocks and every decade
+    bits = np.random.default_rng(3).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    assert np.unique(np.abs(values[np.isfinite(values)])).size > 4 * BLOCK_ROWS
+    assert _kernel_mismatches(values) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_the_kernel_matches_fmt_float_on_drawn_bit_patterns(patterns):
+    assert _kernel_mismatches(np.array(patterns, dtype=np.uint64).view(np.float64)) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_the_kernel_matches_fmt_float_on_drawn_floats(values):
+    assert _kernel_mismatches(values) == []
+    assert _spelled(np.array(values)) == _per_value(values)
+
+
+def test_the_kernel_matches_fmt_float_at_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-300, 300)])
+    assert _kernel_mismatches(np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])) == []
+
+
+def _exact_ties():
+    """Doubles x = (2N + 1) / 2 * 10**(k - 16) with N of 17 digits: exactly
+    halfway between two 17-digit decimals, so their 18th significant digit
+    is a final 5. x = odd / 2**(17 - k) needs 5**(16 - k) to divide 2N + 1."""
+    rng = np.random.default_rng(5)
+    ties = []
+    for k in range(-8, 16):
+        five = 5 ** (16 - k)
+        low, high = -(-(2 * 10**16 + 1) // five), min((2 * 10**17 - 1) // five, 2**53 - 1)
+        for odd in rng.integers(low, high, 40, endpoint=True).tolist():
+            odd |= 1
+            if odd <= high:
+                ties.append(float(np.ldexp(float(odd), k - 17)))
+    return ties
+
+
+def test_the_kernel_matches_fmt_float_on_exact_ties():
+    ties = _exact_ties()
+    assert len(ties) > 500
+    parities = set()
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+        parities.add(digits[16] % 2)
+    # round half to even keeps an even 17th digit and rounds an odd one up
+    assert parities == {0, 1}
+    assert _kernel_mismatches(ties) == []
+
+
+def test_the_kernel_matches_fmt_float_at_the_edges_of_its_range():
+    edges = np.array([1e-280, 1e280])
+    values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                             [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308,
+                              2.2250738585072014e-308, 1.7976931348623157e308,
+                              np.inf, -np.inf, np.nan]])
+    assert _kernel_mismatches(values) == []
+
+
+def test_a_column_constant_along_t_sorts_only_its_s_values(monkeypatch):
+    sizes = []
+    unique = np.unique
+
+    def recording_unique(values, *args, **kwargs):
+        sizes.append(np.size(values))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recording_unique)
+    s = np.linspace(-3.0, 3.0, 41)
+    col = np.broadcast_to(np.where(s < 0, -np.cosh(s), 0.0)[:, None], (41, 29)).copy()
+    col[30, 5] = -0.0  # equal to 0.0 and spelled "0" too
+    col[35, :] = -0.0
+    assert _spelled(col) == _per_value(col)
+    assert sizes == [41]
+    sizes.clear()
+    col[7, 28] += 1.0
+    assert _spelled(col) == _per_value(col)
+    assert sizes == [41 * 29]
+
+
 def _t_grid_through_zero(num=21):
     t = np.linspace(-2.0, 2.0, num)
     t[num // 2] = -0.0
@@ -168,3 +271,25 @@ def test_a_two_dimensional_mesh_pads_the_third_coordinate_with_zeros():
     text = obj_mesh(sig, sweep)
     assert text == obj_mesh_loop(sig, sweep, s, t)
     assert "v -1 -2 0\n" in text
+
+
+@pytest.mark.parametrize(
+    "sig,family,signs",
+    [
+        (Signature(3, 0), FamilyId.PLANE, None),
+        (Signature(3, 1), FamilyId.MINIMAL_CYLINDER, None),
+        (Signature(5, 2), FamilyId.ELLIPTIC_HELICOID_1, SignChoice(1, 1, 1)),
+        (Signature(4, 1), FamilyId.ELLIPTIC_HELICOID_2, SignChoice(1, 1, 0)),
+        (Signature(3, 1), FamilyId.HYPERBOLIC_HELICOID_1, SignChoice(1, -1, 1)),
+        (Signature(6, 3), FamilyId.HYPERBOLIC_HELICOID_2, None),
+        (Signature(5, 3), FamilyId.PARABOLIC_HELICOID, SignChoice(1, 1, -1)),
+        (Signature(4, 1), FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID, SignChoice(0, 1, 1)),
+    ],
+    ids=str,
+)
+def test_every_family_exports_like_the_per_value_loops_at_101x101(sig, family, signs):
+    surf = generate(sig, family, signs=signs)
+    s, t = surf.default_grids((101, 101))
+    sweep = sweep_grid(sig, surf, s, t)
+    assert obj_mesh(sig, sweep) == obj_mesh_loop(sig, sweep, s, t)
+    assert csv_grid(sig, sweep) == csv_grid_loop(sig, sweep)
