@@ -25,9 +25,9 @@ _EXPORTS = {
     ),
     "classify": (
         "CaseInvariants", "CaseLabel", "ClassificationResult", "CylinderReport",
-        "CylinderVerdict", "GenericityReport", "MuProfile", "ScalarProfile",
-        "StructureReport", "case_invariants", "cylinder_check", "genericity_scan",
-        "identify_family", "table1_case", "verify_structure_odes",
+        "CylinderVerdict", "GenericityReport", "StructureReport", "case_invariants",
+        "cylinder_check", "genericity_scan", "identify_family", "table1_case",
+        "verify_structure_odes",
     ),
     "curves": (
         "CurveExpr", "symbolic_inner", "uniform_grid",
@@ -53,7 +53,7 @@ _EXPORTS = {
     ),
     "surface": (
         "GaugeResult", "H_TOL", "MinimalityReport", "MinimalityVerdict", "RuledSurface",
-        "SurfaceSweep", "TAU_DEG", "c_function", "c_function_grid", "gauge_normalize",
+        "ScalarProfile", "SurfaceSweep", "TAU_DEG", "c_function", "c_function_grid", "gauge_normalize",
         "is_minimal", "sweep_grid",
     ),
 }

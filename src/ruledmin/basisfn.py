@@ -259,11 +259,20 @@ class _Terms:
 
     def eval(self, s):
         """Samples at s, scalar or array; a scalar fn at a scalar s is a float."""
-        arr = np.asarray(s, dtype=float)
-        out = np.zeros(arr.shape + self._shape)
-        for atom, c in self.terms.items():
-            out += eval_atom(atom, arr)[self._expand] * c
+        out = self._sample(np.asarray(s, dtype=float))[0]
         return float(out) if out.ndim == 0 else out
+
+    def _sample(self, arr: np.ndarray, sized: bool = False):
+        """Samples at the array arr and, when sized, the size of the terms
+        that cancel in them, sum |coefficient| |atom| (else None)."""
+        out = np.zeros(arr.shape + self._shape)
+        size = np.zeros_like(out) if sized else None
+        for atom, c in self.terms.items():
+            term = eval_atom(atom, arr)[self._expand] * c
+            out += term
+            if sized:
+                size += np.abs(term, out=term)
+        return out, size
 
 
 class ScalarFn(_Terms):

@@ -10,8 +10,10 @@ errors say which normalization is missing.
 Every per-s check (genericity, case invariants, structure equations,
 cylinder test) reads one surface._RulingTables on the gauge's
 surface.SCAN_POINTS s-grid, so a query samples each curve jet at most once
-on it. The gauge and the case invariants read epsilon = <gamma, gamma> with
-the one reader surface._epsilon, and "counts as zero or constant" is
+on it. Each of <gamma, gamma>, <gamma', gamma'>, <x', x'>, <gamma', x'> and
+the gauge term <gamma, x'> is read once there, as one surface.ScalarProfile
+that the gauge, the case invariants, the genericity scan and the cylinder
+test all answer from, so "counts as zero or constant" is
 surface.CONSTANCY_TOL throughout, also for the shifted delta that makes a
 helicoid of the second kind.
 """
@@ -28,30 +30,15 @@ from .curves import CurveExpr
 from .errors import ConventionError, EverywhereDegenerateError, UsageError
 from .families import FamilyId
 from .metric import Signature
-from .surface import CONSTANCY_TOL, H_TOL, UNIT_TOL, MinimalityReport, RuledSurface
-from .surface import _constant_value, _epsilon, _RulingTables, _scan, _shift, is_minimal
+from .surface import CONSTANCY_TOL, H_TOL, UNIT_TOL, MinimalityReport, RuledSurface, ScalarProfile
+from .surface import _constant, _epsilon, _RulingTables, _scan, _shift, is_minimal
 
-GAUGE_TOL = 1e-8
 DEPENDENCE_TOL = 1e-10
 STRUCTURE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
 # genericity scan
-
-
-@dataclass(frozen=True)
-class ScalarProfile:
-    """Behavior of one scalar invariant along the directrix."""
-
-    name: str
-    identically_zero: bool
-    max_abs: float
-    isolated_zeros: tuple[float, ...]
-
-    @property
-    def clean(self) -> bool:
-        return self.identically_zero or not self.isolated_zeros
 
 
 @dataclass
@@ -64,24 +51,6 @@ class GenericityReport:
     @property
     def generic(self) -> bool:
         return all(p.clean for p in self.profiles.values()) and not self.dependence_switches
-
-
-def _isolated_zeros(s: np.ndarray, vals: np.ndarray) -> tuple[float, ...]:
-    hits: list[float] = []
-    small = np.abs(vals) <= CONSTANCY_TOL
-    for i in range(len(s)):
-        if small[i]:
-            hits.append(float(s[i]))
-        elif i + 1 < len(s) and not small[i + 1] and vals[i] * vals[i + 1] < 0:
-            # sign change between samples; report the midpoint
-            hits.append(float(0.5 * (s[i] + s[i + 1])))
-    # collapse runs of adjacent grid hits to one representative
-    out: list[float] = []
-    step = float(s[1] - s[0]) if len(s) > 1 else 0.0
-    for h in hits:
-        if not out or h - out[-1] > 1.5 * step:
-            out.append(h)
-    return tuple(out)
 
 
 def genericity_scan(sig: Signature, surface: RuledSurface) -> GenericityReport:
@@ -98,19 +67,12 @@ def genericity_scan(sig: Signature, surface: RuledSurface) -> GenericityReport:
 
 def _genericity(scan: _RulingTables) -> GenericityReport:
     s = scan.s
-    series = {
-        "direction_norm": scan.ip("g0", "g0"),
-        "direction_speed": scan.ip("g1", "g1"),
-        "base_speed": scan.ip("x1", "x1"),
-        "mixed_speed": scan.ip("g1", "x1"),
+    profiles = {
+        "direction_norm": scan.profile("g0", "g0"),
+        "direction_speed": scan.profile("g1", "g1"),
+        "base_speed": scan.profile("x1", "x1"),
+        "mixed_speed": scan.profile("g1", "x1"),
     }
-    profiles = {}
-    for name, vals in series.items():
-        max_abs = float(np.abs(vals).max())
-        if max_abs <= CONSTANCY_TOL:
-            profiles[name] = ScalarProfile(name, True, max_abs, ())
-        else:
-            profiles[name] = ScalarProfile(name, False, max_abs, _isolated_zeros(s, vals))
 
     # 2x2 Euclidean Gram determinant of (gamma', x'), row-normalized so the
     # threshold is scale-free
@@ -136,29 +98,18 @@ def _genericity(scan: _RulingTables) -> GenericityReport:
 
 
 @dataclass(frozen=True)
-class MuProfile:
-    kind: str  # "constant" or "varying"
-    value: float | None
-    max_abs: float
-
-    @property
-    def is_zero(self) -> bool:
-        return self.max_abs <= CONSTANCY_TOL
-
-
-@dataclass(frozen=True)
 class CaseInvariants:
     """Sign data of a normalized non-cylindrical ruled surface.
 
     epsilon = <gamma, gamma>, eta = <gamma', gamma'>, delta = sign class of
-    <x', x'> (delta_value holds the constant), mu profiles <gamma', x'>.
+    <x', x'> (delta_value holds the constant), mu is the profile of <gamma', x'>.
     """
 
     epsilon: int
     eta: int
     delta: int
     delta_value: float
-    mu: MuProfile
+    mu: ScalarProfile
 
 
 def case_invariants(sig: Signature, surface: RuledSurface) -> CaseInvariants:
@@ -179,13 +130,13 @@ def _case_invariants(scan: _RulingTables) -> CaseInvariants:
         )
     epsilon = _epsilon(scan)
 
-    if float(np.abs(scan.ip("g0", "x1")).max()) > GAUGE_TOL:
+    if not scan.profile("g0", "x1").identically_zero:
         raise ConventionError(
             "<gamma, x'> does not vanish; apply gauge_normalize before "
             "classification"
         )
 
-    eta_val = _constant_value("<gamma', gamma'>", scan.ip("g1", "g1"))
+    eta_val = _constant(scan.profile("g1", "g1"))
     if abs(eta_val) <= CONSTANCY_TOL:
         eta = 0
     elif abs(abs(eta_val) - 1.0) <= UNIT_TOL:
@@ -196,7 +147,7 @@ def _case_invariants(scan: _RulingTables) -> CaseInvariants:
             "direction curve at constant speed 0 or +-1"
         )
 
-    delta_value = _constant_value("<x', x'>", scan.ip("x1", "x1"))
+    delta_value = _constant(scan.profile("x1", "x1"))
     delta = 0 if abs(delta_value) <= CONSTANCY_TOL else (1 if delta_value > 0 else -1)
     if eta == 0 and delta != 0 and abs(abs(delta_value) - 1.0) > UNIT_TOL:
         raise ConventionError(
@@ -204,14 +155,8 @@ def _case_invariants(scan: _RulingTables) -> CaseInvariants:
             "the base speed normalizes to 0 or +-1"
         )
 
-    mu_vals = scan.ip("g1", "x1")
-    mu_spread = float(mu_vals.max() - mu_vals.min())
-    if mu_spread <= CONSTANCY_TOL:
-        mu = MuProfile("constant", float(mu_vals.mean()), float(np.abs(mu_vals).max()))
-    else:
-        mu = MuProfile("varying", None, float(np.abs(mu_vals).max()))
     return CaseInvariants(
-        epsilon=epsilon, eta=eta, delta=delta, delta_value=delta_value, mu=mu
+        epsilon=epsilon, eta=eta, delta=delta, delta_value=delta_value, mu=scan.profile("g1", "x1")
     )
 
 
@@ -237,7 +182,7 @@ def table1_case(inv: CaseInvariants) -> CaseLabel:
     eta = 0. Case vii (eta = delta = mu = 0) makes g11 vanish identically and
     is excluded from classification.
     """
-    mu_zero = inv.mu.is_zero
+    mu_zero = inv.mu.identically_zero
     if inv.eta != 0:
         if inv.delta == 0:
             return CaseLabel.CASE_II
@@ -279,8 +224,8 @@ def cylinder_check(sig: Signature, surface: RuledSurface) -> CylinderReport:
 
 
 def _cylinder_check(scan: _RulingTables, h_tol: float) -> CylinderReport:
-    direction_null = float(np.abs(scan.ip("g0", "g0")).max()) <= CONSTANCY_TOL
-    base_null = float(np.abs(scan.ip("x1", "x1")).max()) <= CONSTANCY_TOL
+    direction_null = scan.profile("g0", "g0").identically_zero
+    base_null = scan.profile("x1", "x1").identically_zero
     min_pairing = float(np.abs(scan.ip("g0", "x1")).min())
 
     report = is_minimal(scan.sig, scan.surface, tol=h_tol)
@@ -405,12 +350,11 @@ def identify_family(
             notes=[cyl.note] if family is not None else [],
         )
 
-    if isinstance(surface.base, CurveExpr):
-        if float(np.abs(scan.ip("g0", "x1")).max()) > GAUGE_TOL:
-            # the gauge moves only the base, so gamma's samples and pairings carry over
-            surface = _shift(scan)[2]
-            scan = scan.with_base(surface)
-            notes.append("base curve replaced by its gauge normalization")
+    if isinstance(surface.base, CurveExpr) and not scan.profile("g0", "x1").identically_zero:
+        # the gauge moves only the base, so gamma's samples and pairings carry over
+        surface = _shift(scan)[2]
+        scan = scan.with_base(surface)
+        notes.append("base curve replaced by its gauge normalization")
 
     genericity = _genericity(scan)
     if not genericity.generic:
@@ -446,7 +390,7 @@ def identify_family(
     elif minimality.totally_geodesic:
         family, reported = FamilyId.PLANE, raw_case
         notes.append("totally geodesic: the surface lies in a plane")
-    elif inv.mu.kind != "constant":
+    elif inv.mu.value is None:
         diagnosis = (
             "minimal but <gamma', x'> is not constant; the input violates "
             "the normalized-structure assumptions"
@@ -458,7 +402,7 @@ def identify_family(
         second_kind_or_mu_zero = (
             abs(inv.delta_value - inv.eta * mu_value * mu_value) <= CONSTANCY_TOL
             if inv.eta != 0
-            else inv.mu.is_zero
+            else inv.mu.identically_zero
         )
         family, reported = {
             (1, False): (FamilyId.ELLIPTIC_HELICOID_1, CaseLabel.CASE_I),

@@ -329,7 +329,8 @@ def _invariants_json(inv: CaseInvariants) -> dict:
         "eta": inv.eta,
         "delta": inv.delta,
         "delta_value": inv.delta_value,
-        "mu": {"kind": inv.mu.kind, "value": inv.mu.value, "max_abs": inv.mu.max_abs},
+        "mu": {"kind": "varying" if inv.mu.value is None else "constant",
+               "value": inv.mu.value, "max_abs": inv.mu.max_abs},
     }
 
 

@@ -125,6 +125,29 @@ def _relative(coef: np.ndarray, size: np.ndarray, rounding: np.ndarray) -> float
     return float(np.divide(c, s, out=np.zeros_like(c), where=s > 0).max(initial=0.0))
 
 
+@dataclass(frozen=True)
+class ScalarProfile:
+    """One pairing <a, b> read along the directrix by _RulingTables.profile.
+    It is identically zero when max_abs, and constant, with value its mean,
+    when its spread is at most CONSTANCY_TOL; isolated_zeros lists where it
+    vanishes otherwise, one s per zero."""
+
+    name: str
+    identically_zero: bool
+    max_abs: float
+    isolated_zeros: tuple[float, ...]
+    spread: float
+    mean: float
+
+    @property
+    def value(self) -> float | None:
+        return self.mean if self.spread <= CONSTANCY_TOL else None
+
+    @property
+    def clean(self) -> bool:
+        return self.identically_zero or not self.isolated_zeros
+
+
 class _RulingTables:
     """The one place that samples gamma and x along s: their jets on an
     s-grid and the per-s pairings of those jets, each computed on first use.
@@ -134,7 +157,8 @@ class _RulingTables:
     given. Every per-s quantity the checks read is a pairing ip(a, b):
     epsilon = <g0, g0>, eta = <g1, g1>, <x1, x1>, mu = <g1, x1>, the gauge
     term <g0, x1>, the C-function and the sweep's first-form and
-    second-form coefficients. f is affine in t, so those
+    second-form coefficients. The gauge and the classifier read the first
+    five only through profile(a, b). f is affine in t, so those
     coefficients make every (ns, nt) scalar a polynomial in t, evaluated by
     Horner's rule with (ns, 1) columns against the (1, nt) t-row T.
     """
@@ -143,15 +167,19 @@ class _RulingTables:
         self.sig, self.surface, self.s = sig, surface, s_grid
         self._jets: dict[str, np.ndarray] = dict(jets or {})
         self._pairs: dict[tuple, np.ndarray] = {}
+        self._profiles: dict[tuple, ScalarProfile] = {}
         self._peaks: dict[str, float] = {}  # max |jet|
+        self._sizes: dict[str, np.ndarray] = {}  # see _size
 
     def with_base(self, surface: RuledSurface) -> "_RulingTables":
         """The tables of surface, whose gamma is this one's on the same
-        s-grid: gamma's jets and the pairings among them carry over."""
+        s-grid: gamma's jets, the pairings among them and their profiles carry over."""
         moved = _RulingTables(self.sig, surface, self.s)
         moved._jets = {k: v for k, v in self._jets.items() if k[0] == "g"}
         moved._peaks = {k: v for k, v in self._peaks.items() if k[0] == "g"}
+        moved._sizes = {k: v for k, v in self._sizes.items() if k[0] == "g"}
         moved._pairs = {k: v for k, v in self._pairs.items() if k[0][0] == k[1][0] == "g"}
+        moved._profiles = {k: v for k, v in self._profiles.items() if k[0][0] == k[1][0] == "g"}
         return moved
 
     def _finite(self, what: str, values: np.ndarray, s_axis: int = 0) -> np.ndarray:
@@ -168,12 +196,22 @@ class _RulingTables:
         if name not in self._jets:
             label, curve = ("gamma", self.surface.gamma) if name[0] == "g" else ("x", self.surface.base)
             with np.errstate(all="ignore"):  # overflow is reported by _finite, not warned
-                values = curve.eval(self.s, int(name[1]))
+                if isinstance(curve, CurveExpr):
+                    values, size = curve.derivative(int(name[1]))._sample(self.s, sized=True)
+                else:
+                    values, size = curve.eval(self.s, int(name[1])), 0.0
             self._peaks[name] = float(np.abs(values).max(initial=0.0))  # NaN or inf if one is
             if not math.isfinite(self._peaks[name]):
                 self._finite(f"{label} at derivative order {name[1]}", values)
-            self._jets[name] = values
+            self._jets[name], self._sizes[name] = values, np.maximum(size, np.abs(values))
         return self._jets[name]
+
+    def _size(self, name: str) -> np.ndarray:
+        """The size of the terms that cancel in the jet: sum |coefficient|
+        |atom| over a CurveExpr's terms, at least |jet| (|jet| alone for a
+        GaugedBaseCurve)."""
+        self.jet(name)
+        return self._sizes[name]
 
     def _peak(self, name: str) -> float:
         """max |jet|, also of the jets passed in."""
@@ -192,6 +230,26 @@ class _RulingTables:
                     pairing = ip_array(self.sig, self.jet(a), self.jet(b))
                 self._pairs[key] = self._finite(f"the pairing <{_spelled(a)}, {_spelled(b)}>", pairing)
         return self._pairs[key]
+
+    def profile(self, a: str, b: str) -> ScalarProfile:
+        """<a, b> on this grid, read once. Its zeros are the samples within
+        CONSTANCY_TOL of 0 and the midpoints of sign changes between two
+        samples that are not; a hit more than 1.5 grid steps from the
+        previous hit starts a new zero."""
+        key = tuple(sorted((a, b)))
+        if key not in self._profiles:
+            v, s = self.ip(a, b), self.s
+            lo, hi, max_abs = float(v.min()), float(v.max()), float(np.abs(v).max())
+            zero, zeros = max_abs <= CONSTANCY_TOL, ()
+            if not zero and lo <= CONSTANCY_TOL and hi >= -CONSTANCY_TOL:  # it nears 0 or changes sign
+                small = np.abs(v) <= CONSTANCY_TOL
+                cross = np.flatnonzero(~small[:-1] & ~small[1:] & (v[:-1] * v[1:] < 0))
+                hits = np.sort(np.concatenate([s[small], 0.5 * (s[cross] + s[cross + 1])]))
+                zeros = tuple(map(float, hits[np.diff(hits, prepend=-np.inf) > 1.5 * (s[1] - s[0])]))
+            self._profiles[key] = ScalarProfile(
+                f"<{_spelled(key[0])}, {_spelled(key[1])}>", zero, max_abs, zeros, hi - lo, float(v.mean())
+            )
+        return self._profiles[key]
 
     def col(self, a: str, b: str) -> np.ndarray:
         return self.ip(a, b)[:, None]
@@ -212,11 +270,13 @@ class _RulingTables:
 
     def bounds(self):
         """(S, E) for each array of components(): S, the size of the terms
-        that cancel, is the same expression over |jets| and |<a, b>| with
-        every minus a plus; E bounds the rounding. A pairing is off by at
-        most (n + 2) EPS sum_i |a_i b_i| (a boost inflates that sum, not the
-        pairing), the numerators' own steps by 16 EPS times their terms."""
-        absolute = {k: np.abs(self.jet(k)) for k in ("g0", "g1", "g2", "x1", "x2")}
+        that cancel, is the same expression over the jets' sizes (_size) and
+        |<a, b>| with every minus a plus; E bounds the rounding. A pairing is
+        off by at most (n + 2) EPS sum_i |a_i b_i| over those sizes (a boost
+        inflates that sum, not the pairing, and a jet's own terms can cancel
+        too, as in 19 cosh s - 18 sinh s), the numerators' own steps by
+        16 EPS times their terms."""
+        absolute = {k: self._size(k) for k in ("g0", "g1", "g2", "x1", "x2")}
         euclid = _RulingTables(Signature(self.sig.n, 0), None, self.s, absolute)
 
         def pair(a, b):  # [|<a, b>|, the same widened by its rounding]
@@ -572,14 +632,14 @@ def _scan(sig: Signature, surface: RuledSurface) -> _RulingTables:
     return _RulingTables(sig, surface, uniform_grid(*surface.s_domain, SCAN_POINTS))
 
 
-def _constant_value(name: str, vals: np.ndarray) -> float:
-    spread = float(vals.max() - vals.min())
-    if spread > CONSTANCY_TOL:
+def _constant(profile: ScalarProfile) -> float:
+    """profile's value; ConventionError when it varies."""
+    if profile.value is None:
         raise ConventionError(
-            f"{name} varies by {spread:.3e} across the domain; the case "
+            f"{profile.name} varies by {profile.spread:.3e} across the domain; the case "
             "invariants assume it is constant"
         )
-    return float(vals.mean())
+    return profile.value
 
 
 def _epsilon(scan: _RulingTables) -> int:
@@ -589,17 +649,17 @@ def _epsilon(scan: _RulingTables) -> int:
     surface is never minimal); ConventionError when it varies or is not +-1,
     and for the constant null gamma of a cylinder, which no gauge applies to.
     """
-    gg = scan.ip("g0", "g0")
-    if float(np.abs(gg).max()) <= CONSTANCY_TOL:
+    gg = scan.profile("g0", "g0")
+    if gg.identically_zero:
         if scan.surface.gamma.is_constant():
             raise ConventionError(
-                f"<gamma, gamma> = {float(gg.mean())!r}; a constant null direction takes no gauge"
+                f"<gamma, gamma> = {gg.mean!r}; a constant null direction takes no gauge"
             )
         raise NullDirectionError(
             "the ruling direction is null along a non-constant curve; such a "
             "surface is never minimal away from degenerate points"
         )
-    val = _constant_value("<gamma, gamma>", gg)
+    val = _constant(gg)
     if abs(abs(val) - 1.0) > UNIT_TOL:
         raise ConventionError(f"<gamma, gamma> = {val!r}; scale the direction to unit norm")
     return 1 if val > 0 else -1

@@ -20,6 +20,8 @@ keep the three product loops that ScalarFn `*`, CurveExpr.plus_scalar_times
 and symbolic_inner each had before the term algebra was written once; they
 take and return plain term dicts, so the shared product can be compared
 against them atom by atom and in dict order.
+`cayley_isometry` and `moved_surface` move a surface by an exact isometry of
+R^n_p and a translation, the congruences every verdict is invariant under.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ruledmin import Signature, UsageError, inner_product
-from ruledmin.basisfn import product_atoms
+from ruledmin import CurveExpr, RuledSurface, Signature, UsageError, inner_product
+from ruledmin.basisfn import ONE, Atom, product_atoms
 from ruledmin.existence import SEARCH_COORD_BOUND, SEARCH_SAMPLES_PER_SLOT, SearchResult
 from ruledmin.families import FamilyId, NormPattern, SignChoice, validate_signs
 
@@ -486,3 +489,52 @@ def symbolic_inner_loop(sig: Signature, a_terms: dict, b_terms: dict) -> dict | 
             for c, atom in parts:
                 _scalar_add(total, dot * c, atom)
     return total
+
+
+# ---------------------------------------------------------------------------
+# congruences: an exact isometry of R^n_p and a translation
+
+
+def cayley_isometry(sig: Signature, skew) -> list[list[Fraction]] | None:
+    """The Cayley transform Q = (I - A)^-1 (I + A) of A = eta K, in Fractions,
+    for a skew-symmetric rational matrix skew = K; None when I - A is singular.
+
+    eta A + A^T eta = K + K^T = 0, so Q is an isometry: Q^T eta Q = eta, which
+    is checked exactly.
+    """
+    n = sig.n
+    eta = [-1 if i < sig.p else 1 for i in range(n)]
+    a = [[eta[i] * Fraction(skew[i][j]) for j in range(n)] for i in range(n)]
+    # Gauss-Jordan on the augmented rows [I - A | I + A]
+    rows = [[(i == j) - a[i][j] for j in range(n)] + [(i == j) + a[i][j] for j in range(n)]
+            for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    q = [row[n:] for row in rows]
+    gram = [[sum(q[k][i] * eta[k] * q[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    if gram != [[eta[i] * (i == j) for j in range(n)] for i in range(n)]:
+        raise AssertionError("the Cayley transform is not an isometry")
+    return q
+
+
+def moved_surface(surface: RuledSurface, q, shift) -> RuledSurface:
+    """The image of surface under f -> Q f + shift: Q multiplies every
+    coefficient vector of gamma and x exactly, each entry is rounded to a float
+    once, and the integer vector shift is added to x's constant term."""
+
+    def move(curve, extra=()):
+        terms = [
+            (atom, [float(sum(qi[j] * Fraction(float(c[j])) for j in range(curve.n))) for qi in q])
+            for atom, c in curve.terms.items()
+        ]
+        return CurveExpr(curve.n, [*terms, *extra])
+
+    base = move(surface.base, [(Atom(0, ONE, 0.0), [float(v) for v in shift])])
+    return RuledSurface(move(surface.gamma), base, surface.s_domain, surface.t_domain)

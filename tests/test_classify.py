@@ -13,9 +13,9 @@ from ruledmin import (
     CylinderVerdict,
     FamilyId,
     MinimalityVerdict,
-    MuProfile,
     NullDirectionError,
     RuledSurface,
+    ScalarProfile,
     Signature,
     UsageError,
     case_invariants,
@@ -66,6 +66,21 @@ def test_direction_norm_zero_crossings_are_flagged():
     assert min(abs(z + 1.0) for z in zeros) < 0.05
 
 
+def test_a_zero_that_spans_adjacent_samples_is_reported_once():
+    # <gamma', x'> = s^7 cos s: |s^7| <= CONSTANCY_TOL on the three samples
+    # around s = 0, and sign changes at s = +-pi/2
+    gamma = CurveExpr.from_basis_terms(3, [("cos", 1.0, (1.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 1.0, 0.0))])
+    base = CurveExpr.from_basis_terms(3, [("pow", 8, (0.0, 0.125, 0.0)), ("pow", 1, (0.0, 0.0, 1.0))])
+    report = genericity_scan(R30, RuledSurface(gamma, base))
+    assert report.profiles["mixed_speed"].isolated_zeros == pytest.approx((-1.575, -0.03, 1.575))
+
+
+def test_one_profile_of_mu_serves_the_genericity_scan_and_the_invariants():
+    result = identify_family(R31, generate(R31, FamilyId.PARABOLIC_HELICOID))
+    assert result.invariants.mu is result.genericity.profiles["mixed_speed"]
+    assert result.invariants.mu.value is not None and not result.invariants.mu.identically_zero
+
+
 def test_generated_families_are_generic():
     for sig, family in [
         (R30, FamilyId.ELLIPTIC_HELICOID_1),
@@ -95,7 +110,7 @@ def test_dependence_switch_detection():
 def test_helicoid_invariants():
     inv = case_invariants(R30, helicoid())
     assert (inv.epsilon, inv.eta, inv.delta) == (1, 1, 1)
-    assert inv.mu.is_zero
+    assert inv.mu.identically_zero
 
 
 def test_parabolic_helicoid_invariants():
@@ -105,8 +120,8 @@ def test_parabolic_helicoid_invariants():
     assert inv.eta == 0
     assert inv.delta == 0
     assert abs(inv.delta_value) < 1e-12
-    assert inv.mu.kind == "constant"
-    assert not inv.mu.is_zero
+    assert inv.mu.value is not None
+    assert not inv.mu.identically_zero
     assert abs(abs(inv.mu.value) - 2.0) < 1e-12
 
 
@@ -114,7 +129,7 @@ def test_paraboloid_invariants():
     inv = case_invariants(R41, generate(R41, FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID))
     assert inv.eta == 0
     assert inv.delta in (-1, 1)
-    assert inv.mu.is_zero
+    assert inv.mu.identically_zero
 
 
 def test_invariants_reject_constant_direction():
@@ -160,7 +175,7 @@ def test_invariants_require_gauge():
 
 
 def _inv(eta: int, delta: int, mu_zero: bool) -> CaseInvariants:
-    mu = MuProfile("constant", 0.0 if mu_zero else 2.0, 0.0 if mu_zero else 2.0)
+    mu = ScalarProfile("<gamma', x'>", mu_zero, 0.0 if mu_zero else 2.0, (), 0.0, 0.0 if mu_zero else 2.0)
     return CaseInvariants(epsilon=1, eta=eta, delta=delta, delta_value=float(delta), mu=mu)
 
 

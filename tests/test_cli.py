@@ -14,7 +14,6 @@ import pytest
 
 import ruledmin
 from ruledmin import FamilyId, Signature, cli, generate, surface, sweep_grid
-from ruledmin.curves import CurveExpr
 from ruledmin.families import CLI_NAME_OF
 
 from _oracles import csv_grid_loop, obj_mesh_loop
@@ -573,50 +572,21 @@ def test_flags_a_subcommand_does_not_read_exit_2(argv):
     assert exc.value.code == 2
 
 
-def test_verify_and_classify_sample_the_surface_once(monkeypatch):
-    counts = Counter()
-    sweep_grid, curve_eval = surface.sweep_grid, CurveExpr.eval
-
-    def counting_sweep(*args, **kwargs):
-        counts["sweep"] += 1
-        return sweep_grid(*args, **kwargs)
-
-    def counting_eval(self, *args, **kwargs):
-        counts["eval"] += 1
-        return curve_eval(self, *args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ruledmin") and getattr(module, "sweep_grid", None) is sweep_grid:
-            monkeypatch.setattr(module, "sweep_grid", counting_sweep)
-    monkeypatch.setattr(CurveExpr, "eval", counting_eval)
+def test_verify_and_classify_sample_the_surface_once(call_counts):
     for command in ("verify", "classify"):
-        counts.clear()
+        call_counts.clear()
         rc, _ = run_json([command, "--sig", "4,2", "--family", "hyperbolic-helicoid-2"])
         assert rc == 0
-        assert counts["sweep"] == 1, command
-        assert counts["eval"] <= 12, command
+        assert call_counts["sweep"] == 1, command
+        assert call_counts["eval"] <= 12, command
 
 
-def test_gauge_reads_g12_without_a_sweep(monkeypatch):
-    counts = Counter()
-    sweep_grid, curve_eval = surface.sweep_grid, CurveExpr.eval
-
-    def counting_sweep(*args, **kwargs):
-        counts["sweep"] += 1
-        return sweep_grid(*args, **kwargs)
-
-    def counting_eval(self, *args, **kwargs):
-        counts["eval"] += 1
-        return curve_eval(self, *args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ruledmin") and getattr(module, "sweep_grid", None) is sweep_grid:
-            monkeypatch.setattr(module, "sweep_grid", counting_sweep)
-    monkeypatch.setattr(CurveExpr, "eval", counting_eval)
+def test_gauge_reads_g12_without_a_sweep(call_counts):
+    call_counts.clear()
     rc, doc = run_json(["gauge", "--sig", "4,2", "--family", "hyperbolic-helicoid-2"])
     assert rc == 0 and doc["max_abs_g12"] <= 1e-9
-    assert counts["sweep"] == 0
-    assert counts["eval"] <= 4
+    assert call_counts["sweep"] == 0
+    assert call_counts["eval"] <= 4
 
 
 @pytest.mark.parametrize("command", ["verify", "classify"])
@@ -696,6 +666,57 @@ def test_classify_of_a_slid_surface_pairs_gamma_once_across_the_gauge(monkeypatc
     assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
     assert computed[("g0", "g0"), surface.SCAN_POINTS] == 1
     assert calls["ip_array"] == 31
+
+
+def test_classify_of_a_slid_surface_builds_each_profile_once(monkeypatch, slid_hh2_file):
+    # one ScalarProfile per pairing and jet table: <gamma, x'> is read on the
+    # input (it decides the gauge) and on its gauged form, <gamma, gamma>
+    # carries over the gauge, the other three are read on the gauged form
+    built, profile = Counter(), surface.ScalarProfile
+
+    def counting_profile(name, *args):
+        built[name] += 1
+        return profile(name, *args)
+
+    monkeypatch.setattr(surface, "ScalarProfile", counting_profile)
+    rc, doc = run_json(["classify", "--input", slid_hh2_file])
+    assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
+    assert built == {
+        "<gamma, gamma>": 1, "<gamma, x'>": 2, "<gamma', gamma'>": 1, "<x', x'>": 1,
+        "<gamma', x'>": 1,
+    }
+
+
+def test_classify_prints_one_reading_of_mu():
+    rc, doc = run_json(["classify", "--sig", "3,1", "--family", "parabolic-helicoid"])
+    assert rc == 0 and doc["invariants"]["mu"]["max_abs"] > 1.0
+    assert doc["genericity"]["profiles"]["mixed_speed"]["max_abs"] == doc["invariants"]["mu"]["max_abs"]
+
+
+@pytest.fixture
+def boosted_hh1_file(tmp_path):
+    """The hyperbolic helicoid 1 of R^3_1, signs (1, -1, 1), moved by the
+    isometry [[19, -18, -6], [-18, 17, 6], [6, -6, -1]]."""
+    data = {
+        "signature": {"n": 3, "p": 1},
+        "gamma": {"n": 3, "terms": [
+            {"basis": "cosh", "param": 1, "coeff": [-18, 17, -6]},
+            {"basis": "sinh", "param": 1, "coeff": [19, -18, 6]},
+        ]},
+        "base": {"n": 3, "terms": [{"basis": "pow", "param": 1, "coeff": [-6, 6, -1]}]},
+        "s_domain": [-3, 3],
+        "t_domain": [-3, 3],
+    }
+    path = tmp_path / "boosted.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_verify_and_classify_hold_under_an_isometry(boosted_hh1_file):
+    rc, doc = run_json(["verify", "--input", boosted_hh1_file])
+    assert rc == 0 and doc["minimality"]["verdict"] == "minimal"
+    rc, doc = run_json(["classify", "--input", boosted_hh1_file])
+    assert rc == 0 and doc["family"] == "hyperbolic-helicoid-1"
 
 
 def test_an_obj_mesh_whose_csv_sidecar_is_the_out_path_exits_2(tmp_path):

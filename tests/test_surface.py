@@ -4,8 +4,12 @@ Pointwise expectations are closed forms, or the oracles of _oracles.py fed
 with the curves' own jets (curve.eval(s, order)) or with finite differences.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ruledmin import (
     CaseLabel,
@@ -32,7 +36,15 @@ from ruledmin import (
 from ruledmin.basisfn import ONE, Atom, ScalarFn
 from ruledmin.surface import GaugedBaseCurve
 
-from _oracles import distance_to_rulings, fd_mean_curvature, fd_position_jet, normal_component
+from _oracles import (
+    cayley_isometry,
+    distance_to_rulings,
+    fd_mean_curvature,
+    fd_position_jet,
+    moved_surface,
+    normal_component,
+)
+from test_catalog import _admissible_triples
 
 R30 = Signature(3, 0)
 R31 = Signature(3, 1)
@@ -267,6 +279,46 @@ def test_generated_families_are_minimal():
         report = is_minimal(sig, generate(sig, family), tau_deg=1e-6)
         assert report.verdict is MinimalityVerdict.MINIMAL
         assert report.max_h_norm <= 1e-8
+
+
+# every catalog surface with n <= 6: the admissible frame families and
+# cylinders, and the planes
+CATALOG = [
+    *_admissible_triples(),
+    *((Signature(n, p), FamilyId.PLANE, None) for n in (3, 4, 5, 6) for p in range(n + 1)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_catalog_surfaces_stay_minimal_under_isometries_and_translations(data):
+    # the Cayley transform's entries reach the thousands, so the jets' own
+    # terms cancel (19 cosh s - 18 sinh s); the rounding bound must count them
+    sig, family, signs = data.draw(st.sampled_from(CATALOG))
+    n = sig.n
+    ratio = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = data.draw(ratio)
+            skew[j][i] = -skew[i][j]
+    q = cayley_isometry(sig, skew)
+    assume(q is not None)
+    shift = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    image = moved_surface(generate(sig, family, signs=signs), q, shift)
+    report = is_minimal(sig, image)
+    assert report.is_minimal, (sig, family, signs, report.residual)
+
+
+def test_the_boosted_hyperbolic_helicoid_stays_minimal():
+    # HH1 of R^3_1 with signs (1, -1, 1) moved by an integer isometry: gamma's
+    # components are 19 cosh s - 18 sinh s and the like, and <gamma, x'> = 0
+    # rounds to noise the size of those terms' rounding
+    q = [[19, -18, -6], [-18, 17, 6], [6, -6, -1]]
+    hh1 = generate(R31, FamilyId.HYPERBOLIC_HELICOID_1, signs=SignChoice(1, -1, 1))
+    report = is_minimal(R31, moved_surface(hh1, q, [0, 0, 0]))
+    assert report.is_minimal, report.residual
+    assert 1e-7 < report.max_h_norm < 1e-5  # the sampled H keeps the rounding
 
 
 def test_circular_cylinder_is_not_minimal():
