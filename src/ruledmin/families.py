@@ -86,7 +86,8 @@ class NormPattern:
 
     def __post_init__(self):
         for v in (self.a, self.b, self.c):
-            if isinstance(v, bool) or not isinstance(v, Integral) or v < 0:
+            # plain ints skip the Integral ABC; bools and numpy integers take it
+            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, Integral)) or v < 0:
                 raise UsageError(f"pattern counts must be integers >= 0, got {v!r}")
         if self.total < 1:
             raise UsageError("pattern must request at least one vector")
@@ -171,4 +172,6 @@ class FrameSpec:
 
     @property
     def gram(self) -> list[list[int]]:
-        return gram_matrix(self.sig, self.vectors)
+        """diag(signs), which __post_init__ checked entry by entry."""
+        m = len(self.signs)
+        return [[s if i == j else 0 for j in range(m)] for i, s in enumerate(self.signs)]

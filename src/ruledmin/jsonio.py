@@ -1,9 +1,13 @@
 """JSON wire format: deterministic output and path-tagged input validation.
 
 The serializer prints every float with 17 significant digits so identical
-runs produce byte-identical files; the parsers point at the offending field
-("gamma.terms[2].coeff: ...") instead of raising bare KeyErrors, and reject
-fields they do not read ("gamma.terms[0].rate: unknown field").
+runs produce byte-identical files. It spells each value by its concrete type
+first (None, bool, int, float, str, dict, list, tuple); only other types
+(numpy scalars and arrays, Fraction, subclasses of the plain types) go
+through the isinstance chain of the numbers ABCs. The parsers point at the
+offending field ("gamma.terms[2].coeff: ...") instead of raising bare
+KeyErrors, and reject fields they do not read ("gamma.terms[0].rate:
+unknown field").
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import json
 import math
 import numbers
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 from .errors import UsageError
@@ -44,57 +49,74 @@ def _fmt_float(x: float, non_finite: str = "null") -> str:
     return format(x + 0.0, ".17g")
 
 
-def _emit(obj, out: list, level: int, kinds: tuple) -> None:
-    bools, arrays = kinds
-    pad = "  " * level
-    pad_in = "  " * (level + 1)
+# plain Python scalars, which an array prints on one line, and plain
+# containers, which it does not; other types answer through the numbers ABCs
+_PLAIN_SCALARS = frozenset((type(None), bool, int, float, str))
+_PLAIN_CONTAINERS = frozenset((dict, list, tuple))
+
+
+def _text(obj, level: int, kinds: tuple) -> str:
+    """JSON text of obj, whose opening line is indented by the caller and
+    whose other lines sit `level` steps of two spaces in."""
+    kind = type(obj)
+    if kind is dict:
+        return _dict_text(obj, level, kinds)
+    if kind is list or kind is tuple:
+        return _array_text(obj, level, kinds)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return str(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is bool:
+        return "true" if obj else "false"
     if obj is None:
-        out.append("null")
-    elif isinstance(obj, bools):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, numbers.Integral):
-        out.append(str(int(obj)))
-    elif isinstance(obj, numbers.Real):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise UsageError(f"JSON object keys must be strings, got {key!r}")
-            out.append(pad_in + json.dumps(key) + ": ")
-            _emit(val, out, level + 1, kinds)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, arrays):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        simple = all(
-            item is None or isinstance(item, (bool, str, numbers.Number))
-            for item in items
-        )
-        if simple:
-            parts = []
-            for item in items:
-                sub: list = []
-                _emit(item, sub, 0, kinds)
-                parts.append("".join(sub))
-            out.append("[" + ", ".join(parts) + "]")
-        else:
-            out.append("[\n")
-            for i, item in enumerate(items):
-                out.append(pad_in)
-                _emit(item, out, level + 1, kinds)
-                out.append(",\n" if i + 1 < len(items) else "\n")
-            out.append(pad + "]")
-    else:
-        raise UsageError(f"cannot serialize {type(obj).__name__} to JSON")
+        return "null"
+    # numpy scalars and arrays, Fraction and subclasses of the plain types
+    bools, arrays, _ = kinds
+    if isinstance(obj, bools):
+        return "true" if obj else "false"
+    if isinstance(obj, numbers.Integral):
+        return str(int(obj))
+    if isinstance(obj, numbers.Real):
+        return _fmt_float(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        return _dict_text(obj, level, kinds)
+    if isinstance(obj, arrays):
+        return _array_text(list(obj), level, kinds)
+    raise UsageError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _dict_text(obj: dict, level: int, kinds: tuple) -> str:
+    if not obj:
+        return "{}"
+    pad_in = "  " * (level + 1)
+    lines = []
+    for key, val in obj.items():
+        if not isinstance(key, str):
+            raise UsageError(f"JSON object keys must be strings, got {key!r}")
+        lines.append(f"{pad_in}{_quote(key)}: {_text(val, level + 1, kinds)}")
+    return "{\n" + ",\n".join(lines) + "\n" + "  " * level + "}"
+
+
+def _array_text(items, level: int, kinds: tuple) -> str:
+    """An array of nulls, bools, strings and numbers prints on one line, any
+    other array one item per line."""
+    if not items:
+        return "[]"
+    inline_kinds = kinds[2]
+    for item in items:
+        kind = type(item)
+        if kind in _PLAIN_SCALARS:
+            continue
+        if kind in _PLAIN_CONTAINERS or not isinstance(item, inline_kinds):
+            pad_in = "  " * (level + 1)
+            lines = [pad_in + _text(item, level + 1, kinds) for item in items]
+            return "[\n" + ",\n".join(lines) + "\n" + "  " * level + "]"
+    return "[" + ", ".join([_text(item, 0, kinds) for item in items]) + "]"
 
 
 def dumps(obj) -> str:
@@ -103,10 +125,9 @@ def dumps(obj) -> str:
     # numpy booleans and arrays print like bool and list; no numpy value can
     # exist before numpy is imported, so this never imports it
     np = sys.modules.get("numpy")
-    kinds = ((bool,), (list, tuple)) if np is None else ((bool, np.bool_), (list, tuple, np.ndarray))
-    out: list = []
-    _emit(obj, out, 0, kinds)
-    return "".join(out) + "\n"
+    bools = (bool,) if np is None else (bool, np.bool_)
+    arrays = (list, tuple) if np is None else (list, tuple, np.ndarray)
+    return _text(obj, 0, (bools, arrays, (*bools, str, numbers.Number))) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,11 @@ class Signature:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.n, Integral) or isinstance(self.n, bool) or self.n < 2:
+        # plain ints skip the Integral ABC; bools and numpy integers take it
+        n, p = self.n, self.p
+        if type(n) is not int and (not isinstance(n, Integral) or isinstance(n, bool)) or n < 2:
             raise ValueError(f"dimension n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.p, Integral) or isinstance(self.p, bool) or not 0 <= self.p <= self.n:
+        if type(p) is not int and (not isinstance(p, Integral) or isinstance(p, bool)) or not 0 <= p <= n:
             raise ValueError(f"index p must satisfy 0 <= p <= n, got p={self.p!r} with n={self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "p", int(self.p))
@@ -75,6 +77,8 @@ def _check_dim(sig: Signature, v: Sequence) -> None:
 
 def _exact_components(v: Sequence) -> list | None:
     """Return components as ints/Fractions when all are rational, else None."""
+    if all(type(x) is int for x in v):
+        return list(v)
     out = []
     for x in v:
         if isinstance(x, Rational):
@@ -84,16 +88,19 @@ def _exact_components(v: Sequence) -> list | None:
     return out
 
 
+def _exact_pairing(p: int, eu: list, ev: list):
+    return sum(a * b for a, b in zip(eu[p:], ev[p:])) - sum(
+        a * b for a, b in zip(eu[:p], ev[:p])
+    )
+
+
 def inner_product(sig: Signature, u: Sequence, v: Sequence):
     """<u, v> in R^n_p. Exact for int/Fraction components, float otherwise."""
     _check_dim(sig, u)
     _check_dim(sig, v)
     eu, ev = _exact_components(u), _exact_components(v)
     if eu is not None and ev is not None:
-        p = sig.p
-        return sum(a * b for a, b in zip(eu[p:], ev[p:])) - sum(
-            a * b for a, b in zip(eu[:p], ev[:p])
-        )
+        return _exact_pairing(sig.p, eu, ev)
     import numpy as np
 
     ua = np.asarray(u, dtype=float)
@@ -139,16 +146,22 @@ def causal_character(sig: Signature, v: Sequence) -> CausalCharacter:
 def gram_matrix(sig: Signature, vectors: Sequence[Sequence]) -> list[list]:
     """Symmetric matrix of pairwise inner products, exact when the input is.
 
-    Returned as nested lists so integer frames keep integer entries.
+    Each vector is converted once; a pair with a float vector takes
+    inner_product's float path. Returned as nested lists so integer frames
+    keep integer entries.
     """
     vs = list(vectors)
     for v in vs:
         _check_dim(sig, v)
+    exact = [_exact_components(v) for v in vs]
     m = len(vs)
     g = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            val = inner_product(sig, vs[i], vs[j])
+            if exact[i] is not None and exact[j] is not None:
+                val = _exact_pairing(sig.p, exact[i], exact[j])
+            else:
+                val = inner_product(sig, vs[i], vs[j])
             g[i][j] = val
             g[j][i] = val
     return g

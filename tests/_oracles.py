@@ -22,12 +22,18 @@ take and return plain term dicts, so the shared product can be compared
 against them atom by atom and in dict order.
 `cayley_isometry` and `moved_surface` move a surface by an exact isometry of
 R^n_p and a translation, the congruences every verdict is invariant under.
+`dumps_abc` keeps the JSON emitter that decided every value through the
+isinstance chain of the numbers ABCs, before jsonio.dumps spelled the plain
+Python types by their concrete type first.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -538,3 +544,75 @@ def moved_surface(surface: RuledSurface, q, shift) -> RuledSurface:
 
     base = move(surface.base, [(Atom(0, ONE, 0.0), [float(v) for v in shift])])
     return RuledSurface(move(surface.gamma), base, surface.s_domain, surface.t_domain)
+
+
+# ---------------------------------------------------------------------------
+# the JSON emitter on the numbers ABCs
+
+
+def _emit_abc(obj, out: list, level: int, kinds: tuple) -> None:
+    from ruledmin.jsonio import _fmt_float
+
+    bools, arrays = kinds
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bools):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, numbers.Integral):
+        out.append(str(int(obj)))
+    elif isinstance(obj, numbers.Real):
+        out.append(_fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, val) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise UsageError(f"JSON object keys must be strings, got {key!r}")
+            out.append(pad_in + json.dumps(key) + ": ")
+            _emit_abc(val, out, level + 1, kinds)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, arrays):
+        items = list(obj)
+        if not items:
+            out.append("[]")
+            return
+        simple = all(
+            item is None or isinstance(item, (*bools, str, numbers.Number))
+            for item in items
+        )
+        if simple:
+            parts = []
+            for item in items:
+                sub: list = []
+                _emit_abc(item, sub, 0, kinds)
+                parts.append("".join(sub))
+            out.append("[" + ", ".join(parts) + "]")
+        else:
+            out.append("[\n")
+            for i, item in enumerate(items):
+                out.append(pad_in)
+                _emit_abc(item, out, level + 1, kinds)
+                out.append(",\n" if i + 1 < len(items) else "\n")
+            out.append(pad + "]")
+    else:
+        raise UsageError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def dumps_abc(obj) -> str:
+    """jsonio.dumps with every value decided by isinstance on the numbers ABCs
+    (numpy booleans print inline in arrays, like bool)."""
+    np_mod = sys.modules.get("numpy")
+    if np_mod is None:
+        kinds = ((bool,), (list, tuple))
+    else:
+        kinds = ((bool, np_mod.bool_), (list, tuple, np_mod.ndarray))
+    out: list = []
+    _emit_abc(obj, out, 0, kinds)
+    return "".join(out) + "\n"

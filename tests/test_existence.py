@@ -29,10 +29,12 @@ from ruledmin.existence import (
     brute_force_cross_check,
     cells_for,
     find_witness,
+    frame_for_signs,
     pattern_of_signs,
     validate_signs,
 )
-from ruledmin.metric import inner_product
+from ruledmin.families import ADMISSIBLE_SIGNS, FRAME_FAMILIES
+from ruledmin.metric import gram_matrix, inner_product
 
 R30 = Signature(3, 0)
 R31 = Signature(3, 1)
@@ -114,6 +116,23 @@ def test_find_witness_gram_is_exact():
                         got = inner_product(sig, frame.vectors[i], frame.vectors[j])
                         want = frame.signs[i] if i == j else 0
                         assert got == want, (sig, pattern, i, j)
+
+
+def test_frame_gram_is_the_gram_matrix_of_its_vectors():
+    """FrameSpec.gram answers diag(signs) without pairing the vectors again;
+    for every canonical frame with 3 <= n <= 8 that is their Gram matrix."""
+    choices = {s for fam in FRAME_FAMILIES for s in ADMISSIBLE_SIGNS[fam]}
+    checked = 0
+    for n in range(3, 9):
+        for p in range(n + 1):
+            sig = Signature(n, p)
+            for signs in choices:
+                if not admits_pattern(sig, pattern_of_signs(signs)):
+                    continue
+                frame = frame_for_signs(sig, signs)
+                assert frame.gram == gram_matrix(sig, frame.vectors), (sig, signs)
+                checked += 1
+    assert checked == 288
 
 
 def test_find_witness_refuses_inadmissible_pattern():

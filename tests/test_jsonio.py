@@ -1,9 +1,16 @@
 """Tests for the JSON wire format: determinism, round trips, tagged errors."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import dumps_abc
 
 from ruledmin import CurveExpr, FamilyId, SignChoice, Signature, UsageError, generate
 from ruledmin.jsonio import (
@@ -276,3 +283,85 @@ def test_seventeen_digit_floats_round_trip_exactly():
     value = 1.0 / 3.0
     parsed = json.loads(dumps({"v": value}))
     assert parsed["v"] == value
+
+
+def test_numpy_booleans_print_inline_like_bools():
+    assert dumps({"b": [np.True_, np.False_]}) == '{\n  "b": [true, false]\n}\n'
+    assert dumps({"b": [np.True_, np.False_]}) == dumps({"b": [True, False]})
+    assert dumps(np.array([True, False])) == "[true, false]\n"
+
+
+# ---------------------------------------------------------------------------
+# the concrete-type emitter against the numbers-ABC emitter it replaced
+
+_awkward_text = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\xe9\u4e2d\U0001f600'), st.characters())
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=1 - 10**4000, max_value=10**4000 - 1),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308]),
+    _awkward_text,
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+    st.fractions(),
+)
+_ndarrays = hnp.arrays(
+    dtype=st.sampled_from([np.int64, np.float32, np.float64, np.bool_]),
+    shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+)
+_trees = st.recursive(
+    st.one_of(_scalars, _ndarrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_awkward_text, children, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+def _outcome(serialize, tree):
+    """The text, or the type and message of what serialize raised."""
+    try:
+        return serialize(tree)
+    except Exception as exc:  # noqa: BLE001  (both emitters must fail alike)
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_trees)
+def test_dumps_matches_the_abc_emitter(tree):
+    assert _outcome(dumps, tree) == _outcome(dumps_abc, tree)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {1: "a"},
+        {"a": {(1, 2): 0}},
+        {"z": 1j},
+        [1.5, 2j],
+        [[Decimal("1.5")]],
+        {"d": Decimal(3)},
+        {"s": {1, 2}},
+        [None, frozenset()],
+        ({"ok": 1, 2: set()},),
+        np.array([1 + 2j]),
+    ],
+)
+def test_unserializable_input_raises_the_abc_emitters_message(obj):
+    with pytest.raises(UsageError) as want:
+        dumps_abc(obj)
+    with pytest.raises(UsageError) as got:
+        dumps(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_fractions_and_numpy_scalars_print_by_value():
+    assert dumps([Fraction(1, 4), np.float32(0.5), np.int64(-3), np.float64(-0.0)]) == "[0.25, 0.5, -3, 0]\n"

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -93,6 +94,65 @@ def test_gram_matrix_single_null_vector():
 def test_gram_matrix_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         gram_matrix(Signature(3, 1), [(1, 0, 0), (1, 0)])
+
+
+def _pairwise_inner_products(sig, vectors):
+    return [[inner_product(sig, u, v) for v in vectors] for u in vectors]
+
+
+_component = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.fractions(max_denominator=50).filter(lambda q: abs(q) < 1000),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [(1, 2, 3, 4), (0, 1, 0, 1), (-5, 7, 2, 0)],
+        [(Fraction(1, 3), 2, 0, 1), (1, Fraction(-2, 7), 3, 0)],
+        [(0.5, 1.0, -2.0, 3.0), (1.5, 0.0, 2.0, -1.0)],
+        [(1, 2, 3, 4), (0.5, 1, 0, 1), (Fraction(1, 2), 0, 0, 1), (1, 0.25, Fraction(3), 2)],
+        [(np.int64(1), 0, 0, 1), (True, 1, 0, 0)],
+    ],
+)
+def test_gram_matrix_equals_the_pairwise_inner_product_loop(vectors):
+    sig = Signature(4, 2)
+    got, want = gram_matrix(sig, vectors), _pairwise_inner_products(sig, vectors)
+    assert got == want
+    assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
+
+
+@given(st.lists(st.lists(_component, min_size=4, max_size=4), min_size=1, max_size=4))
+def test_gram_matrix_equals_the_pairwise_loop_on_mixed_vectors(vectors):
+    sig = Signature(4, 1)
+    got, want = gram_matrix(sig, vectors), _pairwise_inner_products(sig, vectors)
+    assert got == want
+    assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
+
+
+@pytest.mark.parametrize("bad", [(1, 0), (Fraction(1), 0.5), (1, 2, 3, 4, 5)])
+def test_gram_matrix_raises_the_pairwise_loops_dimension_error(bad):
+    sig = Signature(4, 2)
+    vectors = [(1, 0, 0, 1), bad, (0, 1, 1, 0)]
+    with pytest.raises(DimensionMismatchError) as want:
+        _pairwise_inner_products(sig, vectors)
+    with pytest.raises(DimensionMismatchError) as got:
+        gram_matrix(sig, vectors)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n,p", [(True, 0), (3.0, 1), (1, 0), ("3", 1), (3, -1), (3, 4), (3, True), (3, 1.0)])
+def test_signature_rejects_what_is_not_a_dimension_and_index(n, p):
+    with pytest.raises(ValueError):
+        Signature(n, p)
+
+
+def test_signature_accepts_numpy_integers():
+    sig = Signature(np.int64(4), np.int32(2))
+    assert sig == Signature(4, 2)
+    assert type(sig.n) is int and type(sig.p) is int
 
 
 small_ints = st.integers(min_value=-50, max_value=50)
