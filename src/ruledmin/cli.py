@@ -230,18 +230,43 @@ def _grids(args, surface: RuledSurface):
 
 
 def _stream(files) -> None:
-    """Write each (path, byte chunks) pair in turn. A failed open or write
-    removes every file this call opened, so none is left half written."""
-    opened = []
-    try:
-        for path, chunks in files:
+    """Write each (path, byte chunks) pair of the list, the first in this
+    thread and each other one on a thread of its own, so that their chunks
+    are built side by side. A failed open or write removes every file this
+    call opened, so none is left half written, and the UsageError names the
+    first path of the list that failed: a failure stops the writers after it
+    in the list at their next chunk, and the ones before it run on."""
+    import threading  # numpy imports it too
+
+    opened, errors = [], [None] * len(files)
+
+    def write(i):
+        path, chunks = files[i]
+        try:
             with open(path, "wb") as fh:
                 opened.append(path)
-                fh.writelines(chunks)
-    except OSError as exc:
-        for made in opened:
-            made.unlink(missing_ok=True)
+                for chunk in chunks:
+                    if any(errors[:i]):  # an earlier file failed, so this one goes anyway
+                        return
+                    fh.write(chunk)
+        except BaseException as exc:  # noqa: BLE001  (raised below, once every writer is done)
+            errors[i] = exc
+
+    threads = [threading.Thread(target=write, args=(i,)) for i in range(1, len(files))]
+    for thread in threads:
+        thread.start()
+    write(0)
+    for thread in threads:
+        thread.join()
+    failed = [i for i, exc in enumerate(errors) if exc is not None]
+    if not failed:
+        return
+    for made in opened:
+        made.unlink(missing_ok=True)
+    path, exc = files[failed[0]][0], errors[failed[0]]
+    if isinstance(exc, OSError):
         raise UsageError(f"cannot write {path}: {exc}") from exc
+    raise exc
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -507,8 +532,9 @@ def cmd_mesh(args) -> int:
     if not args.out:
         sys.stdout.write((csv_grid if fmt == "csv" else obj_mesh)(sig, sweep))
         return 0
-    # the arrays that can fail to be finite are read before any file is opened
-    sweep.f, sweep.H_norm
+    # _csv_chunks formats every column of the CSV, f's shared with the OBJ,
+    # on the call: here, before any file is opened, so an |H| that cannot be
+    # read opens none, and the sidecar's thread is left the rows alone
     out = Path(args.out)
     if fmt == "csv":
         _stream([(out, _csv_chunks(sig, sweep))])

@@ -4,31 +4,41 @@ Output is byte-deterministic: fixed column order, 17-significant-digit
 floats, LF newlines. Every number is "%.17g" of v + 0.0, with non-finite
 values spelled nan, exactly as jsonio._fmt_float(x, "nan") spells it.
 
-Each column is a pair: the strings of its distinct values as a fixed-width
-numpy bytes array, and each cell's index into them. Only magnitudes are
-formatted, each once: the string of -x is "-" and the string of x. A column
-that depends on s alone (or is constant) is formatted from its s values;
-det g and |H| take few values on a lattice. f's columns are formatted once
-per sweep and shared by the OBJ vertices and the CSV. The distinct
-magnitudes are spelled by one vectorized kernel (_spell_block): a
-double-double scaling by a power of ten, 17 digits read from a 4-digit
-table, and the "%.17g" layout. It takes "%" itself as the fallback for the
-values it cannot settle exactly (zero, subnormals, nan, magnitudes beyond
-1e+-280, values whose float log10 misses their decade, and near-ties), so
-the bytes are those of "%" throughout. One row writer builds OBJ vertices,
-OBJ faces and CSV rows alike: per block of rows it gathers every column
-into a byte buffer that holds the separators and newlines, then drops the
-NUL padding of the fixed-width strings (no formatted value contains a NUL).
-_obj_chunks and _csv_chunks yield the file a block at a time, so a file can
-be streamed to disk without the whole text in memory; obj_mesh and csv_grid
-join them. OBJ viewers want 3 coordinates, so higher-dimensional surfaces
-are projected onto three ambient axes (spacelike first) with the choice
-recorded in the header.
+Each column is a triple: the strings of its distinct magnitudes as the rows
+of a 2-D uint8 table, each cell's row in it (in the narrowest unsigned type
+that holds them all), and the mask of its negative cells. Only magnitudes
+are formatted, each once: the string of -x is "-" and the string of x. A
+column that depends on s alone (or is constant) is formatted from its s
+values; det g and |H| take few values on a lattice.
+f's columns are formatted once per sweep and shared by the OBJ vertices and
+the CSV. The distinct magnitudes are spelled by one vectorized kernel
+(_spell_block): a double-double scaling by a power of ten, 17 digits read
+from a 4-digit table, and the "%.17g" layout. It takes "%" itself as the
+fallback for the values it cannot settle exactly (zero, subnormals, nan,
+magnitudes beyond 1e+-280, values whose float log10 misses their decade, and
+near-ties), so the bytes are those of "%" throughout. One row writer builds
+OBJ vertices, OBJ faces and CSV rows alike: per block of rows it gathers
+every column with np.take into a byte buffer that holds the separators and
+newlines, writes "-" into the one-byte sign slot before each negative cell,
+then drops the NUL padding of the fixed-width strings and of the sign slots
+of the other cells (no formatted value contains a NUL). _obj_chunks and
+_csv_chunks yield the file a block at a time, so a file can be streamed to
+disk without the whole text in memory; obj_mesh and csv_grid join them.
+`mesh --out` streams the OBJ and the CSV side by side, on two threads.
+_csv_chunks formats every CSV column, f's shared with the OBJ, on the call,
+in the caller's thread. The thread that reads its chunks only gathers rows:
+it allocates little (glibc keeps a thread's heap for the threads after it,
+so what it allocates stays resident), and it calls no public function, whose
+spans perfbench/tracing.py keeps on one stack.
+OBJ viewers want 3 coordinates, so higher-dimensional surfaces are projected
+onto three ambient axes (spacelike first) with the choice recorded in the
+header.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -38,8 +48,9 @@ from .jsonio import _fmt_float
 from .metric import Signature
 from .surface import SurfaceSweep
 
-# Rows gathered into one byte buffer at a time; bounds the writer's working memory.
-BLOCK_ROWS = 1 << 15
+# Rows gathered into one byte buffer at a time; bounds the working memory
+# of the writer and of the kernel.
+BLOCK_ROWS = 1 << 13
 
 _TAG_NAMES = ("degenerate", "spacelike", "timelike")
 
@@ -189,76 +200,94 @@ def _magnitude_rows(magnitudes) -> np.ndarray:
     return rows
 
 
-def _fmt_column(values) -> tuple[np.ndarray, np.ndarray]:
-    """The column of a float array in C order: the b"%.17g" strings of its
-    distinct values (v + 0.0, non-finite folded to nan) as a fixed-width bytes
-    array, NUL-padded at the end, and each cell's index into it. Each distinct
-    magnitude is formatted once; when a finite value is negative, the array
-    gets a second half, "-" and the same strings, that its cells index. A 2-D
-    column whose rows are each constant is formatted from its first column."""
+def _fmt_column(values) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The column of a float array in C order, as (table, index, negative):
+    the b"%.17g" strings of its distinct magnitudes (v + 0.0, non-finite
+    folded to nan) as the rows of a 2-D uint8 table, NUL-padded at the end
+    and cut to the longest, each cell's row in it, and the mask of the cells
+    that are finite and negative (None when none is), whose strings the row
+    writer prefixes with "-". A 2-D column whose rows are each constant is
+    formatted from its first column."""
     values = np.asarray(values, dtype=float)
     if values.ndim == 2 and values.shape[1] > 1 and (values == values[:, :1]).all():
-        strings, index = _fmt_column(values[:, 0])
-        return strings, np.repeat(index, values.shape[1])
+        repeat = functools.partial(np.repeat, repeats=values.shape[1])
+        return _spread(_fmt_column(values[:, 0]), repeat)
     v = values.ravel()
     finite = np.isfinite(v)
     distinct, index = np.unique(np.where(finite, np.abs(v), np.nan), return_inverse=True)
+    index = index.astype(np.min_scalar_type(distinct.size))  # the narrowest that holds every row
     cells = _magnitude_rows(distinct)
     width = _WIDTH  # cut to the longest value: the last column not all NUL
     while width > 1 and not cells[:, width - 1].any():
         width -= 1
-    strings = cells[:, :width]
     negative = finite & (v < 0)
-    if negative.any():
-        minus = np.pad(strings, ((0, 0), (1, 0)), constant_values=ord("-"))
-        strings = np.concatenate([np.pad(strings, ((0, 0), (0, 1))), minus])
-        index = index + distinct.size * negative
-    strings = np.ascontiguousarray(strings)
-    return strings.view(f"S{strings.shape[1]}").ravel(), index
+    return np.ascontiguousarray(cells[:, :width]), index, negative if negative.any() else None
 
 
-def _f_column(sweep: SurfaceSweep, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """f's ambient column k, kept on the sweep from the first call, so the
-    OBJ and the CSV of one sweep format each column once."""
-    columns = sweep.__dict__.setdefault("_f_strings", {})
-    if k not in columns:
-        columns[k] = _fmt_column(sweep.f[..., k])
-    return columns[k]
+def _spread(column, spread):
+    """column with spread applied to its index and its negative mask."""
+    table, index, negative = column
+    return table, spread(index), None if negative is None else spread(negative)
+
+
+def _f_columns(sweep: SurfaceSweep, axes) -> list:
+    """f's ambient columns on axes, each kept on the sweep from the first
+    call, so the OBJ and the CSV of one sweep format each column once."""
+    columns = sweep.__dict__.setdefault("_f_columns", {})
+    for k in axes:
+        if k not in columns:
+            columns[k] = _fmt_column(sweep.f[..., k])
+    return [columns[k] for k in axes]
 
 
 def _rows(prefix: bytes, sep: bytes, columns):
     """Byte chunks of one line per row: prefix, the row's string of each
-    (strings, index) column joined by the one-byte sep, and a newline. A
-    generator, so the columns and the buffer go once the last chunk is out."""
+    (table, index, negative) column joined by the one-byte sep, and a
+    newline. A column with a negative mask gets a one-byte sign slot before
+    its strings, "-" on negative cells and NUL (which is dropped) elsewhere.
+    A generator, so the columns and the buffer go once the last chunk is out."""
     template, slots = bytearray(prefix), []
-    for strings, _ in columns:
-        slots.append(slice(len(template), len(template) + strings.itemsize))
-        template += bytes(strings.itemsize) + sep
+    for table, _, negative in columns:
+        sign = None
+        if negative is not None:
+            sign = len(template)
+            template += b"\0"
+        slots.append((sign, slice(len(template), len(template) + table.shape[1])))
+        template += bytes(table.shape[1]) + sep
     template[-1:] = b"\n"
     nrows = len(columns[0][1])
-    buf = np.empty((min(nrows, BLOCK_ROWS), len(template)), dtype=np.uint8)
-    buf[:] = np.frombuffer(bytes(template), dtype=np.uint8)
+    # the buffer's memory is a bytearray, which translates a full block with no copy
+    raw = template * min(nrows, BLOCK_ROWS)
+    buf = np.frombuffer(raw, dtype=np.uint8).reshape(-1, len(template))
     for start in range(0, nrows, BLOCK_ROWS):
         block = buf[: min(nrows - start, BLOCK_ROWS)]
-        for (strings, index), slot in zip(columns, slots):
-            cells = strings[index[start : start + len(block)]]
-            block[:, slot] = cells.view(np.uint8).reshape(len(block), -1)
-        yield block.tobytes().translate(None, b"\0")
+        rows = slice(start, start + len(block))
+        for (table, index, negative), (sign, cells) in zip(columns, slots):
+            block[:, cells] = np.take(table, index[rows], axis=0)
+            if sign is not None:
+                np.multiply(negative[rows], np.uint8(ord("-")), out=block[:, sign])
+        yield (raw if len(block) == len(buf) else raw[: block.size]).translate(None, b"\0")
 
 
 def _face_rows(ns: int, nt: int):
     """OBJ face lines of an ns x nt lattice: vertex (i, j) is number
     i * nt + j + 1, and each quad gives two triangles."""
-    a = (np.arange(ns - 1)[:, None] * nt + np.arange(nt - 1)[None, :]).ravel()
-    tri = np.stack([a, a + nt, a + nt + 1, a, a + nt + 1, a + 1], axis=-1).reshape(-1, 3)
-    # the decimal digits of each vertex number, as wide as the largest, with
-    # the leading places NUL (which the row writer drops)
     count = ns * nt
-    places = 10 ** np.arange(len(str(count)) - 1, -1, -1)
-    numbers = np.arange(1, count + 1)[:, None]
-    digits = np.where(numbers >= places, numbers // places % 10 + ord("0"), 0).astype(np.uint8)
-    strings = digits.view(f"S{places.size}").ravel()
-    yield from _rows(b"f ", b" ", [(strings, tri[:, k]) for k in range(3)])
+    dtype = np.min_scalar_type(count)  # the narrowest that holds every vertex number
+    a = (np.arange(ns - 1, dtype=dtype)[:, None] * nt + np.arange(nt - 1, dtype=dtype)).ravel()
+    tri = np.empty((a.size, 6), dtype=dtype)
+    for k, shift in enumerate((0, nt, nt + 1, 0, nt + 1, 1)):  # one corner at a time
+        np.add(a, shift, out=tri[:, k])
+    tri = tri.reshape(-1, 3)
+    # the decimal digits of each vertex number, as wide as the largest, with
+    # the leading places NUL (which the row writer drops); filled one place
+    # at a time, numbers at least 10**j holding a digit in place j
+    numbers = np.arange(1, count + 1, dtype=dtype)
+    digits = np.zeros((count, len(str(count))), dtype=np.uint8)
+    for j in range(digits.shape[1]):
+        place = 10**j
+        digits[place - 1 :, -1 - j] = numbers[place - 1 :] // place % 10 + ord("0")
+    yield from _rows(b"f ", b" ", [(digits, tri[:, k], None) for k in range(3)])
 
 
 def projection_axes(sig: Signature) -> list[int]:
@@ -273,7 +302,9 @@ def _tag_index(det) -> np.ndarray:
     """Index into _TAG_NAMES of each det g value: degenerate when |det g| <=
     DEG_BAND, else spacelike when det g > 0 and timelike otherwise."""
     det = np.asarray(det)
-    return np.where(np.abs(det) <= DEG_BAND, 0, np.where(det > 0, 1, 2))
+    tag = np.where(det > 0, np.uint8(1), np.uint8(2))
+    tag[np.abs(det) <= DEG_BAND] = 0
+    return tag
 
 
 def _obj_chunks(sig: Signature, sweep: SurfaceSweep):
@@ -289,30 +320,31 @@ def _obj_chunks(sig: Signature, sweep: SurfaceSweep):
         + ", ".join(str(a + 1) for a in axes)
         + "\n"
     ).encode()
-    zero = (np.array([b"0"]), np.broadcast_to(0, (ns * nt,)))
-    yield from _rows(b"v ", b" ", [_f_column(sweep, k) for k in axes] + [zero] * (3 - len(axes)))
+    zero = (np.array([[ord("0")]], dtype=np.uint8), np.broadcast_to(0, (ns * nt,)), None)
+    yield from _rows(b"v ", b" ", _f_columns(sweep, axes) + [zero] * (3 - len(axes)))
     yield from _face_rows(ns, nt)
 
 
 def _csv_chunks(sig: Signature, sweep: SurfaceSweep):
-    """The bytes of csv_grid, a header and then a block of rows at a time."""
+    """The bytes of csv_grid, a header and then a block of rows at a time.
+    Every column is formatted on the call, in the caller's thread; only the
+    rows are left to whoever reads the chunks."""
     header = ["s", "t"] + [f"f_{i + 1}" for i in range(sig.n)] + [
         "det_g",
         "H_norm",
         "causal_tag",
     ]
-    yield ",".join(header).encode() + b"\n"
     ns, nt = sweep.s_grid.size, sweep.t_grid.size
-    s_strings, s_index = _fmt_column(sweep.s_grid)
-    t_strings, t_index = _fmt_column(sweep.t_grid)
-    yield from _rows(b"", b",", [
-        (s_strings, np.repeat(s_index, nt)),
-        (t_strings, np.tile(t_index, ns)),
-        *(_f_column(sweep, k) for k in range(sig.n)),
+    tags = np.array(_TAG_NAMES, dtype=bytes)
+    rows = _rows(b"", b",", [
+        _spread(_fmt_column(sweep.s_grid), functools.partial(np.repeat, repeats=nt)),
+        _spread(_fmt_column(sweep.t_grid), functools.partial(np.tile, reps=ns)),
+        *_f_columns(sweep, range(sig.n)),
         _fmt_column(sweep.det_g),
         _fmt_column(sweep.H_norm),
-        (np.array(_TAG_NAMES, dtype=bytes), _tag_index(sweep.det_g).ravel()),
+        (tags.view(np.uint8).reshape(tags.size, -1), _tag_index(sweep.det_g).ravel(), None),
     ])
+    return itertools.chain([",".join(header).encode() + b"\n"], rows)
 
 
 def obj_mesh(sig: Signature, sweep: SurfaceSweep) -> str:

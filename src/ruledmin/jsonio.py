@@ -36,14 +36,22 @@ def _fmt_float(x: float, non_finite: str = "null") -> str:
     """17 significant digits, as "%.17g" of x + 0.0: no trailing zeros (so an
     integral value below 1e17 has no decimal point) and -0.0 prints as 0.
 
-    JSON has no NaN/Inf, so reports print null for masked values. The OBJ
-    and CSV exports spell each number the same way, with non-finite values
-    "nan": export._fmt_column spells each distinct magnitude of a column
-    once, through a vectorized kernel that gives the bytes of b"%.17g" and
-    falls back to "%" itself where it cannot settle a value exactly, and the
-    rows are assembled from those bytes a block at a time.
+    JSON has no NaN/Inf, so reports print null for masked values; a number
+    beyond the float range, such as a Fraction over 1e308, is a UsageError.
+    The OBJ and CSV exports spell each number the same way, with non-finite
+    values "nan": export._fmt_column spells each distinct magnitude of a
+    column once, through a vectorized kernel that gives the bytes of
+    b"%.17g" and falls back to "%" itself where it cannot settle a value
+    exactly, and keeps the signs as a mask. The rows are assembled a block
+    at a time, gathered from those bytes with np.take, with a "-" in a sign
+    slot before each negative number; `mesh --out` writes the OBJ and its
+    CSV sidecar on two threads.
     """
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:
+        kind = type(x).__name__
+        raise UsageError(f"cannot serialize {kind}: the value is beyond the float range") from None
     if not math.isfinite(x):
         return non_finite
     return format(x + 0.0, ".17g")

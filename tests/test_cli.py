@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ruledmin
-from ruledmin import FamilyId, Signature, cli, generate, surface, sweep_grid
+from ruledmin import FamilyId, Signature, UsageError, cli, generate, surface, sweep_grid
 from ruledmin.families import CLI_NAME_OF
 
 from _oracles import csv_grid_loop, obj_mesh_loop
@@ -337,8 +337,12 @@ def test_mesh_writes_obj_sidecar_and_summary(tmp_path):
     assert tags == {"spacelike": 820, "timelike": 820, "degenerate": 41}
 
 
-@pytest.mark.parametrize("sig,family,signs", [*_admissible_triples(n_range=(3, 4, 5))], ids=str)
+@pytest.mark.parametrize("sig,family,signs", [*_admissible_triples()], ids=str)
 def test_mesh_out_files_match_the_per_value_loops(sig, family, signs, tmp_path):
+    """The OBJ and its sidecar, written on two threads, hold the bytes of
+    obj_mesh and csv_grid and of the per-value loops, for n = 3 to 6."""
+    from ruledmin.export import csv_grid, obj_mesh
+
     out_path = tmp_path / "m.obj"
     argv = ["mesh", "--sig", f"{sig.n},{sig.p}", "--family", CLI_NAME_OF[family],
             "--grid", "21x21", "--out", str(out_path)]
@@ -349,8 +353,9 @@ def test_mesh_out_files_match_the_per_value_loops(sig, family, signs, tmp_path):
     surf = generate(sig, family, signs=signs)
     s, t = surf.default_grids((21, 21))
     sweep = sweep_grid(sig, surf, s, t)
-    csv_text = (tmp_path / "m.csv").read_text()
-    for got, want in ((out_path.read_text(), obj_mesh_loop(sig, sweep, s, t)),
+    obj_text, csv_text = out_path.read_text(), (tmp_path / "m.csv").read_text()
+    assert obj_text == obj_mesh(sig, sweep) and csv_text == csv_grid(sig, sweep)
+    for got, want in ((obj_text, obj_mesh_loop(sig, sweep, s, t)),
                       (csv_text, csv_grid_loop(sig, sweep))):
         # report the first differing lines; pytest's own diff of two files takes seconds per case
         same = got == want
@@ -762,6 +767,93 @@ def test_a_sidecar_path_that_is_a_directory_exits_2_and_leaves_no_obj(tmp_path):
     assert rc == 2 and doc["error"] == "UsageError"
     assert doc["message"].startswith(f"cannot write {sidecar}: ")
     assert not out.exists() and sidecar.is_dir()
+
+
+def test_an_obj_path_that_is_a_directory_exits_2_and_leaves_no_csv(tmp_path):
+    out, sidecar = tmp_path / "m.obj", tmp_path / "m.csv"
+    out.mkdir()
+    # 182 x 181: the sidecar spans several row blocks, so its thread is still
+    # writing (or not yet started) when the OBJ fails to open
+    rc, doc = run_json(["mesh", *HH2, "--grid", "182x181", "--out", str(out)])
+    assert rc == 2 and doc["error"] == "UsageError"
+    assert doc["message"].startswith(f"cannot write {out}: ")
+    assert not sidecar.exists() and out.is_dir()
+
+
+def test_stream_writes_each_file_after_the_first_on_a_thread_of_its_own(tmp_path):
+    import threading
+
+    writers = {}
+
+    def chunks(name):
+        writers[name] = threading.current_thread()
+        yield name.encode() * 3
+
+    paths = [tmp_path / name for name in ("a", "b", "c")]
+    cli._stream([(path, chunks(path.name)) for path in paths])
+    assert [path.read_bytes() for path in paths] == [b"aaa", b"bbb", b"ccc"]
+    assert writers["a"] is threading.current_thread()
+    assert len({id(thread) for thread in writers.values()}) == 3
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_stream_removes_both_files_when_either_write_fails(failing, tmp_path):
+    def chunks(fails):
+        for i in range(50):
+            if fails and i == 20:
+                raise OSError(28, "No space left on device")
+            yield b"x" * 1000
+
+    paths = [tmp_path / "m.obj", tmp_path / "m.csv"]
+    with pytest.raises(UsageError) as err:
+        cli._stream([(path, chunks(i == failing)) for i, path in enumerate(paths)])
+    assert str(err.value) == f"cannot write {paths[failing]}: [Errno 28] No space left on device"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stream_under_a_short_switch_interval_keeps_or_removes_every_file(tmp_path):
+    # four writers on two cores, switching threads every microsecond: each
+    # file opened is recorded and each failure seen, whatever the interleaving
+    def chunks(name, fails):
+        for i in range(40):
+            if fails and i == 30:
+                raise OSError(5, "Input/output error")
+            yield name.encode() * 100
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rounds in range(10):
+            paths = [tmp_path / f"{rounds}-{k}" for k in range(4)]
+            cli._stream([(path, chunks(path.name, False)) for path in paths])
+            assert [path.read_bytes() for path in paths] == [path.name.encode() * 4000 for path in paths]
+            failing = [tmp_path / f"{rounds}-failing-{k}" for k in range(4)]
+            with pytest.raises(UsageError) as err:
+                cli._stream([(path, chunks(path.name, k >= 2)) for k, path in enumerate(failing)])
+            assert str(err.value).startswith(f"cannot write {failing[2]}: ")
+            assert not any(path.exists() for path in failing)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_stream_reraises_what_is_not_an_os_error_after_removing_the_files(tmp_path):
+    def broken():
+        yield b"row\n"
+        raise ZeroDivisionError("not a write error")
+
+    with pytest.raises(ZeroDivisionError, match="not a write error"):
+        cli._stream([(tmp_path / "m.obj", iter([b"v 0 0 0\n"])), (tmp_path / "m.csv", broken())])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_mesh_whose_two_paths_both_fail_names_the_obj(tmp_path):
+    out, sidecar = tmp_path / "m.obj", tmp_path / "m.csv"
+    out.mkdir()
+    sidecar.mkdir()
+    for _ in range(5):  # whichever thread fails first, the OBJ is named
+        rc, doc = run_json(["mesh", *HH2, "--grid", "5x5", "--out", str(out)])
+        assert rc == 2 and doc["message"].startswith(f"cannot write {out}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.obj"]
 
 
 @pytest.mark.parametrize("name", ["m.obj", "m.csv"])

@@ -1,5 +1,6 @@
 """Tests for the OBJ and CSV exports against the per-value reference loops."""
 
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -14,12 +15,20 @@ from ruledmin.jsonio import _fmt_float, surface_from_json
 from _oracles import csv_grid_loop, obj_mesh_loop
 
 
+def _table_strings(table):
+    """The rows of a column's uint8 table as bytes, the NUL padding cut."""
+    return [row.tobytes().rstrip(b"\0") for row in table]
+
+
 def _spelled(values):
-    """Every cell of _fmt_column's (strings, index) pair, decoded in C order;
-    each distinct value is spelled by exactly one string."""
-    strings, index = _fmt_column(values)
-    assert len(set(strings.tolist())) == strings.size
-    return [x.decode() for x in strings[index].tolist()]
+    """Every cell of _fmt_column's (table, index, negative) column, decoded
+    in C order, behind the "-" of its sign slot when negative; each distinct
+    magnitude is spelled by exactly one row of the table."""
+    table, index, negative = _fmt_column(values)
+    strings = [x.decode() for x in _table_strings(table)]
+    assert len(set(strings)) == len(strings)
+    signs = [False] * index.size if negative is None else negative.tolist()
+    return [("-" if minus else "") + strings[i] for i, minus in zip(index.tolist(), signs)]
 
 EDGE_VALUES = [0.0, -0.0, 1e15, 9999999999999998.0, 1e16, 0.1, 5e-324,
                float("nan"), float("inf"), float("-inf")]
@@ -72,14 +81,16 @@ def test_column_formatter_folds_zeros_and_non_finite_values(values):
 
 
 def test_column_formatter_formats_each_magnitude_once():
-    # -x is "-" and the string of x: one half per sign, a magnitude per row
-    strings, index = _fmt_column(np.array([2.5, -2.5, -0.0, 1e-7, -1e-7, float("-inf")]))
-    assert strings.tolist() == [b"0", b"9.9999999999999995e-08", b"2.5", b"nan",
-                                b"-0", b"-9.9999999999999995e-08", b"-2.5", b"-nan"]
-    assert index.tolist() == [2, 6, 0, 1, 5, 3]
-    # with no finite negative value there is no second half
-    strings, _ = _fmt_column(np.array([-0.0, float("-inf"), 3.0]))
-    assert strings.tolist() == [b"0", b"3", b"nan"]
+    # -x is the string of x behind a "-" in the sign slot: a magnitude per row
+    table, index, negative = _fmt_column(np.array([2.5, -2.5, -0.0, 1e-7, -1e-7, float("-inf")]))
+    assert _table_strings(table) == [b"0", b"9.9999999999999995e-08", b"2.5", b"nan"]
+    assert table.dtype == np.uint8 and table.shape == (4, 22)
+    assert index.tolist() == [2, 2, 0, 1, 1, 3]
+    assert negative.tolist() == [False, True, False, False, True, False]
+    # with no finite negative value there is no mask, and so no sign slot
+    table, _, negative = _fmt_column(np.array([-0.0, float("-inf"), 3.0]))
+    assert _table_strings(table) == [b"0", b"3", b"nan"]
+    assert negative is None
 
 
 def test_column_formatter_fits_the_longest_spelling():
@@ -233,22 +244,31 @@ def test_exports_match_the_per_value_loops(sig, family, signs, degenerate):
     assert (",nan," in csv_text) == degenerate
 
 
-@pytest.mark.parametrize("shape", [(182, 181), (128, 256), (2, 2), (3, 3), (2, 5), (10, 10), (4, 25)],
-                         ids=str)
+# vertices and faces straddle a block boundary: an odd t side (so t = 0, where
+# |H| is NaN, is on the lattice) next to sqrt(BLOCK_ROWS), and one s row more
+# than fills a block; 182 x 181 for blocks of 32,768 rows
+_ODD_SIDE = math.isqrt(BLOCK_ROWS) | 1
+_STRADDLING = (BLOCK_ROWS // _ODD_SIDE + 1, _ODD_SIDE)
+# exactly one block of vertices
+_ONE_BLOCK = (BLOCK_ROWS // 128, 128)
+
+
+@pytest.mark.parametrize("shape", [_STRADDLING, _ONE_BLOCK, (2, 2), (3, 3), (2, 5), (10, 10), (4, 25),
+                                   (257, 256)], ids=str)
 def test_exports_match_the_per_value_loops_across_row_blocks(shape):
-    # 182 x 181: vertices and faces straddle a block boundary, with NaN |H|
-    # rows on t = 0; 128 x 256: exactly one block of vertices; 3 x 3 to
-    # 4 x 25: 9, 10 and 100 vertices, so the last vertex number is one digit
-    # wider than the first, or than all the others
+    # besides the two block shapes above, 3 x 3 to 4 x 25: 9, 10 and 100
+    # vertices, so the last vertex number is one digit wider than the first,
+    # or than all the others; 257 x 256: vertex numbers past 2**16, which the
+    # face table holds in 32 bits rather than 16
     sig = Signature(4, 2)
     surf = generate(sig, FamilyId.HYPERBOLIC_HELICOID_2)
     s, t = surf.default_grids(shape)
     sweep = sweep_grid(sig, surf, s, t)
     vertices, faces = s.size * t.size, 2 * (s.size - 1) * (t.size - 1)
-    if shape == (182, 181):
+    if shape == _STRADDLING:
         assert BLOCK_ROWS < vertices < faces < 2 * BLOCK_ROWS
         assert np.isnan(sweep.H_norm).any()
-    if shape == (128, 256):
+    if shape == _ONE_BLOCK:
         assert vertices == BLOCK_ROWS
     for got, want in ((obj_mesh(sig, sweep), obj_mesh_loop(sig, sweep, s, t)),
                       (csv_grid(sig, sweep), csv_grid_loop(sig, sweep))):

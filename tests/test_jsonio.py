@@ -363,5 +363,14 @@ def test_unserializable_input_raises_the_abc_emitters_message(obj):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("value", [Fraction(10**400, 3), Fraction(-(10**309)), Fraction(2**1024)])
+def test_a_fraction_beyond_the_float_range_is_a_usage_error(value):
+    message = "cannot serialize Fraction: the value is beyond the float range"
+    for serialize in (dumps, dumps_abc):
+        with pytest.raises(UsageError) as err:
+            serialize({"q": [value]})
+        assert str(err.value) == message
+
+
 def test_fractions_and_numpy_scalars_print_by_value():
     assert dumps([Fraction(1, 4), np.float32(0.5), np.int64(-3), np.float64(-0.0)]) == "[0.25, 0.5, -3, 0]\n"
