@@ -422,9 +422,9 @@ def bernstein_check(
         minimal_ok = minimal_ok and report.is_minimal
         T = t_grid[None, :]
         S = s_grid[:, None]
-        if float(np.abs(sweep.f[..., e2_idx] - T).max()) > 1e-12:
+        if float(np.abs(sweep._f_axis(e2_idx) - T).max()) > 1e-12:
             graph_ok = False
-        if float(np.abs(sweep.f[..., e3_idx] - S).max()) > 1e-12:
+        if float(np.abs(sweep._f_axis(e3_idx) - S).max()) > 1e-12:
             graph_ok = False
 
     return BernsteinReport(

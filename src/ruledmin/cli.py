@@ -519,6 +519,7 @@ def cmd_mesh(args) -> int:
 
     sig, surface, meta = _resolve_surface(args)
     sweep = sweep_grid(sig, surface, *_grids(args, surface))
+    sweep.det_g  # a det g that is not finite on the grid fails before any output, OBJ alone too
     fmt = args.format
     if fmt is None:
         fmt = "csv" if (args.out or "").endswith(".csv") else "obj"
@@ -541,12 +542,13 @@ def cmd_mesh(args) -> int:
         return 0
     sidecar = out.with_suffix(".csv")
     _stream([(out, _obj_chunks(sig, sweep)), (sidecar, _csv_chunks(sig, sweep))])
+    ns, nt = sweep.s_grid.size, sweep.t_grid.size
     summary = {
         "command": "mesh",
         "signature": _sig_json(sig),
         **meta,
-        "vertices": int(sweep.f.shape[0] * sweep.f.shape[1]),
-        "faces": int(2 * (sweep.f.shape[0] - 1) * (sweep.f.shape[1] - 1)),
+        "vertices": ns * nt,
+        "faces": 2 * (ns - 1) * (nt - 1),
         "obj": str(out),
         "csv": str(sidecar),
     }

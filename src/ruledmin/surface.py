@@ -48,7 +48,7 @@ SCAN_POINTS = 201
 EPS = np.finfo(float).eps
 # a pairing of jets with n max|a| max|b| below this cannot overflow
 _NO_OVERFLOW = 1e300
-# SurfaceSweep.H_norm reads the grid in s-row blocks of at most this many points
+# the dense-grid passes read the grid in s-row blocks of at most this many points
 _H_BLOCK_POINTS = 1 << 15
 
 DEFAULT_SURFACE_GRID = (41, 41)
@@ -108,9 +108,10 @@ def _pmul(p: list, q: list) -> list:
     return out
 
 
-def _horner(coef: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """sum_k coef[:, k] t^k on the grid, for (ns, K) coefficients and the t-row T."""
-    out = coef[:, -1, None] * T
+def _horner(coef: np.ndarray, T: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_k coef[:, k] t^k on the grid, for (ns, K) coefficients and the t-row T,
+    into out when given."""
+    out = np.multiply(coef[:, -1, None], T, out=out)
     for k in range(coef.shape[1] - 2, -1, -1):
         out += coef[:, k, None]
         if k:
@@ -123,6 +124,82 @@ def _relative(coef: np.ndarray, size: np.ndarray, rounding: np.ndarray) -> float
     c = np.maximum(np.abs(coef) - rounding, 0.0).max(axis=1, initial=0.0)
     s = size.max(axis=1, initial=0.0)
     return float(np.divide(c, s, out=np.zeros_like(c), where=s > 0).max(initial=0.0))
+
+
+def _first_form_block(form, rows: slice, T: np.ndarray, out=(None, None, None)):
+    """g11, g12 (Horner's rule on form's (ns, K) t-coefficients) and det g =
+    g11 g22 - g12^2 on the s-rows rows of the grid, into out when given."""
+    g11c, g12c, g22 = form
+    g11 = _horner(g11c[rows], T, out[0])
+    g12 = _horner(g12c[rows], T, out[1])
+    det = np.multiply(g11, g22[rows], out=out[2])
+    det -= g12 * g12
+    return g11, g12, det
+
+
+def _h_squared(numerator: np.ndarray, rows: slice, T: np.ndarray, det: np.ndarray, mask: np.ndarray):
+    """|H|^2 on the s-rows rows, from N's (ns, n, K) t-coefficients and the
+    rows' det g and mask: the squares of N's Horner reads over 2 (det g)^2,
+    summed one ambient axis at a time; NaN off the mask."""
+    inv = np.full_like(det, np.nan)
+    np.divide(1.0, det, out=inv, where=mask)
+    half_inv = 0.5 * inv
+    h_sq = np.zeros_like(det)
+    for k in range(numerator.shape[1]):
+        h = _horner(numerator[rows, k], T)
+        h *= inv
+        h *= half_inv
+        h *= h
+        h_sq += h
+    return h_sq
+
+
+def _on_two_threads(work, ns: int, nt: int) -> list:
+    """[work(rows) for each block of s-rows of the ns x nt grid], in row
+    order, on this thread and one helper thread.
+
+    A block holds at most _H_BLOCK_POINTS points (one row if a row holds
+    more), so its temporaries stay in cache. The helper claims blocks from
+    the first rows and this thread from the last until the two meet, so
+    each thread reads contiguous rows, and a thread that runs slower, or on
+    a busy core, reads fewer. Which thread reads a block does not change
+    its result. A grid of one block starts no thread. Each block is read
+    under np.errstate(all="ignore"), which numpy keeps per thread, so
+    overflow is left to the callers' checks. Once a block fails no more are
+    claimed, and the failure of the first such block is raised after the
+    join. work may only write into arrays the caller allocated and read
+    what was computed before the call.
+    """
+    import threading  # numpy imports it too
+
+    step = max(1, _H_BLOCK_POINTS // nt)
+    starts = range(0, ns, step)
+    results, ends, failed, lock = [None] * len(starts), [0, len(starts)], {}, threading.Lock()
+
+    def run(front):
+        while True:
+            with lock:  # the next block from this thread's end, if any is left
+                if failed or ends[0] == ends[1]:
+                    return
+                if front:
+                    i, ends[0] = ends[0], ends[0] + 1
+                else:
+                    i = ends[1] = ends[1] - 1
+            try:
+                with np.errstate(all="ignore"):
+                    results[i] = work(slice(starts[i], min(starts[i] + step, ns)))
+            except BaseException as exc:  # noqa: BLE001  (raised below, after the join)
+                failed[i] = exc
+
+    helper = threading.Thread(target=run, args=(True,)) if len(starts) > 1 else None
+    if helper is not None:
+        helper.start()
+    run(False)
+    if helper is not None:
+        helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 @dataclass(frozen=True)
@@ -187,9 +264,13 @@ class _RulingTables:
         the first s where a value is not finite."""
         finite = np.isfinite(values)
         if not finite.all():
-            bad = self.s[~np.moveaxis(finite, s_axis, 0).reshape(self.s.size, -1).all(axis=1)][0]
-            raise UsageError(f"{what} is not finite at s = {float(bad)!r}")
+            rows = np.moveaxis(finite, s_axis, 0).reshape(self.s.size, -1).all(axis=1)
+            self.not_finite(what, np.argmin(rows))
         return values
+
+    def not_finite(self, what: str, row: int):
+        """Raise the UsageError that names what and the s of the given row."""
+        raise UsageError(f"{what} is not finite at s = {float(self.s[row])!r}")
 
     def jet(self, name: str) -> np.ndarray:
         """(ns, n) samples of gamma or x, differentiated int(name[1]) times."""
@@ -254,12 +335,17 @@ class _RulingTables:
     def col(self, a: str, b: str) -> np.ndarray:
         return self.ip(a, b)[:, None]
 
-    def first_form(self, T: np.ndarray):
-        """g11, g12 (Horner's rule on _first_form_terms) and g11 g22 - g12^2 on the grid."""
+    def form(self):
+        """The (ns, 3) and (ns, 2) t-coefficients of g11 and g12 and the
+        (ns, 1) g22, from _first_form_terms."""
         g11, g12, g22, _ = _first_form_terms(self.col, operator.sub)
+        return np.hstack(g11), np.hstack(g12), g22[0]
+
+    def first_form(self, T: np.ndarray):
+        """g11, g12 and g11 g22 - g12^2 on the grid."""
+        form = self.form()
         with np.errstate(all="ignore"):
-            g11, g12 = (_horner(np.hstack(p), T) for p in (g11, g12))
-            det = g11 * g22[0] - g12 * g12
+            g11, g12, det = _first_form_block(form, slice(None), T)
         return g11, g12, self._finite("det g", det)
 
     def components(self):
@@ -340,61 +426,102 @@ def _numerators(c, jet, sub):
 class SurfaceSweep:
     """All form data over an (s, t) grid; arrays indexed [i_s, i_t].
 
-    Only the first form is computed up front. H_norm (NaN at degenerate
-    points) sums the squares of N's Horner reads over the ambient axes, one
-    axis at a time in blocks of s-rows; the (ns, nt, n) fields f, h11, h12
-    and H are stacked. Each is built on first access, so a caller that reads
-    only det g, as causal_map does, skips all, and verify reads N alone.
+    Only per-s coefficient tables are computed up front: the t-coefficients
+    of the first form, and on first use those of det g's numerators. Each
+    (ns, nt) array is built on first access, in s-row blocks on two threads
+    (_on_two_threads): g11, g12, det g and the mask together, then H_norm
+    (NaN at degenerate points), which sums the squares of N's Horner reads
+    over the ambient axes one axis at a time. minimality reads the same
+    blocks in one fused pass that keeps no (ns, nt) array, so verify builds
+    none and causal_map builds the first form alone. The (ns, nt, n) fields
+    f, h11, h12 and H are stacked on first access; f's column on one axis
+    is read alone by _f_axis.
     """
 
     s_grid: np.ndarray
     t_grid: np.ndarray
-    g11: np.ndarray
-    g12: np.ndarray
-    det_g: np.ndarray
-    nondegenerate: np.ndarray  # bool mask, |det g| > tau_deg
     tau_deg: float
     _tables: _RulingTables = field(repr=False)
+    _form: tuple = field(repr=False)  # _RulingTables.form()
 
     @cached_property
     def _coefficients(self) -> tuple[np.ndarray, ...]:
         return self._tables.components()
 
-    def _reads(self, coef: np.ndarray, times_half_inv: bool = False, rows: slice = slice(None)):
-        """Yield coef's Horner read on each ambient axis over det g, on the
-        s-rows rows of the grid, or over 2 (det g)^2 with times_half_inv;
-        NaN at degenerate points."""
+    @cached_property
+    def _first_form(self) -> tuple[np.ndarray, ...]:
+        """g11, g12, det g and the mask |det g| > tau_deg on the grid;
+        UsageError names the first s where det g is not finite."""
+        ns, nt = self.s_grid.size, self.t_grid.size
+        g11, g12, det = (np.empty((ns, nt)) for _ in range(3))
+        mask = np.empty((ns, nt), dtype=bool)
         T = self.t_grid[None, :]
-        det = self.det_g[rows]
-        inv = np.full_like(det, np.nan)
-        np.divide(1.0, det, out=inv, where=self.nondegenerate[rows])
+
+        def block(rows):
+            _first_form_block(self._form, rows, T, (g11[rows], g12[rows], det[rows]))
+            np.greater(np.abs(det[rows]), self.tau_deg, out=mask[rows])
+            return _first_bad_row(det[rows], rows)
+
+        self._raise_bad_det(_on_two_threads(block, ns, nt))
+        return g11, g12, det, mask
+
+    def _raise_bad_det(self, bad_rows) -> None:
+        """The det g UsageError at the first row of bad_rows that is not None."""
+        bad = next((row for row in bad_rows if row is not None), None)
+        if bad is not None:
+            self._tables.not_finite("det g", bad)
+
+    @property
+    def g11(self) -> np.ndarray:
+        return self._first_form[0]
+
+    @property
+    def g12(self) -> np.ndarray:
+        return self._first_form[1]
+
+    @property
+    def det_g(self) -> np.ndarray:
+        return self._first_form[2]
+
+    @property
+    def nondegenerate(self) -> np.ndarray:
+        """bool mask, |det g| > tau_deg"""
+        return self._first_form[3]
+
+    def _reads(self, coef: np.ndarray, times_half_inv: bool = False):
+        """Yield coef's Horner read on each ambient axis over det g, or over
+        2 (det g)^2 with times_half_inv; NaN at degenerate points."""
+        T = self.t_grid[None, :]
+        inv = np.full_like(self.det_g, np.nan)
+        np.divide(1.0, self.det_g, out=inv, where=self.nondegenerate)
         half_inv = 0.5 * inv if times_half_inv else None
         for k in range(coef.shape[1]):
-            h = _horner(coef[rows, k], T) * inv
+            h = _horner(coef[:, k], T) * inv
             if times_half_inv:
                 h *= half_inv
             yield h
 
     @cached_property
     def H_norm(self) -> np.ndarray:
-        # s-row blocks of at most _H_BLOCK_POINTS grid points (one row if a
-        # row holds more), so the temporaries stay in cache; every point
-        # sees the same operations as on the whole grid
-        out = np.empty_like(self.det_g)
-        step = max(1, _H_BLOCK_POINTS // self.t_grid.size)
-        for start in range(0, self.s_grid.size, step):
-            rows = slice(start, start + step)
-            h_sq = np.zeros_like(out[rows])
-            for h in self._reads(self._coefficients[3], True, rows):
-                h *= h
-                h_sq += h
-            np.sqrt(h_sq, out=out[rows])
+        det, mask, numerator = self.det_g, self.nondegenerate, self._coefficients[3]
+        out = np.empty_like(det)
+        T = self.t_grid[None, :]
+
+        def block(rows):
+            np.sqrt(_h_squared(numerator, rows, T, det[rows], mask[rows]), out=out[rows])
+
+        _on_two_threads(block, *det.shape)
         return out
+
+    def _f_axis(self, k: int) -> np.ndarray:
+        """f[..., k], the (ns, nt) column of f on ambient axis k, without the
+        (ns, nt, n) array."""
+        g0, x0 = self._tables.jet("g0"), self._tables.jet("x0")
+        return g0[:, k, None] * self.t_grid + x0[:, k, None]
 
     @cached_property
     def f(self) -> np.ndarray:
-        g0, x0 = self._tables.jet("g0"), self._tables.jet("x0")
-        return g0[:, None, :] * self.t_grid[None, :, None] + x0[:, None, :]
+        return np.stack([self._f_axis(k) for k in range(self._tables.surface.n)], axis=-1)
 
     @cached_property
     def h11(self) -> np.ndarray:
@@ -414,16 +541,43 @@ class SurfaceSweep:
         Read are the s rows with a non-degenerate grid point where det g keeps
         a digit (E < S; a boosted ruling loses it once cosh^2 s > 1 / EPS).
         The sampled |H| is a cross-check. If no row is left there is nothing
-        to decide and EverywhereDegenerateError is raised."""
-        mask = self.nondegenerate
-        n_tot = int(mask.size)
-        n_deg = int((~mask).sum())
+        to decide and EverywhereDegenerateError is raised.
+
+        The grid is read in one fused pass of s-row blocks on two threads
+        (_on_two_threads); each block gives the first row where det g is not
+        finite, its degenerate count and first 16 degenerate points, the
+        rows that hold a non-degenerate point and its largest |H|^2 (the
+        sqrt of the largest is the largest sqrt). The errors come in the
+        order of the checks, det g on the grid first, then the sizes, then
+        the coefficients, each at its first s.
+        """
+        ns, nt = self.s_grid.size, self.t_grid.size
+        try:
+            numerator = self._coefficients[3]
+        except UsageError:
+            numerator = None  # raised again below, after the checks that come first
+        T = self.t_grid[None, :]
+        row_read = np.empty(ns, dtype=bool)
+
+        def block(rows):
+            det = _first_form_block(self._form, rows, T)[2]
+            mask = np.abs(det) > self.tau_deg
+            mask.any(axis=1, out=row_read[rows])
+            degenerate = np.flatnonzero(~mask)
+            peak = np.nan
+            if numerator is not None and degenerate.size < mask.size:
+                peak = np.fmax.reduce(_h_squared(numerator, rows, T, det, mask), axis=None)
+            return _first_bad_row(det, rows), degenerate.size, degenerate[:16] + rows.start * nt, peak
+
+        bad_rows, counts, samples, peaks = zip(*_on_two_threads(block, ns, nt))
+        self._raise_bad_det(bad_rows)
+        n_tot, n_deg = ns * nt, sum(counts)
         if n_deg == n_tot:
             raise EverywhereDegenerateError(
                 f"all {n_tot} grid points have |det g| <= {self.tau_deg}"
             )
         (det_size, det_err), *bounds = self._tables.bounds()
-        rows = mask.any(axis=1) & (det_err.max(axis=(1, 2)) < det_size.max(axis=(1, 2)))
+        rows = row_read & (det_err.max(axis=(1, 2)) < det_size.max(axis=(1, 2)))
         if not rows.any():
             raise EverywhereDegenerateError("rounding leaves det g no digit on any s row")
         r11, r12, residual = (
@@ -434,17 +588,24 @@ class SurfaceSweep:
         return MinimalityReport(
             verdict=verdict,
             residual=residual,
-            max_h_norm=float(np.nanmax(self.H_norm)),
+            max_h_norm=float(np.sqrt(np.fmax.reduce(peaks))),
             tol=tol,
             points_checked=n_tot - n_deg,
             points_degenerate=n_deg,
             totally_geodesic=max(r11, r12) <= tol,
             degenerate_sample=[
-                (float(self.s_grid[i]), float(self.t_grid[j]))
-                for i, j in np.argwhere(~mask)[:16]
+                (float(self.s_grid[i // nt]), float(self.t_grid[i % nt]))
+                for i in np.concatenate(samples)[:16].tolist()
             ],
-            grid_shape=(self.s_grid.size, self.t_grid.size),
+            grid_shape=(ns, nt),
         )
+
+
+def _first_bad_row(det: np.ndarray, rows: slice) -> int | None:
+    """The grid row of the first row of the block det, which holds the
+    s-rows rows, where det g is not finite; None when it is finite."""
+    finite = np.isfinite(det).all(axis=1)
+    return None if finite.all() else rows.start + int(np.argmin(finite))
 
 
 def sweep_grid(
@@ -454,7 +615,9 @@ def sweep_grid(
     t_grid: np.ndarray | None = None,
     tau_deg: float = TAU_DEG,
 ) -> SurfaceSweep:
-    """The forms on s_grid x t_grid; sweep_grid(sig, surface, [s], [t]) gives them at (s, t)."""
+    """The forms on s_grid x t_grid; sweep_grid(sig, surface, [s], [t]) gives them at (s, t).
+    It samples the curves and pairs their jets; a det g that is not finite
+    on the grid is named by the first reader of the grid."""
     if s_grid is None or t_grid is None:
         ds, dt = surface.default_grids()
         s_grid = ds if s_grid is None else s_grid
@@ -463,17 +626,7 @@ def sweep_grid(
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
 
     tables = _RulingTables(sig, surface, s_grid)
-    g11, g12, det = tables.first_form(t_grid[None, :])
-    return SurfaceSweep(
-        s_grid=s_grid,
-        t_grid=t_grid,
-        g11=g11,
-        g12=g12,
-        det_g=det,
-        nondegenerate=np.abs(det) > tau_deg,
-        tau_deg=tau_deg,
-        _tables=tables,
-    )
+    return SurfaceSweep(s_grid=s_grid, t_grid=t_grid, tau_deg=tau_deg, _tables=tables, _form=tables.form())
 
 
 # ---------------------------------------------------------------------------

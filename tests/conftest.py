@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -31,3 +32,19 @@ def call_counts(monkeypatch):
             monkeypatch.setattr(module, "sweep_grid", counting_sweep)
     monkeypatch.setattr(_Terms, "_sample", counting_sample)
     return counts
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started, recorded by a threading.Thread that counts and
+    checks that no other one it started is still running."""
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            assert not any(thread.is_alive() for thread in started), "two helpers at once"
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counting)
+    return started

@@ -15,6 +15,7 @@ import pytest
 import ruledmin
 from ruledmin import FamilyId, Signature, UsageError, cli, generate, surface, sweep_grid
 from ruledmin.families import CLI_NAME_OF
+from ruledmin.jsonio import surface_from_json
 
 from _oracles import csv_grid_loop, obj_mesh_loop
 from test_catalog import _admissible_triples
@@ -435,6 +436,61 @@ def test_a_size_bound_that_overflows_is_a_usage_error(command):
     doc = json.loads(out)
     assert doc == {"error": "UsageError", "message": "the size of det g is not finite at s = -300.0"}
     assert err == "" and not caught
+
+
+def _run_quietly(argv):
+    """run(argv) with every warning recorded; the exit code, the JSON and
+    whether stderr and the warnings stayed empty."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(argv)
+    return rc, json.loads(out), err == "" and not caught
+
+
+@pytest.mark.parametrize(
+    "command,r",
+    [(["verify"], "800"), (["verify"], "400"), (["verify"], "300"),
+     (["mesh"], "800"), (["mesh"], "400"), (["mesh", "--format", "csv"], "400")],
+    ids=["verify-800", "verify-400", "verify-300", "mesh-800", "mesh-400", "mesh-csv-400"],
+)
+def test_an_overflow_on_a_grid_read_on_two_threads_is_the_same_usage_error(command, r):
+    """The non-finite samples and the overflowing size bound of the two tests
+    above, on a 1001x1001 grid, whose blocks are read on two threads: the
+    same message as on the default grid, and no warning from either thread."""
+    flags = ["--sig", "3,1", "--family", "hyperbolic-helicoid-1", f"--s-range=-{r},{r}"]
+    rc, doc, quiet = _run_quietly([*command, *flags])
+    assert rc == 2 and doc["error"] == "UsageError" and quiet
+    assert _run_quietly([*command, *flags, "--grid", "1001x1001"]) == (rc, doc, quiet)
+
+
+@pytest.mark.parametrize("command", [["verify"], ["mesh"], ["mesh", "--format", "csv"]],
+                         ids=["verify", "mesh", "mesh-csv"])
+@pytest.mark.parametrize("s_domain", [[-3, 3], [2, 3]], ids=["second-half", "both-halves"])
+def test_a_det_g_that_overflows_on_two_threads_names_its_first_s(command, s_domain, tmp_path):
+    """gamma = (1, e^s, 0) and x = (0, 0, s): g11 g22 and g12^2 grow like
+    e^{4s} t^2, so on t in +-1e152 det g overflows for s above about 2.45
+    only: on [-3, 3] in the last blocks of rows, which this thread reads
+    first, and on [2, 3] in blocks of both halves."""
+    data = {
+        "signature": {"n": 3, "p": 0},
+        "gamma": {"n": 3, "terms": [{"basis": "pow", "param": 0, "coeff": [1, 0, 0]},
+                                    {"basis": "exp", "param": 1.0, "coeff": [0, 1, 0]}]},
+        "base": {"n": 3, "terms": [{"basis": "pow", "param": 1, "coeff": [0, 0, 1]}]},
+        "s_domain": s_domain,
+        "t_domain": [-1e152, 1e152],
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(data))
+    sig, surf = surface_from_json(data)
+    s, t = surf.default_grids((1001, 1001))
+    with pytest.raises(UsageError) as whole:  # the whole grid at once, on this thread
+        surface._RulingTables(sig, surf, s).first_form(t[None, :])
+    first = float(str(whole.value).rsplit(" ", 1)[1])
+    half = s[(s.size + 1) // 2]
+    assert first > half if s_domain == [-3, 3] else first < half < s_domain[1]
+    rc, doc, quiet = _run_quietly([*command, "--input", str(path), "--grid", "1001x1001"])
+    assert rc == 2 and quiet
+    assert doc == {"error": "UsageError", "message": f"det g is not finite at s = {first!r}"}
 
 
 # ---------------------------------------------------------------------------

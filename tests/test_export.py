@@ -1,6 +1,7 @@
 """Tests for the OBJ and CSV exports against the per-value reference loops."""
 
 import math
+import threading
 from decimal import Decimal
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruledmin import FamilyId, SignChoice, Signature, generate, sweep_grid
-from ruledmin.export import BLOCK_ROWS, _fmt_column, _magnitude_rows, csv_grid, obj_mesh
+from ruledmin import export
+from ruledmin.export import BLOCK_ROWS, _f_columns, _fmt_column, _magnitude_rows, csv_grid, obj_mesh
 from ruledmin.jsonio import _fmt_float, surface_from_json
 
 from _oracles import csv_grid_loop, obj_mesh_loop
+from test_catalog import _admissible_triples
 
 
 def _table_strings(table):
@@ -313,3 +316,59 @@ def test_every_family_exports_like_the_per_value_loops_at_101x101(sig, family, s
     sweep = sweep_grid(sig, surf, s, t)
     assert obj_mesh(sig, sweep) == obj_mesh_loop(sig, sweep, s, t)
     assert csv_grid(sig, sweep) == csv_grid_loop(sig, sweep)
+
+
+def _one_triple_per_family(n_range=(3, 4, 5, 6)):
+    """The first admissible (sig, family, signs) of each family for each n."""
+    seen = set()
+    for sig, family, signs in _admissible_triples(n_range):
+        if (sig.n, family) not in seen:
+            seen.add((sig.n, family))
+            yield sig, family, signs
+
+
+def _assert_same_columns(got, want):
+    assert len(got) == len(want)
+    for k, ((table, index, negative), (table0, index0, negative0)) in enumerate(zip(got, want)):
+        assert table.tobytes() == table0.tobytes() and table.shape == table0.shape, k
+        assert index.dtype == index0.dtype and np.array_equal(index, index0), k
+        assert (negative is None) == (negative0 is None), k
+        assert negative is None or np.array_equal(negative, negative0), k
+
+
+@pytest.mark.parametrize("sig,family,signs", [*_one_triple_per_family()], ids=str)
+def test_the_pipelined_columns_equal_the_serial_formatter_at_401x401(sig, family, signs):
+    """_csv_chunks's columns: f's, det g and |H|, each spelled on the helper
+    thread while the next is deduplicated, against _fmt_column one by one."""
+    surf = generate(sig, family, signs=signs)
+    sweep = sweep_grid(sig, surf, *surf.default_grids((401, 401)))
+    got = _f_columns(sweep, sweep.det_g, sweep.H_norm, axes=range(sig.n))
+    _assert_same_columns(got, [_fmt_column(sweep.f[..., k]) for k in range(sig.n)]
+                         + [_fmt_column(sweep.det_g), _fmt_column(sweep.H_norm)])
+
+
+def test_columns_of_one_kernel_block_are_spelled_without_a_thread(thread_starts):
+    sig = Signature(4, 2)
+    surf = generate(sig, FamilyId.HYPERBOLIC_HELICOID_2)
+    sweep = sweep_grid(sig, surf, *surf.default_grids((41, 41)))
+    csv_grid(sig, sweep)
+    assert thread_starts == []
+    wide = np.linspace(0.5, 3.0, 2 * BLOCK_ROWS)  # two kernel blocks of distinct magnitudes
+    many = export._fmt_columns([np.arange(3.0), wide, -wide, np.arange(5.0)])
+    _assert_same_columns(many, [_fmt_column(v) for v in (np.arange(3.0), wide, -wide, np.arange(5.0))])
+    assert len(thread_starts) == 2 and not any(t.is_alive() for t in thread_starts)
+
+
+def test_a_failed_spelling_is_raised_after_the_helper_is_joined(monkeypatch, thread_starts):
+    spell = export._spell_block
+
+    def failing(x, rows):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("helper")
+        return spell(x, rows)
+
+    monkeypatch.setattr(export, "_spell_block", failing)
+    wide = np.linspace(0.5, 3.0, 2 * BLOCK_ROWS)
+    with pytest.raises(MemoryError, match="helper"):
+        export._fmt_columns([wide, np.arange(3.0)])
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()

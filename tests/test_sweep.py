@@ -1,11 +1,14 @@
 """The coefficient-table sweep against the full-array formula it replaces."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ruledmin import H_TOL, FamilyId, Signature, generate, is_minimal, sweep_grid
+from ruledmin import H_TOL, FamilyId, SignChoice, Signature, generate, is_minimal, sweep_grid
+from ruledmin import surface
 from ruledmin.jsonio import surface_from_json
 from ruledmin.surface import _H_BLOCK_POINTS
 
@@ -90,18 +93,35 @@ def _cubic_cylinder():
     })
 
 
+def _rows_with_zeros(ns, zeros):
+    """ns s-rows over [-2, 2] that pass s = 0 exactly on the rows zeros."""
+    s = np.linspace(-2.0, 2.0, ns)
+    s[s == 0.0] = 1e-3
+    s[zeros] = 0.0
+    return s
+
+
+# s-row blocks over a 181-point t-row, as many rows as fit _H_BLOCK_POINTS:
+# two full blocks and a short one, which the helper thread reads from the
+# first and this thread from the last
+_STEP = _H_BLOCK_POINTS // 181
+_NS = 2 * _STEP + 38
+
+
 @pytest.mark.parametrize(
     "s,t",
     [
-        # three blocks of 181, 181 and 38 rows; s = 0 on both sides of the
-        # first block boundary
-        (np.insert(np.linspace(-2.0, 2.0, 396), [0, 179, 179, 249], 0.0), np.linspace(-2.0, 2.0, 181)),
+        # s = 0 on the first row, on both sides of the first block boundary
+        # and once in the last block
+        (_rows_with_zeros(_NS, [0, _STEP - 1, _STEP, _NS - 20]), np.linspace(-2.0, 2.0, 181)),
         # rows longer than a block: one row at a time
         (np.array([-1.0, 0.0, 0.5, 0.0]), np.linspace(-2.0, 2.0, _H_BLOCK_POINTS + 7)),
+        # the only degenerate row is in the last block
+        (_rows_with_zeros(_NS, [_NS - 5]), np.linspace(-2.0, 2.0, 181)),
     ],
-    ids=["blocks-of-rows", "row-by-row"],
+    ids=["blocks-of-rows", "row-by-row", "degenerate-row-in-the-last-block"],
 )
-def test_h_norm_read_in_row_blocks_equals_the_whole_grid_formula(s, t):
+def test_h_norm_read_in_row_blocks_equals_the_whole_grid_formula(s, t, monkeypatch):
     sig, surf = _cubic_cylinder()
     sweep = sweep_grid(sig, surf, s, t)
     assert s.size * t.size > 2 * _H_BLOCK_POINTS
@@ -114,3 +134,99 @@ def test_h_norm_read_in_row_blocks_equals_the_whole_grid_formula(s, t):
     whole = np.sqrt(h_sq)
     assert np.isnan(whole).any() and np.nanmin(whole) > 0.0
     assert np.array_equal(sweep.H_norm, whole, equal_nan=True)
+
+    # the fused pass of minimality reports what the whole-grid arrays give
+    report = sweep_grid(sig, surf, s, t).minimality()
+    ref = vector_sweep(sig, surf, s, t)
+    degenerate = np.argwhere(~ref["nondegenerate"])
+    assert np.array_equal(sweep.nondegenerate, ref["nondegenerate"])
+    assert report.max_h_norm == np.nanmax(whole)
+    assert report.points_degenerate == len(degenerate)
+    assert report.points_checked == s.size * t.size - len(degenerate)
+    assert report.degenerate_sample == [(s[i], t[j]) for i, j in degenerate[:16]]
+    assert report.is_minimal is False and report.totally_geodesic is False
+    # and one block on this thread gives every field bit for bit
+    monkeypatch.setattr(surface, "_H_BLOCK_POINTS", s.size * t.size)
+    one_block = sweep_grid(sig, surf, s, t)
+    assert one_block.minimality() == report
+    for name in ("g11", "g12", "det_g", "nondegenerate", "H_norm"):
+        assert np.array_equal(getattr(one_block, name), getattr(sweep, name), equal_nan=True), name
+
+
+def test_a_grid_of_one_block_starts_no_thread_and_a_larger_one_one_per_pass(thread_starts):
+    sig, surf = _cubic_cylinder()
+    grid = np.linspace(-2.0, 2.0, 41)
+    small = sweep_grid(sig, surf, grid, grid)
+    small.minimality()
+    small.H_norm
+    assert thread_starts == []
+    grid = np.linspace(-2.0, 2.0, 401)
+    assert grid.size**2 > 2 * _H_BLOCK_POINTS
+    large = sweep_grid(sig, surf, grid, grid)
+    assert thread_starts == []
+    large.minimality()
+    assert len(thread_starts) == 1
+    large.H_norm  # the first form, then |H|
+    assert len(thread_starts) == 3
+    assert not any(thread.is_alive() for thread in thread_starts)
+
+
+def test_the_degenerate_sample_runs_in_row_order_across_the_two_halves(monkeypatch):
+    # det g = t^2 - 1 vanishes on t = +-1 on every s-row of both halves
+    sig = Signature(3, 1)
+    surf = generate(sig, FamilyId.ELLIPTIC_HELICOID_1, signs=SignChoice(1, 1, -1))
+    s, t = np.linspace(-3.0, 3.0, 401), np.linspace(-2.0, 2.0, 401)
+    report = sweep_grid(sig, surf, s, t).minimality()
+    assert report.points_degenerate == 2 * s.size
+    assert report.degenerate_sample == [(s[i], float(v)) for i in range(8) for v in (-1.0, 1.0)]
+    monkeypatch.setattr(surface, "_H_BLOCK_POINTS", s.size * t.size)
+    assert sweep_grid(sig, surf, s, t).minimality() == report
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_a_failing_block_is_raised_after_the_helper_is_joined(monkeypatch, thread_starts, which):
+    sig, surf = _cubic_cylinder()
+    grid = np.linspace(-2.0, 2.0, 401)
+    sweep = sweep_grid(sig, surf, grid, grid)
+    step = _H_BLOCK_POINTS // grid.size
+    first_row = 0 if which == "first" else (grid.size - 1) // step * step
+    real = surface._h_squared
+
+    def failing(numerator, rows, *args):
+        if rows.start == first_row:
+            raise MemoryError(f"rows from {rows.start}")
+        return real(numerator, rows, *args)
+
+    monkeypatch.setattr(surface, "_h_squared", failing)
+    with pytest.raises(MemoryError, match=f"rows from {first_row}$"):
+        sweep.minimality()
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+
+
+def test_row_blocks_are_read_once_each_under_a_short_switch_interval():
+    """The two threads' ends meet without a block lost or read twice, with
+    four callers at once (eight threads on two cores) switching every 1 us;
+    rows as long as a block make each row a block."""
+    reads = []
+    results = {}
+
+    def caller(c):
+        def work(rows):
+            reads.append((c, rows.start, rows.stop))
+            return c * 1000 + rows.start
+
+        results[c] = surface._on_two_threads(work, 500, _H_BLOCK_POINTS)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert sorted(reads) == [(c, i, i + 1) for c in range(4) for i in range(500)]
+    assert results == {c: [c * 1000 + i for i in range(500)] for c in range(4)}
