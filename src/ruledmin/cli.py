@@ -230,43 +230,31 @@ def _grids(args, surface: RuledSurface):
 
 
 def _stream(files) -> None:
-    """Write each (path, byte chunks) pair of the list, the first in this
-    thread and each other one on a thread of its own, so that their chunks
-    are built side by side. A failed open or write removes every file this
-    call opened, so none is left half written, and the UsageError names the
-    first path of the list that failed: a failure stops the writers after it
-    in the list at their next chunk, and the ones before it run on."""
-    import threading  # numpy imports it too
+    """Write each (path, byte chunks) pair of the list, the first on this
+    thread and the others on one helper (_threads.on_two_threads), so that
+    two files' chunks are built side by side. A failed open or write
+    removes every file this call opened, once every writer is done, so none
+    is left half written, and the UsageError names the first path of the
+    list that failed."""
+    from ._threads import on_two_threads
 
-    opened, errors = [], [None] * len(files)
+    opened = []
 
-    def write(i):
-        path, chunks = files[i]
+    def write(path, chunks):
         try:
             with open(path, "wb") as fh:
                 opened.append(path)
                 for chunk in chunks:
-                    if any(errors[:i]):  # an earlier file failed, so this one goes anyway
-                        return
                     fh.write(chunk)
-        except BaseException as exc:  # noqa: BLE001  (raised below, once every writer is done)
-            errors[i] = exc
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from exc
 
-    threads = [threading.Thread(target=write, args=(i,)) for i in range(1, len(files))]
-    for thread in threads:
-        thread.start()
-    write(0)
-    for thread in threads:
-        thread.join()
-    failed = [i for i, exc in enumerate(errors) if exc is not None]
-    if not failed:
-        return
-    for made in opened:
-        made.unlink(missing_ok=True)
-    path, exc = files[failed[0]][0], errors[failed[0]]
-    if isinstance(exc, OSError):
-        raise UsageError(f"cannot write {path}: {exc}") from exc
-    raise exc
+    try:
+        on_two_threads([functools.partial(write, path, chunks) for path, chunks in files])
+    except BaseException:
+        for made in opened:
+            made.unlink(missing_ok=True)
+        raise
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -535,7 +523,8 @@ def cmd_mesh(args) -> int:
         return 0
     # _csv_chunks formats every column of the CSV, f's shared with the OBJ,
     # on the call: here, before any file is opened, so an |H| that cannot be
-    # read opens none, and the sidecar's thread is left the rows alone
+    # read opens none, and the helper thread that writes the sidecar is
+    # left the rows alone
     out = Path(args.out)
     if fmt == "csv":
         _stream([(out, _csv_chunks(sig, sweep))])

@@ -24,17 +24,14 @@ then drops the NUL padding of the fixed-width strings and of the sign slots
 of the other cells (no formatted value contains a NUL). _obj_chunks and
 _csv_chunks yield the file a block at a time, so a file can be streamed to
 disk without the whole text in memory; obj_mesh and csv_grid join them.
-Columns are formatted on two threads (_fmt_columns): while one helper
-thread spells a column's distinct magnitudes into a table allocated by the
-caller, the caller's thread finds the next column's (np.unique releases
-the GIL in its sort); a column of one kernel block starts no thread. f's columns are built one axis at a time from the jets, never as
-the (ns, nt, n) array. `mesh --out` streams the OBJ and the CSV side by
-side, on two threads. _csv_chunks formats every CSV column, f's shared
-with the OBJ, on the call, so the thread that reads its chunks only
-gathers rows. A helper or writer thread allocates little (glibc keeps a
-thread's heap for the threads after it, so what it allocates stays
-resident), and calls no public function, whose spans
-perfbench/tracing.py keeps on one stack.
+Columns are formatted on the caller's thread, one at a time. f's columns
+are built one axis at a time from the jets, never as the (ns, nt, n)
+array. `mesh --out` streams the OBJ and the CSV side by side, the CSV on a
+helper thread. _csv_chunks formats every CSV column, f's shared with the
+OBJ, on the call, so the helper that reads its chunks only gathers rows:
+it allocates little (glibc keeps a thread's heap for the threads after
+it, so what it allocates stays resident), and it calls no public
+function, whose spans perfbench/tracing.py keeps on one stack.
 OBJ viewers want 3 coordinates, so higher-dimensional surfaces are projected
 onto three ambient axes (spacelike first) with the choice recorded in the
 header.
@@ -195,41 +192,14 @@ def _spell_block(x, rows) -> None:
         rows[slow] = _percent_rows(x[slow])
 
 
-def _magnitude_rows(magnitudes, rows=None) -> np.ndarray:
+def _magnitude_rows(magnitudes) -> np.ndarray:
     """(len, 23) uint8 rows: b"%.17g" of each sorted magnitude or nan,
-    NUL-padded at the end, BLOCK_ROWS values at a time; written into rows,
-    which must be zeroed, when given."""
-    if rows is None:
-        rows = np.zeros((magnitudes.size, _WIDTH), dtype=np.uint8)
+    NUL-padded at the end, BLOCK_ROWS values at a time."""
+    rows = np.zeros((magnitudes.size, _WIDTH), dtype=np.uint8)
     for start in range(0, magnitudes.size, BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
         _spell_block(magnitudes[block], rows[block])
     return rows
-
-
-def _distinct(values):
-    """The part of _fmt_column before the spelling: the distinct magnitudes
-    of values, sorted, and the function that takes their spelled rows to
-    the column's (table, index, negative)."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 2 and values.shape[1] > 1 and (values == values[:, :1]).all():
-        distinct, column = _distinct(values[:, 0])
-        repeat = functools.partial(np.repeat, repeats=values.shape[1])
-        return distinct, lambda cells: _spread(column(cells), repeat)
-    v = values.ravel()
-    finite = np.isfinite(v)
-    distinct, index = np.unique(np.where(finite, np.abs(v), np.nan), return_inverse=True)
-    index = index.astype(np.min_scalar_type(distinct.size))  # the narrowest that holds every row
-    negative = finite & (v < 0)
-    negative = negative if negative.any() else None
-
-    def column(cells):
-        width = _WIDTH  # cut to the longest value: the last column not all NUL
-        while width > 1 and not cells[:, width - 1].any():
-            width -= 1
-        return np.ascontiguousarray(cells[:, :width]), index, negative
-
-    return distinct, column
 
 
 def _fmt_column(values) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -240,50 +210,20 @@ def _fmt_column(values) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     that are finite and negative (None when none is), whose strings the row
     writer prefixes with "-". A 2-D column whose rows are each constant is
     formatted from its first column."""
-    distinct, column = _distinct(values)
-    return column(_magnitude_rows(distinct))
-
-
-def _fmt_columns(arrays) -> list:
-    """[_fmt_column(v) for v in arrays], pipelined on two threads: while a
-    helper thread spells one column's distinct magnitudes into a table
-    allocated here, this thread takes the next array from arrays and finds
-    its distinct magnitudes (np.unique releases the GIL in its sort). The
-    spelling kernel holds the GIL for much of its time, so this thread
-    waits for the helper rather than spell beside it. A column of one
-    kernel block is spelled here. One helper runs at a time, runs only the
-    kernel, and is joined before the next starts and before anything is
-    raised."""
-    import threading  # numpy imports it too
-
-    columns, helper, failed = [], None, []
-
-    def spell(distinct, cells):
-        try:
-            _magnitude_rows(distinct, cells)
-        except BaseException as exc:  # noqa: BLE001  (raised below, after the join)
-            failed.append(exc)
-
-    def join():
-        if helper is not None:
-            helper.join()
-        if failed:
-            raise failed[0]
-
-    try:
-        for values in arrays:
-            distinct, column = _distinct(values)
-            cells = np.zeros((distinct.size, _WIDTH), dtype=np.uint8)
-            columns.append((column, cells))
-            if distinct.size <= BLOCK_ROWS:
-                _magnitude_rows(distinct, cells)
-                continue
-            join()
-            helper = threading.Thread(target=spell, args=(distinct, cells))
-            helper.start()
-    finally:
-        join()
-    return [column(cells) for column, cells in columns]
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 2 and values.shape[1] > 1 and (values == values[:, :1]).all():
+        repeat = functools.partial(np.repeat, repeats=values.shape[1])
+        return _spread(_fmt_column(values[:, 0]), repeat)
+    v = values.ravel()
+    finite = np.isfinite(v)
+    distinct, index = np.unique(np.where(finite, np.abs(v), np.nan), return_inverse=True)
+    index = index.astype(np.min_scalar_type(distinct.size))  # the narrowest that holds every row
+    cells = _magnitude_rows(distinct)
+    width = _WIDTH  # cut to the longest value: the last column not all NUL
+    while width > 1 and not cells[:, width - 1].any():
+        width -= 1
+    negative = finite & (v < 0)
+    return np.ascontiguousarray(cells[:, :width]), index, negative if negative.any() else None
 
 
 def _spread(column, spread):
@@ -295,13 +235,11 @@ def _spread(column, spread):
 def _f_columns(sweep: SurfaceSweep, *more, axes) -> list:
     """f's ambient columns on axes, each kept on the sweep from the first
     call, so the OBJ and the CSV of one sweep format each column once, and
-    then the columns of the arrays more, all in one _fmt_columns pipeline.
-    f's columns are read one axis at a time (SurfaceSweep._f_axis)."""
+    then the columns of the arrays more. f's columns are read one axis at a
+    time (SurfaceSweep._f_axis)."""
     columns = sweep.__dict__.setdefault("_f_columns", {})
-    missing = [k for k in axes if k not in columns]
-    formatted = _fmt_columns(itertools.chain((sweep._f_axis(k) for k in missing), more))
-    columns.update(zip(missing, formatted))
-    return [columns[k] for k in axes] + formatted[len(missing):]
+    columns.update((k, _fmt_column(sweep._f_axis(k))) for k in axes if k not in columns)
+    return [columns[k] for k in axes] + [_fmt_column(v) for v in more]
 
 
 def _rows(prefix: bytes, sep: bytes, columns):

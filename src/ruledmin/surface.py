@@ -17,10 +17,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
+from ._threads import on_two_threads
 from .basisfn import ScalarFn
 from .curves import CurveExpr, quad, symbolic_inner, uniform_grid
 from .errors import (
@@ -156,50 +157,22 @@ def _h_squared(numerator: np.ndarray, rows: slice, T: np.ndarray, det: np.ndarra
 
 def _on_two_threads(work, ns: int, nt: int) -> list:
     """[work(rows) for each block of s-rows of the ns x nt grid], in row
-    order, on this thread and one helper thread.
+    order, on this thread and one helper (_threads.on_two_threads).
 
     A block holds at most _H_BLOCK_POINTS points (one row if a row holds
-    more), so its temporaries stay in cache. The helper claims blocks from
-    the first rows and this thread from the last until the two meet, so
-    each thread reads contiguous rows, and a thread that runs slower, or on
-    a busy core, reads fewer. Which thread reads a block does not change
-    its result. A grid of one block starts no thread. Each block is read
-    under np.errstate(all="ignore"), which numpy keeps per thread, so
-    overflow is left to the callers' checks. Once a block fails no more are
-    claimed, and the failure of the first such block is raised after the
-    join. work may only write into arrays the caller allocated and read
-    what was computed before the call.
+    more), so its temporaries stay in cache; which thread reads a block does
+    not change its result. Each block is read under np.errstate(all="ignore"),
+    which numpy keeps per thread, so overflow is left to the callers' checks.
+    work may only write into arrays the caller allocated and read what was
+    computed before the call.
     """
-    import threading  # numpy imports it too
-
     step = max(1, _H_BLOCK_POINTS // nt)
-    starts = range(0, ns, step)
-    results, ends, failed, lock = [None] * len(starts), [0, len(starts)], {}, threading.Lock()
 
-    def run(front):
-        while True:
-            with lock:  # the next block from this thread's end, if any is left
-                if failed or ends[0] == ends[1]:
-                    return
-                if front:
-                    i, ends[0] = ends[0], ends[0] + 1
-                else:
-                    i = ends[1] = ends[1] - 1
-            try:
-                with np.errstate(all="ignore"):
-                    results[i] = work(slice(starts[i], min(starts[i] + step, ns)))
-            except BaseException as exc:  # noqa: BLE001  (raised below, after the join)
-                failed[i] = exc
+    def block(rows):
+        with np.errstate(all="ignore"):
+            return work(rows)
 
-    helper = threading.Thread(target=run, args=(True,)) if len(starts) > 1 else None
-    if helper is not None:
-        helper.start()
-    run(False)
-    if helper is not None:
-        helper.join()
-    if failed:
-        raise failed[min(failed)]
-    return results
+    return on_two_threads([partial(block, slice(i, min(i + step, ns))) for i in range(0, ns, step)])
 
 
 @dataclass(frozen=True)
@@ -428,14 +401,14 @@ class SurfaceSweep:
 
     Only per-s coefficient tables are computed up front: the t-coefficients
     of the first form, and on first use those of det g's numerators. Each
-    (ns, nt) array is built on first access, in s-row blocks on two threads
-    (_on_two_threads): g11, g12, det g and the mask together, then H_norm
-    (NaN at degenerate points), which sums the squares of N's Horner reads
-    over the ambient axes one axis at a time. minimality reads the same
-    blocks in one fused pass that keeps no (ns, nt) array, so verify builds
-    none and causal_map builds the first form alone. The (ns, nt, n) fields
-    f, h11, h12 and H are stacked on first access; f's column on one axis
-    is read alone by _f_axis.
+    (ns, nt) array is built on first access, in s-row blocks that this
+    thread and one helper share (_on_two_threads): g11, g12, det g and the
+    mask together, then H_norm (NaN at degenerate points), which sums the
+    squares of N's Horner reads over the ambient axes one axis at a time.
+    minimality reads the same blocks in one fused pass that keeps no
+    (ns, nt) array, so verify builds none and causal_map builds the first
+    form alone. The (ns, nt, n) fields f, h11, h12 and H are stacked on
+    first access; f's column on one axis is read alone by _f_axis.
     """
 
     s_grid: np.ndarray
@@ -543,13 +516,13 @@ class SurfaceSweep:
         The sampled |H| is a cross-check. If no row is left there is nothing
         to decide and EverywhereDegenerateError is raised.
 
-        The grid is read in one fused pass of s-row blocks on two threads
-        (_on_two_threads); each block gives the first row where det g is not
-        finite, its degenerate count and first 16 degenerate points, the
-        rows that hold a non-degenerate point and its largest |H|^2 (the
-        sqrt of the largest is the largest sqrt). The errors come in the
-        order of the checks, det g on the grid first, then the sizes, then
-        the coefficients, each at its first s.
+        The grid is read in one fused pass of s-row blocks, shared by this
+        thread and one helper (_on_two_threads); each block gives the first
+        row where det g is not finite, its degenerate count and first 16
+        degenerate points, the rows that hold a non-degenerate point and its
+        largest |H|^2 (the sqrt of the largest is the largest sqrt). The
+        errors come in the order of the checks, det g on the grid first,
+        then the sizes, then the coefficients, each at its first s.
         """
         ns, nt = self.s_grid.size, self.t_grid.size
         try:

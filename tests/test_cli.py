@@ -469,8 +469,8 @@ def test_an_overflow_on_a_grid_read_on_two_threads_is_the_same_usage_error(comma
 def test_a_det_g_that_overflows_on_two_threads_names_its_first_s(command, s_domain, tmp_path):
     """gamma = (1, e^s, 0) and x = (0, 0, s): g11 g22 and g12^2 grow like
     e^{4s} t^2, so on t in +-1e152 det g overflows for s above about 2.45
-    only: on [-3, 3] in the last blocks of rows, which this thread reads
-    first, and on [2, 3] in blocks of both halves."""
+    only: on [-3, 3] in the last blocks of rows, which the helper thread
+    reads first, and on [2, 3] in blocks of both halves."""
     data = {
         "signature": {"n": 3, "p": 0},
         "gamma": {"n": 3, "terms": [{"basis": "pow", "param": 0, "coeff": [1, 0, 0]},
@@ -836,7 +836,7 @@ def test_an_obj_path_that_is_a_directory_exits_2_and_leaves_no_csv(tmp_path):
     assert not sidecar.exists() and out.is_dir()
 
 
-def test_stream_writes_each_file_after_the_first_on_a_thread_of_its_own(tmp_path):
+def test_stream_writes_the_first_file_here_and_starts_at_most_one_helper(tmp_path, thread_starts):
     import threading
 
     writers = {}
@@ -849,7 +849,10 @@ def test_stream_writes_each_file_after_the_first_on_a_thread_of_its_own(tmp_path
     cli._stream([(path, chunks(path.name)) for path in paths])
     assert [path.read_bytes() for path in paths] == [b"aaa", b"bbb", b"ccc"]
     assert writers["a"] is threading.current_thread()
-    assert len({id(thread) for thread in writers.values()}) == 3
+    assert len(thread_starts) == 1 and writers["c"] is thread_starts[0]
+    assert set(writers.values()) <= {threading.current_thread(), thread_starts[0]}
+    cli._stream([(tmp_path / "d", chunks("d"))])
+    assert len(thread_starts) == 1 and writers["d"] is threading.current_thread()
 
 
 @pytest.mark.parametrize("failing", [0, 1])

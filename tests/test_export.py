@@ -1,7 +1,6 @@
 """Tests for the OBJ and CSV exports against the per-value reference loops."""
 
 import math
-import threading
 from decimal import Decimal
 
 import numpy as np
@@ -337,9 +336,9 @@ def _assert_same_columns(got, want):
 
 
 @pytest.mark.parametrize("sig,family,signs", [*_one_triple_per_family()], ids=str)
-def test_the_pipelined_columns_equal_the_serial_formatter_at_401x401(sig, family, signs):
-    """_csv_chunks's columns: f's, det g and |H|, each spelled on the helper
-    thread while the next is deduplicated, against _fmt_column one by one."""
+def test_the_f_columns_equal_the_column_formatter_at_401x401(sig, family, signs):
+    """_csv_chunks's columns: f's, each read on one axis, then det g and |H|,
+    against _fmt_column of each whole column."""
     surf = generate(sig, family, signs=signs)
     sweep = sweep_grid(sig, surf, *surf.default_grids((401, 401)))
     got = _f_columns(sweep, sweep.det_g, sweep.H_norm, axes=range(sig.n))
@@ -347,28 +346,16 @@ def test_the_pipelined_columns_equal_the_serial_formatter_at_401x401(sig, family
                          + [_fmt_column(sweep.det_g), _fmt_column(sweep.H_norm)])
 
 
-def test_columns_of_one_kernel_block_are_spelled_without_a_thread(thread_starts):
+def test_columns_are_formatted_without_a_thread_at_any_size(thread_starts):
     sig = Signature(4, 2)
     surf = generate(sig, FamilyId.HYPERBOLIC_HELICOID_2)
-    sweep = sweep_grid(sig, surf, *surf.default_grids((41, 41)))
-    csv_grid(sig, sweep)
+    for grid in (41, 401):
+        sweep = sweep_grid(sig, surf, *surf.default_grids((grid, grid)))
+        sweep.H_norm  # the sweep's s-row blocks start a helper at 401x401
+        thread_starts.clear()
+        export._csv_chunks(sig, sweep)  # formats every column on the call
+        assert thread_starts == []
+    wide = np.linspace(0.5, 3.0, 4 * BLOCK_ROWS)  # four kernel blocks of distinct magnitudes
+    _fmt_column(wide)
+    _fmt_column(-wide)
     assert thread_starts == []
-    wide = np.linspace(0.5, 3.0, 2 * BLOCK_ROWS)  # two kernel blocks of distinct magnitudes
-    many = export._fmt_columns([np.arange(3.0), wide, -wide, np.arange(5.0)])
-    _assert_same_columns(many, [_fmt_column(v) for v in (np.arange(3.0), wide, -wide, np.arange(5.0))])
-    assert len(thread_starts) == 2 and not any(t.is_alive() for t in thread_starts)
-
-
-def test_a_failed_spelling_is_raised_after_the_helper_is_joined(monkeypatch, thread_starts):
-    spell = export._spell_block
-
-    def failing(x, rows):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("helper")
-        return spell(x, rows)
-
-    monkeypatch.setattr(export, "_spell_block", failing)
-    wide = np.linspace(0.5, 3.0, 2 * BLOCK_ROWS)
-    with pytest.raises(MemoryError, match="helper"):
-        export._fmt_columns([wide, np.arange(3.0)])
-    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()

@@ -1,7 +1,5 @@
 """The coefficient-table sweep against the full-array formula it replaces."""
 
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -71,7 +69,9 @@ def _is_minimal_peak_bytes(sig):
         tracemalloc.stop()
 
 
-def test_is_minimal_memory_does_not_grow_with_the_dimension():
+def test_is_minimal_memory_does_not_grow_with_the_dimension(monkeypatch):
+    # on one thread: with two, the peak depends on how their blocks overlap
+    monkeypatch.setattr(surface, "on_two_threads", lambda tasks: [task() for task in tasks])
     peak_3 = _is_minimal_peak_bytes(Signature(3, 0))
     assert _is_minimal_peak_bytes(Signature(8, 0)) <= 1.25 * peak_3
 
@@ -102,8 +102,8 @@ def _rows_with_zeros(ns, zeros):
 
 
 # s-row blocks over a 181-point t-row, as many rows as fit _H_BLOCK_POINTS:
-# two full blocks and a short one, which the helper thread reads from the
-# first and this thread from the last
+# two full blocks and a short one, which this thread reads from the first
+# and the helper thread from the last
 _STEP = _H_BLOCK_POINTS // 181
 _NS = 2 * _STEP + 38
 
@@ -201,32 +201,3 @@ def test_a_failing_block_is_raised_after_the_helper_is_joined(monkeypatch, threa
     with pytest.raises(MemoryError, match=f"rows from {first_row}$"):
         sweep.minimality()
     assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
-
-
-def test_row_blocks_are_read_once_each_under_a_short_switch_interval():
-    """The two threads' ends meet without a block lost or read twice, with
-    four callers at once (eight threads on two cores) switching every 1 us;
-    rows as long as a block make each row a block."""
-    reads = []
-    results = {}
-
-    def caller(c):
-        def work(rows):
-            reads.append((c, rows.start, rows.stop))
-            return c * 1000 + rows.start
-
-        results[c] = surface._on_two_threads(work, 500, _H_BLOCK_POINTS)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
-        for thread in callers:
-            thread.start()
-        for thread in callers:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in callers)
-    assert sorted(reads) == [(c, i, i + 1) for c in range(4) for i in range(500)]
-    assert results == {c: [c * 1000 + i for i in range(500)] for c in range(4)}
