@@ -215,8 +215,9 @@ class CylinderReport:
 def cylinder_check(sig: Signature, surface: RuledSurface) -> CylinderReport:
     """Decide plane / minimal cylinder / not minimal for constant directions.
 
-    The only non-planar minimal cylinders have a null direction, a null base
-    derivative, and a nowhere-zero pairing <gamma0, x'> between them.
+    The only non-planar minimal cylinders have a null direction and a
+    nowhere-zero pairing <gamma0, x'>; the slide rho' = -<x', x'> / (2 <gamma0,
+    x'>) along the rulings then makes the base null and keeps the point set.
     """
     if not surface.gamma.is_constant():
         raise UsageError("cylinder_check expects a constant ruling direction")
@@ -232,9 +233,9 @@ def _cylinder_check(scan: _RulingTables, h_tol: float) -> CylinderReport:
     if report.is_minimal and report.totally_geodesic:
         verdict = CylinderVerdict.PLANE
         note = "totally geodesic: the surface lies in a plane"
-    elif report.is_minimal and direction_null and base_null and min_pairing > CONSTANCY_TOL:
+    elif report.is_minimal and direction_null and min_pairing > CONSTANCY_TOL:
         verdict = CylinderVerdict.MINIMAL_CYLINDER
-        note = "null direction over a null base with nowhere-zero pairing"
+        note = "null direction with nowhere-zero <gamma, x'>; a slide along the rulings makes the base null"
     elif report.is_minimal:
         verdict = CylinderVerdict.NOT_MINIMAL
         note = (

@@ -38,14 +38,8 @@ def _fmt_float(x: float, non_finite: str = "null") -> str:
 
     JSON has no NaN/Inf, so reports print null for masked values; a number
     beyond the float range, such as a Fraction over 1e308, is a UsageError.
-    The OBJ and CSV exports spell each number the same way, with non-finite
-    values "nan": export._fmt_column spells each distinct magnitude of a
-    column once, through a vectorized kernel that gives the bytes of
-    b"%.17g" and falls back to "%" itself where it cannot settle a value
-    exactly, and keeps the signs as a mask. The rows are assembled a block
-    at a time, gathered from those bytes with np.take, with a "-" in a sign
-    slot before each negative number; `mesh --out` writes the OBJ and its
-    CSV sidecar on two threads.
+    The OBJ and CSV exports spell numbers the same way, "nan" for non-finite
+    ones; see export.
     """
     try:
         x = float(x)

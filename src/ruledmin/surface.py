@@ -203,19 +203,19 @@ class _RulingTables:
     s-grid and the per-s pairings of those jets, each computed on first use.
 
     A jet is named "g" (gamma) or "x" (the base x) followed by the order of
-    the s-derivative, as in "g0", "g2" or "x1"; jets passed in are used as
-    given. Every per-s quantity the checks read is a pairing ip(a, b):
-    epsilon = <g0, g0>, eta = <g1, g1>, <x1, x1>, mu = <g1, x1>, the gauge
-    term <g0, x1>, the C-function and the sweep's first-form and
-    second-form coefficients. The gauge and the classifier read the first
-    five only through profile(a, b). f is affine in t, so those
-    coefficients make every (ns, nt) scalar a polynomial in t, evaluated by
-    Horner's rule with (ns, 1) columns against the (1, nt) t-row T.
+    the s-derivative, as in "g0", "g2" or "x1". Every per-s quantity the
+    checks read is a pairing ip(a, b): epsilon = <g0, g0>, eta = <g1, g1>,
+    <x1, x1>, mu = <g1, x1>, the gauge term <g0, x1>, the C-function and the
+    sweep's first-form and second-form coefficients. The gauge and the
+    classifier read the first five only through profile(a, b). f is affine
+    in t, so those coefficients make every (ns, nt) scalar a polynomial in
+    t, evaluated by Horner's rule with (ns, 1) columns against the (1, nt)
+    t-row T.
     """
 
-    def __init__(self, sig: Signature, surface: RuledSurface | None, s_grid, jets=None):
+    def __init__(self, sig: Signature, surface: RuledSurface, s_grid):
         self.sig, self.surface, self.s = sig, surface, s_grid
-        self._jets: dict[str, np.ndarray] = dict(jets or {})
+        self._jets: dict[str, np.ndarray] = {}
         self._pairs: dict[tuple, np.ndarray] = {}
         self._profiles: dict[tuple, ScalarProfile] = {}
         self._peaks: dict[str, float] = {}  # max |jet|
@@ -232,13 +232,12 @@ class _RulingTables:
         moved._profiles = {k: v for k, v in self._profiles.items() if k[0][0] == k[1][0] == "g"}
         return moved
 
-    def _finite(self, what: str, values: np.ndarray, s_axis: int = 0) -> np.ndarray:
-        """values, whose axis s_axis runs over s; UsageError names what and
+    def _finite(self, what: str, values: np.ndarray) -> np.ndarray:
+        """values, whose first axis runs over s; UsageError names what and
         the first s where a value is not finite."""
         finite = np.isfinite(values)
         if not finite.all():
-            rows = np.moveaxis(finite, s_axis, 0).reshape(self.s.size, -1).all(axis=1)
-            self.not_finite(what, np.argmin(rows))
+            self.not_finite(what, np.argmin(finite.reshape(self.s.size, -1).all(axis=1)))
         return values
 
     def not_finite(self, what: str, row: int):
@@ -267,21 +266,16 @@ class _RulingTables:
         self.jet(name)
         return self._sizes[name]
 
-    def _peak(self, name: str) -> float:
-        """max |jet|, also of the jets passed in."""
-        if name not in self._peaks:
-            self._peaks[name] = float(np.abs(self.jet(name)).max(initial=0.0))
-        return self._peaks[name]
-
     def ip(self, a: str, b: str) -> np.ndarray:
         """<a, b> at each s, shape (ns,)."""
         key = tuple(sorted((a, b)))
         if key not in self._pairs:
-            if self.sig.n * self._peak(a) * self._peak(b) < _NO_OVERFLOW:
-                self._pairs[key] = ip_array(self.sig, self.jet(a), self.jet(b))
+            u, v = self.jet(a), self.jet(b)
+            if self.sig.n * self._peaks[a] * self._peaks[b] < _NO_OVERFLOW:
+                self._pairs[key] = ip_array(self.sig, u, v)
             else:
                 with np.errstate(all="ignore"):
-                    pairing = ip_array(self.sig, self.jet(a), self.jet(b))
+                    pairing = ip_array(self.sig, u, v)
                 self._pairs[key] = self._finite(f"the pairing <{_spelled(a)}, {_spelled(b)}>", pairing)
         return self._pairs[key]
 
@@ -322,36 +316,32 @@ class _RulingTables:
         return g11, g12, self._finite("det g", det)
 
     def components(self):
-        """det g, D11, D12 and N; see _numerators."""
+        """det g, D11, D12 and N (_numerators), each stacked as [signed, S,
+        widened S], unchecked. S, the size of the terms that cancel, is the
+        same expression over the jets' sizes (_size) and |<a, b>| with every
+        minus a plus; the widened S adds a pairing's rounding, at most
+        (n + 2) EPS sum_i |a_i b_i| over those sizes (a boost inflates that
+        sum, not the pairing, and a jet's own terms can cancel too, as in
+        19 cosh s - 18 sinh s). Every difference is a - sign b with sign
+        (+1, -1, -1), so each slice takes the IEEE steps of its own pass."""
+        euclid, pairs = Signature(self.sig.n, 0), {}
+
+        def pair(a, b):  # [<a, b>, |<a, b>|, the same widened by its rounding]
+            key = tuple(sorted((a, b)))
+            if key not in pairs:
+                p, terms = self.col(a, b), ip_array(euclid, self._size(a), self._size(b))[:, None]
+                pairs[key] = np.stack([p, np.abs(p), np.abs(p) + (self.sig.n + 2) * EPS * terms])
+            return pairs[key]
+
+        def jet(name):
+            return np.stack([self.jet(name), self._size(name), self._size(name)])
+
         with np.errstate(all="ignore"):
-            parts = _numerators(self.col, self.jet, operator.sub)
-        return tuple(map(self._finite, _NUMERATOR_NAMES, parts))
-
-    def bounds(self):
-        """(S, E) for each array of components(): S, the size of the terms
-        that cancel, is the same expression over the jets' sizes (_size) and
-        |<a, b>| with every minus a plus; E bounds the rounding. A pairing is
-        off by at most (n + 2) EPS sum_i |a_i b_i| over those sizes (a boost
-        inflates that sum, not the pairing, and a jet's own terms can cancel
-        too, as in 19 cosh s - 18 sinh s), the numerators' own steps by
-        16 EPS times their terms."""
-        absolute = {k: self._size(k) for k in ("g0", "g1", "g2", "x1", "x2")}
-        euclid = _RulingTables(Signature(self.sig.n, 0), None, self.s, absolute)
-
-        def pair(a, b):  # [|<a, b>|, the same widened by its rounding]
-            p = np.abs(self.col(a, b))
-            return np.stack([p, p + (self.sig.n + 2) * EPS * euclid.col(a, b)])
-
-        with np.errstate(all="ignore"):
-            sizes = _numerators(pair, euclid.jet, operator.add)
-        out = []
-        for name, both in zip(_NUMERATOR_NAMES, sizes):
-            size, wide = self._finite(f"the size of {name}", both, s_axis=1)
-            out.append((size, wide - size + 16 * EPS * wide))
-        return out
+            return _numerators(pair, jet, lambda a, b: a - _SIGNS * b)
 
 
 _NUMERATOR_NAMES = ("det g", "D11", "D12", "N")
+_SIGNS = np.array([1.0, -1.0, -1.0])[:, None, None]
 
 
 def _spelled(jet: str) -> str:
@@ -400,15 +390,16 @@ class SurfaceSweep:
     """All form data over an (s, t) grid; arrays indexed [i_s, i_t].
 
     Only per-s coefficient tables are computed up front: the t-coefficients
-    of the first form, and on first use those of det g's numerators. Each
-    (ns, nt) array is built on first access, in s-row blocks that this
-    thread and one helper share (_on_two_threads): g11, g12, det g and the
-    mask together, then H_norm (NaN at degenerate points), which sums the
-    squares of N's Horner reads over the ambient axes one axis at a time.
-    minimality reads the same blocks in one fused pass that keeps no
-    (ns, nt) array, so verify builds none and causal_map builds the first
-    form alone. The (ns, nt, n) fields f, h11, h12 and H are stacked on
-    first access; f's column on one axis is read alone by _f_axis.
+    of the first form, and on first use, in one run, those of det g's
+    numerators with their sizes (_RulingTables.components). Each (ns, nt)
+    array is built on first access, in s-row blocks that this thread and
+    one helper share (_on_two_threads): g11, g12, det g and the mask
+    together, then H_norm (NaN at degenerate points), which sums the squares
+    of N's Horner reads over the ambient axes one axis at a time. minimality
+    reads the same blocks in one fused pass that keeps no (ns, nt) array, so
+    verify builds none and causal_map builds the first form alone. The
+    (ns, nt, n) fields f, h11, h12 and H are stacked on first access; f's
+    column on one axis is read alone by _f_axis.
     """
 
     s_grid: np.ndarray
@@ -418,8 +409,22 @@ class SurfaceSweep:
     _form: tuple = field(repr=False)  # _RulingTables.form()
 
     @cached_property
-    def _coefficients(self) -> tuple[np.ndarray, ...]:
+    def _stacks(self) -> tuple[np.ndarray, ...]:
         return self._tables.components()
+
+    @property
+    def _coefficients(self) -> tuple[np.ndarray, ...]:
+        """det g, D11, D12 and N; UsageError names the first s where one is not finite."""
+        return tuple(self._tables._finite(name, p[0]) for name, p in zip(_NUMERATOR_NAMES, self._stacks))
+
+    def _bounds(self) -> list:
+        """(S, E) for each of _coefficients: E = widened S - S + 16 EPS widened S
+        bounds the rounding, the numerators' own steps counting 16 EPS times
+        their terms; UsageError names the first s where a widened S is not finite."""
+        return [
+            (size, self._tables._finite(f"the size of {name}", wide) - size + 16 * EPS * wide)
+            for name, (_, size, wide) in zip(_NUMERATOR_NAMES, self._stacks)
+        ]
 
     @cached_property
     def _first_form(self) -> tuple[np.ndarray, ...]:
@@ -549,7 +554,7 @@ class SurfaceSweep:
             raise EverywhereDegenerateError(
                 f"all {n_tot} grid points have |det g| <= {self.tau_deg}"
             )
-        (det_size, det_err), *bounds = self._tables.bounds()
+        (det_size, det_err), *bounds = self._bounds()
         rows = row_read & (det_err.max(axis=(1, 2)) < det_size.max(axis=(1, 2)))
         if not rows.any():
             raise EverywhereDegenerateError("rounding leaves det g no digit on any s row")

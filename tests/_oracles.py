@@ -22,6 +22,9 @@ take and return plain term dicts, so the shared product can be compared
 against them atom by atom and in dict order.
 `cayley_isometry` and `moved_surface` move a surface by an exact isometry of
 R^n_p and a translation, the congruences every verdict is invariant under.
+`two_run_numerators` keeps the two _numerators runs, one signed and one on
+magnitudes over a stand-in Euclidean table, that gave N's coefficients and
+their rounding bound before one stacked run gave both.
 `dumps_abc` keeps the JSON emitter that decided every value through the
 isinstance chain of the numbers ABCs, before jsonio.dumps spelled the plain
 Python types by their concrete type first.
@@ -33,6 +36,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +47,8 @@ from ruledmin import CurveExpr, RuledSurface, Signature, UsageError, inner_produ
 from ruledmin.basisfn import ONE, Atom, product_atoms
 from ruledmin.existence import SEARCH_COORD_BOUND, SEARCH_SAMPLES_PER_SLOT, SearchResult
 from ruledmin.families import FamilyId, NormPattern, SignChoice, validate_signs
+from ruledmin.metric import ip_array
+from ruledmin.surface import EPS, _numerators
 
 
 def signed_sum_inner(sig: Signature, u, v) -> float:
@@ -544,6 +550,33 @@ def moved_surface(surface: RuledSurface, q, shift) -> RuledSurface:
 
     base = move(surface.base, [(Atom(0, ONE, 0.0), [float(v) for v in shift])])
     return RuledSurface(move(surface.gamma), base, surface.s_domain, surface.t_domain)
+
+
+# ---------------------------------------------------------------------------
+# the minimality numerators in two runs
+
+
+def two_run_numerators(tables) -> tuple[list, list]:
+    """det g, D11, D12 and N and their (S, E), from the surface._RulingTables
+    tables in two _numerators runs: one signed, one over |<a, b>| and the
+    jets' sizes with every minus a plus, stacked with the same run on pairings
+    widened by (n + 2) EPS sum_i |a_i b_i|, that sum read from a stand-in
+    Euclidean table whose jets are the sizes."""
+    euclid = Signature(tables.sig.n, 0)
+    sizes = {k: tables._size(k) for k in ("g0", "g1", "g2", "x1", "x2")}
+    cross = {}
+
+    def pair(a, b):  # [|<a, b>|, the same widened by its rounding]
+        key = tuple(sorted((a, b)))
+        if key not in cross:
+            cross[key] = ip_array(euclid, sizes[key[0]], sizes[key[1]])[:, None]
+        p = np.abs(tables.col(a, b))
+        return np.stack([p, p + (tables.sig.n + 2) * EPS * cross[key]])
+
+    with np.errstate(all="ignore"):
+        signed = _numerators(tables.col, tables.jet, operator.sub)
+        both = _numerators(pair, sizes.__getitem__, operator.add)
+    return list(signed), [(size, wide - size + 16 * EPS * wide) for size, wide in both]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from ruledmin import (
 )
 
 from _oracles import fd_mean_curvature
+from test_catalog import _admissible_triples
+from test_numerator import _slid
 
 R30 = Signature(3, 0)
 R31 = Signature(3, 1)
@@ -219,6 +221,38 @@ def test_minimal_cylinder_verdict():
     assert report.min_pairing > 1e-3
     # cross-check: finite-difference mean curvature also vanishes
     assert np.max(np.abs(fd_mean_curvature(R31, surf, 0.4, 0.9))) < 1e-6
+
+
+CYLINDER_SIGS = [sig for sig, family, _ in _admissible_triples() if family is FamilyId.MINIMAL_CYLINDER]
+
+
+@pytest.mark.parametrize("half_width,slid", [(3.0, True), (10.0, False), (10.0, True)])
+def test_minimal_cylinders_classify_plain_and_slid(half_width, slid):
+    # the slide rho' = -<x', x'> / (2 <gamma, x'>) along the null rulings makes
+    # the base null and keeps the point set, so a null base is not required
+    dom = (-half_width, half_width)
+    failed = []
+    for sig in CYLINDER_SIGS:
+        surf = generate(sig, FamilyId.MINIMAL_CYLINDER, s_domain=dom, t_domain=dom)
+        result = identify_family(sig, _slid(surf, 0.3, 0.1) if slid else surf)
+        if result.family is not FamilyId.MINIMAL_CYLINDER:
+            failed.append((str(sig), result.diagnosis))
+    assert len(CYLINDER_SIGS) == 14
+    assert failed == []
+
+
+def test_a_null_cylinder_whose_pairing_vanishes_stays_unresolved():
+    # base s^2/2 e1 + s e3 under gamma = e1 + e2 in R^3_1: H vanishes wherever
+    # det g = -s^2 does not, but <gamma, x'> = -s vanishes at s = 0, where no
+    # slide makes the base null
+    gamma = CurveExpr.from_basis_terms(3, [("pow", 0, (1.0, 1.0, 0.0))])
+    base = CurveExpr.from_basis_terms(3, [("pow", 2, (0.5, 0.0, 0.0)), ("pow", 1, (0.0, 0.0, 1.0))])
+    surf = RuledSurface(gamma, base, (-3.0, 3.0), (-3.0, 3.0))
+    report = cylinder_check(R31, surf)
+    assert report.direction_null and report.min_pairing < 1e-9
+    assert report.verdict is CylinderVerdict.NOT_MINIMAL and "unresolved" in report.note
+    result = identify_family(R31, surf)
+    assert result.family is None and "unresolved" in result.diagnosis
 
 
 def test_circular_cylinder_verdict():

@@ -1,5 +1,7 @@
 """Minimality decided from the division-free H numerator's coefficients."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,23 @@ from ruledmin import (
     FamilyId,
     RuledSurface,
     Signature,
+    UsageError,
     generate,
     is_minimal,
+    surface,
     sweep_grid,
 )
 from ruledmin.basisfn import ONE, Atom, ScalarFn
 
-from _oracles import _closed_form_roots, det_g_closed_form, normal_component, signed_sum_inner
+from _oracles import (
+    _closed_form_roots,
+    cayley_isometry,
+    det_g_closed_form,
+    moved_surface,
+    normal_component,
+    signed_sum_inner,
+    two_run_numerators,
+)
 from test_catalog import _admissible_triples
 from test_sweep import REL_TOL
 
@@ -44,6 +56,68 @@ def _bumped(surf: RuledSurface, axis: int) -> RuledSurface:
     coeff[axis] = 0.1
     bump = CurveExpr.from_basis_terms(surf.n, [("cosh", 0.5, coeff)])
     return RuledSurface(surf.gamma, surf.base + bump, surf.s_domain, surf.t_domain)
+
+
+def _moved(sig: Signature, surf: RuledSurface) -> RuledSurface:
+    """surf under the Cayley isometry of one fixed rational skew matrix and
+    an integer translation."""
+    n = sig.n
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        skew[i][j] = Fraction(k % 5 - 2, 1 + k % 3)
+        skew[j][i] = -skew[i][j]
+    q = cayley_isometry(sig, skew)
+    assert q is not None, sig
+    return moved_surface(surf, q, [i % 3 - 1 for i in range(n)])
+
+
+@pytest.mark.parametrize("move", ["plain", "slid", "moved"])
+def test_one_numerator_run_gives_the_two_run_coefficients_and_bounds(move):
+    # the signed, size and widened slices of the one run take the IEEE steps
+    # of the two runs they replace, so every value agrees to the bit
+    checked = 0
+    for sig, family, signs in _admissible_triples():
+        surf = generate(sig, family, signs=signs)
+        surf = {"plain": surf, "slid": _slid(surf, 0.3, 0.1), "moved": _moved(sig, surf)}[move]
+        sweep = sweep_grid(sig, surf)
+        coefficients, bounds = sweep._coefficients, sweep._bounds()
+        want_coefficients, want_bounds = two_run_numerators(sweep._tables)
+        for got, want in zip(coefficients, want_coefficients, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (sig, family, signs)
+        for got, want in zip(bounds, want_bounds, strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (sig, family, signs)
+        checked += 1
+    assert checked == 162
+
+
+def test_a_sweep_runs_the_numerators_once(monkeypatch):
+    runs = []
+    numerators = surface._numerators
+
+    def counting(*args):
+        runs.append(args)
+        return numerators(*args)
+
+    monkeypatch.setattr(surface, "_numerators", counting)
+    assert is_minimal(R31, RuledSurface(BOOSTED, AXIS)).is_minimal
+    assert len(runs) == 1
+    sweep = sweep_grid(R31, RuledSurface(BOOSTED, AXIS + BEND))
+    sweep.H_norm, sweep.h11, sweep.minimality()
+    assert len(runs) == 2
+
+
+def test_a_size_that_overflows_is_named_at_its_first_s():
+    # gamma = (cosh s - sinh s) e1 + e2 is e^-s e1 + e2, so every pairing stays
+    # finite, but its size e^s + 1 makes det g's size overflow from s = 200 on
+    gamma = CurveExpr.from_basis_terms(
+        3, [("cosh", 1.0, (1.0, 0.0, 0.0)), ("sinh", 1.0, (-1.0, 0.0, 0.0)), ("pow", 0, (0.0, 1.0, 0.0))]
+    )
+    surf = RuledSurface(gamma, AXIS, (150.0, 400.0))
+    sweep = sweep_grid(Signature(3, 0), surf)
+    assert np.isfinite(sweep.H_norm[sweep.nondegenerate]).all()  # mesh and H_norm read the signed slice
+    with pytest.raises(UsageError, match=r"^the size of det g is not finite at s = 200\.0$"):
+        sweep.minimality()
 
 
 @pytest.mark.parametrize("half_width", [3.0, 10.0, 40.0])
