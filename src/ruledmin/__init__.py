@@ -33,9 +33,10 @@ _EXPORTS = {
         "CurveExpr", "symbolic_inner", "uniform_grid",
     ),
     "errors": (
-        "ConventionError", "DegenerateMetricError", "DimensionMismatchError",
-        "EverywhereDegenerateError", "NonExistenceError", "NoWitnessError",
-        "NullDirectionError", "PreconditionError", "RuledminError", "UsageError",
+        "ConventionError", "CrossValidationError", "DegenerateMetricError",
+        "DimensionMismatchError", "EverywhereDegenerateError", "NonExistenceError",
+        "NoWitnessError", "NullDirectionError", "PreconditionError", "RuledminError",
+        "UsageError",
     ),
     "existence": (
         "Certificate", "CertificateKind", "CylinderWitness", "ExistenceResult",

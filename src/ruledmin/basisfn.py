@@ -1,12 +1,14 @@
 """Closed-form scalar calculus on the span of s^k * phi(omega*s).
 
 phi ranges over {1, cos, sin, cosh, sinh, exp} and k is a non-negative
-integer. This family is closed under differentiation and antiderivatives,
-which is what keeps curve jets and gauge integrals exact. It is partially
-closed under products: trig*trig, hyperbolic*hyperbolic, exp*exp,
-hyperbolic*exp, and power*anything reduce back into the family, while
-trig*hyperbolic and trig*exp do not: there product_atoms returns None, on
-which callers fall back to quadrature, and ScalarFn's `*` raises UsageError.
+integer. _EXPONENTIALS writes each kind once as a sum of c e^{rate s}; a
+product adds rates, d/ds multiplies by the rate, an antiderivative divides
+by it (by parts in s^k), and _spell writes the result back as atoms. This
+family is closed under differentiation and antiderivatives, which is what
+keeps curve jets and gauge integrals exact. Products leave it where a rate
+is neither real nor imaginary (trig*hyperbolic, trig*exp): there
+product_atoms returns None, on which callers fall back to quadrature, and
+ScalarFn's `*` raises UsageError.
 
 The term algebra over these atoms is written once, in _Terms: +, -,
 scaling, d/ds, sampling and one bilinear product. ScalarFn (float
@@ -17,6 +19,7 @@ curves.symbolic_inner are that product with different coefficient pairings.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -32,7 +35,15 @@ EXP = "exp"
 
 KINDS = (ONE, COS, SIN, COSH, SINH, EXP)
 
-_EVEN = {COS: True, SIN: False, COSH: True, SINH: False}
+# phi(w s) as a sum of c e^{rate s}: the kind's (c, rate) pairs at w
+_EXPONENTIALS = {
+    ONE: lambda w: ((1.0, 0.0),),
+    EXP: lambda w: ((1.0, w),),
+    COSH: lambda w: ((0.5, w), (0.5, -w)),
+    SINH: lambda w: ((0.5, w), (-0.5, -w)),
+    COS: lambda w: ((0.5, 1j * w), (0.5, -1j * w)),
+    SIN: lambda w: ((-0.5j, 1j * w), (0.5j, -1j * w)),
+}
 
 
 class Atom(NamedTuple):
@@ -43,27 +54,53 @@ class Atom(NamedTuple):
     omega: float
 
 
+def _spell(k: int, parts) -> list[tuple[float, Atom]] | None:
+    """sum c s^k e^{rate s} over the (c, rate) parts as atoms, in the order
+    the rates first appear: rate 0 is 1, a real rate +-w is cosh and sinh,
+    or exp when the other sign sums to 0, and an imaginary rate +-iw is cos
+    and sin. None when a rate is neither real nor imaginary. Zero
+    coefficients are dropped."""
+    pairs: dict = {}  # (trig, w) -> [coefficient of rate +w, of rate -w]
+    for c, rate in parts:
+        if rate.real and rate.imag:
+            return None
+        w = rate.real or rate.imag
+        pairs.setdefault((bool(rate.imag), abs(w)), [0.0, 0.0])[w < 0] += c
+    out = []
+    for (trig, w), (cp, cm) in pairs.items():
+        if trig:
+            spelled = [((cp + cm).real, COS, w), ((cm - cp).imag, SIN, w)]
+        elif not w:
+            spelled = [(cp.real, ONE, 0.0)]
+        elif cp and cm:
+            spelled = [((cp + cm).real, COSH, w), ((cp - cm).real, SINH, w)]
+        else:
+            spelled = [((cp + cm).real, EXP, w if cp else -w)]
+        out += [(coef, Atom(k, kind, omega)) for coef, kind, omega in spelled if coef]
+    return out
+
+
+def _memoized(rule):
+    """rule behind an lru_cache, as a plain function (what a tracer wraps)."""
+    cached = functools.lru_cache(maxsize=4096)(rule)
+    return functools.wraps(rule)(lambda *args, **kwargs: cached(*args, **kwargs))
+
+
 def canon(coef: float, k: int, kind: str, omega: float) -> list[tuple[float, Atom]]:
-    """Normalize an atom: omega > 0 for trig/hyperbolic, parity folded into coef."""
+    """Normalize an atom, as _spell writes it: omega > 0 for trig/hyperbolic,
+    parity folded into coef."""
     if coef == 0.0:
         return []
     if kind not in KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")
     if k < 0 or k != int(k):
         raise ValueError(f"power must be a non-negative integer, got {k!r}")
-    k = int(k)
-    omega = float(omega)
-    if kind == ONE or omega == 0.0:
-        if kind in (SIN, SINH):
-            return []  # sin(0) = sinh(0) = 0
-        return [(coef, Atom(k, ONE, 0.0))]  # cos(0) = cosh(0) = exp(0) = 1
-    if kind == EXP:
-        return [(coef, Atom(k, EXP, omega))]
-    if omega < 0.0:
-        if not _EVEN[kind]:
-            coef = -coef
-        omega = -omega
-    return [(coef, Atom(k, kind, omega))]
+    return [(coef * c, atom) for c, atom in _spelled_atom(int(k), kind, float(omega))]
+
+
+@_memoized
+def _spelled_atom(k: int, kind: str, omega: float) -> tuple[tuple[float, Atom], ...]:
+    return tuple(_spell(k, _EXPONENTIALS[kind](omega)))
 
 
 def eval_atom(atom: Atom, s: np.ndarray) -> np.ndarray:
@@ -85,86 +122,46 @@ def eval_atom(atom: Atom, s: np.ndarray) -> np.ndarray:
     return val
 
 
-# d/ds phi(w s) = sign * w * psi(w s) for phi -> (psi, sign)
-_DERIV = {COS: (SIN, -1.0), SIN: (COS, 1.0), COSH: (SINH, 1.0), SINH: (COSH, 1.0), EXP: (EXP, 1.0)}
-# so phi(w s) is d/ds of psi(w s) / (sign * w) for phi -> (psi, sign)
-_PRIMITIVE = {phi: (psi, sign) for psi, (phi, sign) in _DERIV.items()}
-
-
-def diff_atom(atom: Atom) -> list[tuple[float, Atom]]:
-    """d/ds of an atom as a list of (coefficient, atom) pairs."""
+@_memoized
+def diff_atom(atom: Atom) -> tuple[tuple[float, Atom], ...]:
+    """d/ds of an atom as (coefficient, atom) pairs: that of s^k e^{rate s}
+    is k s^(k-1) e^{rate s} + rate s^k e^{rate s}."""
     k, kind, om = atom
-    out: list[tuple[float, Atom]] = []
-    if k > 0:
-        out.append((float(k), Atom(k - 1, kind, om)))
-    if kind != ONE:
-        psi, sign = _DERIV[kind]
-        out.extend(canon(sign * om, k, psi, om))
-    return out
+    parts = _EXPONENTIALS[kind](om)
+    out = _spell(k - 1, [(k * c, rate) for c, rate in parts]) if k else []
+    return tuple(out + _spell(k, [(c * rate, rate) for c, rate in parts]))
 
 
-def product_atoms(a: Atom, b: Atom) -> list[tuple[float, Atom]] | None:
+@_memoized
+def product_atoms(a: Atom, b: Atom) -> tuple[tuple[float, Atom], ...] | None:
     """a * b inside the family, or None when the product leaves it."""
-    k = a.k + b.k
-    if a.kind == ONE:
-        return canon(1.0, k, b.kind, b.omega)
-    if b.kind == ONE:
-        return canon(1.0, k, a.kind, a.omega)
-    wa, wb = a.omega, b.omega
-    ka, kb = a.kind, b.kind
-    if ka in (COS, SIN) and kb in (COS, SIN):
-        # product-to-sum identities
-        if ka == COS and kb == COS:
-            parts = [(0.5, COS, wa - wb), (0.5, COS, wa + wb)]
-        elif ka == SIN and kb == SIN:
-            parts = [(0.5, COS, wa - wb), (-0.5, COS, wa + wb)]
-        else:
-            # cos(wa s) * sin(wb s); swap so the cosine frequency comes first
-            if ka == SIN:
-                wa, wb = wb, wa
-            parts = [(0.5, SIN, wa + wb), (-0.5, SIN, wa - wb)]
-    elif ka in (COSH, SINH) and kb in (COSH, SINH):
-        if ka == COSH and kb == COSH:
-            parts = [(0.5, COSH, wa + wb), (0.5, COSH, wa - wb)]
-        elif ka == SINH and kb == SINH:
-            parts = [(0.5, COSH, wa + wb), (-0.5, COSH, wa - wb)]
-        else:
-            if ka == SINH:
-                wa, wb = wb, wa
-            # cosh(wa s) * sinh(wb s)
-            parts = [(0.5, SINH, wa + wb), (-0.5, SINH, wa - wb)]
-    elif ka == EXP and kb == EXP:
-        parts = [(1.0, EXP, wa + wb)]
-    elif {ka, kb} <= {COSH, SINH, EXP}:
-        # hyperbolic * exp expands into pure exponentials
-        if ka == EXP:
-            ka, kb = kb, ka
-            wa, wb = wb, wa
-        sign = 1.0 if ka == COSH else -1.0
-        parts = [(0.5, EXP, wb + wa), (0.5 * sign, EXP, wb - wa)]
-    else:
-        return None
-    out: list[tuple[float, Atom]] = []
-    for c, kind, om in parts:
-        out.extend(canon(c, k, kind, om))
-    return out
+    out = _spell(a.k + b.k, [
+        (ca * cb, ra + rb) for ca, ra in _EXPONENTIALS[a.kind](a.omega)
+        for cb, rb in _EXPONENTIALS[b.kind](b.omega)
+    ])
+    return None if out is None else tuple(out)
 
 
-def antiderivative_atom(atom: Atom) -> list[tuple[float, Atom]]:
-    """An antiderivative of the atom; always exists inside the family.
-
-    By parts: the integral of s^k phi(w s) is s^k psi(w s) / (sign * w)
-    minus k / (sign * w) times the integral of s^(k-1) psi(w s).
-    """
-    k, kind, om = atom
-    if kind == ONE:
-        return [(1.0 / (k + 1), Atom(k + 1, ONE, 0.0))]
-    psi, sign = _PRIMITIVE[kind]
-    out = [(sign / om, Atom(k, psi, om))]
+def _by_parts(k: int, rate: complex) -> list[complex]:
+    """The coefficients on s^k, ..., s^0 e^{rate s} of an antiderivative of
+    s^k e^{rate s}: s^k e^{rate s} / rate, minus k / rate times the lower one's."""
+    out = [1.0 / rate]
     if k:
-        c = -k * sign / om
-        out += [(c * cc, aa) for cc, aa in antiderivative_atom(Atom(k - 1, psi, om))]
+        c = -k / rate
+        out += [c * lower for lower in _by_parts(k - 1, rate)]
     return out
+
+
+@_memoized
+def antiderivative_atom(atom: Atom) -> tuple[tuple[float, Atom], ...]:
+    """An antiderivative of the atom; always exists inside the family."""
+    k, kind, om = atom
+    parts = _EXPONENTIALS[kind](om)
+    if not parts[0][1]:
+        return ((1.0 / (k + 1), Atom(k + 1, ONE, 0.0)),)  # rate 0: the power rule
+    levels = zip(*(_by_parts(k, rate) for _, rate in parts))
+    return tuple(term for j, level in enumerate(levels)
+                 for term in _spell(k - j, [(c * x, rate) for (c, rate), x in zip(parts, level)]))
 
 
 class _Terms:

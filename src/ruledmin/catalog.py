@@ -18,7 +18,7 @@ import numpy as np
 
 from .basisfn import ONE, Atom, ScalarFn
 from .curves import CurveExpr, symbolic_inner
-from .errors import NonExistenceError, UsageError
+from .errors import CrossValidationError, NonExistenceError, UsageError
 from .existence import (
     ExistenceResult,
     Verdict,
@@ -44,9 +44,10 @@ DEFAULT_T_DOMAIN = (-3.0, 3.0)
 DEG_BAND = 1e-6
 
 # points per side of causal_map's det g cross-check grid and of
-# bernstein_check's grids
+# bernstein_check's grids; then bernstein_check's nested boxes in s and t
 CAUSAL_MAP_GRID = 100
 BERNSTEIN_GRID = 81
+BERNSTEIN_DOMAINS = ((-10.0, 10.0), (-100.0, 100.0))
 
 _FRAME_FAMILIES = frozenset(FRAME_FAMILIES)
 _ONE = Atom(0, ONE, 0.0)
@@ -253,7 +254,8 @@ def causal_map(
     pairings. When all three are constant in s (frame families and the
     plane), the loci are the roots of the quadratic; otherwise (the
     cylinder) there is one region. Each region takes the sign of det g's
-    median over the s-grid at the region's midpoint t.
+    median over the s-grid at the region's midpoint t. A sample off DEG_BAND
+    whose sign contradicts its region raises CrossValidationError.
     """
     t_domain = DEFAULT_T_DOMAIN if t_domain is None else t_domain
     if family in _FRAME_FAMILIES:
@@ -292,18 +294,18 @@ def causal_map(
         regions.append(CausalRegion(t_lo=float(a), t_hi=float(b), verdict=verdict))
 
     # sampled signs must agree with the region verdicts off the excluded band
-    ok = True
     for region in regions:
         inside = (t_grid >= region.t_lo) & (t_grid <= region.t_hi)
         vals = sweep.det_g[:, inside]
-        vals = vals[np.abs(vals) > DEG_BAND]
-        if vals.size:
-            if region.verdict == "spacelike" and float(vals.min()) <= 0:
-                ok = False
-            if region.verdict == "timelike" and float(vals.max()) >= 0:
-                ok = False
-    if not ok:
-        raise AssertionError("sampled det g signs disagree with the derived regions")
+        spacelike = region.verdict == "spacelike"
+        wrong = np.argwhere((np.abs(vals) > DEG_BAND) & ((vals > 0) != spacelike))
+        if wrong.size:
+            i, j = wrong[0]
+            raise CrossValidationError(
+                f"sampled det g disagrees with the {region.verdict} region "
+                f"t in [{region.t_lo!r}, {region.t_hi!r}]: det g = {float(vals[i, j])!r} "
+                f"at (s, t) = ({float(s_grid[i])!r}, {float(t_grid[inside][j])!r})"
+            )
     return CausalRegionReport(
         sig=sig,
         family=family,
@@ -377,22 +379,16 @@ class BernsteinReport:
     min_g11: float
 
 
-def bernstein_check(
-    sig: Signature,
-    signs: SignChoice = SignChoice(0, 1, 1),
-    domains: tuple[tuple[float, float], ...] = ((-10.0, 10.0), (-100.0, 100.0)),
-) -> BernsteinReport:
+def bernstein_check(sig: Signature, signs: SignChoice = SignChoice(0, 1, 1)) -> BernsteinReport:
     """Is the hyperbolic-paraboloid family a global minimal graph here?
 
-    Checks, over nested square boxes, that the generated surface is the
-    graph of a polynomial over a coordinate plane, has a definite induced
-    metric with det g > 0 and g11 > 0 (spacelike), is minimal, and is not a
-    plane (read from the sweep of the largest box). Raises NonExistenceError
-    where the family does not exist, which is exactly what makes this fail
-    in low dimensions.
+    Checks, over the nested square boxes BERNSTEIN_DOMAINS, that the
+    generated surface is the graph of a polynomial over a coordinate plane,
+    has a definite induced metric with det g > 0 and g11 > 0 (spacelike), is
+    minimal, and is not a plane (read from the sweep of the largest box).
+    Raises NonExistenceError where the family does not exist, which is
+    exactly what makes this fail in low dimensions.
     """
-    if not domains:
-        raise UsageError("the graph check needs at least one domain")
     family = FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID
     validate_signs(family, signs)
     if signs.s2 != signs.s3:
@@ -410,7 +406,7 @@ def bernstein_check(
     min_g11 = math.inf
     graph_ok = True
     minimal_ok = True
-    for lo, hi in domains:
+    for lo, hi in BERNSTEIN_DOMAINS:
         surface = _witness_surface(family, result, (lo, hi), (lo, hi))
         s_grid = np.linspace(lo, hi, BERNSTEIN_GRID)
         t_grid = np.linspace(lo, hi, BERNSTEIN_GRID)
@@ -430,7 +426,7 @@ def bernstein_check(
     return BernsteinReport(
         sig=sig,
         signs=signs,
-        domains=tuple((float(a), float(b)) for a, b in domains),
+        domains=BERNSTEIN_DOMAINS,
         exists=True,
         entire_graph=graph_ok,
         graph_axes=(e2_idx, e3_idx),

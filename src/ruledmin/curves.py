@@ -105,8 +105,9 @@ class CurveExpr(_Terms):
         return _Terms.eval(self.derivative(order), s)
 
     def is_constant(self) -> bool:
-        # atoms are linearly independent functions, so the derivative's term
-        # dict is empty exactly when the curve is constant
+        # an empty derivative is a constant curve, but not conversely where a
+        # power s^k holds cosh or sinh(ws) beside exp(+-ws): cosh(ws) and
+        # e^{ws}/2 + e^{-ws}/2 are one function (ROADMAP item 2)
         return not self.derivative(1).terms
 
     def plus_scalar_times(self, lam: ScalarFn, other: "CurveExpr") -> "CurveExpr | None":

@@ -38,6 +38,10 @@ class DegenerateMetricError(RuledminError):
         super().__init__(msg)
 
 
+class CrossValidationError(RuledminError):
+    """A sampled cross-check disagrees with the closed form it checks."""
+
+
 class EverywhereDegenerateError(RuledminError):
     """Every sampled point has a degenerate tangent metric."""
 

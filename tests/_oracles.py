@@ -28,6 +28,10 @@ their rounding bound before one stacked run gave both.
 `dumps_abc` keeps the JSON emitter that decided every value through the
 isinstance chain of the numbers ABCs, before jsonio.dumps spelled the plain
 Python types by their concrete type first.
+`canon_by_kind`, `diff_atom_by_kind`, `product_atoms_by_kind` and
+`antiderivative_atom_by_kind` keep basisfn's atom rules as they were written
+kind by kind, with the parity, derivative and primitive tables and the
+six-way product table, before each kind became a sum of exponentials.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from ruledmin import CurveExpr, RuledSurface, Signature, UsageError, inner_product
-from ruledmin.basisfn import ONE, Atom, product_atoms
+from ruledmin.basisfn import COS, COSH, EXP, KINDS, ONE, SIN, SINH, Atom, product_atoms
 from ruledmin.existence import SEARCH_COORD_BOUND, SEARCH_SAMPLES_PER_SLOT, SearchResult
 from ruledmin.families import FamilyId, NormPattern, SignChoice, validate_signs
 from ruledmin.metric import ip_array
@@ -649,3 +653,115 @@ def dumps_abc(obj) -> str:
     out: list = []
     _emit_abc(obj, out, 0, kinds)
     return "".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the atom rules kind by kind
+
+
+_EVEN = {COS: True, SIN: False, COSH: True, SINH: False}
+
+
+def canon_by_kind(coef: float, k: int, kind: str, omega: float) -> list[tuple[float, Atom]]:
+    """Normalize an atom: omega > 0 for trig/hyperbolic, parity folded into coef."""
+    if coef == 0.0:
+        return []
+    if kind not in KINDS:
+        raise ValueError(f"unknown basis kind {kind!r}")
+    if k < 0 or k != int(k):
+        raise ValueError(f"power must be a non-negative integer, got {k!r}")
+    k = int(k)
+    omega = float(omega)
+    if kind == ONE or omega == 0.0:
+        if kind in (SIN, SINH):
+            return []  # sin(0) = sinh(0) = 0
+        return [(coef, Atom(k, ONE, 0.0))]  # cos(0) = cosh(0) = exp(0) = 1
+    if kind == EXP:
+        return [(coef, Atom(k, EXP, omega))]
+    if omega < 0.0:
+        if not _EVEN[kind]:
+            coef = -coef
+        omega = -omega
+    return [(coef, Atom(k, kind, omega))]
+
+
+# d/ds phi(w s) = sign * w * psi(w s) for phi -> (psi, sign)
+_DERIV = {COS: (SIN, -1.0), SIN: (COS, 1.0), COSH: (SINH, 1.0), SINH: (COSH, 1.0), EXP: (EXP, 1.0)}
+# so phi(w s) is d/ds of psi(w s) / (sign * w) for phi -> (psi, sign)
+_PRIMITIVE = {phi: (psi, sign) for psi, (phi, sign) in _DERIV.items()}
+
+
+def diff_atom_by_kind(atom: Atom) -> list[tuple[float, Atom]]:
+    """d/ds of an atom as a list of (coefficient, atom) pairs."""
+    k, kind, om = atom
+    out: list[tuple[float, Atom]] = []
+    if k > 0:
+        out.append((float(k), Atom(k - 1, kind, om)))
+    if kind != ONE:
+        psi, sign = _DERIV[kind]
+        out.extend(canon_by_kind(sign * om, k, psi, om))
+    return out
+
+
+def product_atoms_by_kind(a: Atom, b: Atom) -> list[tuple[float, Atom]] | None:
+    """a * b inside the family, or None when the product leaves it."""
+    k = a.k + b.k
+    if a.kind == ONE:
+        return canon_by_kind(1.0, k, b.kind, b.omega)
+    if b.kind == ONE:
+        return canon_by_kind(1.0, k, a.kind, a.omega)
+    wa, wb = a.omega, b.omega
+    ka, kb = a.kind, b.kind
+    if ka in (COS, SIN) and kb in (COS, SIN):
+        # product-to-sum identities
+        if ka == COS and kb == COS:
+            parts = [(0.5, COS, wa - wb), (0.5, COS, wa + wb)]
+        elif ka == SIN and kb == SIN:
+            parts = [(0.5, COS, wa - wb), (-0.5, COS, wa + wb)]
+        else:
+            # cos(wa s) * sin(wb s); swap so the cosine frequency comes first
+            if ka == SIN:
+                wa, wb = wb, wa
+            parts = [(0.5, SIN, wa + wb), (-0.5, SIN, wa - wb)]
+    elif ka in (COSH, SINH) and kb in (COSH, SINH):
+        if ka == COSH and kb == COSH:
+            parts = [(0.5, COSH, wa + wb), (0.5, COSH, wa - wb)]
+        elif ka == SINH and kb == SINH:
+            parts = [(0.5, COSH, wa + wb), (-0.5, COSH, wa - wb)]
+        else:
+            if ka == SINH:
+                wa, wb = wb, wa
+            # cosh(wa s) * sinh(wb s)
+            parts = [(0.5, SINH, wa + wb), (-0.5, SINH, wa - wb)]
+    elif ka == EXP and kb == EXP:
+        parts = [(1.0, EXP, wa + wb)]
+    elif {ka, kb} <= {COSH, SINH, EXP}:
+        # hyperbolic * exp expands into pure exponentials
+        if ka == EXP:
+            ka, kb = kb, ka
+            wa, wb = wb, wa
+        sign = 1.0 if ka == COSH else -1.0
+        parts = [(0.5, EXP, wb + wa), (0.5 * sign, EXP, wb - wa)]
+    else:
+        return None
+    out: list[tuple[float, Atom]] = []
+    for c, kind, om in parts:
+        out.extend(canon_by_kind(c, k, kind, om))
+    return out
+
+
+def antiderivative_atom_by_kind(atom: Atom) -> list[tuple[float, Atom]]:
+    """An antiderivative of the atom; always exists inside the family.
+
+    By parts: the integral of s^k phi(w s) is s^k psi(w s) / (sign * w)
+    minus k / (sign * w) times the integral of s^(k-1) psi(w s).
+    """
+    k, kind, om = atom
+    if kind == ONE:
+        return [(1.0 / (k + 1), Atom(k + 1, ONE, 0.0))]
+    psi, sign = _PRIMITIVE[kind]
+    out = [(sign / om, Atom(k, psi, om))]
+    if k:
+        c = -k * sign / om
+        out += [(c * cc, aa) for cc, aa in antiderivative_atom_by_kind(Atom(k - 1, psi, om))]
+    return out

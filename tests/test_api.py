@@ -27,7 +27,7 @@ PUBLIC = {
     ),
     "curves": "CurveExpr symbolic_inner uniform_grid",
     "errors": (
-        "ConventionError DegenerateMetricError DimensionMismatchError "
+        "ConventionError CrossValidationError DegenerateMetricError DimensionMismatchError "
         "EverywhereDegenerateError NonExistenceError NoWitnessError "
         "NullDirectionError PreconditionError RuledminError UsageError "
     ),
@@ -74,7 +74,7 @@ def test_public_names_resolve_to_their_defining_module(module, name):
 KEYWORDS = {
     "basisfn": {},
     "catalog": {
-        "bernstein_check": "signs domains",
+        "bernstein_check": "signs",
         "causal_map": "signs t_domain",
         "generate": "signs s_domain t_domain",
     },

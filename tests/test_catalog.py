@@ -8,6 +8,7 @@ import pytest
 from ruledmin import (
     DEG_BAND,
     H_TOL,
+    CrossValidationError,
     CurveExpr,
     FamilyId,
     FrameSpec,
@@ -293,6 +294,24 @@ def test_causal_maps_cross_validate_for_all_triples():
             assert [r.verdict for r in report.regions] == [verdict], sig
 
 
+def negate_det_g(monkeypatch):
+    """Make causal_map read -det g's coefficients: every region's verdict
+    flips, and the sampled det g contradicts each one."""
+    derived = catalog._det_g_terms
+    monkeypatch.setattr(catalog, "_det_g_terms", lambda sig, surf: [-1.0 * c for c in derived(sig, surf)])
+
+
+def test_a_causal_map_its_samples_contradict_names_the_region_and_the_sample(monkeypatch):
+    negate_det_g(monkeypatch)
+    with pytest.raises(CrossValidationError) as err:
+        causal_map(R31, FamilyId.ELLIPTIC_HELICOID_1, SignChoice(1, 1, -1))
+    region, sample = str(err.value).split(": ")
+    assert region == "sampled det g disagrees with the timelike region t in [-3.0, -1.0]"
+    det, at = sample.split(" at ")
+    assert float(det.removeprefix("det g = ")) > DEG_BAND
+    assert at == "(s, t) = (-3.0, -3.0)"
+
+
 # ---------------------------------------------------------------------------
 # span degeneracy
 
@@ -407,11 +426,6 @@ def test_bernstein_check_nonexistence(sig):
     with pytest.raises(NonExistenceError) as err:
         bernstein_check(sig)
     assert err.value.result.certificate is not None
-
-
-def test_bernstein_check_needs_a_domain():
-    with pytest.raises(UsageError, match="domain"):
-        bernstein_check(R41, domains=())
 
 
 @pytest.mark.parametrize("sig, family", [

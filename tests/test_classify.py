@@ -33,6 +33,7 @@ from ruledmin import (
 from _oracles import fd_mean_curvature
 from test_catalog import _admissible_triples
 from test_numerator import _slid
+from test_surface import CATALOG
 
 R30 = Signature(3, 0)
 R31 = Signature(3, 1)
@@ -307,6 +308,28 @@ def test_round_trip_on_representative_signatures():
             surf = generate(sig, family)
             classified = identify_family(sig, surf)
             assert classified.family is family, (sig, family, classified.diagnosis)
+
+
+MOVES = {
+    "flip": lambda surf: RuledSurface(-1.0 * surf.gamma, surf.base, surf.s_domain, surf.t_domain),
+    "slide": lambda surf: _slid(surf, 0.3, 0.1),
+}
+
+
+@pytest.mark.parametrize("sig,family,signs", CATALOG, ids=str)
+def test_the_flip_and_the_slide_keep_minimality_and_the_classification(sig, family, signs):
+    # gamma -> -gamma and x -> x + (0.3 s + 0.1 s^2) gamma keep the point set;
+    # on +-3 every catalog surface stays MINIMAL and keeps its family and
+    # reported case. Classify of isometric images and on wide domains still
+    # fails for some surfaces (ROADMAP item 1), so it is not asserted here.
+    surf = generate(sig, family, signs=signs)
+    want = identify_family(sig, surf)
+    assert want.family is family
+    for name, move in MOVES.items():
+        moved = move(surf)
+        assert is_minimal(sig, moved).verdict is MinimalityVerdict.MINIMAL, name
+        got = identify_family(sig, moved)
+        assert (got.family, got.reported_case) == (family, want.reported_case), (name, got.diagnosis)
 
 
 def test_dependent_base_reduces_to_plane():

@@ -18,7 +18,7 @@ from ruledmin.families import CLI_NAME_OF
 from ruledmin.jsonio import surface_from_json
 
 from _oracles import csv_grid_loop, obj_mesh_loop
-from test_catalog import _admissible_triples
+from test_catalog import _admissible_triples, negate_det_g
 
 
 def run(argv):
@@ -504,6 +504,15 @@ def test_causal_map_payload():
     assert doc["degenerate_loci"] == [-1, 1]
     assert [r["verdict"] for r in doc["regions"]] == ["spacelike", "timelike", "spacelike"]
     assert doc["cross_validated"] is True
+
+
+def test_a_failed_causal_map_cross_check_exits_2_with_its_error(monkeypatch):
+    negate_det_g(monkeypatch)
+    with pytest.raises(ruledmin.CrossValidationError) as err:
+        ruledmin.causal_map(Signature(3, 1), FamilyId.ELLIPTIC_HELICOID_1, ruledmin.SignChoice(1, 1, -1))
+    rc, doc = run_json(["causal-map", "--sig", "3,1", "--family", "elliptic-helicoid-1", "--signs", "1,1,-1"])
+    assert rc == 2
+    assert doc == {"error": "CrossValidationError", "message": str(err.value)}
 
 
 @pytest.mark.parametrize("t_range", [[], ["--t-range=-0.3,0.7"]], ids=["default", "-0.3,0.7"])

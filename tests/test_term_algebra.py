@@ -2,19 +2,44 @@
 
 The shared product is compared with the three loops it replaced (kept in
 _oracles) term by term and in dict order, and with pointwise samples for
-every pair of atom kinds.
+every pair of atom kinds. The atom rules, read off each kind's
+exponentials, are compared bit for bit with the rules they replaced, which
+_oracles keeps kind by kind.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from ruledmin import FamilyId, Signature, UsageError, generate, ip_array, symbolic_inner
-from ruledmin.basisfn import COS, COSH, EXP, KINDS, ONE, SIN, SINH, Atom, ScalarFn
+from ruledmin.basisfn import (
+    COS,
+    COSH,
+    EXP,
+    KINDS,
+    ONE,
+    SIN,
+    SINH,
+    Atom,
+    ScalarFn,
+    antiderivative_atom,
+    canon,
+    diff_atom,
+    product_atoms,
+)
 from ruledmin.curves import CurveExpr, uniform_grid
 
-from _oracles import plus_scalar_times_loop, scalar_product_loop, symbolic_inner_loop
+from _oracles import (
+    antiderivative_atom_by_kind,
+    canon_by_kind,
+    diff_atom_by_kind,
+    plus_scalar_times_loop,
+    product_atoms_by_kind,
+    scalar_product_loop,
+    symbolic_inner_loop,
+)
 from test_catalog import _admissible_triples
 from test_numerator import _bumped, _slid
 
@@ -117,3 +142,45 @@ def test_products_of_every_pair_of_kinds_match_their_samples(a):
         else:
             want = f.eval(grid) * g.eval(grid)
             assert np.allclose((f * g).eval(grid), want, rtol=1e-12, atol=1e-12), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# the atom rules against the rules kind by kind
+
+OMEGAS = (0.1, 0.5, 1.0, 2.0, 3.0, math.pi, 7.25)
+RULE_ATOMS = [
+    Atom(k, kind, omega)
+    for kind in KINDS for k in range(4) for omega in ((0.0,) if kind == ONE else OMEGAS)
+]
+
+
+def _bits(pairs):
+    """(coefficient as hex, atom) in order; None stays None. hex() also
+    fails on a coefficient that is not a float."""
+    return None if pairs is None else [(c.hex(), atom) for c, atom in pairs]
+
+
+@pytest.mark.parametrize("atom", RULE_ATOMS, ids=str)
+def test_derivatives_and_antiderivatives_match_the_rules_kind_by_kind(atom):
+    assert _bits(diff_atom(atom)) == _bits(diff_atom_by_kind(atom))
+    assert _bits(antiderivative_atom(atom)) == _bits(antiderivative_atom_by_kind(atom))
+
+
+@pytest.mark.parametrize("a", RULE_ATOMS, ids=str)
+def test_products_match_the_six_way_table(a):
+    for b in RULE_ATOMS:
+        got, want = _bits(product_atoms(a, b)), _bits(product_atoms_by_kind(a, b))
+        if a.kind == b.kind and a.kind in TRIG:
+            # cos*cos and sin*sin: the first product of exponentials has the
+            # sum frequency, so it comes first; the table put the difference
+            # first. The terms are the same.
+            got, want = sorted(got, key=str), sorted(want, key=str)
+        assert got == want, b
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_canon_matches_the_parity_folding(kind):
+    omegas = (0.0, *OMEGAS, *(-w for w in OMEGAS))
+    for k, omega, coef in itertools.product(range(4), omegas, (1.0, -2.5, 0.0)):
+        want = canon_by_kind(coef, k, kind, omega)
+        assert _bits(canon(coef, k, kind, omega)) == _bits(want), (k, omega, coef)
