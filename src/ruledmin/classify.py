@@ -227,13 +227,16 @@ def cylinder_check(sig: Signature, surface: RuledSurface) -> CylinderReport:
 def _cylinder_check(scan: _RulingTables, h_tol: float) -> CylinderReport:
     direction_null = scan.profile("g0", "g0").identically_zero
     base_null = scan.profile("x1", "x1").identically_zero
+    pairing = scan.profile("g0", "x1")
+    # a sign change between two samples is a zero too, so read the profile's zeros
+    nowhere_zero = not pairing.identically_zero and not pairing.isolated_zeros
     min_pairing = float(np.abs(scan.ip("g0", "x1")).min())
 
     report = is_minimal(scan.sig, scan.surface, tol=h_tol)
     if report.is_minimal and report.totally_geodesic:
         verdict = CylinderVerdict.PLANE
         note = "totally geodesic: the surface lies in a plane"
-    elif report.is_minimal and direction_null and min_pairing > CONSTANCY_TOL:
+    elif report.is_minimal and direction_null and nowhere_zero:
         verdict = CylinderVerdict.MINIMAL_CYLINDER
         note = "null direction with nowhere-zero <gamma, x'>; a slide along the rulings makes the base null"
     elif report.is_minimal:

@@ -10,6 +10,7 @@ never pays finite-difference noise.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from typing import Iterable, Sequence
 
@@ -20,8 +21,13 @@ from .errors import UsageError
 from .jsonio import _term_atoms
 from .metric import Signature
 
+def _finite_interval(a: float, b: float) -> bool:
+    """a < b with a finite width b - a, so a and b are finite too."""
+    return bool(a < b) and math.isfinite(float(b) - float(a))
+
+
 def uniform_grid(a: float, b: float, num: int) -> np.ndarray:
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+    if not _finite_interval(a, b):
         raise UsageError(f"bad interval [{a!r}, {b!r}]")
     if num < 2:
         raise UsageError("grid needs at least 2 points")

@@ -35,7 +35,7 @@ from .families import (
     pattern_of_signs,
     validate_signs,
 )
-from .metric import Signature
+from .metric import Signature, gram_matrix, inner_product
 
 
 def admits_pattern(sig: Signature, pattern: NormPattern) -> bool:
@@ -235,11 +235,10 @@ def admits_cylinder(sig: Signature) -> ExistenceResult:
     # the null pair always lives on the first timelike and first spacelike axis
     direction = _pair(n, 0, p)
     partner = tuple(1 if j == 0 else (-1 if j == p else 0) for j in range(n))
-    pairing = -2
     witness = CylinderWitness(
         direction=direction,
         partner=partner,
-        pairing=pairing,
+        pairing=inner_product(sig, direction, partner),
         axes=chosen,
         mirrored=mirrored,
     )
@@ -346,61 +345,30 @@ class ProofTrace:
         }
 
 
-# tiny exact polynomial arithmetic over the integers; monomials are exponent
-# tuples, e.g. {(1, 0): 2, (0, 2): -1} is 2*u - v^2
-def _pvar(i: int, nvars: int) -> dict:
-    mono = tuple(1 if j == i else 0 for j in range(nvars))
-    return {mono: 1}
-
-
-def _pmul(p1: dict, p2: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            c = out.get(m, 0) + c1 * c2
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _padd(*ps: dict) -> dict:
-    out: dict = {}
-    for p in ps:
-        for m, c in p.items():
-            cc = out.get(m, 0) + c
-            if cc:
-                out[m] = cc
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _pscale(p: dict, c: int) -> dict:
-    return {m: c * v for m, v in p.items()} if c else {}
-
-
 def _lagrange_identity_holds() -> bool:
-    # (b^2+c^2)(y^2+z^2) - (b*y+c*z)^2 - (b*z-c*y)^2 == 0 in Z[b,c,y,z]
-    b, c, y, z = (_pvar(i, 4) for i in range(4))
-    sq = lambda p: _pmul(p, p)
-    lhs = _pmul(_padd(sq(b), sq(c)), _padd(sq(y), sq(z)))
-    by_cz = _padd(_pmul(b, y), _pmul(c, z))
-    bz_cy = _padd(_pmul(b, z), _pscale(_pmul(c, y), -1))
-    rest = _padd(_pscale(sq(by_cz), -1), _pscale(sq(bz_cy), -1))
-    return not _padd(lhs, rest)
+    """(b^2+c^2)(y^2+z^2) - (b*y+c*z)^2 - (b*z-c*y)^2 == 0 in Z[b,c,y,z].
+
+    Decided by Kronecker substitution, one integer: at b, c, y, z = B, B^3,
+    B^9, B^27 a monomial b^i c^j y^k z^l of the expansion, every exponent
+    at most 2, lands on B^(i + 3j + 9k + 27l), whose base-3 digits are
+    (i, j, k, l), so no two monomials share a power of B. The expanded
+    coefficients add up to 12 in absolute value, below B/2, so each
+    collected coefficient is one balanced base-B digit of the value, which
+    is 0 exactly when every coefficient is.
+    """
+    B = 2**16
+    b, c, y, z = B, B**3, B**9, B**27
+    return (b * b + c * c) * (y * y + z * z) - (b * y + c * z) ** 2 - (b * z - c * y) ** 2 == 0
 
 
 def _index_one_identity_holds(sig: Signature) -> bool:
-    # <v, v> from the signature's weights, with v_1 = 0 substituted, equals
-    # v_2^2 + ... + v_n^2 exactly when v_1 is the only timelike coordinate
-    vs = [_pvar(i, sig.n) for i in range(sig.n)]
-    q = _padd(*(_pscale(_pmul(v, v), int(w)) for v, w in zip(vs, sig.weights())))
-    q = {m: c for m, c in q.items() if m[0] == 0}  # v_1 = 0 kills every v_1 monomial
-    euclid = _padd(*(_pmul(v, v) for v in vs[1:]))
-    return not _padd(q, _pscale(euclid, -1))
+    # with v_1 = 0, <v, v> is the sum of v_i v_j <e_i, e_j> over i, j >= 2,
+    # which is v_2^2 + ... + v_n^2 exactly when the Gram matrix of
+    # e_2, ..., e_n is the identity, that is when v_1 is the only timelike
+    # coordinate
+    m = sig.n - 1
+    gram = gram_matrix(sig, [_axis(sig.n, i) for i in range(1, sig.n)])
+    return gram == [[int(i == j) for j in range(m)] for i in range(m)]
 
 
 def replay_certificate(

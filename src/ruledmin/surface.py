@@ -23,7 +23,7 @@ import numpy as np
 
 from ._threads import on_two_threads
 from .basisfn import ScalarFn
-from .curves import CurveExpr, quad, symbolic_inner, uniform_grid
+from .curves import CurveExpr, _finite_interval, quad, symbolic_inner, uniform_grid
 from .errors import (
     ConventionError,
     DegenerateMetricError,
@@ -79,9 +79,8 @@ class RuledSurface:
                 f"gamma lives in R^{self.gamma.n} but base in R^{self.base.n}"
             )
         for name, dom in (("s_domain", self.s_domain), ("t_domain", self.t_domain)):
-            a, b = dom
-            if not (np.isfinite(a) and np.isfinite(b) and a < b):
-                raise UsageError(f"{name} must be a finite interval [a, b] with a < b")
+            if not _finite_interval(*dom):
+                raise UsageError(f"{name} must be an interval [a, b] with a < b and a finite width b - a")
         self.s_domain = (float(self.s_domain[0]), float(self.s_domain[1]))
         self.t_domain = (float(self.t_domain[0]), float(self.t_domain[1]))
 

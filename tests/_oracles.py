@@ -21,7 +21,9 @@ and symbolic_inner each had before the term algebra was written once; they
 take and return plain term dicts, so the shared product can be compared
 against them atom by atom and in dict order.
 `cayley_isometry` and `moved_surface` move a surface by an exact isometry of
-R^n_p and a translation, the congruences every verdict is invariant under.
+R^n_p and a translation, the congruences every verdict is invariant under;
+`reparametrized_surface` rewrites a surface's curves under s -> a s + b by
+the addition formulas, a reparametrization every verdict is invariant under.
 `two_run_numerators` keeps the two _numerators runs, one signed and one on
 magnitudes over a stand-in Euclidean table, that gave N's coefficients and
 their rounding bound before one stacked run gave both.
@@ -48,7 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from ruledmin import CurveExpr, RuledSurface, Signature, UsageError, inner_product
-from ruledmin.basisfn import COS, COSH, EXP, KINDS, ONE, SIN, SINH, Atom, product_atoms
+from ruledmin.basisfn import COS, COSH, EXP, KINDS, ONE, SIN, SINH, Atom, canon, product_atoms
 from ruledmin.existence import SEARCH_COORD_BOUND, SEARCH_SAMPLES_PER_SLOT, SearchResult
 from ruledmin.families import FamilyId, NormPattern, SignChoice, validate_signs
 from ruledmin.metric import ip_array
@@ -554,6 +556,39 @@ def moved_surface(surface: RuledSurface, q, shift) -> RuledSurface:
 
     base = move(surface.base, [(Atom(0, ONE, 0.0), [float(v) for v in shift])])
     return RuledSurface(move(surface.gamma), base, surface.s_domain, surface.t_domain)
+
+
+# phi(x + y) = sum of c psi(x) over the (c, psi) pairs at y: the addition
+# formulas, and exp's constant factor
+_ADDITION = {
+    ONE: lambda y: ((1.0, ONE),),
+    EXP: lambda y: ((math.exp(y), EXP),),
+    COS: lambda y: ((math.cos(y), COS), (-math.sin(y), SIN)),
+    SIN: lambda y: ((math.sin(y), COS), (math.cos(y), SIN)),
+    COSH: lambda y: ((math.cosh(y), COSH), (math.sinh(y), SINH)),
+    SINH: lambda y: ((math.sinh(y), COSH), (math.cosh(y), SINH)),
+}
+
+
+def reparametrized(curve: CurveExpr, a: float, b: float) -> CurveExpr:
+    """curve(a s + b), term by term: s^k phi(w s) becomes the binomial sum of
+    C(k, j) a^j b^(k-j) s^j times phi(a w s + w b), expanded by the addition
+    formula, and each atom is written by basisfn.canon."""
+    terms = []
+    for (k, kind, w), coef in curve.terms.items():
+        for j in range(k + 1):
+            binomial = math.comb(k, j) * a**j * b ** (k - j)
+            for c, psi in _ADDITION[kind](w * b):
+                terms += [(atom, cc * c * binomial * coef) for cc, atom in canon(1.0, j, psi, a * w)]
+    return CurveExpr(curve.n, terms)
+
+
+def reparametrized_surface(surface: RuledSurface, a: float, b: float) -> RuledSurface:
+    """The same point set in the parameter s' with s = a s' + b: gamma and x
+    composed with it, and the s-domain pulled back."""
+    ends = sorted((end - b) / a for end in surface.s_domain)
+    return RuledSurface(reparametrized(surface.gamma, a, b), reparametrized(surface.base, a, b),
+                        tuple(ends), surface.t_domain)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,9 @@ from ruledmin import (
     table1_case,
     verify_structure_odes,
 )
+from ruledmin.surface import SCAN_POINTS
 
-from _oracles import fd_mean_curvature
+from _oracles import fd_mean_curvature, reparametrized, reparametrized_surface
 from test_catalog import _admissible_triples
 from test_numerator import _slid
 from test_surface import CATALOG
@@ -242,15 +243,19 @@ def test_minimal_cylinders_classify_plain_and_slid(half_width, slid):
     assert failed == []
 
 
-def test_a_null_cylinder_whose_pairing_vanishes_stays_unresolved():
+@pytest.mark.parametrize("s_domain", [(-3.0, 3.0), (-3.0, 2.9), (-2.0, 3.1)], ids=str)
+def test_a_null_cylinder_whose_pairing_vanishes_stays_unresolved(s_domain):
     # base s^2/2 e1 + s e3 under gamma = e1 + e2 in R^3_1: H vanishes wherever
     # det g = -s^2 does not, but <gamma, x'> = -s vanishes at s = 0, where no
-    # slide makes the base null
+    # slide makes the base null. On the two uneven domains the scan skips
+    # s = 0, so only the sign change between two samples shows the zero
     gamma = CurveExpr.from_basis_terms(3, [("pow", 0, (1.0, 1.0, 0.0))])
     base = CurveExpr.from_basis_terms(3, [("pow", 2, (0.5, 0.0, 0.0)), ("pow", 1, (0.0, 0.0, 1.0))])
-    surf = RuledSurface(gamma, base, (-3.0, 3.0), (-3.0, 3.0))
+    surf = RuledSurface(gamma, base, s_domain, (-3.0, 3.0))
     report = cylinder_check(R31, surf)
-    assert report.direction_null and report.min_pairing < 1e-9
+    assert report.direction_null
+    # min_pairing is still the smallest sampled |<gamma, x'>| = |s|
+    assert report.min_pairing == pytest.approx(np.abs(np.linspace(*s_domain, SCAN_POINTS)).min(), abs=1e-15)
     assert report.verdict is CylinderVerdict.NOT_MINIMAL and "unresolved" in report.note
     result = identify_family(R31, surf)
     assert result.family is None and "unresolved" in result.diagnosis
@@ -310,18 +315,39 @@ def test_round_trip_on_representative_signatures():
             assert classified.family is family, (sig, family, classified.diagnosis)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (-1.0, 0.5), (2.0, -0.3)])
+def test_the_reparametrization_oracle_samples_the_curve_at_a_s_plus_b(a, b):
+    # a check of the oracle alone, so a != +-1 is fine here: gamma(a s + b),
+    # x(a s + b) and their s-derivatives a^k gamma^(k)(a s + b)
+    s = np.linspace(-1.5, 1.5, 31)
+    for sig, family, signs in CATALOG[::7]:
+        surf = generate(sig, family, signs=signs)
+        for curve in (surf.gamma, surf.base):
+            moved = reparametrized(curve, a, b)
+            for order in (0, 1, 2):
+                want = a**order * curve.eval(a * s + b, order)
+                assert np.allclose(moved.eval(s, order), want, rtol=1e-12, atol=1e-12), (sig, family, order)
+    # the s-domain is pulled back, so the point set stays
+    assert reparametrized_surface(surf, a, b).s_domain == tuple(sorted(((-3 - b) / a, (3 - b) / a)))
+
+
 MOVES = {
     "flip": lambda surf: RuledSurface(-1.0 * surf.gamma, surf.base, surf.s_domain, surf.t_domain),
     "slide": lambda surf: _slid(surf, 0.3, 0.1),
+    "shift": lambda surf: reparametrized_surface(surf, 1.0, 1.0),
+    "reversal": lambda surf: reparametrized_surface(surf, -1.0, 0.5),
 }
 
 
 @pytest.mark.parametrize("sig,family,signs", CATALOG, ids=str)
 def test_the_flip_and_the_slide_keep_minimality_and_the_classification(sig, family, signs):
-    # gamma -> -gamma and x -> x + (0.3 s + 0.1 s^2) gamma keep the point set;
-    # on +-3 every catalog surface stays MINIMAL and keeps its family and
-    # reported case. Classify of isometric images and on wide domains still
-    # fails for some surfaces (ROADMAP item 1), so it is not asserted here.
+    # gamma -> -gamma, x -> x + (0.3 s + 0.1 s^2) gamma and the exact
+    # reparametrizations s -> s + 1 and s -> -s + 1/2 (with the s-domain
+    # pulled back) keep the point set; on +-3 every catalog surface stays
+    # MINIMAL and keeps its family and reported case. Classify of isometric
+    # images and on wide domains still fails for some surfaces (ROADMAP item
+    # 1), and s -> a s + b with a != +-1 leaves the normal form (item 7), so
+    # neither is asserted here.
     surf = generate(sig, family, signs=signs)
     want = identify_family(sig, surf)
     assert want.family is family

@@ -447,6 +447,21 @@ def _run_quietly(argv):
     return rc, json.loads(out), err == "" and not caught
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--s-range"), ("verify", "--t-range"), ("classify", "--s-range"), ("gauge", "--s-range"),
+    ("mesh", "--s-range"), ("mesh", "--t-range"), ("causal-map", "--t-range"),
+])
+def test_a_domain_whose_width_overflows_is_a_quiet_usage_error(command, flag):
+    # both ends are finite, but b - a = 2e308 is not: the grid spacing would be
+    # inf, and the samples nan
+    argv = [command, "--sig", "3,0", "--family", "elliptic-helicoid-1", f"{flag}=-1e308,1e308"]
+    rc, doc, quiet = _run_quietly(argv)
+    domain = f"{flag[2]}_domain"
+    assert rc == 2 and quiet
+    assert doc == {"error": "UsageError",
+                   "message": f"{domain} must be an interval [a, b] with a < b and a finite width b - a"}
+
+
 @pytest.mark.parametrize(
     "command,r",
     [(["verify"], "800"), (["verify"], "400"), (["verify"], "300"),
@@ -944,12 +959,16 @@ def test_a_mesh_that_exits_2_writes_no_file(name, tmp_path):
 # cold calls: each subcommand in a fresh interpreter, through `python -m`
 
 
+def _child_env():
+    """os.environ with this ruledmin's source directory first on PYTHONPATH."""
+    src = str(Path(ruledmin.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cold(argv):
     """`python -X importtime -m ruledmin.cli ARGV`: (exit code, stdout, modules imported)."""
-    src = str(Path(ruledmin.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ruledmin.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
     # importtime prints one "import time: self | cumulative | name" line per module
     modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                if line.startswith("import time:") and line.count("|") == 2}
@@ -963,6 +982,11 @@ HH2 = ["--sig", "4,2", "--family", "hyperbolic-helicoid-2"]
 @pytest.mark.parametrize("argv, absent", [
     (["existence", *HH2], ("numpy", "scipy")),
     (["existence", "--table"], ("numpy", "scipy")),
+    # one non-existence answer of each certificate kind: index one, the
+    # neutral quadratic and the dimension count
+    (["existence", "--sig", "3,1", "--family", "hyperbolic-helicoid-2"], ("numpy", "scipy")),
+    (["existence", "--sig", "4,2", "--family", "elliptic-helicoid-2"], ("numpy", "scipy")),
+    (["existence", "--sig", "3,0", "--family", "hyperbolic-helicoid-1"], ("numpy", "scipy")),
     (["verify", *HH2], ("scipy",)),
     (["classify", *HH2], ("scipy",)),
     (["causal-map", *HH2], ("scipy",)),
@@ -974,6 +998,35 @@ def test_a_cold_call_imports_only_what_its_subcommand_runs(argv, absent):
     assert rc == 0
     assert out == run(argv)[1]
     assert not [m for m in modules if m.split(".")[0] in absent]
+
+
+# every existence answer in one process: each family in R^n_p for n = 3..8 and
+# every p, alone and with each admissible sign choice, and the table in its
+# three formats
+_EVERY_EXISTENCE_ANSWER = """
+import contextlib, io, sys
+from ruledmin import cli
+from ruledmin.families import ADMISSIBLE_SIGNS, CLI_NAMES
+
+argvs = [["existence", "--table", *fmt] for fmt in ([], ["--format", "json"], ["--format", "csv"])]
+for n in range(3, 9):
+    for p in range(n + 1):
+        for name, family in CLI_NAMES.items():
+            query = ["existence", "--sig", f"{n},{p}", "--family", name]
+            argvs.append(query)
+            argvs += [[*query, "--signs", ",".join(map(str, s.as_tuple()))] for s in ADMISSIBLE_SIGNS.get(family, ())]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(len(argvs), "numpy" in sys.modules)
+"""
+
+
+def test_no_existence_answer_imports_numpy():
+    proc = subprocess.run([sys.executable, "-c", _EVERY_EXISTENCE_ANSWER],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["1017", "False"]
 
 
 def test_a_cold_quadrature_gauge_loads_no_scipy_and_matches_in_process(tmp_path):

@@ -2,6 +2,7 @@
 differences, and the causal type of a curve read from its closed-form speed."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,15 @@ def test_curve_construction_rejects_bad_inputs():
         CurveExpr.from_basis_terms(3, [("tanh", 1.0, (1.0, 0.0, 0.0))])
     with pytest.raises(UsageError):
         CurveExpr.from_basis_terms(3, [("cos", 1.0, (1.0, 0.0))])
+
+
+@pytest.mark.parametrize("a, b", [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)),
+                                  (-math.inf, 0.0), (0.0, math.nan), (1.0, 1.0)])
+def test_uniform_grid_rejects_an_interval_without_a_finite_width(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match="bad interval"):
+            uniform_grid(a, b, 5)
 
 
 def test_derivative_cache_consistency():

@@ -199,6 +199,11 @@ def test_domain_validation():
     del data["t_domain"]
     with pytest.raises(UsageError, match="t_domain"):
         surface_from_json(data)
+    # finite ends whose width b - a overflows
+    data = _valid_surface_dict()
+    data["s_domain"] = [-1e308, 1e308]
+    with pytest.raises(UsageError, match="s_domain must be an interval .* finite width"):
+        surface_from_json(data)
 
 
 @pytest.mark.parametrize("edit, message", [
