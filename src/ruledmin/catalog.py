@@ -42,6 +42,7 @@ DEFAULT_T_DOMAIN = (-3.0, 3.0)
 # |det g| at or below this defines the excluded band around degenerate loci
 # in verification grids and causal tags.
 DEG_BAND = 1e-6
+_TAG_NAMES = ("degenerate", "spacelike", "timelike")
 
 # points per side of causal_map's det g cross-check grid and of
 # bernstein_check's grids; then bernstein_check's nested boxes in s and t
@@ -51,6 +52,15 @@ BERNSTEIN_DOMAINS = ((-10.0, 10.0), (-100.0, 100.0))
 
 _FRAME_FAMILIES = frozenset(FRAME_FAMILIES)
 _ONE = Atom(0, ONE, 0.0)
+
+
+def _tag_index(det) -> np.ndarray:
+    """Index into _TAG_NAMES of each det g value: degenerate when |det g| <=
+    DEG_BAND, else spacelike when det g > 0 and timelike otherwise."""
+    det = np.asarray(det)
+    tag = np.where(det > 0, np.uint8(1), np.uint8(2))
+    tag[np.abs(det) <= DEG_BAND] = 0
+    return tag
 
 
 def pick_signs(sig: Signature, family: FamilyId) -> SignChoice | None:
@@ -293,12 +303,12 @@ def causal_map(
         verdict = "spacelike" if value > 0 else "timelike"
         regions.append(CausalRegion(t_lo=float(a), t_hi=float(b), verdict=verdict))
 
-    # sampled signs must agree with the region verdicts off the excluded band
+    # sampled causal tags must agree with the region verdicts off the excluded band
     for region in regions:
         inside = (t_grid >= region.t_lo) & (t_grid <= region.t_hi)
         vals = sweep.det_g[:, inside]
-        spacelike = region.verdict == "spacelike"
-        wrong = np.argwhere((np.abs(vals) > DEG_BAND) & ((vals > 0) != spacelike))
+        tag = _tag_index(vals)
+        wrong = np.argwhere((tag != 0) & (tag != _TAG_NAMES.index(region.verdict)))
         if wrong.size:
             i, j = wrong[0]
             raise CrossValidationError(

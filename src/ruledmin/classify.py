@@ -31,7 +31,7 @@ from .errors import ConventionError, EverywhereDegenerateError, UsageError
 from .families import FamilyId
 from .metric import Signature
 from .surface import CONSTANCY_TOL, H_TOL, UNIT_TOL, MinimalityReport, RuledSurface, ScalarProfile
-from .surface import _constant, _epsilon, _RulingTables, _scan, _shift, is_minimal
+from .surface import _checked_tol, _constant, _epsilon, _RulingTables, _scan, _shift, is_minimal
 
 DEPENDENCE_TOL = 1e-10
 STRUCTURE_TOL = 1e-8
@@ -331,7 +331,9 @@ def identify_family(
     Returns the family together with the metric case the input realizes and
     the case its normal form reports after ruling-line shifts. Unrecognized
     inputs come back with family None and a diagnosis string instead.
+    UsageError when h_tol is not a finite number >= 0.
     """
+    _checked_tol("h_tol", h_tol)
     notes: list[str] = []
     scan = _scan(sig, surface)
 

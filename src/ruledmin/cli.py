@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 from pathlib import Path
@@ -104,11 +103,9 @@ def _range_arg(flag: str, text: str) -> tuple[float, float]:
 
 def _tol(args) -> float:
     """--tol, or H_TOL when it is absent; a tolerance is finite and >= 0."""
-    from .surface import H_TOL
+    from .surface import H_TOL, _checked_tol
 
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-    return H_TOL if args.tol is None else args.tol
+    return H_TOL if args.tol is None else _checked_tol("--tol", args.tol)
 
 
 _FLAGS = {  # in the order --help lists them

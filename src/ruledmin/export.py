@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import DEG_BAND
+from .catalog import _TAG_NAMES, _tag_index
 from .jsonio import _fmt_float
 from .metric import Signature
 from .surface import SurfaceSweep
@@ -53,8 +53,6 @@ from .surface import SurfaceSweep
 # Rows gathered into one byte buffer at a time; bounds the working memory
 # of the writer and of the kernel.
 BLOCK_ROWS = 1 << 13
-
-_TAG_NAMES = ("degenerate", "spacelike", "timelike")
 
 # "%.17g" of a magnitude is at most 23 bytes long: 17 digits, a point and
 # "e-308"
@@ -298,15 +296,6 @@ def projection_axes(sig: Signature) -> list[int]:
         return [0, 1, 2]
     order = list(range(sig.p, sig.n)) + list(range(sig.p))
     return order[:3]
-
-
-def _tag_index(det) -> np.ndarray:
-    """Index into _TAG_NAMES of each det g value: degenerate when |det g| <=
-    DEG_BAND, else spacelike when det g > 0 and timelike otherwise."""
-    det = np.asarray(det)
-    tag = np.where(det > 0, np.uint8(1), np.uint8(2))
-    tag[np.abs(det) <= DEG_BAND] = 0
-    return tag
 
 
 def _obj_chunks(sig: Signature, sweep: SurfaceSweep):

@@ -137,20 +137,27 @@ def _first_form_block(form, rows: slice, T: np.ndarray, out=(None, None, None)):
     return g11, g12, det
 
 
-def _h_squared(numerator: np.ndarray, rows: slice, T: np.ndarray, det: np.ndarray, mask: np.ndarray):
-    """|H|^2 on the s-rows rows, from N's (ns, n, K) t-coefficients and the
-    rows' det g and mask: the squares of N's Horner reads over 2 (det g)^2,
-    summed one ambient axis at a time; NaN off the mask."""
+def _reads(coef: np.ndarray, rows: slice, T: np.ndarray, det: np.ndarray, mask: np.ndarray, squared=False):
+    """Yield, one ambient axis at a time, the Horner read of coef's (ns, n, K)
+    t-coefficients on the s-rows rows over the rows' det g, or over 2 (det g)^2
+    when squared; NaN off the rows' mask."""
     inv = np.full_like(det, np.nan)
     np.divide(1.0, det, out=inv, where=mask)
-    half_inv = 0.5 * inv
-    h_sq = np.zeros_like(det)
-    for k in range(numerator.shape[1]):
-        h = _horner(numerator[rows, k], T)
+    half_inv = 0.5 * inv if squared else None
+    for k in range(coef.shape[1]):
+        h = _horner(coef[rows, k], T)
         h *= inv
-        h *= half_inv
-        h *= h
-        h_sq += h
+        if squared:
+            h *= half_inv
+        yield h
+
+
+def _h_squared(numerator: np.ndarray, rows: slice, T: np.ndarray, det: np.ndarray, mask: np.ndarray):
+    """|H|^2 on the s-rows rows from N's t-coefficients: the squares of its
+    _reads over 2 (det g)^2, summed one ambient axis at a time."""
+    h_sq = np.zeros_like(det)
+    for h in _reads(numerator, rows, T, det, mask, squared=True):
+        h_sq += np.square(h, out=h)
     return h_sq
 
 
@@ -161,7 +168,7 @@ def _on_two_threads(work, ns: int, nt: int) -> list:
     A block holds at most _H_BLOCK_POINTS points (one row if a row holds
     more), so its temporaries stay in cache; which thread reads a block does
     not change its result. Each block is read under np.errstate(all="ignore"),
-    which numpy keeps per thread, so overflow is left to the callers' checks.
+    which numpy keeps per thread, so overflow is left to the blocks' checks.
     work may only write into arrays the caller allocated and read what was
     computed before the call.
     """
@@ -231,17 +238,14 @@ class _RulingTables:
         moved._profiles = {k: v for k, v in self._profiles.items() if k[0][0] == k[1][0] == "g"}
         return moved
 
-    def _finite(self, what: str, values: np.ndarray) -> np.ndarray:
-        """values, whose first axis runs over s; UsageError names what and
-        the first s where a value is not finite."""
+    def _finite(self, what: str, values: np.ndarray, first_row: int = 0) -> np.ndarray:
+        """values, whose first axis runs over the s-rows from first_row on;
+        UsageError names what and the first s where a value is not finite."""
         finite = np.isfinite(values)
         if not finite.all():
-            self.not_finite(what, np.argmin(finite.reshape(self.s.size, -1).all(axis=1)))
+            row = first_row + int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+            raise UsageError(f"{what} is not finite at s = {float(self.s[row])!r}")
         return values
-
-    def not_finite(self, what: str, row: int):
-        """Raise the UsageError that names what and the s of the given row."""
-        raise UsageError(f"{what} is not finite at s = {float(self.s[row])!r}")
 
     def jet(self, name: str) -> np.ndarray:
         """(ns, n) samples of gamma or x, differentiated int(name[1]) times."""
@@ -306,13 +310,6 @@ class _RulingTables:
         (ns, 1) g22, from _first_form_terms."""
         g11, g12, g22, _ = _first_form_terms(self.col, operator.sub)
         return np.hstack(g11), np.hstack(g12), g22[0]
-
-    def first_form(self, T: np.ndarray):
-        """g11, g12 and g11 g22 - g12^2 on the grid."""
-        form = self.form()
-        with np.errstate(all="ignore"):
-            g11, g12, det = _first_form_block(form, slice(None), T)
-        return g11, g12, self._finite("det g", det)
 
     def components(self):
         """det g, D11, D12 and N (_numerators), each stacked as [signed, S,
@@ -390,15 +387,15 @@ class SurfaceSweep:
 
     Only per-s coefficient tables are computed up front: the t-coefficients
     of the first form, and on first use, in one run, those of det g's
-    numerators with their sizes (_RulingTables.components). Each (ns, nt)
-    array is built on first access, in s-row blocks that this thread and
-    one helper share (_on_two_threads): g11, g12, det g and the mask
-    together, then H_norm (NaN at degenerate points), which sums the squares
-    of N's Horner reads over the ambient axes one axis at a time. minimality
-    reads the same blocks in one fused pass that keeps no (ns, nt) array, so
-    verify builds none and causal_map builds the first form alone. The
-    (ns, nt, n) fields f, h11, h12 and H are stacked on first access; f's
-    column on one axis is read alone by _f_axis.
+    numerators with their sizes (_RulingTables.components). Each grid field
+    is read on first access in s-row blocks that this thread and one helper
+    share (_on_two_threads): g11, g12, det g and the mask together, then
+    h11, h12, H and H_norm (NaN at degenerate points) by one per-axis reader
+    (_reads). A block raises the det g UsageError itself, and every earlier
+    block runs first, so it names the grid's first s where det g is not
+    finite. minimality reads the same blocks in one fused pass that keeps no
+    (ns, nt) array, so verify builds none and causal_map builds the first
+    form alone; f's column on one axis is read alone by _f_axis.
     """
 
     s_grid: np.ndarray
@@ -437,16 +434,10 @@ class SurfaceSweep:
         def block(rows):
             _first_form_block(self._form, rows, T, (g11[rows], g12[rows], det[rows]))
             np.greater(np.abs(det[rows]), self.tau_deg, out=mask[rows])
-            return _first_bad_row(det[rows], rows)
+            self._tables._finite("det g", det[rows], rows.start)
 
-        self._raise_bad_det(_on_two_threads(block, ns, nt))
+        _on_two_threads(block, ns, nt)
         return g11, g12, det, mask
-
-    def _raise_bad_det(self, bad_rows) -> None:
-        """The det g UsageError at the first row of bad_rows that is not None."""
-        bad = next((row for row in bad_rows if row is not None), None)
-        if bad is not None:
-            self._tables.not_finite("det g", bad)
 
     @property
     def g11(self) -> np.ndarray:
@@ -465,24 +456,22 @@ class SurfaceSweep:
         """bool mask, |det g| > tau_deg"""
         return self._first_form[3]
 
-    def _reads(self, coef: np.ndarray, times_half_inv: bool = False):
-        """Yield coef's Horner read on each ambient axis over det g, or over
-        2 (det g)^2 with times_half_inv; NaN at degenerate points."""
-        T = self.t_grid[None, :]
-        inv = np.full_like(self.det_g, np.nan)
-        np.divide(1.0, self.det_g, out=inv, where=self.nondegenerate)
-        half_inv = 0.5 * inv if times_half_inv else None
-        for k in range(coef.shape[1]):
-            h = _horner(coef[:, k], T) * inv
-            if times_half_inv:
-                h *= half_inv
-            yield h
+    def _stack(self, coef: np.ndarray, squared: bool = False) -> np.ndarray:
+        """The (ns, nt, n) stack of coef's _reads, one s-row block at a time."""
+        det, mask, T = self.det_g, self.nondegenerate, self.t_grid[None, :]
+        out = np.empty((*det.shape, coef.shape[1]))
+
+        def block(rows):
+            for k, h in enumerate(_reads(coef, rows, T, det[rows], mask[rows], squared)):
+                out[rows, :, k] = h
+
+        _on_two_threads(block, *det.shape)
+        return out
 
     @cached_property
     def H_norm(self) -> np.ndarray:
         det, mask, numerator = self.det_g, self.nondegenerate, self._coefficients[3]
-        out = np.empty_like(det)
-        T = self.t_grid[None, :]
+        out, T = np.empty_like(det), self.t_grid[None, :]
 
         def block(rows):
             np.sqrt(_h_squared(numerator, rows, T, det[rows], mask[rows]), out=out[rows])
@@ -502,15 +491,15 @@ class SurfaceSweep:
 
     @cached_property
     def h11(self) -> np.ndarray:
-        return np.stack(list(self._reads(self._coefficients[1])), axis=-1)
+        return self._stack(self._coefficients[1])
 
     @cached_property
     def h12(self) -> np.ndarray:
-        return np.stack(list(self._reads(self._coefficients[2])), axis=-1)
+        return self._stack(self._coefficients[2])
 
     @cached_property
     def H(self) -> np.ndarray:
-        return np.stack(list(self._reads(self._coefficients[3], True)), axis=-1)
+        return self._stack(self._coefficients[3], squared=True)
 
     def minimality(self, tol: float = H_TOL) -> MinimalityReport:
         """MINIMAL when no coefficient of N exceeds its rounding bound E by
@@ -521,13 +510,15 @@ class SurfaceSweep:
         to decide and EverywhereDegenerateError is raised.
 
         The grid is read in one fused pass of s-row blocks, shared by this
-        thread and one helper (_on_two_threads); each block gives the first
-        row where det g is not finite, its degenerate count and first 16
-        degenerate points, the rows that hold a non-degenerate point and its
-        largest |H|^2 (the sqrt of the largest is the largest sqrt). The
-        errors come in the order of the checks, det g on the grid first,
-        then the sizes, then the coefficients, each at its first s.
+        thread and one helper (_on_two_threads); each block raises the det g
+        UsageError at its first s where det g is not finite and otherwise
+        gives its degenerate count and first 16 degenerate points, the rows
+        that hold a non-degenerate point and its largest |H|^2 (the sqrt of
+        the largest is the largest sqrt). The errors come in the order of
+        the checks, tol first (_checked_tol), then det g on the grid, then
+        the sizes, then the coefficients, each at its first s.
         """
+        _checked_tol("tol", tol)
         ns, nt = self.s_grid.size, self.t_grid.size
         try:
             numerator = self._coefficients[3]
@@ -537,17 +528,16 @@ class SurfaceSweep:
         row_read = np.empty(ns, dtype=bool)
 
         def block(rows):
-            det = _first_form_block(self._form, rows, T)[2]
+            det = self._tables._finite("det g", _first_form_block(self._form, rows, T)[2], rows.start)
             mask = np.abs(det) > self.tau_deg
             mask.any(axis=1, out=row_read[rows])
             degenerate = np.flatnonzero(~mask)
             peak = np.nan
             if numerator is not None and degenerate.size < mask.size:
                 peak = np.fmax.reduce(_h_squared(numerator, rows, T, det, mask), axis=None)
-            return _first_bad_row(det, rows), degenerate.size, degenerate[:16] + rows.start * nt, peak
+            return degenerate.size, degenerate[:16] + rows.start * nt, peak
 
-        bad_rows, counts, samples, peaks = zip(*_on_two_threads(block, ns, nt))
-        self._raise_bad_det(bad_rows)
+        counts, samples, peaks = zip(*_on_two_threads(block, ns, nt))
         n_tot, n_deg = ns * nt, sum(counts)
         if n_deg == n_tot:
             raise EverywhereDegenerateError(
@@ -578,13 +568,6 @@ class SurfaceSweep:
         )
 
 
-def _first_bad_row(det: np.ndarray, rows: slice) -> int | None:
-    """The grid row of the first row of the block det, which holds the
-    s-rows rows, where det g is not finite; None when it is finite."""
-    finite = np.isfinite(det).all(axis=1)
-    return None if finite.all() else rows.start + int(np.argmin(finite))
-
-
 def sweep_grid(
     sig: Signature,
     surface: RuledSurface,
@@ -594,13 +577,16 @@ def sweep_grid(
 ) -> SurfaceSweep:
     """The forms on s_grid x t_grid; sweep_grid(sig, surface, [s], [t]) gives them at (s, t).
     It samples the curves and pairs their jets; a det g that is not finite
-    on the grid is named by the first reader of the grid."""
+    on the grid is named by the first reader of the grid. UsageError names
+    a grid that is empty or not one-dimensional."""
     if s_grid is None or t_grid is None:
         ds, dt = surface.default_grids()
         s_grid = ds if s_grid is None else s_grid
         t_grid = dt if t_grid is None else t_grid
-    s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    s_grid, t_grid = (np.atleast_1d(np.asarray(grid, dtype=float)) for grid in (s_grid, t_grid))
+    for name, grid in (("s_grid", s_grid), ("t_grid", t_grid)):
+        if grid.ndim != 1 or not grid.size:
+            raise UsageError(f"{name} must be a non-empty 1-D array, got shape {grid.shape}")
 
     tables = _RulingTables(sig, surface, s_grid)
     return SurfaceSweep(s_grid=s_grid, t_grid=t_grid, tau_deg=tau_deg, _tables=tables, _form=tables.form())
@@ -608,6 +594,13 @@ def sweep_grid(
 
 # ---------------------------------------------------------------------------
 # verdicts
+
+
+def _checked_tol(name: str, tol: float) -> float:
+    """tol, which must be a finite number >= 0; UsageError names it otherwise."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"{name} must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 class MinimalityVerdict(Enum):
@@ -664,11 +657,10 @@ def c_function(sig: Signature, surface: RuledSurface, s: float, t: float) -> flo
 
 def c_function_grid(sig: Signature, surface: RuledSurface, s_grid: np.ndarray, t_grid: np.ndarray):
     """Vectorized C over a grid; returns (values, valid_mask), valid where
-    |g11| > TAU_DEG."""
-    s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    T = np.atleast_1d(np.asarray(t_grid, dtype=float))[None, :]
-    tables = _RulingTables(sig, surface, s_grid)
-    denom = tables.first_form(T)[0]
+    |g11| > TAU_DEG. g11 is the sweep's (sweep_grid), so the grid is checked
+    as the sweep checks it and a det g that is not finite raises its UsageError."""
+    sweep = sweep_grid(sig, surface, s_grid, t_grid)
+    denom, tables, T = sweep.g11, sweep._tables, sweep.t_grid[None, :]
     mask = np.abs(denom) > TAU_DEG
     num = (tables.col("g2", "x1") + tables.col("x2", "g1")) * T + tables.col("x2", "x1")
     vals = np.where(mask, num / np.where(mask, denom, 1.0), np.nan)
@@ -820,7 +812,9 @@ def gauge_normalize(sig: Signature, surface: RuledSurface) -> GaugeResult:
     The swept point set is unchanged because the shift happens inside each
     ruling line. Closed-form lambda is used whenever the term algebra allows
     it; otherwise the base becomes a quadrature-backed curve whose derivative
-    slots are still exact, and lambda is tabulated on the scan grid.
+    slots are still exact, and lambda is tabulated on the scan grid. The
+    check reads only the g12 it reports, on the gauged surface's default
+    grid; UsageError names the first s where g12 is not finite.
     """
     if not isinstance(surface.base, CurveExpr):
         raise UsageError("gauge_normalize expects a closed-form base curve")
@@ -835,10 +829,11 @@ def gauge_normalize(sig: Signature, surface: RuledSurface) -> GaugeResult:
     # rounds to 1e-17 instead of 0 would then be all of that sum.
     s_grid, t_grid = gauged.default_grids()
     check = _RulingTables(sig, gauged, s_grid)
-    g12 = np.abs(check.first_form(t_grid[None, :])[1])
-    g0, g1, x1 = (np.linalg.norm(check.jet(k), axis=1)[:, None] for k in ("g0", "g1", "x1"))
-    size = g0 * (g1 * np.abs(t_grid)[None, :] + x1)
-    residual = np.divide(g12, size, out=np.zeros_like(g12), where=size > 0)
+    with np.errstate(all="ignore"):  # a g12 that overflows is named by _finite
+        g12 = np.abs(check._finite("g12", _horner(check.form()[1], t_grid[None, :])))
+        g0, g1, x1 = (np.linalg.norm(check.jet(k), axis=1)[:, None] for k in ("g0", "g1", "x1"))
+        size = g0 * (g1 * np.abs(t_grid)[None, :] + x1)
+        residual = np.divide(g12, size, out=np.zeros_like(g12), where=size > 0)
     return GaugeResult(
         surface=gauged, epsilon=eps, exact=lam is not None, lam=lam, lam_table=lam_table,
         max_abs_g12=float(g12[:, [0, -1]].max()),

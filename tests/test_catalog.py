@@ -500,7 +500,7 @@ def test_deg_band_masks_match_causal_tags():
     # det g = -4t here, so |det g| <= DEG_BAND corresponds to |t| <= DEG_BAND/4
     t_vals = np.array([-2.0, -DEG_BAND / 8, 0.0, DEG_BAND / 8, 2.0])
     dets = sweep_grid(R31, surf, [0.0], t_vals).det_g[0]
-    from ruledmin.export import _TAG_NAMES, _tag_index
+    from ruledmin.catalog import _TAG_NAMES, _tag_index
 
     tags = [_TAG_NAMES[i] for i in _tag_index(dets)]
     assert tags == ["spacelike", "degenerate", "degenerate", "degenerate", "timelike"]

@@ -5,7 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ruledmin import H_TOL, FamilyId, SignChoice, Signature, generate, is_minimal, sweep_grid
+from ruledmin import (
+    H_TOL, FamilyId, SignChoice, Signature, UsageError, c_function_grid, generate, identify_family,
+    is_minimal, sweep_grid,
+)
 from ruledmin import surface
 from ruledmin.jsonio import surface_from_json
 from ruledmin.surface import _H_BLOCK_POINTS
@@ -149,7 +152,7 @@ def test_h_norm_read_in_row_blocks_equals_the_whole_grid_formula(s, t, monkeypat
     monkeypatch.setattr(surface, "_H_BLOCK_POINTS", s.size * t.size)
     one_block = sweep_grid(sig, surf, s, t)
     assert one_block.minimality() == report
-    for name in ("g11", "g12", "det_g", "nondegenerate", "H_norm"):
+    for name in ("g11", "g12", "det_g", "nondegenerate", "H_norm", "h11", "h12", "H"):
         assert np.array_equal(getattr(one_block, name), getattr(sweep, name), equal_nan=True), name
 
 
@@ -201,3 +204,38 @@ def test_a_failing_block_is_raised_after_the_helper_is_joined(monkeypatch, threa
     with pytest.raises(MemoryError, match=f"rows from {first_row}$"):
         sweep.minimality()
     assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+
+
+@pytest.mark.parametrize(
+    "s,t,name",
+    [
+        ([], [0.0, 1.0], "s_grid"),
+        ([0.0, 1.0], [], "t_grid"),
+        ([[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0], "s_grid"),
+        ([0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]], "t_grid"),
+    ],
+    ids=["empty-s", "empty-t", "2d-s", "2d-t"],
+)
+def test_a_grid_that_is_empty_or_not_one_dimensional_is_named(s, t, name):
+    sig = Signature(3, 0)
+    surf = generate(sig, FamilyId.ELLIPTIC_HELICOID_1)
+    reads = (
+        lambda: is_minimal(sig, surf, s, t),
+        lambda: sweep_grid(sig, surf, s, t).H_norm,
+        lambda: c_function_grid(sig, surf, s, t),
+    )
+    for read in reads:
+        with pytest.raises(UsageError, match=f"^{name} must be a non-empty 1-D array"):
+            read()
+    # one point per axis is the pointwise read
+    assert sweep_grid(sig, surf, [0.5], 1.0).H_norm.shape == (1, 1)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0, -0.5e-9])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_rejected(tol):
+    sig = Signature(3, 0)
+    surf = generate(sig, FamilyId.ELLIPTIC_HELICOID_1)
+    with pytest.raises(UsageError, match=f"^tol must be a finite number >= 0, got {tol!r}$"):
+        is_minimal(sig, surf, tol=tol)
+    with pytest.raises(UsageError, match=f"^h_tol must be a finite number >= 0, got {tol!r}$"):
+        identify_family(sig, surf, h_tol=tol)
