@@ -1,25 +1,27 @@
-"""Closed-form scalar calculus on the span of s^k * phi(omega*s).
+"""Closed-form scalar calculus on the span of s^k e^{rate s}.
 
-phi ranges over {1, cos, sin, cosh, sinh, exp} and k is a non-negative
-integer. _EXPONENTIALS writes each kind once as a sum of c e^{rate s}; a
-product adds rates, d/ds multiplies by the rate, an antiderivative divides
-by it (by parts in s^k), and _spell writes the result back as atoms. This
-family is closed under differentiation and antiderivatives, which is what
-keeps curve jets and gauge integrals exact. Products leave it where a rate
-is neither real nor imaginary (trig*hyperbolic, trig*exp): there
-product_atoms returns None, on which callers fall back to quadrature, and
-ScalarFn's `*` raises UsageError.
+A term is keyed by (k, rate), k a non-negative integer and rate complex; a
+real function holds real coefficients at real rates and conjugate ones at
+conjugate rates. A product adds powers and rates, d/ds multiplies by the
+rate (plus the power rule) and an antiderivative integrates by parts, so
+the family is closed under all of them. The s^k e^{rate s} are linearly
+independent: a function has one set of keys, and is zero exactly when none
+is left. Atoms s^k phi(omega s), phi in {1, cos, sin, cosh, sinh, exp},
+are read through _EXPONENTIALS and written back by _Terms._atoms only where
+a caller needs them (sampling, repr and the writers). A damped rate (trig
+times hyperbolic or exp) is sampled like any other, but no atom spells it.
 
-The term algebra over these atoms is written once, in _Terms: +, -,
-scaling, d/ds, sampling and one bilinear product. ScalarFn (float
+The algebra is written once, in _Terms. ScalarFn (float-valued
 coefficients, here) and curves.CurveExpr (vector coefficients) are thin
 classes over it; ScalarFn `*`, CurveExpr.plus_scalar_times and
-curves.symbolic_inner are that product with different coefficient pairings.
+curves.symbolic_inner are its one bilinear product with different
+coefficient pairings.
 """
 
 from __future__ import annotations
 
-import functools
+import math
+import operator
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -54,53 +56,19 @@ class Atom(NamedTuple):
     omega: float
 
 
-def _spell(k: int, parts) -> list[tuple[float, Atom]] | None:
-    """sum c s^k e^{rate s} over the (c, rate) parts as atoms, in the order
-    the rates first appear: rate 0 is 1, a real rate +-w is cosh and sinh,
-    or exp when the other sign sums to 0, and an imaginary rate +-iw is cos
-    and sin. None when a rate is neither real nor imaginary. Zero
-    coefficients are dropped."""
-    pairs: dict = {}  # (trig, w) -> [coefficient of rate +w, of rate -w]
-    for c, rate in parts:
-        if rate.real and rate.imag:
-            return None
-        w = rate.real or rate.imag
-        pairs.setdefault((bool(rate.imag), abs(w)), [0.0, 0.0])[w < 0] += c
-    out = []
-    for (trig, w), (cp, cm) in pairs.items():
-        if trig:
-            spelled = [((cp + cm).real, COS, w), ((cm - cp).imag, SIN, w)]
-        elif not w:
-            spelled = [(cp.real, ONE, 0.0)]
-        elif cp and cm:
-            spelled = [((cp + cm).real, COSH, w), ((cp - cm).real, SINH, w)]
-        else:
-            spelled = [((cp + cm).real, EXP, w if cp else -w)]
-        out += [(coef, Atom(k, kind, omega)) for coef, kind, omega in spelled if coef]
-    return out
-
-
-def _memoized(rule):
-    """rule behind an lru_cache, as a plain function (what a tracer wraps)."""
-    cached = functools.lru_cache(maxsize=4096)(rule)
-    return functools.wraps(rule)(lambda *args, **kwargs: cached(*args, **kwargs))
-
-
-def canon(coef: float, k: int, kind: str, omega: float) -> list[tuple[float, Atom]]:
-    """Normalize an atom, as _spell writes it: omega > 0 for trig/hyperbolic,
-    parity folded into coef."""
-    if coef == 0.0:
-        return []
-    if kind not in KINDS:
-        raise ValueError(f"unknown basis kind {kind!r}")
-    if k < 0 or k != int(k):
-        raise ValueError(f"power must be a non-negative integer, got {k!r}")
-    return [(coef * c, atom) for c, atom in _spelled_atom(int(k), kind, float(omega))]
-
-
-@_memoized
-def _spelled_atom(k: int, kind: str, omega: float) -> tuple[tuple[float, Atom], ...]:
-    return tuple(_spell(k, _EXPONENTIALS[kind](omega)))
+def _rates(atom: Atom) -> list[tuple[tuple[int, complex], complex]]:
+    """The atom as ((k, rate), c) terms, the one reading of an atom: the sign
+    of omega folds into the rates. UsageError on an unknown kind, a power
+    that is not a non-negative integer or an omega that is not finite."""
+    k, kind, omega = atom
+    if kind not in _EXPONENTIALS:
+        raise UsageError(f"unknown basis kind {kind!r}; expected one of {KINDS}")
+    if not (k >= 0 and float(k).is_integer()):
+        raise UsageError(f"power must be a non-negative integer, got {k!r}")
+    if not math.isfinite(omega):
+        raise UsageError(f"omega must be finite, got {omega!r}")
+    return [((int(k), rate), c if rate.imag else c.real)
+            for c, rate in _EXPONENTIALS[kind](float(omega))]
 
 
 def eval_atom(atom: Atom, s: np.ndarray) -> np.ndarray:
@@ -122,24 +90,9 @@ def eval_atom(atom: Atom, s: np.ndarray) -> np.ndarray:
     return val
 
 
-@_memoized
-def diff_atom(atom: Atom) -> tuple[tuple[float, Atom], ...]:
-    """d/ds of an atom as (coefficient, atom) pairs: that of s^k e^{rate s}
-    is k s^(k-1) e^{rate s} + rate s^k e^{rate s}."""
-    k, kind, om = atom
-    parts = _EXPONENTIALS[kind](om)
-    out = _spell(k - 1, [(k * c, rate) for c, rate in parts]) if k else []
-    return tuple(out + _spell(k, [(c * rate, rate) for c, rate in parts]))
-
-
-@_memoized
-def product_atoms(a: Atom, b: Atom) -> tuple[tuple[float, Atom], ...] | None:
-    """a * b inside the family, or None when the product leaves it."""
-    out = _spell(a.k + b.k, [
-        (ca * cb, ra + rb) for ca, ra in _EXPONENTIALS[a.kind](a.omega)
-        for cb, rb in _EXPONENTIALS[b.kind](b.omega)
-    ])
-    return None if out is None else tuple(out)
+def _derivative(k: int, rate: complex) -> list:
+    """d/ds of s^k e^{rate s}: k s^(k-1) e^{rate s} + rate s^k e^{rate s}."""
+    return ([((k - 1, rate), k)] if k else []) + ([((k, rate), rate)] if rate else [])
 
 
 def _by_parts(k: int, rate: complex) -> list[complex]:
@@ -152,34 +105,26 @@ def _by_parts(k: int, rate: complex) -> list[complex]:
     return out
 
 
-@_memoized
-def antiderivative_atom(atom: Atom) -> tuple[tuple[float, Atom], ...]:
-    """An antiderivative of the atom; always exists inside the family."""
-    k, kind, om = atom
-    parts = _EXPONENTIALS[kind](om)
-    if not parts[0][1]:
-        return ((1.0 / (k + 1), Atom(k + 1, ONE, 0.0)),)  # rate 0: the power rule
-    levels = zip(*(_by_parts(k, rate) for _, rate in parts))
-    return tuple(term for j, level in enumerate(levels)
-                 for term in _spell(k - j, [(c * x, rate) for (c, rate), x in zip(parts, level)]))
+def _antiderivative(k: int, rate: complex) -> list:
+    if not rate:
+        return [((k + 1, rate), 1.0 / (k + 1))]  # the power rule
+    return [((k - j, rate), x) for j, x in enumerate(_by_parts(k, rate))]
 
 
 class _Terms:
-    """A finite sum of coefficient * atom, kept as the dict `terms`.
-
-    The one implementation of +, -, scaling by a number, d/ds, sampling and
-    the bilinear product for ScalarFn (float coefficients) and
-    curves.CurveExpr (vector coefficients). A subclass says how its
+    """A finite sum of coefficient * s^k e^{rate s}, the dict `terms` from
+    (k, rate) to coefficient: +, -, scaling, d/ds, sampling and the bilinear
+    product for ScalarFn and curves.CurveExpr. A subclass says how its
     coefficients test for zero (`_zero`), the shape of one coefficient
-    (`_shape`) and how an atom's samples line up with it (`_expand`).
-    """
+    (`_shape`) and how an atom's samples line up with it (`_expand`)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_spelling")
     _shape: tuple = ()
     _expand = ...
 
     def __init__(self):
         self.terms: dict = {}
+        self._spelling = None  # _atoms, written on first use: a made function is not changed
 
     @staticmethod
     def _zero(c) -> bool:
@@ -197,49 +142,107 @@ class _Terms:
         if other._shape != self._shape:
             raise UsageError(f"cannot combine terms of shape {self._shape} and {other._shape}")
 
-    def _add(self, atom: Atom, coef) -> None:
-        """Add coef * atom, dropping the atom when its coefficient sums to zero."""
+    def _add(self, key: tuple, coef) -> None:
+        """Add coef at key, dropping the key when its coefficient sums to zero."""
         if self._zero(coef):
             return
-        cur = self.terms.get(atom)
+        cur = self.terms.get(key)
         if cur is not None:
             coef = cur + coef
             if self._zero(coef):
-                del self.terms[atom]
+                del self.terms[key]
                 return
-        self.terms[atom] = coef
+        self.terms[key] = coef
 
-    def _map(self, atom_map):
-        """The linear map that sends each atom to atom_map(atom)'s (coef, atom) pairs."""
+    def _add_atom(self, atom: Atom, coef) -> None:
+        for key, c in _rates(atom):
+            self._add(key, coef * c)
+
+    def _paired(self):
+        """self, whose terms on and above the real axis are the function's: a
+        real rate keeps its coefficient's real part, a rate above the axis is
+        followed by its conjugate, with the conjugate coefficient."""
+        terms, self.terms = self.terms, {}
+        for (k, rate), c in terms.items():
+            if rate.imag > 0:
+                self.terms[k, rate] = c
+                self.terms[k, rate.conjugate()] = c.conjugate()
+            elif not rate.imag:
+                self._add((k, rate), c.real)
+        return self
+
+    def _map(self, rule):
+        """The linear map that sends s^k e^{rate s} to rule(k, rate)'s
+        ((k', rate), factor) terms, for rates on and above the real axis."""
         out = self._empty()
-        for atom, c in self.terms.items():
-            for cc, aa in atom_map(atom):
-                out._add(aa, c * cc)
-        return out
+        for (k, rate), c in self.terms.items():
+            if rate.imag >= 0:
+                for key, factor in rule(k, rate):
+                    out._add(key, c * factor)
+        return out._paired()
 
     def _product(self, other: "_Terms", pair, out):
-        """out plus self * other, where the atom pair (a, b) contributes
-        pair(self.terms[a], other.terms[b]) * a * b, added into out in the
-        order self's atoms, other's atoms, product_atoms' parts. A pair whose
-        coefficient is zero is skipped; None when any other pair's product
-        leaves the family."""
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                c = pair(ca, cb)
-                if out._zero(c):
-                    continue
-                parts = product_atoms(a, b)
-                if parts is None:
-                    return None
-                for cc, atom in parts:
-                    out._add(atom, c * cc)
-        return out
+        """out plus self * other: the terms at (ka, ra) and (kb, rb) add
+        pair(self's coefficient, other's) at (ka + kb, ra + rb), in the order
+        self's terms, other's terms, where ra + rb is on or above the real
+        axis (_paired adds the conjugates) and the coefficient is nonzero."""
+        for (ka, ra), ca in self.terms.items():
+            for (kb, rb), cb in other.terms.items():
+                rate = ra + rb
+                if rate.imag >= 0:
+                    c = pair(ca, cb)
+                    if not out._zero(c):
+                        out._add((ka + kb, rate), c)
+        return out._paired()
+
+    def _damped(self) -> bool:
+        """Whether a rate has real and imaginary parts both nonzero."""
+        return any(rate.real and rate.imag for _, rate in self.terms)
+
+    def _atoms(self) -> list:
+        """The terms as (coefficient, Atom) pairs, in the order their
+        (k, |rate|) first appears: rate 0 is 1, a real rate +-w is cosh and
+        sinh, or exp when the other sign is absent, and an imaginary rate
+        +-iw is cos and sin. Zero coefficients are dropped. A damped term,
+        which no atom spells, is (coefficient, (k, rate)) at the end."""
+        if self._spelling is not None:
+            return self._spelling
+        pairs: dict = {}  # (k, trig, w) -> [coefficient at rate +w, at rate -w]
+        damped = []
+        for (k, rate), c in self.terms.items():
+            if rate.real and rate.imag:
+                damped.append((c, (k, rate)))
+                continue
+            w = rate.real or rate.imag
+            pairs.setdefault((k, bool(rate.imag), abs(w)), [None, None])[w < 0] = c
+        atoms = []
+        for (k, trig, w), (cp, cm) in pairs.items():
+            if trig:
+                spelled = [((cp + cm).real, COS, w), ((cm - cp).imag, SIN, w)]
+            elif not w:
+                spelled = [(cp, ONE, 0.0)]
+            elif cp is not None and cm is not None:
+                spelled = [(cp + cm, COSH, w), (cp - cm, SINH, w)]
+            else:
+                spelled = [(cm, EXP, -w) if cp is None else (cp, EXP, w)]
+            atoms += [(c, Atom(k, kind, omega)) for c, kind, omega in spelled if not self._zero(c)]
+        self._spelling = atoms + damped
+        return self._spelling
+
+    def _spelled(self) -> list:
+        """The (coefficient, Atom) pairs of _atoms, for a writer; UsageError
+        when a damped term has no atom to spell it."""
+        atoms = self._atoms()
+        for _, atom in atoms:
+            if not isinstance(atom, Atom):
+                raise UsageError(f"the term s^{atom[0]} e^({atom[1]:g} s) is damped: no basis function spells it")
+        return atoms
 
     def __add__(self, other):
         self._check(other)
         out = self._copy()
-        for atom, c in other.terms.items():
-            out._add(atom, c)
+        for key, c in other.terms.items():
+            out._add(key, c)
         return out
 
     def __sub__(self, other):
@@ -247,12 +250,12 @@ class _Terms:
 
     def __mul__(self, k):
         k = float(k)
-        return self._map(lambda atom: [(k, atom)])
+        return self._map(lambda power, rate: [((power, rate), k)])
 
     __rmul__ = __mul__
 
     def derivative(self):
-        return self._map(diff_atom)
+        return self._map(_derivative)
 
     def eval(self, s):
         """Samples at s, scalar or array; a scalar fn at a scalar s is a float."""
@@ -261,11 +264,16 @@ class _Terms:
 
     def _sample(self, arr: np.ndarray, sized: bool = False):
         """Samples at the array arr and, when sized, the size of the terms
-        that cancel in them, sum |coefficient| |atom| (else None)."""
+        that cancel in them, sum |coefficient| |atom| (else None). Each atom
+        is sampled by eval_atom, so a +-w pair keeps np.cosh and np.sinh or
+        np.cos and np.sin; a damped term is the real part of its exponential."""
         out = np.zeros(arr.shape + self._shape)
         size = np.zeros_like(out) if sized else None
-        for atom, c in self.terms.items():
-            term = eval_atom(atom, arr)[self._expand] * c
+        for c, atom in self._atoms():
+            if isinstance(atom, Atom):
+                term = eval_atom(atom, arr)[self._expand] * c
+            else:
+                term = ((arr ** atom[0] * np.exp(atom[1] * arr))[self._expand] * c).real
             out += term
             if sized:
                 size += np.abs(term, out=term)
@@ -280,7 +288,7 @@ class ScalarFn(_Terms):
     def __init__(self, terms: Iterable[tuple[float, Atom]] = ()):
         super().__init__()
         for coef, atom in terms:
-            self._add(atom, float(coef))
+            self._add_atom(atom, float(coef))
 
     @classmethod
     def constant(cls, c: float) -> "ScalarFn":
@@ -291,23 +299,15 @@ class ScalarFn(_Terms):
         return not self.terms
 
     def __mul__(self, other: "ScalarFn | float") -> "ScalarFn":
-        """Scaling by a number, or the product through product_atoms; UsageError
-        when that product leaves the family."""
+        """Scaling by a number, or the product of two functions."""
         if not isinstance(other, ScalarFn):
             return super().__mul__(other)
-        out = self._product(other, lambda ca, cb: ca * cb, ScalarFn())
-        if out is None:
-            raise UsageError(f"{self!r} * {other!r} leaves the term algebra")
-        return out
+        return self._product(other, operator.mul, ScalarFn())
 
     def antiderivative(self) -> "ScalarFn":
-        return self._map(antiderivative_atom)
+        return self._map(_antiderivative)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "ScalarFn(0)"
-        bits = []
-        for atom, c in sorted(self.terms.items()):
-            name = atom.kind if atom.kind != ONE else "1"
-            bits.append(f"{c:g}*s^{atom.k}*{name}({atom.omega:g}s)")
-        return "ScalarFn(" + " + ".join(bits) + ")"
+        bits = [f"{c:g}*s^{a.k}*{a.kind if a.kind != ONE else '1'}({a.omega:g}s)"
+                if isinstance(a, Atom) else f"({c:g})*s^{a[0]}*e^(({a[1]:g})s)" for c, a in self._atoms()]
+        return "ScalarFn(" + (" + ".join(sorted(bits)) or "0") + ")"

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basisfn import ONE, Atom, ScalarFn
+from .basisfn import ONE, ScalarFn
 from .curves import CurveExpr, symbolic_inner
 from .errors import CrossValidationError, NonExistenceError, UsageError
 from .existence import (
@@ -51,7 +51,6 @@ BERNSTEIN_GRID = 81
 BERNSTEIN_DOMAINS = ((-10.0, 10.0), (-100.0, 100.0))
 
 _FRAME_FAMILIES = frozenset(FRAME_FAMILIES)
-_ONE = Atom(0, ONE, 0.0)
 
 
 def _tag_index(det) -> np.ndarray:
@@ -218,30 +217,25 @@ def _det_g_terms(sig: Signature, surface: RuledSurface) -> list[ScalarFn]:
     """det g's t-coefficients c0, c1, c2 as functions of s, from the symbolic
     pairings of gamma, gamma' and x' (the sweep's _first_form_terms)."""
     curves = dict(g0=surface.gamma, g1=surface.gamma.derivative(1), x1=surface.base.derivative(1))
-
-    def pairing(a: str, b: str) -> ScalarFn:
-        fn = symbolic_inner(sig, curves[a], curves[b])
-        if fn is None:
-            raise UsageError(f"<{a}, {b}> leaves the term algebra")
-        return fn
-
-    return _first_form_terms(pairing, operator.sub)[3]
+    return _first_form_terms(lambda a, b: symbolic_inner(sig, curves[a], curves[b]), operator.sub)[3]
 
 
 def _constant(fn: ScalarFn) -> float | None:
     """fn's value when it is constant in s, else None."""
-    return fn.terms.get(_ONE, 0.0) if fn.terms.keys() <= {_ONE} else None
+    return fn.eval(0.0) if fn.derivative().is_zero else None
 
 
 def _spell(terms: list[ScalarFn]) -> str:
     """c2 t^2 + c1 t + c0, one term per atom c s^k phi(w s) of each c_k, as in
-    "t^2 - 1", "-4*t" or "-cosh(2*s) + sinh(2*s)"."""
+    "t^2 - 1", "-4*t" or "-exp(-2*s)". Each c_k is written back from its
+    (power, rate) terms as basisfn writes atoms, so -cosh 2s + sinh 2s,
+    which is -e^{-2s}, is one exp term."""
     def power(x: str, k: int) -> list[str]:
         return [x if k == 1 else f"{x}^{k}"] if k else []
 
     out = ""
     for p in (2, 1, 0):
-        for (k, kind, omega), c in sorted(terms[p].terms.items()):
+        for c, (k, kind, omega) in sorted(terms[p]._spelled(), key=lambda pair: pair[1]):
             phi = [f"{kind}({_fmt_float(omega)}*s)"] if kind != ONE else []
             factors = power("s", k) + phi + power("t", p)
             size = _fmt_float(abs(c))

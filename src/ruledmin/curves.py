@@ -1,11 +1,12 @@
 """Closed-form curves in R^n with exact derivatives.
 
 A curve is a finite sum of vector coefficients times basis functions
-(powers, trig, hyperbolic trig, exponentials). CurveExpr is the term
-algebra of basisfn with vector coefficients: its +, scaling, d/ds,
-sampling and products (plus_scalar_times, symbolic_inner) are the ones
-ScalarFn uses. Derivatives are cached per order, so downstream geometry
-never pays finite-difference noise.
+(powers, trig, hyperbolic trig, exponentials), kept as basisfn's terms
+s^k e^{rate s}. CurveExpr is that term algebra with vector coefficients:
+its +, scaling, d/ds, sampling and products (plus_scalar_times,
+symbolic_inner) are the ones ScalarFn uses, and the products never leave
+it. Derivatives are cached per order, so downstream geometry never pays
+finite-difference noise.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .basisfn import Atom, ScalarFn, _Terms
 from .errors import UsageError
-from .jsonio import _term_atoms
+from .jsonio import _term_atom
 from .metric import Signature
 
 def _finite_interval(a: float, b: float) -> bool:
@@ -71,7 +72,7 @@ class CurveExpr(_Terms):
             vec = np.array(coeff, dtype=float)
             if vec.shape != (self.n,):
                 raise UsageError(f"coefficient has shape {vec.shape}, expected ({self.n},)")
-            self._add(atom, vec)
+            self._add_atom(atom, vec)
 
     @staticmethod
     def _zero(c: np.ndarray) -> bool:
@@ -91,11 +92,7 @@ class CurveExpr(_Terms):
         """Build from (basis, param, coeff) triples, each read as a JSON curve
         term without a degree: "pow" takes an integer power as its parameter,
         the others a frequency/rate."""
-        terms = []
-        for basis, param, coeff in specs:
-            vec = np.asarray(coeff, dtype=float)
-            terms.extend((atom, c * vec) for c, atom in _term_atoms(basis, param))
-        return cls(n, terms)
+        return cls(n, [(_term_atom(basis, param), coeff) for basis, param, coeff in specs])
 
     def derivative(self, order: int = 1) -> "CurveExpr":
         if order < 0:
@@ -111,13 +108,12 @@ class CurveExpr(_Terms):
         return _Terms.eval(self.derivative(order), s)
 
     def is_constant(self) -> bool:
-        # an empty derivative is a constant curve, but not conversely where a
-        # power s^k holds cosh or sinh(ws) beside exp(+-ws): cosh(ws) and
-        # e^{ws}/2 + e^{-ws}/2 are one function (ROADMAP item 2)
+        # the s^k e^{rate s} are linearly independent, so the derivative is
+        # zero exactly when no term of it is left
         return not self.derivative(1).terms
 
-    def plus_scalar_times(self, lam: ScalarFn, other: "CurveExpr") -> "CurveExpr | None":
-        """self + lam(s) * other(s), or None when the product leaves the family."""
+    def plus_scalar_times(self, lam: ScalarFn, other: "CurveExpr") -> "CurveExpr":
+        """self + lam(s) * other(s)."""
         self._check(other)
         return lam._product(other, lambda lc, vec: lc * vec, self._copy())
 
@@ -125,9 +121,9 @@ class CurveExpr(_Terms):
         return f"CurveExpr(n={self.n}, terms={len(self.terms)})"
 
 
-def symbolic_inner(sig: Signature, a: CurveExpr, b: CurveExpr) -> ScalarFn | None:
-    """<a(s), b(s)> as a closed-form scalar, or None if products leave the family."""
+def symbolic_inner(sig: Signature, a: CurveExpr, b: CurveExpr) -> ScalarFn:
+    """<a(s), b(s)> as a closed-form scalar."""
     if a.n != sig.n or b.n != sig.n:
         raise UsageError("curve dimension does not match the signature")
     w = sig.weights()
-    return a._product(b, lambda va, vb: float((va * vb * w).sum()), ScalarFn())
+    return a._product(b, lambda va, vb: (va * vb * w).sum().item(), ScalarFn())

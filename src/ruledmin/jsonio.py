@@ -23,7 +23,7 @@ from .errors import UsageError
 from .metric import Signature
 
 if TYPE_CHECKING:
-    from .basisfn import ScalarFn
+    from .basisfn import Atom, ScalarFn
     from .curves import CurveExpr
     from .surface import RuledSurface
 
@@ -198,15 +198,19 @@ def _interval(data, path: str) -> tuple[float, float]:
 JSON_BASES = ("pow", "cos", "sin", "cosh", "sinh", "exp")
 
 
-def _terms_to_json(terms: dict) -> list:
-    """Terms by kind, omega and power; a coefficient is a float or a list of them."""
+def _terms_to_json(fn) -> list:
+    """fn's atoms by kind, omega and power; a coefficient is a float or a
+    list of them. UsageError on a damped term, which no basis spells."""
     import numpy as np
 
     from . import basisfn
 
+    def order(pair):
+        return basisfn.KINDS.index(pair[1].kind), pair[1].omega, pair[1].k
+
     out = []
-    for atom in sorted(terms, key=lambda a: (basisfn.KINDS.index(a.kind), a.omega, a.k)):
-        coeff = np.asarray(terms[atom]).tolist()
+    for c, atom in sorted(fn._spelled(), key=order):
+        coeff = np.asarray(c).tolist()
         if atom.kind == basisfn.ONE:
             out.append({"basis": "pow", "param": atom.k, "coeff": coeff})
         else:  # the other kinds are named by their JSON basis
@@ -227,13 +231,13 @@ def curve_to_json(curve: CurveExpr) -> dict:
     """
     return {
         "n": curve.n,
-        "terms": _terms_to_json(curve.terms),
+        "terms": _terms_to_json(curve),
     }
 
 
-def _term_atoms(basis, param, degree=0) -> list:
-    """(factor, atom) pairs of the term s^degree basis(param s), the one
-    reading of a curve term for JSON input and CurveExpr.from_basis_terms.
+def _term_atom(basis, param, degree=0) -> Atom:
+    """The atom s^degree basis(param s), the one reading of a curve term for
+    JSON input and CurveExpr.from_basis_terms.
 
     basis "pow" is s^param, so its param is an integer >= 0 and its degree 0;
     the other bases take a frequency or rate. A UsageError names the field at
@@ -246,10 +250,10 @@ def _term_atoms(basis, param, degree=0) -> list:
     param = _num(param, "param")
     k = _int(degree, "degree", minimum=0)
     if basis != "pow":
-        return basisfn.canon(1.0, k, basis, param)
+        return basisfn.Atom(k, basis, param)
     if k:
         raise UsageError('degree: not allowed with basis "pow" (param is the power)')
-    return basisfn.canon(1.0, _int(param, "param", minimum=0), basisfn.ONE, 0.0)
+    return basisfn.Atom(_int(param, "param", minimum=0), basisfn.ONE, 0.0)
 
 
 def curve_from_json(data, path: str = "curve") -> CurveExpr:
@@ -264,20 +268,19 @@ def curve_from_json(data, path: str = "curve") -> CurveExpr:
         term = _expect_dict(raw, tp, ("basis", "param", "coeff", "degree"))
         basis, param = _get(term, "basis", tp), _get(term, "param", tp)
         try:
-            parts = _term_atoms(basis, param, term.get("degree", 0))
+            atom = _term_atom(basis, param, term.get("degree", 0))
         except UsageError as exc:
             raise UsageError(f"{tp}.{exc}") from None
         coeff = _expect_list(_get(term, "coeff", tp), f"{tp}.coeff")
         if len(coeff) != n:
             raise UsageError(f"{tp}.coeff: expected {n} components, got {len(coeff)}")
-        vec = [_num(c, f"{tp}.coeff[{j}]") for j, c in enumerate(coeff)]
-        terms.extend((atom, [c * v for v in vec]) for c, atom in parts)
+        terms.append((atom, [_num(c, f"{tp}.coeff[{j}]") for j, c in enumerate(coeff)]))
     return CurveExpr(n, terms)
 
 
 def scalar_fn_to_json(fn: ScalarFn) -> list:
     """Wire form of a scalar closed form (list of terms with scalar coeff)."""
-    return _terms_to_json(fn.terms)
+    return _terms_to_json(fn)
 
 
 # ---------------------------------------------------------------------------

@@ -578,7 +578,7 @@ def sweep_grid(
     """The forms on s_grid x t_grid; sweep_grid(sig, surface, [s], [t]) gives them at (s, t).
     It samples the curves and pairs their jets; a det g that is not finite
     on the grid is named by the first reader of the grid. UsageError names
-    a grid that is empty or not one-dimensional."""
+    a grid that is empty, not one-dimensional or not finite."""
     if s_grid is None or t_grid is None:
         ds, dt = surface.default_grids()
         s_grid = ds if s_grid is None else s_grid
@@ -586,7 +586,10 @@ def sweep_grid(
     s_grid, t_grid = (np.atleast_1d(np.asarray(grid, dtype=float)) for grid in (s_grid, t_grid))
     for name, grid in (("s_grid", s_grid), ("t_grid", t_grid)):
         if grid.ndim != 1 or not grid.size:
-            raise UsageError(f"{name} must be a non-empty 1-D array, got shape {grid.shape}")
+            raise UsageError(f"{name} must be a non-empty 1-D array of finite values, got shape {grid.shape}")
+        if not np.isfinite(grid).all():
+            bad = float(grid[~np.isfinite(grid)][0])
+            raise UsageError(f"{name} must be a non-empty 1-D array of finite values, got {bad!r}")
 
     tables = _RulingTables(sig, surface, s_grid)
     return SurfaceSweep(s_grid=s_grid, t_grid=t_grid, tau_deg=tau_deg, _tables=tables, _form=tables.form())
@@ -674,7 +677,8 @@ def c_function_grid(sig: Signature, surface: RuledSurface, s_grid: np.ndarray, t
 class GaugedBaseCurve:
     """Base curve x + lambda * gamma with lambda obtained by quadrature.
 
-    Used when the gauge integrand has no closed form in the term algebra.
+    Used when lambda or the shifted base holds a damped term, which no
+    writer spells.
     lambda itself is a Gauss-Legendre sum (lam_values), but its first three
     derivatives are evaluated in closed form from lambda' = -eps <gamma, x'>,
     so downstream jets stay exact in the derivative slots. Evaluation
@@ -687,7 +691,7 @@ class GaugedBaseCurve:
         self.eps = int(eps)
         self.sig = sig
         self._curves = RuledSurface(gamma=gamma, base=base)
-        rates = [abs(atom.omega) for curve in (gamma, base) for atom in curve.terms]
+        rates = [abs(rate) for curve in (gamma, base) for _, rate in curve.terms]
         self._panel = 1.0 / max([1.0, *rates])
 
     @property
@@ -789,17 +793,15 @@ def _epsilon(scan: _RulingTables) -> int:
 
 def _shift(scan: _RulingTables) -> tuple[int, ScalarFn | None, RuledSurface]:
     """epsilon, lambda and the gauged surface of scan.surface: its base becomes
-    x + lambda gamma. lambda is None when it has no closed form, and the base
-    is then a GaugedBaseCurve."""
+    x + lambda gamma. lambda is None when it or the shifted base holds a
+    damped term, which no writer spells, and the base is then a
+    GaugedBaseCurve."""
     sig, surface = scan.sig, scan.surface
     eps = _epsilon(scan)
-    lam = base = None
-    m_sym = symbolic_inner(sig, surface.gamma, surface.base.derivative(1))
-    if m_sym is not None:
-        anti = m_sym.antiderivative()
-        lam = -eps * (anti - ScalarFn.constant(anti.eval(0.0)))
-        base = surface.base.plus_scalar_times(lam, surface.gamma)
-    if base is None:
+    anti = symbolic_inner(sig, surface.gamma, surface.base.derivative(1)).antiderivative()
+    lam = -eps * (anti - ScalarFn.constant(anti.eval(0.0)))
+    base = surface.base.plus_scalar_times(lam, surface.gamma)
+    if lam._damped() or base._damped():  # no writer spells a damped term
         lam, base = None, GaugedBaseCurve(surface.base, surface.gamma, eps, sig)
     return eps, lam, RuledSurface(surface.gamma, base, surface.s_domain, surface.t_domain)
 
@@ -810,11 +812,12 @@ def gauge_normalize(sig: Signature, surface: RuledSurface) -> GaugeResult:
     Replaces x by x + lambda * gamma with lambda(s) = -eps * integral of
     <gamma, x'> from 0, where eps = <gamma, gamma> = +-1 must be constant.
     The swept point set is unchanged because the shift happens inside each
-    ruling line. Closed-form lambda is used whenever the term algebra allows
-    it; otherwise the base becomes a quadrature-backed curve whose derivative
-    slots are still exact, and lambda is tabulated on the scan grid. The
-    check reads only the g12 it reports, on the gauged surface's default
-    grid; UsageError names the first s where g12 is not finite.
+    ruling line. Closed-form lambda is used unless it or the shifted base
+    holds a damped term; then the base becomes a quadrature-backed curve
+    whose derivative slots are still exact, and lambda is tabulated on the
+    scan grid. The check reads only the g12 it reports, on the gauged
+    surface's default grid; UsageError names the first s where g12 is not
+    finite.
     """
     if not isinstance(surface.base, CurveExpr):
         raise UsageError("gauge_normalize expects a closed-form base curve")

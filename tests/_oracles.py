@@ -17,9 +17,10 @@ choice that causal maps read before det g's coefficients were derived from
 the surface's own pairings; it is the reference those coefficients must match.
 `scalar_product_loop`, `plus_scalar_times_loop` and `symbolic_inner_loop`
 keep the three product loops that ScalarFn `*`, CurveExpr.plus_scalar_times
-and symbolic_inner each had before the term algebra was written once; they
-take and return plain term dicts, so the shared product can be compared
-against them atom by atom and in dict order.
+and symbolic_inner each had before the term algebra was written once, on
+the by-kind product table below; they take and return plain dicts from
+atom to coefficient, so the shared product can be compared against them
+term by term wherever that table closes.
 `cayley_isometry` and `moved_surface` move a surface by an exact isometry of
 R^n_p and a translation, the congruences every verdict is invariant under;
 `reparametrized_surface` rewrites a surface's curves under s -> a s + b by
@@ -33,7 +34,8 @@ Python types by their concrete type first.
 `canon_by_kind`, `diff_atom_by_kind`, `product_atoms_by_kind` and
 `antiderivative_atom_by_kind` keep basisfn's atom rules as they were written
 kind by kind, with the parity, derivative and primitive tables and the
-six-way product table, before each kind became a sum of exponentials.
+six-way product table, before terms were keyed by power and rate; the
+product loops and `reparametrized` use them, not basisfn's rules.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from ruledmin import CurveExpr, RuledSurface, Signature, UsageError, inner_product
-from ruledmin.basisfn import COS, COSH, EXP, KINDS, ONE, SIN, SINH, Atom, canon, product_atoms
+from ruledmin.basisfn import COS, COSH, EXP, KINDS, ONE, SIN, SINH, Atom
 from ruledmin.existence import SEARCH_COORD_BOUND, SEARCH_SAMPLES_PER_SLOT, SearchResult
 from ruledmin.families import FamilyId, NormPattern, SignChoice, validate_signs
 from ruledmin.metric import ip_array
@@ -469,7 +471,7 @@ def scalar_product_loop(a_terms: dict, b_terms: dict) -> dict:
     out: dict = {}
     for a, ca in a_terms.items():
         for b, cb in b_terms.items():
-            parts = product_atoms(a, b)
+            parts = product_atoms_by_kind(a, b)
             if parts is None:
                 raise UsageError(f"{a} * {b} leaves the term algebra")
             for c, atom in parts:
@@ -484,7 +486,7 @@ def plus_scalar_times_loop(x_terms: dict, lam_terms: dict, other_terms: dict) ->
         _vector_add(out, atom, vec)
     for la, lc in lam_terms.items():
         for atom, vec in other_terms.items():
-            parts = product_atoms(la, atom)
+            parts = product_atoms_by_kind(la, atom)
             if parts is None:
                 return None
             for c, aa in parts:
@@ -501,7 +503,7 @@ def symbolic_inner_loop(sig: Signature, a_terms: dict, b_terms: dict) -> dict | 
             dot = float((va * vb * w).sum())
             if dot == 0.0:
                 continue
-            parts = product_atoms(aa, ab)
+            parts = product_atoms_by_kind(aa, ab)
             if parts is None:
                 return None
             for c, atom in parts:
@@ -550,7 +552,7 @@ def moved_surface(surface: RuledSurface, q, shift) -> RuledSurface:
     def move(curve, extra=()):
         terms = [
             (atom, [float(sum(qi[j] * Fraction(float(c[j])) for j in range(curve.n))) for qi in q])
-            for atom, c in curve.terms.items()
+            for c, atom in curve._spelled()
         ]
         return CurveExpr(curve.n, [*terms, *extra])
 
@@ -573,13 +575,13 @@ _ADDITION = {
 def reparametrized(curve: CurveExpr, a: float, b: float) -> CurveExpr:
     """curve(a s + b), term by term: s^k phi(w s) becomes the binomial sum of
     C(k, j) a^j b^(k-j) s^j times phi(a w s + w b), expanded by the addition
-    formula, and each atom is written by basisfn.canon."""
+    formula, and each atom is normalized by canon_by_kind."""
     terms = []
-    for (k, kind, w), coef in curve.terms.items():
+    for coef, (k, kind, w) in curve._spelled():
         for j in range(k + 1):
             binomial = math.comb(k, j) * a**j * b ** (k - j)
             for c, psi in _ADDITION[kind](w * b):
-                terms += [(atom, cc * c * binomial * coef) for cc, atom in canon(1.0, j, psi, a * w)]
+                terms += [(atom, cc * c * binomial * coef) for cc, atom in canon_by_kind(1.0, j, psi, a * w)]
     return CurveExpr(curve.n, terms)
 
 

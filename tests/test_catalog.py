@@ -31,7 +31,7 @@ from ruledmin import (
     uniform_grid,
 )
 from ruledmin import catalog
-from ruledmin.basisfn import COSH, SINH, Atom
+from ruledmin.basisfn import EXP, Atom
 from ruledmin.catalog import SpanType, _constant, _det_g_terms
 from ruledmin.surface import _RulingTables
 
@@ -185,7 +185,8 @@ def test_det_g_closed_forms():
 
 
 def test_det_g_cylinder_is_s_dependent():
-    """The cylinder's det g is -(cosh 2s - sinh 2s) at every t, as sampled."""
+    """The cylinder's det g is -(cosh 2s - sinh 2s) = -e^{-2s} at every t, one
+    exp term, as sampled."""
     s_grid = uniform_grid(-3.0, 3.0, 25)
     t_grid = uniform_grid(-3.0, 3.0, 7)
     assert det_g_closed_form(FamilyId.MINIMAL_CYLINDER).s_dependent
@@ -197,7 +198,7 @@ def test_det_g_cylinder_is_s_dependent():
         c0, c1, c2 = _det_g_terms(sig, surf)
         assert c1.is_zero and c2.is_zero
         assert _constant(c0) is None
-        assert c0.terms == {Atom(0, COSH, 2.0): -1.0, Atom(0, SINH, 2.0): 1.0}
+        assert c0._spelled() == [(-1.0, Atom(0, EXP, -2.0))]
         sampled = sweep_grid(sig, surf, s_grid, t_grid).det_g
         assert np.allclose(sampled, c0.eval(s_grid)[:, None], rtol=1e-12, atol=1e-12)
         count += 1
@@ -389,8 +390,8 @@ def test_homothety_rejects_non_positive_ratio():
 
 
 def test_homothety_of_a_quadrature_gauged_surface_is_a_usage_error():
-    """A cos/sin ruling over s e3 + cosh(s) e1 leaves the term algebra, so the
-    gauged base has no terms to scale."""
+    """A cos/sin ruling over s e3 + cosh(s) e1 gives lambda damped terms, so
+    the gauged base is the quadrature-backed one, with no terms to scale."""
     gamma = CurveExpr.from_basis_terms(3, [("cos", 1.0, (1.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 1.0, 0.0))])
     base = CurveExpr.from_basis_terms(3, [("pow", 1, (0.0, 0.0, 1.0)), ("cosh", 1.0, (1.0, 0.0, 0.0))])
     gauged = gauge_normalize(R30, RuledSurface(gamma, base))

@@ -129,15 +129,22 @@ def test_scalar_fn_arithmetic_matches_its_samples():
     ):
         assert np.allclose(got.eval(grid), want, rtol=1e-13, atol=1e-13)
     cos, sin = ScalarFn([(1.0, Atom(0, COS, 1.0))]), ScalarFn([(1.0, Atom(0, SIN, 1.0))])
-    assert (cos * cos + sin * sin).terms == {Atom(0, ONE, 0.0): 1.0}
+    assert (cos * cos + sin * sin)._spelled() == [(1.0, Atom(0, ONE, 0.0))]
     assert (a - a).is_zero
 
 
-def test_scalar_fn_product_that_leaves_the_algebra_is_a_usage_error():
+def test_scalar_fn_product_of_trig_and_hyperbolic_matches_its_samples():
+    """cos s cosh s is (e^{(1+i)s} + e^{(1-i)s} + e^{(-1+i)s} + e^{(-1-i)s}) / 4:
+    damped terms, which sample exactly but which no atom spells."""
+    grid = uniform_grid(-2.0, 2.0, 17)
     cos = ScalarFn([(1.0, Atom(0, COS, 1.0))])
     cosh = ScalarFn([(1.0, Atom(0, COSH, 1.0))])
-    with pytest.raises(UsageError, match="leaves the term algebra"):
-        cos * cosh
+    product = cos * cosh
+    assert sorted(product.terms, key=str) == sorted(
+        [(0, complex(a, b)) for a in (1.0, -1.0) for b in (1.0, -1.0)], key=str)
+    assert np.allclose(product.eval(grid), np.cos(grid) * np.cosh(grid), rtol=1e-14, atol=1e-14)
+    with pytest.raises(UsageError, match="is damped"):
+        product._spelled()
 
 
 def _ip(sig, u, v):

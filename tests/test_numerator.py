@@ -108,10 +108,11 @@ def test_a_sweep_runs_the_numerators_once(monkeypatch):
 
 
 def test_a_size_that_overflows_is_named_at_its_first_s():
-    # gamma = (cosh s - sinh s) e1 + e2 is e^-s e1 + e2, so every pairing stays
-    # finite, but its size e^s + 1 makes det g's size overflow from s = 200 on
+    # gamma = (e^-s + 2^-600 e^s) e1 + e2 is sampled as (cosh s - sinh s) e1 + e2,
+    # since 1 +- 2^-600 rounds to +-1, so every pairing stays finite, but its
+    # size e^s + 1 makes det g's size overflow from s = 200 on
     gamma = CurveExpr.from_basis_terms(
-        3, [("cosh", 1.0, (1.0, 0.0, 0.0)), ("sinh", 1.0, (-1.0, 0.0, 0.0)), ("pow", 0, (0.0, 1.0, 0.0))]
+        3, [("exp", -1.0, (1.0, 0.0, 0.0)), ("exp", 1.0, (2.0**-600, 0.0, 0.0)), ("pow", 0, (0.0, 1.0, 0.0))]
     )
     surf = RuledSurface(gamma, AXIS, (150.0, 400.0))
     sweep = sweep_grid(Signature(3, 0), surf)

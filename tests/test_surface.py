@@ -43,6 +43,7 @@ from _oracles import (
     fd_position_jet,
     moved_surface,
     normal_component,
+    product_atoms_by_kind,
 )
 from test_catalog import _admissible_triples
 
@@ -452,12 +453,10 @@ def test_gauge_trig_integrand_cancels():
 def _perturbed_helicoid(rho_terms) -> RuledSurface:
     surf = helicoid()
     rho = CurveExpr.from_basis_terms(3, rho_terms)
-    shifted = CurveExpr(3, list(surf.base.terms.items()))
-    for atom, vec in rho.terms.items():
-        for g_atom, g_vec in surf.gamma.terms.items():
-            from ruledmin.basisfn import product_atoms
-
-            parts = product_atoms(atom, g_atom)
+    shifted = CurveExpr(3, [(atom, vec) for vec, atom in surf.base._spelled()])
+    for vec, atom in rho._spelled():
+        for g_vec, g_atom in surf.gamma._spelled():
+            parts = product_atoms_by_kind(atom, g_atom)
             assert parts is not None
             for c, aa in parts:
                 shifted = shifted + CurveExpr(3, [(aa, c * float(vec[0]) * g_vec)])

@@ -213,8 +213,12 @@ def test_a_failing_block_is_raised_after_the_helper_is_joined(monkeypatch, threa
         ([0.0, 1.0], [], "t_grid"),
         ([[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0], "s_grid"),
         ([0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]], "t_grid"),
+        ([0.0, 1.0], [0.0, float("nan")], "t_grid"),
+        ([0.0, 1.0], [0.0, float("inf")], "t_grid"),
+        ([float("nan"), 1.0], [0.0, 1.0], "s_grid"),
+        ([0.0, float("-inf")], [0.0, 1.0], "s_grid"),
     ],
-    ids=["empty-s", "empty-t", "2d-s", "2d-t"],
+    ids=["empty-s", "empty-t", "2d-s", "2d-t", "nan-t", "inf-t", "nan-s", "inf-s"],
 )
 def test_a_grid_that_is_empty_or_not_one_dimensional_is_named(s, t, name):
     sig = Signature(3, 0)
