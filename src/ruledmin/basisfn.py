@@ -235,7 +235,7 @@ class _Terms:
         atoms = self._atoms()
         for _, atom in atoms:
             if not isinstance(atom, Atom):
-                raise UsageError(f"the term s^{atom[0]} e^({atom[1]:g} s) is damped: no basis function spells it")
+                raise UsageError(f"the term s^{atom[0]} e^(({atom[1]:g}) s) is damped: no basis function spells it")
         return atoms
 
     def __add__(self, other):

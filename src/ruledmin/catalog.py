@@ -177,10 +177,8 @@ def generate(
 
 def scale_surface(surface: RuledSurface, k: float) -> RuledSurface:
     """Homothety f -> k f (scales both curves; ruling lines are preserved)."""
-    if not k > 0:
-        raise UsageError("homothety ratio must be positive")
-    if not isinstance(surface.base, CurveExpr):
-        raise UsageError("scale_surface expects a closed-form base curve")
+    if not (k > 0 and math.isfinite(k)):
+        raise UsageError(f"homothety ratio must be a finite number > 0, got {k!r}")
     return RuledSurface(
         gamma=k * surface.gamma,
         base=k * surface.base,

@@ -26,7 +26,6 @@ from enum import Enum
 
 import numpy as np
 
-from .curves import CurveExpr
 from .errors import ConventionError, EverywhereDegenerateError, UsageError
 from .families import FamilyId
 from .metric import Signature
@@ -356,7 +355,7 @@ def identify_family(
             notes=[cyl.note] if family is not None else [],
         )
 
-    if isinstance(surface.base, CurveExpr) and not scan.profile("g0", "x1").identically_zero:
+    if not scan.profile("g0", "x1").identically_zero:
         # the gauge moves only the base, so gamma's samples and pairings carry over
         surface = _shift(scan)[2]
         scan = scan.with_base(surface)

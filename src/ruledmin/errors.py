@@ -47,10 +47,12 @@ class EverywhereDegenerateError(RuledminError):
 
 
 class NullDirectionError(RuledminError):
-    """The direction curve is null and non-parallel.
+    """The direction curve is null and not constant.
 
-    Such a ruled surface is never minimal, so classification stops here
-    with a not-minimal diagnosis instead of a case label.
+    Such a ruled surface is never minimal, unless gamma is a multiple of
+    one fixed null vector (a cylinder's rulings, reparametrized along each
+    line), so classification stops here with a not-minimal diagnosis
+    instead of a case label.
     """
 
 

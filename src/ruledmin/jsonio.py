@@ -288,13 +288,6 @@ def scalar_fn_to_json(fn: ScalarFn) -> list:
 
 
 def surface_to_json(sig: Signature, surface: RuledSurface) -> dict:
-    from .curves import CurveExpr
-
-    if not isinstance(surface.base, CurveExpr):
-        raise UsageError(
-            "only closed-form surfaces serialize to JSON; a quadrature-backed "
-            "base has no term representation (export its lambda table instead)"
-        )
     return {
         "signature": {"n": sig.n, "p": sig.p},
         "gamma": curve_to_json(surface.gamma),

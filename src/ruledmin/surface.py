@@ -7,8 +7,8 @@ polynomial in t along each ruling, as is N = 2 (det g)^2 H. H vanishes off
 the degenerate set exactly when N's per-s coefficients do, so they decide
 minimality; det g divides only the reported h11, h12 and H. No
 orthonormalization of the tangent plane is ever attempted, so mixed-causal
-tangent planes need no special cases. A gauge shift lambda with no closed
-form is integrated by the Gauss-Legendre rule `curves.quad`.
+tangent planes need no special cases. The gauge shift lambda is a closed
+form in the term algebra, damped terms included.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import numpy as np
 
 from ._threads import on_two_threads
 from .basisfn import ScalarFn
+# quad has no caller here: it stays imported only because perfbench's smoke
+# test deletes surface.quad (ROADMAP item 2 removes both)
 from .curves import CurveExpr, _finite_interval, quad, symbolic_inner, uniform_grid
 from .errors import (
     ConventionError,
@@ -59,21 +61,18 @@ DEFAULT_SURFACE_GRID = (41, 41)
 class RuledSurface:
     """Surface swept by lines: f(s, t) = gamma(s) * t + x(s).
 
-    gamma is the direction curve (ruling directions), a CurveExpr; base is
-    x, a CurveExpr or the gauge's GaugedBaseCurve.
+    gamma is the direction curve (ruling directions) and base is x, both
+    CurveExprs.
     """
 
     gamma: CurveExpr
-    base: CurveExpr | GaugedBaseCurve
+    base: CurveExpr
     s_domain: tuple[float, float] = (-3.0, 3.0)
     t_domain: tuple[float, float] = (-3.0, 3.0)
 
     def __post_init__(self):
-        if not (
-            isinstance(self.gamma, CurveExpr)
-            and isinstance(self.base, (CurveExpr, GaugedBaseCurve))
-        ):
-            raise UsageError("gamma must be a CurveExpr, base a CurveExpr or GaugedBaseCurve")
+        if not (isinstance(self.gamma, CurveExpr) and isinstance(self.base, CurveExpr)):
+            raise UsageError("gamma and base must be CurveExprs")
         if self.gamma.n != self.base.n:
             raise UsageError(
                 f"gamma lives in R^{self.gamma.n} but base in R^{self.base.n}"
@@ -252,10 +251,7 @@ class _RulingTables:
         if name not in self._jets:
             label, curve = ("gamma", self.surface.gamma) if name[0] == "g" else ("x", self.surface.base)
             with np.errstate(all="ignore"):  # overflow is reported by _finite, not warned
-                if isinstance(curve, CurveExpr):
-                    values, size = curve.derivative(int(name[1]))._sample(self.s, sized=True)
-                else:
-                    values, size = curve.eval(self.s, int(name[1])), 0.0
+                values, size = curve.derivative(int(name[1]))._sample(self.s, sized=True)
             self._peaks[name] = float(np.abs(values).max(initial=0.0))  # NaN or inf if one is
             if not math.isfinite(self._peaks[name]):
                 self._finite(f"{label} at derivative order {name[1]}", values)
@@ -264,8 +260,7 @@ class _RulingTables:
 
     def _size(self, name: str) -> np.ndarray:
         """The size of the terms that cancel in the jet: sum |coefficient|
-        |atom| over a CurveExpr's terms, at least |jet| (|jet| alone for a
-        GaugedBaseCurve)."""
+        |atom| over the curve's terms, at least |jet|."""
         self.jet(name)
         return self._sizes[name]
 
@@ -674,79 +669,19 @@ def c_function_grid(sig: Signature, surface: RuledSurface, s_grid: np.ndarray, t
 # gauge normalization
 
 
-class GaugedBaseCurve:
-    """Base curve x + lambda * gamma with lambda obtained by quadrature.
-
-    Used when lambda or the shifted base holds a damped term, which no
-    writer spells.
-    lambda itself is a Gauss-Legendre sum (lam_values), but its first three
-    derivatives are evaluated in closed form from lambda' = -eps <gamma, x'>,
-    so downstream jets stay exact in the derivative slots. Evaluation
-    accepts scalars or arrays like CurveExpr.
-    """
-
-    def __init__(self, base: CurveExpr, gamma: CurveExpr, eps: int, sig: Signature):
-        self.base = base
-        self.gamma = gamma
-        self.eps = int(eps)
-        self.sig = sig
-        self._curves = RuledSurface(gamma=gamma, base=base)
-        rates = [abs(rate) for curve in (gamma, base) for _, rate in curve.terms]
-        self._panel = 1.0 / max([1.0, *rates])
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def _integrand(self, s: np.ndarray) -> np.ndarray:
-        return ip_array(self.sig, self.gamma.eval(s), self.base.eval(s, 1))
-
-    def lam_values(self, s) -> np.ndarray:
-        """Raw integral M(s) of <gamma, x'> from 0, by Gauss-Legendre panels.
-
-        Panels 1 / max(1, the largest frequency or rate in gamma and x) wide
-        tile each side of 0 and are summed outward from it, so no value is a
-        difference of sums larger than itself; each s then adds the piece
-        from its nearest panel end.
-        """
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        k = np.rint(np.abs(arr) / self._panel).astype(int)  # nearest end: +-k panels
-        ends = np.outer([1.0, -1.0], self._panel * np.arange(k.max() + 1))  # rows: s >= 0, s < 0
-        panels = quad(self._integrand, ends[:, :-1], ends[:, 1:])
-        at_ends = np.pad(np.cumsum(panels, axis=1), ((0, 0), (1, 0)))
-        side = (arr < 0).astype(int)
-        return at_ends[side, k] + quad(self._integrand, ends[side, k], arr)
-
-    def eval(self, s, order: int = 0):
-        if not 0 <= order <= 3:
-            raise UsageError(f"order must be in 0..3, got {order}")
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        tab = _RulingTables(self.sig, self._curves, arr)
-        ip, eps = tab.ip, self.eps
-        lam = (  # lambda and its derivatives, from lambda' = -eps <gamma, x'>
-            lambda: -eps * self.lam_values(arr),
-            lambda: -eps * ip("g0", "x1"),
-            lambda: -eps * (ip("g1", "x1") + ip("g0", "x2")),
-            lambda: -eps * (ip("g2", "x1") + 2.0 * ip("g1", "x2") + ip("g0", "x3")),
-        )
-        # Leibniz: (x + lambda gamma)^(k) = x^(k) + sum_j C(k, j) lambda^(j) gamma^(k-j)
-        out = tab.jet(f"x{order}")
-        for j in range(order, -1, -1):
-            out = out + math.comb(order, j) * lam[j]()[:, None] * tab.jet(f"g{order - j}")
-        if np.isscalar(s) or np.asarray(s).ndim == 0:
-            return out.reshape(self.n)
-        return out
-
-
 @dataclass
 class GaugeResult:
-    """Outcome of gauge normalization (making g12 vanish identically)."""
+    """Outcome of gauge normalization (making g12 vanish identically).
+
+    surface is the gauged surface, always in closed form. exact is False
+    when lambda or the gauged base holds a damped term, which no writer
+    spells; lambda is then given as lam_table instead of lam."""
 
     surface: RuledSurface
     epsilon: int
     exact: bool
     lam: ScalarFn | None  # closed form when exact
-    lam_table: tuple[np.ndarray, np.ndarray] | None  # (s, lambda(s)) otherwise
+    lam_table: tuple[np.ndarray, np.ndarray] | None  # (s, lambda(s)) on the scan grid otherwise
     max_abs_g12: float
     # max |g12| / S over the check grid, S = |gamma| (|gamma'| |t| + |x'|) in
     # Euclidean norms, the size of the terms that cancel in g12 (0 where S = 0)
@@ -772,8 +707,10 @@ def _epsilon(scan: _RulingTables) -> int:
     """epsilon = <gamma, gamma>, which the normal form needs constant +-1.
 
     NullDirectionError when it vanishes along a non-constant gamma (such a
-    surface is never minimal); ConventionError when it varies or is not +-1,
-    and for the constant null gamma of a cylinder, which no gauge applies to.
+    surface is never minimal unless gamma is a multiple of one fixed null
+    vector, which rules the same lines as a cylinder); ConventionError when
+    it varies or is not +-1, and for the constant null gamma of a cylinder,
+    which no gauge applies to.
     """
     gg = scan.profile("g0", "g0")
     if gg.identically_zero:
@@ -782,8 +719,9 @@ def _epsilon(scan: _RulingTables) -> int:
                 f"<gamma, gamma> = {gg.mean!r}; a constant null direction takes no gauge"
             )
         raise NullDirectionError(
-            "the ruling direction is null along a non-constant curve; such a "
-            "surface is never minimal away from degenerate points"
+            "the ruling direction is null along a non-constant curve; unless it is "
+            "a multiple of one fixed null vector, such a surface is never minimal "
+            "away from degenerate points"
         )
     val = _constant(gg)
     if abs(abs(val) - 1.0) > UNIT_TOL:
@@ -791,18 +729,14 @@ def _epsilon(scan: _RulingTables) -> int:
     return 1 if val > 0 else -1
 
 
-def _shift(scan: _RulingTables) -> tuple[int, ScalarFn | None, RuledSurface]:
+def _shift(scan: _RulingTables) -> tuple[int, ScalarFn, RuledSurface]:
     """epsilon, lambda and the gauged surface of scan.surface: its base becomes
-    x + lambda gamma. lambda is None when it or the shifted base holds a
-    damped term, which no writer spells, and the base is then a
-    GaugedBaseCurve."""
+    x + lambda gamma, with lambda in closed form (damped terms included)."""
     sig, surface = scan.sig, scan.surface
     eps = _epsilon(scan)
     anti = symbolic_inner(sig, surface.gamma, surface.base.derivative(1)).antiderivative()
     lam = -eps * (anti - ScalarFn.constant(anti.eval(0.0)))
     base = surface.base.plus_scalar_times(lam, surface.gamma)
-    if lam._damped() or base._damped():  # no writer spells a damped term
-        lam, base = None, GaugedBaseCurve(surface.base, surface.gamma, eps, sig)
     return eps, lam, RuledSurface(surface.gamma, base, surface.s_domain, surface.t_domain)
 
 
@@ -812,18 +746,15 @@ def gauge_normalize(sig: Signature, surface: RuledSurface) -> GaugeResult:
     Replaces x by x + lambda * gamma with lambda(s) = -eps * integral of
     <gamma, x'> from 0, where eps = <gamma, gamma> = +-1 must be constant.
     The swept point set is unchanged because the shift happens inside each
-    ruling line. Closed-form lambda is used unless it or the shifted base
-    holds a damped term; then the base becomes a quadrature-backed curve
-    whose derivative slots are still exact, and lambda is tabulated on the
-    scan grid. The check reads only the g12 it reports, on the gauged
-    surface's default grid; UsageError names the first s where g12 is not
-    finite.
+    ruling line. lambda and the shifted base are always closed forms; the
+    result is exact unless one of them holds a damped term, which no writer
+    spells, and lambda is then tabulated on the scan grid instead. The
+    check reads only the g12 it reports, on the gauged surface's default
+    grid; UsageError names the first s where g12 is not finite.
     """
-    if not isinstance(surface.base, CurveExpr):
-        raise UsageError("gauge_normalize expects a closed-form base curve")
     scan = _scan(sig, surface)
     eps, lam, gauged = _shift(scan)
-    lam_table = None if lam is not None else (scan.s, -eps * gauged.base.lam_values(scan.s))
+    exact = not (lam._damped() or gauged.base._damped())
 
     # g12 = <gamma', gamma> t + <x', gamma> is linear in t, so its largest
     # magnitude over the check grid sits at one of the grid's two t-ends. Its
@@ -838,7 +769,8 @@ def gauge_normalize(sig: Signature, surface: RuledSurface) -> GaugeResult:
         size = g0 * (g1 * np.abs(t_grid)[None, :] + x1)
         residual = np.divide(g12, size, out=np.zeros_like(g12), where=size > 0)
     return GaugeResult(
-        surface=gauged, epsilon=eps, exact=lam is not None, lam=lam, lam_table=lam_table,
+        surface=gauged, epsilon=eps, exact=exact, lam=lam if exact else None,
+        lam_table=None if exact else (scan.s, lam.eval(scan.s)),
         max_abs_g12=float(g12[:, [0, -1]].max()),
         g12_residual=float(residual.max()),
     )

@@ -91,7 +91,6 @@ KEYWORDS = {
     "jsonio": {"curve_from_json": "path"},
     "metric": {},
     "surface": {
-        "GaugedBaseCurve.eval": "order",
         "RuledSurface.default_grids": "shape",
         "SurfaceSweep.minimality": "tol",
         "is_minimal": "s_grid t_grid tol tau_deg",

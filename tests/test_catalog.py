@@ -387,17 +387,21 @@ def test_homothety_rejects_non_positive_ratio():
         scale_surface(surf, 0.0)
     with pytest.raises(UsageError):
         scale_surface(surf, -2.0)
+    with pytest.raises(UsageError, match=r"^homothety ratio must be a finite number > 0, got inf$"):
+        scale_surface(surf, float("inf"))
 
 
-def test_homothety_of_a_quadrature_gauged_surface_is_a_usage_error():
-    """A cos/sin ruling over s e3 + cosh(s) e1 gives lambda damped terms, so
-    the gauged base is the quadrature-backed one, with no terms to scale."""
+def test_homothety_of_a_damped_gauge_scales_every_base_term():
+    """A cos/sin ruling over s e3 + cosh(s) e1 gives lambda damped terms; the
+    gauged base holds them as terms, and a homothety doubles each one."""
     gamma = CurveExpr.from_basis_terms(3, [("cos", 1.0, (1.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 1.0, 0.0))])
     base = CurveExpr.from_basis_terms(3, [("pow", 1, (0.0, 0.0, 1.0)), ("cosh", 1.0, (1.0, 0.0, 0.0))])
     gauged = gauge_normalize(R30, RuledSurface(gamma, base))
-    assert not gauged.exact
-    with pytest.raises(UsageError, match="closed-form base"):
-        scale_surface(gauged.surface, 2.0)
+    assert not gauged.exact and gauged.surface.base._damped()
+    scaled = scale_surface(gauged.surface, 2.0).base.terms
+    assert scaled.keys() == gauged.surface.base.terms.keys()
+    for key, coeff in gauged.surface.base.terms.items():
+        assert np.array_equal(scaled[key], 2.0 * coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 
 from _oracles import dumps_abc
 
-from ruledmin import CurveExpr, FamilyId, SignChoice, Signature, UsageError, generate
+from ruledmin import (
+    CurveExpr,
+    FamilyId,
+    RuledSurface,
+    SignChoice,
+    Signature,
+    UsageError,
+    gauge_normalize,
+    generate,
+)
 from ruledmin.jsonio import (
     _fmt_float,
     curve_from_json,
@@ -127,6 +136,17 @@ def test_degree_is_rejected_on_power_terms():
     }
     with pytest.raises(UsageError, match=r"terms\[0\]\.degree: not allowed"):
         curve_from_json(data)
+
+
+def test_a_damped_gauge_is_refused_by_the_writer_with_its_term():
+    """The helicoid over s e3 + cosh(s) e1 gauges to a base with damped terms;
+    the writer names the first one, its rate in parentheses."""
+    gamma = CurveExpr.from_basis_terms(3, [("cos", 1.0, (1.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 1.0, 0.0))])
+    base = CurveExpr.from_basis_terms(3, [("pow", 1, (0.0, 0.0, 1.0)), ("cosh", 1.0, (1.0, 0.0, 0.0))])
+    gauged = gauge_normalize(Signature(3, 0), RuledSurface(gamma, base))
+    assert not gauged.exact
+    with pytest.raises(UsageError, match=r"^the term s\^0 e\^\(\(1\+2j\) s\) is damped"):
+        surface_to_json(Signature(3, 0), gauged.surface)
 
 
 # ---------------------------------------------------------------------------

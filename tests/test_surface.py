@@ -34,7 +34,6 @@ from ruledmin import (
     uniform_grid,
 )
 from ruledmin.basisfn import ONE, Atom, ScalarFn
-from ruledmin.surface import GaugedBaseCurve
 
 from _oracles import (
     cayley_isometry,
@@ -482,8 +481,9 @@ def test_gauge_removes_along_ruling_perturbation():
     assert distance_to_rulings(pts, gamma_pts, base_pts).max() < 1e-6
 
 
-def test_gauge_quadrature_path():
-    """Perturbations outside the closed-form family fall back to quadrature."""
+def test_gauge_damped_path():
+    """A perturbation whose lambda holds damped terms is gauged in closed form
+    and reported inexact, with lambda tabulated."""
     surf = helicoid()
     bump = CurveExpr.from_basis_terms(3, [("cosh", 0.5, (0.3, 0.0, 0.0))])
     shifted = RuledSurface(surf.gamma, surf.base + bump, surf.s_domain, surf.t_domain)
@@ -495,7 +495,7 @@ def test_gauge_quadrature_path():
 
 @pytest.mark.parametrize("half_width", [3.0, 10.0])
 @pytest.mark.parametrize("a, omega", [(0.2, 1.0), (0.3, 7.0), (0.05, 20.0)])
-def test_quadrature_lambda_matches_its_antiderivative(a, omega, half_width):
+def test_damped_lambda_matches_its_antiderivative(a, omega, half_width):
     """lambda = -(F(s) - F(0)) with F' = <gamma, x'> = a omega cos(s) sinh(omega s),
     to 1e-12 of max(1, |lambda|) even where |lambda| spans many magnitudes."""
     surf = helicoid()
@@ -514,7 +514,7 @@ def test_quadrature_lambda_matches_its_antiderivative(a, omega, half_width):
 
 
 @pytest.mark.parametrize("a, omega, half_width", [(0.3, 7.0, 10.0), (0.05, 20.0, 3.0)])
-def test_quadrature_gauge_g12_is_rounding_against_the_terms_that_cancel(a, omega, half_width):
+def test_damped_gauge_g12_is_rounding_against_the_terms_that_cancel(a, omega, half_width):
     """On a fast-growing bump |g12| is huge in absolute terms, but a rounding-level
     fraction of |gamma| (|gamma'| |t| + |x'|)."""
     surf = helicoid()
@@ -565,13 +565,13 @@ def test_g12_residual_stays_rounding_where_the_jets_share_no_axis(
 
 
 def test_ruled_surface_takes_a_closed_form_direction_and_a_gauged_base():
-    """gamma must be a CurveExpr; the quadrature gauge's GaugedBaseCurve is a base
-    only, and a surface on it classifies."""
+    """gamma must be a CurveExpr; the damped gauge's base is a CurveExpr with
+    damped terms, and a surface on it classifies."""
     surf = helicoid()
     bump = CurveExpr.from_basis_terms(3, [("cosh", 0.5, (1e-5, 0.0, 0.0))])
     result = gauge_normalize(R30, RuledSurface(surf.gamma, surf.base + bump))
-    assert isinstance(result.surface.base, GaugedBaseCurve)
-    for gamma, base in [(result.surface.base, surf.base), (surf.gamma.eval, surf.base)]:
+    assert isinstance(result.surface.base, CurveExpr) and result.surface.base._damped()
+    for gamma, base in [(surf.gamma.eval, surf.base), (surf.gamma, surf.base.eval)]:
         with pytest.raises(UsageError):
             RuledSurface(gamma, base)
     classified = identify_family(R30, result.surface)
