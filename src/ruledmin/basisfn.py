@@ -308,6 +308,11 @@ class ScalarFn(_Terms):
         return self._map(_antiderivative)
 
     def __repr__(self) -> str:
-        bits = [f"{c:g}*s^{a.k}*{a.kind if a.kind != ONE else '1'}({a.omega:g}s)"
-                if isinstance(a, Atom) else f"({c:g})*s^{a[0]}*e^(({a[1]:g})s)" for c, a in self._atoms()]
-        return "ScalarFn(" + (" + ".join(sorted(bits)) or "0") + ")"
+        return "ScalarFn(" + (" + ".join(sorted(_term_text(c, a) for c, a in self._atoms())) or "0") + ")"
+
+
+def _term_text(c, atom) -> str:
+    """One (coefficient, Atom) pair of _Terms._atoms as ScalarFn's repr writes it."""
+    if isinstance(atom, Atom):
+        return f"{c:g}*s^{atom.k}*{atom.kind if atom.kind != ONE else '1'}({atom.omega:g}s)"
+    return f"({c:g})*s^{atom[0]}*e^(({atom[1]:g})s)"

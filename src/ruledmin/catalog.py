@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basisfn import ONE, ScalarFn
-from .curves import CurveExpr, symbolic_inner
+from .curves import CurveExpr, _sized_inner
 from .errors import CrossValidationError, NonExistenceError, UsageError
 from .existence import (
     ExistenceResult,
@@ -34,7 +34,7 @@ from .families import (
 )
 from .jsonio import _fmt_float
 from .metric import Signature, gram_matrix
-from .surface import RuledSurface, _first_form_terms, sweep_grid
+from .surface import RuledSurface, _constant_value, _first_form_terms, _reading, sweep_grid
 
 DEFAULT_S_DOMAIN = (-3.0, 3.0)
 DEFAULT_T_DOMAIN = (-3.0, 3.0)
@@ -90,32 +90,19 @@ def _witness_surface(
     """The frame family's normal form on the witness's frame."""
     n = witness.sig.n
     e1, e2, e3 = (np.asarray(v, dtype=float) for v in witness.frame.vectors)
+    base = [("pow", 1, e3)]
     if family in (FamilyId.ELLIPTIC_HELICOID_1, FamilyId.ELLIPTIC_HELICOID_2):
-        gamma = CurveExpr.from_basis_terms(
-            n, [("cos", 1.0, e1), ("sin", 1.0, e2)]
-        )
-        base = CurveExpr.from_basis_terms(n, [("pow", 1, e3)])
+        gamma = [("cos", 1.0, e1), ("sin", 1.0, e2)]
     elif family in (FamilyId.HYPERBOLIC_HELICOID_1, FamilyId.HYPERBOLIC_HELICOID_2):
-        gamma = CurveExpr.from_basis_terms(
-            n, [("cosh", 1.0, e1), ("sinh", 1.0, e2)]
-        )
-        base = CurveExpr.from_basis_terms(n, [("pow", 1, e3)])
+        gamma = [("cosh", 1.0, e1), ("sinh", 1.0, e2)]
     elif family is FamilyId.PARABOLIC_HELICOID:
-        gamma = CurveExpr.from_basis_terms(
-            n, [("pow", 0, e1), ("pow", 1, e2 + e3)]
-        )
-        base = CurveExpr.from_basis_terms(
-            n,
-            [
-                ("pow", 2, e1),
-                ("pow", 3, (e2 + e3) / 3.0),
-                ("pow", 1, e3 - e2),
-            ],
-        )
+        gamma = [("pow", 0, e1), ("pow", 1, e2 + e3)]
+        base = [("pow", 2, e1), ("pow", 3, (e2 + e3) / 3.0), ("pow", 1, e3 - e2)]
     else:  # minimal hyperbolic paraboloid
-        gamma = CurveExpr.from_basis_terms(n, [("pow", 1, e1), ("pow", 0, e2)])
-        base = CurveExpr.from_basis_terms(n, [("pow", 1, e3)])
-    return RuledSurface(gamma=gamma, base=base, s_domain=s_domain, t_domain=t_domain)
+        gamma = [("pow", 1, e1), ("pow", 0, e2)]
+    return RuledSurface(
+        CurveExpr.from_basis_terms(n, gamma), CurveExpr.from_basis_terms(n, base), s_domain, t_domain
+    )
 
 
 def generate(
@@ -136,55 +123,29 @@ def generate(
         return _witness_surface(family, _witness(sig, family, signs), s_domain, t_domain)
     _check_request(sig, family, signs)
 
+    axis = np.eye(sig.n)
     if family is FamilyId.PLANE:
-        n = sig.n
-        e_dir = np.zeros(n)
-        e_dir[1] = 1.0
-        e_base = np.zeros(n)
-        e_base[0] = 1.0
-        gamma = CurveExpr.from_basis_terms(n, [("pow", 0, e_dir)])
-        base = CurveExpr.from_basis_terms(n, [("pow", 1, e_base)])
-        return RuledSurface(gamma=gamma, base=base, s_domain=s_domain, t_domain=t_domain)
-
-    # minimal cylinder
-    result = admits_cylinder(sig)
-    if result.verdict is not Verdict.WITNESS:
-        raise NonExistenceError(result)
-    n = sig.n
-    i, j, k = result.cylinder.axes
-
-    def axis(idx):
-        v = np.zeros(n)
-        v[idx] = 1.0
-        return v
-
-    gamma = CurveExpr.from_basis_terms(
-        n, [("pow", 0, np.asarray(result.cylinder.direction, dtype=float))]
+        gamma, base = [("pow", 0, axis[1])], [("pow", 1, axis[0])]
+    else:  # minimal cylinder
+        result = admits_cylinder(sig)
+        if result.verdict is not Verdict.WITNESS:
+            raise NonExistenceError(result)
+        i, j, k = result.cylinder.axes
+        gamma = [("pow", 0, np.asarray(result.cylinder.direction, dtype=float))]
+        if result.cylinder.mirrored:  # two timelike axes (i, j), one spacelike (k)
+            base = [("cosh", 1.0, axis[i]), ("pow", 1, axis[j]), ("sinh", 1.0, axis[k])]
+        else:
+            base = [("sinh", 1.0, axis[i]), ("cosh", 1.0, axis[j]), ("pow", 1, axis[k])]
+    return RuledSurface(
+        CurveExpr.from_basis_terms(sig.n, gamma), CurveExpr.from_basis_terms(sig.n, base), s_domain, t_domain
     )
-    if result.cylinder.mirrored:
-        # two timelike axes (i, j), one spacelike (k)
-        base = CurveExpr.from_basis_terms(
-            n,
-            [("cosh", 1.0, axis(i)), ("pow", 1, axis(j)), ("sinh", 1.0, axis(k))],
-        )
-    else:
-        base = CurveExpr.from_basis_terms(
-            n,
-            [("sinh", 1.0, axis(i)), ("cosh", 1.0, axis(j)), ("pow", 1, axis(k))],
-        )
-    return RuledSurface(gamma=gamma, base=base, s_domain=s_domain, t_domain=t_domain)
 
 
 def scale_surface(surface: RuledSurface, k: float) -> RuledSurface:
     """Homothety f -> k f (scales both curves; ruling lines are preserved)."""
     if not (k > 0 and math.isfinite(k)):
         raise UsageError(f"homothety ratio must be a finite number > 0, got {k!r}")
-    return RuledSurface(
-        gamma=k * surface.gamma,
-        base=k * surface.base,
-        s_domain=surface.s_domain,
-        t_domain=surface.t_domain,
-    )
+    return RuledSurface(k * surface.gamma, k * surface.base, surface.s_domain, surface.t_domain)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +173,12 @@ class CausalRegionReport:
 
 
 def _det_g_terms(sig: Signature, surface: RuledSurface) -> list[ScalarFn]:
-    """det g's t-coefficients c0, c1, c2 as functions of s, from the symbolic
-    pairings of gamma, gamma' and x' (the sweep's _first_form_terms)."""
+    """det g's t-coefficients c0, c1, c2 as functions of s, from the sized
+    pairings of gamma, gamma' and x' (the sweep's _first_form_terms), each
+    read by the classifier's zero rule (surface._reading)."""
     curves = dict(g0=surface.gamma, g1=surface.gamma.derivative(1), x1=surface.base.derivative(1))
-    return _first_form_terms(lambda a, b: symbolic_inner(sig, curves[a], curves[b]), operator.sub)[3]
-
-
-def _constant(fn: ScalarFn) -> float | None:
-    """fn's value when it is constant in s, else None."""
-    return fn.eval(0.0) if fn.derivative().is_zero else None
+    terms = _first_form_terms(lambda a, b: _sized_inner(sig, curves[a], curves[b]), operator.sub)[3]
+    return [_reading(fn) for fn in terms]
 
 
 def _spell(terms: list[ScalarFn]) -> str:
@@ -252,8 +210,8 @@ def causal_map(
     """Split the t-domain by the sign of det g, cross-validated by sampling.
 
     Spacelike regions have det g > 0, timelike det g < 0; loci with det g = 0
-    separate them. det g's t-coefficients come from the surface's symbolic
-    pairings. When all three are constant in s (frame families and the
+    separate them. det g's t-coefficients come from the surface's sized
+    pairings, read by the zero rule. When all three are constant in s (frame families and the
     plane), the loci are the roots of the quadratic; otherwise (the
     cylinder) there is one region. Each region takes the sign of det g's
     median over the s-grid at the region's midpoint t. A sample off DEG_BAND
@@ -268,7 +226,7 @@ def causal_map(
         surface = generate(sig, family, signs, t_domain=t_domain)
     lo, hi = surface.t_domain
     terms = _det_g_terms(sig, surface)
-    c0, c1, c2 = map(_constant, terms)
+    c0, c1, c2 = map(_constant_value, terms)
     constant_in_s = None not in (c0, c1, c2)
     loci = []
     if constant_in_s and c2 != 0.0:

@@ -13,9 +13,11 @@ surface.SCAN_POINTS s-grid, so a query samples each curve jet at most once
 on it. Each of <gamma, gamma>, <gamma', gamma'>, <x', x'>, <gamma', x'> and
 the gauge term <gamma, x'> is read once there, as one surface.ScalarProfile
 that the gauge, the case invariants, the genericity scan and the cylinder
-test all answer from, so "counts as zero or constant" is
-surface.CONSTANCY_TOL throughout, also for the shifted delta that makes a
-helicoid of the second kind.
+test all answer from. Whether a pairing is zero, constant or a unit is read
+off its closed-form terms by one rule, a term c counting as zero when
+|c| <= surface.H_TOL S, S the size of the products that formed it; so is
+the shifted delta that makes a helicoid of the second kind. The samples
+give the largest magnitudes and the zeros of a pairing that varies.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 from .errors import ConventionError, EverywhereDegenerateError, UsageError
 from .families import FamilyId
 from .metric import Signature
-from .surface import CONSTANCY_TOL, H_TOL, UNIT_TOL, MinimalityReport, RuledSurface, ScalarProfile
-from .surface import _checked_tol, _constant, _epsilon, _RulingTables, _scan, _shift, is_minimal
+from .surface import H_TOL, MinimalityReport, RuledSurface, ScalarProfile
+from .surface import _checked_tol, _epsilon, _reading, _RulingTables, _scan, _shift, is_minimal
 
 DEPENDENCE_TOL = 1e-10
 STRUCTURE_TOL = 1e-8
@@ -122,41 +124,26 @@ def case_invariants(sig: Signature, surface: RuledSurface) -> CaseInvariants:
 
 
 def _case_invariants(scan: _RulingTables) -> CaseInvariants:
-    gamma = scan.surface.gamma
-    if gamma.is_constant():
-        raise UsageError(
-            "the ruling direction is constant; classify with cylinder_check"
-        )
+    if scan.surface.gamma.is_constant():
+        raise UsageError("the ruling direction is constant; classify with cylinder_check")
     epsilon = _epsilon(scan)
-
     if not scan.profile("g0", "x1").identically_zero:
-        raise ConventionError(
-            "<gamma, x'> does not vanish; apply gauge_normalize before "
-            "classification"
-        )
+        raise ConventionError("<gamma, x'> does not vanish; apply gauge_normalize before classification")
 
-    eta_val = _constant(scan.profile("g1", "g1"))
-    if abs(eta_val) <= CONSTANCY_TOL:
-        eta = 0
-    elif abs(abs(eta_val) - 1.0) <= UNIT_TOL:
-        eta = 1 if eta_val > 0 else -1
-    else:
+    eta = scan.unit("g1", "g1")
+    if eta is None:
         raise ConventionError(
-            f"<gamma', gamma'> = {eta_val!r}; the normal form needs the "
+            f"<gamma', gamma'> = {scan.constant('g1', 'g1')!r}; the normal form needs the "
             "direction curve at constant speed 0 or +-1"
         )
 
-    delta_value = _constant(scan.profile("x1", "x1"))
-    delta = 0 if abs(delta_value) <= CONSTANCY_TOL else (1 if delta_value > 0 else -1)
-    if eta == 0 and delta != 0 and abs(abs(delta_value) - 1.0) > UNIT_TOL:
+    delta_value = scan.constant("x1", "x1")
+    if eta == 0 and scan.unit("x1", "x1") is None:
         raise ConventionError(
             f"<x', x'> = {delta_value!r}; with a null direction derivative "
             "the base speed normalizes to 0 or +-1"
         )
-
-    return CaseInvariants(
-        epsilon=epsilon, eta=eta, delta=delta, delta_value=delta_value, mu=scan.profile("g1", "x1")
-    )
+    return CaseInvariants(epsilon, eta, int(np.sign(delta_value)), delta_value, scan.profile("g1", "x1"))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +213,7 @@ def cylinder_check(sig: Signature, surface: RuledSurface) -> CylinderReport:
 def _cylinder_check(scan: _RulingTables, h_tol: float) -> CylinderReport:
     direction_null = scan.profile("g0", "g0").identically_zero
     base_null = scan.profile("x1", "x1").identically_zero
-    pairing = scan.profile("g0", "x1")
-    # a sign change between two samples is a zero too, so read the profile's zeros
+    pairing = scan.profile("g0", "x1")  # its zeros: one term's, or sampled ones and sign changes
     nowhere_zero = not pairing.identically_zero and not pairing.isolated_zeros
     min_pairing = float(np.abs(scan.ip("g0", "x1")).min())
 
@@ -240,21 +226,11 @@ def _cylinder_check(scan: _RulingTables, h_tol: float) -> CylinderReport:
         note = "null direction with nowhere-zero <gamma, x'>; a slide along the rulings makes the base null"
     elif report.is_minimal:
         verdict = CylinderVerdict.NOT_MINIMAL
-        note = (
-            "mean curvature vanishes on the grid but the null-cylinder "
-            "structure checks fail; treat as unresolved"
-        )
+        note = "mean curvature vanishes on the grid but the null-cylinder structure checks fail; treat as unresolved"
     else:
         verdict = CylinderVerdict.NOT_MINIMAL
         note = f"H numerator residual {report.residual:.3e} exceeds {h_tol:.1e}"
-    return CylinderReport(
-        verdict=verdict,
-        direction_null=direction_null,
-        base_null=base_null,
-        min_pairing=min_pairing,
-        max_h_norm=report.max_h_norm,
-        note=note,
-    )
+    return CylinderReport(verdict, direction_null, base_null, min_pairing, report.max_h_norm, note)
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +315,12 @@ def identify_family(
     if surface.gamma.is_constant():
         cyl = _cylinder_check(scan, h_tol)
         family = {
-            CylinderVerdict.PLANE: FamilyId.PLANE,
-            CylinderVerdict.MINIMAL_CYLINDER: FamilyId.MINIMAL_CYLINDER,
-            CylinderVerdict.NOT_MINIMAL: None,
-        }[cyl.verdict]
+            CylinderVerdict.PLANE: FamilyId.PLANE, CylinderVerdict.MINIMAL_CYLINDER: FamilyId.MINIMAL_CYLINDER
+        }.get(cyl.verdict)
         return ClassificationResult(
-            sig=sig,
-            family=family,
-            case_label=CaseLabel.CYLINDER,
-            reported_case=CaseLabel.CYLINDER,
-            invariants=None,
-            minimality=None,
-            genericity=None,
-            diagnosis=None if family is not None else cyl.note,
-            notes=[cyl.note] if family is not None else [],
+            sig=sig, family=family, case_label=CaseLabel.CYLINDER, reported_case=CaseLabel.CYLINDER,
+            invariants=None, minimality=None, genericity=None,
+            diagnosis=None if family is not None else cyl.note, notes=[cyl.note] if family is not None else [],
         )
 
     if not scan.profile("g0", "x1").identically_zero:
@@ -403,9 +371,9 @@ def identify_family(
     else:
         # with eta != 0 a shift along the rulings kills mu and moves delta to
         # delta~ = delta - eta mu^2, which vanishes for the second kind
-        mu_value = inv.mu.value
+        mu = scan.sized("g1", "x1")
         second_kind_or_mu_zero = (
-            abs(inv.delta_value - inv.eta * mu_value * mu_value) <= CONSTANCY_TOL
+            _reading(scan.sized("x1", "x1") - mu * mu * inv.eta).is_zero
             if inv.eta != 0
             else inv.mu.identically_zero
         )
@@ -433,14 +401,6 @@ def identify_family(
             )
 
     return ClassificationResult(
-        sig=sig,
-        family=family,
-        case_label=raw_case,
-        reported_case=reported,
-        invariants=inv,
-        minimality=minimality,
-        genericity=genericity,
-        structure=structure,
-        diagnosis=diagnosis,
-        notes=notes,
+        sig=sig, family=family, case_label=raw_case, reported_case=reported, invariants=inv,
+        minimality=minimality, genericity=genericity, structure=structure, diagnosis=diagnosis, notes=notes,
     )

@@ -6,7 +6,9 @@ s^k e^{rate s}. CurveExpr is that term algebra with vector coefficients:
 its +, scaling, d/ds, sampling and products (plus_scalar_times,
 symbolic_inner) are the ones ScalarFn uses, and the products never leave
 it. Derivatives are cached per order, so downstream geometry never pays
-finite-difference noise.
+finite-difference noise. _sized_inner is symbolic_inner with each term's
+size, the sum of the |products| that formed it, for a rule that reads a
+rounding residue as zero.
 """
 
 from __future__ import annotations
@@ -122,8 +124,39 @@ class CurveExpr(_Terms):
 
 
 def symbolic_inner(sig: Signature, a: CurveExpr, b: CurveExpr) -> ScalarFn:
-    """<a(s), b(s)> as a closed-form scalar."""
+    """<a(s), b(s)> as a closed-form scalar: the coefficients of _sized_inner."""
+    out = ScalarFn()
+    out.terms = {key: c.item() for key, (c, _) in _sized_inner(sig, a, b).terms.items() if c}
+    return out
+
+
+class _SizedFn(_Terms):
+    """A scalar function with the pair [c, S] at each (k, rate): c its
+    coefficient and S the size of the terms that cancel in it, kept where c
+    is 0. A sum adds the S, scaling by k scales S by |k|, and a product adds
+    |a| S_b + S_a |b|, to first order what the factors' rounding leaves in it."""
+
+    __slots__ = ()
+    _shape = (2,)
+
+    @staticmethod
+    def _zero(c: np.ndarray) -> bool:
+        return not (c[0] or c[1])
+
+    def __mul__(self, other: "_SizedFn | float") -> "_SizedFn":
+        if isinstance(other, _SizedFn):
+            return self._product(
+                other, lambda a, b: np.array([a[0] * b[0], abs(a[0]) * b[1] + a[1] * abs(b[0])]), _SizedFn()
+            )
+        k = float(other)
+        return self._map(lambda power, rate: [((power, rate), np.array([k, abs(k)]))])
+
+    __rmul__ = __mul__
+
+
+def _sized_inner(sig: Signature, a: CurveExpr, b: CurveExpr) -> _SizedFn:
+    """<a(s), b(s)>'s terms, each with S = sum_i |a_i| |b_i| over the products that land on it."""
     if a.n != sig.n or b.n != sig.n:
         raise UsageError("curve dimension does not match the signature")
     w = sig.weights()
-    return a._product(b, lambda va, vb: (va * vb * w).sum().item(), ScalarFn())
+    return a._product(b, lambda va, vb: np.array([(va * vb * w).sum(), abs(va * vb).sum()]), _SizedFn())

@@ -22,10 +22,10 @@ from functools import cached_property, partial
 import numpy as np
 
 from ._threads import on_two_threads
-from .basisfn import ScalarFn
+from .basisfn import ONE, Atom, ScalarFn, _term_text
 # quad has no caller here: it stays imported only because perfbench's smoke
 # test deletes surface.quad (ROADMAP item 2 removes both)
-from .curves import CurveExpr, _finite_interval, quad, symbolic_inner, uniform_grid
+from .curves import CurveExpr, _finite_interval, _sized_inner, _SizedFn, quad, uniform_grid
 from .errors import (
     ConventionError,
     DegenerateMetricError,
@@ -37,15 +37,12 @@ from .metric import Signature, ip_array
 
 # |det g| at or below this is treated as a degenerate tangent plane.
 TAU_DEG = 1e-9
-# The H numerator's coefficients count as vanishing when what exceeds their
-# rounding bound stays below this fraction of the terms that cancel in them.
+# The one zero rule, relative to S, the size of the terms that cancel in a
+# coefficient c: the H numerator's coefficients vanish when what exceeds their
+# rounding bound stays at or below this fraction of S, and a term of a
+# closed-form pairing (the gauge's and the classifier's) or a sample of it
+# counts as zero when |c| <= H_TOL S.
 H_TOL = 1e-8
-# <v, v> within this of +-1 counts as a unit norm (the gauge's and the
-# classifier's normalization checks).
-UNIT_TOL = 1e-6
-# A per-s invariant counts as zero when its magnitude, and as constant when its
-# spread over the scan grid, is at or below this.
-CONSTANCY_TOL = 1e-9
 # The gauge and the classifier read the curves on this many points of the s-domain.
 SCAN_POINTS = 201
 EPS = np.finfo(float).eps
@@ -182,21 +179,15 @@ def _on_two_threads(work, ns: int, nt: int) -> list:
 
 @dataclass(frozen=True)
 class ScalarProfile:
-    """One pairing <a, b> read along the directrix by _RulingTables.profile.
-    It is identically zero when max_abs, and constant, with value its mean,
-    when its spread is at most CONSTANCY_TOL; isolated_zeros lists where it
-    vanishes otherwise, one s per zero."""
+    """One pairing <a, b> read by _RulingTables.profile: identically zero, and
+    its value when constant (None when it varies), off its terms by the zero
+    rule; its largest sampled magnitude, and where it vanishes otherwise."""
 
     name: str
     identically_zero: bool
     max_abs: float
     isolated_zeros: tuple[float, ...]
-    spread: float
-    mean: float
-
-    @property
-    def value(self) -> float | None:
-        return self.mean if self.spread <= CONSTANCY_TOL else None
+    value: float | None
 
     @property
     def clean(self) -> bool:
@@ -212,7 +203,8 @@ class _RulingTables:
     checks read is a pairing ip(a, b): epsilon = <g0, g0>, eta = <g1, g1>,
     <x1, x1>, mu = <g1, x1>, the gauge term <g0, x1>, the C-function and the
     sweep's first-form and second-form coefficients. The gauge and the
-    classifier read the first five only through profile(a, b). f is affine
+    classifier read the first five only through profile(a, b) and its
+    closed form sized(a, b). f is affine
     in t, so those coefficients make every (ns, nt) scalar a polynomial in
     t, evaluated by Horner's rule with (ns, 1) columns against the (1, nt)
     t-row T.
@@ -223,6 +215,7 @@ class _RulingTables:
         self._jets: dict[str, np.ndarray] = {}
         self._pairs: dict[tuple, np.ndarray] = {}
         self._profiles: dict[tuple, ScalarProfile] = {}
+        self._sized: dict[tuple, _SizedFn] = {}
         self._peaks: dict[str, float] = {}  # max |jet|
         self._sizes: dict[str, np.ndarray] = {}  # see _size
 
@@ -235,6 +228,7 @@ class _RulingTables:
         moved._sizes = {k: v for k, v in self._sizes.items() if k[0] == "g"}
         moved._pairs = {k: v for k, v in self._pairs.items() if k[0][0] == k[1][0] == "g"}
         moved._profiles = {k: v for k, v in self._profiles.items() if k[0][0] == k[1][0] == "g"}
+        moved._sized = {k: v for k, v in self._sized.items() if k[0][0] == k[1][0] == "g"}
         return moved
 
     def _finite(self, what: str, values: np.ndarray, first_row: int = 0) -> np.ndarray:
@@ -246,15 +240,18 @@ class _RulingTables:
             raise UsageError(f"{what} is not finite at s = {float(self.s[row])!r}")
         return values
 
+    def _curve(self, name: str) -> CurveExpr:
+        """gamma or x, differentiated int(name[1]) times."""
+        return (self.surface.gamma if name[0] == "g" else self.surface.base).derivative(int(name[1]))
+
     def jet(self, name: str) -> np.ndarray:
         """(ns, n) samples of gamma or x, differentiated int(name[1]) times."""
         if name not in self._jets:
-            label, curve = ("gamma", self.surface.gamma) if name[0] == "g" else ("x", self.surface.base)
             with np.errstate(all="ignore"):  # overflow is reported by _finite, not warned
-                values, size = curve.derivative(int(name[1]))._sample(self.s, sized=True)
+                values, size = self._curve(name)._sample(self.s, sized=True)
             self._peaks[name] = float(np.abs(values).max(initial=0.0))  # NaN or inf if one is
             if not math.isfinite(self._peaks[name]):
-                self._finite(f"{label} at derivative order {name[1]}", values)
+                self._finite(f"{'gamma' if name[0] == 'g' else 'x'} at derivative order {name[1]}", values)
             self._jets[name], self._sizes[name] = values, np.maximum(size, np.abs(values))
         return self._jets[name]
 
@@ -277,25 +274,58 @@ class _RulingTables:
                 self._pairs[key] = self._finite(f"the pairing <{_spelled(a)}, {_spelled(b)}>", pairing)
         return self._pairs[key]
 
+    def _terms_size(self, a: str, b: str) -> np.ndarray:
+        """sum_i |a_i b_i| over the jets' sizes at each s, shape (ns,)."""
+        return ip_array(Signature(self.sig.n, 0), self._size(a), self._size(b))
+
+    def sized(self, a: str, b: str) -> _SizedFn:
+        """<a, b> in closed form with the size of each term (curves._sized_inner), made once."""
+        key = tuple(sorted((a, b)))
+        if key not in self._sized:
+            self._sized[key] = _sized_inner(self.sig, self._curve(key[0]), self._curve(key[1]))
+        return self._sized[key]
+
     def profile(self, a: str, b: str) -> ScalarProfile:
-        """<a, b> on this grid, read once. Its zeros are the samples within
-        CONSTANCY_TOL of 0 and the midpoints of sign changes between two
-        samples that are not; a hit more than 1.5 grid steps from the
-        previous hit starts a new zero."""
+        """<a, b> read once: sampled first (a sample that is not finite is named),
+        then its terms by the zero rule (_reading). One term c s^k e^{rate s}
+        (rate real, as a real function's one term is) has no zero, or s = 0
+        when k > 0. Other zeros are the samples the zero rule reads as 0 against
+        their sum_i |a_i b_i| over the jet sizes and the midpoints of sign changes
+        between two that are not; a hit over 1.5 steps from the last starts anew."""
         key = tuple(sorted((a, b)))
         if key not in self._profiles:
             v, s = self.ip(a, b), self.s
-            lo, hi, max_abs = float(v.min()), float(v.max()), float(np.abs(v).max())
-            zero, zeros = max_abs <= CONSTANCY_TOL, ()
-            if not zero and lo <= CONSTANCY_TOL and hi >= -CONSTANCY_TOL:  # it nears 0 or changes sign
-                small = np.abs(v) <= CONSTANCY_TOL
+            fn, zeros = _reading(self.sized(a, b)), ()
+            if len(fn.terms) == 1:
+                ((k, _),) = fn.terms
+                zeros = (0.0,) if k and s[0] <= 0.0 <= s[-1] else ()
+            elif fn.terms:
+                small = _zero(v, self._terms_size(a, b))
                 cross = np.flatnonzero(~small[:-1] & ~small[1:] & (v[:-1] * v[1:] < 0))
                 hits = np.sort(np.concatenate([s[small], 0.5 * (s[cross] + s[cross + 1])]))
                 zeros = tuple(map(float, hits[np.diff(hits, prepend=-np.inf) > 1.5 * (s[1] - s[0])]))
-            self._profiles[key] = ScalarProfile(
-                f"<{_spelled(key[0])}, {_spelled(key[1])}>", zero, max_abs, zeros, hi - lo, float(v.mean())
-            )
+            name = f"<{_spelled(key[0])}, {_spelled(key[1])}>"
+            self._profiles[key] = ScalarProfile(name, fn.is_zero, float(np.abs(v).max()), zeros, _constant_value(fn))
         return self._profiles[key]
+
+    def constant(self, a: str, b: str) -> float:
+        """profile(a, b)'s value; ConventionError quoting its largest term that varies otherwise."""
+        profile = self.profile(a, b)
+        if profile.value is None:
+            terms = [term for term in _reading(self.sized(a, b))._atoms() if term[1] != Atom(0, ONE, 0.0)]
+            c, atom = max(terms, key=lambda term: abs(term[0]))
+            raise ConventionError(
+                f"{profile.name} varies across the domain by its term {_term_text(c, atom)}; "
+                "the case invariants assume it is constant"
+            )
+        return profile.value
+
+    def unit(self, a: str, b: str) -> int | None:
+        """The constant <a, b> as 0 or +-1 by the zero rule, |c| - 1 against S + 1; None otherwise."""
+        value = self.constant(a, b)
+        if value and not _zero(abs(value) - 1.0, abs(self.sized(a, b).terms[0, 0][1]) + 1.0):
+            return None
+        return int(np.sign(value))
 
     def col(self, a: str, b: str) -> np.ndarray:
         return self.ip(a, b)[:, None]
@@ -315,12 +345,12 @@ class _RulingTables:
         sum, not the pairing, and a jet's own terms can cancel too, as in
         19 cosh s - 18 sinh s). Every difference is a - sign b with sign
         (+1, -1, -1), so each slice takes the IEEE steps of its own pass."""
-        euclid, pairs = Signature(self.sig.n, 0), {}
+        pairs = {}
 
         def pair(a, b):  # [<a, b>, |<a, b>|, the same widened by its rounding]
             key = tuple(sorted((a, b)))
             if key not in pairs:
-                p, terms = self.col(a, b), ip_array(euclid, self._size(a), self._size(b))[:, None]
+                p, terms = self.col(a, b), self._terms_size(a, b)[:, None]
                 pairs[key] = np.stack([p, np.abs(p), np.abs(p) + (self.sig.n + 2) * EPS * terms])
             return pairs[key]
 
@@ -693,14 +723,21 @@ def _scan(sig: Signature, surface: RuledSurface) -> _RulingTables:
     return _RulingTables(sig, surface, uniform_grid(*surface.s_domain, SCAN_POINTS))
 
 
-def _constant(profile: ScalarProfile) -> float:
-    """profile's value; ConventionError when it varies."""
-    if profile.value is None:
-        raise ConventionError(
-            f"{profile.name} varies by {profile.spread:.3e} across the domain; the case "
-            "invariants assume it is constant"
-        )
-    return profile.value
+def _zero(c, size):
+    """The zero rule, |c| <= H_TOL size, for a coefficient or an array of samples."""
+    return abs(c) <= H_TOL * size
+
+
+def _reading(sized: _SizedFn) -> ScalarFn:
+    """The terms of sized that the zero rule keeps, |c| > H_TOL S."""
+    fn = ScalarFn()
+    fn.terms = {key: c.item() for key, (c, size) in sized.terms.items() if not _zero(c, abs(size))}
+    return fn
+
+
+def _constant_value(fn: ScalarFn) -> float | None:
+    """fn's value when it is constant in s (no term but s^0 e^{0 s}), else None."""
+    return None if fn.terms.keys() - {(0, 0)} else fn.terms.get((0, 0), 0.0)
 
 
 def _epsilon(scan: _RulingTables) -> int:
@@ -716,27 +753,33 @@ def _epsilon(scan: _RulingTables) -> int:
     if gg.identically_zero:
         if scan.surface.gamma.is_constant():
             raise ConventionError(
-                f"<gamma, gamma> = {gg.mean!r}; a constant null direction takes no gauge"
+                f"<gamma, gamma> = {gg.value!r}; a constant null direction takes no gauge"
             )
         raise NullDirectionError(
             "the ruling direction is null along a non-constant curve; unless it is "
             "a multiple of one fixed null vector, such a surface is never minimal "
             "away from degenerate points"
         )
-    val = _constant(gg)
-    if abs(abs(val) - 1.0) > UNIT_TOL:
-        raise ConventionError(f"<gamma, gamma> = {val!r}; scale the direction to unit norm")
-    return 1 if val > 0 else -1
+    epsilon = scan.unit("g0", "g0")
+    if epsilon is None:
+        raise ConventionError(f"<gamma, gamma> = {gg.value!r}; scale the direction to unit norm")
+    return epsilon
 
 
 def _shift(scan: _RulingTables) -> tuple[int, ScalarFn, RuledSurface]:
-    """epsilon, lambda and the gauged surface of scan.surface: its base becomes
-    x + lambda gamma, with lambda in closed form (damped terms included)."""
-    sig, surface = scan.sig, scan.surface
+    """epsilon, lambda and the gauged surface of scan.surface. lambda integrates
+    the terms of <gamma, x'> that the zero rule keeps, and the base is x + lambda
+    gamma in closed form (damped terms included), where a component is 0 by
+    the zero rule against S = |x| + the |lambda gamma products| on it."""
+    surface = scan.surface
     eps = _epsilon(scan)
-    anti = symbolic_inner(sig, surface.gamma, surface.base.derivative(1)).antiderivative()
+    anti = _reading(scan.sized("g0", "x1")).antiderivative()
     lam = -eps * (anti - ScalarFn.constant(anti.eval(0.0)))
-    base = surface.base.plus_scalar_times(lam, surface.gamma)
+    base, size = surface.base.plus_scalar_times(lam, surface.gamma), CurveExpr(surface.n)
+    size.terms = {key: abs(c) for key, c in surface.base.terms.items()}
+    size = lam._product(surface.gamma, lambda c, vec: abs(c) * abs(vec), size)
+    kept = ((key, np.where(_zero(c, size.terms[key]), 0.0, c)) for key, c in base.terms.items())
+    base.terms = {key: c for key, c in kept if c.any()}
     return eps, lam, RuledSurface(surface.gamma, base, surface.s_domain, surface.t_domain)
 
 

@@ -22,7 +22,8 @@ the by-kind product table below; they take and return plain dicts from
 atom to coefficient, so the shared product can be compared against them
 term by term wherever that table closes.
 `cayley_isometry` and `moved_surface` move a surface by an exact isometry of
-R^n_p and a translation, the congruences every verdict is invariant under;
+R^n_p and a translation, the congruences every verdict is invariant under,
+and `draw_moved_surface` draws both for a hypothesis test;
 `reparametrized_surface` rewrites a surface's curves under s -> a s + b by
 the addition formulas, a reparametrization every verdict is invariant under.
 `two_run_numerators` keeps the two _numerators runs, one signed and one on
@@ -50,6 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from ruledmin import CurveExpr, RuledSurface, Signature, UsageError, inner_product
 from ruledmin.basisfn import COS, COSH, EXP, KINDS, ONE, SIN, SINH, Atom
@@ -558,6 +561,22 @@ def moved_surface(surface: RuledSurface, q, shift) -> RuledSurface:
 
     base = move(surface.base, [(Atom(0, ONE, 0.0), [float(v) for v in shift])])
     return RuledSurface(move(surface.gamma), base, surface.s_domain, surface.t_domain)
+
+
+def draw_moved_surface(data, sig: Signature, surface: RuledSurface) -> RuledSurface:
+    """surface moved by the Cayley isometry of a skew matrix with entries p/q,
+    |p| <= 3 and q <= 3, and by an integer translation in [-5, 5]^n, both drawn
+    from hypothesis's data; a draw whose I - A is singular is rejected."""
+    n = sig.n
+    ratio = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = data.draw(ratio)
+            skew[j][i] = -skew[i][j]
+    q = cayley_isometry(sig, skew)
+    assume(q is not None)
+    return moved_surface(surface, q, data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
 
 
 # phi(x + y) = sum of c psi(x) over the (c, psi) pairs at y: the addition

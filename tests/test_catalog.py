@@ -32,8 +32,8 @@ from ruledmin import (
 )
 from ruledmin import catalog
 from ruledmin.basisfn import EXP, Atom
-from ruledmin.catalog import SpanType, _constant, _det_g_terms
-from ruledmin.surface import _RulingTables
+from ruledmin.catalog import SpanType, _det_g_terms
+from ruledmin.surface import _constant_value, _RulingTables
 
 from _oracles import det_g_closed_form, vector_sweep
 
@@ -179,7 +179,7 @@ def test_det_g_closed_forms():
             continue
         form = det_g_closed_form(family, signs)
         terms = _det_g_terms(sig, generate(sig, family, signs=signs))
-        assert [_constant(fn) for fn in terms] == [form.c0, form.c1, form.c2], (sig, family, signs)
+        assert [_constant_value(fn) for fn in terms] == [form.c0, form.c1, form.c2], (sig, family, signs)
         count += 1
     assert count == 330
 
@@ -197,7 +197,7 @@ def test_det_g_cylinder_is_s_dependent():
         surf = generate(sig, family)
         c0, c1, c2 = _det_g_terms(sig, surf)
         assert c1.is_zero and c2.is_zero
-        assert _constant(c0) is None
+        assert _constant_value(c0) is None
         assert c0._spelled() == [(-1.0, Atom(0, EXP, -2.0))]
         sampled = sweep_grid(sig, surf, s_grid, t_grid).det_g
         assert np.allclose(sampled, c0.eval(s_grid)[:, None], rtol=1e-12, atol=1e-12)
@@ -214,7 +214,7 @@ def test_det_g_of_the_plane_is_its_axis_squares():
         for p in range(n + 1):
             sig = Signature(n, p)
             terms = _det_g_terms(sig, generate(sig, FamilyId.PLANE))
-            assert [_constant(fn) for fn in terms] == [sig.weights()[:2].prod(), 0.0, 0.0]
+            assert [_constant_value(fn) for fn in terms] == [sig.weights()[:2].prod(), 0.0, 0.0]
 
 
 def test_det_g_closed_form_matches_samples_everywhere():

@@ -736,7 +736,8 @@ def test_classify_of_a_slid_surface_samples_gamma_once_across_the_gauge(call_cou
 
 def test_classify_of_a_slid_surface_pairs_gamma_once_across_the_gauge(monkeypatch, slid_hh2_file):
     # the gauge moves only the base: the scan's <gamma, gamma> (epsilon)
-    # serves the gauged tables too
+    # serves the gauged tables too. One of the ip_array calls sizes the
+    # samples of the input's <gamma, x'> = 0.3 + 0.2 s, whose zeros are sampled
     computed, calls = Counter(), Counter()
     ip, ip_array = surface._RulingTables.ip, surface.ip_array
 
@@ -754,7 +755,7 @@ def test_classify_of_a_slid_surface_pairs_gamma_once_across_the_gauge(monkeypatc
     rc, doc = run_json(["classify", "--input", slid_hh2_file])
     assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
     assert computed[("g0", "g0"), surface.SCAN_POINTS] == 1
-    assert calls["ip_array"] == 31
+    assert calls["ip_array"] == 32
 
 
 def test_classify_of_a_slid_surface_builds_each_profile_once(monkeypatch, slid_hh2_file):
