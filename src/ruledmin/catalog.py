@@ -243,6 +243,7 @@ def causal_map(
     s_grid = np.linspace(*surface.s_domain, CAUSAL_MAP_GRID)
     t_grid = np.linspace(lo, hi, CAUSAL_MAP_GRID)
     sweep = sweep_grid(sig, surface, s_grid, t_grid)
+    sweep.det_g  # a det g that is not finite on the grid fails before the medians, which would warn
 
     regions: list[CausalRegion] = []
     cuts = [lo, *loci, hi]

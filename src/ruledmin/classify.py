@@ -7,17 +7,18 @@ checked for minimality, and matched to a family. Inputs are expected in the
 standard conventions (unit direction, vanishing mixed metric entry); the
 errors say which normalization is missing.
 
-Every per-s check (genericity, case invariants, structure equations,
-cylinder test) reads one surface._RulingTables on the gauge's
-surface.SCAN_POINTS s-grid, so a query samples each curve jet at most once
-on it. Each of <gamma, gamma>, <gamma', gamma'>, <x', x'>, <gamma', x'> and
-the gauge term <gamma, x'> is read once there, as one surface.ScalarProfile
-that the gauge, the case invariants, the genericity scan and the cylinder
-test all answer from. Whether a pairing is zero, constant or a unit is read
-off its closed-form terms by one rule, a term c counting as zero when
-|c| <= surface.H_TOL S, S the size of the products that formed it; so is
-the shifted delta that makes a helicoid of the second kind. The samples
-give the largest magnitudes and the zeros of a pairing that varies.
+Every check (genericity, case invariants, structure equations, cylinder
+test) reads one surface._RulingTables on the gauge's surface.SCAN_POINTS
+s-grid, so a query samples each curve jet at most once on it. Each of
+<gamma, gamma>, <gamma', gamma'>, <x', x'>, <gamma', x'> and the gauge term
+<gamma, x'> is read once there, as one surface.ScalarProfile that all the
+checks answer from. Every fact the classifier decides is read off
+closed-form terms by one rule, a term c counting as zero when
+|c| <= surface.H_TOL S, S the size of the products that formed it: whether
+a pairing is zero, constant or a unit, the shifted delta that makes a
+helicoid of the second kind, the structure equations and whether gamma'
+and x' are parallel. The samples give the largest magnitudes and the zeros
+of a function that varies.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from enum import Enum
 
 import numpy as np
 
+from .basisfn import ScalarFn
+from .curves import _sized_inner
 from .errors import ConventionError, EverywhereDegenerateError, UsageError
 from .families import FamilyId
 from .metric import Signature
 from .surface import H_TOL, MinimalityReport, RuledSurface, ScalarProfile
-from .surface import _checked_tol, _epsilon, _reading, _RulingTables, _scan, _shift, is_minimal
-
-DEPENDENCE_TOL = 1e-10
-STRUCTURE_TOL = 1e-8
+from .surface import _along, _checked_tol, _epsilon, _reading, _RulingTables, _scan, _shift, _zeros, is_minimal
 
 
 # ---------------------------------------------------------------------------
@@ -55,43 +55,37 @@ class GenericityReport:
 
 
 def genericity_scan(sig: Signature, surface: RuledSurface) -> GenericityReport:
-    """Sample the four classifying invariants and flag sign changes.
+    """Read the four classifying invariants and where gamma', x' turn parallel.
 
     A surface is generic for classification when each of <gamma, gamma>,
     <gamma', gamma'>, <x', x'>, <gamma', x'> is either identically zero or
-    nowhere zero on the scan grid, and gamma', x' never switch between
-    linear dependence and independence. Isolated zeros mean the case label
-    changes across the domain and the surface should be split first.
+    nowhere zero, and gamma', x' never switch between linear dependence and
+    independence: G = |gamma'|^2 |x'|^2 - <gamma', x'>^2 (Euclidean) is 0 or
+    its zeros (surface._zeros, as the profiles') are the switches. Isolated
+    zeros mean the case label changes across the domain and the surface
+    should be split first.
     """
     return _genericity(_scan(sig, surface))
 
 
 def _genericity(scan: _RulingTables) -> GenericityReport:
-    s = scan.s
     profiles = {
         "direction_norm": scan.profile("g0", "g0"),
         "direction_speed": scan.profile("g1", "g1"),
         "base_speed": scan.profile("x1", "x1"),
         "mixed_speed": scan.profile("g1", "x1"),
     }
+    euclid, g1, x1 = Signature(scan.sig.n, 0), scan._curve("g1"), scan._curve("x1")
+    gg, xx, gx = (_sized_inner(euclid, a, b) for a, b in ((g1, g1), (x1, x1), (g1, x1)))
 
-    # 2x2 Euclidean Gram determinant of (gamma', x'), row-normalized so the
-    # threshold is scale-free
-    rows = np.stack([scan.jet("g1"), scan.jet("x1")], axis=1)  # (num, 2, n)
-    norms = np.linalg.norm(rows, axis=2)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = rows / safe[:, :, None]
-    gram = unit @ np.swapaxes(unit, 1, 2)
-    dets = np.abs(np.linalg.det(gram))
-    dependent = (dets < DEPENDENCE_TOL) | (norms.min(axis=1) == 0.0)
-    switches = tuple(
-        float(0.5 * (s[i] + s[i + 1]))
-        for i in range(s.size - 1)
-        if dependent[i] != dependent[i + 1]
-    )
-    return GenericityReport(
-        sig=scan.sig, num_points=s.size, profiles=profiles, dependence_switches=switches
-    )
+    def samples():  # G and its size, of jets scaled by each row's largest entry, so that none overflows
+        u, w = (j / np.where(m > 0, m, 1.0) for j in map(scan.jet, ("g1", "x1"))
+                for m in [np.abs(j).max(axis=1, keepdims=True)])
+        uu, ww, uw = ((a * b).sum(axis=1) for a, b in ((u, u), (w, w), (u, w)))
+        return uu * ww - uw * uw, uu * ww + uw * uw
+
+    switches = _zeros(_reading(gg * xx - gx * gx), scan.s, samples)
+    return GenericityReport(sig=scan.sig, num_points=scan.s.size, profiles=profiles, dependence_switches=switches)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +233,9 @@ def _cylinder_check(scan: _RulingTables, h_tol: float) -> CylinderReport:
 
 @dataclass
 class StructureReport:
+    """The largest |c| / S of the terms of the structure equations' residuals
+    (surface._along); ok when the zero rule, |c| <= tol S, reads them as 0."""
+
     eta: int
     max_direction_residual: float
     max_base_residual: float
@@ -250,30 +247,22 @@ class StructureReport:
 
 
 def verify_structure_odes(sig: Signature, surface: RuledSurface) -> StructureReport:
-    """Residuals of the curve equations every normalized minimal case obeys.
+    """Residuals of the curve equations every normalized minimal case obeys,
+    read off their terms.
 
     eta = +-1: gamma'' + eps * eta * gamma = 0; eta = 0: gamma'' = 0. In all
     cases the base satisfies x'' = eps <gamma, x''> gamma (x'' is parallel to
-    the ruling direction).
+    the ruling direction), with the terms of <gamma, x''> the zero rule keeps.
     """
     scan = _scan(sig, surface)
     return _structure(scan, _case_invariants(scan))
 
 
 def _structure(scan: _RulingTables, inv: CaseInvariants) -> StructureReport:
-    g0, g2, x2 = scan.jet("g0"), scan.jet("g2"), scan.jet("x2")
-    if inv.eta != 0:
-        dir_res = g2 + (inv.epsilon * inv.eta) * g0
-    else:
-        dir_res = g2
-    coeff = inv.epsilon * scan.ip("g0", "x2")
-    base_res = x2 - coeff[:, None] * g0
-    return StructureReport(
-        eta=inv.eta,
-        max_direction_residual=float(np.linalg.norm(dir_res, axis=1).max()),
-        max_base_residual=float(np.linalg.norm(base_res, axis=1).max()),
-        tol=STRUCTURE_TOL,
-    )
+    gamma = scan.surface.gamma
+    direction = _along(scan._curve("g2"), ScalarFn.constant(inv.epsilon * inv.eta), gamma)[1]
+    base = _along(scan._curve("x2"), _reading(scan.sized("g0", "x2")) * -inv.epsilon, gamma)[1]
+    return StructureReport(eta=inv.eta, max_direction_residual=direction, max_base_residual=base, tol=H_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +287,7 @@ class ClassificationResult:
         return self.family is not None
 
 
-def identify_family(
-    sig: Signature, surface: RuledSurface, h_tol: float = H_TOL
-) -> ClassificationResult:
+def identify_family(sig: Signature, surface: RuledSurface, h_tol: float = H_TOL) -> ClassificationResult:
     """Match a ruled surface against the classified minimal families.
 
     Returns the family together with the metric case the input realizes and
@@ -392,8 +379,7 @@ def identify_family(
                 f"case {raw_case.value} input; a ruling-line shift "
                 f"normalizes it to case {reported.value}"
             )
-        structure = _structure(scan, inv)
-        if not structure.ok:
+        if not (structure := _structure(scan, inv)).ok:
             notes.append(
                 "structure-equation residuals are larger than expected "
                 f"({structure.max_direction_residual:.2e}, "

@@ -223,12 +223,8 @@ class _RulingTables:
         """The tables of surface, whose gamma is this one's on the same
         s-grid: gamma's jets, the pairings among them and their profiles carry over."""
         moved = _RulingTables(self.sig, surface, self.s)
-        moved._jets = {k: v for k, v in self._jets.items() if k[0] == "g"}
-        moved._peaks = {k: v for k, v in self._peaks.items() if k[0] == "g"}
-        moved._sizes = {k: v for k, v in self._sizes.items() if k[0] == "g"}
-        moved._pairs = {k: v for k, v in self._pairs.items() if k[0][0] == k[1][0] == "g"}
-        moved._profiles = {k: v for k, v in self._profiles.items() if k[0][0] == k[1][0] == "g"}
-        moved._sized = {k: v for k, v in self._sized.items() if k[0][0] == k[1][0] == "g"}
+        for cache in ("_jets", "_peaks", "_sizes", "_pairs", "_profiles", "_sized"):  # keys: "g1", ("g0", "x1")
+            setattr(moved, cache, {k: v for k, v in getattr(self, cache).items() if "x" not in "".join(k)})
         return moved
 
     def _finite(self, what: str, values: np.ndarray, first_row: int = 0) -> np.ndarray:
@@ -287,23 +283,12 @@ class _RulingTables:
 
     def profile(self, a: str, b: str) -> ScalarProfile:
         """<a, b> read once: sampled first (a sample that is not finite is named),
-        then its terms by the zero rule (_reading). One term c s^k e^{rate s}
-        (rate real, as a real function's one term is) has no zero, or s = 0
-        when k > 0. Other zeros are the samples the zero rule reads as 0 against
-        their sum_i |a_i b_i| over the jet sizes and the midpoints of sign changes
-        between two that are not; a hit over 1.5 steps from the last starts anew."""
+        then its terms by the zero rule (_reading), its zeros by _zeros against
+        the samples' sum_i |a_i b_i| over the jet sizes."""
         key = tuple(sorted((a, b)))
         if key not in self._profiles:
-            v, s = self.ip(a, b), self.s
-            fn, zeros = _reading(self.sized(a, b)), ()
-            if len(fn.terms) == 1:
-                ((k, _),) = fn.terms
-                zeros = (0.0,) if k and s[0] <= 0.0 <= s[-1] else ()
-            elif fn.terms:
-                small = _zero(v, self._terms_size(a, b))
-                cross = np.flatnonzero(~small[:-1] & ~small[1:] & (v[:-1] * v[1:] < 0))
-                hits = np.sort(np.concatenate([s[small], 0.5 * (s[cross] + s[cross + 1])]))
-                zeros = tuple(map(float, hits[np.diff(hits, prepend=-np.inf) > 1.5 * (s[1] - s[0])]))
+            v, fn = self.ip(a, b), _reading(self.sized(a, b))
+            zeros = _zeros(fn, self.s, lambda: (v, self._terms_size(a, b)))
             name = f"<{_spelled(key[0])}, {_spelled(key[1])}>"
             self._profiles[key] = ScalarProfile(name, fn.is_zero, float(np.abs(v).max()), zeros, _constant_value(fn))
         return self._profiles[key]
@@ -728,6 +713,22 @@ def _zero(c, size):
     return abs(c) <= H_TOL * size
 
 
+def _zeros(fn: ScalarFn, s: np.ndarray, samples) -> tuple[float, ...]:
+    """Where on the grid s the function whose kept terms are fn vanishes; none
+    when fn is 0. One term c s^k e^{rate s} (rate real, as a real function's
+    one term is) has no zero, or s = 0 when k > 0. Otherwise samples() gives
+    its values on s and their sizes: the zeros are the values the zero rule
+    reads as 0 and the midpoints of sign changes between two that are not; a
+    hit over 1.5 steps from the last starts anew."""
+    if len(fn.terms) < 2:
+        return (0.0,) if any(k for k, _ in fn.terms) and s[0] <= 0.0 <= s[-1] else ()
+    v, size = samples()
+    small = _zero(v, size)
+    cross = np.flatnonzero(~small[:-1] & ~small[1:] & (v[:-1] * v[1:] < 0))
+    hits = np.sort(np.concatenate([s[small], 0.5 * (s[cross] + s[cross + 1])]))
+    return tuple(map(float, hits[np.diff(hits, prepend=-np.inf) > 1.5 * (s[1] - s[0])]))
+
+
 def _reading(sized: _SizedFn) -> ScalarFn:
     """The terms of sized that the zero rule keeps, |c| > H_TOL S."""
     fn = ScalarFn()
@@ -766,20 +767,29 @@ def _epsilon(scan: _RulingTables) -> int:
     return epsilon
 
 
+def _along(x: CurveExpr, lam: ScalarFn, gamma: CurveExpr) -> tuple[CurveExpr, float]:
+    """x + lam gamma in closed form (damped terms included), where a component
+    is 0 by the zero rule against S = |x| + the |lam gamma products| on it, and
+    the largest |c| / S over its components."""
+    out, size = x.plus_scalar_times(lam, gamma), CurveExpr(x.n)
+    size.terms = {key: abs(c) for key, c in x.terms.items()}
+    size = lam._product(gamma, lambda c, vec: abs(c) * abs(vec), size)
+    terms, out.terms, worst = out.terms, {}, 0.0
+    for key, c in terms.items():  # S > 0 wherever c != 0
+        worst = max(worst, float(np.max(np.abs(c) / np.where(c != 0, size.terms[key], 1.0))))
+        if (c := np.where(_zero(c, size.terms[key]), 0.0, c)).any():
+            out.terms[key] = c
+    return out, worst
+
+
 def _shift(scan: _RulingTables) -> tuple[int, ScalarFn, RuledSurface]:
     """epsilon, lambda and the gauged surface of scan.surface. lambda integrates
-    the terms of <gamma, x'> that the zero rule keeps, and the base is x + lambda
-    gamma in closed form (damped terms included), where a component is 0 by
-    the zero rule against S = |x| + the |lambda gamma products| on it."""
-    surface = scan.surface
-    eps = _epsilon(scan)
+    the terms of <gamma, x'> that the zero rule keeps, and the base is
+    _along(x, lambda, gamma)."""
+    surface, eps = scan.surface, _epsilon(scan)
     anti = _reading(scan.sized("g0", "x1")).antiderivative()
     lam = -eps * (anti - ScalarFn.constant(anti.eval(0.0)))
-    base, size = surface.base.plus_scalar_times(lam, surface.gamma), CurveExpr(surface.n)
-    size.terms = {key: abs(c) for key, c in surface.base.terms.items()}
-    size = lam._product(surface.gamma, lambda c, vec: abs(c) * abs(vec), size)
-    kept = ((key, np.where(_zero(c, size.terms[key]), 0.0, c)) for key, c in base.terms.items())
-    base.terms = {key: c for key, c in kept if c.any()}
+    base = _along(surface.base, lam, surface.gamma)[0]
     return eps, lam, RuledSurface(surface.gamma, base, surface.s_domain, surface.t_domain)
 
 

@@ -120,9 +120,19 @@ def test_dependence_switch_detection():
     base = CurveExpr.from_basis_terms(3, [("pow", 1, (0.0, 1.0, 0.0))])
     surf = RuledSurface(gamma, base, (-2.0, 2.0), (-2.0, 2.0))
     report = genericity_scan(R30, surf)
-    # gamma' = (-sin, cos, 0) aligns with x' = (0,1,0) exactly at s = 0
-    assert report.dependence_switches
-    assert min(abs(z) for z in report.dependence_switches) < 0.05
+    # gamma' = (-sin, cos, 0) aligns with x' = (0,1,0) exactly at s = 0: the
+    # Gram determinant sin^2 s is 0 there, on a sample of the grid
+    assert report.dependence_switches == (0.0,)
+
+
+def test_a_dependence_between_samples_is_read_off_the_gram_determinants_one_term():
+    # gamma' = e1 and x' = e1 + s e3 are parallel at s = 0 alone, which no
+    # sample of the grid on (-2, 2.01) hits; G = s^2 is one term
+    gamma = CurveExpr.from_basis_terms(3, [("pow", 1, (1.0, 0.0, 0.0)), ("pow", 0, (0.0, 1.0, 0.0))])
+    base = CurveExpr.from_basis_terms(3, [("pow", 1, (1.0, 0.0, 0.0)), ("pow", 2, (0.0, 0.0, 0.5))])
+    report = genericity_scan(R30, RuledSurface(gamma, base, (-2.0, 2.01)))
+    assert report.dependence_switches == (0.0,)
+    assert not report.generic
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +630,17 @@ def test_structure_residuals_paraboloid():
     assert np.max(np.abs(surf.base.eval(s_grid, 2))) == 0.0
 
 
+def test_an_isometric_parabolic_helicoid_on_a_wide_domain_meets_its_structure_equations():
+    # moved by an integer isometry, x'' - eps <gamma, x''> gamma cancels in
+    # terms of size up to ~1e3; its samples on [-30, 30] left 3.3e-8
+    q = [[19, -18, -6], [-18, 17, 6], [6, -6, -1]]
+    ph = generate(R31, FamilyId.PARABOLIC_HELICOID, signs=SignChoice(1, 1, -1), s_domain=(-30.0, 30.0))
+    result = identify_family(R31, moved_surface(ph, q, [0, 0, 0]))
+    assert result.family is FamilyId.PARABOLIC_HELICOID
+    assert result.structure.ok and result.structure.max_base_residual <= H_TOL
+    assert not any("structure-equation" in note for note in result.notes)
+
+
 def test_structure_residuals_all_frame_families():
     for sig, family in [
         (R30, FamilyId.ELLIPTIC_HELICOID_1),
@@ -633,9 +654,10 @@ def test_structure_residuals_all_frame_families():
         assert report.ok, (sig, family)
 
 
-@pytest.mark.parametrize("check", [genericity_scan, case_invariants])
+@pytest.mark.parametrize("check", [genericity_scan, case_invariants, verify_structure_odes])
 def test_directrix_checks_evaluate_only_the_jets_they_pair(call_counts, check):
-    # <g0,g0>, <g1,g1>, <x1,x1>, <g1,x1> and <g0,x1> need gamma, gamma', x'
+    # <g0,g0>, <g1,g1>, <x1,x1>, <g1,x1> and <g0,x1> need gamma, gamma', x';
+    # the structure equations and the Gram determinant are read off terms
     surf = generate(Signature(4, 2), FamilyId.HYPERBOLIC_HELICOID_2)
     call_counts.clear()
     check(Signature(4, 2), surf)

@@ -463,6 +463,15 @@ def test_a_domain_whose_width_overflows_is_a_quiet_usage_error(command, flag):
                    "message": f"{domain} must be an interval [a, b] with a < b and a finite width b - a"}
 
 
+def test_a_causal_map_whose_det_g_overflows_is_a_quiet_usage_error():
+    # the t-range is finite, but t^2 ~ 1e400 overflows det g on the grid; the
+    # sweep's det g is read before the regions' medians, which would warn
+    argv = ["causal-map", "--sig", "3,1", "--family", "hyperbolic-helicoid-1", "--t-range=-1e200,1e200"]
+    rc, doc, quiet = _run_quietly(argv)
+    assert rc == 2 and quiet
+    assert doc == {"error": "UsageError", "message": "det g is not finite at s = -3.0"}
+
+
 @pytest.mark.parametrize(
     "command,r",
     [(["verify"], "800"), (["verify"], "400"), (["verify"], "300"),
@@ -737,7 +746,8 @@ def test_classify_of_a_slid_surface_samples_gamma_once_across_the_gauge(call_cou
 def test_classify_of_a_slid_surface_pairs_gamma_once_across_the_gauge(monkeypatch, slid_hh2_file):
     # the gauge moves only the base: the scan's <gamma, gamma> (epsilon)
     # serves the gauged tables too. One of the ip_array calls sizes the
-    # samples of the input's <gamma, x'> = 0.3 + 0.2 s, whose zeros are sampled
+    # samples of the input's <gamma, x'> = 0.3 + 0.2 s, whose zeros are
+    # sampled; the structure equations pair no samples
     computed, calls = Counter(), Counter()
     ip, ip_array = surface._RulingTables.ip, surface.ip_array
 
@@ -755,7 +765,7 @@ def test_classify_of_a_slid_surface_pairs_gamma_once_across_the_gauge(monkeypatc
     rc, doc = run_json(["classify", "--input", slid_hh2_file])
     assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
     assert computed[("g0", "g0"), surface.SCAN_POINTS] == 1
-    assert calls["ip_array"] == 32
+    assert calls["ip_array"] == 31
 
 
 def test_classify_of_a_slid_surface_builds_each_profile_once(monkeypatch, slid_hh2_file):
