@@ -75,7 +75,13 @@ def _genericity(scan: _RulingTables) -> GenericityReport:
         "base_speed": scan.profile("x1", "x1"),
         "mixed_speed": scan.profile("g1", "x1"),
     }
-    euclid, g1, x1 = Signature(scan.sig.n, 0), scan._curve("g1"), scan._curve("x1")
+
+    def scaled(name):  # exactly, by a power of 2, to coefficients below 1 in size: no term of G overflows
+        curve = scan._curve(name)
+        peak = max((np.abs(c).max() for c in curve.terms.values()), default=1.0)
+        return curve * np.ldexp(1.0, -np.frexp(peak)[1])
+
+    euclid, g1, x1 = Signature(scan.sig.n, 0), scaled("g1"), scaled("x1")
     gg, xx, gx = (_sized_inner(euclid, a, b) for a, b in ((g1, g1), (x1, x1), (g1, x1)))
 
     def samples():  # G and its size, of jets scaled by each row's largest entry, so that none overflows
@@ -287,7 +293,9 @@ class ClassificationResult:
         return self.family is not None
 
 
-def identify_family(sig: Signature, surface: RuledSurface, h_tol: float = H_TOL) -> ClassificationResult:
+def identify_family(
+    sig: Signature, surface: RuledSurface, h_tol: float = H_TOL
+) -> ClassificationResult:
     """Match a ruled surface against the classified minimal families.
 
     Returns the family together with the metric case the input realizes and
@@ -379,7 +387,8 @@ def identify_family(sig: Signature, surface: RuledSurface, h_tol: float = H_TOL)
                 f"case {raw_case.value} input; a ruling-line shift "
                 f"normalizes it to case {reported.value}"
             )
-        if not (structure := _structure(scan, inv)).ok:
+        structure = _structure(scan, inv)
+        if not structure.ok:
             notes.append(
                 "structure-equation residuals are larger than expected "
                 f"({structure.max_direction_residual:.2e}, "

@@ -223,8 +223,12 @@ class _RulingTables:
         """The tables of surface, whose gamma is this one's on the same
         s-grid: gamma's jets, the pairings among them and their profiles carry over."""
         moved = _RulingTables(self.sig, surface, self.s)
-        for cache in ("_jets", "_peaks", "_sizes", "_pairs", "_profiles", "_sized"):  # keys: "g1", ("g0", "x1")
-            setattr(moved, cache, {k: v for k, v in getattr(self, cache).items() if "x" not in "".join(k)})
+        moved._jets = {k: v for k, v in self._jets.items() if k[0] == "g"}
+        moved._peaks = {k: v for k, v in self._peaks.items() if k[0] == "g"}
+        moved._sizes = {k: v for k, v in self._sizes.items() if k[0] == "g"}
+        moved._pairs = {k: v for k, v in self._pairs.items() if k[0][0] == k[1][0] == "g"}
+        moved._profiles = {k: v for k, v in self._profiles.items() if k[0][0] == k[1][0] == "g"}
+        moved._sized = {k: v for k, v in self._sized.items() if k[0][0] == k[1][0] == "g"}
         return moved
 
     def _finite(self, what: str, values: np.ndarray, first_row: int = 0) -> np.ndarray:
@@ -318,7 +322,8 @@ class _RulingTables:
     def form(self):
         """The (ns, 3) and (ns, 2) t-coefficients of g11 and g12 and the
         (ns, 1) g22, from _first_form_terms."""
-        g11, g12, g22, _ = _first_form_terms(self.col, operator.sub)
+        with np.errstate(all="ignore"):  # det g, unused here, may overflow; the sweep names it
+            g11, g12, g22, _ = _first_form_terms(self.col, operator.sub)
         return np.hstack(g11), np.hstack(g12), g22[0]
 
     def components(self):
@@ -724,7 +729,7 @@ def _zeros(fn: ScalarFn, s: np.ndarray, samples) -> tuple[float, ...]:
         return (0.0,) if any(k for k, _ in fn.terms) and s[0] <= 0.0 <= s[-1] else ()
     v, size = samples()
     small = _zero(v, size)
-    cross = np.flatnonzero(~small[:-1] & ~small[1:] & (v[:-1] * v[1:] < 0))
+    cross = np.flatnonzero(~small[:-1] & ~small[1:] & ((v[:-1] < 0) != (v[1:] < 0)))
     hits = np.sort(np.concatenate([s[small], 0.5 * (s[cross] + s[cross + 1])]))
     return tuple(map(float, hits[np.diff(hits, prepend=-np.inf) > 1.5 * (s[1] - s[0])]))
 
@@ -786,7 +791,8 @@ def _shift(scan: _RulingTables) -> tuple[int, ScalarFn, RuledSurface]:
     """epsilon, lambda and the gauged surface of scan.surface. lambda integrates
     the terms of <gamma, x'> that the zero rule keeps, and the base is
     _along(x, lambda, gamma)."""
-    surface, eps = scan.surface, _epsilon(scan)
+    surface = scan.surface
+    eps = _epsilon(scan)
     anti = _reading(scan.sized("g0", "x1")).antiderivative()
     lam = -eps * (anti - ScalarFn.constant(anti.eval(0.0)))
     base = _along(surface.base, lam, surface.gamma)[0]

@@ -113,24 +113,18 @@ def test_generated_families_are_generic():
         assert genericity_scan(sig, generate(sig, family)).generic
 
 
-def test_dependence_switch_detection():
-    gamma = CurveExpr.from_basis_terms(
-        3, [("cos", 1.0, (1.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 1.0, 0.0))]
-    )
-    base = CurveExpr.from_basis_terms(3, [("pow", 1, (0.0, 1.0, 0.0))])
-    surf = RuledSurface(gamma, base, (-2.0, 2.0), (-2.0, 2.0))
-    report = genericity_scan(R30, surf)
-    # gamma' = (-sin, cos, 0) aligns with x' = (0,1,0) exactly at s = 0: the
-    # Gram determinant sin^2 s is 0 there, on a sample of the grid
-    assert report.dependence_switches == (0.0,)
-
-
-def test_a_dependence_between_samples_is_read_off_the_gram_determinants_one_term():
+@pytest.mark.parametrize("gamma, base, s_domain", [
+    # gamma' = (-sin, cos, 0) aligns with x' = e2 exactly at s = 0: G = sin^2 s
+    # is 0 there, on a sample of the grid
+    ([("cos", 1.0, (1.0, 0.0, 0.0)), ("sin", 1.0, (0.0, 1.0, 0.0))], [("pow", 1, (0.0, 1.0, 0.0))], (-2.0, 2.0)),
     # gamma' = e1 and x' = e1 + s e3 are parallel at s = 0 alone, which no
     # sample of the grid on (-2, 2.01) hits; G = s^2 is one term
-    gamma = CurveExpr.from_basis_terms(3, [("pow", 1, (1.0, 0.0, 0.0)), ("pow", 0, (0.0, 1.0, 0.0))])
-    base = CurveExpr.from_basis_terms(3, [("pow", 1, (1.0, 0.0, 0.0)), ("pow", 2, (0.0, 0.0, 0.5))])
-    report = genericity_scan(R30, RuledSurface(gamma, base, (-2.0, 2.01)))
+    ([("pow", 1, (1.0, 0.0, 0.0)), ("pow", 0, (0.0, 1.0, 0.0))],
+     [("pow", 1, (1.0, 0.0, 0.0)), ("pow", 2, (0.0, 0.0, 0.5))], (-2.0, 2.01)),
+], ids=["on-a-sample", "between-samples"])
+def test_dependence_switch_detection(gamma, base, s_domain):
+    gamma, base = (CurveExpr.from_basis_terms(3, terms) for terms in (gamma, base))
+    report = genericity_scan(R30, RuledSurface(gamma, base, s_domain, (-2.0, 2.0)))
     assert report.dependence_switches == (0.0,)
     assert not report.generic
 
@@ -630,28 +624,70 @@ def test_structure_residuals_paraboloid():
     assert np.max(np.abs(surf.base.eval(s_grid, 2))) == 0.0
 
 
-def test_an_isometric_parabolic_helicoid_on_a_wide_domain_meets_its_structure_equations():
-    # moved by an integer isometry, x'' - eps <gamma, x''> gamma cancels in
-    # terms of size up to ~1e3; its samples on [-30, 30] left 3.3e-8
-    q = [[19, -18, -6], [-18, 17, 6], [6, -6, -1]]
+def _moved_parabolic_helicoid() -> RuledSurface:
+    # the parabolic helicoid of R^3_1 on [-30, 30], moved by an integer
+    # isometry: x'' - eps <gamma, x''> gamma cancels in terms of size up to
+    # ~1e3, and its samples left 3.3e-8
     ph = generate(R31, FamilyId.PARABOLIC_HELICOID, signs=SignChoice(1, 1, -1), s_domain=(-30.0, 30.0))
-    result = identify_family(R31, moved_surface(ph, q, [0, 0, 0]))
+    return moved_surface(ph, [[19, -18, -6], [-18, 17, 6], [6, -6, -1]], [0, 0, 0])
+
+
+def test_an_isometric_parabolic_helicoid_on_a_wide_domain_gets_no_structure_note():
+    result = identify_family(R31, _moved_parabolic_helicoid())
     assert result.family is FamilyId.PARABOLIC_HELICOID
-    assert result.structure.ok and result.structure.max_base_residual <= H_TOL
     assert not any("structure-equation" in note for note in result.notes)
 
 
 def test_structure_residuals_all_frame_families():
-    for sig, family in [
-        (R30, FamilyId.ELLIPTIC_HELICOID_1),
-        (R41, FamilyId.ELLIPTIC_HELICOID_2),
-        (R31, FamilyId.HYPERBOLIC_HELICOID_1),
-        (Signature(4, 2), FamilyId.HYPERBOLIC_HELICOID_2),
-        (R31, FamilyId.PARABOLIC_HELICOID),
-        (R41, FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID),
+    for sig, surface in [
+        *((sig, generate(sig, family)) for sig, family in [
+            (R30, FamilyId.ELLIPTIC_HELICOID_1),
+            (R41, FamilyId.ELLIPTIC_HELICOID_2),
+            (R31, FamilyId.HYPERBOLIC_HELICOID_1),
+            (Signature(4, 2), FamilyId.HYPERBOLIC_HELICOID_2),
+            (R31, FamilyId.PARABOLIC_HELICOID),
+            (R41, FamilyId.MINIMAL_HYPERBOLIC_PARABOLOID),
+        ]),
+        (R31, _moved_parabolic_helicoid()),
     ]:
-        report = verify_structure_odes(sig, generate(sig, family))
-        assert report.ok, (sig, family)
+        report = verify_structure_odes(sig, surface)
+        assert report.ok, (sig, report)
+
+
+def _hh1_at_a_faster_rate() -> RuledSurface:
+    # the moved hyperbolic helicoid 1 of R^3_1 in s' = s / (1 + 1e-7): still
+    # minimal, and <gamma', gamma'> = -(1 + 2e-7) is -1 by the zero rule
+    # against its boosted terms, but gamma'' = (1 + 2e-7) gamma
+    hh1 = generate(R31, FamilyId.HYPERBOLIC_HELICOID_1, signs=SignChoice(1, -1, 1))
+    moved = moved_surface(hh1, [[19, -18, -6], [-18, 17, 6], [6, -6, -1]], [0, 0, 0])
+    return reparametrized_surface(moved, 1 + 1e-7, 0.0)
+
+
+def _twisted_base() -> RuledSurface:
+    # gamma = cos s e1 + sin s e2 and x' = cos s e3 + sin s gamma': <gamma, x'>
+    # = 0 and <x', x'> = 1, but x'' = -sin s e3 + cos s gamma' - sin s gamma
+    gamma = CurveExpr.from_basis_terms(3, [("cos", 1, (1.0, 0.0, 0.0)), ("sin", 1, (0.0, 1.0, 0.0))])
+    base = CurveExpr.from_basis_terms(3, [
+        ("pow", 1, (-0.5, 0.0, 0.0)), ("sin", 2, (0.25, 0.0, 0.0)),
+        ("pow", 0, (0.0, 0.25, 0.0)), ("cos", 2, (0.0, -0.25, 0.0)), ("sin", 1, (0.0, 0.0, 1.0)),
+    ])
+    return RuledSurface(gamma, base)
+
+
+@pytest.mark.parametrize("sig, surface, direction, base", [
+    (R31, _hh1_at_a_faster_rate, 1e-7, 0.0), (R30, _twisted_base, 0.0, 1.0),
+], ids=["direction", "base"])
+def test_structure_residuals_catch_a_curve_off_its_equation(sig, surface, direction, base):
+    report = verify_structure_odes(sig, surface())
+    assert not report.ok
+    assert report.max_direction_residual == pytest.approx(direction, rel=1e-3, abs=1e-12)
+    assert report.max_base_residual == pytest.approx(base, rel=1e-3, abs=1e-12)
+
+
+def test_a_match_off_its_structure_equations_is_noted():
+    result = identify_family(R31, _hh1_at_a_faster_rate())
+    assert result.family is FamilyId.HYPERBOLIC_HELICOID_1 and not result.structure.ok
+    assert any("structure-equation residuals are larger than expected" in note for note in result.notes)
 
 
 @pytest.mark.parametrize("check", [genericity_scan, case_invariants, verify_structure_odes])

@@ -472,6 +472,30 @@ def test_a_causal_map_whose_det_g_overflows_is_a_quiet_usage_error():
     assert doc == {"error": "UsageError", "message": "det g is not finite at s = -3.0"}
 
 
+_E3_1E110 = [{"basis": "pow", "param": 1, "coeff": [0, 0, 1e110]}]
+_E3_E1_1E160 = [{"basis": "pow", "param": 1, "coeff": [0, 0, 1e160]},
+                {"basis": "pow", "param": 2, "coeff": [1e160, 0, 0]}]
+
+
+@pytest.mark.parametrize("command, scale, base, message", [
+    ("classify", 1e100, _E3_1E110, "det g is not finite at s = -3.0"),
+    ("verify", 1e100, _E3_1E110, "det g is not finite at s = -3.0"),
+    ("classify", 1.0, _E3_E1_1E160, "the pairing <x', x'> is not finite at s = -3.0"),
+], ids=["classify-det-g", "verify-det-g", "classify-pairing"])
+def test_a_surface_whose_products_overflow_is_a_quiet_usage_error(tmp_path, command, scale, base, message):
+    # gamma = scale (cos s e1 + sin s e2): the jets are finite, but det g
+    # (<x', x'> <gamma, gamma> ~ 1e420) or <x', x'> (~ 1e321) is not. Neither
+    # the products of det g's and G's coefficients nor the sign test on the
+    # samples of <x', x'> may warn before the UsageError
+    gamma = [{"basis": "cos", "param": 1, "coeff": [scale, 0, 0]}, {"basis": "sin", "param": 1, "coeff": [0, scale, 0]}]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"signature": {"n": 3, "p": 0}, "gamma": {"n": 3, "terms": gamma},
+                                "base": {"n": 3, "terms": base}, "s_domain": [-3, 3], "t_domain": [-3, 3]}))
+    rc, doc, quiet = _run_quietly([command, "--input", str(path)])
+    assert rc == 2 and quiet
+    assert doc == {"error": "UsageError", "message": message}
+
+
 @pytest.mark.parametrize(
     "command,r",
     [(["verify"], "800"), (["verify"], "400"), (["verify"], "300"),
