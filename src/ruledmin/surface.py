@@ -719,12 +719,10 @@ def _zero(c, size):
 
 
 def _zeros(fn: ScalarFn, s: np.ndarray, samples) -> tuple[float, ...]:
-    """Where on the grid s the function whose kept terms are fn vanishes; none
-    when fn is 0. One term c s^k e^{rate s} (rate real, as a real function's
-    one term is) has no zero, or s = 0 when k > 0. Otherwise samples() gives
-    its values on s and their sizes: the zeros are the values the zero rule
-    reads as 0 and the midpoints of sign changes between two that are not; a
-    hit over 1.5 steps from the last starts anew."""
+    """Where on the grid s the function whose kept terms are fn vanishes: no term
+    or one c s^k e^{rate s} (rate real) has no zero, or s = 0 when k > 0; more
+    have the samples() = (values, sizes) the zero rule reads as 0 and the midpoints
+    of sign changes between two it does not, a run of hits within 1.5 steps as one."""
     if len(fn.terms) < 2:
         return (0.0,) if any(k for k, _ in fn.terms) and s[0] <= 0.0 <= s[-1] else ()
     v, size = samples()
