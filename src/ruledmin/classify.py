@@ -9,16 +9,15 @@ errors say which normalization is missing.
 
 Every check (genericity, case invariants, structure equations, cylinder
 test) reads one surface._RulingTables on the gauge's surface.SCAN_POINTS
-s-grid, so a query samples each curve jet at most once on it. Each of
-<gamma, gamma>, <gamma', gamma'>, <x', x'>, <gamma', x'> and the gauge term
-<gamma, x'> is read once there, as one surface.ScalarProfile that all the
-checks answer from. Every fact the classifier decides is read off
-closed-form terms by one rule, a term c counting as zero when
-|c| <= surface.H_TOL S, S the size of the products that formed it: whether
-a pairing is zero, constant or a unit, the shifted delta that makes a
-helicoid of the second kind, the structure equations and whether gamma'
-and x' are parallel. The samples give the largest magnitudes and the zeros
-of a function that varies.
+s-grid. Every fact the classifier decides is read off closed-form terms by
+one rule, a term c counting as zero when |c| <= surface.H_TOL S, S the size
+of the products that formed it: whether a pairing is zero, constant or a
+unit, the shifted delta that makes a helicoid of the second kind, the
+structure equations and whether gamma' and x' are parallel. Only what
+classify reports samples the curves on the scan, each jet at most once: the
+four genericity profiles (surface.ScalarProfile), of which mu is one, give
+the largest magnitudes and the zeros of a function that varies, and the
+cylinder test locates the zeros of <gamma, x'>.
 """
 
 from __future__ import annotations
@@ -124,10 +123,17 @@ def case_invariants(sig: Signature, surface: RuledSurface) -> CaseInvariants:
 
 
 def _case_invariants(scan: _RulingTables) -> CaseInvariants:
+    epsilon, eta, delta_value = _conventions(scan)
+    return CaseInvariants(epsilon, eta, int(np.sign(delta_value)), delta_value, scan.profile("g1", "x1"))
+
+
+def _conventions(scan: _RulingTables) -> tuple[int, int, float]:
+    """epsilon, eta and <x', x'> of a normalized surface, read off their terms,
+    with the errors of case_invariants."""
     if scan.surface.gamma.is_constant():
         raise UsageError("the ruling direction is constant; classify with cylinder_check")
     epsilon = _epsilon(scan)
-    if not scan.profile("g0", "x1").identically_zero:
+    if not _reading(scan.sized("g0", "x1")).is_zero:
         raise ConventionError("<gamma, x'> does not vanish; apply gauge_normalize before classification")
 
     eta = scan.unit("g1", "g1")
@@ -143,7 +149,7 @@ def _case_invariants(scan: _RulingTables) -> CaseInvariants:
             f"<x', x'> = {delta_value!r}; with a null direction derivative "
             "the base speed normalizes to 0 or +-1"
         )
-    return CaseInvariants(epsilon, eta, int(np.sign(delta_value)), delta_value, scan.profile("g1", "x1"))
+    return epsilon, eta, delta_value
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +217,8 @@ def cylinder_check(sig: Signature, surface: RuledSurface) -> CylinderReport:
 
 
 def _cylinder_check(scan: _RulingTables, h_tol: float) -> CylinderReport:
-    direction_null = scan.profile("g0", "g0").identically_zero
-    base_null = scan.profile("x1", "x1").identically_zero
+    direction_null = _reading(scan.sized("g0", "g0")).is_zero
+    base_null = _reading(scan.sized("x1", "x1")).is_zero
     pairing = scan.profile("g0", "x1")  # its zeros: one term's, or sampled ones and sign changes
     nowhere_zero = not pairing.identically_zero and not pairing.isolated_zeros
     min_pairing = float(np.abs(scan.ip("g0", "x1")).min())
@@ -259,16 +265,19 @@ def verify_structure_odes(sig: Signature, surface: RuledSurface) -> StructureRep
     eta = +-1: gamma'' + eps * eta * gamma = 0; eta = 0: gamma'' = 0. In all
     cases the base satisfies x'' = eps <gamma, x''> gamma (x'' is parallel to
     the ruling direction), with the terms of <gamma, x''> the zero rule keeps.
+    eps and eta come from the conventions of case_invariants, read off their
+    terms too, so nothing is sampled.
     """
     scan = _scan(sig, surface)
-    return _structure(scan, _case_invariants(scan))
+    epsilon, eta, _ = _conventions(scan)
+    return _structure(scan, epsilon, eta)
 
 
-def _structure(scan: _RulingTables, inv: CaseInvariants) -> StructureReport:
+def _structure(scan: _RulingTables, epsilon: int, eta: int) -> StructureReport:
     gamma = scan.surface.gamma
-    direction = _along(scan._curve("g2"), ScalarFn.constant(inv.epsilon * inv.eta), gamma)[1]
-    base = _along(scan._curve("x2"), _reading(scan.sized("g0", "x2")) * -inv.epsilon, gamma)[1]
-    return StructureReport(eta=inv.eta, max_direction_residual=direction, max_base_residual=base, tol=H_TOL)
+    direction = _along(scan._curve("g2"), ScalarFn.constant(epsilon * eta), gamma)[1]
+    base = _along(scan._curve("x2"), _reading(scan.sized("g0", "x2")) * -epsilon, gamma)[1]
+    return StructureReport(eta=eta, max_direction_residual=direction, max_base_residual=base, tol=H_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +327,9 @@ def identify_family(
             diagnosis=None if family is not None else cyl.note, notes=[cyl.note] if family is not None else [],
         )
 
-    if not scan.profile("g0", "x1").identically_zero:
-        # the gauge moves only the base, so gamma's samples and pairings carry over
+    if not _reading(scan.sized("g0", "x1")).is_zero:
         surface = _shift(scan)[2]
-        scan = scan.with_base(surface)
+        scan = _scan(sig, surface)
         notes.append("base curve replaced by its gauge normalization")
 
     genericity = _genericity(scan)
@@ -387,7 +395,7 @@ def identify_family(
                 f"case {raw_case.value} input; a ruling-line shift "
                 f"normalizes it to case {reported.value}"
             )
-        structure = _structure(scan, inv)
+        structure = _structure(scan, inv.epsilon, inv.eta)
         if not structure.ok:
             notes.append(
                 "structure-equation residuals are larger than expected "

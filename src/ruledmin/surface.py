@@ -46,8 +46,6 @@ H_TOL = 1e-8
 # The gauge and the classifier read the curves on this many points of the s-domain.
 SCAN_POINTS = 201
 EPS = np.finfo(float).eps
-# a pairing of jets with n max|a| max|b| below this cannot overflow
-_NO_OVERFLOW = 1e300
 # the dense-grid passes read the grid in s-row blocks of at most this many points
 _H_BLOCK_POINTS = 1 << 15
 
@@ -203,8 +201,8 @@ class _RulingTables:
     checks read is a pairing ip(a, b): epsilon = <g0, g0>, eta = <g1, g1>,
     <x1, x1>, mu = <g1, x1>, the gauge term <g0, x1>, the C-function and the
     sweep's first-form and second-form coefficients. The gauge and the
-    classifier read the first five only through profile(a, b) and its
-    closed form sized(a, b). f is affine
+    classifier decide the first five off their closed forms sized(a, b) and
+    sample them only for a profile(a, b) that classify reports. f is affine
     in t, so those coefficients make every (ns, nt) scalar a polynomial in
     t, evaluated by Horner's rule with (ns, 1) columns against the (1, nt)
     t-row T.
@@ -216,20 +214,7 @@ class _RulingTables:
         self._pairs: dict[tuple, np.ndarray] = {}
         self._profiles: dict[tuple, ScalarProfile] = {}
         self._sized: dict[tuple, _SizedFn] = {}
-        self._peaks: dict[str, float] = {}  # max |jet|
         self._sizes: dict[str, np.ndarray] = {}  # see _size
-
-    def with_base(self, surface: RuledSurface) -> "_RulingTables":
-        """The tables of surface, whose gamma is this one's on the same
-        s-grid: gamma's jets, the pairings among them and their profiles carry over."""
-        moved = _RulingTables(self.sig, surface, self.s)
-        moved._jets = {k: v for k, v in self._jets.items() if k[0] == "g"}
-        moved._peaks = {k: v for k, v in self._peaks.items() if k[0] == "g"}
-        moved._sizes = {k: v for k, v in self._sizes.items() if k[0] == "g"}
-        moved._pairs = {k: v for k, v in self._pairs.items() if k[0][0] == k[1][0] == "g"}
-        moved._profiles = {k: v for k, v in self._profiles.items() if k[0][0] == k[1][0] == "g"}
-        moved._sized = {k: v for k, v in self._sized.items() if k[0][0] == k[1][0] == "g"}
-        return moved
 
     def _finite(self, what: str, values: np.ndarray, first_row: int = 0) -> np.ndarray:
         """values, whose first axis runs over the s-rows from first_row on;
@@ -249,9 +234,7 @@ class _RulingTables:
         if name not in self._jets:
             with np.errstate(all="ignore"):  # overflow is reported by _finite, not warned
                 values, size = self._curve(name)._sample(self.s, sized=True)
-            self._peaks[name] = float(np.abs(values).max(initial=0.0))  # NaN or inf if one is
-            if not math.isfinite(self._peaks[name]):
-                self._finite(f"{'gamma' if name[0] == 'g' else 'x'} at derivative order {name[1]}", values)
+            self._finite(f"{'gamma' if name[0] == 'g' else 'x'} at derivative order {name[1]}", values)
             self._jets[name], self._sizes[name] = values, np.maximum(size, np.abs(values))
         return self._jets[name]
 
@@ -266,12 +249,9 @@ class _RulingTables:
         key = tuple(sorted((a, b)))
         if key not in self._pairs:
             u, v = self.jet(a), self.jet(b)
-            if self.sig.n * self._peaks[a] * self._peaks[b] < _NO_OVERFLOW:
-                self._pairs[key] = ip_array(self.sig, u, v)
-            else:
-                with np.errstate(all="ignore"):
-                    pairing = ip_array(self.sig, u, v)
-                self._pairs[key] = self._finite(f"the pairing <{_spelled(a)}, {_spelled(b)}>", pairing)
+            with np.errstate(all="ignore"):
+                pairing = ip_array(self.sig, u, v)
+            self._pairs[key] = self._finite(f"the pairing {_named(a, b)}", pairing)
         return self._pairs[key]
 
     def _terms_size(self, a: str, b: str) -> np.ndarray:
@@ -279,10 +259,15 @@ class _RulingTables:
         return ip_array(Signature(self.sig.n, 0), self._size(a), self._size(b))
 
     def sized(self, a: str, b: str) -> _SizedFn:
-        """<a, b> in closed form with the size of each term (curves._sized_inner), made once."""
+        """<a, b> in closed form with the size of each term (curves._sized_inner), made once;
+        UsageError names the pairing when a coefficient or its size is not finite."""
         key = tuple(sorted((a, b)))
         if key not in self._sized:
-            self._sized[key] = _sized_inner(self.sig, self._curve(key[0]), self._curve(key[1]))
+            with np.errstate(all="ignore"):  # overflow is reported below, not warned
+                fn = _sized_inner(self.sig, self._curve(key[0]), self._curve(key[1]))
+            if not all(np.isfinite(c).all() for c in fn.terms.values()):
+                raise UsageError(f"the pairing {_named(*key)} has a term whose coefficient or size is not finite")
+            self._sized[key] = fn
         return self._sized[key]
 
     def profile(self, a: str, b: str) -> ScalarProfile:
@@ -293,21 +278,22 @@ class _RulingTables:
         if key not in self._profiles:
             v, fn = self.ip(a, b), _reading(self.sized(a, b))
             zeros = _zeros(fn, self.s, lambda: (v, self._terms_size(a, b)))
-            name = f"<{_spelled(key[0])}, {_spelled(key[1])}>"
+            name = _named(*key)
             self._profiles[key] = ScalarProfile(name, fn.is_zero, float(np.abs(v).max()), zeros, _constant_value(fn))
         return self._profiles[key]
 
     def constant(self, a: str, b: str) -> float:
-        """profile(a, b)'s value; ConventionError quoting its largest term that varies otherwise."""
-        profile = self.profile(a, b)
-        if profile.value is None:
-            terms = [term for term in _reading(self.sized(a, b))._atoms() if term[1] != Atom(0, ONE, 0.0)]
+        """<a, b>'s value off the terms the zero rule keeps (_reading);
+        ConventionError quoting its largest term that varies otherwise."""
+        fn = _reading(self.sized(a, b))
+        if (value := _constant_value(fn)) is None:
+            terms = [term for term in fn._atoms() if term[1] != Atom(0, ONE, 0.0)]
             c, atom = max(terms, key=lambda term: abs(term[0]))
             raise ConventionError(
-                f"{profile.name} varies across the domain by its term {_term_text(c, atom)}; "
-                "the case invariants assume it is constant"
+                f"{_named(*sorted((a, b)))} varies across the domain by its term {_term_text(c, atom)}; "
+                "the normal form needs it constant"
             )
-        return profile.value
+        return value
 
     def unit(self, a: str, b: str) -> int | None:
         """The constant <a, b> as 0 or +-1 by the zero rule, |c| - 1 against S + 1; None otherwise."""
@@ -355,9 +341,9 @@ _NUMERATOR_NAMES = ("det g", "D11", "D12", "N")
 _SIGNS = np.array([1.0, -1.0, -1.0])[:, None, None]
 
 
-def _spelled(jet: str) -> str:
-    """A jet name as the curve and its primes: "g2" is gamma''."""
-    return ("gamma" if jet[0] == "g" else "x") + "'" * int(jet[1])
+def _named(a: str, b: str) -> str:
+    """The pairing of two jets, each spelled as its curve and primes: "<gamma, x''>" for g0, x2."""
+    return "<{}, {}>".format(*(("gamma" if jet[0] == "g" else "x") + "'" * int(jet[1]) for jet in (a, b)))
 
 
 def _first_form_terms(c, sub):
@@ -753,12 +739,9 @@ def _epsilon(scan: _RulingTables) -> int:
     it varies or is not +-1, and for the constant null gamma of a cylinder,
     which no gauge applies to.
     """
-    gg = scan.profile("g0", "g0")
-    if gg.identically_zero:
+    if _reading(scan.sized("g0", "g0")).is_zero:
         if scan.surface.gamma.is_constant():
-            raise ConventionError(
-                f"<gamma, gamma> = {gg.value!r}; a constant null direction takes no gauge"
-            )
+            raise ConventionError("<gamma, gamma> = 0.0; a constant null direction takes no gauge")
         raise NullDirectionError(
             "the ruling direction is null along a non-constant curve; unless it is "
             "a multiple of one fixed null vector, such a surface is never minimal "
@@ -766,7 +749,7 @@ def _epsilon(scan: _RulingTables) -> int:
         )
     epsilon = scan.unit("g0", "g0")
     if epsilon is None:
-        raise ConventionError(f"<gamma, gamma> = {gg.value!r}; scale the direction to unit norm")
+        raise ConventionError(f"<gamma, gamma> = {scan.constant('g0', 'g0')!r}; scale the direction to unit norm")
     return epsilon
 
 
@@ -805,8 +788,9 @@ def gauge_normalize(sig: Signature, surface: RuledSurface) -> GaugeResult:
     The swept point set is unchanged because the shift happens inside each
     ruling line. lambda and the shifted base are always closed forms; the
     result is exact unless one of them holds a damped term, which no writer
-    spells, and lambda is then tabulated on the scan grid instead. The
-    check reads only the g12 it reports, on the gauged surface's default
+    spells, and lambda is then tabulated on the scan grid instead. epsilon
+    and lambda are read off the pairings' terms, so only the check samples
+    the curves: it reads the g12 it reports on the gauged surface's default
     grid; UsageError names the first s where g12 is not finite.
     """
     scan = _scan(sig, surface)

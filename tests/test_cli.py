@@ -406,7 +406,9 @@ def _huge_degree_helicoid(tmp_path, degree):
 @pytest.mark.parametrize("source", ["degree-1e20", "degree-2^40", "s-range-800", "degree-400", "s-range-400"])
 def test_a_curve_with_non_finite_samples_is_a_usage_error(command, source, tmp_path):
     """A sample that is not finite (cosh(800), s^(2^40)) is named by its curve;
-    finite samples whose pairing overflows (cosh(400)^2, (3^400)^2) by the pairing."""
+    finite samples whose pairing overflows (cosh(400)^2, (3^400)^2) by the pairing.
+    gauge reads <gamma, gamma> off its terms before it samples anything, so
+    the huge degrees are a <gamma, gamma> that varies there."""
     if source.startswith("s-range"):
         r = source.rsplit("-", 1)[1]
         flags, first_s = ["--sig", "3,1", "--family", "hyperbolic-helicoid-1", f"--s-range=-{r},{r}"], -float(r)
@@ -418,10 +420,46 @@ def test_a_curve_with_non_finite_samples_is_a_usage_error(command, source, tmp_p
         rc, out, err = run([*command, *flags])
     assert rc == 2
     doc = json.loads(out)
+    assert err == "" and not caught
+    if command == ["gauge"] and source.startswith("degree"):
+        assert doc["error"] == "ConventionError"
+        assert doc["message"].startswith("<gamma, gamma> varies across the domain by its term 0.5*s^")
+        assert doc["message"].endswith("*cos(2s); the normal form needs it constant")
+        return
     assert doc["error"] == "UsageError"
     what = "the pairing <" if source.endswith("400") else "gamma at derivative order "
     assert doc["message"].startswith(what)
     assert doc["message"].endswith(f"is not finite at s = {first_s!r}")
+
+
+@pytest.mark.parametrize("command", ["gauge", "classify", "verify"])
+def test_a_pairing_term_that_overflows_is_a_usage_error(command, tmp_path):
+    """gamma = 1e200 e^{-s} e1 + e2 on [459, 461]: <gamma, gamma> runs from
+    about 1.4 to 26 there, but its e^{-2s} coefficient overflows; it is named,
+    not read as zero. verify reports no structure, since epsilon is unknown."""
+    data = {
+        "signature": {"n": 3, "p": 0},
+        "gamma": {"n": 3, "terms": [
+            {"basis": "exp", "param": -1, "coeff": [1e200, 0, 0]},
+            {"basis": "pow", "param": 0, "coeff": [0, 1, 0]},
+        ]},
+        "base": {"n": 3, "terms": [{"basis": "pow", "param": 1, "coeff": [0, 0, 1]}]},
+        "s_domain": [459, 461],
+        "t_domain": [-3, 3],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run([command, "--input", str(path)])
+    doc = json.loads(out)
+    if command == "verify":
+        assert rc == 1 and doc["structure"] is None
+    else:
+        assert rc == 2 and doc == {
+            "error": "UsageError",
+            "message": "the pairing <gamma, gamma> has a term whose coefficient or size is not finite",
+        }
     assert err == "" and not caught
 
 
@@ -768,10 +806,9 @@ def test_classify_of_a_slid_surface_samples_gamma_once_across_the_gauge(call_cou
 
 
 def test_classify_of_a_slid_surface_pairs_gamma_once_across_the_gauge(monkeypatch, slid_hh2_file):
-    # the gauge moves only the base: the scan's <gamma, gamma> (epsilon)
-    # serves the gauged tables too. One of the ip_array calls sizes the
-    # samples of the input's <gamma, x'> = 0.3 + 0.2 s, whose zeros are
-    # sampled; the structure equations pair no samples
+    # the input's scan decides the gauge off terms and samples nothing, so
+    # <gamma, gamma> is sampled once, for the gauged surface's genericity
+    # profile; the structure equations pair no samples
     computed, calls = Counter(), Counter()
     ip, ip_array = surface._RulingTables.ip, surface.ip_array
 
@@ -789,13 +826,12 @@ def test_classify_of_a_slid_surface_pairs_gamma_once_across_the_gauge(monkeypatc
     rc, doc = run_json(["classify", "--input", slid_hh2_file])
     assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
     assert computed[("g0", "g0"), surface.SCAN_POINTS] == 1
-    assert calls["ip_array"] == 31
+    assert calls["ip_array"] == 28
 
 
-def test_classify_of_a_slid_surface_builds_each_profile_once(monkeypatch, slid_hh2_file):
-    # one ScalarProfile per pairing and jet table: <gamma, x'> is read on the
-    # input (it decides the gauge) and on its gauged form, <gamma, gamma>
-    # carries over the gauge, the other three are read on the gauged form
+@pytest.fixture
+def built_profiles(monkeypatch):
+    """The ScalarProfiles constructed, counted by name."""
     built, profile = Counter(), surface.ScalarProfile
 
     def counting_profile(name, *args):
@@ -803,12 +839,23 @@ def test_classify_of_a_slid_surface_builds_each_profile_once(monkeypatch, slid_h
         return profile(name, *args)
 
     monkeypatch.setattr(surface, "ScalarProfile", counting_profile)
+    return built
+
+
+def test_classify_of_a_slid_surface_builds_each_profile_once(built_profiles, slid_hh2_file):
+    # the four genericity profiles of the gauged surface, mu shared with the
+    # case invariants; <gamma, x'> decides the gauge off its terms
     rc, doc = run_json(["classify", "--input", slid_hh2_file])
     assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
-    assert built == {
-        "<gamma, gamma>": 1, "<gamma, x'>": 2, "<gamma', gamma'>": 1, "<x', x'>": 1,
-        "<gamma', x'>": 1,
-    }
+    assert built_profiles == {"<gamma, gamma>": 1, "<gamma', gamma'>": 1, "<x', x'>": 1, "<gamma', x'>": 1}
+
+
+@pytest.mark.parametrize("command", ["verify", "gauge"])
+def test_verify_and_gauge_build_no_profile(built_profiles, command):
+    # every fact they read off the scan is decided off terms
+    rc, doc = run_json([command, "--sig", "4,2", "--family", "hyperbolic-helicoid-2"])
+    assert rc == 0 and (command == "gauge" or doc["structure"]["ok"])
+    assert not built_profiles
 
 
 def test_classify_prints_one_reading_of_mu():
