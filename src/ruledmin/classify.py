@@ -13,11 +13,11 @@ s-grid. Every fact the classifier decides is read off closed-form terms by
 one rule, a term c counting as zero when |c| <= surface.H_TOL S, S the size
 of the products that formed it: whether a pairing is zero, constant or a
 unit, the shifted delta that makes a helicoid of the second kind, the
-structure equations and whether gamma' and x' are parallel. Only what
-classify reports samples the curves on the scan, each jet at most once: the
-four genericity profiles (surface.ScalarProfile), of which mu is one, give
-the largest magnitudes and the zeros of a function that varies, and the
-cylinder test locates the zeros of <gamma, x'>.
+structure equations and whether gamma' and x' are parallel. What classify
+reports samples those closed forms on the scan, never the curves: the four
+genericity profiles (surface.ScalarProfile), of which mu is one, give their
+largest magnitudes and zeros, the Gram determinant G its zeros, and the
+cylinder test the zeros and the smallest magnitude of <gamma, x'>.
 """
 
 from __future__ import annotations
@@ -83,13 +83,9 @@ def _genericity(scan: _RulingTables) -> GenericityReport:
     euclid, g1, x1 = Signature(scan.sig.n, 0), scaled("g1"), scaled("x1")
     gg, xx, gx = (_sized_inner(euclid, a, b) for a, b in ((g1, g1), (x1, x1), (g1, x1)))
 
-    def samples():  # G and its size, of jets scaled by each row's largest entry, so that none overflows
-        u, w = (j / np.where(m > 0, m, 1.0) for j in map(scan.jet, ("g1", "x1"))
-                for m in [np.abs(j).max(axis=1, keepdims=True)])
-        uu, ww, uw = ((a * b).sum(axis=1) for a, b in ((u, u), (w, w), (u, w)))
-        return uu * ww - uw * uw, uu * ww + uw * uw
-
-    switches = _zeros(_reading(gg * xx - gx * gx), scan.s, samples)
+    G = _reading(gg * xx - gx * gx)
+    scan.sampled("G", G)  # names the first s where G is not finite
+    switches = _zeros(G, scan.s)
     return GenericityReport(sig=scan.sig, num_points=scan.s.size, profiles=profiles, dependence_switches=switches)
 
 
@@ -219,9 +215,9 @@ def cylinder_check(sig: Signature, surface: RuledSurface) -> CylinderReport:
 def _cylinder_check(scan: _RulingTables, h_tol: float) -> CylinderReport:
     direction_null = _reading(scan.sized("g0", "g0")).is_zero
     base_null = _reading(scan.sized("x1", "x1")).is_zero
-    pairing = scan.profile("g0", "x1")  # its zeros: one term's, or sampled ones and sign changes
-    nowhere_zero = not pairing.identically_zero and not pairing.isolated_zeros
-    min_pairing = float(np.abs(scan.ip("g0", "x1")).min())
+    pairing = _reading(scan.sized("g0", "x1"))  # its zeros: one term's, or sampled ones and sign changes
+    min_pairing = float(np.abs(scan.sampled("the pairing <gamma, x'>", pairing)).min())
+    nowhere_zero = not pairing.is_zero and not _zeros(pairing, scan.s)
 
     report = is_minimal(scan.sig, scan.surface, tol=h_tol)
     if report.is_minimal and report.totally_geodesic:
@@ -275,8 +271,9 @@ def verify_structure_odes(sig: Signature, surface: RuledSurface) -> StructureRep
 
 def _structure(scan: _RulingTables, epsilon: int, eta: int) -> StructureReport:
     gamma = scan.surface.gamma
-    direction = _along(scan._curve("g2"), ScalarFn.constant(epsilon * eta), gamma)[1]
-    base = _along(scan._curve("x2"), _reading(scan.sized("g0", "x2")) * -epsilon, gamma)[1]
+    direction = _along(scan._curve("g2"), ScalarFn.constant(epsilon * eta), gamma, "gamma'' + eps eta gamma")[1]
+    lam = _reading(scan.sized("g0", "x2")) * -epsilon
+    base = _along(scan._curve("x2"), lam, gamma, "x'' - eps <gamma, x''> gamma")[1]
     return StructureReport(eta=eta, max_direction_residual=direction, max_base_residual=base, tol=H_TOL)
 
 

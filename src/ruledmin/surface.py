@@ -177,9 +177,9 @@ def _on_two_threads(work, ns: int, nt: int) -> list:
 
 @dataclass(frozen=True)
 class ScalarProfile:
-    """One pairing <a, b> read by _RulingTables.profile: identically zero, and
-    its value when constant (None when it varies), off its terms by the zero
-    rule; its largest sampled magnitude, and where it vanishes otherwise."""
+    """One pairing <a, b> read by _RulingTables.profile off the terms the zero
+    rule keeps: identically zero, its value when constant (None when it
+    varies), its largest magnitude on the grid, and where it vanishes."""
 
     name: str
     identically_zero: bool
@@ -197,15 +197,12 @@ class _RulingTables:
     s-grid and the per-s pairings of those jets, each computed on first use.
 
     A jet is named "g" (gamma) or "x" (the base x) followed by the order of
-    the s-derivative, as in "g0", "g2" or "x1". Every per-s quantity the
-    checks read is a pairing ip(a, b): epsilon = <g0, g0>, eta = <g1, g1>,
-    <x1, x1>, mu = <g1, x1>, the gauge term <g0, x1>, the C-function and the
-    sweep's first-form and second-form coefficients. The gauge and the
-    classifier decide the first five off their closed forms sized(a, b) and
-    sample them only for a profile(a, b) that classify reports. f is affine
-    in t, so those coefficients make every (ns, nt) scalar a polynomial in
-    t, evaluated by Horner's rule with (ns, 1) columns against the (1, nt)
-    t-row T.
+    the s-derivative, as in "g0", "g2" or "x1". The sweep, the C-function and
+    the gauge's check pair jets, ip(a, b); f is affine in t, so the pairings
+    make every (ns, nt) scalar a polynomial in t, evaluated by Horner's rule
+    with (ns, 1) columns against the (1, nt) t-row T. The gauge and the
+    classifier read their pairings off closed forms, sized(a, b), and
+    classify's report samples those (sampled, profile), not the jets.
     """
 
     def __init__(self, sig: Signature, surface: RuledSurface, s_grid):
@@ -270,16 +267,20 @@ class _RulingTables:
             self._sized[key] = fn
         return self._sized[key]
 
+    def sampled(self, what: str, fn: ScalarFn) -> np.ndarray:
+        """fn on the grid; UsageError names what and the first s where a sample is not finite."""
+        with np.errstate(all="ignore"):  # overflow is reported by _finite, not warned
+            return self._finite(what, fn.eval(self.s))
+
     def profile(self, a: str, b: str) -> ScalarProfile:
-        """<a, b> read once: sampled first (a sample that is not finite is named),
-        then its terms by the zero rule (_reading), its zeros by _zeros against
-        the samples' sum_i |a_i b_i| over the jet sizes."""
+        """<a, b> read once off the terms the zero rule keeps (_reading): their
+        largest magnitude on the grid (sampled) and their zeros (_zeros)."""
         key = tuple(sorted((a, b)))
         if key not in self._profiles:
-            v, fn = self.ip(a, b), _reading(self.sized(a, b))
-            zeros = _zeros(fn, self.s, lambda: (v, self._terms_size(a, b)))
-            name = _named(*key)
-            self._profiles[key] = ScalarProfile(name, fn.is_zero, float(np.abs(v).max()), zeros, _constant_value(fn))
+            fn, name = _reading(self.sized(a, b)), _named(*key)
+            v = self.sampled(f"the pairing {name}", fn)
+            zeros, value = _zeros(fn, self.s), _constant_value(fn)
+            self._profiles[key] = ScalarProfile(name, fn.is_zero, float(np.abs(v).max()), zeros, value)
         return self._profiles[key]
 
     def constant(self, a: str, b: str) -> float:
@@ -704,14 +705,15 @@ def _zero(c, size):
     return abs(c) <= H_TOL * size
 
 
-def _zeros(fn: ScalarFn, s: np.ndarray, samples) -> tuple[float, ...]:
+def _zeros(fn: ScalarFn, s: np.ndarray) -> tuple[float, ...]:
     """Where on the grid s the function whose kept terms are fn vanishes: no term
     or one c s^k e^{rate s} (rate real) has no zero, or s = 0 when k > 0; more
-    have the samples() = (values, sizes) the zero rule reads as 0 and the midpoints
-    of sign changes between two it does not, a run of hits within 1.5 steps as one."""
+    have the samples the zero rule reads as 0 against their size (_Terms._sample)
+    and the midpoints of sign changes between two it does not, a run of hits within 1.5 steps as one."""
     if len(fn.terms) < 2:
         return (0.0,) if any(k for k, _ in fn.terms) and s[0] <= 0.0 <= s[-1] else ()
-    v, size = samples()
+    with np.errstate(all="ignore"):  # the caller names a sample that is not finite
+        v, size = fn._sample(s, sized=True)
     small = _zero(v, size)
     cross = np.flatnonzero(~small[:-1] & ~small[1:] & ((v[:-1] < 0) != (v[1:] < 0)))
     hits = np.sort(np.concatenate([s[small], 0.5 * (s[cross] + s[cross + 1])]))
@@ -753,13 +755,17 @@ def _epsilon(scan: _RulingTables) -> int:
     return epsilon
 
 
-def _along(x: CurveExpr, lam: ScalarFn, gamma: CurveExpr) -> tuple[CurveExpr, float]:
+def _along(x: CurveExpr, lam: ScalarFn, gamma: CurveExpr, what: str) -> tuple[CurveExpr, float]:
     """x + lam gamma in closed form (damped terms included), where a component
     is 0 by the zero rule against S = |x| + the |lam gamma products| on it, and
-    the largest |c| / S over its components."""
-    out, size = x.plus_scalar_times(lam, gamma), CurveExpr(x.n)
-    size.terms = {key: abs(c) for key, c in x.terms.items()}
-    size = lam._product(gamma, lambda c, vec: abs(c) * abs(vec), size)
+    the largest |c| / S over its components; UsageError names what when a
+    coefficient or its S is not finite."""
+    with np.errstate(all="ignore"):  # overflow is reported below, not warned
+        out, size = x.plus_scalar_times(lam, gamma), CurveExpr(x.n)
+        size.terms = {key: abs(c) for key, c in x.terms.items()}
+        size = lam._product(gamma, lambda c, vec: abs(c) * abs(vec), size)
+    if not all(np.isfinite(c).all() for c in size.terms.values()):
+        raise UsageError(f"{what} has a term whose coefficient or size is not finite")
     terms, out.terms, worst = out.terms, {}, 0.0
     for key, c in terms.items():  # S > 0 wherever c != 0
         worst = max(worst, float(np.max(np.abs(c) / np.where(c != 0, size.terms[key], 1.0))))
@@ -776,7 +782,7 @@ def _shift(scan: _RulingTables) -> tuple[int, ScalarFn, RuledSurface]:
     eps = _epsilon(scan)
     anti = _reading(scan.sized("g0", "x1")).antiderivative()
     lam = -eps * (anti - ScalarFn.constant(anti.eval(0.0)))
-    base = _along(surface.base, lam, surface.gamma)[0]
+    base = _along(surface.base, lam, surface.gamma, "the gauged base x + lambda gamma")[0]
     return eps, lam, RuledSurface(surface.gamma, base, surface.s_domain, surface.t_domain)
 
 
@@ -805,7 +811,7 @@ def gauge_normalize(sig: Signature, surface: RuledSurface) -> GaugeResult:
     s_grid, t_grid = gauged.default_grids()
     check = _RulingTables(sig, gauged, s_grid)
     with np.errstate(all="ignore"):  # a g12 that overflows is named by _finite
-        g12 = np.abs(check._finite("g12", _horner(check.form()[1], t_grid[None, :])))
+        g12 = np.abs(check._finite("g12", check.col("g1", "g0") * t_grid[None, :] + check.col("x1", "g0")))
         g0, g1, x1 = (np.linalg.norm(check.jet(k), axis=1)[:, None] for k in ("g0", "g1", "x1"))
         size = g0 * (g1 * np.abs(t_grid)[None, :] + x1)
         residual = np.divide(g12, size, out=np.zeros_like(g12), where=size > 0)

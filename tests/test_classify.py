@@ -1,6 +1,7 @@
 """Tests for genericity scanning, case invariants, and family identification."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from ruledmin import (
     verify_structure_odes,
 )
 from ruledmin.families import FRAME_FAMILIES
-from ruledmin.surface import H_TOL, SCAN_POINTS, _scan
+from ruledmin.surface import H_TOL, SCAN_POINTS, _RulingTables, _scan
 
 from _oracles import (
     cayley_isometry, draw_moved_surface, fd_mean_curvature, moved_surface, reparametrized, reparametrized_surface,
@@ -690,16 +691,73 @@ def test_a_match_off_its_structure_equations_is_noted():
     assert any("structure-equation residuals are larger than expected" in note for note in result.notes)
 
 
-JETS_SAMPLED = {genericity_scan: 3, case_invariants: 2, verify_structure_odes: 0, gauge_normalize: 3}
+JETS_SAMPLED = {genericity_scan: 0, case_invariants: 0, verify_structure_odes: 0, gauge_normalize: 3}
 
 
 @pytest.mark.parametrize("check", JETS_SAMPLED)
 def test_directrix_checks_evaluate_only_the_jets_they_pair(call_counts, check):
-    # the genericity profiles sample gamma, gamma' and x', mu gamma' and x';
     # every decision, the structure equations and the Gram determinant are
-    # read off terms, and the gauge samples only its check grid's gamma,
-    # gamma' and gauged x'
+    # read off terms, and the genericity profiles and mu sample those terms,
+    # not the curves; the gauge samples only its check grid's gamma, gamma'
+    # and gauged x'
     surf = generate(Signature(4, 2), FamilyId.HYPERBOLIC_HELICOID_2)
     call_counts.clear()
     check(Signature(4, 2), surf)
     assert call_counts["eval"] == JETS_SAMPLED[check]
+
+
+@pytest.fixture
+def scan_samplings(monkeypatch):
+    """The calls of _RulingTables.jet, ip and col on a SCAN_POINTS grid, by name."""
+    calls = Counter()
+    for name in ("jet", "ip", "col"):
+        def counting(self, *args, _name=name, _method=getattr(_RulingTables, name)):
+            if self.s.size == SCAN_POINTS:
+                calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(_RulingTables, name, counting)
+    return calls
+
+
+def test_the_scan_samples_no_jet(scan_samplings):
+    # the classifier's decisions and its report read the pairings' closed
+    # forms; only the 41x41 sweep of is_minimal and the gauge's 41-point
+    # check sample the curves
+    for sig, family, signs in CATALOG:
+        surf = generate(sig, family, signs=signs)
+        for moved in (surf, _slid(surf, 0.3, 0.1)):
+            assert identify_family(sig, moved).family is family
+            genericity_scan(sig, moved)
+            if surf.gamma.is_constant():
+                cylinder_check(sig, moved)
+            else:
+                gauge_normalize(sig, moved)
+        if not surf.gamma.is_constant():
+            case_invariants(sig, surf)
+    assert not scan_samplings, scan_samplings
+
+
+@pytest.mark.parametrize("half_width", [3.0, 10.0])
+def test_the_report_agrees_with_the_decision(half_width):
+    # a profile read as identically zero reports max_abs 0, and a constant
+    # one its constant's magnitude: the samples are the kept terms' own
+    for sig, family, signs in CATALOG:
+        surf = generate(sig, family, signs=signs, s_domain=(-half_width, half_width))
+        profiles = list(genericity_scan(sig, surf).profiles.values())
+        if not surf.gamma.is_constant():
+            profiles.append(case_invariants(sig, surf).mu)
+        for profile in profiles:
+            if profile.identically_zero:
+                assert profile.max_abs == 0.0, (sig, family, signs, profile)
+            if profile.value is not None:
+                assert profile.max_abs == abs(profile.value), (sig, family, signs, profile)
+
+
+def test_the_cylinders_smallest_pairing_is_its_closed_forms():
+    # <gamma, x'> = -e^{-s} on [-40, 40]: its smallest magnitude is e^{-40},
+    # although the jets' pairing underflows to 0.0 at s = 40
+    surf = generate(R31, FamilyId.MINIMAL_CYLINDER, s_domain=(-40.0, 40.0))
+    report = cylinder_check(R31, surf)
+    assert report.verdict is CylinderVerdict.MINIMAL_CYLINDER
+    assert report.min_pairing == pytest.approx(np.exp(-40.0), rel=1e-15, abs=0.0)

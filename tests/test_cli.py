@@ -408,7 +408,10 @@ def test_a_curve_with_non_finite_samples_is_a_usage_error(command, source, tmp_p
     """A sample that is not finite (cosh(800), s^(2^40)) is named by its curve;
     finite samples whose pairing overflows (cosh(400)^2, (3^400)^2) by the pairing.
     gauge reads <gamma, gamma> off its terms before it samples anything, so
-    the huge degrees are a <gamma, gamma> that varies there."""
+    the huge degrees are a <gamma, gamma> that varies there. classify samples
+    no curve, only the closed forms of its report: the huge degrees'
+    <gamma, gamma> overflows, and on the wide ranges, where every pairing of
+    the hyperbolic helicoid is a constant, the Gram determinant G does."""
     if source.startswith("s-range"):
         r = source.rsplit("-", 1)[1]
         flags, first_s = ["--sig", "3,1", "--family", "hyperbolic-helicoid-1", f"--s-range=-{r},{r}"], -float(r)
@@ -427,7 +430,10 @@ def test_a_curve_with_non_finite_samples_is_a_usage_error(command, source, tmp_p
         assert doc["message"].endswith("*cos(2s); the normal form needs it constant")
         return
     assert doc["error"] == "UsageError"
-    what = "the pairing <" if source.endswith("400") else "gamma at derivative order "
+    if command == ["classify"]:
+        what = "the pairing <gamma, gamma> " if source.startswith("degree") else "G "
+    else:
+        what = "the pairing <" if source.endswith("400") else "gamma at derivative order "
     assert doc["message"].startswith(what)
     assert doc["message"].endswith(f"is not finite at s = {first_s!r}")
 
@@ -518,13 +524,15 @@ _E3_E1_1E160 = [{"basis": "pow", "param": 1, "coeff": [0, 0, 1e160]},
 @pytest.mark.parametrize("command, scale, base, message", [
     ("classify", 1e100, _E3_1E110, "det g is not finite at s = -3.0"),
     ("verify", 1e100, _E3_1E110, "det g is not finite at s = -3.0"),
-    ("classify", 1.0, _E3_E1_1E160, "the pairing <x', x'> is not finite at s = -3.0"),
+    ("classify", 1.0, _E3_E1_1E160,
+     "the pairing <x', x'> has a term whose coefficient or size is not finite"),
 ], ids=["classify-det-g", "verify-det-g", "classify-pairing"])
 def test_a_surface_whose_products_overflow_is_a_quiet_usage_error(tmp_path, command, scale, base, message):
     # gamma = scale (cos s e1 + sin s e2): the jets are finite, but det g
-    # (<x', x'> <gamma, gamma> ~ 1e420) or <x', x'> (~ 1e321) is not. Neither
-    # the products of det g's and G's coefficients nor the sign test on the
-    # samples of <x', x'> may warn before the UsageError
+    # (<x', x'> <gamma, gamma> ~ 1e420) or <x', x'> (~ 1e321) is not. classify
+    # reads <x', x'> off its terms before it samples it, and their coefficients
+    # 1e320 and 4e320 (of s^2) are named. Neither the products of det g's and G's
+    # coefficients nor the sign test on the samples may warn before the UsageError
     gamma = [{"basis": "cos", "param": 1, "coeff": [scale, 0, 0]}, {"basis": "sin", "param": 1, "coeff": [0, scale, 0]}]
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({"signature": {"n": 3, "p": 0}, "gamma": {"n": 3, "terms": gamma},
@@ -624,6 +632,49 @@ def test_gauge_payload():
     assert doc["exact"] is True
     assert doc["max_abs_g12"] <= 1e-9
     assert "surface" in doc
+
+
+def test_the_gauge_pairs_only_the_two_jet_pairings_of_g12(monkeypatch, tmp_path):
+    # the helicoid of R^3_0 with x = 1e160 s e3: g12 = <gamma', gamma> t +
+    # <x', gamma> is 0, while <x', x'> = 1e320, which the gauge never reads,
+    # overflows
+    data = {"signature": {"n": 3, "p": 0},
+            "gamma": {"n": 3, "terms": [{"basis": "cos", "param": 1, "coeff": [1, 0, 0]},
+                                        {"basis": "sin", "param": 1, "coeff": [0, 1, 0]}]},
+            "base": {"n": 3, "terms": [{"basis": "pow", "param": 1, "coeff": [0, 0, 1e160]}]},
+            "s_domain": [-3, 3], "t_domain": [-3, 3]}
+    path = tmp_path / "huge_base.json"
+    path.write_text(json.dumps(data))
+    paired, ip = Counter(), surface._RulingTables.ip
+
+    def counting_ip(self, a, b):
+        if tuple(sorted((a, b))) not in self._pairs:
+            paired[tuple(sorted((a, b)))] += 1
+        return ip(self, a, b)
+
+    monkeypatch.setattr(surface._RulingTables, "ip", counting_ip)
+    rc, doc, quiet = _run_quietly(["gauge", "--input", str(path)])
+    assert rc == 0 and quiet
+    assert doc["max_abs_g12"] == 0 and doc["exact"] is True
+    assert paired == Counter({("g0", "g1"): 1, ("g0", "x1"): 1})
+
+
+@pytest.mark.parametrize("command", ["gauge", "classify"])
+def test_a_gauged_base_that_overflows_is_a_quiet_usage_error(command, tmp_path):
+    # gamma = cosh s (-18, 17, -6) + sinh s (19, -18, 6) is a unit curve of
+    # R^3_1 and x = 1e306 s e1: lambda's coefficients are finite, but their
+    # products with gamma's, which x + lambda gamma adds, are not
+    data = {"signature": {"n": 3, "p": 1},
+            "gamma": {"n": 3, "terms": [{"basis": "cosh", "param": 1, "coeff": [-18, 17, -6]},
+                                        {"basis": "sinh", "param": 1, "coeff": [19, -18, 6]}]},
+            "base": {"n": 3, "terms": [{"basis": "pow", "param": 1, "coeff": [1e306, 0, 0]}]},
+            "s_domain": [-3, 3], "t_domain": [-3, 3]}
+    path = tmp_path / "huge_lambda.json"
+    path.write_text(json.dumps(data))
+    rc, doc, quiet = _run_quietly([command, "--input", str(path)])
+    assert rc == 2 and quiet
+    assert doc == {"error": "UsageError",
+                   "message": "the gauged base x + lambda gamma has a term whose coefficient or size is not finite"}
 
 
 # ---------------------------------------------------------------------------
@@ -751,11 +802,12 @@ def test_gauge_reads_g12_without_a_sweep(call_counts):
 
 @pytest.mark.parametrize("command", ["verify", "classify"])
 def test_verify_and_classify_sweep_once_and_sample_each_jet_once(call_counts, command):
-    # one 41x41 sweep (5 jets) and one 201-point jet table (5 jets)
+    # one 41x41 sweep (5 jets); classify's 201-point scan samples closed
+    # forms, no jet
     rc, _ = run_json([command, "--sig", "4,2", "--family", "hyperbolic-helicoid-2"])
     assert rc == 0
     assert call_counts["sweep"] == 1
-    assert call_counts["eval"] <= 10
+    assert call_counts["eval"] == 5
 
 
 def test_classify_json_is_deterministic():
@@ -806,9 +858,10 @@ def test_classify_of_a_slid_surface_samples_gamma_once_across_the_gauge(call_cou
 
 
 def test_classify_of_a_slid_surface_pairs_gamma_once_across_the_gauge(monkeypatch, slid_hh2_file):
-    # the input's scan decides the gauge off terms and samples nothing, so
-    # <gamma, gamma> is sampled once, for the gauged surface's genericity
-    # profile; the structure equations pair no samples
+    # the input's scan decides the gauge off terms, and the gauged surface's
+    # genericity profiles sample their closed forms, so no jet is paired on
+    # the scan: <gamma, gamma> is paired once, in is_minimal's 41x41 sweep,
+    # whose 12 pairings and their 12 sizes are all the ip_array calls
     computed, calls = Counter(), Counter()
     ip, ip_array = surface._RulingTables.ip, surface.ip_array
 
@@ -825,8 +878,9 @@ def test_classify_of_a_slid_surface_pairs_gamma_once_across_the_gauge(monkeypatc
     monkeypatch.setattr(surface, "ip_array", counting_ip_array)
     rc, doc = run_json(["classify", "--input", slid_hh2_file])
     assert rc == 0 and doc["family"] == "hyperbolic-helicoid-2"
-    assert computed[("g0", "g0"), surface.SCAN_POINTS] == 1
-    assert calls["ip_array"] == 28
+    assert computed[("g0", "g0"), surface.SCAN_POINTS] == 0
+    assert computed[("g0", "g0"), 41] == 1
+    assert calls["ip_array"] == 24
 
 
 @pytest.fixture
