@@ -29,7 +29,16 @@ from .existence import (
     existence_table,
     replay_certificate,
 )
-from .families import CLI_NAME_OF, CLI_NAMES, TABLE_FAMILIES, FamilyId, FrameSpec, SignChoice
+from .families import (
+    CLI_NAME_OF,
+    CLI_NAMES,
+    FRAME_FAMILIES,
+    TABLE_FAMILIES,
+    FamilyId,
+    FrameSpec,
+    SignChoice,
+    validate_signs,
+)
 from .metric import Signature
 
 if TYPE_CHECKING:
@@ -492,6 +501,9 @@ def cmd_existence(args) -> int:
     sig = _sig_arg(args.sig)
     family = _family_arg(args.family)
     signs = _signs_arg(args.signs) if args.signs else None
+    if signs is not None and family not in FRAME_FAMILIES:
+        # signs on a family without a frame are a usage error, as in every other subcommand
+        validate_signs(family, signs)
     result = existence_oracle(sig, family, signs)
     payload = {"command": "existence", **_existence_json(result)}
     _write_or_print(jsonio.dumps(payload), args.out)

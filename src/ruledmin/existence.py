@@ -572,6 +572,8 @@ SEARCH_COORD_BOUND = 4
 
 # Trials advance in lockstep in chunks of this many.
 _SEARCH_CHUNK = 128
+# The last slot tries this many leading live trials before the rest.
+_LAST_SLOT_HEAD = 8
 # An int64 row whose next projection could reach this magnitude is re-run
 # on Python ints; the margin to 2**63 absorbs float64 rounding in the bound.
 _INT64_LIMIT = float(2**62)
@@ -618,71 +620,93 @@ def _unchecked_depths(n: int, slots: int) -> tuple[int, int]:
 
 
 def _lockstep(np, draws, targets, n, p, dtype):
-    """Run one trial per row, all rows one sample per step.
+    """Run one trial per row, one slot at a time over the trials still alive.
 
-    Each sample takes the next n coordinates of its row of draws, whichever
-    slot it is for, so sample g of every row sits at the same offset; a row
-    holds slots * SEARCH_SAMPLES_PER_SLOT * n coordinates, enough for every
-    sample. targets is (rows, slots) of +-1 in slot order.
+    A trial reads its samples in order from its row of draws, n coordinates
+    each, whichever slot they are for; a row holds
+    slots * SEARCH_SAMPLES_PER_SLOT * n coordinates, enough for every sample.
+    targets is (rows, slots) of +-1 in slot order.
+
+    At slot k every live trial holds k placed vectors. Its next
+    SEARCH_SAMPLES_PER_SLOT samples are projected against them together, as
+    one (live, samples, n) array, and the first that hits is placed; a trial
+    whose samples all miss leaves the arrays. In the last slot only the
+    first success counts, so the leading _LAST_SLOT_HEAD live trials go first
+    and the rest only if none of them succeeds.
 
     Returns boolean row masks (succeeded, spilled). With dtype int64 a row
-    spills, and stops, when a float64 bound cannot prove that its next
-    projection or square keeps every product below 2**62; with dtype object
-    the arithmetic is on Python ints and nothing spills.
+    spills, and stops, when a float64 bound cannot prove that a sample's next
+    projection or square keeps every product below 2**62, for a sample at or
+    before its slot's first hit, which the per-trial loop computes too; with
+    dtype object the arithmetic is on Python ints and nothing spills.
     """
     rows, slots = targets.shape
+    per = SEARCH_SAMPLES_PER_SLOT
     checked = dtype is not object
     safe_products, safe_q = _unchecked_depths(n, slots)
     sgn = np.array([-1] * p + [1] * (n - p), dtype=dtype)
-    frame = np.zeros((rows, slots, n), dtype=dtype)
-    # q of each placed vector; an empty slot keeps q = 1 with a zero vector,
-    # so projecting against it leaves v unchanged
-    frame_q = np.ones((rows, slots), dtype=dtype)
-    # |q(u)| + n max|u|^2: projecting v against u keeps every product within
-    # this times max|v|; empty slots contribute 1
-    reach = np.ones((rows, slots))
-    placed = np.zeros(rows, dtype=np.intp)
-    tries = np.zeros(rows, dtype=np.intp)
-    active = np.ones(rows, dtype=bool)
+    samples = draws.reshape(rows, slots * per, n)
+    # the live trials' placed vectors, shaped to broadcast against their
+    # candidates: u, u with the metric's signs (to pair by matmul), q(u) and
+    # the reach |q(u)| + n max|u|^2, which times max|v| bounds every product
+    # of projecting v against u
+    frame = np.empty((rows, slots, 1, n), dtype=dtype)
+    signed = np.empty((rows, slots, n, 1), dtype=dtype)
+    frame_q = np.empty((rows, slots, 1, 1), dtype=dtype)
+    reach = np.empty((rows, slots, 1))
+    trial = np.arange(rows)
+    used = np.zeros(rows, dtype=np.intp)  # samples read so far
+    offsets = np.arange(per)
     succeeded = np.zeros(rows, dtype=bool)
     spilled = np.zeros(rows, dtype=bool)
-    index = np.arange(rows)
-    for step in range(slots * SEARCH_SAMPLES_PER_SLOT):
-        v = draws[:, step * n : (step + 1) * n].astype(dtype)
-        depth = int(placed[active].max())
-        for j in range(depth):
+
+    def attempt(k, part):
+        """Slot k for the live trials part: (u, q(u), index of u, placed) per trial.
+
+        u is the first of the trial's projected samples that hits or spills.
+        """
+        tr = trial[part]
+        if k == 0:
+            v = samples[part, :per].astype(dtype, copy=False)
+        else:
+            v = samples[tr[:, None], used[part, None] + offsets].astype(dtype, copy=False)
+        big = np.zeros(v.shape[:2], dtype=bool)
+        for j in range(k):
             if checked and j >= safe_products:
-                big = active & (reach[:, j] * np.abs(v).max(axis=1) >= _INT64_LIMIT)
-                spilled |= big
-                active &= ~big
-            u = frame[:, j]
-            v = frame_q[:, j, None] * v - ((v * u) @ sgn)[:, None] * u
-            g = np.gcd.reduce(v, axis=1)
-            g[placed <= j] = 1  # a row with no vector in slot j was not projected
-            v //= np.maximum(g, 1)[:, None]
-        if checked and depth > safe_q:
-            big = active & (n * np.abs(v).max(axis=1).astype(np.float64) ** 2 >= _INT64_LIMIT)
-            spilled |= big
-            active &= ~big
+                big |= reach[part, j] * np.abs(v).max(axis=2) >= _INT64_LIMIT
+            v = frame_q[part, j] * v - (v @ signed[part, j]) * frame[part, j]
+            v //= np.maximum(np.gcd.reduce(v, axis=2, keepdims=True), 1)
+        if checked and k > safe_q:
+            big |= n * np.abs(v).max(axis=2).astype(np.float64) ** 2 >= _INT64_LIMIT
         q = (v * v) @ sgn
-        slot = np.minimum(placed, slots - 1)
-        hit = active & (q * targets[index, slot] > 0)
-        tries += 1
-        if hit.any():
-            at = (index[hit], slot[hit])
-            frame[at] = v[hit]
-            frame_q[at] = q[hit]
-            if checked:
-                reach[at] = np.abs(q[hit]) + n * np.abs(v[hit]).max(axis=1).astype(np.float64) ** 2
-            placed += hit
-            tries[hit] = 0
-            done = hit & (placed == slots)
-            if done.any():
-                succeeded |= done
-                # a later row cannot become the first success
-                active[int(np.argmax(done)) :] = False
-        active &= tries < SEARCH_SAMPLES_PER_SLOT
-        if not active.any():
+        # the first sample that hits or spills decides the trial
+        decisive = q * targets[tr, k, None] > 0
+        decisive |= big
+        first = np.argmax(decisive, axis=1)
+        index = np.arange(len(tr))
+        spill = big[index, first]
+        spilled[tr[spill]] = True
+        return v[index, first], q[index, first], first, decisive[index, first] & ~spill
+
+    for k in range(slots - 1):
+        u, qu, first, keep = attempt(k, slice(None))
+        if not keep.all():
+            if not keep.any():
+                return succeeded, spilled
+            trial, used, u, qu, first = trial[keep], used[keep], u[keep], qu[keep], first[keep]
+            frame, signed, frame_q, reach = frame[keep], signed[keep], frame_q[keep], reach[keep]
+        frame[:, k, 0] = u
+        signed[:, k, :, 0] = u * sgn
+        frame_q[:, k, 0, 0] = qu
+        if checked:
+            reach[:, k, 0] = np.abs(qu) + n * np.abs(u).max(axis=1).astype(np.float64) ** 2
+        used += first + 1
+    for part in (slice(0, _LAST_SLOT_HEAD), slice(_LAST_SLOT_HEAD, None)):
+        if part.start >= len(trial):
+            break
+        keep = attempt(slots - 1, part)[3]
+        if keep.any():
+            succeeded[trial[part][keep]] = True
             break
     return succeeded, spilled
 
@@ -731,15 +755,17 @@ def brute_force_cross_check(
     coordinates after each projection, and placed when its square has the
     slot's sign. A slot that places nothing ends the trial.
 
-    The trials of a chunk of _SEARCH_CHUNK run in numpy lockstep, one sample
-    per step, on words hashed for the whole chunk up front. Every sample
-    takes n coordinates, so sample g of every trial sits at the same offset.
+    The trials of a chunk of _SEARCH_CHUNK run in numpy lockstep on words
+    hashed for the whole chunk up front, one slot at a time: the trials still
+    alive project all their samples for the slot at once and keep the first
+    that hits, and a trial whose samples all miss drops out (see _lockstep).
     The arithmetic is int64 while a float64 bound proves that every product
-    stays below 2**62; a trial that fails the bound is re-run from its start
-    on Python ints. Chunks run in trial order and the search stops after the
-    chunk with the first success, so every field of the result equals what
-    the trials run one at a time in Python give (tests/_oracles.brute_force_loop
-    keeps that loop, over a pure-Python copy of the hash).
+    stays below 2**62; a trial that fails the bound on a sample the per-trial
+    loop would compute is re-run from its start on Python ints. Chunks run in
+    trial order and the search stops after the chunk with the first success,
+    so every field of the result equals what the trials run one at a time in
+    Python give (tests/_oracles.brute_force_loop keeps that loop, over a
+    pure-Python copy of the hash).
     """
     if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 0:
         raise UsageError(f"trials must be an integer >= 0, got {trials!r}")

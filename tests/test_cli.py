@@ -707,7 +707,7 @@ def test_out_of_range_signature_exits_2(argv):
 
 
 @pytest.mark.parametrize("family", ["plane", "minimal-cylinder"])
-@pytest.mark.parametrize("command", ["verify", "classify", "gauge", "mesh", "causal-map"])
+@pytest.mark.parametrize("command", ["existence", "verify", "classify", "gauge", "mesh", "causal-map"])
 def test_signs_on_a_family_without_frame_signs_exit_2(family, command):
     rc, doc = run_json([command, "--sig", "3,1", "--family", family, "--signs=1,1,1"])
     assert rc == 2

@@ -479,11 +479,44 @@ def test_python_int_rows_can_succeed(int64_chunks):
         assert int64_chunks == [(1, [0])]
 
 
+def test_a_sample_past_the_first_hit_never_spills(int64_chunks):
+    # trial 12 places all six vectors in int64; in one slot a sample after
+    # the first hit fails the bound, but the per-trial loop never computes it
+    sig, template = Signature(6, 3), [1, 1, 1, -1, -1, -1]
+    assert existence._search_chunk(np, sig, template, 0, 12, 13) == 12
+    assert int64_chunks == [(1, [])]
+
+
 def test_search_with_many_slots_matches_the_loop():
     # twenty slots: the static size bound must stop once it passes int64
     sig, pattern = Signature(20, 10), NormPattern(10, 10, 0)
     assert brute_force_cross_check(sig, pattern, trials=3, seed=1) == brute_force_loop(
         sig, pattern, trials=3, seed=1)
+
+
+@pytest.mark.parametrize("sig, seed", [(Signature(4, 1), 7), (Signature(7, 2), 0), (Signature(8, 6), -3)])
+def test_search_across_chunks_equals_the_per_trial_loop(sig, seed):
+    # 129 and 300 trials run past the first chunk of 128: a full chunk and a
+    # short one, or two full chunks and a short one
+    assert existence._SEARCH_CHUNK == 128
+    for pattern in ALL_PATTERNS:
+        for trials in (129, 300):
+            got = brute_force_cross_check(sig, pattern, trials=trials, seed=seed)
+            assert got == brute_force_loop(sig, pattern, trials=trials, seed=seed), (pattern, trials)
+
+
+def test_six_slot_search_spills_in_every_chunk(int64_chunks):
+    # a trial spills only for a sample at or before its slot's first hit,
+    # which the per-trial loop computes too; these are the rows whose int64
+    # bound fails in that order
+    sig, pattern = Signature(8, 2), NormPattern(0, 0, 3)
+    result = brute_force_cross_check(sig, pattern, trials=300, seed=0)
+    assert int64_chunks == [
+        (128, [16, 17, 19, 20, 29, 34, 58, 64, 65, 70, 100, 101, 108, 114, 127]),
+        (128, [4, 5, 32, 37, 41, 42, 47, 49, 56, 61, 64, 67, 71, 79, 84, 86, 89, 91]),
+        (44, [2, 6, 12, 17, 31]),
+    ]
+    assert result == brute_force_loop(sig, pattern, trials=300, seed=0)
 
 
 def test_empty_search_is_allowed():
