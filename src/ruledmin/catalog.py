@@ -19,12 +19,7 @@ import numpy as np
 from .basisfn import ONE, ScalarFn
 from .curves import CurveExpr, _sized_inner
 from .errors import CrossValidationError, NonExistenceError, UsageError
-from .existence import (
-    ExistenceResult,
-    Verdict,
-    admits_cylinder,
-    existence_oracle,
-)
+from .existence import ExistenceResult, Verdict, existence_oracle
 from .families import (
     FRAME_FAMILIES,
     FamilyId,
@@ -67,17 +62,13 @@ def pick_signs(sig: Signature, family: FamilyId) -> SignChoice | None:
     return existence_oracle(sig, family).signs if family in _FRAME_FAMILIES else None
 
 
-def _check_request(sig: Signature, family: FamilyId, signs: SignChoice | None) -> None:
+def _witness(sig: Signature, family: FamilyId, signs: SignChoice | None) -> ExistenceResult:
+    """The oracle's witness for the family and the given sign choice, or
+    pick_signs' choice when signs is None; raises as generate does."""
     if sig.n < 3:
         raise UsageError("catalog surfaces need ambient dimension n >= 3")
     if signs is not None:
         validate_signs(family, signs)
-
-
-def _witness(sig: Signature, family: FamilyId, signs: SignChoice | None) -> ExistenceResult:
-    """The oracle's witness for a frame family and the given sign choice, or
-    pick_signs' choice when signs is None; raises as generate does."""
-    _check_request(sig, family, signs)
     result = existence_oracle(sig, family, signs)
     if result.verdict is not Verdict.WITNESS:
         raise NonExistenceError(result)
@@ -87,19 +78,31 @@ def _witness(sig: Signature, family: FamilyId, signs: SignChoice | None) -> Exis
 def _witness_surface(
     family: FamilyId, witness: ExistenceResult, s_domain: tuple, t_domain: tuple
 ) -> RuledSurface:
-    """The frame family's normal form on the witness's frame."""
+    """The family's normal form on the witness: the plane on axes 0 and 1, the
+    cylinder on the witness's null direction and axes, the others on its frame."""
     n = witness.sig.n
-    e1, e2, e3 = (np.asarray(v, dtype=float) for v in witness.frame.vectors)
-    base = [("pow", 1, e3)]
-    if family in (FamilyId.ELLIPTIC_HELICOID_1, FamilyId.ELLIPTIC_HELICOID_2):
-        gamma = [("cos", 1.0, e1), ("sin", 1.0, e2)]
-    elif family in (FamilyId.HYPERBOLIC_HELICOID_1, FamilyId.HYPERBOLIC_HELICOID_2):
-        gamma = [("cosh", 1.0, e1), ("sinh", 1.0, e2)]
-    elif family is FamilyId.PARABOLIC_HELICOID:
-        gamma = [("pow", 0, e1), ("pow", 1, e2 + e3)]
-        base = [("pow", 2, e1), ("pow", 3, (e2 + e3) / 3.0), ("pow", 1, e3 - e2)]
-    else:  # minimal hyperbolic paraboloid
-        gamma = [("pow", 1, e1), ("pow", 0, e2)]
+    axis = np.eye(n)
+    if family is FamilyId.PLANE:
+        gamma, base = [("pow", 0, axis[1])], [("pow", 1, axis[0])]
+    elif family is FamilyId.MINIMAL_CYLINDER:
+        i, j, k = witness.cylinder.axes
+        gamma = [("pow", 0, np.asarray(witness.cylinder.direction, dtype=float))]
+        if witness.cylinder.mirrored:  # two timelike axes (i, j), one spacelike (k)
+            base = [("cosh", 1.0, axis[i]), ("pow", 1, axis[j]), ("sinh", 1.0, axis[k])]
+        else:
+            base = [("sinh", 1.0, axis[i]), ("cosh", 1.0, axis[j]), ("pow", 1, axis[k])]
+    else:
+        e1, e2, e3 = (np.asarray(v, dtype=float) for v in witness.frame.vectors)
+        base = [("pow", 1, e3)]
+        if family in (FamilyId.ELLIPTIC_HELICOID_1, FamilyId.ELLIPTIC_HELICOID_2):
+            gamma = [("cos", 1.0, e1), ("sin", 1.0, e2)]
+        elif family in (FamilyId.HYPERBOLIC_HELICOID_1, FamilyId.HYPERBOLIC_HELICOID_2):
+            gamma = [("cosh", 1.0, e1), ("sinh", 1.0, e2)]
+        elif family is FamilyId.PARABOLIC_HELICOID:
+            gamma = [("pow", 0, e1), ("pow", 1, e2 + e3)]
+            base = [("pow", 2, e1), ("pow", 3, (e2 + e3) / 3.0), ("pow", 1, e3 - e2)]
+        else:  # minimal hyperbolic paraboloid
+            gamma = [("pow", 1, e1), ("pow", 0, e2)]
     return RuledSurface(
         CurveExpr.from_basis_terms(n, gamma), CurveExpr.from_basis_terms(n, base), s_domain, t_domain
     )
@@ -119,26 +122,7 @@ def generate(
     UsageError when signs are not a sign choice of the family (planes and
     cylinders take none).
     """
-    if family in _FRAME_FAMILIES:
-        return _witness_surface(family, _witness(sig, family, signs), s_domain, t_domain)
-    _check_request(sig, family, signs)
-
-    axis = np.eye(sig.n)
-    if family is FamilyId.PLANE:
-        gamma, base = [("pow", 0, axis[1])], [("pow", 1, axis[0])]
-    else:  # minimal cylinder
-        result = admits_cylinder(sig)
-        if result.verdict is not Verdict.WITNESS:
-            raise NonExistenceError(result)
-        i, j, k = result.cylinder.axes
-        gamma = [("pow", 0, np.asarray(result.cylinder.direction, dtype=float))]
-        if result.cylinder.mirrored:  # two timelike axes (i, j), one spacelike (k)
-            base = [("cosh", 1.0, axis[i]), ("pow", 1, axis[j]), ("sinh", 1.0, axis[k])]
-        else:
-            base = [("sinh", 1.0, axis[i]), ("cosh", 1.0, axis[j]), ("pow", 1, axis[k])]
-    return RuledSurface(
-        CurveExpr.from_basis_terms(sig.n, gamma), CurveExpr.from_basis_terms(sig.n, base), s_domain, t_domain
-    )
+    return _witness_surface(family, _witness(sig, family, signs), s_domain, t_domain)
 
 
 def scale_surface(surface: RuledSurface, k: float) -> RuledSurface:
@@ -218,12 +202,8 @@ def causal_map(
     whose sign contradicts its region raises CrossValidationError.
     """
     t_domain = DEFAULT_T_DOMAIN if t_domain is None else t_domain
-    if family in _FRAME_FAMILIES:
-        witness = _witness(sig, family, signs)
-        signs = witness.signs
-        surface = _witness_surface(family, witness, DEFAULT_S_DOMAIN, t_domain)
-    else:
-        surface = generate(sig, family, signs, t_domain=t_domain)
+    witness = _witness(sig, family, signs)
+    surface = _witness_surface(family, witness, DEFAULT_S_DOMAIN, t_domain)
     lo, hi = surface.t_domain
     terms = _det_g_terms(sig, surface)
     c0, c1, c2 = map(_constant_value, terms)
@@ -270,7 +250,7 @@ def causal_map(
     return CausalRegionReport(
         sig=sig,
         family=family,
-        signs=signs,
+        signs=witness.signs,
         t_domain=surface.t_domain,
         regions=regions,
         degenerate_loci=[float(t) for t in loci],
@@ -343,10 +323,11 @@ class BernsteinReport:
 def bernstein_check(sig: Signature, signs: SignChoice = SignChoice(0, 1, 1)) -> BernsteinReport:
     """Is the hyperbolic-paraboloid family a global minimal graph here?
 
-    Checks, over the nested square boxes BERNSTEIN_DOMAINS, that the
-    generated surface is the graph of a polynomial over a coordinate plane,
-    has a definite induced metric with det g > 0 and g11 > 0 (spacelike), is
-    minimal, and is not a plane (read from the sweep of the largest box).
+    Reads off the witness's terms that the generated surface is the graph of
+    a polynomial over a coordinate plane, and checks, over the nested square
+    boxes BERNSTEIN_DOMAINS, that it has a definite induced metric with
+    det g > 0 and g11 > 0 (spacelike), is minimal, and is not a plane (read
+    from the sweep of the largest box).
     Raises NonExistenceError where the family does not exist, which is
     exactly what makes this fail in low dimensions.
     """
@@ -354,21 +335,15 @@ def bernstein_check(sig: Signature, signs: SignChoice = SignChoice(0, 1, 1)) -> 
     validate_signs(family, signs)
     if signs.s2 != signs.s3:
         raise UsageError("the graph check needs s2 == s3 (definite metric case)")
-    result = existence_oracle(sig, family, signs)
-    if result.verdict is not Verdict.WITNESS:
-        raise NonExistenceError(result)
-
-    frame = result.frame
-    e2_idx = int(np.argmax(np.abs(np.asarray(frame.vectors[1]))))
-    e3_idx = int(np.argmax(np.abs(np.asarray(frame.vectors[2]))))
+    witness = _witness(sig, family, signs)
+    e2_idx, e3_idx = (int(np.argmax(np.abs(np.asarray(v)))) for v in witness.frame.vectors[1:])
 
     max_h = 0.0
     min_det = math.inf
     min_g11 = math.inf
-    graph_ok = True
     minimal_ok = True
     for lo, hi in BERNSTEIN_DOMAINS:
-        surface = _witness_surface(family, result, (lo, hi), (lo, hi))
+        surface = _witness_surface(family, witness, (lo, hi), (lo, hi))
         s_grid = np.linspace(lo, hi, BERNSTEIN_GRID)
         t_grid = np.linspace(lo, hi, BERNSTEIN_GRID)
         sweep = sweep_grid(sig, surface, s_grid, t_grid)
@@ -377,19 +352,17 @@ def bernstein_check(sig: Signature, signs: SignChoice = SignChoice(0, 1, 1)) -> 
         report = sweep.minimality()
         max_h = max(max_h, report.max_h_norm)
         minimal_ok = minimal_ok and report.is_minimal
-        T = t_grid[None, :]
-        S = s_grid[:, None]
-        if float(np.abs(sweep._f_axis(e2_idx) - T).max()) > 1e-12:
-            graph_ok = False
-        if float(np.abs(sweep._f_axis(e3_idx) - S).max()) > 1e-12:
-            graph_ok = False
+    # f = gamma t + x is exactly (t, s) on the graph axes, for every (s, t),
+    # when gamma's terms there are (1, 0) and x's are (0, s)
+    on_axes = [{key: c[k] for key, c in curve.terms.items() if c[k]}
+               for k in (e2_idx, e3_idx) for curve in (surface.gamma, surface.base)]
 
     return BernsteinReport(
         sig=sig,
         signs=signs,
         domains=BERNSTEIN_DOMAINS,
         exists=True,
-        entire_graph=graph_ok,
+        entire_graph=on_axes == [{(0, 0): 1.0}, {}, {}, {(1, 0): 1.0}],
         graph_axes=(e2_idx, e3_idx),
         spacelike=min_det > 0 and min_g11 > 0,
         minimal=minimal_ok,

@@ -10,7 +10,7 @@ errors say which normalization is missing.
 Every check (genericity, case invariants, structure equations, cylinder
 test) reads one surface._RulingTables on the gauge's surface.SCAN_POINTS
 s-grid. Every fact the classifier decides is read off closed-form terms by
-one rule, a term c counting as zero when |c| <= surface.H_TOL S, S the size
+one rule, a term c counting as zero when |c| <= metric.H_TOL S, S the size
 of the products that formed it: whether a pairing is zero, constant or a
 unit, the shifted delta that makes a helicoid of the second kind, the
 structure equations and whether gamma' and x' are parallel. What classify

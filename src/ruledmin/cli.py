@@ -188,6 +188,20 @@ def build_parser() -> argparse.ArgumentParser:
 # shared plumbing
 
 
+def _catalog_request(args) -> tuple[Signature, FamilyId, SignChoice | None]:
+    """--sig, --family and --signs, read in that order; signs on a family
+    without a frame sign choice are a usage error in every subcommand."""
+    if not args.sig or not args.family:
+        other = {"existence": "--table, or ", "causal-map": ""}.get(args.command, "--input FILE, or ")
+        raise UsageError(f"{args.command} needs {other}--sig n,p with --family NAME")
+    sig = _sig_arg(args.sig)
+    family = _family_arg(args.family)
+    signs = _signs_arg(args.signs) if args.signs else None
+    if signs is not None and family not in FRAME_FAMILIES:
+        validate_signs(family, signs)
+    return sig, family, signs
+
+
 def _resolve_surface(args) -> tuple[Signature, RuledSurface, dict]:
     """Surface from --input JSON or a generated catalog family."""
     from .surface import RuledSurface
@@ -207,20 +221,14 @@ def _resolve_surface(args) -> tuple[Signature, RuledSurface, dict]:
             raise UsageError(
                 "--sig disagrees with the signature inside the input file"
             )
-    elif args.family:
+    else:
         from .catalog import generate
 
-        if args.sig is None:
-            raise UsageError("--family needs --sig n,p")
-        sig = _sig_arg(args.sig)
-        family = _family_arg(args.family)
-        signs = _signs_arg(args.signs) if args.signs else None
+        sig, family, signs = _catalog_request(args)
         surface = generate(sig, family, signs)
         meta["family"] = CLI_NAME_OF[family]
         if signs is not None:
             meta["signs"] = list(signs.as_tuple())
-    else:
-        raise UsageError("provide --input FILE or --family NAME with --sig n,p")
 
     s_dom = _range_arg("--s-range", args.s_range) if args.s_range else surface.s_domain
     t_dom = _range_arg("--t-range", args.t_range) if args.t_range else surface.t_domain
@@ -492,18 +500,11 @@ def cmd_existence(args) -> int:
         else:
             _write_or_print(_table_text(), args.out)
         return 0
-    if not args.sig or not args.family:
-        raise UsageError("existence needs --table, or --sig n,p with --family NAME")
+    sig, family, signs = _catalog_request(args)
     if args.format not in (None, "json"):
         raise UsageError(
             f"an existence query prints JSON, not {args.format}; --table also takes csv"
         )
-    sig = _sig_arg(args.sig)
-    family = _family_arg(args.family)
-    signs = _signs_arg(args.signs) if args.signs else None
-    if signs is not None and family not in FRAME_FAMILIES:
-        # signs on a family without a frame are a usage error, as in every other subcommand
-        validate_signs(family, signs)
     result = existence_oracle(sig, family, signs)
     payload = {"command": "existence", **_existence_json(result)}
     _write_or_print(jsonio.dumps(payload), args.out)
@@ -557,13 +558,9 @@ def cmd_mesh(args) -> int:
 def cmd_causal_map(args) -> int:
     from .catalog import causal_map
 
-    if not args.family or not args.sig:
-        raise UsageError("causal-map needs --family NAME and --sig n,p")
+    sig, family, signs = _catalog_request(args)
     if args.format == "obj":
         raise UsageError("causal-map emits json or csv; use --format json|csv")
-    sig = _sig_arg(args.sig)
-    family = _family_arg(args.family)
-    signs = _signs_arg(args.signs) if args.signs else None
     t_domain = _range_arg("--t-range", args.t_range) if args.t_range else None
     report = causal_map(sig, family, signs, t_domain=t_domain)
     if args.format == "csv":

@@ -28,14 +28,10 @@ class ConventionError(PreconditionError):
 class DegenerateMetricError(RuledminError):
     """The induced metric is degenerate at a specific point."""
 
-    def __init__(self, s: float, t: float, det_g: float | None = None):
+    def __init__(self, s: float, t: float):
         self.s = float(s)
         self.t = float(t)
-        self.det_g = None if det_g is None else float(det_g)
-        msg = f"degenerate induced metric at (s, t) = ({self.s!r}, {self.t!r})"
-        if det_g is not None:
-            msg += f", det g = {self.det_g!r}"
-        super().__init__(msg)
+        super().__init__(f"degenerate induced metric at (s, t) = ({self.s!r}, {self.t!r})")
 
 
 class CrossValidationError(RuledminError):

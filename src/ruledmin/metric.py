@@ -2,7 +2,7 @@
 
 The pairing is <u, v> = -(u_1 v_1 + ... + u_p v_p) + u_{p+1} v_{p+1} + ... + u_n v_n,
 so the first p coordinates carry the negative squares. Integer and Fraction
-input is evaluated exactly; float input goes through a small null tolerance.
+input is evaluated exactly; a float vector is null by the zero rule on <v, v>.
 Only the float paths import numpy, so exact frame arithmetic runs without it.
 """
 
@@ -19,9 +19,13 @@ from .errors import DimensionMismatchError
 if TYPE_CHECKING:
     import numpy as np
 
-# Nullity cutoff for floating-point vectors. Exact (int/Fraction) input never
-# consults this.
-TAU_NULL = 1e-12
+# The one zero rule, relative to S, the size of the terms that cancel in a
+# quantity c: c counts as zero when |c| <= H_TOL S. It decides a float
+# vector's <v, v> (S the sum of its squares), a term of a closed-form pairing
+# (the gauge's and the classifier's) or a sample of it, and the H numerator's
+# coefficients, which vanish when what exceeds their rounding bound stays at
+# or below this fraction of S. Exact (int/Fraction) input never consults it.
+H_TOL = 1e-8
 
 
 class CausalCharacter(Enum):
@@ -137,8 +141,9 @@ def causal_character(sig: Signature, v: Sequence) -> CausalCharacter:
     va = np.asarray(v, dtype=float)
     if float(np.abs(va).max(initial=0.0)) == 0.0:
         return CausalCharacter.ZERO
-    q = float((va * va * sig.weights()).sum())
-    if abs(q) <= TAU_NULL:
+    squares = va * va
+    q = float((squares * sig.weights()).sum())
+    if abs(q) <= H_TOL * float(squares.sum()):
         return CausalCharacter.NULL
     return CausalCharacter.SPACELIKE if q > 0 else CausalCharacter.TIMELIKE
 

@@ -33,16 +33,10 @@ from .errors import (
     NullDirectionError,
     UsageError,
 )
-from .metric import Signature, ip_array
+from .metric import H_TOL, Signature, ip_array
 
 # |det g| at or below this is treated as a degenerate tangent plane.
 TAU_DEG = 1e-9
-# The one zero rule, relative to S, the size of the terms that cancel in a
-# coefficient c: the H numerator's coefficients vanish when what exceeds their
-# rounding bound stays at or below this fraction of S, and a term of a
-# closed-form pairing (the gauge's and the classifier's) or a sample of it
-# counts as zero when |c| <= H_TOL S.
-H_TOL = 1e-8
 # The gauge and the classifier read the curves on this many points of the s-domain.
 SCAN_POINTS = 201
 EPS = np.finfo(float).eps

@@ -42,11 +42,11 @@ PUBLIC = {
         "NormPattern SignChoice pattern_of_signs validate_signs "
     ),
     "metric": (
-        "CausalCharacter Signature TAU_NULL causal_character gram_matrix "
+        "CausalCharacter H_TOL Signature causal_character gram_matrix "
         "inner_product ip_array "
     ),
     "surface": (
-        "GaugeResult H_TOL MinimalityReport MinimalityVerdict RuledSurface "
+        "GaugeResult MinimalityReport MinimalityVerdict RuledSurface "
         "ScalarProfile SurfaceSweep TAU_DEG c_function c_function_grid gauge_normalize "
         "is_minimal sweep_grid "
     ),

@@ -426,6 +426,21 @@ def test_bernstein_check_requires_spacelike_pattern():
         bernstein_check(R41, signs=SignChoice(0, 1, -1))
 
 
+def test_bernstein_graph_property_fails_on_a_bumped_witness(monkeypatch):
+    """The graph property is read off the witness's terms: a base that gains
+    1e-3 s on the e2 axis makes f's coordinate there t + 1e-3 s, not t."""
+    witness_surface = catalog._witness_surface
+
+    def bumped(family, witness, s_domain, t_domain):
+        surface = witness_surface(family, witness, s_domain, t_domain)
+        bump = CurveExpr.from_basis_terms(surface.n, [("pow", 1, 1e-3 * np.asarray(witness.frame.vectors[1]))])
+        return RuledSurface(surface.gamma, surface.base + bump, s_domain, t_domain)
+
+    assert bernstein_check(R41).entire_graph
+    monkeypatch.setattr(catalog, "_witness_surface", bumped)
+    assert not bernstein_check(R41).entire_graph
+
+
 @pytest.mark.parametrize("sig", [R30, R31])
 def test_bernstein_check_nonexistence(sig):
     with pytest.raises(NonExistenceError) as err:
@@ -490,6 +505,17 @@ def test_queries_ask_the_oracle_once_and_check_one_frame(query, monkeypatch):
     query()
     assert len(asked) == 1
     assert len(checked) == 1
+
+
+@pytest.mark.parametrize("family", [FamilyId.PLANE, FamilyId.MINIMAL_CYLINDER])
+@pytest.mark.parametrize("query", [generate, causal_map], ids=["generate", "causal_map"])
+def test_frameless_queries_ask_the_oracle_once_and_check_no_frame(query, family, monkeypatch):
+    """The plane and the cylinder take the same one witness step as the frame
+    families: one oracle call, and no frame to build or check."""
+    checked, asked = _count_frames_and_oracle_calls(monkeypatch)
+    query(R41, family)
+    assert asked == [(R41, family, None)]
+    assert not checked
 
 
 def test_frame_spec_validates_gram_exactly():

@@ -706,6 +706,19 @@ def test_out_of_range_signature_exits_2(argv):
     assert doc["message"].startswith("--sig ")
 
 
+@pytest.mark.parametrize("command, flags, alternative", [
+    *[(command, ["--family", "plane"], "--input FILE, or ") for command in ("verify", "classify", "gauge", "mesh")],
+    *[("causal-map", flags, "") for flags in (["--family", "plane"], ["--sig", "3,1"])],
+    *[("existence", flags, "--table, or ") for flags in (["--family", "plane"], ["--sig", "3,1"], [])],
+])
+def test_a_catalog_request_without_sig_or_family_exits_2(command, flags, alternative):
+    """Every subcommand reads --sig, --family and --signs in one place, so a
+    missing one is named in one message, with the subcommand's alternative."""
+    rc, doc = run_json([command, *flags])
+    assert rc == 2
+    assert doc == {"error": "UsageError", "message": f"{command} needs {alternative}--sig n,p with --family NAME"}
+
+
 @pytest.mark.parametrize("family", ["plane", "minimal-cylinder"])
 @pytest.mark.parametrize("command", ["existence", "verify", "classify", "gauge", "mesh", "causal-map"])
 def test_signs_on_a_family_without_frame_signs_exit_2(family, command):

@@ -67,6 +67,17 @@ def test_causal_character_float_tolerance():
     assert causal_character(sig, (1.0, 1.0 + 1e-5, 0.0)) is CausalCharacter.SPACELIKE
 
 
+@pytest.mark.parametrize("v, character", [
+    ((1e-7, 0.0, 0.0), CausalCharacter.TIMELIKE),
+    ((0.0, 1e-7, 0.0), CausalCharacter.SPACELIKE),
+    ((1e8, 1e8 * (1 + 1e-15), 0.0), CausalCharacter.NULL),
+])
+def test_causal_character_of_a_float_vector_does_not_depend_on_its_scale(v, character):
+    """<v, v> is null by the zero rule relative to the sum of v's squares, so a
+    short vector keeps its character and a long one its nullity."""
+    assert causal_character(Signature(3, 1), v) is character
+
+
 def test_causal_character_exact_integers_need_no_tolerance():
     # enormous integer coordinates stay exact, so near-null never leaks to Null
     sig = Signature(3, 1)
