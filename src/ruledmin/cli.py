@@ -131,14 +131,46 @@ _FLAGS = {  # in the order --help lists them
     "format": dict(choices=("json", "csv", "obj"), help="output format"),
 }
 _VALUE_FLAGS = {f"--{name}" for name, spec in _FLAGS.items() if "action" not in spec}
+_NEGATIVE = re.compile(r"-[\d.]")
+_SURFACE_FLAGS = {"input", "family", "signs", "sig", "s-range", "t-range", "out"}
+# each subcommand declares only the flags its handler reads, so argparse
+# rejects the rest with exit code 2
+_COMMANDS = {
+    "verify": ("decide minimality", _SURFACE_FLAGS | {"grid", "tol"}),
+    "classify": ("identify the family", _SURFACE_FLAGS | {"tol"}),
+    "existence": (
+        "witnesses, certificates, the table",
+        {"table", "family", "signs", "sig", "out", "format"},
+    ),
+    "mesh": ("export an OBJ/CSV lattice mesh", _SURFACE_FLAGS | {"grid", "format"}),
+    "causal-map": (
+        "spacelike/timelike regions over t",
+        {"family", "sig", "signs", "t-range", "out", "format"},
+    ),
+    "gauge": ("normalize the base curve (kill g12)", _SURFACE_FLAGS),
+}
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
+def _takes_value(token: str, command: str) -> bool:
+    """Whether `command`'s parser reads token as a flag that takes a value:
+    the flag itself or, as argparse resolves abbreviations, a prefix of
+    exactly one of the subcommand's option strings."""
+    options = ["--help", *(f"--{flag}" for flag in _COMMANDS[command][1])]
+    if token not in options:
+        hits = [opt for opt in options if opt.startswith(token)] if token.startswith("--") else []
+        if len(hits) != 1:
+            return False
+        token = hits[0]
+    return token in _VALUE_FLAGS
+
+
+def _join_negative_values(argv: list[str], command: str) -> list[str]:
     """Spell "--flag VALUE" as "--flag=VALUE" when VALUE starts with "-" and a
-    digit or ".", since argparse reads a value such as -1,1,0 as an option."""
+    digit or ".", since argparse reads a value such as -1,1,0 as an option.
+    argv follows the subcommand `command`, whose flags may be abbreviated."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _VALUE_FLAGS and re.match(r"-[\d.]", arg):
+        if out and _NEGATIVE.match(arg) and _takes_value(out[-1], command):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -146,12 +178,13 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ruledmin parser, built on the first call and shared by every later
-    one in the process: do not mutate it.
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level ruledmin parser and each subcommand's parser by name,
+    built on the first call and shared by every later one in the process: do
+    not mutate them.
 
-    It depends only on _FLAGS and the command table below, and argparse reads
-    the streams and the terminal width when it prints, not here.
+    They depend only on _FLAGS and _COMMANDS, and argparse reads the streams
+    and the terminal width when it prints, not here.
     """
     parser = argparse.ArgumentParser(
         prog="ruledmin",
@@ -159,29 +192,31 @@ def build_parser() -> argparse.ArgumentParser:
         "verification, classification, existence, meshes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    surface_flags = {"input", "family", "signs", "sig", "s-range", "t-range", "out"}
-    # each subcommand declares only the flags its handler reads, so argparse
-    # rejects the rest with exit code 2
-    commands = {
-        "verify": ("decide minimality", surface_flags | {"grid", "tol"}),
-        "classify": ("identify the family", surface_flags | {"tol"}),
-        "existence": (
-            "witnesses, certificates, the table",
-            {"table", "family", "signs", "sig", "out", "format"},
-        ),
-        "mesh": ("export an OBJ/CSV lattice mesh", surface_flags | {"grid", "format"}),
-        "causal-map": (
-            "spacelike/timelike regions over t",
-            {"family", "sig", "signs", "t-range", "out", "format"},
-        ),
-        "gauge": ("normalize the base curve (kill g12)", surface_flags),
-    }
-    for name, (help_text, accepted) in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    commands = {}
+    for name, (help_text, accepted) in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=help_text)
         for flag, spec in _FLAGS.items():
             if flag in accepted:
                 p.add_argument(f"--{flag}", **spec)
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ruledmin parser with every subcommand, shared by every call in the
+    process: do not mutate it."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv read in one pass by the parser of the subcommand argv[0] names.
+    The top-level parser reads only the rest (no argument, --help, an unknown
+    subcommand, a leading option), all of which print help or a usage error."""
+    top, commands = _parsers()
+    command = argv[0] if argv else None
+    if command not in commands:
+        return top.parse_args(argv)
+    rest = _join_negative_values(argv[1:], command)
+    return commands[command].parse_args(rest, argparse.Namespace(command=command))
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +663,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     handler = _HANDLERS[args.command]
     try:
         return handler(args)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ruledmin
 from ruledmin import FamilyId, Signature, UsageError, cli, generate, surface, sweep_grid
@@ -1210,6 +1213,101 @@ def test_a_flag_value_starting_with_minus_reads_as_its_equals_spelling(argv, fla
     assert spaced[:2] == run([*argv, f"{flag}={value}"])[:2]
 
 
+def test_an_abbreviated_flag_takes_a_value_starting_with_minus():
+    argv = ["causal-map", "--sig", "3,1", "--family", "plane"]
+    spaced = run([*argv, "--t-ra", "-1,1"])
+    assert spaced[0] == 0
+    assert spaced == run([*argv, "--t-ra=-1,1"]) == run([*argv, "--t-range", "-1,1"])
+
+
+def parse_outcome(parse, argv):
+    """The namespace's vars, or the exit code with what argparse printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _unique_prefixes(command, flag):
+    """Every spelling of flag that command's parser resolves to it: each
+    prefix that no other option string of the subcommand shares, and the
+    flag itself."""
+    options = ["--help", *(f"--{name}" for name in cli._COMMANDS[command][1])]
+    return [flag[:k] for k in range(3, len(flag) + 1)
+            if flag[:k] == flag or sum(opt.startswith(flag[:k]) for opt in options) == 1]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, f"--{name}")
+    for command, (_, accepted) in cli._COMMANDS.items()
+    for name in cli._FLAGS
+    if name in accepted and f"--{name}" in cli._VALUE_FLAGS
+])
+def test_every_spelling_of_a_value_flag_takes_a_negative_value(command, flag):
+    # argparse itself takes -1 and -.5 as values, but not these
+    value = "-1e-3" if flag == "--tol" else "-1,1"
+    equals = parse_outcome(cli._parse, [command, f"{flag}={value}"])
+    assert isinstance(equals, dict) or flag == "--format"  # -1,1 is no --format choice
+    for spelling in _unique_prefixes(command, flag):
+        assert parse_outcome(cli._parse, [command, spelling, value]) == equals, spelling
+
+
+def test_an_ambiguous_abbreviation_before_a_negative_value_exits_2():
+    code, _, err = parse_outcome(cli._parse, ["verify", "--s", "-1,1"])
+    assert code == 2 and "ambiguous option: --s" in err
+
+
+def _joined(argv):
+    if argv and argv[0] in cli._COMMANDS:
+        return [argv[0], *cli._join_negative_values(argv[1:], argv[0])]
+    return argv
+
+
+def assert_parses_as_the_full_parser(argv):
+    """cli._parse reads argv as the whole parser reads it joined: the same
+    namespace, or the same exit code (and the same help text on exit 0)."""
+    one = parse_outcome(cli._parse, argv)
+    full = parse_outcome(cli.build_parser().parse_args, _joined(argv))
+    if isinstance(one, dict) or isinstance(full, dict):
+        assert one == full
+    else:
+        assert one[0] == full[0]
+        if one[0] == 0:
+            assert one[1] == full[1]
+
+
+_VALUES = ["3,1", "-1,1", "-1,1,0", "-.5,2", "41x41", "json", "1e-3", "-1e-3", "plane", "x"]
+_JUNK = ["--", "-", "-h", "--he", "--s", "--t-ra", "--fo", "--nope", "--sig=-1,1", "--t-ra=-1,1", "nope"]
+_PARSE_CORPUS = [
+    [], ["--help"], ["-h", "verify"], ["nope"], ["--sig", "3,1", "verify"], ["--nope", "verify"],
+    *([command, f"--{flag}", value]
+      for command in cli._COMMANDS for flag in cli._FLAGS for value in ("-1,1", "3,1")),
+    *([command, f"--{flag}={value}"]
+      for command in cli._COMMANDS for flag in cli._FLAGS for value in ("-1,1", "3,1")),
+    *([command, *extra] for command in cli._COMMANDS for extra in (
+        [], ["-h"], ["--sig", "3,1", "--help"], ["--nope"], ["--", "-1"], ["x"],
+        ["--sig", "3,1", "--family", "plane", "--signs", "-1,1,0", "--out", "-1"],
+    )),
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=" ".join)
+def test_the_subcommand_parser_reads_argv_as_the_full_parser(argv):
+    assert_parses_as_the_full_parser(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([*cli._COMMANDS, *_JUNK]),
+    st.lists(st.sampled_from([*cli._COMMANDS, *(f"--{f}" for f in cli._FLAGS), *_VALUES, *_JUNK]),
+             max_size=8),
+)
+def test_any_argv_parses_as_the_full_parser_reads_it(head, rest):
+    assert_parses_as_the_full_parser([head, *rest])
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 
@@ -1250,3 +1348,59 @@ def test_help_lists_the_same_names_on_every_call(argv, listed):
         texts.append(out.getvalue())
     assert texts[0] == texts[1]
     assert all(name in texts[0] for name in listed)
+
+
+@pytest.fixture
+def parsed_by(monkeypatch):
+    """The parsers whose parse_known_args ran, in call order."""
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["existence", "--sig", "4,2", "--family", "hyperbolic-helicoid-2"],
+    ["causal-map", "--sig", "3,1", "--family", "plane", "--t-ra", "-1,1"],
+    ["existence", "--table", "--format", "csv"],
+])
+def test_a_subcommand_argv_is_parsed_once_by_its_own_parser(parsed_by, argv):
+    assert run(argv)[0] == 0
+    assert parsed_by == [cli._parsers()[1][argv[0]]]
+
+
+@pytest.mark.parametrize("argv, code, stream, message", [
+    ([], 2, "err", "the following arguments are required: command"),
+    (["--help"], 0, "out", "{verify,classify,existence,mesh,causal-map,gauge}"),
+    (["nope"], 2, "err", "invalid choice: 'nope'"),
+])
+def test_help_and_a_missing_or_unknown_subcommand_go_to_the_top_level_parser(
+    parsed_by, argv, code, stream, message
+):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        cli.main(argv)
+    assert exc.value.code == code
+    text = {"out": out, "err": err}[stream].getvalue()
+    assert text.startswith("usage: ruledmin [-h] {verify,") and message in text
+    assert parsed_by == [cli.build_parser()]
+
+
+@pytest.mark.parametrize("argv, rejected", [
+    (["verify", "--sig", "3,1", "--family", "plane", "--table"], "--table"),
+    (["existence", "--sig", "3,1", "--family", "plane", "--grid", "41x41"], "--grid 41x41"),
+    (["causal-map", "--sig", "3,1", "--family", "plane", "--input", "x"], "--input x"),
+])
+def test_a_rejected_flag_is_named_under_its_subcommand_usage(argv, rejected):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert err.getvalue().startswith(f"usage: ruledmin {argv[0]} [-h]")
+    assert f"ruledmin {argv[0]}: error: unrecognized arguments: {rejected}\n" in err.getvalue()
